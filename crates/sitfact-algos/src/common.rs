@@ -2,9 +2,10 @@
 //! measure-slice dominance helpers and the parameters every algorithm derives
 //! from a schema + [`DiscoveryConfig`].
 
+use sitfact_core::dominance::{compare, DominanceOrdering};
 use sitfact_core::{
     BoundMask, Constraint, ConstraintLattice, Direction, DiscoveryConfig, Schema, SubspaceMask,
-    Tuple,
+    TupleId, TupleRef, TupleView,
 };
 
 /// Parameters shared by every algorithm instance, derived once from the schema
@@ -26,6 +27,11 @@ pub struct AlgoParams {
     pub full_space: SubspaceMask,
     /// Proper subspaces of the full space within the reported family.
     pub proper_subspaces: Vec<SubspaceMask>,
+    /// Every subspace the shared variants keep a store for: the proper
+    /// subspaces followed by the full space.
+    pub maintained: Vec<SubspaceMask>,
+    /// The lattice in top-down order, enumerated once instead of per call.
+    pub top_down: Vec<BoundMask>,
 }
 
 impl AlgoParams {
@@ -37,19 +43,24 @@ impl AlgoParams {
         let n_measures = schema.num_measures();
         let full_space = SubspaceMask::full(n_measures);
         let subspaces = SubspaceMask::enumerate(n_measures, m_hat);
-        let proper_subspaces = subspaces
+        let proper_subspaces: Vec<SubspaceMask> = subspaces
             .iter()
             .copied()
             .filter(|&s| s != full_space)
             .collect();
+        let mut maintained = proper_subspaces.clone();
+        maintained.push(full_space);
+        let lattice = ConstraintLattice::new(n_dims, d_hat);
         AlgoParams {
             n_dims,
             n_measures,
             directions: schema.directions().to_vec(),
-            lattice: ConstraintLattice::new(n_dims, d_hat),
+            lattice,
             subspaces,
             full_space,
             proper_subspaces,
+            maintained,
+            top_down: lattice.enumerate_top_down(),
         }
     }
 
@@ -75,7 +86,7 @@ impl ConstraintCache {
     /// Builds the cache for a tuple over an `n_dims`-attribute schema. All
     /// `2^n_dims` masks are materialised (the few above the `d̂` cap are
     /// harmless and keep indexing branch-free).
-    pub fn new(tuple: &Tuple, n_dims: usize) -> Self {
+    pub fn new(tuple: impl TupleView + Copy, n_dims: usize) -> Self {
         let count = 1usize << n_dims;
         let mut constraints = Vec::with_capacity(count);
         for mask in 0..count as u32 {
@@ -149,6 +160,48 @@ pub fn skyline_cardinality_recompute(
     .len()
 }
 
+/// The skyline of `rows` in `subspace` — the set [`skyline_of`] returns, in
+/// the same (id) order — adding one to `comparisons` per dominance test. The
+/// incremental `retract`s recompute a cell's live skyline through this, so
+/// the Fig. 11 cost proxy covers the retraction path; `skyline_of` itself
+/// stays the uncounted oracle.
+///
+/// Block-nested-loop: each row meets only the skyline of the rows before it.
+/// A row dominated by a window member cannot dominate another member (the
+/// window is an antichain and dominance is transitive), so its scan stops at
+/// the first dominator.
+///
+/// [`skyline_of`]: sitfact_core::dominance::skyline_of
+pub(crate) fn skyline_counted<'a>(
+    rows: &[(TupleId, TupleRef<'a>)],
+    subspace: SubspaceMask,
+    directions: &[Direction],
+    comparisons: &mut u64,
+) -> Vec<(TupleId, TupleRef<'a>)> {
+    let mut skyline: Vec<(TupleId, TupleRef<'a>)> = Vec::new();
+    for &(id, row) in rows {
+        let mut dominated = false;
+        skyline.retain(|&(_, member)| {
+            if dominated {
+                return true;
+            }
+            *comparisons += 1;
+            match compare(member, row, subspace, directions) {
+                DominanceOrdering::Dominates => {
+                    dominated = true;
+                    true
+                }
+                DominanceOrdering::DominatedBy => false,
+                DominanceOrdering::Equal | DominanceOrdering::Incomparable => true,
+            }
+        });
+        if !dominated {
+            skyline.push((id, row));
+        }
+    }
+    skyline
+}
+
 /// `left ≻_M right` on raw measure slices.
 #[inline]
 pub fn dominates_measures(
@@ -208,7 +261,7 @@ pub fn dominated_in(better: SubspaceMask, worse: SubspaceMask, m: SubspaceMask) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitfact_core::SchemaBuilder;
+    use sitfact_core::{SchemaBuilder, Tuple};
 
     fn schema(d: usize, m: usize) -> Schema {
         let mut b = SchemaBuilder::new("s");
@@ -263,6 +316,44 @@ mod tests {
         assert_eq!(better, SubspaceMask(0b11));
         assert_eq!(worse, SubspaceMask::EMPTY);
         assert!(!dominated_in(better, worse, SubspaceMask(0b01)));
+    }
+
+    #[test]
+    fn counted_skyline_matches_the_oracle_and_counts_its_tests() {
+        use rand::prelude::*;
+        let dirs = [
+            Direction::HigherIsBetter,
+            Direction::LowerIsBetter,
+            Direction::HigherIsBetter,
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [0usize, 1, 2, 40] {
+            let tuples: Vec<Tuple> = (0..n)
+                .map(|_| Tuple::new(vec![], (0..3).map(|_| rng.gen_range(0..4) as f64).collect()))
+                .collect();
+            let rows: Vec<(TupleId, TupleRef<'_>)> = tuples
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (i as TupleId, t.into()))
+                .collect();
+            for m in SubspaceMask::enumerate(3, 3) {
+                let mut comparisons = 0;
+                let got: Vec<TupleId> = skyline_counted(&rows, m, &dirs, &mut comparisons)
+                    .iter()
+                    .map(|(id, _)| *id)
+                    .collect();
+                let expected: Vec<TupleId> =
+                    sitfact_core::dominance::skyline_of(rows.iter().copied(), m, &dirs)
+                        .iter()
+                        .map(|(id, _)| *id)
+                        .collect();
+                assert_eq!(got, expected, "n={n} m={m:?}");
+                // At least one test per row after the first, at most one per pair.
+                let n = n as u64;
+                assert!(comparisons >= n.saturating_sub(1));
+                assert!(comparisons <= n * n.saturating_sub(1) / 2);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use crate::bottom_up::BottomUp;
 use crate::common::{
-    dominates_measures, partition_measures, AlgoParams, ConstraintCache, TraversalScratch,
+    dominates_measures, partition_measures, skyline_counted, AlgoParams, ConstraintCache,
+    TraversalScratch,
 };
 use crate::traits::Discovery;
 use sitfact_core::{
@@ -246,41 +247,53 @@ impl<S: SkylineStore> Discovery for SBottomUp<S> {
     }
 
     fn retract(&mut self, table: &Table, t_id: TupleId) -> sitfact_core::Result<()> {
-        // Invariant-1 repair. Only cells of the expired tuple's own
-        // constraint family `C^t` can reference it, and within those only the
-        // cells whose skyline it actually joined need work: removing a
-        // non-skyline tuple leaves a complete skyline complete. When the
-        // expired tuple does leave a skyline, the region it dominated is
-        // re-promoted by recomputing the cell from its *live* context (the
-        // table's iterators already skip tombstoned rows), which also drops
-        // the cell entirely when its context emptied — exactly the store an
-        // algorithm fed only the surviving suffix would hold.
+        // Invariant-1 repair, probe first. Only cells of the expired tuple's
+        // own constraint family `C^t` can reference it, and within those only
+        // the cells whose skyline it actually joined need work: removing a
+        // non-skyline tuple leaves a complete skyline complete, so every
+        // other cell is frozen for the one probe. When the expired tuple does
+        // leave a skyline, the region it dominated is re-promoted by
+        // recomputing the cell from its *live* context (the table's iterators
+        // skip tombstoned rows), scanned once per constraint for all its
+        // affected subspaces — exactly the store an algorithm fed only the
+        // surviving suffix would hold. Later ids of the same eviction are
+        // dead in the table but still stored; their own calls remove them
+        // (see `Discovery::retract`).
+        let SBottomUp {
+            params,
+            store,
+            stats,
+            ..
+        } = self;
         let expired = table.tuple(t_id);
-        let directions = self.params.directions.clone();
-        let mut maintained = self.params.proper_subspaces.clone();
-        maintained.push(self.params.full_space);
-        for mask in self.params.lattice.enumerate_top_down() {
-            let constraint = Constraint::from_tuple_mask(expired, mask);
-            for &subspace in &maintained {
-                self.stats.store_reads += 1;
-                if !self.store.remove(&constraint, subspace, t_id) {
+        let cache = ConstraintCache::new(expired, params.n_dims);
+        let mut rows = Vec::new();
+        for &mask in &params.top_down {
+            let constraint = cache.get(mask);
+            let mut scanned = false;
+            for &subspace in &params.maintained {
+                stats.store_reads += 1;
+                if !store.remove(constraint, subspace, t_id) {
                     continue;
                 }
-                self.stats.store_writes += 1;
-                let skyline = sitfact_core::dominance::skyline_of(
-                    table.context(&constraint),
-                    subspace,
-                    &directions,
-                );
+                stats.store_writes += 1;
+                if !scanned {
+                    scanned = true;
+                    rows.clear();
+                    rows.extend(table.context(constraint));
+                }
+                let skyline =
+                    skyline_counted(&rows, subspace, &params.directions, &mut stats.comparisons);
+                let current = store.read(constraint, subspace);
+                stats.store_reads += 1;
                 for (id, survivor) in skyline {
-                    self.stats.comparisons += 1;
-                    if !self.store.contains(&constraint, subspace, id) {
-                        self.store.insert(
-                            &constraint,
+                    if !current.iter().any(|e| e.id == id) {
+                        store.insert(
+                            constraint,
                             subspace,
                             StoredEntry::new(id, survivor.measures()),
                         );
-                        self.stats.store_writes += 1;
+                        stats.store_writes += 1;
                     }
                 }
             }

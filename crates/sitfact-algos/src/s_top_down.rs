@@ -2,7 +2,8 @@
 //! across measure subspaces.
 
 use crate::common::{
-    dominates_measures, partition_measures, AlgoParams, ConstraintCache, TraversalScratch,
+    dominates_measures, partition_measures, skyline_counted, AlgoParams, ConstraintCache,
+    TraversalScratch,
 };
 use crate::top_down::{demote_stored_tuple, skyline_cardinality_from_maximal};
 use crate::traits::Discovery;
@@ -311,87 +312,90 @@ impl<S: SkylineStore> Discovery for STopDown<S> {
     }
 
     fn retract(&mut self, table: &Table, t_id: TupleId) -> sitfact_core::Result<()> {
-        // Invariant-2 repair. Only contexts containing the expired tuple can
-        // change, and those are exactly the constraints of its own family
-        // `C^x` — which is closed under ancestors, and for any survivor `s`
-        // matching one of them, the ancestors in `s`'s own lattice coincide
-        // with the ancestors in `C^x`. Maximality is therefore decidable
-        // inside the family: recompute the live skyline of every `C^x` cell,
-        // keep each survivor only where no ancestor skyline also holds it,
-        // and reconcile the stored entries against that. This both evicts the
-        // expired tuple and runs the promotion cascade (a survivor that was
-        // dominated only by the expired tuple moves *up* to its new maximal
-        // constraint, leaving its old, now non-maximal, cells).
+        // Invariant-2 repair, probe first. Only contexts containing the
+        // expired tuple `x` can change, and those are the constraints of its
+        // own family `C^x`. Within it the skyline of `(C, M)` changes only if
+        // `x` was in it, and — membership being closed towards more specific
+        // constraints, with `x` stored exactly at its maximal skyline
+        // constraints — that is the case iff `x` is stored at `C` or at an
+        // ancestor of `C`. So walk `C^x` top-down, take `x` out where it is
+        // stored, and call `(C, M)` *affected* iff `x` was stored there or a
+        // parent is affected in `M`. Every other cell is frozen: its skyline,
+        // and so what it stores, stays as it is, for the one probe.
+        //
+        // An affected cell is recomputed from its live context, scanned once
+        // per constraint for all its affected subspaces (the table's
+        // iterators skip tombstoned rows). A survivor `s` of that skyline
+        // belongs at `C` unless an ancestor skyline also holds it, and the
+        // ancestors — frozen, or repaired earlier in this walk — answer that
+        // from the store; they are the same constraints in `C^s` as in `C^x`,
+        // because `s` matches `C`. A survivor that newly becomes maximal at
+        // `C` was stored further down in *its own* family (it may disagree
+        // with `x` on the extra bound attributes), so those cells give it up.
+        //
+        // Nothing else is removed: a later id of the same eviction is dead in
+        // the table but still stored, and its own call must find it to know
+        // which cells it affects (see `Discovery::retract`).
+        let STopDown {
+            params,
+            store,
+            stats,
+            ..
+        } = self;
         let expired = table.tuple(t_id);
-        let directions = self.params.directions.clone();
-        let mut maintained = self.params.proper_subspaces.clone();
-        maintained.push(self.params.full_space);
-        let masks = self.params.lattice.enumerate_top_down();
-        let constraints: Vec<Constraint> = masks
-            .iter()
-            .map(|&mask| Constraint::from_tuple_mask(expired, mask))
-            .collect();
-        let flag_len = self.params.lattice.flag_len();
-        for &subspace in &maintained {
-            // Live skyline of every affected context, keyed by bound mask.
-            // The table's iterators already skip tombstoned rows, so this is
-            // the skyline an algorithm fed only the surviving suffix would
-            // see.
-            let mut sky: Vec<Vec<TupleId>> = vec![Vec::new(); flag_len];
-            let mut in_sky: Vec<sitfact_core::FxHashSet<TupleId>> =
-                vec![sitfact_core::FxHashSet::default(); flag_len];
-            for (i, &mask) in masks.iter().enumerate() {
-                let s = sitfact_core::dominance::skyline_of(
-                    table.context(&constraints[i]),
-                    subspace,
-                    &directions,
-                );
-                let ids: Vec<TupleId> = s.into_iter().map(|(id, _)| id).collect();
-                in_sky[mask.0 as usize] = ids.iter().copied().collect();
-                sky[mask.0 as usize] = ids;
-            }
-            for (i, &mask) in masks.iter().enumerate() {
-                let constraint = &constraints[i];
-                let desired: Vec<TupleId> = sky[mask.0 as usize]
-                    .iter()
-                    .copied()
-                    .filter(|id| {
-                        !mask
-                            .ancestors()
-                            .iter()
-                            .any(|a| in_sky[a.0 as usize].contains(id))
-                    })
-                    .collect();
-                let current = self.store.read(constraint, subspace);
-                self.stats.store_reads += 1;
-                for entry in current.iter() {
-                    if !desired.contains(&entry.id) {
-                        self.store.remove(constraint, subspace, entry.id);
-                        self.stats.store_writes += 1;
-                    }
+        let cache = ConstraintCache::new(expired, params.n_dims);
+        let n_sub = params.maintained.len();
+        let mut affected = vec![false; params.lattice.flag_len() * n_sub];
+        let mut rows = Vec::new();
+        for &mask in &params.top_down {
+            let constraint = cache.get(mask);
+            let mut scanned = false;
+            for (slot, &subspace) in params.maintained.iter().enumerate() {
+                stats.store_reads += 1;
+                let held = store.remove(constraint, subspace, t_id);
+                stats.store_writes += u64::from(held);
+                let inherited = mask
+                    .parents()
+                    .any(|p| affected[p.0 as usize * n_sub + slot]);
+                if !(held || inherited) {
+                    continue;
                 }
-                for id in desired {
-                    if !current.iter().any(|e| e.id == id) {
-                        self.store.insert(
-                            constraint,
-                            subspace,
-                            StoredEntry::new(id, table.tuple(id).measures()),
-                        );
-                        self.stats.store_writes += 1;
-                        // A newly-inserted survivor was, before the expiry,
-                        // not in this skyline at all — it was stored further
-                        // down, at cells of *its own* family that are now
-                        // dominated by this placement. Those cells need not
-                        // lie in `C^x` (the survivor may disagree with the
-                        // expired tuple on the extra bound attributes), so
-                        // evict it from every strict descendant explicitly.
-                        let survivor = table.tuple(id);
-                        for &descendant in &masks {
-                            if descendant != mask && descendant.0 & mask.0 == mask.0 {
-                                let cell = Constraint::from_tuple_mask(survivor, descendant);
-                                if self.store.remove(&cell, subspace, id) {
-                                    self.stats.store_writes += 1;
-                                }
+                affected[mask.0 as usize * n_sub + slot] = true;
+                if !scanned {
+                    scanned = true;
+                    rows.clear();
+                    rows.extend(table.context(constraint));
+                }
+                let skyline =
+                    skyline_counted(&rows, subspace, &params.directions, &mut stats.comparisons);
+                let current = store.read(constraint, subspace);
+                stats.store_reads += 1;
+                for (id, survivor) in skyline {
+                    if current.iter().any(|e| e.id == id) {
+                        continue;
+                    }
+                    let mut above = params
+                        .top_down
+                        .iter()
+                        .filter(|a| **a != mask && a.is_submask_of(mask));
+                    if above.any(|&a| {
+                        stats.store_reads += 1;
+                        store.contains(cache.get(a), subspace, id)
+                    }) {
+                        continue;
+                    }
+                    store.insert(
+                        constraint,
+                        subspace,
+                        StoredEntry::new(id, survivor.measures()),
+                    );
+                    stats.store_writes += 1;
+                    for &below in &params.top_down {
+                        if below != mask && mask.is_submask_of(below) {
+                            let cell = Constraint::from_tuple_mask(survivor, below);
+                            stats.store_reads += 1;
+                            if store.remove(&cell, subspace, id) {
+                                stats.store_writes += 1;
                             }
                         }
                     }

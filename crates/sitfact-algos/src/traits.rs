@@ -131,16 +131,35 @@ pub trait Discovery {
     }
 
     /// Repairs the algorithm's internal state after the sliding window
-    /// expires tuple `t_id`. Called by the windowed monitors *after*
-    /// [`Table::retract_prefix`] tombstoned the row (so `table.iter()` and
-    /// `table.context(…)` already see only survivors) but *before*
-    /// [`Table::compact_retracted`] drops it physically — `table.tuple(t_id)`
-    /// still yields the expired row for targeted repair.
+    /// expires tuple `t_id`.
     ///
-    /// Implementations must leave their state indistinguishable from an
-    /// algorithm that only ever processed the surviving suffix: when an
-    /// expired tuple leaves a contextual skyline, the region it dominated is
-    /// re-promoted by recomputing that skyline from the live context.
+    /// ## Calling protocol
+    ///
+    /// An eviction expires a prefix of the arrival order, and the caller
+    /// (`FactMonitor::evict_prefix`) runs it in this order, which the
+    /// incremental implementations rely on:
+    ///
+    /// 1. [`Table::retract_prefix`] tombstones the **whole** prefix first, so
+    ///    `table.iter()` and `table.context(…)` see only survivors during
+    ///    every call below;
+    /// 2. `retract` is called once per newly expired id, in **ascending**
+    ///    order. `table.tuple(t_id)` still yields the expired row, for
+    ///    targeted repair. The later ids of the same eviction are by then
+    ///    dead in the table but still present in the algorithm's state: a
+    ///    call removes only `t_id`'s own entries and leaves theirs alone,
+    ///    because each of them locates the skylines it has to repair by
+    ///    finding itself stored;
+    /// 3. only then may [`Table::compact_retracted`] drop the rows
+    ///    physically.
+    ///
+    /// After the last call of an eviction the state must be
+    /// indistinguishable from that of an algorithm that only ever processed
+    /// the surviving suffix under the same ids: where an expired tuple left
+    /// a contextual skyline, the region it dominated is re-promoted by
+    /// recomputing that skyline from the live context; a skyline it was not
+    /// in is unchanged and need not be touched. (Between the calls of one
+    /// eviction the state may still hold the pending ids, and nothing reads
+    /// it.)
     ///
     /// The default refuses, so monitors can detect algorithms that cannot run
     /// under a sliding window. Stateless scanning baselines accept trivially

@@ -8,6 +8,7 @@ use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::datagen::weather::{WeatherConfig, WeatherGenerator};
 use situational_facts::datagen::{encode_row, DataGenerator};
 use situational_facts::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Streams `n` rows from `generator` through every algorithm and asserts that
 /// each produces exactly the brute-force fact set at every arrival.
@@ -20,18 +21,22 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
     let mut table = Table::new(schema.clone());
 
     let mut reference = BruteForce::new(&schema, config);
-    let fs_dir_bu = std::env::temp_dir().join(format!(
-        "sitfact-eq-bu-{}-{}",
-        std::process::id(),
-        schema.name()
-    ));
-    let fs_dir_td = std::env::temp_dir().join(format!(
-        "sitfact-eq-td-{}-{}",
-        std::process::id(),
-        schema.name()
-    ));
-    let _ = std::fs::remove_dir_all(&fs_dir_bu);
-    let _ = std::fs::remove_dir_all(&fs_dir_td);
+    // One pair of store directories per call: the tests of this binary run
+    // on parallel threads in one process, and two of them share a schema
+    // name, so neither the pid nor the name tells the calls apart.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let fs_dir = |kind: &str| {
+        let dir = std::env::temp_dir().join(format!(
+            "sitfact-eq-{kind}-{}-{call}-{}",
+            std::process::id(),
+            schema.name()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let fs_dir_bu = fs_dir("bu");
+    let fs_dir_td = fs_dir("td");
 
     let mut algorithms: Vec<Box<dyn Discovery>> = vec![
         Box::new(BaselineSeq::new(&schema, config)),
@@ -52,21 +57,28 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
             FileSkylineStore::new(&fs_dir_td).unwrap(),
         )),
     ];
+    // The kinds of `algorithms`, in its order, to name a divergence by:
+    // `Discovery::name` is the algorithm's, so the file-backed instantiations
+    // would report as their in-memory twins.
+    let kinds = [
+        &AlgorithmKind::IN_MEMORY[1..],
+        &[AlgorithmKind::FsBottomUp, AlgorithmKind::FsTopDown],
+    ]
+    .concat();
+    assert_eq!(kinds.len(), algorithms.len());
 
     for step in 0..n {
         let row = generator.next_row();
         let tuple = encode_row(&mut table, &row).expect("row encodes");
         let mut expected = reference.discover(&table, &tuple);
         canonical_sort(&mut expected);
-        for algo in algorithms.iter_mut() {
+        for (kind, algo) in kinds.iter().zip(algorithms.iter_mut()) {
             let mut actual = algo.discover(&table, &tuple);
             canonical_sort(&mut actual);
             assert_eq!(
                 expected,
                 actual,
-                "{} diverged from BruteForce at tuple {} of {}",
-                algo.name(),
-                step,
+                "{kind} diverged from BruteForce at tuple {step} of {}",
                 schema.name()
             );
         }

@@ -32,6 +32,97 @@ fn tuple_strategy() -> impl Strategy<Value = Tuple> {
         })
 }
 
+/// Body of the `windowed_monitor_equals_rebuild_from_suffix*` properties for
+/// one `(dimension cardinalities, measures, discovery config)` shape.
+fn windowed_equals_rebuild(
+    (dim_cardinalities, measures, discovery): (Vec<usize>, usize, DiscoveryConfig),
+    n_rows: usize,
+    extra: usize,
+    window: usize,
+    window_seed: usize,
+    gen_seed: u64,
+    shuffle_seed: u64,
+) -> Result<(), String> {
+    use situational_facts::datagen::generic::{Correlation, GenericConfig, GenericGenerator};
+
+    let mut gen = GenericGenerator::new(GenericConfig {
+        dim_cardinalities,
+        measures,
+        correlation: Correlation::Independent,
+        seed: gen_seed,
+    });
+    // The order-shuffled replay: the same row multiset in an arbitrary
+    // seeded order, since a windowed report stream is a function of
+    // arrival order, not just of the rows.
+    let mut replay = ShuffledReplay::new(&mut gen, n_rows, shuffle_seed);
+    let schema = replay.schema().clone();
+    // Encode every row against one shared dictionary (both monitors see
+    // identical value ids — each interning independently would drift, as
+    // the rebuild never observes the evicted rows' strings).
+    let mut scratch = Table::new(schema.clone());
+    let mut encode = |rows: &[Row]| -> Vec<Tuple> {
+        rows.iter()
+            .map(|row| situational_facts::datagen::encode_row(&mut scratch, row).unwrap())
+            .collect()
+    };
+    let tuples = encode(&replay.take_rows(n_rows));
+    let continuation = encode(&replay.take_rows(extra));
+
+    let config = MonitorConfig::default()
+        .with_discovery(discovery)
+        .with_tau(2.0);
+    let policy = WindowPolicy::count(window).unwrap();
+    let mut windowed = WindowedMonitor::new(
+        FactMonitor::new(
+            schema.clone(),
+            STopDown::new(&schema, config.discovery),
+            config,
+        ),
+        policy,
+    );
+
+    for chunk in tuples.chunks(window_seed) {
+        windowed.ingest_batch(chunk.to_vec()).unwrap();
+        // Bookkeeping reconciles at every batch boundary.
+        prop_assert_eq!(windowed.live_rows(), windowed.len().min(window));
+        prop_assert_eq!(
+            windowed.len(),
+            windowed.live_rows() + windowed.tombstone_rows() + windowed.evicted_rows()
+        );
+    }
+    deep_audit(windowed.inner())?;
+
+    // Rebuild from scratch: a fresh monitor, id space starting at the
+    // windowed monitor's watermark, fed only the surviving suffix.
+    let start = windowed.len() - windowed.live_rows();
+    let mut rebuilt = WindowedMonitor::new(
+        FactMonitor::with_base(
+            schema.clone(),
+            STopDown::new(&schema, config.discovery),
+            config,
+            start as TupleId,
+        ),
+        policy,
+    );
+    rebuilt.ingest_batch(tuples[start..].to_vec()).unwrap();
+    prop_assert_eq!(rebuilt.live_rows(), windowed.live_rows());
+
+    // Both monitors must now be observably identical: every future
+    // arrival — same continuation, same batch partitioning — produces
+    // byte-identical reports.
+    for chunk in continuation.chunks(window_seed) {
+        let expected = windowed.ingest_batch(chunk.to_vec()).unwrap();
+        let actual = rebuilt.ingest_batch(chunk.to_vec()).unwrap();
+        prop_assert_eq!(&actual, &expected);
+        for report in &actual {
+            deep_audit(report)?;
+        }
+    }
+    deep_audit(windowed.inner())?;
+    deep_audit(rebuilt.inner())?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -603,77 +694,24 @@ proptest! {
         gen_seed in 0u64..1024,
         shuffle_seed in 0u64..1024,
     ) {
-        use situational_facts::datagen::generic::{Correlation, GenericConfig, GenericGenerator};
+        let shape = (vec![3, 4], 2, DiscoveryConfig::unrestricted());
+        windowed_equals_rebuild(shape, n_rows, extra, window, window_seed, gen_seed, shuffle_seed)?;
+    }
 
-        let mut gen = GenericGenerator::new(GenericConfig {
-            dim_cardinalities: vec![3, 4],
-            measures: 2,
-            correlation: Correlation::Independent,
-            seed: gen_seed,
-        });
-        // The order-shuffled replay: the same row multiset in an arbitrary
-        // seeded order, since a windowed report stream is a function of
-        // arrival order, not just of the rows.
-        let mut replay = ShuffledReplay::new(&mut gen, n_rows, shuffle_seed);
-        let schema = replay.schema().clone();
-        // Encode every row against one shared dictionary (both monitors see
-        // identical value ids — each interning independently would drift, as
-        // the rebuild never observes the evicted rows' strings).
-        let mut scratch = Table::new(schema.clone());
-        let mut encode = |rows: &[Row]| -> Vec<Tuple> {
-            rows.iter()
-                .map(|row| situational_facts::datagen::encode_row(&mut scratch, row).unwrap())
-                .collect()
-        };
-        let tuples = encode(&replay.take_rows(n_rows));
-        let continuation = encode(&replay.take_rows(extra));
-
-        let config = MonitorConfig::default().with_tau(2.0);
-        let policy = WindowPolicy::count(window).unwrap();
-        let mut windowed = WindowedMonitor::new(
-            FactMonitor::new(schema.clone(), STopDown::new(&schema, config.discovery), config),
-            policy,
-        );
-
-        for chunk in tuples.chunks(window_seed) {
-            windowed.ingest_batch(chunk.to_vec()).unwrap();
-            // Bookkeeping reconciles at every batch boundary.
-            prop_assert_eq!(windowed.live_rows(), windowed.len().min(window));
-            prop_assert_eq!(
-                windowed.len(),
-                windowed.live_rows() + windowed.tombstone_rows() + windowed.evicted_rows()
-            );
-        }
-        deep_audit(windowed.inner())?;
-
-        // Rebuild from scratch: a fresh monitor, id space starting at the
-        // windowed monitor's watermark, fed only the surviving suffix.
-        let start = windowed.len() - windowed.live_rows();
-        let mut rebuilt = WindowedMonitor::new(
-            FactMonitor::with_base(
-                schema.clone(),
-                STopDown::new(&schema, config.discovery),
-                config,
-                start as TupleId,
-            ),
-            policy,
-        );
-        rebuilt.ingest_batch(tuples[start..].to_vec()).unwrap();
-        prop_assert_eq!(rebuilt.live_rows(), windowed.live_rows());
-
-        // Both monitors must now be observably identical: every future
-        // arrival — same continuation, same batch partitioning — produces
-        // byte-identical reports.
-        for chunk in continuation.chunks(window_seed) {
-            let expected = windowed.ingest_batch(chunk.to_vec()).unwrap();
-            let actual = rebuilt.ingest_batch(chunk.to_vec()).unwrap();
-            prop_assert_eq!(&actual, &expected);
-            for report in &actual {
-                deep_audit(report)?;
-            }
-        }
-        deep_audit(windowed.inner())?;
-        deep_audit(rebuilt.inner())?;
+    /// The same property in the benchmark's shape: a capped lattice
+    /// (`d̂ < d`) and `m̂ < m`, so the full measure space is maintained —
+    /// and repaired on eviction — without being reported.
+    #[test]
+    fn windowed_monitor_equals_rebuild_from_suffix_capped(
+        n_rows in 4usize..40,
+        extra in 1usize..12,
+        window in 1usize..9,
+        window_seed in 1usize..7,
+        gen_seed in 0u64..1024,
+        shuffle_seed in 0u64..1024,
+    ) {
+        let shape = (vec![3, 2, 3], 3, DiscoveryConfig::capped(2, 2));
+        windowed_equals_rebuild(shape, n_rows, extra, window, window_seed, gen_seed, shuffle_seed)?;
     }
 
     /// Prominence is always ≥ 1 for facts pertinent to the newly added tuple,
