@@ -32,6 +32,9 @@ pub struct AlgoParams {
     pub maintained: Vec<SubspaceMask>,
     /// The lattice in top-down order, enumerated once instead of per call.
     pub top_down: Vec<BoundMask>,
+    /// `children[mask.0]`: the lattice children of each mask (none at the
+    /// `d̂` cap), listed once instead of per visited constraint.
+    pub children: Vec<Vec<BoundMask>>,
 }
 
 impl AlgoParams {
@@ -61,6 +64,9 @@ impl AlgoParams {
             proper_subspaces,
             maintained,
             top_down: lattice.enumerate_top_down(),
+            children: (0..lattice.flag_len() as u32)
+                .map(|mask| lattice.children(BoundMask(mask)))
+                .collect(),
         }
     }
 

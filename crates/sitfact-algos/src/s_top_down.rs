@@ -79,20 +79,28 @@ impl<S: SkylineStore> STopDown<S> {
     }
 
     /// `STopDownRoot`: the `TopDown` pass over the full measure space, with
-    /// per-subspace pruning recorded for every comparison.
+    /// per-subspace pruning recorded for every comparison. `arrival` is the
+    /// new tuple's store entry, cloned (a reference-count bump) per insert.
     fn root_pass(
         &mut self,
         table: &Table,
         cache: &ConstraintCache,
         t: &Tuple,
-        t_id: TupleId,
-        scratch: &mut TraversalScratch,
+        arrival: &StoredEntry,
         out: &mut Vec<SkylinePair>,
     ) {
-        let directions = self.params.directions.clone();
-        let full = self.params.full_space;
-        let report_full = self.params.reports_full_space();
-        scratch.reset(self.params.lattice.flag_len());
+        let STopDown {
+            params,
+            store,
+            stats,
+            pruned_matrix,
+            scratch,
+            ..
+        } = self;
+        let params = &*params;
+        let full = params.full_space;
+        let report_full = params.reports_full_space();
+        scratch.reset(params.lattice.flag_len());
         let TraversalScratch {
             pruned,
             in_ances,
@@ -102,21 +110,21 @@ impl<S: SkylineStore> STopDown<S> {
         queue.push_back(BoundMask::TOP);
         enqueued[0] = true;
         while let Some(mask) = queue.pop_front() {
-            self.stats.traversed_constraints += 1;
+            stats.traversed_constraints += 1;
             let constraint = cache.get(mask);
-            let entries = self.store.read(constraint, full);
-            self.stats.store_reads += 1;
+            let entries = store.read(constraint, full);
+            stats.store_reads += 1;
             for entry in entries.iter() {
-                self.stats.comparisons += 1;
+                stats.comparisons += 1;
                 let (better, worse) =
-                    partition_measures(t.measures(), &entry.measures, &directions);
+                    partition_measures(t.measures(), &entry.measures, &params.directions);
                 let other = table.tuple(entry.id);
                 let agreement = BoundMask::agreement(t, other);
                 // Record, for every proper subspace where this stored tuple
                 // dominates the new one, the pruned constraint set C^{t,t'}.
-                for &subspace in &self.params.proper_subspaces {
+                for &subspace in &params.proper_subspaces {
                     if crate::common::dominated_in(better, worse, subspace) {
-                        let row = &mut self.pruned_matrix[subspace.0 as usize];
+                        let row = &mut pruned_matrix[subspace.0 as usize];
                         if !row[agreement.0 as usize] {
                             for sub in agreement.submasks() {
                                 row[sub.0 as usize] = true;
@@ -130,31 +138,30 @@ impl<S: SkylineStore> STopDown<S> {
                         pruned[sub.0 as usize] = true;
                     }
                     pruned[mask.0 as usize] = true;
-                } else if dominates_measures(t.measures(), &entry.measures, full, &directions) {
+                } else if dominates_measures(
+                    t.measures(),
+                    &entry.measures,
+                    full,
+                    &params.directions,
+                ) {
                     demote_stored_tuple(
-                        &self.params,
-                        &mut self.store,
-                        &mut self.stats,
-                        table,
-                        t,
-                        mask,
-                        constraint,
-                        full,
-                        entry,
+                        params, store, stats, table, t, mask, constraint, full, entry,
                     );
                 }
             }
+            // A snapshot still alive at the insert would make the store copy
+            // the whole cell before writing to it.
+            drop(entries);
             if !pruned[mask.0 as usize] {
                 if report_full {
                     out.push(SkylinePair::new(constraint.clone(), full));
                 }
                 if !in_ances[mask.0 as usize] {
-                    self.store
-                        .insert(constraint, full, StoredEntry::new(t_id, t.measures()));
-                    self.stats.store_writes += 1;
+                    store.insert(constraint, full, arrival.clone());
+                    stats.store_writes += 1;
                 }
             }
-            for child in self.params.lattice.children(mask) {
+            for &child in &params.children[mask.0 as usize] {
                 let idx = child.0 as usize;
                 if !pruned[mask.0 as usize] {
                     in_ances[idx] = true;
@@ -171,21 +178,25 @@ impl<S: SkylineStore> STopDown<S> {
     /// the new tuple in subspace `M`, storing the tuple at the maximal ones
     /// and demoting stored tuples it dominates. No dominance check against
     /// the new tuple is needed — the pruned matrix is complete.
-    // One parameter per piece of traversal state; bundling them into a struct
-    // would just move the argument list one level down.
-    #[allow(clippy::too_many_arguments)]
     fn node_pass(
         &mut self,
         table: &Table,
         cache: &ConstraintCache,
         t: &Tuple,
-        t_id: TupleId,
+        arrival: &StoredEntry,
         subspace: SubspaceMask,
-        scratch: &mut TraversalScratch,
         out: &mut Vec<SkylinePair>,
     ) {
-        let directions = self.params.directions.clone();
-        scratch.reset(self.params.lattice.flag_len());
+        let STopDown {
+            params,
+            store,
+            stats,
+            pruned_matrix,
+            scratch,
+            ..
+        } = self;
+        let params = &*params;
+        scratch.reset(params.lattice.flag_len());
         let TraversalScratch {
             in_ances,
             enqueued,
@@ -195,36 +206,34 @@ impl<S: SkylineStore> STopDown<S> {
         queue.push_back(BoundMask::TOP);
         enqueued[0] = true;
         while let Some(mask) = queue.pop_front() {
-            self.stats.traversed_constraints += 1;
-            let is_pruned = self.pruned_matrix[subspace.0 as usize][mask.0 as usize];
+            stats.traversed_constraints += 1;
+            let is_pruned = pruned_matrix[subspace.0 as usize][mask.0 as usize];
             if !is_pruned {
                 let constraint = cache.get(mask);
                 out.push(SkylinePair::new(constraint.clone(), subspace));
-                let entries = self.store.read(constraint, subspace);
-                self.stats.store_reads += 1;
+                let entries = store.read(constraint, subspace);
+                stats.store_reads += 1;
                 for entry in entries.iter() {
-                    self.stats.comparisons += 1;
-                    if dominates_measures(t.measures(), &entry.measures, subspace, &directions) {
+                    stats.comparisons += 1;
+                    if dominates_measures(
+                        t.measures(),
+                        &entry.measures,
+                        subspace,
+                        &params.directions,
+                    ) {
                         demote_stored_tuple(
-                            &self.params,
-                            &mut self.store,
-                            &mut self.stats,
-                            table,
-                            t,
-                            mask,
-                            constraint,
-                            subspace,
-                            entry,
+                            params, store, stats, table, t, mask, constraint, subspace, entry,
                         );
                     }
                 }
+                // As in `root_pass`: no live snapshot at the insert.
+                drop(entries);
                 if !in_ances[mask.0 as usize] {
-                    self.store
-                        .insert(constraint, subspace, StoredEntry::new(t_id, t.measures()));
-                    self.stats.store_writes += 1;
+                    store.insert(constraint, subspace, arrival.clone());
+                    stats.store_writes += 1;
                 }
             }
-            for child in self.params.lattice.children(mask) {
+            for &child in &params.children[mask.0 as usize] {
                 let idx = child.0 as usize;
                 if !is_pruned {
                     in_ances[idx] = true;
@@ -245,15 +254,15 @@ impl<S: SkylineStore> Discovery for STopDown<S> {
 
     fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {
         let cache = ConstraintCache::new(t, self.params.n_dims);
+        // One measure allocation per arrival, shared by every cell it enters.
+        let arrival = StoredEntry::new(t_id, t.measures());
         let mut out = Vec::new();
         self.reset_matrix();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.root_pass(table, &cache, t, t_id, &mut scratch, &mut out);
-        let proper = self.params.proper_subspaces.clone();
-        for subspace in proper {
-            self.node_pass(table, &cache, t, t_id, subspace, &mut scratch, &mut out);
+        self.root_pass(table, &cache, t, &arrival, &mut out);
+        for slot in 0..self.params.proper_subspaces.len() {
+            let subspace = self.params.proper_subspaces[slot];
+            self.node_pass(table, &cache, t, &arrival, subspace, &mut out);
         }
-        self.scratch = scratch;
         if !self.in_batch {
             self.store.flush();
         }

@@ -221,7 +221,7 @@ impl<S: SkylineStore> Discovery for TopDown<S> {
                 // EnqueueChildren: traversal continues below pruned
                 // constraints too — a descendant may bind an attribute the
                 // dominating tuple does not share and escape the pruning.
-                for child in self.params.lattice.children(mask) {
+                for &child in &self.params.children[mask.0 as usize] {
                     let idx = child.0 as usize;
                     if !pruned[mask.0 as usize] {
                         in_ances[idx] = true;

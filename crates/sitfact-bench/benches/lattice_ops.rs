@@ -36,7 +36,7 @@ fn bench_lattice(c: &mut Criterion) {
         let t2 = Tuple::new(vec![1, 9, 3, 9, 5, 9, 7], vec![1.0]);
         b.iter(|| {
             let agreement = BoundMask::agreement(&t1, &t2);
-            agreement.submasks().len()
+            agreement.submasks().count()
         })
     });
     group.finish();

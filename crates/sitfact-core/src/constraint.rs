@@ -139,18 +139,16 @@ impl BoundMask {
     /// All submasks of `self`, including `self` and the top mask. This is the
     /// shape of `C^{t,t'} ∩ C^t` when `self` is the agreement mask of `t` and
     /// `t'` (Definition 8 / Proposition 3).
-    pub fn submasks(self) -> Vec<BoundMask> {
+    /// Enumerated in place, from `self` down to the top mask: the pruning
+    /// loops of the algorithms run this once per dominating comparison.
+    pub fn submasks(self) -> impl Iterator<Item = BoundMask> {
         let full = self.0;
-        let mut out = Vec::with_capacity(1usize << self.bound_count());
-        let mut sub = full;
-        loop {
-            out.push(BoundMask(sub));
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & full;
-        }
-        out
+        let mut next = Some(full);
+        std::iter::from_fn(move || {
+            let sub = next?;
+            next = (sub != 0).then(|| (sub - 1) & full);
+            Some(BoundMask(sub))
+        })
     }
 
     /// The agreement mask of two tuples: attributes on which they share the
@@ -390,7 +388,7 @@ mod tests {
     #[test]
     fn submasks_include_self_and_top() {
         let m = BoundMask(0b110);
-        let mut subs = m.submasks();
+        let mut subs: Vec<BoundMask> = m.submasks().collect();
         subs.sort();
         assert_eq!(
             subs,
@@ -401,7 +399,10 @@ mod tests {
                 BoundMask(0b110)
             ]
         );
-        assert_eq!(BoundMask::TOP.submasks(), vec![BoundMask::TOP]);
+        assert_eq!(
+            BoundMask::TOP.submasks().collect::<Vec<_>>(),
+            vec![BoundMask::TOP]
+        );
     }
 
     #[test]

@@ -195,7 +195,6 @@ impl ConstraintLattice {
     pub fn pruned_by_agreement(&self, agreement: BoundMask) -> Vec<BoundMask> {
         agreement
             .submasks()
-            .into_iter()
             .filter(|m| m.bound_count() <= self.max_bound)
             .collect()
     }

@@ -17,8 +17,10 @@ pub struct MonitorConfig {
     /// is at least this value (and is maximal among the arrival's facts).
     /// Must be finite and non-negative (see [`MonitorConfig::validate`]).
     pub tau: f64,
-    /// Retain at most this many ranked facts per arrival in the report (the
-    /// full set is still used to determine the maximum). `None` keeps all;
+    /// Retain at most this many ranked facts per arrival in the report. The
+    /// maximum prominence and `prominent_count` stay exact, but a fact whose
+    /// context size already rules it out of the retained ones is never
+    /// evaluated (see `FactMonitor::rank_arrival`). `None` keeps all;
     /// `Some(0)` is rejected (it would silently discard every report's facts
     /// — use a larger cap or `None`).
     pub keep_top: Option<usize>,
@@ -198,22 +200,54 @@ impl<A: Discovery> FactMonitor<A> {
     /// arrival's id; context and skyline cardinalities are evaluated over the
     /// rows up to and including it (`limit = tuple_id + 1`), which under the
     /// sequential protocol is simply the whole table.
+    ///
+    /// Bound-and-prune top-k: a fact's skyline holds at least the arrival, so
+    /// its prominence `|σ_C(R)| / |λ_M(σ_C(R))|` never exceeds its context
+    /// size, and context sizes are one counter lookup each. The pairs are
+    /// visited by descending context size while the `keep_top` best
+    /// prominences seen so far are tracked; once the next context size is
+    /// *strictly* below the `keep_top`-th best, every remaining pair has
+    /// `prominence ≤ context size < keep_top-th best ≤ maximum` — it can
+    /// neither enter the retained facts nor tie the maximum — and its
+    /// skyline cardinality (up to `2^d̂` store cells) is never computed.
+    /// Without a `keep_top` there is no bar and every pair is evaluated.
     fn rank_arrival(&mut self, tuple_id: TupleId, pairs: Vec<SkylinePair>) -> ArrivalReport {
         let limit = tuple_id + 1;
-        let mut facts: Vec<RankedFact> = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            let context_size = self.counter.cardinality(&pair.constraint);
+        let keep_top = self.config.keep_top;
+        let mut candidates: Vec<(u64, SkylinePair)> = pairs
+            .into_iter()
+            .map(|pair| (self.counter.cardinality(&pair.constraint), pair))
+            .collect();
+        candidates.sort_by_key(|(context_size, _)| std::cmp::Reverse(*context_size));
+        // The `keep_top` best prominences seen so far, descending.
+        let mut best: Vec<f64> = Vec::new();
+        let mut facts: Vec<RankedFact> = Vec::new();
+        for (context_size, pair) in candidates {
+            if let Some(keep) = keep_top {
+                if best.len() == keep && (context_size as f64) < best[keep - 1] {
+                    break;
+                }
+            }
             let skyline_size = self.algorithm.skyline_cardinality_at(
                 &self.table,
                 &pair.constraint,
                 pair.subspace,
                 limit,
             ) as u64;
-            facts.push(RankedFact {
+            let fact = RankedFact {
                 pair,
                 context_size,
                 skyline_size,
-            });
+            };
+            if let Some(keep) = keep_top {
+                let prominence = fact.prominence();
+                let at = best.partition_point(|&seen| seen >= prominence);
+                if at < keep {
+                    best.insert(at, prominence);
+                    best.truncate(keep);
+                }
+            }
+            facts.push(fact);
         }
         // Canonical total order (not just descending prominence): the report
         // is then fully determined by the fact *set*, independent of the
@@ -557,6 +591,68 @@ mod tests {
         let report = monitor.ingest_raw(&["B", "Y"], vec![5.0, 1.0]).unwrap();
         assert!(report.facts.len() >= 2);
         assert!(report.facts.len() <= report.prominent_count.max(2));
+    }
+
+    /// `STopDown` behind a counter of `skyline_cardinality_at` calls.
+    struct CountingCalls {
+        inner: STopDown,
+        calls: usize,
+    }
+
+    impl Discovery for CountingCalls {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {
+            self.inner.discover_at(table, t, t_id)
+        }
+        fn work_stats(&self) -> sitfact_storage::WorkStats {
+            self.inner.work_stats()
+        }
+        fn store_stats(&self) -> sitfact_storage::StoreStats {
+            self.inner.store_stats()
+        }
+        fn skyline_cardinality_at(
+            &mut self,
+            table: &Table,
+            constraint: &sitfact_core::Constraint,
+            subspace: sitfact_core::SubspaceMask,
+            limit: TupleId,
+        ) -> usize {
+            self.calls += 1;
+            self.inner
+                .skyline_cardinality_at(table, constraint, subspace, limit)
+        }
+    }
+
+    #[test]
+    fn keep_top_prunes_skyline_evaluations_but_not_the_report() {
+        let schema = schema();
+        let counting = |config: MonitorConfig| {
+            let inner = STopDown::new(&schema, config.discovery);
+            FactMonitor::new(schema.clone(), CountingCalls { inner, calls: 0 }, config)
+        };
+        let keep = 2;
+        let mut full = counting(MonitorConfig::default().with_tau(2.0));
+        let mut pruned = counting(MonitorConfig::default().with_tau(2.0).with_keep_top(keep));
+        let mut pairs = 0;
+        // Ever better rows of ever new players on one team: each arrival's
+        // facts under ⊤ and team=X have the whole table as context, those
+        // binding the player a context of one.
+        for i in 0..12 {
+            let (player, measures) = (format!("p{i}"), vec![i as f64, i as f64]);
+            let all = full.ingest_raw(&[&player, "X"], measures.clone()).unwrap();
+            let top = pruned.ingest_raw(&[&player, "X"], measures).unwrap();
+            pairs += all.facts.len();
+            assert_eq!(top.prominent_count, all.prominent_count);
+            assert_eq!(top.facts, all.facts[..keep.max(all.prominent_count)]);
+        }
+        assert_eq!(full.algorithm().calls, pairs);
+        assert!(
+            pruned.algorithm().calls < pairs,
+            "{} calls for {pairs} pairs",
+            pruned.algorithm().calls
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! In-memory skyline store: nested hash maps from constraint to subspace to a
-//! copy-on-write vector of entries.
+//! In-memory skyline store: a hash map from constraint to that constraint's
+//! few subspace cells, each a copy-on-write vector of entries.
 
 use crate::stats::StoreStats;
 use crate::store::{SkylineStore, StoreCell, StoredEntry};
@@ -16,13 +16,19 @@ use std::sync::Arc;
 /// discovery algorithms read a cell once per visited constraint per subspace,
 /// which is by far the hottest operation), and mutations copy-on-write only
 /// when a snapshot of the same cell is still alive.
+///
+/// A constraint has at most `2^m − 1` cells and typically a handful, so its
+/// row is a plain vector scanned linearly rather than a second hash map.
 #[derive(Debug)]
 pub struct MemorySkylineStore {
-    cells: FxHashMap<Constraint, FxHashMap<SubspaceMask, Arc<Vec<StoredEntry>>>>,
+    cells: FxHashMap<Constraint, CellRow>,
     stored_entries: u64,
     non_empty_cells: u64,
     empty: Arc<Vec<StoredEntry>>,
 }
+
+/// The non-empty cells of one constraint, in first-insert order.
+type CellRow = Vec<(SubspaceMask, Arc<Vec<StoredEntry>>)>;
 
 impl Default for MemorySkylineStore {
     fn default() -> Self {
@@ -44,19 +50,26 @@ impl MemorySkylineStore {
     /// Iterates over all non-empty cells (used by prominence queries and by
     /// tests asserting the paper's invariants).
     pub fn iter_cells(&self) -> impl Iterator<Item = (&Constraint, SubspaceMask, &[StoredEntry])> {
-        self.cells.iter().flat_map(|(constraint, by_subspace)| {
-            by_subspace
-                .iter()
-                .map(move |(&subspace, entries)| (constraint, subspace, entries.as_slice()))
+        self.cells.iter().flat_map(|(constraint, row)| {
+            row.iter()
+                .map(move |(subspace, entries)| (constraint, *subspace, entries.as_slice()))
         })
     }
 
     /// Number of entries stored in a specific cell without copying them.
     pub fn cell_len(&self, constraint: &Constraint, subspace: SubspaceMask) -> usize {
-        self.cells
-            .get(constraint)
-            .and_then(|by_subspace| by_subspace.get(&subspace))
+        self.cell(constraint, subspace)
             .map_or(0, |entries| entries.len())
+    }
+
+    fn cell(
+        &self,
+        constraint: &Constraint,
+        subspace: SubspaceMask,
+    ) -> Option<&Arc<Vec<StoredEntry>>> {
+        let row = self.cells.get(constraint)?;
+        let (_, cell) = row.iter().find(|(s, _)| *s == subspace)?;
+        Some(cell)
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -123,9 +136,9 @@ fn dominates_measures(
 }
 
 /// Re-derives the store's denormalized bookkeeping from the cell contents:
-/// entry/cell counters, no retained empty cells or inner maps (reads of
-/// absent cells must stay allocation-free), and id uniqueness plus uniform
-/// measure arity within each cell.
+/// entry/cell counters, no retained empty cells or rows (reads of absent
+/// cells must stay allocation-free), one cell per subspace within a row, and
+/// id uniqueness plus uniform measure arity within each cell.
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for MemorySkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
@@ -135,14 +148,21 @@ impl sitfact_core::Audit for MemorySkylineStore {
         };
         let mut entries = 0u64;
         let mut cells = 0u64;
-        for (constraint, by_subspace) in &self.cells {
-            if by_subspace.is_empty() {
+        for (constraint, row) in &self.cells {
+            if row.is_empty() {
                 return fail(
                     "no-empty-cells",
-                    format!("constraint {constraint:?} maps to an empty subspace map"),
+                    format!("constraint {constraint:?} maps to an empty row of cells"),
                 );
             }
-            for (&subspace, cell) in by_subspace {
+            for (pos, (subspace, cell)) in row.iter().enumerate() {
+                let subspace = *subspace;
+                if row[..pos].iter().any(|(prior, _)| *prior == subspace) {
+                    return fail(
+                        "unique-subspaces-per-row",
+                        format!("constraint {constraint:?} holds two cells for {subspace:?}"),
+                    );
+                }
                 if cell.is_empty() {
                     return fail(
                         "no-empty-cells",
@@ -209,39 +229,44 @@ impl sitfact_core::Audit for MemorySkylineStore {
 
 impl SkylineStore for MemorySkylineStore {
     fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask) -> Arc<Vec<StoredEntry>> {
-        self.cells
-            .get(constraint)
-            .and_then(|by_subspace| by_subspace.get(&subspace))
-            .cloned()
-            .unwrap_or_else(|| Arc::clone(&self.empty))
+        self.cell(constraint, subspace)
+            .unwrap_or(&self.empty)
+            .clone()
     }
 
     fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, entry: StoredEntry) {
-        let by_subspace = self.cells.entry(constraint.clone()).or_default();
-        let cell = by_subspace.entry(subspace).or_default();
-        if cell.is_empty() {
-            self.non_empty_cells += 1;
-        }
-        Arc::make_mut(cell).push(entry);
         self.stored_entries += 1;
+        // The key is cloned only for a constraint's first cell.
+        let row = match self.cells.get_mut(constraint) {
+            Some(row) => row,
+            None => self.cells.entry(constraint.clone()).or_default(),
+        };
+        match row.iter_mut().find(|(s, _)| *s == subspace) {
+            Some((_, cell)) => Arc::make_mut(cell).push(entry),
+            None => {
+                row.push((subspace, Arc::new(vec![entry])));
+                self.non_empty_cells += 1;
+            }
+        }
     }
 
     fn remove(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        let Some(by_subspace) = self.cells.get_mut(constraint) else {
+        let Some(row) = self.cells.get_mut(constraint) else {
             return false;
         };
-        let Some(cell) = by_subspace.get_mut(&subspace) else {
+        let Some(slot) = row.iter().position(|(s, _)| *s == subspace) else {
             return false;
         };
+        let cell = &mut row[slot].1;
         let Some(pos) = cell.iter().position(|e| e.id == id) else {
             return false;
         };
         Arc::make_mut(cell).swap_remove(pos);
         self.stored_entries -= 1;
         if cell.is_empty() {
-            by_subspace.remove(&subspace);
+            row.swap_remove(slot);
             self.non_empty_cells -= 1;
-            if by_subspace.is_empty() {
+            if row.is_empty() {
                 self.cells.remove(constraint);
             }
         }
@@ -249,31 +274,37 @@ impl SkylineStore for MemorySkylineStore {
     }
 
     fn contains(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        self.cells
-            .get(constraint)
-            .and_then(|by_subspace| by_subspace.get(&subspace))
+        self.cell(constraint, subspace)
             .is_some_and(|cell| cell.iter().any(|e| e.id == id))
     }
 
     fn stats(&self) -> StoreStats {
-        // Estimate bytes from the actual layout: per cell the constraint key
-        // (inline box + boxed values) and the subspace map entry; per entry
-        // the inline `StoredEntry` plus its `Arc<[f64]>` allocation (counts +
-        // measures).
+        // Estimate bytes from the actual layout: per constraint the key
+        // (inline box + boxed values); per cell its slot in the row; per
+        // entry the inline `StoredEntry` plus its share of the `Arc<[f64]>`
+        // allocation (counts + measures). An arrival's entries all share one
+        // allocation, which must count once: each holder accounts for
+        // `1 / strong_count` of it (a holder outside the store — a snapshot
+        // being copied on write — is short-lived and would only lower the
+        // estimate while it lives).
         use std::mem::size_of;
         let mut bytes = 0u64;
-        for (constraint, by_subspace) in &self.cells {
+        let mut shared_bytes = 0f64;
+        for (constraint, row) in &self.cells {
             bytes += (size_of::<Constraint>()
                 + constraint.num_dims() * size_of::<sitfact_core::DimValueId>())
                 as u64;
-            for cell in by_subspace.values() {
-                let measures = cell.first().map_or(0, |e| e.measures.len());
-                let per_entry =
-                    size_of::<StoredEntry>() + 2 * size_of::<usize>() + measures * size_of::<f64>();
+            for (_, cell) in row {
                 bytes += (size_of::<(SubspaceMask, Arc<Vec<StoredEntry>>)>()
-                    + cell.len() * per_entry) as u64;
+                    + cell.len() * size_of::<StoredEntry>()) as u64;
+                for entry in cell.iter() {
+                    let allocation =
+                        2 * size_of::<usize>() + entry.measures.len() * size_of::<f64>();
+                    shared_bytes += allocation as f64 / Arc::strong_count(&entry.measures) as f64;
+                }
             }
         }
+        bytes += shared_bytes.round() as u64;
         StoreStats {
             stored_entries: self.stored_entries,
             non_empty_cells: self.non_empty_cells,
@@ -306,11 +337,22 @@ impl SkylineStore for MemorySkylineStore {
 
     fn load_cells(&mut self, cells: Vec<StoreCell>) -> sitfact_core::Result<()> {
         self.clear();
+        // As after live ingest, a tuple's entries share one measure
+        // allocation (compared, not assumed: the cells come from disk).
+        let mut by_id: FxHashMap<TupleId, Arc<[f64]>> = FxHashMap::default();
         for cell in cells {
             let constraint = Constraint::from_values(cell.constraint);
             let subspace = SubspaceMask(cell.subspace);
             for (id, measures) in cell.entries {
-                self.insert(&constraint, subspace, StoredEntry::new(id, &measures));
+                let shared = by_id
+                    .entry(id)
+                    .or_insert_with(|| measures.as_slice().into());
+                let measures = if **shared == *measures {
+                    Arc::clone(shared)
+                } else {
+                    measures.into()
+                };
+                self.insert(&constraint, subspace, StoredEntry { id, measures });
             }
         }
         Ok(())
@@ -383,6 +425,7 @@ mod tests {
 
     #[test]
     fn stats_track_entries_and_bytes() {
+        use std::mem::size_of;
         let mut store = MemorySkylineStore::new();
         let c = constraint(vec![0]);
         assert_eq!(store.stats().approx_bytes, 0);
@@ -392,9 +435,31 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.stored_entries, 10);
         assert_eq!(stats.non_empty_cells, 1);
-        assert!(stats.approx_bytes > 0);
         assert_eq!(stats.file_reads, 0);
         assert_eq!(stats.file_writes, 0);
+        // The formula, term by term: one key, one cell slot, ten inline
+        // entries, ten measure allocations of their own.
+        let key = size_of::<Constraint>() + size_of::<sitfact_core::DimValueId>();
+        let slot = size_of::<(SubspaceMask, Arc<Vec<StoredEntry>>)>();
+        let allocation = 2 * size_of::<usize>() + size_of::<f64>();
+        let own = key + slot + 10 * (size_of::<StoredEntry>() + allocation);
+        assert_eq!(stats.approx_bytes, own as u64);
+
+        // One tuple entering three more cells shares one allocation, which
+        // counts once however many cells hold it.
+        let arrival = StoredEntry::new(10, &[10.0]);
+        for bits in [0b01, 0b10, 0b11] {
+            store.insert(&c, SubspaceMask(bits), arrival.clone());
+        }
+        drop(arrival);
+        let shared = 2 * slot + 3 * size_of::<StoredEntry>() + allocation;
+        assert_eq!(store.stats().approx_bytes, (own + shared) as u64);
+
+        // A reloaded dump shares per tuple id again: same bytes.
+        let mut reloaded = MemorySkylineStore::new();
+        reloaded.load_cells(store.dump_cells().unwrap()).unwrap();
+        assert_eq!(reloaded.stats(), store.stats());
+        reloaded.audit().unwrap();
     }
 
     #[test]

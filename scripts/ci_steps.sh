@@ -19,7 +19,7 @@ CARGO=${CARGO:-cargo}
 
 # Ordered step registry. Adding a step here without wiring it into ci.yml
 # (or vice versa) fails `parity`.
-CI_STEPS=(fmt clippy build test check-targets doc analyze quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke serve-smoke wal-smoke)
+CI_STEPS=(fmt clippy build test check-targets doc analyze quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke bench-e2e-standalone serve-smoke wal-smoke)
 
 run_step() {
   echo "==> $1"
@@ -83,6 +83,17 @@ run_step() {
       $CARGO run --release -p sitfact-bench --bin fig_window -- \
         --window 120 --mult 5 --batch 8 --reps 1 \
         --out /tmp/BENCH_window_smoke.json ;;
+    bench-e2e-standalone)
+      # BENCHMARK.json's command: the benchmark built through its own
+      # manifest, which no other step compiles (the workspace only reaches
+      # the same sources as sitfact-bench's bench_e2e binary). --smoke runs
+      # the four workloads at 1/40 size, served and traced; the traced leg
+      # fails unless the served replies — ranked by FactMonitor's
+      # bound-and-prune loop — hash to those of the mirror, which evaluates
+      # every fact by hand.
+      $CARGO run --release --quiet \
+        --manifest-path crates/sitfact-bench/src/bin/bench_e2e/Cargo.toml -- \
+        --smoke ;;
     serve-smoke)
       # Round-trip the TCP service front-end: start a sharded server on an
       # ephemeral port (it writes the bound address to a file), stream rows
@@ -177,7 +188,7 @@ parity() {
       echo "parity: $ci invokes unknown step '$step' (add it to CI_STEPS)" >&2
       fail=1
     fi
-  done < <(grep -Eo "ci_steps\.sh run [a-z-]+" "$ci" | awk '{print $3}' | sort -u)
+  done < <(grep -Eo "ci_steps\.sh run [a-z0-9-]+" "$ci" | awk '{print $3}' | sort -u)
   # The local gate must run the full registry (and this parity check).
   if ! grep -q "ci_steps.sh all" "$verify"; then
     echo "parity: $verify does not run 'ci_steps.sh all'" >&2

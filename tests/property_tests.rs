@@ -123,6 +123,66 @@ fn windowed_equals_rebuild(
     Ok(())
 }
 
+/// Test-only oracle of [`FactMonitor`]'s ranking: the arrival path replayed by
+/// hand over its own table, counter and algorithm, computing the skyline
+/// cardinality of **every** discovered pair before sorting and cutting — the
+/// full-evaluation loop the monitor ran before it pruned by context size.
+struct FullRankingOracle {
+    table: Table,
+    counter: ContextCounter,
+    algo: STopDown,
+    config: MonitorConfig,
+}
+
+impl FullRankingOracle {
+    fn new(schema: Schema, config: MonitorConfig) -> Self {
+        let d_hat = config.discovery.effective_d_hat(&schema);
+        FullRankingOracle {
+            counter: ContextCounter::new(schema.num_dimensions(), d_hat),
+            algo: STopDown::new(&schema, config.discovery),
+            table: Table::new(schema),
+            config,
+        }
+    }
+
+    fn ingest(&mut self, tuple: Tuple) -> ArrivalReport {
+        let pairs = self.algo.discover(&self.table, &tuple);
+        let tuple_id = self.table.append(tuple).unwrap();
+        self.counter.observe(self.table.tuple(tuple_id));
+        let mut facts: Vec<RankedFact> = pairs
+            .into_iter()
+            .map(|pair| RankedFact {
+                context_size: self.counter.cardinality(&pair.constraint),
+                skyline_size: self.algo.skyline_cardinality_at(
+                    &self.table,
+                    &pair.constraint,
+                    pair.subspace,
+                    tuple_id + 1,
+                ) as u64,
+                pair,
+            })
+            .collect();
+        facts.sort_by(RankedFact::ranking_cmp);
+        let max = facts.first().map(RankedFact::prominence).unwrap_or(0.0);
+        let prominent_count = if max >= self.config.tau {
+            facts
+                .iter()
+                .take_while(|f| (f.prominence() - max).abs() < f64::EPSILON)
+                .count()
+        } else {
+            0
+        };
+        if let Some(keep) = self.config.keep_top {
+            facts.truncate(keep.max(prominent_count));
+        }
+        ArrivalReport {
+            tuple_id,
+            facts,
+            prominent_count,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -712,6 +772,60 @@ proptest! {
     ) {
         let shape = (vec![3, 2, 3], 3, DiscoveryConfig::capped(2, 2));
         windowed_equals_rebuild(shape, n_rows, extra, window, window_seed, gen_seed, shuffle_seed)?;
+    }
+
+    /// Bound-and-prune ranking ≡ full ranking: for random schema widths,
+    /// caps on and off, every `keep_top` and several `τ`, each report of a
+    /// `FactMonitor` equals the oracle's, which evaluates all pairs. Small
+    /// integer measures and few dimension values make prominence ties at the
+    /// cut the norm, and with `τ ≤ 1` the first arrival's facts all tie the
+    /// maximum, so `keep.max(prominent_count)` overflows `keep_top`.
+    #[test]
+    fn pruned_ranking_equals_full_ranking(
+        n_dims in 1usize..4,
+        n_measures in 1usize..4,
+        capped in 0usize..2,
+        keep_seed in 0usize..4,
+        tau_seed in 0usize..4,
+        rows in prop::collection::vec(
+            (prop::collection::vec(0u32..3, 3), prop::collection::vec(0i32..4, 3)),
+            1..40,
+        ),
+    ) {
+        let mut builder = SchemaBuilder::new("p");
+        for d in 0..n_dims {
+            builder = builder.dimension(format!("d{d}"));
+        }
+        for (m, direction) in DIRS.iter().take(n_measures).enumerate() {
+            builder = builder.measure(format!("m{m}"), *direction);
+        }
+        let schema = builder.build().unwrap();
+        let discovery = if capped == 1 {
+            DiscoveryConfig::capped(2, 2)
+        } else {
+            DiscoveryConfig::unrestricted()
+        };
+        let config = MonitorConfig {
+            discovery,
+            tau: [0.0, 1.0, 2.0, 5.0][tau_seed],
+            keep_top: [Some(1), Some(3), Some(8), None][keep_seed],
+        };
+        let mut monitor = FactMonitor::new(
+            schema.clone(),
+            STopDown::new(&schema, config.discovery),
+            config,
+        );
+        let mut oracle = FullRankingOracle::new(schema, config);
+        for (dims, measures) in rows {
+            let tuple = Tuple::new(
+                dims[..n_dims].to_vec(),
+                measures[..n_measures].iter().map(|&m| m as f64).collect(),
+            );
+            let report = monitor.ingest(tuple.clone()).unwrap();
+            prop_assert_eq!(&report, &oracle.ingest(tuple));
+            deep_audit(&report)?;
+        }
+        deep_audit(&monitor)?;
     }
 
     /// Prominence is always ≥ 1 for facts pertinent to the newly added tuple,
