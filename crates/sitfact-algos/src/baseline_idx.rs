@@ -95,6 +95,10 @@ impl Discovery for BaselineIdx {
         out
     }
 
+    fn can_retract(&self) -> bool {
+        true
+    }
+
     fn retract(&mut self, table: &Table, t_id: TupleId) -> sitfact_core::Result<()> {
         // The expired row is tombstoned but still physically present, so its
         // measures can steer the tree descent.

@@ -76,6 +76,10 @@ impl Discovery for BaselineSeq {
         StoreStats::default()
     }
 
+    fn can_retract(&self) -> bool {
+        true
+    }
+
     fn retract(&mut self, _table: &Table, _t_id: TupleId) -> sitfact_core::Result<()> {
         // Stateless: the per-arrival scan reads the table's live iterators,
         // which already exclude retracted rows.

@@ -70,6 +70,10 @@ impl Discovery for BruteForce {
         StoreStats::default()
     }
 
+    fn can_retract(&self) -> bool {
+        true
+    }
+
     fn retract(&mut self, _table: &Table, _t_id: TupleId) -> sitfact_core::Result<()> {
         // Stateless: every discovery re-derives its answer from the table,
         // whose iterators already skip retracted rows — oracle-exact under a

@@ -109,18 +109,16 @@ impl ConstraintCache {
     }
 }
 
-/// Reusable per-arrival traversal buffers (constraint flags plus the BFS
-/// queue) for the lattice passes of the shared algorithms.
+/// Reusable per-pass traversal buffers (constraint flags plus the BFS queue)
+/// for the lattice passes.
 ///
 /// Allocated lazily to the lattice's flag length and kept on the algorithm
 /// struct, so a window of arrivals (`begin_batch` … `end_batch`) re-clears
-/// the same buffers instead of re-allocating four vectors per pass per
+/// the same buffers instead of re-allocating three vectors per pass per
 /// arrival. [`TraversalScratch::release`] drops the capacity again once a
 /// batch ends.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
-    /// `pruned[mask]`: the new tuple is known dominated at this constraint.
-    pub pruned: Vec<bool>,
     /// `in_ances[mask]`: an unpruned ancestor already stores the new tuple.
     pub in_ances: Vec<bool>,
     /// `enqueued[mask]`: the constraint has entered the BFS queue.
@@ -132,8 +130,6 @@ pub struct TraversalScratch {
 impl TraversalScratch {
     /// Clears every buffer and (re)sizes the flag vectors to `flag_len`.
     pub fn reset(&mut self, flag_len: usize) {
-        self.pruned.clear();
-        self.pruned.resize(flag_len, false);
         self.in_ances.clear();
         self.in_ances.resize(flag_len, false);
         self.enqueued.clear();

@@ -1,0 +1,1118 @@
+//! Algorithms 4, 5 and 6 of the paper and `SBottomUp` (Section V): one walk
+//! over the lattice `C^t` of tuple-satisfied constraints, with two
+//! compile-time choices.
+//!
+//! * **`MAXIMAL`** — what a cell `µ_{C,M}` stores. `false`: every contextual
+//!   skyline tuple of `(C, M)` (Invariant 1); the lattice is walked bottom-up
+//!   and a dominated constraint prunes its ancestors (Proposition 2). `true`:
+//!   a tuple only at its *maximal* skyline constraints (Invariant 2); the
+//!   lattice is walked top-down, a dominator prunes every constraint it
+//!   shares with the new tuple (Proposition 3), and a stored tuple the new one
+//!   dominates is pushed down to the children it keeps (the paper's
+//!   `Dominates` procedure).
+//! * **`SHARED`** — whether the full measure space is walked first and every
+//!   comparison made there pre-prunes the proper subspaces through the
+//!   three-way partition of Proposition 4 (Section V-C).
+//!
+//! | alias | `MAXIMAL` | `SHARED` | paper |
+//! |-------|-----------|----------|-------|
+//! | [`BottomUp`]  | no  | no  | Alg. 4 |
+//! | [`TopDown`]   | yes | no  | Alg. 5 |
+//! | [`SBottomUp`] | no  | yes | Sec. V-C |
+//! | [`STopDown`]  | yes | yes | Alg. 6 |
+//!
+//! The two choices are const parameters: each alias compiles to its own
+//! straight-line code, and every capability (`retract`, store export/import,
+//! batch-deferred flushes) is written once for all four.
+
+use crate::common::{
+    dominated_in, partition_measures, skyline_cardinality_recompute, skyline_counted, AlgoParams,
+    ConstraintCache, TraversalScratch,
+};
+use crate::traits::Discovery;
+use sitfact_core::{
+    BoundMask, Constraint, DiscoveryConfig, FxHashSet, Result, Schema, SkylinePair, SubspaceMask,
+    Tuple, TupleId, UNBOUND,
+};
+use sitfact_storage::{
+    FileSkylineStore, MemorySkylineStore, SkylineStore, StoreCell, StoreStats, StoredEntry, Table,
+    WorkStats,
+};
+
+/// Algorithm 4: every skyline tuple in every cell that qualifies it, walked
+/// bottom-up, one independent pass per measure subspace. The redundancy buys
+/// simple per-cell logic — a cell is the complete contextual skyline, so one
+/// dominator settles it and its ancestors — at the price of memory (Fig. 10).
+pub type BottomUp<S = MemorySkylineStore> = LatticeDiscovery<false, false, S>;
+
+/// Algorithm 5: tuples only at their maximal skyline constraints, walked
+/// top-down. Far fewer stored copies than [`BottomUp`] (Fig. 10) for more
+/// intricate cell maintenance (Fig. 8).
+pub type TopDown<S = MemorySkylineStore> = LatticeDiscovery<true, false, S>;
+
+/// [`BottomUp`] with the full-space pass shared (Section V-C). That pass
+/// stops expanding at dominated constraints, so what it learns about the
+/// proper subspaces is sound but not complete: their passes start from a
+/// smaller frontier and still compare.
+pub type SBottomUp<S = MemorySkylineStore> = LatticeDiscovery<false, true, S>;
+
+/// Algorithm 6: [`TopDown`] with the full-space pass shared. That pass
+/// (`STopDownRoot`) visits *every* constraint of `C^t` and meets every stored
+/// skyline tuple, so what it learns is complete: in a proper subspace the
+/// constraints left unpruned are exactly the new tuple's skyline constraints,
+/// and their passes (`STopDownNode`) read only those cells.
+pub type STopDown<S = MemorySkylineStore> = LatticeDiscovery<true, true, S>;
+
+/// [`SBottomUp`] over the file-backed skyline store (the paper's
+/// `FSBottomUp`, Section VI-C).
+pub type FsBottomUp = SBottomUp<FileSkylineStore>;
+
+/// [`STopDown`] over the file-backed skyline store (the paper's `FSTopDown`,
+/// Section VI-C).
+pub type FsTopDown = STopDown<FileSkylineStore>;
+
+/// The lattice algorithm behind [`BottomUp`], [`TopDown`], [`SBottomUp`] and
+/// [`STopDown`]; see the [module documentation](self) for the two choices.
+#[derive(Debug)]
+pub struct LatticeDiscovery<
+    const MAXIMAL: bool,
+    const SHARED: bool,
+    S: SkylineStore = MemorySkylineStore,
+> {
+    params: AlgoParams,
+    store: S,
+    stats: WorkStats,
+    /// `pruned[subspace.0 * flag_len + mask.0]`: the new tuple is known
+    /// dominated at this constraint in this subspace. Cleared per arrival;
+    /// every row stays closed under unbinding attributes.
+    pruned: Vec<bool>,
+    /// Per-pass traversal buffers, kept warm across a batch.
+    scratch: TraversalScratch,
+    /// Inside a `begin_batch`/`end_batch` window: per-arrival store flushes
+    /// are deferred to `end_batch` (reads go through the store's write-back
+    /// buffer either way, so results are unchanged — only the file-backed
+    /// store's write-back cadence differs).
+    in_batch: bool,
+}
+
+/// What the passes of one arrival share.
+struct Arrival<'a> {
+    table: &'a Table,
+    tuple: &'a Tuple,
+    /// `C^t`, materialised once.
+    cache: ConstraintCache,
+    /// The tuple's store entry: one measure allocation, cloned (a
+    /// reference-count bump) into every cell it enters.
+    entry: StoredEntry,
+}
+
+impl<const MAXIMAL: bool, const SHARED: bool> LatticeDiscovery<MAXIMAL, SHARED> {
+    /// Creates the algorithm with the default in-memory skyline store.
+    pub fn new(schema: &Schema, config: DiscoveryConfig) -> Self {
+        Self::with_store(schema, config, MemorySkylineStore::new())
+    }
+}
+
+impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
+    LatticeDiscovery<MAXIMAL, SHARED, S>
+{
+    /// Creates the algorithm over a caller-provided skyline store backend.
+    pub fn with_store(schema: &Schema, config: DiscoveryConfig, store: S) -> Self {
+        let params = AlgoParams::new(schema, config);
+        LatticeDiscovery {
+            pruned: vec![false; params.lattice.flag_len() << params.n_measures],
+            params,
+            store,
+            stats: WorkStats::default(),
+            scratch: TraversalScratch::default(),
+            in_batch: false,
+        }
+    }
+
+    /// Read access to the underlying store (used by prominence queries and
+    /// invariant-checking tests).
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// The derived algorithm parameters.
+    pub fn params(&self) -> &AlgoParams {
+        &self.params
+    }
+
+    /// Every subspace this kind keeps cells for: the reported ones, and for a
+    /// sharing kind also the full space when `m̂ < m` keeps it unreported.
+    fn family(params: &AlgoParams) -> &[SubspaceMask] {
+        if SHARED {
+            &params.maintained
+        } else {
+            &params.subspaces
+        }
+    }
+
+    /// The subspaces walked one by one — after the full space, when sharing.
+    fn own_passes(&self) -> &[SubspaceMask] {
+        if SHARED {
+            &self.params.proper_subspaces
+        } else {
+            &self.params.subspaces
+        }
+    }
+
+    /// One pass over `C^t` in `subspace`: finds the constraints at which the
+    /// new tuple is a skyline tuple, reports them, stores the tuple as the
+    /// invariant demands and takes the tuples it dominates out.
+    fn pass(&mut self, arrival: &Arrival<'_>, subspace: SubspaceMask, out: &mut Vec<SkylinePair>) {
+        let LatticeDiscovery {
+            params,
+            store,
+            stats,
+            pruned,
+            scratch,
+            ..
+        } = self;
+        let params = &*params;
+        let t = arrival.tuple;
+        let flag_len = params.lattice.flag_len();
+        let row = subspace.0 as usize * flag_len;
+        // The full-space pass of a sharing kind feeds the other rows; it is
+        // also the only pass whose subspace may go unreported (`m̂ < m`).
+        let sharing = SHARED && subspace == params.full_space;
+        let reported = !sharing || params.reports_full_space();
+        // After `STopDownRoot` a proper subspace's row is complete: a pruned
+        // cell need not be read.
+        let known = MAXIMAL && SHARED && !sharing;
+        scratch.reset(flag_len);
+        let TraversalScratch {
+            in_ances,
+            enqueued,
+            queue,
+        } = scratch;
+        if MAXIMAL {
+            enqueued[0] = true;
+            queue.push_back(BoundMask::TOP);
+        } else {
+            for bottom in params.lattice.bottoms() {
+                if !pruned[row + bottom.0 as usize] {
+                    enqueued[bottom.0 as usize] = true;
+                    queue.push_back(bottom);
+                }
+            }
+        }
+        while let Some(mask) = queue.pop_front() {
+            let here = row + mask.0 as usize;
+            if !MAXIMAL && pruned[here] {
+                // Pruned after being enqueued. Its parents are pruned too
+                // (rows are closed under unbinding), so nothing is lost by
+                // not expanding it.
+                continue;
+            }
+            stats.traversed_constraints += 1;
+            let constraint = arrival.cache.get(mask);
+            if !(known && pruned[here]) {
+                let entries = store.read(constraint, subspace);
+                stats.store_reads += 1;
+                for entry in entries.iter() {
+                    stats.comparisons += 1;
+                    let (better, worse) =
+                        partition_measures(t.measures(), &entry.measures, &params.directions);
+                    let dominated = dominated_in(better, worse, subspace);
+                    if sharing || (MAXIMAL && dominated) {
+                        // Proposition 3: where the stored tuple dominates the
+                        // new one, it does so at every constraint both
+                        // satisfy — in this subspace, and (Proposition 4) in
+                        // each proper subspace the partition says so.
+                        let agreement = BoundMask::agreement(t, arrival.table.tuple(entry.id));
+                        if MAXIMAL && dominated {
+                            prune_above(&mut pruned[row..row + flag_len], agreement);
+                        }
+                        if sharing {
+                            for &other in &params.proper_subspaces {
+                                if dominated_in(better, worse, other) {
+                                    let other = other.0 as usize * flag_len;
+                                    prune_above(&mut pruned[other..other + flag_len], agreement);
+                                }
+                            }
+                        }
+                    }
+                    if dominated {
+                        if !MAXIMAL {
+                            // Proposition 2: dominated in every more general
+                            // context too. The cell is the whole skyline, so
+                            // one dominator settles it — a sharing pass reads
+                            // on for what the rest says about the subspaces.
+                            prune_above(&mut pruned[row..row + flag_len], mask);
+                            if !sharing {
+                                break;
+                            }
+                        }
+                        // Invariant 2 keeps scanning regardless: other stored
+                        // tuples share other dimension values with `t` and
+                        // prune other constraints.
+                    } else if dominated_in(worse, better, subspace) {
+                        // The stored tuple is no longer a skyline tuple here.
+                        if MAXIMAL {
+                            demote(params, store, stats, arrival, mask, subspace, entry);
+                        } else {
+                            store.remove(constraint, subspace, entry.id);
+                            stats.store_writes += 1;
+                        }
+                    }
+                }
+                // A snapshot still alive at the insert would make the store
+                // copy the whole cell before writing to it.
+                drop(entries);
+            }
+            let skyline_here = !pruned[here];
+            if skyline_here {
+                if reported {
+                    out.push(SkylinePair::new(constraint.clone(), subspace));
+                }
+                if !(MAXIMAL && in_ances[mask.0 as usize]) {
+                    store.insert(constraint, subspace, arrival.entry.clone());
+                    stats.store_writes += 1;
+                }
+            }
+            if MAXIMAL {
+                // Traversal continues below pruned constraints too: a
+                // descendant may bind an attribute the dominating tuple does
+                // not share and escape the pruning.
+                for &child in &params.children[mask.0 as usize] {
+                    let idx = child.0 as usize;
+                    in_ances[idx] |= skyline_here;
+                    if !enqueued[idx] {
+                        enqueued[idx] = true;
+                        queue.push_back(child);
+                    }
+                }
+            } else if skyline_here {
+                for parent in mask.parents() {
+                    let idx = parent.0 as usize;
+                    if !enqueued[idx] && !pruned[row + idx] {
+                        enqueued[idx] = true;
+                        queue.push_back(parent);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Marks `reach` and every constraint above it (its submasks) in one
+/// subspace's row of the pruning matrix. Rows are closed under unbinding, so
+/// a marked `reach` means the rest already is.
+fn prune_above(row: &mut [bool], reach: BoundMask) {
+    if !row[reach.0 as usize] {
+        for sub in reach.submasks() {
+            row[sub.0 as usize] = true;
+        }
+    }
+}
+
+/// The paper's `Dominates(t', C, M)` procedure: the new tuple dominates the
+/// stored tuple `entry` at the cell of `cell_mask`, so the stored tuple is
+/// removed there and, where necessary, re-stored at the children of that
+/// constraint which the *new* tuple does not satisfy — those are its new
+/// maximal skyline constraints, unless an existing one already covers them.
+fn demote<S: SkylineStore>(
+    params: &AlgoParams,
+    store: &mut S,
+    stats: &mut WorkStats,
+    arrival: &Arrival<'_>,
+    cell_mask: BoundMask,
+    subspace: SubspaceMask,
+    entry: &StoredEntry,
+) {
+    store.remove(arrival.cache.get(cell_mask), subspace, entry.id);
+    stats.store_writes += 1;
+    let demoted = arrival.table.tuple(entry.id);
+    // At the `d̂` cap there are no children inside the maintained family: the
+    // demoted tuple simply loses this maximal constraint.
+    for &child_mask in &params.children[cell_mask.0 as usize] {
+        let attr = (child_mask.0 ^ cell_mask.0).trailing_zeros() as usize;
+        if arrival.tuple.dim(attr) == demoted.dim(attr) {
+            // A child the new tuple satisfies as well is handled by the
+            // ongoing traversal: the new tuple dominates the stored one
+            // there too, so it is no skyline constraint of the stored tuple.
+            continue;
+        }
+        // Maximality check: is the demoted tuple already stored at one of the
+        // child's ancestors (within its own lattice)?
+        let covered = child_mask.ancestors().into_iter().any(|ancestor| {
+            stats.store_reads += 1;
+            store.contains(
+                &Constraint::from_tuple_mask(demoted, ancestor),
+                subspace,
+                entry.id,
+            )
+        });
+        if !covered {
+            let child = Constraint::from_tuple_mask(demoted, child_mask);
+            store.insert(&child, subspace, entry.clone());
+            stats.store_writes += 1;
+        }
+    }
+}
+
+/// `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline tuples of a
+/// context are exactly the tuples stored at the constraint itself or at any
+/// of its ancestors that additionally satisfy the constraint.
+fn skyline_cardinality_from_maximal<S: SkylineStore>(
+    store: &mut S,
+    table: &Table,
+    constraint: &Constraint,
+    subspace: SubspaceMask,
+) -> usize {
+    let mut seen: FxHashSet<TupleId> = FxHashSet::default();
+    for mask in constraint.bound_mask().submasks() {
+        let values = constraint.values().iter().enumerate();
+        let ancestor = Constraint::from_values(
+            values
+                .map(|(i, &v)| if mask.is_bound(i) { v } else { UNBOUND })
+                .collect(),
+        );
+        for entry in store.read(&ancestor, subspace).iter() {
+            if table
+                .get(entry.id)
+                .is_some_and(|tuple| constraint.matches(tuple))
+            {
+                seen.insert(entry.id);
+            }
+        }
+    }
+    seen.len()
+}
+
+impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
+    for LatticeDiscovery<MAXIMAL, SHARED, S>
+{
+    fn name(&self) -> &'static str {
+        match (MAXIMAL, SHARED) {
+            (false, false) => "BottomUp",
+            (true, false) => "TopDown",
+            (false, true) => "SBottomUp",
+            (true, true) => "STopDown",
+        }
+    }
+
+    fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {
+        // Every comparison runs against the store; the table is read only
+        // for the dimension values of stored tuples.
+        let arrival = Arrival {
+            table,
+            tuple: t,
+            cache: ConstraintCache::new(t, self.params.n_dims),
+            entry: StoredEntry::new(t_id, t.measures()),
+        };
+        let mut out = Vec::new();
+        self.pruned.fill(false);
+        if SHARED {
+            self.pass(&arrival, self.params.full_space, &mut out);
+        }
+        for slot in 0..self.own_passes().len() {
+            let subspace = self.own_passes()[slot];
+            self.pass(&arrival, subspace, &mut out);
+        }
+        if !self.in_batch {
+            self.store.flush();
+        }
+        out
+    }
+
+    fn begin_batch(&mut self, _expected_arrivals: usize) {
+        // The traversal buffers stay allocated between passes (each pass
+        // re-clears them); `end_batch` releases them again.
+        self.in_batch = true;
+    }
+
+    fn end_batch(&mut self) {
+        self.in_batch = false;
+        self.store.flush();
+        self.scratch.release();
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.stats
+    }
+
+    fn store_stats(&self) -> StoreStats {
+        self.store.stats()
+    }
+
+    fn skyline_cardinality_at(
+        &mut self,
+        table: &Table,
+        constraint: &Constraint,
+        subspace: SubspaceMask,
+        limit: TupleId,
+    ) -> usize {
+        let within_family = constraint.bound_count() <= self.params.lattice.max_bound()
+            && Self::family(&self.params).contains(&subspace);
+        if !within_family {
+            return skyline_cardinality_recompute(table, constraint, subspace, limit);
+        }
+        // The store covers exactly the arrivals processed so far; `limit`
+        // only constrains the out-of-family recompute above.
+        if MAXIMAL {
+            skyline_cardinality_from_maximal(&mut self.store, table, constraint, subspace)
+        } else {
+            // Invariant 1: the cell is the skyline.
+            self.store.read(constraint, subspace).len()
+        }
+    }
+
+    /// The durable state is exactly the skyline store: the pruning matrix is
+    /// cleared per arrival, the traversal scratch is scratch, and the work
+    /// counters are not observable through the monitor's query surface.
+    fn export_store_cells(&self) -> Option<Vec<StoreCell>> {
+        self.store.dump_cells()
+    }
+
+    fn import_store_cells(&mut self, cells: Vec<StoreCell>) -> Result<()> {
+        self.store.load_cells(cells)
+    }
+
+    fn can_retract(&self) -> bool {
+        true
+    }
+
+    fn retract(&mut self, table: &Table, t_id: TupleId) -> Result<()> {
+        // Probe first. Only contexts containing the expired tuple `x` can
+        // change, and those are the constraints of its own family `C^x`.
+        // Within it the skyline of `(C, M)` changes only if `x` was in it;
+        // every other cell is frozen — its skyline, and so what it stores,
+        // stays as it is, for the one probe. Under Invariant 1 `x` was in the
+        // skyline iff it is stored at `C`. Under Invariant 2 — membership
+        // being closed towards more specific constraints, with `x` stored
+        // exactly at its maximal skyline constraints — iff it is stored at
+        // `C` or at an ancestor of `C`: so walk `C^x` top-down, take `x` out
+        // where it is stored, and call `(C, M)` *affected* iff `x` was stored
+        // there or a parent is affected in `M`.
+        //
+        // An affected cell is recomputed from its live context, scanned once
+        // per constraint for all its affected subspaces (the table's
+        // iterators skip tombstoned rows), and the survivors it lacks are
+        // re-promoted into it — exactly the store an algorithm fed only the
+        // surviving suffix would hold. Under Invariant 2 a survivor `s`
+        // belongs at `C` unless an ancestor skyline also holds it, and the
+        // ancestors — frozen, or repaired earlier in this walk — answer that
+        // from the store; they are the same constraints in `C^s` as in
+        // `C^x`, because `s` matches `C`. A survivor that newly becomes
+        // maximal at `C` was stored further down in *its own* family (it may
+        // disagree with `x` on the extra bound attributes), so those cells
+        // give it up.
+        //
+        // Nothing else is removed: a later id of the same eviction is dead in
+        // the table but still stored, and its own call must find it to know
+        // which cells it affects (see `Discovery::retract`).
+        let LatticeDiscovery {
+            params,
+            store,
+            stats,
+            ..
+        } = self;
+        let family = Self::family(params);
+        let family_len = family.len();
+        let expired = table.tuple(t_id);
+        let cache = ConstraintCache::new(expired, params.n_dims);
+        let mut affected = vec![false; params.lattice.flag_len() * family_len];
+        let mut rows = Vec::new();
+        for &mask in &params.top_down {
+            let constraint = cache.get(mask);
+            let mut scanned = false;
+            for (slot, &subspace) in family.iter().enumerate() {
+                stats.store_reads += 1;
+                let held = store.remove(constraint, subspace, t_id);
+                stats.store_writes += u64::from(held);
+                let inherited = MAXIMAL
+                    && mask
+                        .parents()
+                        .any(|p| affected[p.0 as usize * family_len + slot]);
+                if !(held || inherited) {
+                    continue;
+                }
+                affected[mask.0 as usize * family_len + slot] = true;
+                if !scanned {
+                    scanned = true;
+                    rows.clear();
+                    rows.extend(table.context(constraint));
+                }
+                let skyline =
+                    skyline_counted(&rows, subspace, &params.directions, &mut stats.comparisons);
+                let current = store.read(constraint, subspace);
+                stats.store_reads += 1;
+                for (id, survivor) in skyline {
+                    if current.iter().any(|e| e.id == id) {
+                        continue;
+                    }
+                    if MAXIMAL {
+                        let mut above = params
+                            .top_down
+                            .iter()
+                            .filter(|a| **a != mask && a.is_submask_of(mask));
+                        if above.any(|&a| {
+                            stats.store_reads += 1;
+                            store.contains(cache.get(a), subspace, id)
+                        }) {
+                            continue;
+                        }
+                    }
+                    store.insert(
+                        constraint,
+                        subspace,
+                        StoredEntry::new(id, survivor.measures()),
+                    );
+                    stats.store_writes += 1;
+                    if MAXIMAL {
+                        for &below in &params.top_down {
+                            if below != mask && mask.is_submask_of(below) {
+                                let cell = Constraint::from_tuple_mask(survivor, below);
+                                stats.store_reads += 1;
+                                if store.remove(&cell, subspace, id) {
+                                    stats.store_writes += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !self.in_batch {
+            self.store.flush();
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::brute_force::BruteForce;
+    use crate::AlgorithmKind;
+    use rand::prelude::*;
+    use sitfact_core::dominance;
+    use sitfact_core::pair::canonical_sort;
+    use sitfact_core::{ConstraintLattice, Direction, SchemaBuilder};
+
+    const KINDS: [AlgorithmKind; 4] = [
+        AlgorithmKind::BottomUp,
+        AlgorithmKind::TopDown,
+        AlgorithmKind::SBottomUp,
+        AlgorithmKind::STopDown,
+    ];
+
+    /// Three dimensions and `m` measures, every third of them
+    /// lower-is-better (none for `m = 2`, the running example's shape).
+    fn schema(m: usize) -> Schema {
+        let mut b = SchemaBuilder::new("s")
+            .dimension("d1")
+            .dimension("d2")
+            .dimension("d3");
+        for i in 0..m {
+            let dir = if i % 3 == 2 {
+                Direction::LowerIsBetter
+            } else {
+                Direction::HigherIsBetter
+            };
+            b = b.measure(format!("m{i}"), dir);
+        }
+        b.build().unwrap()
+    }
+
+    /// Dimension values below `cards`, `m` integer measures below `top`.
+    fn random_tuple(rng: &mut StdRng, cards: [u32; 3], m: usize, top: u32) -> Tuple {
+        let dims = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
+        Tuple::new(dims, (0..m).map(|_| rng.gen_range(0..top) as f64).collect())
+    }
+
+    fn build(kind: AlgorithmKind, schema: &Schema, config: DiscoveryConfig) -> Box<dyn Discovery> {
+        kind.build(schema, config, None).unwrap()
+    }
+
+    /// One row per case the four files used to test one by one: `(kind,
+    /// measures, config, steps, seed)`. `m̂ < m` exercises the "full space
+    /// maintained but not reported" path of the sharing kinds.
+    #[test]
+    fn agrees_with_brute_force_on_random_streams() {
+        let (open, capped) = (
+            DiscoveryConfig::unrestricted(),
+            DiscoveryConfig::capped(2, 2),
+        );
+        let rows = [
+            (AlgorithmKind::BottomUp, 2, open, 70, 3),
+            (AlgorithmKind::TopDown, 2, open, 70, 31),
+            (AlgorithmKind::SBottomUp, 2, open, 70, 101),
+            (AlgorithmKind::SBottomUp, 3, open, 50, 103),
+            (AlgorithmKind::SBottomUp, 3, capped, 50, 107),
+            (AlgorithmKind::STopDown, 2, open, 70, 211),
+            (AlgorithmKind::STopDown, 3, open, 50, 223),
+            (AlgorithmKind::STopDown, 3, capped, 50, 227),
+        ];
+        for (kind, m, config, steps, seed) in rows {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema(m);
+            let mut table = Table::new(schema.clone());
+            let mut subject = build(kind, &schema, config);
+            let mut reference = BruteForce::new(&schema, config);
+            for _ in 0..steps {
+                let t = random_tuple(&mut rng, [3, 2, 3], m, 5);
+                let mut expected = reference.discover(&table, &t);
+                let mut actual = subject.discover(&table, &t);
+                canonical_sort(&mut expected);
+                canonical_sort(&mut actual);
+                assert_eq!(
+                    expected,
+                    actual,
+                    "{kind} seed {seed} diverged at tuple {}",
+                    table.len()
+                );
+                table.append(t).unwrap();
+            }
+        }
+    }
+
+    /// `(kind, seed, steps, sampled tuple)`: every constraint of the sample's
+    /// family in every subspace, against the recomputed skyline.
+    #[test]
+    fn skyline_cardinality_matches_ground_truth() {
+        let rows = [
+            (AlgorithmKind::BottomUp, 5, 50, 10),
+            (AlgorithmKind::TopDown, 41, 50, 20),
+            (AlgorithmKind::SBottomUp, 113, 60, 30),
+            (AlgorithmKind::STopDown, 233, 60, 15),
+        ];
+        for (kind, seed, steps, sample) in rows {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema(2);
+            let mut table = Table::new(schema.clone());
+            let mut algo = build(kind, &schema, DiscoveryConfig::unrestricted());
+            for _ in 0..steps {
+                let t = random_tuple(&mut rng, [2, 2, 2], 2, 4);
+                let _ = algo.discover(&table, &t);
+                table.append(t).unwrap();
+            }
+            let directions = table.schema().directions().to_vec();
+            let sample = table.tuple(sample);
+            for mask in ConstraintLattice::unrestricted(3).enumerate_top_down() {
+                let c = Constraint::from_tuple_mask(sample, mask);
+                for m in SubspaceMask::enumerate(2, 2) {
+                    let expected = dominance::skyline_of(table.context(&c), m, &directions).len();
+                    assert_eq!(
+                        algo.skyline_cardinality(&table, &c, m),
+                        expected,
+                        "{kind}: constraint {c:?} subspace {m:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn names_and_stats() {
+        let schema = schema(2);
+        for kind in KINDS {
+            let mut algo = build(kind, &schema, DiscoveryConfig::unrestricted());
+            assert_eq!(algo.name(), kind.name());
+            assert_eq!(algo.store_stats(), StoreStats::default());
+            let mut table = Table::new(schema.clone());
+            for i in 0..10 {
+                let t = Tuple::new(vec![0, 1, 2], vec![i as f64, (10 - i) as f64]);
+                let _ = algo.discover(&table, &t);
+                table.append(t).unwrap();
+            }
+            assert!(algo.work_stats().comparisons > 0);
+            assert!(algo.work_stats().traversed_constraints > 0);
+            assert!(algo.store_stats().stored_entries > 0);
+        }
+    }
+
+    /// Repair under either invariant: after expiring a prefix, the store (and
+    /// all subsequent discoveries) must be indistinguishable from an
+    /// algorithm that only ever processed the surviving suffix under the same
+    /// ids — for the maximal-only kinds the promotion cascade moves survivors
+    /// up to their new maximal constraints.
+    #[test]
+    fn retraction_matches_rebuild_from_suffix() {
+        let rows = [
+            (AlgorithmKind::BottomUp, 337),
+            (AlgorithmKind::TopDown, 257),
+            (AlgorithmKind::SBottomUp, 331),
+            (AlgorithmKind::STopDown, 251),
+        ];
+        for (kind, seed) in rows {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema(2);
+            let config = DiscoveryConfig::unrestricted();
+            let mut table = Table::new(schema.clone());
+            let mut algo = build(kind, &schema, config);
+            let mut tuples = Vec::new();
+            for _ in 0..60 {
+                let t = random_tuple(&mut rng, [3, 2, 3], 2, 5);
+                let _ = algo.discover(&table, &t);
+                table.append(t.clone()).unwrap();
+                tuples.push(t);
+            }
+            // Expire the first 25 arrivals: tombstone, repair, compact.
+            assert_eq!(table.retract_prefix(25), 25);
+            for id in 0..25u32 {
+                algo.retract(&table, id).unwrap();
+            }
+            table.compact_retracted();
+            table.audit().unwrap();
+
+            // Rebuild from scratch over the surviving suffix, same ids.
+            let mut fresh_table = Table::with_base(schema.clone(), 25);
+            let mut fresh = build(kind, &schema, config);
+            for t in &tuples[25..] {
+                let _ = fresh.discover(&fresh_table, t);
+                fresh_table.append(t.clone()).unwrap();
+            }
+            let sorted_cells = |algo: &dyn Discovery| {
+                let mut cells = algo.export_store_cells().unwrap();
+                for cell in &mut cells {
+                    cell.entries.sort_by_key(|(id, _)| *id);
+                }
+                cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
+                cells
+            };
+            assert_eq!(sorted_cells(&*algo), sorted_cells(&*fresh), "{kind}");
+            // New arrivals keep discovering identical facts.
+            for _ in 0..10 {
+                let t = random_tuple(&mut rng, [3, 2, 3], 2, 5);
+                let mut a = algo.discover(&table, &t);
+                let mut b = fresh.discover(&fresh_table, &t);
+                canonical_sort(&mut a);
+                canonical_sort(&mut b);
+                assert_eq!(a, b, "{kind}");
+                table.append(t.clone()).unwrap();
+                fresh_table.append(t).unwrap();
+            }
+        }
+    }
+
+    /// Feeds the running example of the paper (Table IV, `t1`…`t5` with ids
+    /// 0…4) through a fresh algorithm.
+    fn running_example<A: Discovery>(new: fn(&Schema, DiscoveryConfig) -> A) -> (Table, A) {
+        let schema = schema(2);
+        let mut table = Table::new(schema.clone());
+        let mut algo = new(&schema, DiscoveryConfig::unrestricted());
+        let rows: [([&str; 3], [f64; 2]); 5] = [
+            (["a1", "b2", "c2"], [10.0, 15.0]),
+            (["a1", "b1", "c1"], [15.0, 10.0]),
+            (["a2", "b1", "c2"], [17.0, 17.0]),
+            (["a2", "b1", "c1"], [20.0, 20.0]),
+            (["a1", "b1", "c1"], [11.0, 15.0]),
+        ];
+        for (dims, measures) in rows {
+            let ids = table.schema_mut().intern_dims(&dims).unwrap();
+            let t = Tuple::new(ids, measures.to_vec());
+            let _ = algo.discover(&table, &t);
+            table.append(t).unwrap();
+        }
+        (table, algo)
+    }
+
+    /// The sorted ids a cell holds.
+    fn cell_ids<S: SkylineStore>(store: &mut S, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
+        let mut ids: Vec<TupleId> = store.read(c, m).iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The store contents of Fig. 3 after t5 arrives.
+    #[test]
+    fn reproduces_figure_3() {
+        let (table, mut algo) = running_example(BottomUp::new);
+        let full = SubspaceMask::full(2);
+        let get = |bindings: &[(&str, &str)]| Constraint::parse(table.schema(), bindings).unwrap();
+        // Fig. 3b: µ for ⟨a1,*,*⟩ = {t2, t5}, ⟨a1,b1,c1⟩ = {t2, t5},
+        // ⊤ = {t4}, ⟨*,b1,c1⟩ = {t4}.
+        let mut cell = |c: &Constraint| cell_ids(&mut algo.store, c, full);
+        assert_eq!(cell(&get(&[("d1", "a1")])), vec![1, 4]);
+        assert_eq!(
+            cell(&get(&[("d1", "a1"), ("d2", "b1"), ("d3", "c1")])),
+            vec![1, 4]
+        );
+        assert_eq!(cell(&Constraint::top(3)), vec![3]);
+        assert_eq!(cell(&get(&[("d2", "b1"), ("d3", "c1")])), vec![3]);
+    }
+
+    /// After t5 arrives the store must match Fig. 4b (tuples only at maximal
+    /// skyline constraints).
+    #[test]
+    fn reproduces_figure_4() {
+        let (table, mut algo) = running_example(TopDown::new);
+        let full = SubspaceMask::full(2);
+        let get = |bindings: &[(&str, &str)]| Constraint::parse(table.schema(), bindings).unwrap();
+        let mut cell = |c: &Constraint| cell_ids(&mut algo.store, c, full);
+        // Fig. 4b: ⊤ = {t4}, ⟨a1,*,*⟩ = {t2, t5}, ⟨*,b2,*⟩ = {t1},
+        // ⟨*,*,c2⟩ = {t3}, ⟨a1,*,c2⟩ = {t1}; everything below a1 is empty.
+        assert_eq!(cell(&Constraint::top(3)), vec![3]);
+        assert_eq!(cell(&get(&[("d1", "a1")])), vec![1, 4]);
+        assert_eq!(cell(&get(&[("d2", "b2")])), vec![0]);
+        assert_eq!(cell(&get(&[("d3", "c2")])), vec![2]);
+        assert_eq!(cell(&get(&[("d1", "a1"), ("d3", "c2")])), vec![0]);
+        assert!(cell(&get(&[("d1", "a1"), ("d2", "b1")])).is_empty());
+        assert!(cell(&get(&[("d1", "a1"), ("d2", "b1"), ("d3", "c1")])).is_empty());
+        assert!(cell(&get(&[("d2", "b1"), ("d3", "c1")])).is_empty());
+    }
+
+    /// Example 10 of the paper: after processing Table IV, STopDown stores t5
+    /// alongside t1 at ⟨a1,*,*⟩ in subspace {m2} and makes no change in {m1}.
+    #[test]
+    fn reproduces_example_10() {
+        let (table, mut algo) = running_example(STopDown::new);
+        let a1 = Constraint::parse(table.schema(), &[("d1", "a1")]).unwrap();
+        let m1 = SubspaceMask::singleton(0);
+        let m2 = SubspaceMask::singleton(1);
+        let mut ids_in = |c: &Constraint, m: SubspaceMask| cell_ids(&mut algo.store, c, m);
+        // Fig. 6b: µ_{⟨a1⟩, {m2}} = {t1, t5}.
+        assert_eq!(ids_in(&a1, m2), vec![0, 4]);
+        // Fig. 5b: in {m1} the cell for ⟨a1⟩ still holds only t2.
+        assert_eq!(ids_in(&a1, m1), vec![1]);
+        // ⊤ holds t4 in both single-measure subspaces.
+        assert_eq!(ids_in(&Constraint::top(3), m1), vec![3]);
+        assert_eq!(ids_in(&Constraint::top(3), m2), vec![3]);
+    }
+
+    /// Invariant 1: after any prefix of a random stream, every cell equals the
+    /// recomputed contextual skyline.
+    #[test]
+    fn invariant_1_holds_on_random_stream() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let schema = schema(2);
+        let mut table = Table::new(schema.clone());
+        let mut algo = BottomUp::new(&schema, DiscoveryConfig::unrestricted());
+        for step in 0..80 {
+            let t = random_tuple(&mut rng, [3, 3, 2], 2, 5);
+            let _ = algo.discover(&table, &t);
+            table.append(t).unwrap();
+            if step % 20 != 19 {
+                continue;
+            }
+            // Validate every non-empty cell against a recomputed skyline.
+            let directions = table.schema().directions().to_vec();
+            for (constraint, subspace, entries) in algo.store.iter_cells() {
+                let expected: std::collections::BTreeSet<TupleId> =
+                    dominance::skyline_of(table.context(constraint), subspace, &directions)
+                        .into_iter()
+                        .map(|(id, _)| id)
+                        .collect();
+                let actual: std::collections::BTreeSet<TupleId> =
+                    entries.iter().map(|e| e.id).collect();
+                assert_eq!(expected, actual, "cell ({constraint:?}, {subspace:?})");
+            }
+        }
+    }
+
+    /// Invariant 2: a tuple is stored at a cell iff that constraint is one of
+    /// its maximal skyline constraints.
+    #[test]
+    fn invariant_2_holds_on_random_stream() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let schema = schema(2);
+        let mut table = Table::new(schema.clone());
+        let mut algo = TopDown::new(&schema, DiscoveryConfig::unrestricted());
+        for step in 0..80 {
+            let t = random_tuple(&mut rng, [3, 3, 2], 2, 5);
+            let _ = algo.discover(&table, &t);
+            table.append(t).unwrap();
+            if step % 20 != 19 {
+                continue;
+            }
+            let directions = table.schema().directions().to_vec();
+            let lattice = ConstraintLattice::unrestricted(3);
+            for (id, tuple) in table.iter() {
+                for m in SubspaceMask::enumerate(2, 2) {
+                    // Compute the tuple's skyline constraints by brute force.
+                    let mut skyline_masks = Vec::new();
+                    for mask in lattice.enumerate_top_down() {
+                        let c = Constraint::from_tuple_mask(tuple, mask);
+                        let sky = dominance::skyline_of(table.context(&c), m, &directions);
+                        if sky.iter().any(|(sid, _)| *sid == id) {
+                            skyline_masks.push(mask);
+                        }
+                    }
+                    // Maximal = no proper submask is also a skyline constraint.
+                    let maximal: Vec<BoundMask> = skyline_masks
+                        .iter()
+                        .copied()
+                        .filter(|mask| {
+                            !mask
+                                .ancestors()
+                                .iter()
+                                .any(|anc| skyline_masks.contains(anc))
+                        })
+                        .collect();
+                    for mask in lattice.enumerate_top_down() {
+                        let c = Constraint::from_tuple_mask(tuple, mask);
+                        let stored = algo.store.read(&c, m).iter().any(|e| e.id == id);
+                        let expected = maximal.contains(&mask);
+                        assert_eq!(
+                            stored, expected,
+                            "tuple {id} mask {mask} subspace {m:?} (step {step})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stores_fewer_entries_than_bottom_up() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let schema = schema(2);
+        let config = DiscoveryConfig::unrestricted();
+        let mut table = Table::new(schema.clone());
+        let mut top_down = TopDown::new(&schema, config);
+        let mut bottom_up = BottomUp::new(&schema, config);
+        for _ in 0..120 {
+            let t = random_tuple(&mut rng, [4, 4, 3], 2, 8);
+            let _ = top_down.discover(&table, &t);
+            let _ = bottom_up.discover(&table, &t);
+            table.append(t).unwrap();
+        }
+        // The headline space claim of the paper (Fig. 10b): maximal-constraint
+        // storage keeps strictly fewer entries than exhaustive storage.
+        assert!(
+            top_down.store_stats().stored_entries < bottom_up.store_stats().stored_entries,
+            "TopDown {} vs BottomUp {}",
+            top_down.store_stats().stored_entries,
+            bottom_up.store_stats().stored_entries
+        );
+    }
+
+    #[test]
+    fn shares_comparisons_relative_to_bottom_up() {
+        let mut rng = StdRng::seed_from_u64(109);
+        let schema = schema(4);
+        let config = DiscoveryConfig::unrestricted();
+        let mut table = Table::new(schema.clone());
+        let mut shared = SBottomUp::new(&schema, config);
+        let mut plain = BottomUp::new(&schema, config);
+        for _ in 0..150 {
+            let t = random_tuple(&mut rng, [4, 4, 3], 4, 10);
+            let _ = shared.discover(&table, &t);
+            let _ = plain.discover(&table, &t);
+            table.append(t).unwrap();
+        }
+        // Sharing never does more dominance comparisons than the plain
+        // variant, and the stores hold identical contents (Invariant 1).
+        assert!(shared.work_stats().comparisons <= plain.work_stats().comparisons);
+        assert_eq!(
+            shared.store_stats().stored_entries,
+            plain.store_stats().stored_entries
+        );
+    }
+
+    /// The stores of STopDown and TopDown must stay identical — they implement
+    /// the same Invariant 2 — while STopDown performs fewer comparisons.
+    #[test]
+    fn matches_top_down_storage_with_fewer_comparisons() {
+        let mut rng = StdRng::seed_from_u64(229);
+        let schema = schema(3);
+        let config = DiscoveryConfig::unrestricted();
+        let mut table = Table::new(schema.clone());
+        let mut shared = STopDown::new(&schema, config);
+        let mut plain = TopDown::new(&schema, config);
+        for _ in 0..120 {
+            let t = random_tuple(&mut rng, [4, 4, 3], 3, 8);
+            let mut a = shared.discover(&table, &t);
+            let mut b = plain.discover(&table, &t);
+            canonical_sort(&mut a);
+            canonical_sort(&mut b);
+            assert_eq!(a, b);
+            table.append(t).unwrap();
+        }
+        assert_eq!(
+            shared.store_stats().stored_entries,
+            plain.store_stats().stored_entries
+        );
+        assert!(
+            shared.work_stats().comparisons < plain.work_stats().comparisons,
+            "sharing should reduce comparisons: {} vs {}",
+            shared.work_stats().comparisons,
+            plain.work_stats().comparisons
+        );
+    }
+
+    /// The batched driving protocol — window appended to the table up front,
+    /// then `discover_at` with explicit ids between `begin_batch`/`end_batch`
+    /// — must produce exactly the per-arrival results of the sequential
+    /// protocol, for the shared variant and for a scanning baseline (whose
+    /// table scans must self-limit to ids before the arrival).
+    #[test]
+    fn batched_protocol_matches_sequential() {
+        let mut rng = StdRng::seed_from_u64(241);
+        let schema = schema(2);
+        let config = DiscoveryConfig::unrestricted();
+        let window: Vec<Tuple> = (0..50)
+            .map(|_| random_tuple(&mut rng, [3, 2, 3], 2, 5))
+            .collect();
+
+        // Sequential protocol: discover against history, then append.
+        let mut seq_table = Table::new(schema.clone());
+        let mut seq_std = STopDown::new(&schema, config);
+        let mut seq_bf = BruteForce::new(&schema, config);
+        let mut seq_results = Vec::new();
+        for t in &window {
+            let mut a = seq_std.discover(&seq_table, t);
+            let mut b = seq_bf.discover(&seq_table, t);
+            canonical_sort(&mut a);
+            canonical_sort(&mut b);
+            assert_eq!(a, b);
+            seq_results.push(a);
+            seq_table.append(t.clone()).unwrap();
+        }
+
+        // Batched protocol: the whole window lands in the table first.
+        let mut batch_table = Table::new(schema.clone());
+        let first = batch_table.next_id();
+        batch_table.append_batch_slice(&window).unwrap();
+        let mut batch_std = STopDown::new(&schema, config);
+        let mut batch_bf = BruteForce::new(&schema, config);
+        batch_std.begin_batch(window.len());
+        batch_bf.begin_batch(window.len());
+        for (i, t) in window.iter().enumerate() {
+            let t_id = first + i as TupleId;
+            let mut a = batch_std.discover_at(&batch_table, t, t_id);
+            let mut b = batch_bf.discover_at(&batch_table, t, t_id);
+            canonical_sort(&mut a);
+            canonical_sort(&mut b);
+            assert_eq!(a, seq_results[i], "arrival {i} diverged (STopDown)");
+            assert_eq!(b, seq_results[i], "arrival {i} diverged (BruteForce)");
+        }
+        batch_std.end_batch();
+        batch_bf.end_batch();
+        assert_eq!(
+            batch_std.store_stats().stored_entries,
+            seq_std.store_stats().stored_entries
+        );
+    }
+
+    /// The file-backed instantiation (`FSTopDown`) produces identical results.
+    #[test]
+    fn file_backed_variant_agrees() {
+        let dir = std::env::temp_dir().join(format!("sitfact-fstd-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(239);
+        let schema = schema(2);
+        let config = DiscoveryConfig::unrestricted();
+        let mut table = Table::new(schema.clone());
+        let store = FileSkylineStore::new(&dir).unwrap();
+        let mut subject = STopDown::with_store(&schema, config, store);
+        let mut reference = BruteForce::new(&schema, config);
+        for _ in 0..40 {
+            let t = random_tuple(&mut rng, [3, 2, 2], 2, 5);
+            let mut expected = reference.discover(&table, &t);
+            let mut actual = subject.discover(&table, &t);
+            canonical_sort(&mut expected);
+            canonical_sort(&mut actual);
+            assert_eq!(expected, actual);
+            table.append(t).unwrap();
+        }
+        assert!(subject.store_stats().file_writes > 0);
+        drop(subject);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -14,43 +14,37 @@
 //! | [`BottomUp`] | Alg. 4 | store skyline tuples at every skyline constraint; traverse `C^t` bottom-up |
 //! | [`TopDown`] | Alg. 5 | store tuples only at maximal skyline constraints; traverse top-down |
 //! | [`SBottomUp`] | Sec. V-C | `BottomUp` + sharing of comparisons across measure subspaces |
-//! | [`STopDown`] | Sec. V-C | `TopDown` + sharing of comparisons across measure subspaces |
+//! | [`STopDown`] | Alg. 6 | `TopDown` + sharing of comparisons across measure subspaces |
 //! | [`FsBottomUp`] / [`FsTopDown`] | Sec. VI-C | the shared variants over the file-backed store |
+//!
+//! The last six names are type aliases of one type, [`LatticeDiscovery`]
+//! (module [`lattice`]), under two compile-time choices — *maximal-only
+//! storage* (Invariant 2, walked top-down, instead of Invariant 1, walked
+//! bottom-up) and *sharing* (the full-space pass pre-prunes the proper
+//! subspaces, Proposition 4) — and a store backend. `CCsc` and the three
+//! oracles stay separate: they are what the lattice kinds are checked against.
 //!
 //! All algorithms implement the [`Discovery`] trait and are exercised by a
 //! common equivalence test-suite that checks their output against
-//! [`BruteForce`] on randomized workloads.
+//! [`BruteForce`] on randomized workloads; [`AlgorithmKind::build`] constructs
+//! any of them behind that trait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline_idx;
 pub mod baseline_seq;
-pub mod bottom_up;
 pub mod brute_force;
 pub mod common;
 pub mod csc;
-pub mod s_bottom_up;
-pub mod s_top_down;
-pub mod top_down;
+pub mod lattice;
 pub mod traits;
 
 pub use baseline_idx::BaselineIdx;
 pub use baseline_seq::BaselineSeq;
-pub use bottom_up::BottomUp;
 pub use brute_force::BruteForce;
 pub use csc::CCsc;
-pub use s_bottom_up::SBottomUp;
-pub use s_top_down::STopDown;
-pub use top_down::TopDown;
+pub use lattice::{
+    BottomUp, FsBottomUp, FsTopDown, LatticeDiscovery, SBottomUp, STopDown, TopDown,
+};
 pub use traits::{AlgorithmKind, Discovery};
-
-use sitfact_storage::FileSkylineStore;
-
-/// `SBottomUp` running over the file-backed skyline store (the paper's
-/// `FSBottomUp`, Section VI-C).
-pub type FsBottomUp = SBottomUp<FileSkylineStore>;
-
-/// `STopDown` running over the file-backed skyline store (the paper's
-/// `FSTopDown`, Section VI-C).
-pub type FsTopDown = STopDown<FileSkylineStore>;

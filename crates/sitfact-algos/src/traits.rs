@@ -1,8 +1,16 @@
 //! The [`Discovery`] trait implemented by every algorithm, plus the
 //! [`AlgorithmKind`] enumeration used by the experiment harness.
 
-use sitfact_core::{Constraint, Result, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId};
-use sitfact_storage::{StoreCell, StoreStats, Table, WorkStats};
+use crate::{
+    BaselineIdx, BaselineSeq, BottomUp, BruteForce, CCsc, FsBottomUp, FsTopDown, SBottomUp,
+    STopDown, TopDown,
+};
+use sitfact_core::{
+    Constraint, DiscoveryConfig, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple,
+    TupleId,
+};
+use sitfact_storage::{FileSkylineStore, StoreCell, StoreStats, Table, WorkStats};
+use std::path::Path;
 
 /// A situational-fact discovery algorithm.
 ///
@@ -115,6 +123,11 @@ pub trait Discovery {
     /// state (pruning matrices, caches, work counters) is deliberately
     /// excluded: it is rebuilt per arrival and not observable through the
     /// monitor's query surface.
+    ///
+    /// Implemented, together with [`Discovery::import_store_cells`], by the
+    /// four lattice kinds (`BottomUp`, `TopDown`, `SBottomUp`, `STopDown`)
+    /// over a store backend that can dump itself — the in-memory store can,
+    /// the file-backed one (`FsBottomUp`, `FsTopDown`) keeps the default.
     fn export_store_cells(&self) -> Option<Vec<StoreCell>> {
         None
     }
@@ -128,6 +141,15 @@ pub trait Discovery {
             "algorithm {} does not support state import",
             self.name()
         )))
+    }
+
+    /// Whether [`Discovery::retract`] is implemented — asked by
+    /// `FactMonitor::evict_prefix` *before* it tombstones anything, so that a
+    /// refusal leaves table, counter and algorithm untouched. Refusing by
+    /// default, like `retract` itself; an implementation overrides the two
+    /// together.
+    fn can_retract(&self) -> bool {
+        false
     }
 
     /// Repairs the algorithm's internal state after the sliding window
@@ -161,9 +183,13 @@ pub trait Discovery {
     /// eviction the state may still hold the pending ids, and nothing reads
     /// it.)
     ///
-    /// The default refuses, so monitors can detect algorithms that cannot run
-    /// under a sliding window. Stateless scanning baselines accept trivially
-    /// (they re-derive everything from the — now live-only — table).
+    /// The default refuses (and [`Discovery::can_retract`] says so up front),
+    /// so monitors can detect algorithms that cannot run under a sliding
+    /// window: `CCsc`, and any implementation that does not override the two.
+    /// The four lattice kinds over either store backend repair incrementally
+    /// (one `retract` for both invariants), `BaselineIdx` deletes from its
+    /// k-d tree, and the stateless scanning baselines accept trivially (they
+    /// re-derive everything from the — now live-only — table).
     fn retract(&mut self, table: &Table, t_id: TupleId) -> Result<()> {
         let _ = (table, t_id);
         Err(SitFactError::InvalidConfig(format!(
@@ -228,6 +254,39 @@ impl AlgorithmKind {
         }
     }
 
+    /// Builds the algorithm of this kind behind the common trait. The
+    /// file-backed kinds keep their store under `file_dir` and fail with a
+    /// typed error without one (or when the directory cannot be created).
+    pub fn build(
+        self,
+        schema: &Schema,
+        config: DiscoveryConfig,
+        file_dir: Option<&Path>,
+    ) -> Result<Box<dyn Discovery>> {
+        let file_store = || {
+            let dir = file_dir.ok_or_else(|| {
+                SitFactError::InvalidConfig(format!("{self} needs a store directory"))
+            })?;
+            Ok::<_, SitFactError>(FileSkylineStore::new(dir)?)
+        };
+        Ok(match self {
+            AlgorithmKind::BruteForce => Box::new(BruteForce::new(schema, config)),
+            AlgorithmKind::BaselineSeq => Box::new(BaselineSeq::new(schema, config)),
+            AlgorithmKind::BaselineIdx => Box::new(BaselineIdx::new(schema, config)),
+            AlgorithmKind::CCsc => Box::new(CCsc::new(schema, config)),
+            AlgorithmKind::BottomUp => Box::new(BottomUp::new(schema, config)),
+            AlgorithmKind::TopDown => Box::new(TopDown::new(schema, config)),
+            AlgorithmKind::SBottomUp => Box::new(SBottomUp::new(schema, config)),
+            AlgorithmKind::STopDown => Box::new(STopDown::new(schema, config)),
+            AlgorithmKind::FsBottomUp => {
+                Box::new(FsBottomUp::with_store(schema, config, file_store()?))
+            }
+            AlgorithmKind::FsTopDown => {
+                Box::new(FsTopDown::with_store(schema, config, file_store()?))
+            }
+        })
+    }
+
     /// Whether the algorithm keeps skyline state that grows with the stream
     /// (false only for the stateless baselines that re-derive everything from
     /// the table).
@@ -264,6 +323,32 @@ mod tests {
         assert!(AlgorithmKind::BaselineIdx.is_incremental());
         assert!(AlgorithmKind::BottomUp.is_incremental());
         assert!(AlgorithmKind::FsTopDown.is_incremental());
+    }
+
+    #[test]
+    fn build_constructs_every_kind_and_types_the_missing_directory() {
+        use sitfact_core::{Direction, SchemaBuilder};
+        let schema = SchemaBuilder::new("s")
+            .dimension("d")
+            .measure("m", Direction::HigherIsBetter)
+            .build()
+            .unwrap();
+        let config = DiscoveryConfig::unrestricted();
+        for kind in AlgorithmKind::IN_MEMORY {
+            let algo = kind.build(&schema, config, None).unwrap();
+            assert_eq!(algo.name(), kind.name());
+        }
+        let dir = std::env::temp_dir().join(format!("sitfact-build-{}", std::process::id()));
+        for (kind, twin) in [
+            (AlgorithmKind::FsBottomUp, AlgorithmKind::SBottomUp),
+            (AlgorithmKind::FsTopDown, AlgorithmKind::STopDown),
+        ] {
+            let refused = kind.build(&schema, config, None).err();
+            assert!(matches!(refused, Some(SitFactError::InvalidConfig(_))));
+            let algo = kind.build(&schema, config, Some(&dir)).unwrap();
+            assert_eq!(algo.name(), twin.name());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,67 +1,28 @@
-//! The two incremental `retract` overrides (`SBottomUp`, `STopDown`) under
-//! the calling protocol of `Discovery::retract`: each check drives one
-//! algorithm through evictions and compares its store, cell for cell, with
-//! that of a fresh instance fed only the surviving suffix. Every check runs
-//! over a small matrix of shapes that includes the benchmark's.
+//! The one incremental `retract` of the four lattice kinds under the calling
+//! protocol of `Discovery::retract`: each check drives every kind through
+//! evictions and compares its store, cell for cell, with that of a fresh
+//! instance fed only the surviving suffix. Every check runs over a small
+//! matrix of shapes that includes the benchmark's.
 
+mod common;
+
+use common::{random_tuple, schema, shapes};
 use rand::prelude::*;
 use sitfact_algos::common::AlgoParams;
-use sitfact_algos::{Discovery, SBottomUp, STopDown};
-use sitfact_core::{Direction, DiscoveryConfig, Schema, SchemaBuilder, Tuple, TupleId};
-use sitfact_storage::{SkylineStore, StoreCell, Table, WorkStats};
+use sitfact_algos::{AlgorithmKind, Discovery};
+use sitfact_core::{DiscoveryConfig, Schema, Tuple, TupleId};
+use sitfact_storage::{StoreCell, Table, WorkStats};
 
-/// Constructor of the algorithm under test.
-type Build<A> = fn(&Schema, DiscoveryConfig) -> A;
-/// Dump of its skyline store.
-type Dump<A> = fn(&A) -> Vec<StoreCell>;
+const KINDS: [AlgorithmKind; 4] = [
+    AlgorithmKind::BottomUp,
+    AlgorithmKind::TopDown,
+    AlgorithmKind::SBottomUp,
+    AlgorithmKind::STopDown,
+];
 
-fn bottom_up_cells(algo: &SBottomUp) -> Vec<StoreCell> {
-    algo.store().dump_cells().unwrap()
-}
-
-fn top_down_cells(algo: &STopDown) -> Vec<StoreCell> {
-    algo.store().dump_cells().unwrap()
-}
-
-/// Three dimensions, `m` measures of mixed direction.
-fn schema(m: usize) -> Schema {
-    let mut b = SchemaBuilder::new("s")
-        .dimension("d1")
-        .dimension("d2")
-        .dimension("d3");
-    for i in 0..m {
-        let dir = if i % 3 == 1 {
-            Direction::LowerIsBetter
-        } else {
-            Direction::HigherIsBetter
-        };
-        b = b.measure(format!("m{i}"), dir);
-    }
-    b.build().unwrap()
-}
-
-/// `(measures, config)`: the single case the first retraction tests pinned,
-/// the benchmark's shape (`d̂ < d`, and `m̂ < m`: the full space is
-/// maintained but not reported), and three measures unrestricted.
-fn shapes() -> [(usize, DiscoveryConfig); 3] {
-    [
-        (2, DiscoveryConfig::unrestricted()),
-        (3, DiscoveryConfig::capped(2, 2)),
-        (3, DiscoveryConfig::unrestricted()),
-    ]
-}
-
-fn random_tuple(rng: &mut StdRng, m: usize) -> Tuple {
-    let dims = vec![
-        rng.gen_range(0..3u32),
-        rng.gen_range(0..2u32),
-        rng.gen_range(0..3u32),
-    ];
-    Tuple::new(dims, (0..m).map(|_| rng.gen_range(0..5) as f64).collect())
-}
-
-fn sorted<A>(dump: Dump<A>, algo: &A) -> Vec<StoreCell> {
-    let mut cells = dump(algo);
+/// The algorithm's skyline store in a canonical order.
+fn sorted(algo: &dyn Discovery) -> Vec<StoreCell> {
+    let mut cells = algo.export_store_cells().unwrap();
     for cell in &mut cells {
         cell.entries.sort_by_key(|(id, _)| *id);
     }
@@ -70,17 +31,17 @@ fn sorted<A>(dump: Dump<A>, algo: &A) -> Vec<StoreCell> {
 }
 
 /// One algorithm and the table it is driven against.
-struct Windowed<A> {
+struct Windowed {
     table: Table,
-    algo: A,
+    algo: Box<dyn Discovery>,
 }
 
-impl<A: Discovery> Windowed<A> {
+impl Windowed {
     /// A fresh instance whose first arrival gets id `base`.
-    fn new(build: Build<A>, schema: &Schema, config: DiscoveryConfig, base: TupleId) -> Self {
+    fn new(kind: AlgorithmKind, schema: &Schema, config: DiscoveryConfig, base: TupleId) -> Self {
         Windowed {
             table: Table::with_base(schema.clone(), base),
-            algo: build(schema, config),
+            algo: kind.build(schema, config, None).unwrap(),
         }
     }
 
@@ -102,15 +63,24 @@ impl<A: Discovery> Windowed<A> {
     }
 }
 
+/// Every `(kind, case, measures, config)` of the matrix.
+fn matrix() -> impl Iterator<Item = (AlgorithmKind, usize, usize, DiscoveryConfig)> {
+    KINDS.into_iter().flat_map(|kind| {
+        let cases = shapes().into_iter().enumerate();
+        cases.map(move |(case, (m, config))| (kind, case, m, config))
+    })
+}
+
 /// Rolling evictions in irregular steps, arrivals and (every other step)
 /// `compact_retracted` in between: after every eviction the store equals a
 /// rebuild from the surviving suffix.
-fn rolling_evictions_match_rebuild<A: Discovery>(build: Build<A>, dump: Dump<A>) {
-    for (case, (m, config)) in shapes().into_iter().enumerate() {
+#[test]
+fn rolling_evictions_match_rebuild() {
+    for (kind, case, m, config) in matrix() {
         let mut rng = StdRng::seed_from_u64(1201 + case as u64);
         let schema = schema(m);
         let mut tuples: Vec<Tuple> = (0..40).map(|_| random_tuple(&mut rng, m)).collect();
-        let mut subject = Windowed::new(build, &schema, config, 0);
+        let mut subject = Windowed::new(kind, &schema, config, 0);
         subject.arrive(&tuples);
         let mut evicted = 0;
         for (step, width) in [1usize, 6, 2, 11, 1, 4, 9].into_iter().enumerate() {
@@ -120,12 +90,12 @@ fn rolling_evictions_match_rebuild<A: Discovery>(build: Build<A>, dump: Dump<A>)
                 subject.table.compact_retracted();
             }
             subject.table.audit().unwrap();
-            let mut rebuilt = Windowed::new(build, &schema, config, evicted as TupleId);
+            let mut rebuilt = Windowed::new(kind, &schema, config, evicted as TupleId);
             rebuilt.arrive(&tuples[evicted..]);
             assert_eq!(
-                sorted(dump, &subject.algo),
-                sorted(dump, &rebuilt.algo),
-                "case {case}: diverged after evicting {evicted} rows"
+                sorted(&*subject.algo),
+                sorted(&*rebuilt.algo),
+                "{kind}, case {case}: diverged after evicting {evicted} rows"
             );
             let arrivals: Vec<Tuple> = (0..3).map(|_| random_tuple(&mut rng, m)).collect();
             subject.arrive(&arrivals);
@@ -137,16 +107,14 @@ fn rolling_evictions_match_rebuild<A: Discovery>(build: Build<A>, dump: Dump<A>)
 /// Pending tombstones: `retract_prefix(k)` followed by `k` calls of
 /// `retract` — during which the later ids are dead in the table but still
 /// stored — ends where `k` single-row evictions end.
-fn whole_prefix_eviction_matches_single_row_evictions<A: Discovery>(
-    build: Build<A>,
-    dump: Dump<A>,
-) {
-    for (case, (m, config)) in shapes().into_iter().enumerate() {
+#[test]
+fn whole_prefix_eviction_matches_single_row_evictions() {
+    for (kind, case, m, config) in matrix() {
         let mut rng = StdRng::seed_from_u64(1301 + case as u64);
         let schema = schema(m);
         let tuples: Vec<Tuple> = (0..45).map(|_| random_tuple(&mut rng, m)).collect();
-        let mut at_once = Windowed::new(build, &schema, config, 0);
-        let mut one_by_one = Windowed::new(build, &schema, config, 0);
+        let mut at_once = Windowed::new(kind, &schema, config, 0);
+        let mut one_by_one = Windowed::new(kind, &schema, config, 0);
         at_once.arrive(&tuples);
         one_by_one.arrive(&tuples);
         let mut evicted = 0;
@@ -156,14 +124,18 @@ fn whole_prefix_eviction_matches_single_row_evictions<A: Discovery>(
                 evicted += 1;
                 one_by_one.evict(evicted);
             }
-            let mut rebuilt = Windowed::new(build, &schema, config, evicted as TupleId);
+            let mut rebuilt = Windowed::new(kind, &schema, config, evicted as TupleId);
             rebuilt.arrive(&tuples[evicted..]);
-            let expected = sorted(dump, &rebuilt.algo);
-            assert_eq!(sorted(dump, &at_once.algo), expected, "case {case}, k {k}");
+            let expected = sorted(&*rebuilt.algo);
             assert_eq!(
-                sorted(dump, &one_by_one.algo),
+                sorted(&*at_once.algo),
                 expected,
-                "case {case}, k {k}"
+                "{kind}, case {case}, k {k}"
+            );
+            assert_eq!(
+                sorted(&*one_by_one.algo),
+                expected,
+                "{kind}, case {case}, k {k}"
             );
         }
     }
@@ -171,8 +143,9 @@ fn whole_prefix_eviction_matches_single_row_evictions<A: Discovery>(
 
 /// The frozen path: a row that is in no maintained skyline costs one probe
 /// per maintained cell and nothing else.
-fn dominated_row_costs_one_probe_per_cell<A: Discovery>(build: Build<A>, dump: Dump<A>) {
-    for (m, config) in shapes() {
+#[test]
+fn dominated_row_costs_one_probe_per_cell() {
+    for (kind, case, m, config) in matrix() {
         let mut rng = StdRng::seed_from_u64(1401);
         let schema = schema(m);
         // The second row matches every context of the first and beats it on
@@ -183,51 +156,64 @@ fn dominated_row_costs_one_probe_per_cell<A: Discovery>(build: Build<A>, dump: D
             Tuple::new(vec![0, 0, 0], [2.0, 2.0, 2.0][..m].to_vec()),
         ];
         tuples.extend((0..20).map(|_| random_tuple(&mut rng, m)));
-        let mut subject = Windowed::new(build, &schema, config, 0);
+        let mut subject = Windowed::new(kind, &schema, config, 0);
         subject.arrive(&tuples);
-        let stored = sorted(dump, &subject.algo);
+        let stored = sorted(&*subject.algo);
         let before = subject.algo.work_stats();
         subject.evict(1);
         let after = subject.algo.work_stats();
+        // A sharing kind also keeps the full space when `m̂ < m` hides it.
         let params = AlgoParams::new(&schema, config);
-        let cells = (params.top_down.len() * params.maintained.len()) as u64;
+        let sharing = matches!(kind, AlgorithmKind::SBottomUp | AlgorithmKind::STopDown);
+        let family = if sharing {
+            params.maintained.len()
+        } else {
+            params.subspaces.len()
+        };
         assert_eq!(
             after,
             WorkStats {
-                store_reads: before.store_reads + cells,
+                store_reads: before.store_reads + (params.top_down.len() * family) as u64,
                 ..before
-            }
+            },
+            "{kind}, case {case}"
         );
-        assert_eq!(sorted(dump, &subject.algo), stored);
+        assert_eq!(sorted(&*subject.algo), stored, "{kind}, case {case}");
     }
 }
 
+/// `export_store_cells` → a fresh instance's `import_store_cells` → both keep
+/// discovering: the same facts, the same store, evictions included.
 #[test]
-fn s_top_down_rolling_evictions_match_rebuild() {
-    rolling_evictions_match_rebuild(STopDown::new, top_down_cells);
-}
-
-#[test]
-fn s_bottom_up_rolling_evictions_match_rebuild() {
-    rolling_evictions_match_rebuild(SBottomUp::new, bottom_up_cells);
-}
-
-#[test]
-fn s_top_down_whole_prefix_eviction_matches_single_row_evictions() {
-    whole_prefix_eviction_matches_single_row_evictions(STopDown::new, top_down_cells);
-}
-
-#[test]
-fn s_bottom_up_whole_prefix_eviction_matches_single_row_evictions() {
-    whole_prefix_eviction_matches_single_row_evictions(SBottomUp::new, bottom_up_cells);
-}
-
-#[test]
-fn s_top_down_dominated_row_costs_one_probe_per_cell() {
-    dominated_row_costs_one_probe_per_cell(STopDown::new, top_down_cells);
-}
-
-#[test]
-fn s_bottom_up_dominated_row_costs_one_probe_per_cell() {
-    dominated_row_costs_one_probe_per_cell(SBottomUp::new, bottom_up_cells);
+fn exported_store_continues_in_a_fresh_instance() {
+    for (kind, case, m, config) in matrix() {
+        let mut rng = StdRng::seed_from_u64(1501 + case as u64);
+        let schema = schema(m);
+        let tuples: Vec<Tuple> = (0..60).map(|_| random_tuple(&mut rng, m)).collect();
+        let mut original = Windowed::new(kind, &schema, config, 0);
+        original.arrive(&tuples[..30]);
+        original.evict(10);
+        let mut restored = Windowed::new(kind, &schema, config, 0);
+        restored.table.append_batch_slice(&tuples[..30]).unwrap();
+        restored.table.retract_prefix(10);
+        let cells = original.algo.export_store_cells().unwrap();
+        restored.algo.import_store_cells(cells).unwrap();
+        assert_eq!(sorted(&*restored.algo), sorted(&*original.algo));
+        for (step, t) in tuples[30..].iter().enumerate() {
+            let a = original.algo.discover(&original.table, t);
+            let b = restored.algo.discover(&restored.table, t);
+            assert_eq!(a, b, "{kind}, case {case}: arrival {step} diverged");
+            original.table.append(t.clone()).unwrap();
+            restored.table.append(t.clone()).unwrap();
+            if step % 10 == 9 {
+                original.evict(20 + step);
+                restored.evict(20 + step);
+            }
+        }
+        assert_eq!(
+            sorted(&*restored.algo),
+            sorted(&*original.algo),
+            "{kind}, case {case}"
+        );
+    }
 }

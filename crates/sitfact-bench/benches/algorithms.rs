@@ -10,7 +10,7 @@ use sitfact_algos::{
     AlgorithmKind, BaselineIdx, BaselineSeq, BottomUp, CCsc, Discovery, SBottomUp, STopDown,
     TopDown,
 };
-use sitfact_bench::{build_algorithm, generate_rows, DatasetKind, ExperimentParams};
+use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
 use sitfact_core::{DiscoveryConfig, Schema, Tuple};
 use sitfact_datagen::Row;
 use sitfact_storage::Table;
@@ -85,7 +85,9 @@ fn bench_discover(c: &mut Criterion) {
         AlgorithmKind::STopDown,
     ];
     for kind in kinds {
-        let mut algo = build_algorithm(kind, &fixture.schema, fixture.discovery, None);
+        let mut algo = kind
+            .build(&fixture.schema, fixture.discovery, None)
+            .expect("an in-memory kind");
         if kind.is_incremental() {
             warm(algo.as_mut(), &fixture.table);
         }

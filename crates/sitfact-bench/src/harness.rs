@@ -1,17 +1,14 @@
 //! Streaming experiment drivers.
 
 use crate::params::ExperimentParams;
-use sitfact_algos::{
-    AlgorithmKind, BaselineIdx, BaselineSeq, BottomUp, BruteForce, CCsc, Discovery, SBottomUp,
-    STopDown, TopDown,
-};
+use sitfact_algos::{AlgorithmKind, SBottomUp};
 use sitfact_core::{DiscoveryConfig, Schema, Tuple};
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::weather::{WeatherConfig, WeatherGenerator};
 use sitfact_datagen::zipf::{ZipfConfig, ZipfGenerator};
 use sitfact_datagen::{DataGenerator, Row};
 use sitfact_prominence::{ArrivalReport, FactMonitor, MonitorConfig, RankedFact, StreamMonitor};
-use sitfact_storage::{FileSkylineStore, StoreStats, Table, WorkStats};
+use sitfact_storage::{StoreStats, Table, WorkStats};
 use std::path::Path;
 use std::time::Instant;
 
@@ -77,35 +74,6 @@ pub fn generate_rows(kind: DatasetKind, params: &ExperimentParams) -> (Schema, V
                 seed: params.seed,
             });
             (gen.schema().clone(), gen.take_rows(params.n))
-        }
-    }
-}
-
-/// Builds an algorithm instance by kind. File-backed kinds require `file_dir`.
-pub fn build_algorithm(
-    kind: AlgorithmKind,
-    schema: &Schema,
-    config: DiscoveryConfig,
-    file_dir: Option<&Path>,
-) -> Box<dyn Discovery> {
-    match kind {
-        AlgorithmKind::BruteForce => Box::new(BruteForce::new(schema, config)),
-        AlgorithmKind::BaselineSeq => Box::new(BaselineSeq::new(schema, config)),
-        AlgorithmKind::BaselineIdx => Box::new(BaselineIdx::new(schema, config)),
-        AlgorithmKind::CCsc => Box::new(CCsc::new(schema, config)),
-        AlgorithmKind::BottomUp => Box::new(BottomUp::new(schema, config)),
-        AlgorithmKind::TopDown => Box::new(TopDown::new(schema, config)),
-        AlgorithmKind::SBottomUp => Box::new(SBottomUp::new(schema, config)),
-        AlgorithmKind::STopDown => Box::new(STopDown::new(schema, config)),
-        AlgorithmKind::FsBottomUp => {
-            let dir = file_dir.expect("FSBottomUp needs a store directory");
-            let store = FileSkylineStore::new(dir).expect("create file store");
-            Box::new(SBottomUp::with_store(schema, config, store))
-        }
-        AlgorithmKind::FsTopDown => {
-            let dir = file_dir.expect("FSTopDown needs a store directory");
-            let store = FileSkylineStore::new(dir).expect("create file store");
-            Box::new(STopDown::with_store(schema, config, store))
         }
     }
 }
@@ -204,7 +172,9 @@ pub fn run_stream(
     sample_points: usize,
     file_dir: Option<&Path>,
 ) -> StreamOutcome {
-    let mut algo = build_algorithm(kind, schema, discovery, file_dir);
+    let mut algo = kind
+        .build(schema, discovery, file_dir)
+        .expect("the algorithm builds (file-backed kinds need a store directory)");
     let mut table = Table::with_capacity(schema.clone(), rows.len());
     let sample_every = (rows.len() / sample_points.max(1)).max(1);
     let incremental = kind.is_incremental();

@@ -26,9 +26,8 @@ pub mod params;
 pub mod report;
 
 pub use harness::{
-    build_algorithm, drive_windows, drive_windows_count, generate_rows, run_prominence_study,
-    run_stream, sweep_dimensions, sweep_measures, DatasetKind, ProminenceStudy, SeriesPoint,
-    StreamOutcome,
+    drive_windows, drive_windows_count, generate_rows, run_prominence_study, run_stream,
+    sweep_dimensions, sweep_measures, DatasetKind, ProminenceStudy, SeriesPoint, StreamOutcome,
 };
 pub use params::ExperimentParams;
 pub use report::{print_series_csv, print_table, Series};

@@ -314,7 +314,17 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     /// ([`Table::compact_retracted`]) once they outnumber the live rows —
     /// the classic amortized-halving schedule, keeping memory proportional
     /// to the live window.
+    ///
+    /// An algorithm that cannot retract ([`Discovery::can_retract`]) makes
+    /// this an `Err` before anything is touched: table, counter and
+    /// algorithm stay as they were.
     fn evict_prefix(&mut self, up_to: TupleId) -> Result<usize> {
+        if !self.algorithm.can_retract() {
+            return Err(SitFactError::InvalidConfig(format!(
+                "algorithm {} does not support retraction",
+                self.algorithm.name()
+            )));
+        }
         let start = self.table.watermark();
         let newly = self.table.retract_prefix(up_to as usize);
         for id in start..start + newly as TupleId {
@@ -810,6 +820,45 @@ mod tests {
         assert_eq!(windowed.evicted_rows(), 40);
         assert_eq!(windowed.tombstone_rows(), 0);
         windowed.audit().unwrap();
+    }
+
+    /// A refused eviction is decided before the table is tombstoned: the
+    /// monitor is the one it was, and goes on as one that never tried.
+    #[test]
+    fn refused_eviction_leaves_the_monitor_untouched() {
+        use rand::prelude::*;
+        use sitfact_algos::CCsc;
+        let mut rng = StdRng::seed_from_u64(433);
+        let schema = schema();
+        let config = MonitorConfig::default().with_tau(1.0);
+        let fresh =
+            || FactMonitor::new(schema.clone(), CCsc::new(&schema, config.discovery), config);
+        let (mut tried, mut never) = (fresh(), fresh());
+        let tuples: Vec<Tuple> = (0..20)
+            .map(|_| {
+                Tuple::new(
+                    vec![rng.gen_range(0..4u32), rng.gen_range(0..3u32)],
+                    vec![rng.gen_range(0..6) as f64, rng.gen_range(0..6) as f64],
+                )
+            })
+            .collect();
+        tried.ingest_batch_slice(&tuples[..10]).unwrap();
+        never.ingest_batch_slice(&tuples[..10]).unwrap();
+        let refused = tried.evict_prefix(5).unwrap_err();
+        assert!(
+            matches!(refused, SitFactError::InvalidConfig(_)),
+            "{refused}"
+        );
+        tried.audit().unwrap();
+        assert_eq!((tried.live_rows(), tried.len()), (10, 10));
+        assert!(tried.tuple(0).is_some());
+        for t in &tuples[10..] {
+            assert_eq!(
+                tried.ingest(t.clone()).unwrap(),
+                never.ingest(t.clone()).unwrap()
+            );
+        }
+        tried.audit().unwrap();
     }
 
     #[test]

@@ -313,23 +313,6 @@ impl FactServer {
         ServerOptions::default()
     }
 
-    /// [`FactServer::bind`] with an explicit worker count (used for both
-    /// connection handlers and monitor owners).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FactServer::builder().with_workers(n).bind(addr, monitor)`"
-    )]
-    pub fn bind_with_workers(
-        addr: impl ToSocketAddrs,
-        monitor: Box<dyn StreamMonitor + Send>,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        Self::builder()
-            .with_workers(workers)
-            .with_owners(workers)
-            .bind(addr, monitor)
-    }
-
     /// [`FactServer::bind`] with full control over mode, worker counts,
     /// socket timeouts and durability. A configured
     /// [`ServerOptions::data_dir`] makes this recover the default tenant

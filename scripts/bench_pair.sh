@@ -13,7 +13,9 @@
 # own source directory with its own target directory under target/bench_pair/
 # (the parent's committed files are exported there with `git archive`, which
 # leaves nothing behind in .git). Every run is one `--trace 0` run of
-# `run_seconds`; its output is kept under target/bench_pair/runs/.
+# `run_seconds`; its output is kept under target/bench_pair/runs/. A closing
+# step runs one `--trace 1` per side and lists the per-layer work metrics
+# (unit `count` or `bytes`, and retract.useful_share) that differ.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,26 +50,27 @@ if [[ ! -d $parent_src ]]; then
   git archive "$parent_rev" | tar -x -C "$parent_src"
 fi
 
-# run_side <side> <source dir> <output file> [extra args]: one benchmark run.
+# run_side <side> <source dir> <output file> <trace> [extra args]: one
+# benchmark run.
 run_side() {
-  local side=$1 src=$2 out=$3
-  shift 3
+  local side=$1 src=$2 out=$3 trace=$4
+  shift 4
   (cd "$src" && CARGO_TARGET_DIR=$work/target-$side "${command[@]}" \
-    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 "$@") >"$out" 2>&1 || {
+    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" "$@") >"$out" 2>&1 || {
     echo "bench_pair: the $side run failed, see $out" >&2
     exit 1
   }
 }
 
 echo "== building parent ($parent_rev) and change (working tree)"
-run_side parent "$parent_src" "$runs/build_parent.txt" --smoke
-run_side change "$root" "$runs/build_change.txt" --smoke
+run_side parent "$parent_src" "$runs/build_parent.txt" 0 --smoke
+run_side change "$root" "$runs/build_change.txt" 0 --smoke
 
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order=(parent change); else order=(change parent); fi
   for side in "${order[@]}"; do
     if [[ $side == parent ]]; then src=$parent_src; else src=$root; fi
-    run_side "$side" "$src" "$runs/${side}_$i.txt"
+    run_side "$side" "$src" "$runs/${side}_$i.txt" 0
   done
   echo "== pair $i/$pairs (${order[*]}):" \
     "$(awk -v w="$workload" '$1 == w && $2 == "rows_per_s" { printf "parent %.1f", $3 }' "$runs/parent_$i.txt")" \
@@ -126,3 +129,23 @@ while read -r name better bound; do
         c["med"] / p["med"], wins, losses, pairs, verdict
     }'
 done <<<"$metrics"
+
+# Same work? The traced mirror replays a fixed number of rows, so its
+# per-layer metrics of unit `count` or `bytes`, and retract.useful_share, are
+# exact: one traced run per side, and every one of them that differs.
+run_side parent "$parent_src" "$runs/trace_parent.txt" 1
+run_side change "$root" "$runs/trace_change.txt" 1
+echo
+echo "per-layer work metrics that differ (one --trace 1 run per side):"
+awk -v w="$workload" '
+  $1 != w || !($4 == "count" || $4 == "bytes" || $2 == "retract.useful_share") { next }
+  FNR == NR { parent[$2] = $3; next }
+  { seen[$2] = 1 }
+  !($2 in parent) || parent[$2] != $3 {
+    printf "  %-28s parent %s  change %s\n", $2, ($2 in parent ? parent[$2] : "-"), $3; differing++
+  }
+  END {
+    for (m in parent) if (!(m in seen)) { printf "  %-28s parent %s  change -\n", m, parent[m]; differing++ }
+    if (!differing) print "  none: equal to the unit"
+  }' "$runs/trace_parent.txt" "$runs/trace_change.txt"
+grep -h -e '_reply_hash=' -e '^{"correct"' "$runs/trace_parent.txt" "$runs/trace_change.txt" | cut -c1-64

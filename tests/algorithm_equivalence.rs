@@ -21,12 +21,12 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
     let mut table = Table::new(schema.clone());
 
     let mut reference = BruteForce::new(&schema, config);
-    // One pair of store directories per call: the tests of this binary run
-    // on parallel threads in one process, and two of them share a schema
-    // name, so neither the pid nor the name tells the calls apart.
+    // One store directory per file-backed kind and call: the tests of this
+    // binary run on parallel threads in one process, and two of them share a
+    // schema name, so neither the pid nor the name tells the calls apart.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let fs_dir = |kind: &str| {
+    let fs_dir = |kind: AlgorithmKind| {
         let dir = std::env::temp_dir().join(format!(
             "sitfact-eq-{kind}-{}-{call}-{}",
             std::process::id(),
@@ -35,29 +35,7 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    let fs_dir_bu = fs_dir("bu");
-    let fs_dir_td = fs_dir("td");
-
-    let mut algorithms: Vec<Box<dyn Discovery>> = vec![
-        Box::new(BaselineSeq::new(&schema, config)),
-        Box::new(BaselineIdx::new(&schema, config)),
-        Box::new(CCsc::new(&schema, config)),
-        Box::new(BottomUp::new(&schema, config)),
-        Box::new(TopDown::new(&schema, config)),
-        Box::new(SBottomUp::new(&schema, config)),
-        Box::new(STopDown::new(&schema, config)),
-        Box::new(FsBottomUp::with_store(
-            &schema,
-            config,
-            FileSkylineStore::new(&fs_dir_bu).unwrap(),
-        )),
-        Box::new(FsTopDown::with_store(
-            &schema,
-            config,
-            FileSkylineStore::new(&fs_dir_td).unwrap(),
-        )),
-    ];
-    // The kinds of `algorithms`, in its order, to name a divergence by:
+    // Every kind but the reference itself, each named by its kind:
     // `Discovery::name` is the algorithm's, so the file-backed instantiations
     // would report as their in-memory twins.
     let kinds = [
@@ -65,7 +43,12 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
         &[AlgorithmKind::FsBottomUp, AlgorithmKind::FsTopDown],
     ]
     .concat();
-    assert_eq!(kinds.len(), algorithms.len());
+    let dirs: Vec<_> = kinds.iter().map(|&kind| fs_dir(kind)).collect();
+    let mut algorithms: Vec<Box<dyn Discovery>> = kinds
+        .iter()
+        .zip(&dirs)
+        .map(|(kind, dir)| kind.build(&schema, config, Some(dir)).unwrap())
+        .collect();
 
     for step in 0..n {
         let row = generator.next_row();
@@ -86,8 +69,9 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
     }
 
     drop(algorithms);
-    let _ = std::fs::remove_dir_all(&fs_dir_bu);
-    let _ = std::fs::remove_dir_all(&fs_dir_td);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
