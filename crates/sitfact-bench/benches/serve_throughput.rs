@@ -2,7 +2,7 @@
 //! in-process monitor on the same synthetic NBA stream: what does crossing
 //! the framed loopback socket cost, per arrival and per batched window?
 //!
-//! Four legs, all starting from the same raw string rows (interning happens
+//! Five legs, all starting from the same raw string rows (interning happens
 //! inside the timed region on both sides, mirroring what a news feed pays):
 //!
 //! * `in_process_per_row` / `in_process_batched` — a fresh [`FactMonitor`]
@@ -12,12 +12,9 @@
 //!   blocking [`Client`] (`INGEST` vs `INGEST_BATCH` verbs). Server
 //!   start-up/shutdown is inside the loop, so treat the numbers as the cost
 //!   of a short-lived session; the steady-state gap is per-row vs batched.
-//! * `served_batched_owned` / `served_batched_mutex` — the same batched
-//!   session against each tenant engine explicitly (the default served legs
-//!   run the owned engine), streaming into a named tenant via `OPEN`/`USE`,
-//!   so the verb overhead and both dispatch paths stay on the scoreboard.
-//!   The deeper contrast (snapshot reads vs mutex-blocked `TOPK`) is the
-//!   `fig_serve` experiment's job.
+//! * `served_batched_tenant` — the same batched session streaming into a
+//!   named tenant via `OPEN`/`USE` instead of the default tenant, so the
+//!   tenant-verb overhead stays on the scoreboard.
 //!
 //! Headline numbers are recorded in `crates/sitfact-bench/README.md`.
 
@@ -27,7 +24,7 @@ use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
 use sitfact_core::{Direction, DiscoveryConfig};
 use sitfact_datagen::Row;
 use sitfact_prominence::{FactMonitor, MonitorConfig, StreamMonitor};
-use sitfact_serve::{Client, FactServer, RawRow, ServeMode, TenantSpec};
+use sitfact_serve::{Client, FactServer, RawRow, TenantSpec};
 
 const ROWS: usize = 400;
 const BATCH: usize = 50;
@@ -118,19 +115,11 @@ fn served(schema: &sitfact_core::Schema, rows: &[Row], batch: usize) -> usize {
     facts
 }
 
-/// The same batched session against an explicit tenant engine: `OPEN` a named
-/// tenant matching the monitor config, `USE` it, then stream windows.
-fn served_mode(
-    schema: &sitfact_core::Schema,
-    rows: &[Row],
-    batch: usize,
-    mode: ServeMode,
-) -> usize {
+/// The same batched session against a named tenant: `OPEN` one matching the
+/// monitor config, `USE` it, then stream windows.
+fn served_tenant(schema: &sitfact_core::Schema, rows: &[Row], batch: usize) -> usize {
     let monitor: Box<dyn StreamMonitor + Send> = Box::new(fresh_monitor(schema));
-    let server = FactServer::builder()
-        .with_mode(mode)
-        .bind("127.0.0.1:0", monitor)
-        .expect("bind");
+    let server = FactServer::bind("127.0.0.1:0", monitor).expect("bind");
     let addr = server.local_addr();
     let join = std::thread::spawn(move || server.run().expect("clean exit"));
     let mut client = Client::connect(addr).expect("connect");
@@ -180,15 +169,10 @@ fn bench_serve(c: &mut Criterion) {
         served(&schema, &rows, BATCH)
     );
     assert_eq!(in_process(&schema, &rows, 1), served(&schema, &rows, 1));
-    // The tenant engines must agree with each other and with the in-process
-    // monitor — same windows, same facts, both dispatch paths.
+    // A named tenant must agree with the in-process monitor too.
     assert_eq!(
         in_process(&schema, &rows, BATCH),
-        served_mode(&schema, &rows, BATCH, ServeMode::Owned)
-    );
-    assert_eq!(
-        in_process(&schema, &rows, BATCH),
-        served_mode(&schema, &rows, BATCH, ServeMode::GlobalMutex)
+        served_tenant(&schema, &rows, BATCH)
     );
 
     let mut group = c.benchmark_group("serve_throughput");
@@ -215,14 +199,9 @@ fn bench_serve(c: &mut Criterion) {
         |b, rows| b.iter(|| black_box(served(&schema, rows, BATCH))),
     );
     group.bench_with_input(
-        BenchmarkId::new("served_batched_owned", ROWS),
+        BenchmarkId::new("served_batched_tenant", ROWS),
         &rows,
-        |b, rows| b.iter(|| black_box(served_mode(&schema, rows, BATCH, ServeMode::Owned))),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("served_batched_mutex", ROWS),
-        &rows,
-        |b, rows| b.iter(|| black_box(served_mode(&schema, rows, BATCH, ServeMode::GlobalMutex))),
+        |b, rows| b.iter(|| black_box(served_tenant(&schema, rows, BATCH))),
     );
     group.finish();
 }

@@ -1,29 +1,30 @@
 //! Multi-tenant serving saturation experiment: the shared-nothing engine
-//! (worker-owned tenant monitors, lock-free `TOPK` snapshots) against the
-//! retained single-global-mutex baseline, on real loopback TCP round trips.
-//! Results go to `BENCH_serve.json` (schema documented in
-//! `crates/sitfact-bench/README.md`).
+//! (worker-owned tenant monitors, lock-free `TOPK` snapshots) on real
+//! loopback TCP round trips. Results go to `BENCH_serve.json` (schema
+//! documented in `crates/sitfact-bench/README.md`). Until PR 15 a second leg
+//! ran the single-global-mutex engine; the checked-in `BENCH_serve.json` is
+//! the record of that comparison and is not regenerated — every entry this
+//! binary writes carries `"mode": "owned"`.
 //!
 //! Usage: `fig_serve [--n 600] [--batch 25] [--clients-max 4] [--reads 400]
 //! [--reps 3] [--seed S] [--out BENCH_serve.json]`
 //!
-//! Two measured curves per mode (`owned` vs `mutex`):
+//! Two measured curves:
 //!
 //! * **ingest saturation** — 1..clients-max concurrent clients, each streaming
 //!   `--n` rows into its *own* tenant in `--batch`-row windows; wall-clock of
 //!   the slowest client, best of `--reps` runs with a fresh server each.
 //! * **TOPK read latency** — one writer streaming large windows into a hot
 //!   tenant while a reader times `TOPK` round trips against the same tenant.
-//!   In owned mode the read is answered from an epoch-published snapshot and
-//!   never waits for an in-flight window; in mutex mode it queues behind the
-//!   global monitor lock, so the tail (`max_us`) carries whole-window stalls.
+//!   The read is answered from an epoch-published snapshot and never waits
+//!   for an in-flight window.
 //!
-//! Before any timing, each mode's served reports are asserted equal to a
-//! fresh in-process [`FactMonitor`] fed the same windows, per tenant — a CI
-//! smoke run doubles as a wire-fidelity test. The host's hardware thread
+//! Before any timing, the served reports are asserted equal to a fresh
+//! in-process [`FactMonitor`] fed the same windows, per tenant — a CI smoke
+//! run doubles as a wire-fidelity test. The host's hardware thread
 //! count is recorded in the output: on a single hardware thread the ingest
 //! curve cannot show parallel speedup (everything is CPU-bound on one core)
-//! and the read-latency legs are the meaningful comparison.
+//! and the read-latency leg is the meaningful number.
 
 use sitfact_algos::STopDown;
 use sitfact_bench::params::arg_value;
@@ -31,7 +32,7 @@ use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
 use sitfact_core::{Direction, DiscoveryConfig, Schema, ThreadPool};
 use sitfact_datagen::Row;
 use sitfact_prominence::{ArrivalReport, FactMonitor, MonitorConfig, StreamMonitor};
-use sitfact_serve::{Client, FactServer, RawRow, ServeMode, TenantSpec};
+use sitfact_serve::{Client, FactServer, RawRow, TenantSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,12 +44,9 @@ const M_HAT: usize = 3;
 const TAU: f64 = 100.0;
 const KEEP_TOP: usize = 8;
 
-fn mode_name(mode: ServeMode) -> &'static str {
-    match mode {
-        ServeMode::Owned => "owned",
-        ServeMode::GlobalMutex => "mutex",
-    }
-}
+/// The `mode` every output entry carries: the one engine's name in the
+/// `BENCH_serve.json` schema.
+const MODE: &str = "owned";
 
 fn monitor_config() -> MonitorConfig {
     MonitorConfig::default()
@@ -93,12 +91,11 @@ struct RunningServer {
     addr: std::net::SocketAddr,
 }
 
-fn start_server(schema: &Schema, mode: ServeMode, clients: usize) -> RunningServer {
+fn start_server(schema: &Schema, clients: usize) -> RunningServer {
     let monitor: Box<dyn StreamMonitor + Send> = Box::new(fresh_monitor(schema));
     let server = FactServer::builder()
         .with_workers(clients + 1)
         .with_owners(clients.max(1))
-        .with_mode(mode)
         .with_read_timeout(Some(Duration::from_secs(30)))
         .with_write_timeout(Some(Duration::from_secs(30)))
         .bind("127.0.0.1:0", monitor)
@@ -163,8 +160,8 @@ fn reference_reports(schema: &Schema, rows: &[Row], batch: usize) -> Vec<Arrival
 
 /// Asserts each tenant's served reports equal its in-process reference,
 /// before anything is timed.
-fn assert_wire_fidelity(schema: &Schema, streams: &[Vec<Row>], batch: usize, mode: ServeMode) {
-    let server = start_server(schema, mode, streams.len());
+fn assert_wire_fidelity(schema: &Schema, streams: &[Vec<Row>], batch: usize) {
+    let server = start_server(schema, streams.len());
     for (i, rows) in streams.iter().enumerate() {
         let name = format!("t{i}");
         let spec = spec_for(&name, schema);
@@ -184,10 +181,8 @@ fn assert_wire_fidelity(schema: &Schema, streams: &[Vec<Row>], batch: usize, mod
         }
         let reference = reference_reports(schema, rows, batch);
         assert_eq!(
-            served,
-            reference,
-            "tenant {name} ({} mode) drifted from the in-process monitor",
-            mode_name(mode)
+            served, reference,
+            "tenant {name} drifted from the in-process monitor"
         );
         let stats = client.stats().expect("stats");
         assert_eq!(stats.len as usize, rows.len());
@@ -198,17 +193,11 @@ fn assert_wire_fidelity(schema: &Schema, streams: &[Vec<Row>], batch: usize, mod
 
 /// One ingest-saturation point: `clients` concurrent clients, each streaming
 /// its own tenant; returns the best wall-clock seconds over `reps` runs.
-fn timed_ingest(
-    schema: &Schema,
-    streams: &[Vec<Row>],
-    mode: ServeMode,
-    batch: usize,
-    reps: usize,
-) -> f64 {
+fn timed_ingest(schema: &Schema, streams: &[Vec<Row>], batch: usize, reps: usize) -> f64 {
     let clients = streams.len();
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let server = start_server(schema, mode, clients);
+        let server = start_server(schema, clients);
         // Connect and OPEN/USE outside the timed region: the curve is about
         // steady-state ingest, not connection setup.
         let conns: Vec<Client> = (0..clients)
@@ -252,11 +241,10 @@ struct ReadLeg {
 fn read_latency_leg(
     schema: &Schema,
     rows: &[Row],
-    mode: ServeMode,
     write_batch: usize,
     reads_min: usize,
 ) -> ReadLeg {
-    let server = start_server(schema, mode, 2);
+    let server = start_server(schema, 2);
     let spec = spec_for("hot", schema);
     let mut writer = Client::connect(server.addr).expect("connect writer");
     writer.open(&spec).expect("open tenant");
@@ -342,15 +330,9 @@ fn main() {
         .map(|i| generate_rows(DatasetKind::Nba, &params(i as u64)).1)
         .collect();
 
-    let modes = [ServeMode::Owned, ServeMode::GlobalMutex];
-    for mode in modes {
-        let check = 2.min(clients_max);
-        assert_wire_fidelity(&schema, &streams[..check], batch, mode);
-        eprintln!(
-            "  {}: wire fidelity passed ({check} tenants, {n} rows each)",
-            mode_name(mode)
-        );
-    }
+    let check = 2.min(clients_max);
+    assert_wire_fidelity(&schema, &streams[..check], batch);
+    eprintln!("  wire fidelity passed ({check} tenants, {n} rows each)");
 
     // Clients ladder: powers of two up to the cap.
     let mut ladder = Vec::new();
@@ -362,7 +344,6 @@ fn main() {
     ladder.push(clients_max);
 
     struct IngestPoint {
-        mode: &'static str,
         clients: usize,
         rows_total: usize,
         seconds: f64,
@@ -370,49 +351,29 @@ fn main() {
     }
     println!("\n=== Multi-tenant serving saturation (n={n}/client) ===");
     let mut ingest_points = Vec::new();
-    for mode in modes {
-        for &clients in &ladder {
-            let seconds = timed_ingest(&schema, &streams[..clients], mode, batch, reps);
-            let rows_total = clients * n;
-            let rows_per_sec = rows_total as f64 / seconds.max(1e-12);
-            println!(
-                "{:>6} ingest, {clients} client(s): {rows_total:>6} rows in {seconds:.4} s ({rows_per_sec:>9.0} rows/s)",
-                mode_name(mode)
-            );
-            println!(
-                "csv,fig_serve,ingest_{}_{clients}c,{rows_total},{rows_per_sec:.0}",
-                mode_name(mode)
-            );
-            ingest_points.push(IngestPoint {
-                mode: mode_name(mode),
-                clients,
-                rows_total,
-                seconds,
-                rows_per_sec,
-            });
-        }
+    for &clients in &ladder {
+        let seconds = timed_ingest(&schema, &streams[..clients], batch, reps);
+        let rows_total = clients * n;
+        let rows_per_sec = rows_total as f64 / seconds.max(1e-12);
+        println!(
+            "{MODE:>6} ingest, {clients} client(s): {rows_total:>6} rows in {seconds:.4} s ({rows_per_sec:>9.0} rows/s)"
+        );
+        println!("csv,fig_serve,ingest_{MODE}_{clients}c,{rows_total},{rows_per_sec:.0}");
+        ingest_points.push(IngestPoint {
+            clients,
+            rows_total,
+            seconds,
+            rows_per_sec,
+        });
     }
 
     let write_batch = (n / 4).max(batch);
-    let mut read_legs = Vec::new();
-    for mode in modes {
-        let leg = read_latency_leg(&schema, &streams[0], mode, write_batch, reads_min);
-        println!(
-            "{:>6} TOPK reads vs {write_batch}-row windows: {} reads, avg {:.1} µs, p95 {:.1} µs, max {:.1} µs",
-            mode_name(mode),
-            leg.reads,
-            leg.avg_us,
-            leg.p95_us,
-            leg.max_us
-        );
-        println!(
-            "csv,fig_serve,topk_{},{},{:.2}",
-            mode_name(mode),
-            leg.reads,
-            leg.avg_us
-        );
-        read_legs.push((mode_name(mode), leg));
-    }
+    let leg = read_latency_leg(&schema, &streams[0], write_batch, reads_min);
+    println!(
+        "{MODE:>6} TOPK reads vs {write_batch}-row windows: {} reads, avg {:.1} µs, p95 {:.1} µs, max {:.1} µs",
+        leg.reads, leg.avg_us, leg.p95_us, leg.max_us
+    );
+    println!("csv,fig_serve,topk_{MODE},{},{:.2}", leg.reads, leg.avg_us);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -423,8 +384,7 @@ fn main() {
     json.push_str("  \"ingest\": [\n");
     for (i, p) in ingest_points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"clients\": {}, \"rows_total\": {}, \"seconds\": {:.6}, \"rows_per_sec\": {:.1}}}{}\n",
-            p.mode,
+            "    {{\"mode\": \"{MODE}\", \"clients\": {}, \"rows_total\": {}, \"seconds\": {:.6}, \"rows_per_sec\": {:.1}}}{}\n",
             p.clients,
             p.rows_total,
             p.seconds,
@@ -434,18 +394,10 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"topk_reads\": [\n");
-    for (i, (mode, leg)) in read_legs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{mode}\", \"reads\": {}, \"avg_us\": {:.2}, \"p95_us\": {:.2}, \"max_us\": {:.2}, \"writer_rows\": {}, \"writer_seconds\": {:.6}}}{}\n",
-            leg.reads,
-            leg.avg_us,
-            leg.p95_us,
-            leg.max_us,
-            leg.writer_rows,
-            leg.writer_seconds,
-            if i + 1 < read_legs.len() { "," } else { "" }
-        ));
-    }
+    json.push_str(&format!(
+        "    {{\"mode\": \"{MODE}\", \"reads\": {}, \"avg_us\": {:.2}, \"p95_us\": {:.2}, \"max_us\": {:.2}, \"writer_rows\": {}, \"writer_seconds\": {:.6}}}\n",
+        leg.reads, leg.avg_us, leg.p95_us, leg.max_us, leg.writer_rows, leg.writer_seconds
+    ));
     json.push_str("  ]\n");
     json.push_str("}\n");
     std::fs::write(&out, json).expect("write results file");

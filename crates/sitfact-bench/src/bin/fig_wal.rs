@@ -184,7 +184,7 @@ fn main() {
         for window in tuples.chunks(batch) {
             durable.ingest_batch_slice(window).expect("logged ingest");
         }
-        let log_bytes = durable.wal_stats().bytes;
+        let log_bytes = durable.stats().wal.bytes;
         drop(durable);
 
         // Recovery fidelity first (recovered ≡ uninterrupted, asserted with

@@ -128,8 +128,12 @@ fn main() {
     for chunk in stream.chunks(batch) {
         windowed.ingest_batch_slice(chunk).expect("windowed ingest");
     }
-    assert_eq!(windowed.live_rows(), window.min(n), "window not enforced");
-    let start = windowed.len() - windowed.live_rows();
+    assert_eq!(
+        windowed.stats().live_rows,
+        window.min(n),
+        "window not enforced"
+    );
+    let start = windowed.len() - windowed.stats().live_rows;
     let algo = sitfact_algos::STopDown::new(&schema, discovery);
     let rebuilt_inner = FactMonitor::with_base(schema.clone(), algo, config, start as TupleId);
     let mut rebuilt = WindowedMonitor::new(rebuilt_inner, policy);
@@ -205,7 +209,7 @@ fn main() {
                 for chunk in stream.chunks(batch) {
                     monitor.ingest_batch_slice(chunk).expect("ingest");
                 }
-                monitor.live_rows()
+                monitor.stats().live_rows
             } else {
                 let mut monitor = fresh();
                 for chunk in stream.chunks(batch) {

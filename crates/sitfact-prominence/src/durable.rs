@@ -29,14 +29,12 @@
 
 use crate::fact::{ArrivalReport, RankedFact};
 use crate::monitor::MonitorConfig;
-use crate::stream::StreamMonitor;
+use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_core::{
     Constraint, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId, TupleRef,
 };
 use sitfact_storage::wal::{self, ByteCursor};
-use sitfact_storage::{
-    ArrivalLog, LoggedRow, PostingIndexStats, SyncPolicy, WalStats, WindowRecord,
-};
+use sitfact_storage::{ArrivalLog, LoggedRow, SyncPolicy, WindowRecord};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -609,18 +607,6 @@ impl<M: StreamMonitor> StreamMonitor for DurableMonitor<M> {
         self.log_and_ingest(tuples)
     }
 
-    fn live_rows(&self) -> usize {
-        self.inner.live_rows()
-    }
-
-    fn tombstone_rows(&self) -> usize {
-        self.inner.tombstone_rows()
-    }
-
-    fn evicted_rows(&self) -> usize {
-        self.inner.evicted_rows()
-    }
-
     // evict_prefix deliberately keeps the erroring default: an eviction the
     // log does not encode could not be re-applied by replay, so recovered
     // state would diverge from the live monitor. Window-policy evictions
@@ -628,8 +614,11 @@ impl<M: StreamMonitor> StreamMonitor for DurableMonitor<M> {
     // `DurableMonitor<WindowedMonitor<…>>` — because the wrapper inside
     // evicts at the logged batch boundaries replay re-feeds.
 
-    fn posting_stats(&self) -> PostingIndexStats {
-        self.inner.posting_stats()
+    fn stats(&self) -> MonitorStats {
+        MonitorStats {
+            wal: self.log.stats(),
+            ..self.inner.stats()
+        }
     }
 
     fn export_durable(&self) -> Option<Vec<u8>> {
@@ -639,10 +628,6 @@ impl<M: StreamMonitor> StreamMonitor for DurableMonitor<M> {
     // restore_durable deliberately keeps the `Ok(false)` default: restoring
     // state out-of-band would desynchronize monitor and log. Recovery goes
     // through `DurableMonitor::open`.
-
-    fn wal_stats(&self) -> WalStats {
-        self.log.stats()
-    }
 }
 
 #[cfg(test)]
@@ -790,7 +775,7 @@ mod tests {
             expected.last(),
             "last acknowledged report must survive recovery"
         );
-        assert_eq!(recovered.posting_stats(), reference.posting_stats());
+        assert_eq!(recovered.stats().postings, reference.stats().postings);
 
         // Byte-identical behaviour from here on: same reports for the rest
         // of the stream.
@@ -819,7 +804,7 @@ mod tests {
         let (mut durable, _) = DurableMonitor::open(&dir, fresh(&schema, config), opts).unwrap();
         let live = feed(&mut durable, &rows[..200], 8);
         assert_eq!(live, expected, "retirement must not change reports");
-        let stats = durable.wal_stats();
+        let stats = durable.stats().wal;
         assert!(
             stats.retired_segments > 0,
             "segments must rotate and retire: {stats:?}"
@@ -834,7 +819,7 @@ mod tests {
         assert_eq!(recovery.snapshot_rows + recovery.replayed_rows, 200);
         assert_eq!(recovery.dropped_bytes, 0);
         assert_eq!(recovered.len(), reference.len());
-        assert_eq!(recovered.posting_stats(), reference.posting_stats());
+        assert_eq!(recovered.stats().postings, reference.stats().postings);
         assert_eq!(recovered.last_report(), expected.last());
         expected.extend(feed(&mut reference, &rows[200..], 8));
         let resumed = feed(&mut recovered, &rows[200..], 8);
@@ -866,7 +851,7 @@ mod tests {
         .unwrap();
         let live = feed(&mut durable, &rows[..60], 7);
         assert_eq!(live, expected, "logging must not disturb the window");
-        assert_eq!(durable.live_rows(), 24);
+        assert_eq!(durable.stats().live_rows, 24);
         std::mem::forget(durable);
 
         // Replay re-feeds the logged batch boundaries, so the wrapper inside
@@ -880,9 +865,9 @@ mod tests {
         .unwrap();
         assert!(recovery.snapshot_rows > 0, "snapshots must cover evictions");
         assert_eq!(recovered.len(), reference.len());
-        assert_eq!(recovered.live_rows(), reference.live_rows());
-        assert_eq!(recovered.evicted_rows(), reference.evicted_rows());
-        assert_eq!(recovered.posting_stats(), reference.posting_stats());
+        assert_eq!(recovered.stats().live_rows, reference.stats().live_rows);
+        assert_eq!(recovered.stats().evicted, reference.stats().evicted);
+        assert_eq!(recovered.stats().postings, reference.stats().postings);
         assert_eq!(recovered.last_report(), expected.last());
         expected.extend(feed(&mut reference, &rows[60..], 7));
         let resumed = feed(&mut recovered, &rows[60..], 7);
@@ -922,7 +907,7 @@ mod tests {
         let mut replayed = fresh(&schema, config);
         let expected = feed(&mut replayed, &rows, 6);
         assert_eq!(recovered.len(), replayed.len());
-        assert_eq!(recovered.posting_stats(), replayed.posting_stats());
+        assert_eq!(recovered.stats().postings, replayed.stats().postings);
         assert_eq!(recovered.last_report(), expected.last());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -960,7 +945,7 @@ mod tests {
         let mut replayed = fresh(&schema, config);
         feed(&mut replayed, &rows, 5);
         assert_eq!(recovered.len(), replayed.len());
-        assert_eq!(recovered.posting_stats(), replayed.posting_stats());
+        assert_eq!(recovered.stats().postings, replayed.stats().postings);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -974,7 +959,7 @@ mod tests {
         let (mut durable, _) =
             DurableMonitor::open(&dir, fresh(&schema, config), WalOptions::default()).unwrap();
         feed(&mut durable, &rows, 4);
-        let stats = durable.wal_stats();
+        let stats = durable.stats().wal;
         std::mem::forget(durable);
 
         // Tear the last segment mid-frame: chop 5 bytes off the end.
@@ -1002,7 +987,7 @@ mod tests {
         let mut replayed = fresh(&schema, config);
         feed(&mut replayed, &rows[..20], 4);
         assert_eq!(recovered.len(), replayed.len());
-        assert_eq!(recovered.posting_stats(), replayed.posting_stats());
+        assert_eq!(recovered.stats().postings, replayed.stats().postings);
 
         // And the log keeps accepting appends after the truncation.
         let mut recovered = recovered;
@@ -1069,7 +1054,7 @@ mod tests {
         let (mut durable, _) =
             DurableMonitor::open(&dir, fresh(&schema, config), WalOptions::default()).unwrap();
         assert_eq!(durable.ingest_batch_slice(&[]).unwrap(), Vec::new());
-        assert_eq!(durable.wal_stats().durable_rows, 0);
+        assert_eq!(durable.stats().wal.durable_rows, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1082,7 +1067,7 @@ mod tests {
             DurableMonitor::open(&dir, fresh(&schema, config), WalOptions::default()).unwrap();
         let bad = Tuple::new(vec![0], vec![1.0]); // wrong arity
         assert!(durable.ingest(bad).is_err());
-        assert_eq!(durable.wal_stats().durable_rows, 0, "nothing may be logged");
+        assert_eq!(durable.stats().wal.durable_rows, 0, "nothing may be logged");
         assert!(
             !durable.broken,
             "a pre-validation failure is not divergence"
@@ -1180,7 +1165,11 @@ mod tests {
             std::mem::forget(durable);
             let (recovered, _) = DurableMonitor::open(&dir, fresh(&schema, config), opts).unwrap();
             assert_eq!(recovered.len(), baseline.len(), "{tag}");
-            assert_eq!(recovered.posting_stats(), baseline.posting_stats(), "{tag}");
+            assert_eq!(
+                recovered.stats().postings,
+                baseline.stats().postings,
+                "{tag}"
+            );
             assert_eq!(recovered.last_report(), expected.last(), "{tag}");
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1197,7 +1186,7 @@ mod tests {
             .ingest_raw(&["p1", "t1", "m0"], vec![3.0, 1.0])
             .unwrap();
         assert_eq!(durable.len(), 1);
-        assert_eq!(durable.wal_stats().durable_rows, 1);
+        assert_eq!(durable.stats().wal.durable_rows, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -49,7 +49,7 @@ pub use fact::{ArrivalReport, RankedFact};
 pub use monitor::{FactMonitor, MonitorConfig};
 pub use narrate::narrate;
 pub use sharded::ShardedMonitor;
-pub use stream::{MonitorSnapshot, StreamMonitor};
+pub use stream::{MonitorStats, StreamMonitor};
 pub use window::{WindowPolicy, WindowedMonitor};
 // The WAL types that cross the serve boundary (`STATS` counters, sync
 // policy), re-exported so the serving layer needs no direct storage

@@ -1,12 +1,12 @@
 //! The [`FactMonitor`]: turn a stream of tuples into ranked situational facts.
 
 use crate::fact::{ArrivalReport, RankedFact};
-use crate::stream::StreamMonitor;
+use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_algos::Discovery;
 use sitfact_core::{
     DiscoveryConfig, Result, Schema, SitFactError, SkylinePair, Tuple, TupleId, TupleRef,
 };
-use sitfact_storage::{wal, ContextCounter, PostingIndexStats, Table};
+use sitfact_storage::{wal, ContextCounter, Table};
 
 /// Configuration of a [`FactMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -294,18 +294,6 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         self.table.get(tuple_id)
     }
 
-    fn live_rows(&self) -> usize {
-        self.table.live_rows()
-    }
-
-    fn tombstone_rows(&self) -> usize {
-        self.table.tombstone_rows()
-    }
-
-    fn evicted_rows(&self) -> usize {
-        self.table.evicted_rows()
-    }
-
     /// Retracts every tuple below the watermark target `up_to`: the rows are
     /// tombstoned in the table, forgotten by the context counter, and
     /// retracted from the algorithm's skyline store ([`Discovery::retract`]),
@@ -402,8 +390,14 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         Ok(reports)
     }
 
-    fn posting_stats(&self) -> PostingIndexStats {
-        self.table.posting_index_stats()
+    fn stats(&self) -> MonitorStats {
+        MonitorStats {
+            postings: self.table.posting_index_stats(),
+            live_rows: self.table.live_rows(),
+            tombstones: self.table.tombstone_rows(),
+            evicted: self.table.evicted_rows(),
+            ..MonitorStats::new(self.table.schema(), &self.config, self.table.len())
+        }
     }
 
     /// Serializes the full monitor state when the algorithm can export its
@@ -795,7 +789,7 @@ mod tests {
         assert_eq!(windowed.evict_prefix(20).unwrap(), 20);
         // Watermark targets are monotone: re-evicting is a no-op.
         assert_eq!(windowed.evict_prefix(20).unwrap(), 0);
-        assert_eq!(windowed.live_rows(), 28);
+        assert_eq!(windowed.stats().live_rows, 28);
         assert_eq!(windowed.len(), 48);
         assert!(windowed.tuple(5).is_none(), "retracted ids resolve to None");
         assert!(windowed.tuple(25).is_some());
@@ -817,8 +811,8 @@ mod tests {
         }
         // Evicting past the halfway point triggers physical compaction.
         windowed.evict_prefix(40).unwrap();
-        assert_eq!(windowed.evicted_rows(), 40);
-        assert_eq!(windowed.tombstone_rows(), 0);
+        assert_eq!(windowed.stats().evicted, 40);
+        assert_eq!(windowed.stats().tombstones, 0);
         windowed.audit().unwrap();
     }
 
@@ -850,7 +844,7 @@ mod tests {
             "{refused}"
         );
         tried.audit().unwrap();
-        assert_eq!((tried.live_rows(), tried.len()), (10, 10));
+        assert_eq!((tried.stats().live_rows, tried.len()), (10, 10));
         assert!(tried.tuple(0).is_some());
         for t in &tuples[10..] {
             assert_eq!(

@@ -34,7 +34,7 @@
 
 use crate::fact::ArrivalReport;
 use crate::monitor::{FactMonitor, MonitorConfig};
-use crate::stream::StreamMonitor;
+use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_algos::Discovery;
 use sitfact_core::pool::ThreadPool;
 use sitfact_core::{
@@ -190,23 +190,18 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         Some((shard as usize, local))
     }
 
-    /// The shared core of both batch forms: validates and partitions `n`
-    /// owned tuples into per-shard windows (by move — the owned entry point
-    /// pays no clones), then fans out and merges. Validation precedes any
-    /// dispatch, so a failure anywhere leaves every shard untouched
-    /// (all-or-nothing).
-    fn partition_dispatch(
-        &mut self,
-        n: usize,
-        tuples: impl Iterator<Item = Tuple>,
-    ) -> Result<Vec<ArrivalReport>> {
+    /// Validates and partitions a window into per-shard windows (one clone
+    /// per tuple — shard windows need owned tuples), then fans out and
+    /// merges. Validation precedes any dispatch, so a failure anywhere leaves
+    /// every shard untouched (all-or-nothing).
+    fn partition_dispatch(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         let n_shards = self.shards.len();
         let mut windows: Vec<Vec<Tuple>> = (0..n_shards).map(|_| Vec::new()).collect();
         let mut positions: Vec<Vec<usize>> = (0..n_shards).map(|_| Vec::new()).collect();
         // Routing values by global position, for the merge's
         // routing-consistency check.
-        let mut route_values: Vec<DimValueId> = Vec::with_capacity(n);
-        for (i, tuple) in tuples.enumerate() {
+        let mut route_values: Vec<DimValueId> = Vec::with_capacity(tuples.len());
+        for (i, tuple) in tuples.iter().enumerate() {
             // Validate before touching the routing dimension (a wrong-arity
             // tuple may not have one); an error here only drops the local
             // windows — nothing was ingested yet.
@@ -214,7 +209,7 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
             let value = tuple.dim(self.routing_dim);
             let shard = self.shard_of(value);
             route_values.push(value);
-            windows[shard].push(tuple);
+            windows[shard].push(tuple.clone());
             positions[shard].push(i);
         }
         self.dispatch_windows(windows, positions, route_values)
@@ -461,8 +456,7 @@ impl<A: Discovery + Send + 'static> StreamMonitor for ShardedMonitor<A> {
 
     /// Ingests a whole window through all shards **in parallel**: the window
     /// is partitioned by routing value (one clone per tuple — shard windows
-    /// need owned tuples; callers holding an owned window should prefer
-    /// [`StreamMonitor::ingest_batch`], which partitions by move), every
+    /// need owned tuples), every
     /// shard ingests its sub-window through the batched fast path on the
     /// pool, and the reports are merged back into global arrival order with
     /// global tuple ids.
@@ -474,38 +468,27 @@ impl<A: Discovery + Send + 'static> StreamMonitor for ShardedMonitor<A> {
         if tuples.is_empty() {
             return Ok(Vec::new());
         }
-        self.partition_dispatch(tuples.len(), tuples.iter().cloned())
+        self.partition_dispatch(tuples)
     }
 
-    /// Overrides the provided slice-forwarding default: an owned window is
-    /// partitioned **by move**, so the hot path (e.g. the TCP server's
-    /// `INGEST_BATCH`) pays zero per-tuple clones. Both forms share
-    /// `partition_dispatch`; only the iterator differs.
-    fn ingest_batch(&mut self, tuples: Vec<Tuple>) -> Result<Vec<ArrivalReport>> {
-        self.assert_usable();
-        if tuples.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = tuples.len();
-        self.partition_dispatch(n, tuples.into_iter())
-    }
-
-    /// Posting-index footprint summed over all shards. Each shard compacts
-    /// its own tails at its batch-window boundaries (see
-    /// [`FactMonitor::ingest_batch_slice`](crate::FactMonitor)), so the
-    /// sealed/tail split reported here reflects per-shard compaction state.
-    fn posting_stats(&self) -> sitfact_storage::PostingIndexStats {
-        let mut total = sitfact_storage::PostingIndexStats::default();
+    /// Posting-index footprint summed over all shards (each shard compacts
+    /// its own tails at its batch-window boundaries); a sharded monitor has
+    /// no retraction path, so every row stays live.
+    fn stats(&self) -> MonitorStats {
+        let mut postings = sitfact_storage::PostingIndexStats::default();
         for shard in &self.shards {
-            let stats = shard.posting_stats();
-            total.lists += stats.lists;
-            total.ids += stats.ids;
-            total.sealed_blocks += stats.sealed_blocks;
-            total.tail_ids += stats.tail_ids;
-            total.compressed_bytes += stats.compressed_bytes;
-            total.uncompressed_bytes += stats.uncompressed_bytes;
+            let stats = shard.table().posting_index_stats();
+            postings.lists += stats.lists;
+            postings.ids += stats.ids;
+            postings.sealed_blocks += stats.sealed_blocks;
+            postings.tail_ids += stats.tail_ids;
+            postings.compressed_bytes += stats.compressed_bytes;
+            postings.uncompressed_bytes += stats.uncompressed_bytes;
         }
-        total
+        MonitorStats {
+            postings,
+            ..MonitorStats::new(&self.schema, &self.config, self.len())
+        }
     }
 }
 

@@ -1,35 +1,35 @@
 //! The [`StreamMonitor`] trait: one ingest surface for every monitor.
 //!
-//! [`FactMonitor`](crate::FactMonitor) and
-//! [`ShardedMonitor`](crate::ShardedMonitor) grew near-duplicate families of
-//! ingest entry points (`ingest`, `ingest_raw`, `ingest_batch`,
-//! `ingest_batch_slice`, `ingest_all`), which meant nothing generic — a
-//! network front-end, a bench driver, an example, a property test — could
-//! hold "some monitor" without committing to a concrete type. This trait is
-//! that missing abstraction: the monitors implement a small required core
-//! (encode, per-arrival ingest, batched slice ingest, plus read access to
-//! schema/config/size), and every convenience form is a *provided* method
-//! with one shared definition.
+//! Anything generic — the network front-end, a bench driver, a property
+//! test — holds "some monitor" through this trait. Implementations own a
+//! small required core (encode, per-arrival ingest, batched slice ingest,
+//! read access to schema / config / size); every convenience form is a
+//! *provided* method with one shared definition. The trait is **object-safe**:
+//! `Box<dyn StreamMonitor>` is what the `sitfact-serve` front-end serves, so
+//! sharded vs unsharded is a construction-time choice, not a code path.
 //!
-//! The trait is deliberately **object-safe**: `Box<dyn StreamMonitor>` is the
-//! type the [`sitfact-serve`](https://docs.rs/sitfact-serve) TCP front-end
-//! serves, so whether a deployment runs sharded or unsharded is a
-//! construction-time config choice, not a code path.
+//! # Writing a wrapper
+//!
+//! A wrapper ([`WindowedMonitor`](crate::WindowedMonitor),
+//! [`DurableMonitor`](crate::DurableMonitor)) forwards the seven required
+//! methods, [`StreamMonitor::stats`], and whichever of `evict_prefix` /
+//! `export_durable` / `restore_durable` stay meaningful through it (the three
+//! defaults *refuse*, so an unforwarded capability is never silently
+//! ignored). It never overrides `is_empty` / `ingest_raw` / `ingest_batch` /
+//! `ingest_all`, and it *amends* the inner [`MonitorStats`] rather than
+//! forwarding counters one by one.
 
 use crate::fact::ArrivalReport;
 use crate::monitor::MonitorConfig;
 use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId, TupleRef};
 use sitfact_storage::{PostingIndexStats, WalStats};
 
-/// A point-in-time export of a monitor's externally visible state, assembled
-/// by [`StreamMonitor::export_snapshot`].
-///
-/// This is the payload the serving layer publishes into a
-/// [`SnapshotCell`](sitfact_core::snapshot::SnapshotCell) at window
-/// boundaries so `STATS`-style reads never touch the ingest path: everything
-/// a read-mostly client asks about, captured as plain owned values.
+/// A monitor's externally visible counters as plain owned values, assembled
+/// by [`StreamMonitor::stats`] — the one record the serving layer publishes
+/// into a [`SnapshotCell`](sitfact_core::snapshot::SnapshotCell) after every
+/// ingest, so `STATS`-style reads never touch the ingest path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSnapshot {
+pub struct MonitorStats {
     /// Number of tuples ingested so far.
     pub len: usize,
     /// The schema's relation name.
@@ -40,11 +40,9 @@ pub struct MonitorSnapshot {
     pub keep_top: Option<usize>,
     /// Anchored dimension index, if the discovery config carries one.
     pub anchor_dim: Option<usize>,
-    /// Aggregate posting-index footprint (for a sharded monitor: summed over
-    /// all shards).
+    /// Posting-index footprint (a sharded monitor sums its shards).
     pub postings: PostingIndexStats,
-    /// Write-ahead-log counters (all zero for a monitor without a durability
-    /// layer; see [`StreamMonitor::wal_stats`]).
+    /// Write-ahead-log counters (all zero without a durability layer).
     pub wal: WalStats,
     /// Tuples still answering queries (`len` minus everything retracted).
     pub live_rows: usize,
@@ -54,14 +52,30 @@ pub struct MonitorSnapshot {
     pub evicted: usize,
 }
 
+impl MonitorStats {
+    /// The record of a monitor with no index, no log and no retraction path:
+    /// identity fields filled in, every row live, every counter zero.
+    pub fn new(schema: &Schema, config: &MonitorConfig, len: usize) -> Self {
+        MonitorStats {
+            len,
+            schema_name: schema.name().to_string(),
+            tau: config.tau,
+            keep_top: config.keep_top,
+            anchor_dim: config.discovery.anchor_dim,
+            postings: PostingIndexStats::default(),
+            wal: WalStats::default(),
+            live_rows: len,
+            tombstones: 0,
+            evicted: 0,
+        }
+    }
+}
+
 /// A monitor that turns a stream of tuples into per-arrival fact reports.
 ///
-/// Required methods are the minimal core each implementation must own (the
-/// batched slice form is required rather than the owned form because the
+/// The batched slice form is required rather than the owned form because the
 /// columnar tables copy values out of the window anyway — borrowing is the
-/// fundamental operation, owning is the convenience). Everything else is
-/// provided once, so all monitors expose the same surface with the same
-/// semantics.
+/// fundamental operation, owning is the convenience.
 ///
 /// The trait is object-safe; generic drivers take `&mut dyn StreamMonitor`:
 ///
@@ -105,8 +119,7 @@ pub trait StreamMonitor {
     /// Number of tuples ingested so far.
     fn len(&self) -> usize;
 
-    /// Zero-copy view of an ingested tuple by its (global) id, or `None` if
-    /// no such tuple was ingested yet.
+    /// Zero-copy view of a live tuple by its (global) id, if there is one.
     fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>>;
 
     /// Interns a raw row against [`StreamMonitor::schema`] and validates it,
@@ -121,7 +134,6 @@ pub trait StreamMonitor {
     /// batched fast path, returning exactly the reports a sequential
     /// [`StreamMonitor::ingest`] loop would produce, in the same order.
     ///
-    /// The window is only read (the columnar tables copy the values anyway).
     /// The batch is all-or-nothing: if any tuple fails validation, no tuple
     /// of the window is ingested.
     fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>>;
@@ -129,25 +141,6 @@ pub trait StreamMonitor {
     /// Whether no tuple was ingested yet.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of tuples still answering queries — [`StreamMonitor::len`]
-    /// minus everything retracted. Equal to `len()` for monitors without a
-    /// retraction path (the default).
-    fn live_rows(&self) -> usize {
-        self.len()
-    }
-
-    /// Retracted tuples still physically present, awaiting compaction. Zero
-    /// for monitors without a retraction path (the default).
-    fn tombstone_rows(&self) -> usize {
-        0
-    }
-
-    /// Retracted tuples already physically dropped by compaction. Zero for
-    /// monitors without a retraction path (the default).
-    fn evicted_rows(&self) -> usize {
-        0
     }
 
     /// Retracts every tuple with id below `up_to` (a *watermark target*, not
@@ -171,12 +164,9 @@ pub trait StreamMonitor {
         self.ingest(tuple)
     }
 
-    /// Owned-window form of [`StreamMonitor::ingest_batch_slice`] — by
-    /// default a thin wrapper, kept because windows are naturally assembled
-    /// as `Vec<Tuple>`. Implementations whose batching can exploit ownership
-    /// override it (a sharded monitor partitions an owned window by move,
-    /// paying zero per-tuple clones); semantics must stay identical to the
-    /// slice form.
+    /// Owned-window form of [`StreamMonitor::ingest_batch_slice`] — a thin
+    /// wrapper, kept because windows are naturally assembled as `Vec<Tuple>`.
+    /// No implementation overrides it.
     fn ingest_batch(&mut self, tuples: Vec<Tuple>) -> Result<Vec<ArrivalReport>> {
         self.ingest_batch_slice(&tuples)
     }
@@ -189,30 +179,12 @@ pub trait StreamMonitor {
         tuples.into_iter().map(|t| self.ingest(t)).collect()
     }
 
-    /// Aggregate posting-index footprint/compression statistics. For a
-    /// sharded monitor this sums over all shards; the default (for monitors
-    /// without an inverted index) reports all-zero stats.
-    fn posting_stats(&self) -> PostingIndexStats {
-        PostingIndexStats::default()
-    }
-
-    /// Captures the monitor's externally visible state as plain owned values
-    /// — the payload a serving layer publishes at window boundaries so
-    /// read-mostly clients never touch the ingest path.
-    fn export_snapshot(&self) -> MonitorSnapshot {
-        let config = self.config();
-        MonitorSnapshot {
-            len: self.len(),
-            schema_name: self.schema().name().to_string(),
-            tau: config.tau,
-            keep_top: config.keep_top,
-            anchor_dim: config.discovery.anchor_dim,
-            postings: self.posting_stats(),
-            wal: self.wal_stats(),
-            live_rows: self.live_rows(),
-            tombstones: self.tombstone_rows(),
-            evicted: self.evicted_rows(),
-        }
+    /// The monitor's counters as one owned record. A monitor overrides the
+    /// fields it owns over [`MonitorStats::new`]; a wrapper amends its inner
+    /// record (`MonitorStats { wal: …, ..self.inner.stats() }`), so a new
+    /// counter is a new field here, not a new method on every wrapper.
+    fn stats(&self) -> MonitorStats {
+        MonitorStats::new(self.schema(), self.config(), self.len())
     }
 
     /// Serializes the monitor's full state (table with dictionaries and
@@ -238,21 +210,12 @@ pub trait StreamMonitor {
         let _ = snapshot;
         Ok(false)
     }
-
-    /// Write-ahead-log counters, surfaced through the serve `STATS` verb.
-    /// All zero by default; the durability wrapper
-    /// ([`DurableMonitor`](crate::DurableMonitor)) overrides this with its
-    /// log's live counters.
-    fn wal_stats(&self) -> WalStats {
-        WalStats::default()
-    }
 }
 
 /// Forwarding impl so a boxed monitor *is* a monitor — this is what lets the
 /// durability wrapper ([`DurableMonitor`](crate::DurableMonitor)) wrap the
 /// serve layer's `Box<dyn StreamMonitor + Send>` tenants without knowing the
-/// concrete type. Every method forwards (provided ones included), so an
-/// override on the boxed type is preserved through the box.
+/// concrete type. Every method forwards, provided ones included.
 impl<M: StreamMonitor + ?Sized> StreamMonitor for Box<M> {
     fn schema(&self) -> &Schema {
         (**self).schema()
@@ -286,18 +249,6 @@ impl<M: StreamMonitor + ?Sized> StreamMonitor for Box<M> {
         (**self).is_empty()
     }
 
-    fn live_rows(&self) -> usize {
-        (**self).live_rows()
-    }
-
-    fn tombstone_rows(&self) -> usize {
-        (**self).tombstone_rows()
-    }
-
-    fn evicted_rows(&self) -> usize {
-        (**self).evicted_rows()
-    }
-
     fn evict_prefix(&mut self, up_to: TupleId) -> Result<usize> {
         (**self).evict_prefix(up_to)
     }
@@ -314,12 +265,8 @@ impl<M: StreamMonitor + ?Sized> StreamMonitor for Box<M> {
         (**self).ingest_all(tuples)
     }
 
-    fn posting_stats(&self) -> PostingIndexStats {
-        (**self).posting_stats()
-    }
-
-    fn export_snapshot(&self) -> MonitorSnapshot {
-        (**self).export_snapshot()
+    fn stats(&self) -> MonitorStats {
+        (**self).stats()
     }
 
     fn export_durable(&self) -> Option<Vec<u8>> {
@@ -328,9 +275,5 @@ impl<M: StreamMonitor + ?Sized> StreamMonitor for Box<M> {
 
     fn restore_durable(&mut self, snapshot: &[u8]) -> Result<bool> {
         (**self).restore_durable(snapshot)
-    }
-
-    fn wal_stats(&self) -> WalStats {
-        (**self).wal_stats()
     }
 }

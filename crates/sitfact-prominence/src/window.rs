@@ -36,9 +36,8 @@
 
 use crate::fact::ArrivalReport;
 use crate::monitor::MonitorConfig;
-use crate::stream::StreamMonitor;
+use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId, TupleRef};
-use sitfact_storage::{PostingIndexStats, WalStats};
 
 /// How much history a [`WindowedMonitor`] retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +106,7 @@ impl WindowPolicy {
 ///     monitor.ingest_raw(&["Wesley"], vec![points]).unwrap();
 /// }
 /// assert_eq!(monitor.len(), 4, "ids keep counting arrivals");
-/// assert_eq!(monitor.live_rows(), 2, "only the window answers queries");
+/// assert_eq!(monitor.stats().live_rows, 2, "only the window answers queries");
 /// ```
 #[derive(Debug)]
 pub struct WindowedMonitor<M: StreamMonitor> {
@@ -186,33 +185,13 @@ impl<M: StreamMonitor> StreamMonitor for WindowedMonitor<M> {
         Ok(reports)
     }
 
-    fn ingest_batch(&mut self, tuples: Vec<Tuple>) -> Result<Vec<ArrivalReport>> {
-        let empty = tuples.is_empty();
-        let reports = self.inner.ingest_batch(tuples)?;
-        if !empty {
-            self.enforce()?;
-        }
-        Ok(reports)
-    }
-
-    fn live_rows(&self) -> usize {
-        self.inner.live_rows()
-    }
-
-    fn tombstone_rows(&self) -> usize {
-        self.inner.tombstone_rows()
-    }
-
-    fn evicted_rows(&self) -> usize {
-        self.inner.evicted_rows()
-    }
-
     fn evict_prefix(&mut self, up_to: TupleId) -> Result<usize> {
         self.inner.evict_prefix(up_to)
     }
 
-    fn posting_stats(&self) -> PostingIndexStats {
-        self.inner.posting_stats()
+    fn stats(&self) -> MonitorStats {
+        // Nothing to amend: the window owns no counter of its own.
+        self.inner.stats()
     }
 
     fn export_durable(&self) -> Option<Vec<u8>> {
@@ -224,10 +203,6 @@ impl<M: StreamMonitor> StreamMonitor for WindowedMonitor<M> {
 
     fn restore_durable(&mut self, snapshot: &[u8]) -> Result<bool> {
         self.inner.restore_durable(snapshot)
-    }
-
-    fn wal_stats(&self) -> WalStats {
-        self.inner.wal_stats()
     }
 }
 
@@ -294,9 +269,9 @@ mod tests {
         for (i, t) in random_tuples(3, 30).into_iter().enumerate() {
             monitor.ingest(t).unwrap();
             assert_eq!(monitor.len(), i + 1);
-            assert_eq!(monitor.live_rows(), (i + 1).min(10));
+            assert_eq!(monitor.stats().live_rows, (i + 1).min(10));
         }
-        assert_eq!(monitor.evicted_rows() + monitor.tombstone_rows(), 20);
+        assert_eq!(monitor.stats().evicted + monitor.stats().tombstones, 20);
         monitor.inner().audit().unwrap();
     }
 
@@ -310,8 +285,8 @@ mod tests {
             let b = reference.ingest(t).unwrap();
             assert_eq!(a, b);
         }
-        assert_eq!(monitor.live_rows(), 20);
-        assert_eq!(monitor.tombstone_rows(), 0);
+        assert_eq!(monitor.stats().live_rows, 20);
+        assert_eq!(monitor.stats().tombstones, 0);
     }
 
     #[test]
@@ -327,8 +302,8 @@ mod tests {
         let a = windowed.ingest_batch_slice(&tuples).unwrap();
         let b = reference.ingest_batch_slice(&tuples).unwrap();
         assert_eq!(a, b);
-        assert_eq!(windowed.live_rows(), 8);
-        assert_eq!(reference.live_rows(), 24);
+        assert_eq!(windowed.stats().live_rows, 8);
+        assert_eq!(reference.stats().live_rows, 24);
         windowed.inner().audit().unwrap();
     }
 
@@ -343,7 +318,7 @@ mod tests {
             windowed.ingest_batch_slice(window).unwrap();
         }
         // A fresh monitor fed only the survivors, id space aligned.
-        let base = (windowed.len() - windowed.live_rows()) as u32;
+        let base = (windowed.len() - windowed.stats().live_rows) as u32;
         let mut rebuilt = FactMonitor::with_base(
             schema.clone(),
             STopDown::new(&schema, config.discovery),

@@ -9,7 +9,7 @@
 //!                [--shutdown]
 //! ```
 //!
-//! With `--port-file` the client polls for the file the server writes after
+//! Any other `--flag` is refused with this list. With `--port-file` the client polls for the file the server writes after
 //! binding (see `sitfact_serve --port-file`), so scripts need no fixed port.
 //! With `--tenant NAME` the client first `OPEN`s a private tenant monitor of
 //! that name (NBA demo schema at this client's `--dims`/`--measures` arity,
@@ -27,9 +27,28 @@
 use sitfact_datagen::nba::nba_schema;
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::DataGenerator;
-use sitfact_serve::cli::{flag_value, has_flag, parsed};
+use sitfact_serve::cli::{flag_value, has_flag, parsed, reject_unknown};
 use sitfact_serve::{Client, RawRow, TenantSpec};
 use std::time::{Duration, Instant};
+
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--port-file",
+    "--wait-secs",
+    "--n",
+    "--batch",
+    "--dims",
+    "--measures",
+    "--seed",
+    "--topk",
+    "--tenant",
+    "--tau",
+    "--assert-facts",
+    "--state-out",
+    "--state-expect",
+    "--shutdown",
+];
 
 /// Resolves the server address: `--addr` directly, or by polling the
 /// `--port-file` the server writes once bound.
@@ -52,6 +71,7 @@ fn resolve_addr(args: &[String]) -> Result<String, Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown(&args, FLAGS)?;
     let n: usize = parsed(&args, "--n", 48);
     let batch: usize = parsed(&args, "--batch", 16).max(1);
     let dims: usize = parsed(&args, "--dims", 5);

@@ -5,19 +5,19 @@
 //! sitfact_serve [--addr 127.0.0.1:0] [--port-file PATH] [--shards N]
 //!               [--route team] [--tau 100] [--keep-top 16]
 //!               [--dims 5] [--measures 4] [--d-hat 3] [--m-hat 3]
-//!               [--workers 4] [--owners 4] [--mode owned|mutex]
-//!               [--timeout-secs 30] [--data-dir PATH]
-//!               [--sync always|os] [--snapshot-every N]
+//!               [--workers 4] [--owners 4] [--timeout-secs 30]
+//!               [--data-dir PATH] [--sync always|os] [--snapshot-every N]
 //! ```
+//!
+//! Any other `--flag` is refused with this list.
 //!
 //! `--shards 0` (the default) serves an unsharded [`FactMonitor`];
 //! `--shards N` serves a [`ShardedMonitor`] routed on `--route`. Both sit
 //! behind the same `Box<dyn StreamMonitor>`, which is the whole point: the
 //! server code never branches on the deployment shape.
 //!
-//! `--mode owned` (the default) runs the shared-nothing engine (worker-owned
-//! tenant monitors, lock-free snapshot reads); `--mode mutex` retains the
-//! single-global-mutex baseline the `fig_serve` bench compares against.
+//! `--workers` sizes the connection-handler pool, `--owners` (default: the
+//! same) the monitor-owning workers tenants are hashed across.
 //! `--timeout-secs` sets both socket timeouts (0 = wait forever).
 //!
 //! `--data-dir PATH` makes every tenant durable: accepted windows are
@@ -37,12 +37,33 @@ use sitfact_algos::STopDown;
 use sitfact_core::DiscoveryConfig;
 use sitfact_datagen::nba::nba_schema;
 use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
-use sitfact_serve::cli::{flag_value, parsed};
-use sitfact_serve::{FactServer, ServeMode, SyncPolicy, WalOptions};
+use sitfact_serve::cli::{flag_value, parsed, reject_unknown};
+use sitfact_serve::{FactServer, SyncPolicy, WalOptions};
 use std::time::Duration;
+
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--port-file",
+    "--shards",
+    "--route",
+    "--tau",
+    "--keep-top",
+    "--dims",
+    "--measures",
+    "--d-hat",
+    "--m-hat",
+    "--workers",
+    "--owners",
+    "--timeout-secs",
+    "--data-dir",
+    "--sync",
+    "--snapshot-every",
+];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown(&args, FLAGS)?;
     let addr = flag_value(&args, "--addr")
         .unwrap_or("127.0.0.1:0")
         .to_string();
@@ -57,11 +78,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m_hat: usize = parsed(&args, "--m-hat", 3);
     let workers: usize = parsed(&args, "--workers", FactServer::DEFAULT_WORKERS);
     let owners: usize = parsed(&args, "--owners", workers);
-    let mode = match flag_value(&args, "--mode").unwrap_or("owned") {
-        "owned" => ServeMode::Owned,
-        "mutex" => ServeMode::GlobalMutex,
-        other => return Err(format!("--mode: expected owned|mutex, got {other:?}").into()),
-    };
     let timeout_secs: u64 = parsed(&args, "--timeout-secs", 30);
     let timeout = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
     let data_dir = flag_value(&args, "--data-dir").map(str::to_string);
@@ -106,7 +122,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut options = FactServer::builder()
         .with_workers(workers)
         .with_owners(owners)
-        .with_mode(mode)
         .with_read_timeout(timeout)
         .with_write_timeout(timeout)
         .with_wal(wal);
@@ -120,16 +135,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         format!("sharded×{shards} by {route}")
     };
-    let mode_name = match mode {
-        ServeMode::Owned => "owned",
-        ServeMode::GlobalMutex => "mutex",
-    };
     let durable = match &data_dir {
         Some(root) => format!("wal@{root} sync={}", sync.name()),
         None => "ephemeral".to_string(),
     };
     println!(
-        "sitfact-serve listening on {bound} ({shape}, mode={mode_name}, τ={tau}, keep_top={keep_top}, {durable})"
+        "sitfact-serve listening on {bound} ({shape}, τ={tau}, keep_top={keep_top}, {durable})"
     );
     if let Some(path) = port_file {
         // Write-then-rename so a polling client never reads a torn address.

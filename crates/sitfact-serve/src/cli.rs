@@ -1,8 +1,9 @@
 //! Minimal `--flag value` argument parsing shared by the demo binaries
-//! (`sitfact_serve`, `sitfact_client`). Deliberately tiny: unknown flags are
-//! ignored, a flag given without a value is treated as absent, and an
-//! unparsable value panics with the flag name (a smoke-test binary should
-//! fail loudly, not fall back to a default silently).
+//! (`sitfact_serve`, `sitfact_client`). Deliberately tiny: a flag given
+//! without a value is treated as absent, and an unknown flag
+//! ([`reject_unknown`]) or an unparsable value fails loudly with the flag
+//! name — a smoke-test binary must not fall back to a default silently, or a
+//! misspelt `--snapshot-evry` tests something else than the script says.
 
 /// Returns the value following `--name`, if present.
 pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -33,6 +34,22 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Refuses any `--argument` that is not in `known` (a binary's one flag
+/// list), naming the offender and the known flags. Values never start with
+/// `--` in these binaries, so every such argument is a flag.
+pub fn reject_unknown(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        None => Ok(()),
+        Some(unknown) => Err(format!(
+            "unknown flag {unknown}; known flags: {}",
+            known.join(" ")
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,6 +69,23 @@ mod tests {
         assert!(!has_flag(&argv, "--quiet"));
         // A flag at the end without a value reads as absent.
         assert_eq!(flag_value(&args(&["--n"]), "--n"), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_the_known_list() {
+        let known = ["--n", "--verbose"];
+        assert_eq!(
+            reject_unknown(&args(&["--n", "12", "--verbose"]), &known),
+            Ok(())
+        );
+        assert_eq!(reject_unknown(&args(&[]), &known), Ok(()));
+        // Values and single-dash arguments are not flags.
+        assert_eq!(reject_unknown(&args(&["--n", "-3", "x"]), &known), Ok(()));
+        let error = reject_unknown(&args(&["--n", "12", "--mode", "mutex"]), &known).unwrap_err();
+        assert!(error.contains("unknown flag --mode"), "{error}");
+        assert!(error.contains("--n --verbose"), "{error}");
+        // A misspelling is an unknown flag, not a silently ignored one.
+        assert!(reject_unknown(&args(&["--verbos"]), &known).is_err());
     }
 
     #[test]

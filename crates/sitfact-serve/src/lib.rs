@@ -12,12 +12,10 @@
 //!   of whoever builds a monitor, never a code path in here. Connections are
 //!   framed on the vendored [`ThreadPool`](sitfact_core::pool::ThreadPool)
 //!   (no async runtime exists in this offline workspace); past the parser,
-//!   [`ServeMode`] picks the architecture: **owned** (default) gives every
-//!   monitor to exactly one worker of an
-//!   [`ActorPool`](sitfact_core::ActorPool) — ingests travel through the
+//!   one shared-nothing engine gives every monitor to exactly one worker of
+//!   an [`ActorPool`](sitfact_core::ActorPool) — ingests travel through the
 //!   owner's mailbox, `STATS`/`TOPK` reads come from a lock-free
-//!   [`SnapshotCell`](sitfact_core::SnapshotCell) — while **global-mutex**
-//!   retains the previous single-lock design as the measured baseline.
+//!   [`SnapshotCell`](sitfact_core::SnapshotCell).
 //! * [`Client`] is the matching blocking client; reports it returns are
 //!   byte-identical to what the server-side monitor produced.
 //! * [`protocol`] defines the wire format: length-prefixed frames around a
@@ -51,7 +49,9 @@ mod tenant;
 pub use client::Client;
 pub use error::ServeError;
 pub use protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
-pub use server::{FactServer, ServeMode, ServerHandle, ServerOptions};
+#[doc(hidden)]
+pub use server::ServeMode;
+pub use server::{FactServer, ServerHandle, ServerOptions};
 // The durability knobs [`ServerOptions::wal`] is made of, re-exported so
 // server embedders configure the WAL without naming another crate.
 pub use sitfact_prominence::{SyncPolicy, WalOptions};

@@ -8,19 +8,12 @@
 //! is decided where it is constructed, never inside the server.
 //!
 //! Connections are framed and parsed on the vendored
-//! [`ThreadPool`] (no async runtime exists in this offline workspace).
-//! What happens past the parser is the [`ServeMode`]:
-//!
-//! * [`ServeMode::Owned`] (default) — shared-nothing. Each worker of an
-//!   [`ActorPool`](sitfact_core::ActorPool) owns its tenants' monitors
-//!   outright; ingests travel through the owner's mailbox, `STATS`/`TOPK`
-//!   are answered from a lock-free
-//!   [`SnapshotCell`](sitfact_core::SnapshotCell) without ever touching the
-//!   ingest path.
-//! * [`ServeMode::GlobalMutex`] — the previous single-mutex architecture,
-//!   retained as the measured baseline for the `fig_serve` saturation curve.
-//!
-//! Both modes answer byte-identical responses for identical request streams.
+//! [`ThreadPool`] (no async runtime exists in this offline workspace). Past
+//! the parser there is one shared-nothing engine: each worker of an
+//! [`ActorPool`](sitfact_core::ActorPool) owns its tenants' monitors
+//! outright; ingests travel through the owner's mailbox, `STATS`/`TOPK` are
+//! answered from a lock-free [`SnapshotCell`](sitfact_core::SnapshotCell)
+//! without ever touching the ingest path.
 //!
 //! Sockets carry read/write timeouts ([`ServerOptions`]) so a peer that
 //! stalls mid-frame — or never drains its responses — is dropped instead of
@@ -47,15 +40,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// bytes actually arrive (mirrors the protocol module's guard).
 const MAX_PREALLOC: usize = 4096;
 
-/// Which engine executes monitor-touching requests — see the module docs.
+/// Leftover of the engine selector: there is one engine. Kept only because
+/// the frozen `bench_e2e` sources name it; goes with that call (ROADMAP
+/// open item 4).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Shared-nothing: worker-owned monitors, mailbox ingest, lock-free
-    /// snapshot reads. The default.
+    /// The shared-nothing engine — the only one.
     Owned,
-    /// Every tenant behind one global mutex — the pre-ownership
-    /// architecture, retained as the bench baseline.
-    GlobalMutex,
 }
 
 /// Construction-time knobs for a [`FactServer`], built fluently from
@@ -65,7 +57,7 @@ pub enum ServeMode {
 /// # use sitfact_core::{Direction, SchemaBuilder};
 /// # use sitfact_algos::STopDown;
 /// # use sitfact_prominence::{FactMonitor, MonitorConfig, StreamMonitor};
-/// use sitfact_serve::{FactServer, ServeMode};
+/// use sitfact_serve::FactServer;
 ///
 /// # let schema = SchemaBuilder::new("gamelog")
 /// #     .dimension("player")
@@ -80,7 +72,7 @@ pub enum ServeMode {
 /// # ));
 /// let server = FactServer::builder()
 ///     .with_workers(8)
-///     .with_mode(ServeMode::Owned)
+///     .with_owners(4)
 ///     .with_data_dir("/var/lib/sitfact")
 ///     .bind("127.0.0.1:0", monitor)
 ///     .unwrap();
@@ -90,11 +82,8 @@ pub struct ServerOptions {
     /// Connection-handler workers: at most this many connections are
     /// serviced concurrently, later ones queue on the pool.
     pub workers: usize,
-    /// Monitor-owning workers in [`ServeMode::Owned`] (ignored by
-    /// [`ServeMode::GlobalMutex`]); tenants are hashed across them.
+    /// Monitor-owning workers; tenants are hashed across them.
     pub owners: usize,
-    /// Which engine executes monitor-touching requests.
-    pub mode: ServeMode,
     /// Dropped if a peer stalls this long *mid-frame* (idle between frames
     /// is always tolerated). `None` waits forever.
     pub read_timeout: Option<Duration>,
@@ -117,7 +106,6 @@ impl Default for ServerOptions {
         ServerOptions {
             workers: FactServer::DEFAULT_WORKERS,
             owners: FactServer::DEFAULT_WORKERS,
-            mode: ServeMode::Owned,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             data_dir: None,
@@ -133,15 +121,15 @@ impl ServerOptions {
         self
     }
 
-    /// Sets the number of monitor-owning workers ([`ServeMode::Owned`]).
+    /// Sets the number of monitor-owning workers.
     pub fn with_owners(mut self, owners: usize) -> Self {
         self.owners = owners;
         self
     }
 
-    /// Selects the request-execution engine.
-    pub fn with_mode(mut self, mode: ServeMode) -> Self {
-        self.mode = mode;
+    /// Does nothing: see [`ServeMode`].
+    #[doc(hidden)]
+    pub fn with_mode(self, _mode: ServeMode) -> Self {
         self
     }
 
@@ -171,14 +159,37 @@ impl ServerOptions {
         self
     }
 
-    /// Binds a listener with these options — the builder's terminal step,
-    /// equivalent to [`FactServer::bind_with_options`].
+    /// Binds a listener with these options and wraps `monitor` as the default
+    /// tenant — the builder's terminal step. A configured
+    /// [`ServerOptions::data_dir`] makes this recover the default tenant
+    /// from disk before the listener goes live; recovery failures (corrupt
+    /// directory, I/O errors) surface here as `io::Error`.
     pub fn bind(
         self,
         addr: impl ToSocketAddrs,
         monitor: Box<dyn StreamMonitor + Send>,
     ) -> std::io::Result<FactServer> {
-        FactServer::bind_with_options(addr, monitor, self)
+        let durability = self.data_dir.map(|root| Durability {
+            root,
+            wal: self.wal,
+        });
+        let engine = Engine::new(monitor, self.owners, durability)
+            .map_err(|error| std::io::Error::new(ErrorKind::InvalidData, error.to_string()))?;
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        Ok(FactServer {
+            listener,
+            pool: ThreadPool::new(self.workers),
+            shared: Arc::new(Shared {
+                engine,
+                running: AtomicBool::new(true),
+                addr,
+                connections: Mutex::new(HashMap::new()),
+                next_connection_id: AtomicU64::new(0),
+                read_timeout: self.read_timeout,
+                write_timeout: self.write_timeout,
+            }),
+        })
     }
 }
 
@@ -300,50 +311,17 @@ impl FactServer {
     pub const DEFAULT_WORKERS: usize = 4;
 
     /// Binds a listener and wraps `monitor` as the default tenant, with
-    /// [`ServerOptions::default`] (owned mode, 30 s socket timeouts).
+    /// [`ServerOptions::default`] (30 s socket timeouts, no durability).
     pub fn bind(
         addr: impl ToSocketAddrs,
         monitor: Box<dyn StreamMonitor + Send>,
     ) -> std::io::Result<Self> {
-        Self::bind_with_options(addr, monitor, ServerOptions::default())
+        ServerOptions::default().bind(addr, monitor)
     }
 
     /// Starts a fluent options builder; finish with [`ServerOptions::bind`].
     pub fn builder() -> ServerOptions {
         ServerOptions::default()
-    }
-
-    /// [`FactServer::bind`] with full control over mode, worker counts,
-    /// socket timeouts and durability. A configured
-    /// [`ServerOptions::data_dir`] makes this recover the default tenant
-    /// from disk before the listener goes live; recovery failures (corrupt
-    /// directory, I/O errors) surface here as `io::Error`.
-    pub fn bind_with_options(
-        addr: impl ToSocketAddrs,
-        monitor: Box<dyn StreamMonitor + Send>,
-        options: ServerOptions,
-    ) -> std::io::Result<Self> {
-        let durability = options.data_dir.clone().map(|root| Durability {
-            root,
-            wal: options.wal,
-        });
-        let engine = Engine::new(monitor, options.mode, options.owners, durability)
-            .map_err(|error| std::io::Error::new(ErrorKind::InvalidData, error.to_string()))?;
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(FactServer {
-            listener,
-            pool: ThreadPool::new(options.workers),
-            shared: Arc::new(Shared {
-                engine,
-                running: AtomicBool::new(true),
-                addr,
-                connections: Mutex::new(HashMap::new()),
-                next_connection_id: AtomicU64::new(0),
-                read_timeout: options.read_timeout,
-                write_timeout: options.write_timeout,
-            }),
-        })
     }
 
     /// Address the server is listening on (the ephemeral port when bound to
@@ -548,15 +526,13 @@ fn handle_request(request: Request, shared: &Arc<Shared>, session: &mut Session)
 }
 
 // The end-to-end behaviour (served ≡ in-process reports for both monitor
-// types and both serve modes, tenant isolation, error relay, stalled peers,
-// shutdown) is pinned by `tests/e2e.rs`, which exercises this module over
+// types, tenant isolation, error relay, stalled peers, shutdown) is pinned by `tests/e2e.rs`, which exercises this module over
 // real sockets.
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::RawRow;
-    use crate::tenant::EngineKind;
     use crate::ServeError;
     use sitfact_algos::STopDown;
     use sitfact_core::{Direction, Result, Schema, SchemaBuilder, Tuple, TupleId, TupleRef};
@@ -576,18 +552,6 @@ mod tests {
         ))
     }
 
-    fn bind_mode(mode: ServeMode) -> FactServer {
-        FactServer::bind_with_options(
-            "127.0.0.1:0",
-            monitor(),
-            ServerOptions {
-                mode,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap()
-    }
-
     #[test]
     fn bind_reports_the_ephemeral_port() {
         let server = FactServer::bind("127.0.0.1:0", monitor()).unwrap();
@@ -598,68 +562,11 @@ mod tests {
 
     #[test]
     fn handle_shutdown_unblocks_run() {
-        for mode in [ServeMode::Owned, ServeMode::GlobalMutex] {
-            let server = bind_mode(mode);
-            let handle = server.handle();
-            let join = std::thread::spawn(move || server.run());
-            handle.shutdown();
-            handle.shutdown(); // idempotent
-            join.join().expect("no panic").expect("clean exit");
-        }
-    }
-
-    #[test]
-    fn poisoned_mutex_engine_relays_typed_err_and_survives_reconnects() {
-        let server = bind_mode(ServeMode::GlobalMutex);
-        let addr = server.local_addr();
-        let shared = Arc::clone(&server.shared);
+        let server = FactServer::bind("127.0.0.1:0", monitor()).unwrap();
+        let handle = server.handle();
         let join = std::thread::spawn(move || server.run());
-
-        let mut first = crate::client::Client::connect(addr).unwrap();
-        first.ingest(&["Wesley"], &[10.0]).unwrap();
-
-        // Poison the engine mutex the way a buggy request handler would:
-        // panic while holding the lock.
-        let poisoner = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let EngineKind::Locked(ref locked) = shared.engine.kind else {
-                    unreachable!("bound in GlobalMutex mode");
-                };
-                let _guard = locked.state.lock().unwrap();
-                panic!("deliberate poison");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        {
-            let EngineKind::Locked(ref locked) = shared.engine.kind else {
-                unreachable!("bound in GlobalMutex mode");
-            };
-            assert!(locked.state.lock().is_err(), "mutex must be poisoned");
-        }
-
-        // The already-open connection gets a typed ERR, not a hangup...
-        match first.stats() {
-            Err(ServeError::Remote { kind, message }) => {
-                assert_eq!(kind, "State");
-                assert!(message.contains("poisoned"), "{message}");
-            }
-            other => panic!("expected a State error, got {other:?}"),
-        }
-        // ...and liveness still answers, because PING never takes the lock.
-        first.ping().unwrap();
-
-        // A fresh connection (client reconnect) sees the same typed error
-        // instead of a dead server.
-        let mut second = crate::client::Client::connect(addr).unwrap();
-        match second.ingest(&["Dirk"], &[20.0]) {
-            Err(ServeError::Remote { kind, .. }) => assert_eq!(kind, "State"),
-            other => panic!("expected a State error, got {other:?}"),
-        }
-        second.ping().unwrap();
-
-        // Shutdown still works over the wire: it never touches the monitor.
-        second.shutdown().unwrap();
+        handle.shutdown();
+        handle.shutdown(); // idempotent
         join.join().expect("no panic").expect("clean exit");
     }
 
@@ -711,12 +618,7 @@ mod tests {
     fn owned_mode_scopes_a_panicking_monitor_to_its_tenant() {
         use crate::protocol::TenantSpec;
 
-        let server = FactServer::bind_with_options(
-            "127.0.0.1:0",
-            PanickingMonitor::boxed(),
-            ServerOptions::default(),
-        )
-        .unwrap();
+        let server = FactServer::bind("127.0.0.1:0", PanickingMonitor::boxed()).unwrap();
         let addr = server.local_addr();
         let join = std::thread::spawn(move || server.run());
 
@@ -730,11 +632,24 @@ mod tests {
             }
             other => panic!("expected a State error, got {other:?}"),
         }
-        // The poison sticks for the tenant, on the read path too.
+        // The poison sticks for the tenant, on the read path too...
         match client.stats() {
             Err(ServeError::Remote { kind, .. }) => assert_eq!(kind, "State"),
             other => panic!("expected a State error, got {other:?}"),
         }
+        // ...while liveness still answers: PING never touches a monitor.
+        client.ping().unwrap();
+        // A second connection (a client reconnect) sees the same typed error
+        // on the poisoned tenant — not a hang-up — and is live itself.
+        let mut second = crate::client::Client::connect(addr).unwrap();
+        match second.ingest(&["Dirk"], &[20.0]) {
+            Err(ServeError::Remote { kind, message }) => {
+                assert_eq!(kind, "State");
+                assert!(message.contains("poisoned"), "{message}");
+            }
+            other => panic!("expected a State error, got {other:?}"),
+        }
+        second.ping().unwrap();
         // ...but it is scoped to the tenant: a freshly OPENed one is healthy.
         let spec = TenantSpec::new(
             "healthy",
@@ -749,42 +664,44 @@ mod tests {
         assert_eq!(stats.len, 1);
         assert_eq!(stats.schema, "healthy");
 
-        client.shutdown().unwrap();
+        // SHUTDOWN over the wire still ends `run()`, from the connection
+        // that only ever saw the poisoned tenant.
+        second.shutdown().unwrap();
         join.join().expect("no panic").expect("clean exit");
     }
 
     #[test]
     fn topk_truncates_and_stats_reflect_config() {
-        for mode in [ServeMode::Owned, ServeMode::GlobalMutex] {
-            let server = bind_mode(mode);
-            let shared = Arc::clone(&server.shared);
-            let mut session = Session::default();
-            // TOPK before any arrival is a state error.
-            let response = handle_request(Request::TopK(3), &shared, &mut session);
-            assert!(matches!(response, Response::Error { kind, .. } if kind == "State"));
-            // Ingest one row, then TOPK 1 returns a single-fact prefix.
-            let row = RawRow::new(&["Wesley"], &[10.0]);
-            let Response::Report(full) =
-                handle_request(Request::Ingest(row), &shared, &mut session)
-            else {
-                panic!("ingest failed");
-            };
-            assert!(full.facts.len() > 1);
-            let Response::Report(top) = handle_request(Request::TopK(1), &shared, &mut session)
-            else {
-                panic!("topk failed");
-            };
-            assert_eq!(top.facts.len(), 1);
-            assert_eq!(top.prominent_count, 1);
-            assert_eq!(top.facts[0], full.facts[0]);
-            let Response::Stats(stats) = handle_request(Request::Stats, &shared, &mut session)
-            else {
-                panic!("stats failed");
-            };
-            assert_eq!(stats.len, 1);
-            assert_eq!(stats.schema, "t");
-            assert_eq!(stats.tau, 1.0);
-            assert!(stats.uncompressed_bytes > 0);
-        }
+        let server = FactServer::bind("127.0.0.1:0", monitor()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let mut session = Session::default();
+        // TOPK before any arrival is a state error.
+        let response = handle_request(Request::TopK(3), &shared, &mut session);
+        assert!(matches!(response, Response::Error { kind, .. } if kind == "State"));
+        // Ingest one row, then TOPK 1 returns a single-fact prefix.
+        let row = RawRow::new(&["Wesley"], &[10.0]);
+        let Response::Report(full) = handle_request(Request::Ingest(row), &shared, &mut session)
+        else {
+            panic!("ingest failed");
+        };
+        assert!(full.facts.len() > 1);
+        let Response::Report(top) = handle_request(Request::TopK(1), &shared, &mut session) else {
+            panic!("topk failed");
+        };
+        assert_eq!(top.facts.len(), 1);
+        assert_eq!(top.prominent_count, 1);
+        assert_eq!(top.facts[0], full.facts[0]);
+        // A `k` past the end returns the whole report, unchanged.
+        assert_eq!(
+            handle_request(Request::TopK(1 << 20), &shared, &mut session),
+            Response::Report(full)
+        );
+        let Response::Stats(stats) = handle_request(Request::Stats, &shared, &mut session) else {
+            panic!("stats failed");
+        };
+        assert_eq!(stats.len, 1);
+        assert_eq!(stats.schema, "t");
+        assert_eq!(stats.tau, 1.0);
+        assert!(stats.uncompressed_bytes > 0);
     }
 }

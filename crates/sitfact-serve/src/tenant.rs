@@ -1,34 +1,30 @@
-//! Tenant registry and request engines: worker-owned monitors vs. the
-//! retained single-mutex comparison leg.
+//! Tenant registry and the request engine: worker-owned monitors, lock-free
+//! reads.
 //!
 //! A server hosts many named **tenants**, each an independent monitor with
 //! its own schema and config ([`crate::protocol::TenantSpec`]). This module
 //! owns the mapping from tenant name to monitor and executes every
-//! monitor-touching request. Two engines implement that contract:
+//! monitor-touching request, on one shared-nothing [`Engine`]: each worker of
+//! an [`ActorPool`](sitfact_core::ActorPool) *owns* the monitors hashed to it
+//! outright (an ownership transfer at `OPEN` time — no `Mutex` around a
+//! monitor, no `unsafe`). Ingest requests are routed to the owning worker's
+//! mailbox and answered over a per-request channel; `STATS`/`TOPK` reads are
+//! served from a lock-free [`SnapshotCell`] the owner republishes after every
+//! ingest, so read-mostly clients never queue behind the ingest path. The
+//! owner publishes each new snapshot *before* replying to the ingest that
+//! produced it, so a client that ingests and then reads its own tenant always
+//! observes its own write.
 //!
-//! * [`OwnedEngine`] — the shared-nothing architecture. Each worker of an
-//!   [`ActorPool`](sitfact_core::ActorPool) *owns* the monitors hashed to it
-//!   outright (an ownership transfer at `OPEN` time — no `Mutex` around a
-//!   monitor, no `unsafe`). Ingest requests are routed to the owning worker's
-//!   mailbox and answered over a per-request channel; `STATS`/`TOPK` reads
-//!   are served from a lock-free [`SnapshotCell`] the owner republishes after
-//!   every ingest, so read-mostly clients never queue behind the ingest path.
-//! * [`LockedEngine`] — the previous architecture, kept as the measured
-//!   baseline: every tenant behind one global `Mutex`, reads and writes
-//!   alike. The `fig_serve` bench drives both to produce the saturation
-//!   curve.
-//!
-//! Both engines answer byte-identical responses for identical request
-//! streams (pinned by the e2e suite): reports are pure functions of the
-//! ingested fact sets, and the owned engine publishes each new snapshot
-//! *before* replying to the ingest that produced it, so a client that
-//! ingests and then reads its own tenant always observes its own write.
+//! The registry is the one piece of shared state, and a name's entry outlives
+//! its monitor on both sides ([`Slot`]): it is reserved before `OPEN` touches
+//! the tenant's data directory and released only after `CLOSE`'s owner has
+//! dropped the monitor, so no two log writers ever hold one directory.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sitfact_core::{ActorPool, FxBuildHasher, SitFactError, SnapshotCell};
 use sitfact_prominence::{ArrivalReport, DurableMonitor, StreamMonitor, WalOptions};
@@ -42,7 +38,7 @@ use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
 /// reachable only as a connection's initial current tenant.
 pub(crate) const DEFAULT_TENANT: &str = "";
 
-/// The boxed monitor type both engines own.
+/// The boxed monitor type the engine's workers own.
 pub(crate) type BoxedMonitor = Box<dyn StreamMonitor + Send>;
 
 const POISONED_MSG: &str = "monitor poisoned by a panic in an earlier request";
@@ -60,26 +56,26 @@ pub(crate) struct TenantSnapshot {
     pub(crate) poisoned: bool,
 }
 
-/// Converts a monitor's exported snapshot into the wire statistics record.
+/// Converts a monitor's stats record into the wire statistics record.
 pub(crate) fn stats_of(monitor: &dyn StreamMonitor) -> ServerStats {
-    let snapshot = monitor.export_snapshot();
+    let stats = monitor.stats();
     ServerStats {
-        len: snapshot.len as u64,
-        tau: snapshot.tau,
-        keep_top: snapshot.keep_top.map(|k| k as u64),
-        anchor_dim: snapshot.anchor_dim.map(|d| d as u64),
-        sealed_blocks: snapshot.postings.sealed_blocks as u64,
-        tail_ids: snapshot.postings.tail_ids as u64,
-        compressed_bytes: snapshot.postings.compressed_bytes as u64,
-        uncompressed_bytes: snapshot.postings.uncompressed_bytes as u64,
-        wal_segments: snapshot.wal.segments,
-        wal_bytes: snapshot.wal.bytes,
-        wal_synced: snapshot.wal.durable_rows,
-        wal_retired: snapshot.wal.retired_segments,
-        live_rows: snapshot.live_rows as u64,
-        tombstones: snapshot.tombstones as u64,
-        evicted: snapshot.evicted as u64,
-        schema: snapshot.schema_name,
+        len: stats.len as u64,
+        tau: stats.tau,
+        keep_top: stats.keep_top.map(|k| k as u64),
+        anchor_dim: stats.anchor_dim.map(|d| d as u64),
+        sealed_blocks: stats.postings.sealed_blocks as u64,
+        tail_ids: stats.postings.tail_ids as u64,
+        compressed_bytes: stats.postings.compressed_bytes as u64,
+        uncompressed_bytes: stats.postings.uncompressed_bytes as u64,
+        wal_segments: stats.wal.segments,
+        wal_bytes: stats.wal.bytes,
+        wal_synced: stats.wal.durable_rows,
+        wal_retired: stats.wal.retired_segments,
+        live_rows: stats.live_rows as u64,
+        tombstones: stats.tombstones as u64,
+        evicted: stats.evicted as u64,
+        schema: stats.schema_name,
     }
 }
 
@@ -115,21 +111,6 @@ pub(crate) fn tenant_dir_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Wraps a freshly built tenant monitor in the durability layer, recovering
-/// whatever state a previous process left under the tenant's directory.
-/// Returns the wrapped monitor plus the recovered last arrival report, so
-/// `TOPK` answers survive a restart.
-fn wrap_durable(
-    monitor: BoxedMonitor,
-    durability: &Durability,
-    tenant: &str,
-) -> Result<(BoxedMonitor, Option<ArrivalReport>), SitFactError> {
-    let dir = durability.root.join(tenant_dir_name(tenant));
-    let (durable, _recovery) = DurableMonitor::open(dir, monitor, durability.wal)?;
-    let last_report = durable.last_report().cloned();
-    Ok((Box::new(durable), last_report))
 }
 
 /// Builds an independent monitor from a wire [`TenantSpec`].
@@ -170,7 +151,7 @@ pub(crate) fn build_monitor(spec: &TenantSpec) -> Result<BoxedMonitor, SitFactEr
     let algorithm = STopDown::new(&schema, discovery);
     let monitor = FactMonitor::new(schema, algorithm, config);
     // A windowed tenant wraps its monitor *inside* the durability layer
-    // (`wrap_durable` is applied by the caller, outermost), so WAL replay
+    // (`Engine::wrap` is applied by the caller, outermost), so WAL replay
     // re-feeds the logged batches through the window wrapper and the same
     // evictions are re-applied — the log never records eviction events.
     match spec.window {
@@ -198,8 +179,7 @@ fn unknown_tenant(name: &str) -> Response {
 }
 
 /// Executes an `INGEST` / `INGEST_BATCH` against a monitor, updating the
-/// retained last report. One definition, shared by both engines, so their
-/// responses are byte-identical by construction.
+/// retained last report.
 fn run_ingest(
     monitor: &mut BoxedMonitor,
     last_report: &mut Option<ArrivalReport>,
@@ -245,32 +225,25 @@ fn ingest_window(
     monitor.ingest_batch(window)
 }
 
-/// Answers `STATS` / `TOPK` from retained read-side state. Shared by the
-/// snapshot path and the locked engine so truncation semantics stay
-/// identical.
-fn read_response(
-    request: &Request,
-    report: Option<&ArrivalReport>,
-    stats: &ServerStats,
-) -> Response {
+/// Answers `STATS` / `TOPK` from a tenant's published snapshot. `TOPK k`
+/// copies only the `k` facts it returns, never the whole report.
+fn read_response(request: &Request, snapshot: &TenantSnapshot) -> Response {
+    if snapshot.poisoned {
+        return err("State", POISONED_MSG);
+    }
     match request {
-        Request::Stats => Response::Stats(stats.clone()),
-        Request::TopK(k) => match report {
+        Request::Stats => Response::Stats(snapshot.stats.clone()),
+        Request::TopK(k) => match &snapshot.report {
             None => err("State", "TOPK before any arrival was ingested"),
-            Some(report) => {
-                let mut top = report.clone();
-                top.facts.truncate(*k);
-                top.prominent_count = top.prominent_count.min(*k);
-                Response::Report(top)
-            }
+            Some(report) => Response::Report(ArrivalReport {
+                tuple_id: report.tuple_id,
+                facts: report.facts[..report.facts.len().min(*k)].to_vec(),
+                prominent_count: report.prominent_count.min(*k),
+            }),
         },
         _ => unreachable!("read_response is only dispatched read requests"),
     }
 }
-
-// ---------------------------------------------------------------------------
-// Owned engine
-// ---------------------------------------------------------------------------
 
 /// One tenant as its owning worker sees it. Lives inside the worker's state
 /// map — nothing outside the worker ever touches the monitor.
@@ -281,36 +254,63 @@ pub(crate) struct OwnedTenant {
     poisoned: bool,
 }
 
-/// The read-side handle the registry hands out: which worker owns the
-/// tenant, plus the snapshot cell its reads are served from.
-#[derive(Clone)]
-struct TenantHandle {
-    worker: usize,
-    snapshot: Arc<SnapshotCell<TenantSnapshot>>,
+/// A registry entry. Only `Live` tenants answer requests (it holds the
+/// snapshot cell their reads are served from; the owning worker is a hash of
+/// the name); the other two states keep the *name* taken while its data
+/// directory may be touched by an `OPEN` still recovering it or a `CLOSE`
+/// whose owner has not yet dropped the monitor. Every verb treats them like a
+/// missing entry, except `OPEN`, which refuses any taken name.
+enum Slot {
+    Opening,
+    Live(Arc<SnapshotCell<TenantSnapshot>>),
+    Closing,
 }
 
 /// Worker state: the tenants this worker owns, by name.
 type OwnerState = HashMap<String, OwnedTenant>;
 
-/// Shared-nothing engine: monitors are owned by [`ActorPool`] workers,
-/// ingest requests travel through the owner's mailbox, reads come from
-/// lock-free snapshots.
-pub(crate) struct OwnedEngine {
+/// The monitor-touching half of the server, behind one request-in,
+/// response-out surface: monitors are owned by [`ActorPool`] workers, ingest
+/// requests travel through the owner's mailbox, reads come from lock-free
+/// snapshots. The engine owns the optional durability policy: when set, every
+/// tenant monitor (the default one included) is wrapped in a
+/// [`DurableMonitor`] before installation, and `OPEN` of a name whose
+/// directory already exists recovers its state from disk.
+pub(crate) struct Engine {
     pool: ActorPool<OwnerState>,
-    registry: Mutex<HashMap<String, TenantHandle>>,
+    registry: Mutex<HashMap<String, Slot>>,
     owners: usize,
+    durability: Option<Durability>,
 }
 
-impl OwnedEngine {
-    fn new(monitor: BoxedMonitor, last_report: Option<ArrivalReport>, owners: usize) -> Self {
+impl Engine {
+    /// Builds the engine around the server's initial (default-tenant)
+    /// monitor, recovering the default tenant from `durability`'s data
+    /// directory when one is configured. Fails only on a durable-recovery
+    /// error (corrupt directory, I/O failure, non-empty initial monitor).
+    pub(crate) fn new(
+        monitor: BoxedMonitor,
+        owners: usize,
+        durability: Option<Durability>,
+    ) -> Result<Self, SitFactError> {
         let owners = owners.max(1);
-        let engine = OwnedEngine {
+        let engine = Engine {
             pool: ActorPool::new((0..owners).map(|_| OwnerState::new()).collect()),
             registry: Mutex::new(HashMap::new()),
             owners,
+            durability,
         };
-        engine.install(DEFAULT_TENANT.to_string(), monitor, last_report);
-        engine
+        let (monitor, last_report) = engine.wrap(monitor, DEFAULT_TENANT)?;
+        engine.install(DEFAULT_TENANT, monitor, last_report);
+        Ok(engine)
+    }
+
+    fn registry(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
+        // Every critical section is a single map operation, so a poisoned
+        // guard still holds a consistent map.
+        self.registry
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner())
     }
 
     fn worker_of(&self, name: &str) -> usize {
@@ -318,128 +318,168 @@ impl OwnedEngine {
         (FxBuildHasher::default().hash_one(name) % self.owners as u64) as usize
     }
 
-    /// Transfers `monitor` into the owning worker and registers the tenant.
-    /// `last_report` seeds the tenant's `TOPK` state (non-`None` when a
-    /// durable monitor recovered it from disk). Returns the `OPEN` response.
+    /// The snapshot cell of a `Live` tenant.
+    fn snapshot_of(&self, name: &str) -> Option<Arc<SnapshotCell<TenantSnapshot>>> {
+        match self.registry().get(name) {
+            Some(Slot::Live(snapshot)) => Some(Arc::clone(snapshot)),
+            _ => None,
+        }
+    }
+
+    /// Takes `name` for an `OPEN` in progress; `false` if it is taken already
+    /// (live, opening or closing).
+    fn reserve(&self, name: &str) -> bool {
+        let mut registry = self.registry();
+        if registry.contains_key(name) {
+            return false;
+        }
+        registry.insert(name.to_string(), Slot::Opening);
+        true
+    }
+
+    /// Applies the durability policy, if any: wraps a freshly built monitor
+    /// in the log layer, recovering whatever state a previous process left
+    /// under the tenant's directory. Returns the monitor plus the recovered
+    /// last arrival report, so `TOPK` answers survive a restart.
+    fn wrap(
+        &self,
+        monitor: BoxedMonitor,
+        name: &str,
+    ) -> Result<(BoxedMonitor, Option<ArrivalReport>), SitFactError> {
+        let Some(durability) = &self.durability else {
+            return Ok((monitor, None));
+        };
+        let dir = durability.root.join(tenant_dir_name(name));
+        let (durable, _recovery) = DurableMonitor::open(dir, monitor, durability.wal)?;
+        let last_report = durable.last_report().cloned();
+        Ok((Box::new(durable), last_report))
+    }
+
+    /// Runs `job` on `worker` and waits for its answer; `None` when the
+    /// worker is gone (pool teardown — the undelivered job, and with it the
+    /// reply sender, is dropped).
+    fn ask<T: Send + 'static>(
+        &self,
+        worker: usize,
+        job: impl FnOnce(&mut OwnerState) -> T + Send + 'static,
+    ) -> Option<T> {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        self.pool.send(worker, move |owned: &mut OwnerState| {
+            let _ = reply_tx.send(job(owned));
+        });
+        reply_rx.recv().ok()
+    }
+
+    /// Transfers `monitor` into the owning worker and turns the tenant's
+    /// registry entry `Live`. `last_report` seeds the tenant's `TOPK` state
+    /// (non-`None` when a durable monitor recovered it from disk). Returns
+    /// the `OPEN` response.
     fn install(
         &self,
-        name: String,
+        name: &str,
         monitor: BoxedMonitor,
         last_report: Option<ArrivalReport>,
     ) -> Response {
-        let worker = self.worker_of(&name);
+        let worker = self.worker_of(name);
         let snapshot = Arc::new(SnapshotCell::new(Arc::new(TenantSnapshot {
             report: last_report.clone(),
             stats: stats_of(monitor.as_ref()),
             poisoned: false,
         })));
-        let mut registry = self
-            .registry
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if registry.contains_key(&name) {
-            return err("Tenant", format!("tenant {name:?} already exists"));
-        }
-        // Enqueue the ownership transfer *before* publishing the registry
-        // entry, while still holding the registry lock: mailbox enqueues are
-        // real-time FIFO, so any ingest routed via the new entry lands in the
-        // mailbox strictly after this insert.
-        let handle = TenantHandle {
-            worker,
+        let tenant = OwnedTenant {
+            monitor,
+            last_report,
             snapshot: Arc::clone(&snapshot),
+            poisoned: false,
         };
-        let tenant_name = name.clone();
+        // Enqueue the ownership transfer *before* publishing the entry, while
+        // holding the registry lock: mailbox enqueues are real-time FIFO, so
+        // any ingest routed via the new entry lands in the mailbox strictly
+        // after this insert.
+        let mut registry = self.registry();
+        let tenant_name = name.to_string();
         let sent = self.pool.send(worker, move |owned: &mut OwnerState| {
-            owned.insert(
-                tenant_name,
-                OwnedTenant {
-                    monitor,
-                    last_report,
-                    snapshot,
-                    poisoned: false,
-                },
-            );
+            owned.insert(tenant_name, tenant);
         });
         if !sent {
+            registry.remove(name);
             return err("State", "server is shutting down");
         }
-        registry.insert(name, handle);
+        registry.insert(name.to_string(), Slot::Live(snapshot));
         Response::Ok
     }
 
-    fn handle_of(&self, name: &str) -> Option<TenantHandle> {
-        self.registry
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .get(name)
-            .cloned()
-    }
-
-    /// Evicts a tenant: unregisters it, then drops its monitor on the owning
-    /// worker. Blocks until the drop ran, so by the time `OK` reaches the
-    /// client every previously enqueued ingest has completed and the
-    /// monitor's resources (WAL file handles included) are released — a
-    /// subsequent `OPEN` of the same name can safely reclaim the directory.
-    fn close(&self, name: &str) -> Response {
-        let handle = {
-            let mut registry = self
-                .registry
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner());
-            match registry.remove(name) {
-                Some(handle) => handle,
-                None => return unknown_tenant(name),
+    /// Handles `OPEN`: builds a monitor from the spec and installs it under
+    /// its name. A taken name is a typed `Tenant` error; the existing tenant
+    /// is untouched. With durability configured, the fresh monitor is wrapped
+    /// in a [`DurableMonitor`] first — if the tenant's directory already
+    /// holds a log (from a previous process, or a `CLOSE`d tenant), its state
+    /// is recovered before the tenant goes live. The name is reserved before
+    /// any of that: opening a log truncates torn tails and deletes
+    /// unreachable segments, which must never happen under a live writer.
+    pub(crate) fn open(&self, spec: &TenantSpec) -> Response {
+        if !self.reserve(&spec.name) {
+            return err("Tenant", format!("tenant {:?} already exists", spec.name));
+        }
+        match build_monitor(spec).and_then(|monitor| self.wrap(monitor, &spec.name)) {
+            Ok((monitor, last_report)) => self.install(&spec.name, monitor, last_report),
+            Err(error) => {
+                self.registry().remove(&spec.name);
+                relay(&error)
             }
-        };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let tenant_name = name.to_string();
-        let sent = self
-            .pool
-            .send(handle.worker, move |owned: &mut OwnerState| {
-                owned.remove(&tenant_name);
-                let _ = reply_tx.send(());
-            });
-        if !sent {
-            return err("State", "server is shutting down");
-        }
-        match reply_rx.recv() {
-            Ok(()) => Response::Ok,
-            Err(_) => err("State", "server is shutting down"),
         }
     }
 
-    fn dispatch(&self, tenant: &str, request: Request) -> Response {
-        let Some(handle) = self.handle_of(tenant) else {
+    /// Handles `USE`: validates that the tenant exists (the connection layer
+    /// records the switch). Unknown names are a typed `Tenant` error.
+    pub(crate) fn use_tenant(&self, name: &str) -> Response {
+        match self.snapshot_of(name) {
+            Some(_) => Response::Ok,
+            None => unknown_tenant(name),
+        }
+    }
+
+    /// Handles `CLOSE`: evicts the named tenant's monitor from memory.
+    /// Unknown names are a typed `Tenant` error. Durable on-disk state is
+    /// untouched — a later `OPEN` of the same name recovers it.
+    ///
+    /// The entry turns `Closing` at once (no new request reaches the tenant),
+    /// the monitor drops on its owning worker behind every ingest already
+    /// enqueued, and only then is the name released: by the time `OK` reaches
+    /// the client the monitor's resources (WAL file handles included) are
+    /// gone, and no `OPEN` could have claimed the directory in between.
+    pub(crate) fn close(&self, name: &str) -> Response {
+        match self.registry().get_mut(name) {
+            Some(slot @ Slot::Live(_)) => *slot = Slot::Closing,
+            _ => return unknown_tenant(name),
+        }
+        let tenant_name = name.to_string();
+        let dropped = self.ask(self.worker_of(name), move |owned| {
+            drop(owned.remove(&tenant_name))
+        });
+        self.registry().remove(name);
+        match dropped {
+            Some(()) => Response::Ok,
+            None => err("State", "server is shutting down"),
+        }
+    }
+
+    /// Executes a monitor-touching request (`STATS` / `TOPK` / `INGEST` /
+    /// `INGEST_BATCH`) against the named tenant.
+    pub(crate) fn dispatch(&self, tenant: &str, request: Request) -> Response {
+        let Some(snapshot) = self.snapshot_of(tenant) else {
             return unknown_tenant(tenant);
         };
         match request {
-            Request::Stats | Request::TopK(_) => {
-                // Lock-free read: never touches the owning worker, so a
-                // read-mostly client cannot queue behind an in-flight batch.
-                let snapshot = handle.snapshot.load();
-                if snapshot.poisoned {
-                    return err("State", POISONED_MSG);
-                }
-                read_response(&request, snapshot.report.as_ref(), &snapshot.stats)
-            }
+            // Lock-free read: never touches the owning worker, so a
+            // read-mostly client cannot queue behind an in-flight batch.
+            Request::Stats | Request::TopK(_) => read_response(&request, &snapshot.load()),
             Request::Ingest(_) | Request::IngestBatch(_) => {
-                let (reply_tx, reply_rx) = mpsc::channel();
                 let name = tenant.to_string();
-                let sent = self
-                    .pool
-                    .send(handle.worker, move |owned: &mut OwnerState| {
-                        let response = ingest_on_owner(owned, &name, &request);
-                        let _ = reply_tx.send(response);
-                    });
-                if !sent {
-                    return err("State", "server is shutting down");
-                }
-                match reply_rx.recv() {
-                    Ok(response) => response,
-                    // The worker died mid-request (the job itself catches
-                    // monitor panics, so this is pool teardown).
-                    Err(_) => err("State", "server is shutting down"),
-                }
+                self.ask(self.worker_of(tenant), move |owned| {
+                    ingest_on_owner(owned, &name, &request)
+                })
+                .unwrap_or_else(|| err("State", "server is shutting down"))
             }
             _ => unreachable!("connection-level requests never reach the engine"),
         }
@@ -480,226 +520,9 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
     }
 }
 
-// ---------------------------------------------------------------------------
-// Locked engine (comparison leg)
-// ---------------------------------------------------------------------------
-
-pub(crate) struct LockedTenant {
-    monitor: BoxedMonitor,
-    last_report: Option<ArrivalReport>,
-}
-
-/// The pre-ownership architecture, retained as the bench baseline: every
-/// tenant behind one global mutex, reads and writes alike.
-pub(crate) struct LockedEngine {
-    pub(crate) state: Mutex<HashMap<String, LockedTenant>>,
-}
-
-impl LockedEngine {
-    fn new(monitor: BoxedMonitor, last_report: Option<ArrivalReport>) -> Self {
-        let mut tenants = HashMap::new();
-        tenants.insert(
-            DEFAULT_TENANT.to_string(),
-            LockedTenant {
-                monitor,
-                last_report,
-            },
-        );
-        LockedEngine {
-            state: Mutex::new(tenants),
-        }
-    }
-
-    fn install(
-        &self,
-        name: String,
-        monitor: BoxedMonitor,
-        last_report: Option<ArrivalReport>,
-    ) -> Response {
-        let Ok(mut tenants) = self.state.lock() else {
-            return err("State", POISONED_MSG);
-        };
-        if tenants.contains_key(&name) {
-            return err("Tenant", format!("tenant {name:?} already exists"));
-        }
-        tenants.insert(
-            name,
-            LockedTenant {
-                monitor,
-                last_report,
-            },
-        );
-        Response::Ok
-    }
-
-    /// Evicts a tenant under the global lock; the monitor drops before the
-    /// response is produced, mirroring [`OwnedEngine::close`].
-    fn close(&self, name: &str) -> Response {
-        let Ok(mut tenants) = self.state.lock() else {
-            return err("State", POISONED_MSG);
-        };
-        if tenants.remove(name).is_none() {
-            return unknown_tenant(name);
-        }
-        Response::Ok
-    }
-
-    fn knows(&self, name: &str) -> Option<bool> {
-        self.state
-            .lock()
-            .ok()
-            .map(|tenants| tenants.contains_key(name))
-    }
-
-    fn dispatch(&self, tenant: &str, request: Request) -> Response {
-        // Deliberate lock-poisoning semantics: a panicking ingest poisons the
-        // whole engine, and every later request relays a typed `State` error
-        // (the owned engine scopes the same failure to one tenant).
-        let Ok(mut tenants) = self.state.lock() else {
-            return err("State", POISONED_MSG);
-        };
-        let Some(entry) = tenants.get_mut(tenant) else {
-            return unknown_tenant(tenant);
-        };
-        match request {
-            Request::Stats => Response::Stats(stats_of(entry.monitor.as_ref())),
-            Request::TopK(_) => {
-                let stats = stats_of(entry.monitor.as_ref());
-                read_response(&request, entry.last_report.as_ref(), &stats)
-            }
-            Request::Ingest(_) | Request::IngestBatch(_) => {
-                run_ingest(&mut entry.monitor, &mut entry.last_report, &request)
-            }
-            _ => unreachable!("connection-level requests never reach the engine"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine facade
-// ---------------------------------------------------------------------------
-
-/// The monitor-touching half of the server, behind one request-in,
-/// response-out surface so `server.rs` stays architecture-agnostic. The
-/// engine owns the optional durability policy: when set, every tenant
-/// monitor (the default one included) is wrapped in a
-/// [`DurableMonitor`] before installation, and `OPEN` of a name whose
-/// directory already exists recovers its state from disk.
-pub(crate) struct Engine {
-    /// Which architecture executes requests.
-    pub(crate) kind: EngineKind,
-    durability: Option<Durability>,
-}
-
-/// The two request-execution architectures.
-pub(crate) enum EngineKind {
-    /// Shared-nothing: worker-owned monitors, lock-free reads.
-    Owned(OwnedEngine),
-    /// Global mutex (the measured baseline).
-    Locked(LockedEngine),
-}
-
-impl Engine {
-    /// Builds the engine around the server's initial (default-tenant)
-    /// monitor, recovering the default tenant from `durability`'s data
-    /// directory when one is configured. Fails only on a durable-recovery
-    /// error (corrupt directory, I/O failure, non-empty initial monitor).
-    pub(crate) fn new(
-        monitor: BoxedMonitor,
-        mode: crate::server::ServeMode,
-        owners: usize,
-        durability: Option<Durability>,
-    ) -> Result<Self, SitFactError> {
-        let (monitor, last_report) = match &durability {
-            Some(policy) => wrap_durable(monitor, policy, DEFAULT_TENANT)?,
-            None => (monitor, None),
-        };
-        let kind = match mode {
-            crate::server::ServeMode::Owned => {
-                EngineKind::Owned(OwnedEngine::new(monitor, last_report, owners))
-            }
-            crate::server::ServeMode::GlobalMutex => {
-                EngineKind::Locked(LockedEngine::new(monitor, last_report))
-            }
-        };
-        Ok(Engine { kind, durability })
-    }
-
-    /// Handles `OPEN`: builds a monitor from the spec and installs it under
-    /// its name. Duplicate names are a typed `Tenant` error; the existing
-    /// tenant is untouched. With durability configured, the fresh monitor is
-    /// wrapped in a [`DurableMonitor`] first — if the tenant's directory
-    /// already holds a log (from a previous process, or a `CLOSE`d tenant),
-    /// its state is recovered before the tenant goes live.
-    pub(crate) fn open(&self, spec: &TenantSpec) -> Response {
-        if self.durability.is_some() {
-            // Refuse duplicates *before* touching the durable directory, so
-            // an `OPEN` race can never attach a second log writer to a live
-            // tenant's directory. (The registry re-checks under its lock;
-            // the losing racer's wrapper is dropped without ever writing.)
-            let exists = match &self.kind {
-                EngineKind::Owned(engine) => engine.handle_of(&spec.name).is_some(),
-                EngineKind::Locked(engine) => engine.knows(&spec.name).unwrap_or(false),
-            };
-            if exists {
-                return err("Tenant", format!("tenant {:?} already exists", spec.name));
-            }
-        }
-        let monitor = match build_monitor(spec) {
-            Ok(monitor) => monitor,
-            Err(error) => return relay(&error),
-        };
-        let (monitor, last_report) = match &self.durability {
-            Some(policy) => match wrap_durable(monitor, policy, &spec.name) {
-                Ok(wrapped) => wrapped,
-                Err(error) => return relay(&error),
-            },
-            None => (monitor, None),
-        };
-        match &self.kind {
-            EngineKind::Owned(engine) => engine.install(spec.name.clone(), monitor, last_report),
-            EngineKind::Locked(engine) => engine.install(spec.name.clone(), monitor, last_report),
-        }
-    }
-
-    /// Handles `USE`: validates that the tenant exists (the connection layer
-    /// records the switch). Unknown names are a typed `Tenant` error.
-    pub(crate) fn use_tenant(&self, name: &str) -> Response {
-        let known = match &self.kind {
-            EngineKind::Owned(engine) => Some(engine.handle_of(name).is_some()),
-            EngineKind::Locked(engine) => engine.knows(name),
-        };
-        match known {
-            None => err("State", POISONED_MSG),
-            Some(false) => unknown_tenant(name),
-            Some(true) => Response::Ok,
-        }
-    }
-
-    /// Handles `CLOSE`: evicts the named tenant's monitor from memory.
-    /// Unknown names are a typed `Tenant` error. Durable on-disk state is
-    /// untouched — a later `OPEN` of the same name recovers it.
-    pub(crate) fn close(&self, name: &str) -> Response {
-        match &self.kind {
-            EngineKind::Owned(engine) => engine.close(name),
-            EngineKind::Locked(engine) => engine.close(name),
-        }
-    }
-
-    /// Executes a monitor-touching request (`STATS` / `TOPK` / `INGEST` /
-    /// `INGEST_BATCH`) against the named tenant.
-    pub(crate) fn dispatch(&self, tenant: &str, request: Request) -> Response {
-        match &self.kind {
-            EngineKind::Owned(engine) => engine.dispatch(tenant, request),
-            EngineKind::Locked(engine) => engine.dispatch(tenant, request),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServeMode;
     use sitfact_core::Direction;
 
     fn spec(name: &str) -> TenantSpec {
@@ -719,11 +542,20 @@ mod tests {
         RawRow::new(&[player, team], &[points])
     }
 
-    fn engines() -> Vec<Engine> {
-        vec![
-            Engine::new(default_monitor(), ServeMode::Owned, 2, None).expect("no durability"),
-            Engine::new(default_monitor(), ServeMode::GlobalMutex, 0, None).expect("no durability"),
-        ]
+    fn engine() -> Engine {
+        Engine::new(default_monitor(), 2, None).expect("no durability")
+    }
+
+    fn durable_engine(root: &std::path::Path) -> Engine {
+        let durability = Durability {
+            root: root.to_path_buf(),
+            wal: WalOptions::default(),
+        };
+        Engine::new(default_monitor(), 2, Some(durability)).expect("open data dir")
+    }
+
+    fn is_err(response: &Response, expected: &str) -> bool {
+        matches!(response, Response::Error { kind, .. } if kind == expected)
     }
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -756,196 +588,214 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_the_full_tenant_lifecycle() {
-        for engine in engines() {
-            // The default tenant answers immediately.
-            let stats = engine.dispatch(DEFAULT_TENANT, Request::Stats);
-            assert!(matches!(stats, Response::Stats(ref s) if s.len == 0));
+    fn the_full_tenant_lifecycle() {
+        let engine = engine();
+        // The default tenant answers immediately.
+        let stats = engine.dispatch(DEFAULT_TENANT, Request::Stats);
+        assert!(matches!(stats, Response::Stats(ref s) if s.len == 0));
 
-            // OPEN + USE a named tenant, ingest into it.
-            assert_eq!(engine.open(&spec("east")), Response::Ok);
-            assert_eq!(engine.use_tenant("east"), Response::Ok);
-            let report = engine.dispatch("east", Request::Ingest(row("Wes", "BOS", 31.0)));
-            assert!(matches!(report, Response::Report(_)));
-            let stats = engine.dispatch("east", Request::Stats);
-            assert!(matches!(stats, Response::Stats(ref s) if s.len == 1));
-            // The default tenant is isolated from the named one.
-            let stats = engine.dispatch(DEFAULT_TENANT, Request::Stats);
-            assert!(matches!(stats, Response::Stats(ref s) if s.len == 0));
+        // OPEN + USE a named tenant, ingest into it.
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert_eq!(engine.use_tenant("east"), Response::Ok);
+        let report = engine.dispatch("east", Request::Ingest(row("Wes", "BOS", 31.0)));
+        assert!(matches!(report, Response::Report(_)));
+        let stats = engine.dispatch("east", Request::Stats);
+        assert!(matches!(stats, Response::Stats(ref s) if s.len == 1));
+        // The default tenant is isolated from the named one.
+        let stats = engine.dispatch(DEFAULT_TENANT, Request::Stats);
+        assert!(matches!(stats, Response::Stats(ref s) if s.len == 0));
 
-            // Duplicate OPEN and unknown USE are typed Tenant errors.
-            assert!(matches!(
-                engine.open(&spec("east")),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            assert!(matches!(
-                engine.use_tenant("west"),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            assert!(matches!(
-                engine.dispatch("west", Request::Stats),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
+        // Duplicate OPEN and unknown USE are typed Tenant errors.
+        assert!(is_err(&engine.open(&spec("east")), "Tenant"));
+        assert!(is_err(&engine.use_tenant("west"), "Tenant"));
+        assert!(is_err(&engine.dispatch("west", Request::Stats), "Tenant"));
 
-            // TOPK before any arrival is a typed State error; after, a report.
-            assert!(matches!(
-                engine.dispatch(DEFAULT_TENANT, Request::TopK(3)),
-                Response::Error { ref kind, .. } if kind == "State"
-            ));
-            let batch = Request::IngestBatch(vec![row("Amy", "NYK", 12.0), row("Sam", "BOS", 9.0)]);
-            assert!(matches!(
-                engine.dispatch("east", batch),
-                Response::Reports(ref r) if r.len() == 2
-            ));
-            assert!(matches!(
-                engine.dispatch("east", Request::TopK(1)),
-                Response::Report(ref r) if r.facts.len() <= 1 && r.prominent_count <= 1
-            ));
-        }
+        // TOPK before any arrival is a typed State error; after, a report.
+        assert!(is_err(
+            &engine.dispatch(DEFAULT_TENANT, Request::TopK(3)),
+            "State"
+        ));
+        let batch = Request::IngestBatch(vec![row("Amy", "NYK", 12.0), row("Sam", "BOS", 9.0)]);
+        assert!(matches!(
+            engine.dispatch("east", batch),
+            Response::Reports(ref r) if r.len() == 2
+        ));
+        assert!(matches!(
+            engine.dispatch("east", Request::TopK(1)),
+            Response::Report(ref r) if r.facts.len() <= 1 && r.prominent_count <= 1
+        ));
     }
 
     #[test]
-    fn engines_produce_byte_identical_responses() {
-        let rows = vec![
-            row("Wes", "BOS", 31.0),
-            row("Amy", "NYK", 12.0),
-            row("Wes", "BOS", 7.0),
-            row("Sam", "NYK", 44.0),
-        ];
-        let mut transcripts: Vec<Vec<String>> = Vec::new();
-        for engine in engines() {
-            assert_eq!(engine.open(&spec("league")), Response::Ok);
-            let mut transcript = Vec::new();
-            for row in &rows {
-                let response = engine.dispatch("league", Request::Ingest(row.clone()));
-                transcript.push(response.encode());
-            }
-            transcript.push(engine.dispatch("league", Request::TopK(2)).encode());
-            transcript.push(engine.dispatch("league", Request::Stats).encode());
-            transcripts.push(transcript);
-        }
-        assert_eq!(transcripts[0], transcripts[1]);
+    fn close_semantics() {
+        let engine = engine();
+        // Unknown CLOSE is a typed Tenant error.
+        assert!(is_err(&engine.close("ghost"), "Tenant"));
+        // OPEN, ingest, CLOSE: the tenant is gone from every surface.
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert!(matches!(
+            engine.dispatch("east", Request::Ingest(row("Wes", "BOS", 31.0))),
+            Response::Report(_)
+        ));
+        assert_eq!(engine.close("east"), Response::Ok);
+        assert!(is_err(&engine.dispatch("east", Request::Stats), "Tenant"));
+        assert!(is_err(&engine.use_tenant("east"), "Tenant"));
+        // Double CLOSE is the same typed error.
+        assert!(is_err(&engine.close("east"), "Tenant"));
+        // The name is reusable: a fresh OPEN starts from zero (no
+        // durability configured, so nothing survives the eviction).
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert!(matches!(
+            engine.dispatch("east", Request::Stats),
+            Response::Stats(ref s) if s.len == 0
+        ));
     }
 
     #[test]
-    fn engines_agree_on_close_semantics() {
-        for engine in engines() {
-            // Unknown CLOSE is a typed Tenant error.
+    fn a_reserved_name_is_taken_before_its_directory_is_touched() {
+        let root = temp_root("reserved");
+        let engine = durable_engine(&root);
+        // An OPEN in flight holds the name like this from before it builds
+        // the monitor until the tenant is live (or the OPEN failed).
+        assert!(engine.reserve("east"));
+        assert!(!engine.reserve("east"));
+        assert!(is_err(&engine.open(&spec("east")), "Tenant"));
+        assert!(
+            !root.join(tenant_dir_name("east")).exists(),
+            "a refused OPEN must not create or open the tenant's directory"
+        );
+        // Every other verb sees a reserved name as a missing one.
+        assert!(is_err(&engine.use_tenant("east"), "Tenant"));
+        assert!(is_err(&engine.dispatch("east", Request::Stats), "Tenant"));
+        assert!(is_err(&engine.close("east"), "Tenant"));
+        assert!(!engine.reserve("east"), "a refused CLOSE keeps the entry");
+
+        // A failed OPEN releases its reservation: the name opens afterwards.
+        let mut bad = spec("west");
+        bad.d_hat = Some(0);
+        assert!(is_err(&engine.open(&bad), "InvalidConfig"));
+        assert_eq!(engine.open(&spec("west")), Response::Ok);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn open_during_close_is_refused_until_the_owner_dropped_the_monitor() {
+        let root = temp_root("closing");
+        let engine = Arc::new(durable_engine(&root));
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        let rows = [row("Wes", "BOS", 31.0), row("Amy", "NYK", 12.0)];
+        for r in rows.iter().cloned() {
             assert!(matches!(
-                engine.close("ghost"),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            // OPEN, ingest, CLOSE: the tenant is gone from every surface.
-            assert_eq!(engine.open(&spec("east")), Response::Ok);
-            assert!(matches!(
-                engine.dispatch("east", Request::Ingest(row("Wes", "BOS", 31.0))),
+                engine.dispatch("east", Request::Ingest(r)),
                 Response::Report(_)
             ));
-            assert_eq!(engine.close("east"), Response::Ok);
-            assert!(matches!(
-                engine.dispatch("east", Request::Stats),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            assert!(matches!(
-                engine.use_tenant("east"),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            // Double CLOSE is the same typed error.
-            assert!(matches!(
-                engine.close("east"),
-                Response::Error { ref kind, .. } if kind == "Tenant"
-            ));
-            // The name is reusable: a fresh OPEN starts from zero (no
-            // durability configured, so nothing survives the eviction).
-            assert_eq!(engine.open(&spec("east")), Response::Ok);
-            assert!(matches!(
-                engine.dispatch("east", Request::Stats),
-                Response::Stats(ref s) if s.len == 0
-            ));
         }
+        let acknowledged = engine.dispatch("east", Request::TopK(8)).encode();
+
+        // Park a job on east's owner, so the drop that CLOSE enqueues behind
+        // it cannot run yet: the old monitor, and its log handle, stay alive.
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        assert!(engine.pool.send(engine.worker_of("east"), move |_| {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+        }));
+        parked_rx.recv().expect("blocker is running");
+        let closer = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.close("east"))
+        };
+        // CLOSE has taken the tenant off every surface once USE refuses it;
+        // it cannot finish before the blocker is released.
+        while engine.use_tenant("east") == Response::Ok {
+            std::thread::yield_now();
+        }
+        assert!(
+            is_err(&engine.open(&spec("east")), "Tenant"),
+            "OPEN must not attach a second log writer while the old monitor is alive"
+        );
+
+        release_tx.send(()).expect("blocker waits for the release");
+        assert_eq!(closer.join().expect("closer thread"), Response::Ok);
+        // The name is free again, and every acknowledged row is recovered.
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert_eq!(
+            engine.dispatch("east", Request::TopK(8)).encode(),
+            acknowledged
+        );
+        assert!(matches!(
+            engine.dispatch("east", Request::Stats),
+            Response::Stats(ref s) if s.len == rows.len() as u64
+        ));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn windowed_tenants_retract_old_arrivals_and_report_the_breakdown() {
-        for engine in engines() {
-            let mut windowed = spec("tail");
-            windowed.window = Some(3);
-            assert_eq!(engine.open(&windowed), Response::Ok);
-            for i in 0..7 {
-                assert!(matches!(
-                    engine.dispatch("tail", Request::Ingest(row("Wes", "BOS", f64::from(i)))),
-                    Response::Report(_)
-                ));
-            }
-            let Response::Stats(stats) = engine.dispatch("tail", Request::Stats) else {
-                panic!("STATS should answer on a windowed tenant");
-            };
-            assert_eq!(stats.len, 7);
-            assert_eq!(stats.live_rows, 3);
-            // Every expired arrival is either tombstoned or already compacted
-            // away; the breakdown always reconciles with `len`.
-            assert_eq!(stats.live_rows + stats.tombstones + stats.evicted, 7);
-
-            // A degenerate window (zero rows) is refused at OPEN time with a
-            // typed config error, not accepted and ignored.
-            let mut degenerate = spec("zero");
-            degenerate.window = Some(0);
+        let engine = engine();
+        let mut windowed = spec("tail");
+        windowed.window = Some(3);
+        assert_eq!(engine.open(&windowed), Response::Ok);
+        for i in 0..7 {
             assert!(matches!(
-                engine.open(&degenerate),
-                Response::Error { ref kind, .. } if kind == "InvalidConfig"
+                engine.dispatch("tail", Request::Ingest(row("Wes", "BOS", f64::from(i)))),
+                Response::Report(_)
             ));
         }
+        let Response::Stats(stats) = engine.dispatch("tail", Request::Stats) else {
+            panic!("STATS should answer on a windowed tenant");
+        };
+        assert_eq!(stats.len, 7);
+        assert_eq!(stats.live_rows, 3);
+        // Every expired arrival is either tombstoned or already compacted
+        // away; the breakdown always reconciles with `len`.
+        assert_eq!(stats.live_rows + stats.tombstones + stats.evicted, 7);
+
+        // A degenerate window (zero rows) is refused at OPEN time with a
+        // typed config error, not accepted and ignored.
+        let mut degenerate = spec("zero");
+        degenerate.window = Some(0);
+        assert!(is_err(&engine.open(&degenerate), "InvalidConfig"));
     }
 
     #[test]
     fn durable_windowed_tenants_recover_with_their_window_reapplied() {
-        for (mode, owners, tag) in [
-            (ServeMode::Owned, 2, "owned-window"),
-            (ServeMode::GlobalMutex, 0, "locked-window"),
-        ] {
-            let root = temp_root(tag);
-            let durability = Durability {
-                root: root.clone(),
-                wal: WalOptions::default(),
-            };
-            let mut windowed = spec("tail");
-            windowed.window = Some(2);
-            let pre_kill;
-            {
-                let engine = Engine::new(default_monitor(), mode, owners, Some(durability.clone()))
-                    .expect("fresh data dir");
-                assert_eq!(engine.open(&windowed), Response::Ok);
-                for r in [
-                    row("Wes", "BOS", 31.0),
-                    row("Amy", "NYK", 12.0),
-                    row("Wes", "BOS", 7.0),
-                    row("Sam", "NYK", 44.0),
-                ] {
-                    assert!(matches!(
-                        engine.dispatch("tail", Request::Ingest(r)),
-                        Response::Report(_)
-                    ));
-                }
-                pre_kill = (
-                    engine.dispatch("tail", Request::TopK(8)).encode(),
-                    engine.dispatch("tail", Request::Stats).encode(),
-                );
-                // Crash without an orderly handoff.
-            }
-            let engine = Engine::new(default_monitor(), mode, owners, Some(durability))
-                .expect("recover data dir");
-            // Re-OPEN with the same windowed spec: replay re-feeds the logged
-            // batches through the window wrapper, so the retraction state
-            // (live/tombstone/evicted breakdown included) is reproduced
-            // exactly, not just the surviving tuples.
+        let root = temp_root("window");
+        let mut windowed = spec("tail");
+        windowed.window = Some(2);
+        let pre_kill;
+        {
+            let engine = durable_engine(&root);
             assert_eq!(engine.open(&windowed), Response::Ok);
-            assert_eq!(
+            for r in [
+                row("Wes", "BOS", 31.0),
+                row("Amy", "NYK", 12.0),
+                row("Wes", "BOS", 7.0),
+                row("Sam", "NYK", 44.0),
+            ] {
+                assert!(matches!(
+                    engine.dispatch("tail", Request::Ingest(r)),
+                    Response::Report(_)
+                ));
+            }
+            pre_kill = (
                 engine.dispatch("tail", Request::TopK(8)).encode(),
-                pre_kill.0
+                engine.dispatch("tail", Request::Stats).encode(),
             );
-            assert_eq!(engine.dispatch("tail", Request::Stats).encode(), pre_kill.1);
-            let _ = std::fs::remove_dir_all(&root);
+            // Crash without an orderly handoff.
         }
+        let engine = durable_engine(&root);
+        // Re-OPEN with the same windowed spec: replay re-feeds the logged
+        // batches through the window wrapper, so the retraction state
+        // (live/tombstone/evicted breakdown included) is reproduced
+        // exactly, not just the surviving tuples.
+        assert_eq!(engine.open(&windowed), Response::Ok);
+        assert_eq!(
+            engine.dispatch("tail", Request::TopK(8)).encode(),
+            pre_kill.0
+        );
+        assert_eq!(engine.dispatch("tail", Request::Stats).encode(), pre_kill.1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -961,68 +811,56 @@ mod tests {
 
     #[test]
     fn durable_engines_recover_tenants_across_restarts() {
-        for (mode, owners, tag) in [
-            (ServeMode::Owned, 2, "owned"),
-            (ServeMode::GlobalMutex, 0, "locked"),
-        ] {
-            let root = temp_root(tag);
-            let durability = Durability {
-                root: root.clone(),
-                wal: WalOptions::default(),
-            };
-            let pre_kill;
-            {
-                let engine = Engine::new(default_monitor(), mode, owners, Some(durability.clone()))
-                    .expect("fresh data dir");
-                assert_eq!(engine.open(&spec("east")), Response::Ok);
-                for r in [
-                    row("Wes", "BOS", 31.0),
-                    row("Amy", "NYK", 12.0),
-                    row("Wes", "BOS", 7.0),
-                ] {
-                    assert!(matches!(
-                        engine.dispatch("east", Request::Ingest(r)),
-                        Response::Report(_)
-                    ));
-                }
-                pre_kill = (
-                    engine.dispatch("east", Request::TopK(8)).encode(),
-                    engine.dispatch("east", Request::Stats).encode(),
-                );
-                // Crash: the engine is dropped without any orderly handoff
-                // (per-append sync makes the log already durable).
+        let root = temp_root("restart");
+        let pre_kill;
+        {
+            let engine = durable_engine(&root);
+            assert_eq!(engine.open(&spec("east")), Response::Ok);
+            for r in [
+                row("Wes", "BOS", 31.0),
+                row("Amy", "NYK", 12.0),
+                row("Wes", "BOS", 7.0),
+            ] {
+                assert!(matches!(
+                    engine.dispatch("east", Request::Ingest(r)),
+                    Response::Report(_)
+                ));
             }
-            let engine = Engine::new(default_monitor(), mode, owners, Some(durability))
-                .expect("recover data dir");
-            // Re-OPEN with the same spec recovers the tenant's state.
-            assert_eq!(engine.open(&spec("east")), Response::Ok);
-            assert_eq!(
+            pre_kill = (
                 engine.dispatch("east", Request::TopK(8)).encode(),
-                pre_kill.0
+                engine.dispatch("east", Request::Stats).encode(),
             );
-            assert_eq!(engine.dispatch("east", Request::Stats).encode(), pre_kill.1);
-            // CLOSE then re-OPEN also round-trips through disk.
-            assert_eq!(engine.close("east"), Response::Ok);
-            assert_eq!(engine.open(&spec("east")), Response::Ok);
-            assert_eq!(
-                engine.dispatch("east", Request::TopK(8)).encode(),
-                pre_kill.0
-            );
-            let _ = std::fs::remove_dir_all(&root);
+            // Crash: the engine is dropped without any orderly handoff
+            // (per-append sync makes the log already durable).
         }
+        let engine = durable_engine(&root);
+        // Re-OPEN with the same spec recovers the tenant's state.
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert_eq!(
+            engine.dispatch("east", Request::TopK(8)).encode(),
+            pre_kill.0
+        );
+        assert_eq!(engine.dispatch("east", Request::Stats).encode(), pre_kill.1);
+        // CLOSE then re-OPEN also round-trips through disk.
+        assert_eq!(engine.close("east"), Response::Ok);
+        assert_eq!(engine.open(&spec("east")), Response::Ok);
+        assert_eq!(
+            engine.dispatch("east", Request::TopK(8)).encode(),
+            pre_kill.0
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn owned_ingest_errors_keep_the_window_all_or_nothing() {
-        let engine =
-            Engine::new(default_monitor(), ServeMode::Owned, 3, None).expect("no durability");
+        let engine = engine();
         let bad = Request::IngestBatch(vec![
             row("Wes", "BOS", 31.0),
             RawRow::new(&["only-one-dim"], &[1.0]),
         ]);
-        assert!(matches!(
-            engine.dispatch(DEFAULT_TENANT, bad),
-            Response::Error { ref kind, .. } if kind == "InvalidTuple"
+        assert!(is_err(
+            &engine.dispatch(DEFAULT_TENANT, bad),
+            "InvalidTuple"
         ));
         let stats = engine.dispatch(DEFAULT_TENANT, Request::Stats);
         assert!(matches!(stats, Response::Stats(ref s) if s.len == 0));

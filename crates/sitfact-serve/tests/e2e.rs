@@ -9,7 +9,7 @@ use sitfact_core::{Direction, Schema, SchemaBuilder};
 use sitfact_prominence::{
     ArrivalReport, FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor,
 };
-use sitfact_serve::{Client, FactServer, RawRow, ServeError, ServeMode, TenantSpec};
+use sitfact_serve::{Client, FactServer, RawRow, ServeError, TenantSpec};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -266,113 +266,106 @@ fn tenants_are_isolated_and_byte_identical_to_their_references() {
     // Two tenants with different schemas and configs ingest concurrently
     // into one server; each transcript must be byte-identical to its own
     // in-process reference, and the default tenant must stay empty.
-    for mode in [ServeMode::Owned, ServeMode::GlobalMutex] {
-        let schema = schema();
-        let config = config();
-        let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
-            schema.clone(),
-            STopDown::new(&schema, config.discovery),
-            config,
-        ));
-        let server = FactServer::builder()
-            .with_mode(mode)
-            .bind("127.0.0.1:0", monitor)
-            .expect("bind");
-        let addr = server.local_addr();
-        let join = std::thread::spawn(move || server.run().expect("server exits cleanly"));
+    let schema = schema();
+    let config = config();
+    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+        schema.clone(),
+        STopDown::new(&schema, config.discovery),
+        config,
+    ));
+    let (addr, join) = spawn_server(monitor);
 
-        let gamelog = TenantSpec::new(
-            "gamelog-east",
-            &["player", "team", "month"],
-            &[
-                ("points", Direction::HigherIsBetter),
-                ("assists", Direction::HigherIsBetter),
-            ],
-            2.0,
-        );
-        let mut forecast = TenantSpec::new(
-            "forecast",
-            &["city", "day"],
-            &[("temp", Direction::LowerIsBetter)],
-            1.5,
-        );
-        forecast.keep_top = Some(8);
+    let gamelog = TenantSpec::new(
+        "gamelog-east",
+        &["player", "team", "month"],
+        &[
+            ("points", Direction::HigherIsBetter),
+            ("assists", Direction::HigherIsBetter),
+        ],
+        2.0,
+    );
+    let mut forecast = TenantSpec::new(
+        "forecast",
+        &["city", "day"],
+        &[("temp", Direction::LowerIsBetter)],
+        1.5,
+    );
+    forecast.keep_top = Some(8);
 
-        let forecast_rows: Vec<(Vec<String>, Vec<f64>)> = (0..30)
-            .map(|i| {
-                (
-                    vec![format!("C{}", i % 4), format!("D{}", i % 7)],
-                    vec![(i % 11) as f64],
-                )
+    let forecast_rows: Vec<(Vec<String>, Vec<f64>)> = (0..30)
+        .map(|i| {
+            (
+                vec![format!("C{}", i % 4), format!("D{}", i % 7)],
+                vec![(i % 11) as f64],
+            )
+        })
+        .collect();
+    let gamelog_rows = raw_stream(30, 77);
+
+    let workers = [
+        (gamelog.clone(), gamelog_rows.clone()),
+        (forecast.clone(), forecast_rows.clone()),
+    ]
+    .map(|(spec, rows)| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.open(&spec).expect("open");
+            client.use_tenant(&spec.name).expect("use");
+            let mut reports = Vec::with_capacity(rows.len());
+            for window in rows.chunks(5) {
+                let window: Vec<RawRow> = window
+                    .iter()
+                    .map(|(dims, measures)| {
+                        let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
+                        RawRow::new(&dims, measures)
+                    })
+                    .collect();
+                reports.extend(client.ingest_batch(window).expect("ingest_batch"));
+            }
+            let stats = client.stats().expect("stats");
+            assert_eq!(stats.len as usize, rows.len());
+            assert_eq!(stats.schema, spec.name);
+            reports
+        })
+    });
+    let [gamelog_served, forecast_served] = workers.map(|w| w.join().expect("client thread"));
+
+    // Byte-identity per tenant against in-process references fed the
+    // same windows.
+    let mut reference = reference_for(&gamelog);
+    let mut expected = Vec::new();
+    for window in gamelog_rows.chunks(5) {
+        let window: Vec<_> = window
+            .iter()
+            .map(|(dims, measures)| {
+                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
+                reference.encode_raw(&dims, measures.clone()).unwrap()
             })
             .collect();
-        let gamelog_rows = raw_stream(30, 77);
-
-        let workers = [
-            (gamelog.clone(), gamelog_rows.clone()),
-            (forecast.clone(), forecast_rows.clone()),
-        ]
-        .map(|(spec, rows)| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                client.open(&spec).expect("open");
-                client.use_tenant(&spec.name).expect("use");
-                let mut reports = Vec::with_capacity(rows.len());
-                for window in rows.chunks(5) {
-                    let window: Vec<RawRow> = window
-                        .iter()
-                        .map(|(dims, measures)| {
-                            let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                            RawRow::new(&dims, measures)
-                        })
-                        .collect();
-                    reports.extend(client.ingest_batch(window).expect("ingest_batch"));
-                }
-                let stats = client.stats().expect("stats");
-                assert_eq!(stats.len as usize, rows.len());
-                assert_eq!(stats.schema, spec.name);
-                reports
-            })
-        });
-        let [gamelog_served, forecast_served] = workers.map(|w| w.join().expect("client thread"));
-
-        // Byte-identity per tenant against in-process references fed the
-        // same windows.
-        let mut reference = reference_for(&gamelog);
-        let mut expected = Vec::new();
-        for window in gamelog_rows.chunks(5) {
-            let window: Vec<_> = window
-                .iter()
-                .map(|(dims, measures)| {
-                    let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                    reference.encode_raw(&dims, measures.clone()).unwrap()
-                })
-                .collect();
-            expected.extend(reference.ingest_batch(window).unwrap());
-        }
-        assert_eq!(gamelog_served, expected, "gamelog tenant transcript");
-
-        let mut reference = reference_for(&forecast);
-        let mut expected = Vec::new();
-        for window in forecast_rows.chunks(5) {
-            let window: Vec<_> = window
-                .iter()
-                .map(|(dims, measures)| {
-                    let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                    reference.encode_raw(&dims, measures.clone()).unwrap()
-                })
-                .collect();
-            expected.extend(reference.ingest_batch(window).unwrap());
-        }
-        assert_eq!(forecast_served, expected, "forecast tenant transcript");
-
-        // The default tenant saw none of it.
-        let mut client = Client::connect(addr).expect("connect");
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.len, 0, "default tenant must stay empty");
-        client.shutdown().expect("shutdown");
-        join.join().expect("server thread");
+        expected.extend(reference.ingest_batch(window).unwrap());
     }
+    assert_eq!(gamelog_served, expected, "gamelog tenant transcript");
+
+    let mut reference = reference_for(&forecast);
+    let mut expected = Vec::new();
+    for window in forecast_rows.chunks(5) {
+        let window: Vec<_> = window
+            .iter()
+            .map(|(dims, measures)| {
+                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
+                reference.encode_raw(&dims, measures.clone()).unwrap()
+            })
+            .collect();
+        expected.extend(reference.ingest_batch(window).unwrap());
+    }
+    assert_eq!(forecast_served, expected, "forecast tenant transcript");
+
+    // The default tenant saw none of it.
+    let mut client = Client::connect(addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.len, 0, "default tenant must stay empty");
+    client.shutdown().expect("shutdown");
+    join.join().expect("server thread");
 }
 
 #[test]
@@ -458,7 +451,7 @@ fn stalled_peer_is_dropped_and_does_not_pin_the_worker() {
 #[test]
 fn snapshot_reads_are_prefix_consistent_under_concurrent_ingest() {
     // A writer streams batches while a reader hammers TOPK on the same
-    // tenant. Owned mode serves reads from the lock-free snapshot; every
+    // tenant. Reads are served from the lock-free snapshot; every
     // observed report must be exactly some prefix-of-the-stream report the
     // writer produced (byte-identical), and the observed tuple ids must be
     // monotone — a reader can never see the stream run backwards.
@@ -542,12 +535,8 @@ fn default_monitor() -> Box<dyn StreamMonitor + Send> {
     ))
 }
 
-fn spawn_durable_server(
-    data_dir: &std::path::Path,
-    mode: ServeMode,
-) -> (SocketAddr, JoinHandle<()>) {
+fn spawn_durable_server(data_dir: &std::path::Path) -> (SocketAddr, JoinHandle<()>) {
     let server = FactServer::builder()
-        .with_mode(mode)
         .with_data_dir(data_dir)
         .bind("127.0.0.1:0", default_monitor())
         .expect("bind durable server");
@@ -594,67 +583,61 @@ fn killed_server_recovers_byte_identical_state_from_its_data_dir() {
     // acknowledged), and a new process bound to the same directory must
     // answer STATS and TOPK byte-identically — then continue the stream
     // exactly like a monitor that never crashed.
-    for mode in [ServeMode::Owned, ServeMode::GlobalMutex] {
-        let tag = match mode {
-            ServeMode::Owned => "recover-owned",
-            ServeMode::GlobalMutex => "recover-locked",
-        };
-        let data_dir = temp_data_dir(tag);
-        let rows = raw_stream(60, 42);
+    let data_dir = temp_data_dir("recover");
+    let rows = raw_stream(60, 42);
 
-        // First life: ingest the first half, record what a client saw last.
-        let (addr, join) = spawn_durable_server(&data_dir, mode);
-        let mut client = Client::connect(addr).expect("connect");
-        let first_half = ingest_windows(&mut client, &rows[..30]);
-        let pre_kill_top = client.top_k(1 << 20).expect("topk pre-kill");
-        let pre_kill_stats = client.stats().expect("stats pre-kill");
-        assert_eq!(pre_kill_stats.wal_synced, 30, "every row is synced");
-        assert!(pre_kill_stats.wal_bytes > 0);
-        assert!(pre_kill_stats.wal_segments >= 1);
-        client.shutdown().expect("shutdown");
-        join.join().expect("server thread");
-        drop(client);
+    // First life: ingest the first half, record what a client saw last.
+    let (addr, join) = spawn_durable_server(&data_dir);
+    let mut client = Client::connect(addr).expect("connect");
+    let first_half = ingest_windows(&mut client, &rows[..30]);
+    let pre_kill_top = client.top_k(1 << 20).expect("topk pre-kill");
+    let pre_kill_stats = client.stats().expect("stats pre-kill");
+    assert_eq!(pre_kill_stats.wal_synced, 30, "every row is synced");
+    assert!(pre_kill_stats.wal_bytes > 0);
+    assert!(pre_kill_stats.wal_segments >= 1);
+    client.shutdown().expect("shutdown");
+    join.join().expect("server thread");
+    drop(client);
 
-        // Second life: same directory, fresh process, fresh monitor.
-        let (addr, join) = spawn_durable_server(&data_dir, mode);
-        let mut client = Client::connect(addr).expect("reconnect");
-        assert_eq!(
-            client.top_k(1 << 20).expect("topk post-recovery"),
-            pre_kill_top,
-            "recovered TOPK must be byte-identical"
-        );
-        assert_eq!(
-            client.stats().expect("stats post-recovery"),
-            pre_kill_stats,
-            "recovered STATS (WAL counters included) must be byte-identical"
-        );
+    // Second life: same directory, fresh process, fresh monitor.
+    let (addr, join) = spawn_durable_server(&data_dir);
+    let mut client = Client::connect(addr).expect("reconnect");
+    assert_eq!(
+        client.top_k(1 << 20).expect("topk post-recovery"),
+        pre_kill_top,
+        "recovered TOPK must be byte-identical"
+    );
+    assert_eq!(
+        client.stats().expect("stats post-recovery"),
+        pre_kill_stats,
+        "recovered STATS (WAL counters included) must be byte-identical"
+    );
 
-        // The recovered monitor continues the stream exactly like one that
-        // never crashed: compare the full transcript with an in-process
-        // reference fed the same windows without interruption.
-        let second_half = ingest_windows(&mut client, &rows[30..]);
-        client.shutdown().expect("shutdown");
-        join.join().expect("server thread");
+    // The recovered monitor continues the stream exactly like one that
+    // never crashed: compare the full transcript with an in-process
+    // reference fed the same windows without interruption.
+    let second_half = ingest_windows(&mut client, &rows[30..]);
+    client.shutdown().expect("shutdown");
+    join.join().expect("server thread");
 
-        let schema = schema();
-        let config = config();
-        let mut reference = FactMonitor::new(
-            schema.clone(),
-            STopDown::new(&schema, config.discovery),
-            config,
-        );
-        let expected = reports_in_process_windows(&mut reference, &rows);
-        assert_eq!(
-            first_half
-                .iter()
-                .chain(&second_half)
-                .cloned()
-                .collect::<Vec<_>>(),
-            expected,
-            "crash + recovery must not perturb a single report"
-        );
-        let _ = std::fs::remove_dir_all(&data_dir);
-    }
+    let schema = schema();
+    let config = config();
+    let mut reference = FactMonitor::new(
+        schema.clone(),
+        STopDown::new(&schema, config.discovery),
+        config,
+    );
+    let expected = reports_in_process_windows(&mut reference, &rows);
+    assert_eq!(
+        first_half
+            .iter()
+            .chain(&second_half)
+            .cloned()
+            .collect::<Vec<_>>(),
+        expected,
+        "crash + recovery must not perturb a single report"
+    );
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
 
 /// Like [`reports_in_process`], but windows of 5 to match
@@ -680,7 +663,7 @@ fn reports_in_process_windows(
 #[test]
 fn close_evicts_a_tenant_and_durable_state_survives_it() {
     let data_dir = temp_data_dir("close");
-    let (addr, join) = spawn_durable_server(&data_dir, ServeMode::Owned);
+    let (addr, join) = spawn_durable_server(&data_dir);
     let mut client = Client::connect(addr).expect("connect");
 
     // CLOSE of a never-opened tenant is a typed error.

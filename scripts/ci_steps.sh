@@ -64,8 +64,8 @@ run_step() {
         --n 1200 --queries 60 --reps 1 --out /tmp/BENCH_postings_smoke.json ;;
     fig-serve-smoke)
       # Tiny scale; the binary asserts served reports equal an in-process
-      # monitor per tenant, in both engine modes, before timing anything —
-      # so this doubles as a multi-tenant wire-fidelity test.
+      # monitor per tenant before timing anything — so this doubles as a
+      # multi-tenant wire-fidelity test.
       $CARGO run --release -p sitfact-bench --bin fig_serve -- \
         --n 60 --batch 10 --clients-max 2 --reads 40 --reps 1 \
         --out /tmp/BENCH_serve_smoke.json ;;

@@ -102,7 +102,7 @@ pub mod prelude {
         WalOptions, WindowPolicy, WindowedMonitor,
     };
     pub use sitfact_serve::{
-        Client, FactServer, RawRow, ServeError, ServeMode, ServerHandle, ServerOptions, TenantSpec,
+        Client, FactServer, RawRow, ServeError, ServerHandle, ServerOptions, TenantSpec,
     };
     pub use sitfact_storage::{
         ContextCounter, FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, StoreStats,

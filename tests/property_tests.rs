@@ -84,17 +84,17 @@ fn windowed_equals_rebuild(
     for chunk in tuples.chunks(window_seed) {
         windowed.ingest_batch(chunk.to_vec()).unwrap();
         // Bookkeeping reconciles at every batch boundary.
-        prop_assert_eq!(windowed.live_rows(), windowed.len().min(window));
+        prop_assert_eq!(windowed.stats().live_rows, windowed.len().min(window));
         prop_assert_eq!(
             windowed.len(),
-            windowed.live_rows() + windowed.tombstone_rows() + windowed.evicted_rows()
+            windowed.stats().live_rows + windowed.stats().tombstones + windowed.stats().evicted
         );
     }
     deep_audit(windowed.inner())?;
 
     // Rebuild from scratch: a fresh monitor, id space starting at the
     // windowed monitor's watermark, fed only the surviving suffix.
-    let start = windowed.len() - windowed.live_rows();
+    let start = windowed.len() - windowed.stats().live_rows;
     let mut rebuilt = WindowedMonitor::new(
         FactMonitor::with_base(
             schema.clone(),
@@ -105,7 +105,7 @@ fn windowed_equals_rebuild(
         policy,
     );
     rebuilt.ingest_batch(tuples[start..].to_vec()).unwrap();
-    prop_assert_eq!(rebuilt.live_rows(), windowed.live_rows());
+    prop_assert_eq!(rebuilt.stats().live_rows, windowed.stats().live_rows);
 
     // Both monitors must now be observably identical: every future
     // arrival — same continuation, same batch partitioning — produces
