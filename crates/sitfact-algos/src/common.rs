@@ -109,8 +109,8 @@ impl ConstraintCache {
     }
 }
 
-/// Reusable per-pass traversal buffers (constraint flags plus the BFS queue)
-/// for the lattice passes.
+/// Reusable per-pass traversal buffers (constraint flags, the BFS queue and a
+/// cell read buffer) for the lattice passes.
 ///
 /// Allocated lazily to the lattice's flag length and kept on the algorithm
 /// struct, so a window of arrivals (`begin_batch` … `end_batch`) re-clears
@@ -125,6 +125,9 @@ pub struct TraversalScratch {
     pub enqueued: Vec<bool>,
     /// The BFS queue over bound masks.
     pub queue: std::collections::VecDeque<BoundMask>,
+    /// The ids of the cell being scanned, copied out of the store so the
+    /// scan may insert into and remove from that cell as it goes.
+    pub ids: Vec<TupleId>,
 }
 
 impl TraversalScratch {

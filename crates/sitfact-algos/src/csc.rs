@@ -17,13 +17,13 @@ use sitfact_core::{
     Constraint, Direction, DiscoveryConfig, FxHashMap, Schema, SkylinePair, SubspaceMask, Tuple,
     TupleId,
 };
-use sitfact_storage::{StoreStats, StoredEntry, Table, WorkStats};
+use sitfact_storage::{StoreStats, Table, WorkStats};
 
-/// Compressed Skycube of a single context: tuples keyed by the minimal
-/// skyline subspaces they are stored under.
+/// Compressed Skycube of a single context: tuple ids keyed by the minimal
+/// skyline subspaces they are stored under (their measures are the table's).
 #[derive(Debug, Default)]
 struct ContextCsc {
-    stored: FxHashMap<SubspaceMask, Vec<StoredEntry>>,
+    stored: FxHashMap<SubspaceMask, Vec<TupleId>>,
 }
 
 impl ContextCsc {
@@ -31,21 +31,21 @@ impl ContextCsc {
         self.stored.values().map(|v| v.len() as u64).sum()
     }
 
-    fn all_entries(&self) -> impl Iterator<Item = (SubspaceMask, &StoredEntry)> {
+    fn all_entries(&self) -> impl Iterator<Item = (SubspaceMask, TupleId)> + '_ {
         self.stored
             .iter()
-            .flat_map(|(&s, entries)| entries.iter().map(move |e| (s, e)))
+            .flat_map(|(&s, ids)| ids.iter().map(move |&id| (s, id)))
     }
 
     fn remove_everywhere(&mut self, id: TupleId) {
-        self.stored.retain(|_, entries| {
-            entries.retain(|e| e.id != id);
-            !entries.is_empty()
+        self.stored.retain(|_, ids| {
+            ids.retain(|&e| e != id);
+            !ids.is_empty()
         });
     }
 
-    fn insert(&mut self, subspace: SubspaceMask, entry: StoredEntry) {
-        self.stored.entry(subspace).or_default().push(entry);
+    fn insert(&mut self, subspace: SubspaceMask, id: TupleId) {
+        self.stored.entry(subspace).or_default().push(id);
     }
 }
 
@@ -131,7 +131,7 @@ impl Discovery for CCsc {
     }
 
     fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {
-        let _ = table; // state is entirely in the per-context CSCs
+        let measures = |id: TupleId| table.tuple(id).measures();
         let cache = ConstraintCache::new(t, self.params.n_dims);
         let directions = self.params.directions.clone();
         let family = self.params.subspaces.clone();
@@ -149,7 +149,7 @@ impl Discovery for CCsc {
             //    context member able to dominate in some subspace is stored).
             let dominated = dominated_profile(
                 t.measures(),
-                csc.all_entries().map(|(_, e)| &*e.measures),
+                csc.all_entries().map(|(_, id)| measures(id)),
                 &family,
                 &directions,
                 n_measures,
@@ -166,56 +166,54 @@ impl Discovery for CCsc {
             // 3. Demote stored tuples that t dominates in a subspace they are
             //    stored under: their minimal skyline subspaces must be
             //    recomputed against the context including t.
-            let mut demoted: Vec<StoredEntry> = Vec::new();
+            let mut demoted: Vec<TupleId> = Vec::new();
             // Snapshot of every distinct stored tuple *before* demotion —
             // demoted tuples are still context members and must keep acting
             // as potential dominators when each other's subspaces are
             // recomputed.
-            let mut candidates: Vec<StoredEntry> = Vec::new();
-            for (sub, entry) in csc.all_entries() {
-                if !candidates.iter().any(|c| c.id == entry.id) {
-                    candidates.push(entry.clone());
+            let mut candidates: Vec<TupleId> = Vec::new();
+            for (sub, id) in csc.all_entries() {
+                if !candidates.contains(&id) {
+                    candidates.push(id);
                 }
-                let (better, worse) =
-                    partition_measures(t.measures(), &entry.measures, &directions);
+                let (better, worse) = partition_measures(t.measures(), measures(id), &directions);
                 self.stats.comparisons += 1;
                 let t_dominates_here =
                     !sub.intersect(better).is_empty() && sub.intersect(worse).is_empty();
-                if t_dominates_here && !demoted.iter().any(|d| d.id == entry.id) {
-                    demoted.push(entry.clone());
+                if t_dominates_here && !demoted.contains(&id) {
+                    demoted.push(id);
                 }
             }
-            for entry in &demoted {
-                csc.remove_everywhere(entry.id);
+            for &id in &demoted {
+                csc.remove_everywhere(id);
                 self.stats.store_writes += 1;
             }
-            for entry in &demoted {
+            for &id in &demoted {
                 // Recompute the demoted tuple's skyline profile against every
                 // other context candidate (stored or just demoted) plus the
                 // new tuple.
-                let others: Vec<&[f64]> = candidates
+                let others = candidates
                     .iter()
-                    .filter(|e| e.id != entry.id)
-                    .map(|e| &*e.measures)
-                    .chain(std::iter::once(t.measures()))
-                    .collect();
+                    .filter(|&&other| other != id)
+                    .map(|&other| measures(other))
+                    .chain(std::iter::once(t.measures()));
                 let profile = dominated_profile(
-                    &entry.measures,
-                    others.into_iter(),
+                    measures(id),
+                    others,
                     &family,
                     &directions,
                     n_measures,
                     &mut self.stats.comparisons,
                 );
                 for s in minimal_skyline_subspaces(&profile, &family) {
-                    csc.insert(s, entry.clone());
+                    csc.insert(s, id);
                     self.stats.store_writes += 1;
                 }
             }
 
             // 4. Store the new tuple at its minimal skyline subspaces.
             for s in minimal_skyline_subspaces(&dominated, &family) {
-                csc.insert(s, StoredEntry::new(t_id, t.measures()));
+                csc.insert(s, t_id);
                 self.stats.store_writes += 1;
             }
         }
@@ -235,7 +233,7 @@ impl Discovery for CCsc {
             stored_entries += entries;
             non_empty_cells += csc.stored.len() as u64;
             bytes += (constraint.num_dims() * 4 + 48) as u64;
-            bytes += entries * (8 + 16 + self.params.n_measures as u64 * 8);
+            bytes += entries * std::mem::size_of::<TupleId>() as u64;
         }
         StoreStats {
             stored_entries,
@@ -350,21 +348,19 @@ mod tests {
         let directions = table.schema().directions().to_vec();
         let family = SubspaceMask::enumerate(2, 2);
         for (constraint, csc) in &algo.contexts {
-            for (subspace, entry) in csc.all_entries() {
+            for (subspace, stored) in csc.all_entries() {
                 // The tuple must be in the skyline of this subspace …
                 let sky = dominance::skyline_of(table.context(constraint), subspace, &directions);
                 assert!(
-                    sky.iter().any(|(id, _)| *id == entry.id),
-                    "tuple {} stored at non-skyline subspace {subspace:?} of {constraint:?}",
-                    entry.id
+                    sky.iter().any(|(id, _)| *id == stored),
+                    "tuple {stored} stored at non-skyline subspace {subspace:?} of {constraint:?}"
                 );
                 // … and in no proper subspace of it.
                 for sub in family.iter().filter(|s| s.is_proper_subset_of(subspace)) {
                     let sky = dominance::skyline_of(table.context(constraint), *sub, &directions);
                     assert!(
-                        !sky.iter().any(|(id, _)| *id == entry.id),
-                        "subspace {subspace:?} is not minimal for tuple {}",
-                        entry.id
+                        !sky.iter().any(|(id, _)| *id == stored),
+                        "subspace {subspace:?} is not minimal for tuple {stored}"
                     );
                 }
             }

@@ -35,8 +35,7 @@ use sitfact_core::{
     Tuple, TupleId, UNBOUND,
 };
 use sitfact_storage::{
-    FileSkylineStore, MemorySkylineStore, SkylineStore, StoreCell, StoreStats, StoredEntry, Table,
-    WorkStats,
+    FileSkylineStore, MemorySkylineStore, SkylineStore, StoreCell, StoreStats, Table, WorkStats,
 };
 
 /// Algorithm 4: every skyline tuple in every cell that qualifies it, walked
@@ -97,13 +96,13 @@ pub struct LatticeDiscovery<
 
 /// What the passes of one arrival share.
 struct Arrival<'a> {
+    /// The table, the only copy of every stored tuple's measures.
     table: &'a Table,
     tuple: &'a Tuple,
+    /// The id the arrival is stored under.
+    id: TupleId,
     /// `C^t`, materialised once.
     cache: ConstraintCache,
-    /// The tuple's store entry: one measure allocation, cloned (a
-    /// reference-count bump) into every cell it enters.
-    entry: StoredEntry,
 }
 
 impl<const MAXIMAL: bool, const SHARED: bool> LatticeDiscovery<MAXIMAL, SHARED> {
@@ -187,6 +186,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
             in_ances,
             enqueued,
             queue,
+            ids,
         } = scratch;
         if MAXIMAL {
             enqueued[0] = true;
@@ -210,19 +210,21 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
             stats.traversed_constraints += 1;
             let constraint = arrival.cache.get(mask);
             if !(known && pruned[here]) {
-                let entries = store.read(constraint, subspace);
+                // The ids are copied out: the loop mutates the cell.
+                store.read(constraint, subspace, ids);
                 stats.store_reads += 1;
-                for entry in entries.iter() {
+                for &id in ids.iter() {
                     stats.comparisons += 1;
+                    let stored = arrival.table.tuple(id);
                     let (better, worse) =
-                        partition_measures(t.measures(), &entry.measures, &params.directions);
+                        partition_measures(t.measures(), stored.measures(), &params.directions);
                     let dominated = dominated_in(better, worse, subspace);
                     if sharing || (MAXIMAL && dominated) {
                         // Proposition 3: where the stored tuple dominates the
                         // new one, it does so at every constraint both
                         // satisfy — in this subspace, and (Proposition 4) in
                         // each proper subspace the partition says so.
-                        let agreement = BoundMask::agreement(t, arrival.table.tuple(entry.id));
+                        let agreement = BoundMask::agreement(t, stored);
                         if MAXIMAL && dominated {
                             prune_above(&mut pruned[row..row + flag_len], agreement);
                         }
@@ -252,16 +254,13 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
                     } else if dominated_in(worse, better, subspace) {
                         // The stored tuple is no longer a skyline tuple here.
                         if MAXIMAL {
-                            demote(params, store, stats, arrival, mask, subspace, entry);
+                            demote(params, store, stats, arrival, mask, subspace, id);
                         } else {
-                            store.remove(constraint, subspace, entry.id);
+                            store.remove(constraint, subspace, id);
                             stats.store_writes += 1;
                         }
                     }
                 }
-                // A snapshot still alive at the insert would make the store
-                // copy the whole cell before writing to it.
-                drop(entries);
             }
             let skyline_here = !pruned[here];
             if skyline_here {
@@ -269,7 +268,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
                     out.push(SkylinePair::new(constraint.clone(), subspace));
                 }
                 if !(MAXIMAL && in_ances[mask.0 as usize]) {
-                    store.insert(constraint, subspace, arrival.entry.clone());
+                    store.insert(constraint, subspace, arrival.id);
                     stats.store_writes += 1;
                 }
             }
@@ -310,7 +309,7 @@ fn prune_above(row: &mut [bool], reach: BoundMask) {
 }
 
 /// The paper's `Dominates(t', C, M)` procedure: the new tuple dominates the
-/// stored tuple `entry` at the cell of `cell_mask`, so the stored tuple is
+/// stored tuple `id` at the cell of `cell_mask`, so the stored tuple is
 /// removed there and, where necessary, re-stored at the children of that
 /// constraint which the *new* tuple does not satisfy — those are its new
 /// maximal skyline constraints, unless an existing one already covers them.
@@ -321,11 +320,11 @@ fn demote<S: SkylineStore>(
     arrival: &Arrival<'_>,
     cell_mask: BoundMask,
     subspace: SubspaceMask,
-    entry: &StoredEntry,
+    id: TupleId,
 ) {
-    store.remove(arrival.cache.get(cell_mask), subspace, entry.id);
+    store.remove(arrival.cache.get(cell_mask), subspace, id);
     stats.store_writes += 1;
-    let demoted = arrival.table.tuple(entry.id);
+    let demoted = arrival.table.tuple(id);
     // At the `d̂` cap there are no children inside the maintained family: the
     // demoted tuple simply loses this maximal constraint.
     for &child_mask in &params.children[cell_mask.0 as usize] {
@@ -343,12 +342,12 @@ fn demote<S: SkylineStore>(
             store.contains(
                 &Constraint::from_tuple_mask(demoted, ancestor),
                 subspace,
-                entry.id,
+                id,
             )
         });
         if !covered {
             let child = Constraint::from_tuple_mask(demoted, child_mask);
-            store.insert(&child, subspace, entry.clone());
+            store.insert(&child, subspace, id);
             stats.store_writes += 1;
         }
     }
@@ -356,12 +355,14 @@ fn demote<S: SkylineStore>(
 
 /// `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline tuples of a
 /// context are exactly the tuples stored at the constraint itself or at any
-/// of its ancestors that additionally satisfy the constraint.
+/// of its ancestors that additionally satisfy the constraint. `ids` is a
+/// read buffer.
 fn skyline_cardinality_from_maximal<S: SkylineStore>(
     store: &mut S,
     table: &Table,
     constraint: &Constraint,
     subspace: SubspaceMask,
+    ids: &mut Vec<TupleId>,
 ) -> usize {
     let mut seen: FxHashSet<TupleId> = FxHashSet::default();
     for mask in constraint.bound_mask().submasks() {
@@ -371,12 +372,10 @@ fn skyline_cardinality_from_maximal<S: SkylineStore>(
                 .map(|(i, &v)| if mask.is_bound(i) { v } else { UNBOUND })
                 .collect(),
         );
-        for entry in store.read(&ancestor, subspace).iter() {
-            if table
-                .get(entry.id)
-                .is_some_and(|tuple| constraint.matches(tuple))
-            {
-                seen.insert(entry.id);
+        store.read(&ancestor, subspace, ids);
+        for &id in ids.iter() {
+            if table.get(id).is_some_and(|tuple| constraint.matches(tuple)) {
+                seen.insert(id);
             }
         }
     }
@@ -396,13 +395,13 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
     }
 
     fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {
-        // Every comparison runs against the store; the table is read only
-        // for the dimension values of stored tuples.
+        // The store names the tuples to compare with; the table holds
+        // their measures and dimension values.
         let arrival = Arrival {
             table,
             tuple: t,
+            id: t_id,
             cache: ConstraintCache::new(t, self.params.n_dims),
-            entry: StoredEntry::new(t_id, t.measures()),
         };
         let mut out = Vec::new();
         self.pruned.fill(false);
@@ -453,11 +452,13 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         }
         // The store covers exactly the arrivals processed so far; `limit`
         // only constrains the out-of-family recompute above.
+        let ids = &mut self.scratch.ids;
         if MAXIMAL {
-            skyline_cardinality_from_maximal(&mut self.store, table, constraint, subspace)
+            skyline_cardinality_from_maximal(&mut self.store, table, constraint, subspace, ids)
         } else {
             // Invariant 1: the cell is the skyline.
-            self.store.read(constraint, subspace).len()
+            self.store.read(constraint, subspace, ids);
+            ids.len()
         }
     }
 
@@ -509,8 +510,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             params,
             store,
             stats,
+            scratch,
             ..
         } = self;
+        let current = &mut scratch.ids;
         let family = Self::family(params);
         let family_len = family.len();
         let expired = table.tuple(t_id);
@@ -539,10 +542,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                 }
                 let skyline =
                     skyline_counted(&rows, subspace, &params.directions, &mut stats.comparisons);
-                let current = store.read(constraint, subspace);
+                store.read(constraint, subspace, current);
                 stats.store_reads += 1;
                 for (id, survivor) in skyline {
-                    if current.iter().any(|e| e.id == id) {
+                    if current.contains(&id) {
                         continue;
                     }
                     if MAXIMAL {
@@ -557,11 +560,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                             continue;
                         }
                     }
-                    store.insert(
-                        constraint,
-                        subspace,
-                        StoredEntry::new(id, survivor.measures()),
-                    );
+                    store.insert(constraint, subspace, id);
                     stats.store_writes += 1;
                     if MAXIMAL {
                         for &below in &params.top_down {
@@ -770,7 +769,7 @@ mod tests {
             let sorted_cells = |algo: &dyn Discovery| {
                 let mut cells = algo.export_store_cells().unwrap();
                 for cell in &mut cells {
-                    cell.entries.sort_by_key(|(id, _)| *id);
+                    cell.entries.sort_unstable();
                 }
                 cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
                 cells
@@ -814,7 +813,8 @@ mod tests {
 
     /// The sorted ids a cell holds.
     fn cell_ids<S: SkylineStore>(store: &mut S, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
-        let mut ids: Vec<TupleId> = store.read(c, m).iter().map(|e| e.id).collect();
+        let mut ids = Vec::new();
+        store.read(c, m, &mut ids);
         ids.sort_unstable();
         ids
     }
@@ -892,14 +892,18 @@ mod tests {
             }
             // Validate every non-empty cell against a recomputed skyline.
             let directions = table.schema().directions().to_vec();
-            for (constraint, subspace, entries) in algo.store.iter_cells() {
+            for cell in algo.store.dump_cells().unwrap() {
+                let (constraint, subspace) = (
+                    Constraint::from_values(cell.constraint),
+                    SubspaceMask(cell.subspace),
+                );
                 let expected: std::collections::BTreeSet<TupleId> =
-                    dominance::skyline_of(table.context(constraint), subspace, &directions)
+                    dominance::skyline_of(table.context(&constraint), subspace, &directions)
                         .into_iter()
                         .map(|(id, _)| id)
                         .collect();
                 let actual: std::collections::BTreeSet<TupleId> =
-                    entries.iter().map(|e| e.id).collect();
+                    cell.entries.into_iter().collect();
                 assert_eq!(expected, actual, "cell ({constraint:?}, {subspace:?})");
             }
         }
@@ -946,7 +950,7 @@ mod tests {
                         .collect();
                     for mask in lattice.enumerate_top_down() {
                         let c = Constraint::from_tuple_mask(tuple, mask);
-                        let stored = algo.store.read(&c, m).iter().any(|e| e.id == id);
+                        let stored = algo.store.contains(&c, m, id);
                         let expected = maximal.contains(&mask);
                         assert_eq!(
                             stored, expected,

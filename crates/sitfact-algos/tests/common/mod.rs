@@ -1,7 +1,9 @@
 //! The workload the integration tests of the lattice kinds share.
 
 use rand::prelude::*;
-use sitfact_core::{Direction, DiscoveryConfig, Schema, SchemaBuilder, Tuple};
+use sitfact_core::dominance::dominates;
+use sitfact_core::{Direction, DiscoveryConfig, Schema, SchemaBuilder, SubspaceMask, Tuple};
+use sitfact_storage::{StoreCell, Table};
 
 /// Three dimensions, `m` measures of mixed direction.
 pub fn schema(m: usize) -> Schema {
@@ -38,4 +40,30 @@ pub fn random_tuple(rng: &mut StdRng, m: usize) -> Tuple {
         rng.gen_range(0..3u32),
     ];
     Tuple::new(dims, (0..m).map(|_| rng.gen_range(0..5) as f64).collect())
+}
+
+/// Holds exported skyline cells to the table they index: every stored id is
+/// a live row, and every cell is its own skyline by the table's measures —
+/// no stored tuple dominates another in the cell's subspace.
+pub fn audit_cells(cells: &[StoreCell], table: &Table) {
+    let directions = table.schema().directions();
+    for cell in cells {
+        let subspace = SubspaceMask(cell.subspace);
+        for &id in &cell.entries {
+            assert!(
+                table.is_live(id),
+                "cell ({:?}, {subspace:?}) stores {id}, not a live row",
+                cell.constraint
+            );
+        }
+        for &a in &cell.entries {
+            for &b in &cell.entries {
+                assert!(
+                    !dominates(table.tuple(a), table.tuple(b), subspace, directions),
+                    "cell ({:?}, {subspace:?}): stored {a} dominates stored {b}",
+                    cell.constraint
+                );
+            }
+        }
+    }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{random_tuple, schema, shapes};
+use common::{audit_cells, random_tuple, schema, shapes};
 use rand::prelude::*;
 use sitfact_algos::common::AlgoParams;
 use sitfact_algos::{AlgorithmKind, Discovery};
@@ -24,7 +24,7 @@ const KINDS: [AlgorithmKind; 4] = [
 fn sorted(algo: &dyn Discovery) -> Vec<StoreCell> {
     let mut cells = algo.export_store_cells().unwrap();
     for cell in &mut cells {
-        cell.entries.sort_by_key(|(id, _)| *id);
+        cell.entries.sort_unstable();
     }
     cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
     cells
@@ -90,6 +90,7 @@ fn rolling_evictions_match_rebuild() {
                 subject.table.compact_retracted();
             }
             subject.table.audit().unwrap();
+            audit_cells(&subject.algo.export_store_cells().unwrap(), &subject.table);
             let mut rebuilt = Windowed::new(kind, &schema, config, evicted as TupleId);
             rebuilt.arrive(&tuples[evicted..]);
             assert_eq!(

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{random_tuple, schema, shapes};
+use common::{audit_cells, random_tuple, schema, shapes};
 use rand::prelude::*;
 use sitfact_algos::AlgorithmKind;
 use sitfact_core::{Constraint, SubspaceMask, Tuple, TupleId};
@@ -118,6 +118,10 @@ fn drive(kind: AlgorithmKind, shape: usize, evicting: bool) -> (&'static str, Wo
                 table.compact_retracted();
             }
         }
+    }
+    // The in-memory kinds export their store: it must index the table.
+    if let Some(cells) = algo.export_store_cells() {
+        audit_cells(&cells, &table);
     }
     let (name, work, store) = (algo.name(), algo.work_stats(), algo.store_stats());
     drop(algo);

@@ -7,7 +7,7 @@ use rand::prelude::*;
 use sitfact_core::{
     BoundMask, Constraint, ConstraintLattice, Direction, DominancePartition, SubspaceMask, Tuple,
 };
-use sitfact_storage::{KdTree, MemorySkylineStore, SkylineStore, StoredEntry};
+use sitfact_storage::{KdTree, MemorySkylineStore, SkylineStore};
 
 /// Shared quick-run settings so `cargo bench` stays snappy on small machines.
 fn quick(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
@@ -102,16 +102,13 @@ fn bench_store(c: &mut Criterion) {
             let subspace = SubspaceMask::full(4);
             for i in 0..200u32 {
                 let constraint = Constraint::from_values(vec![i % 8, u32::MAX, i % 3]);
-                store.insert(
-                    &constraint,
-                    subspace,
-                    StoredEntry::new(i, &[1.0, 2.0, 3.0, 4.0]),
-                );
+                store.insert(&constraint, subspace, i);
             }
-            let mut total = 0usize;
+            let (mut total, mut ids) = (0usize, Vec::new());
             for i in 0..200u32 {
                 let constraint = Constraint::from_values(vec![i % 8, u32::MAX, i % 3]);
-                total += store.read(&constraint, subspace).len();
+                store.read(&constraint, subspace, &mut ids);
+                total += ids.len();
                 store.remove(&constraint, subspace, i);
             }
             total

@@ -39,9 +39,7 @@ mod storm {
     use sitfact_bench::params::arg_value;
     use sitfact_core::{Audit, Constraint, Direction, Schema, SchemaBuilder, SubspaceMask, Tuple};
     use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
-    use sitfact_storage::{
-        FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, StoredEntry, Table,
-    };
+    use sitfact_storage::{FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, Table};
 
     fn fail(what: &str, violation: sitfact_core::AuditViolation) -> ! {
         eprintln!("audit_storm: {what}: {}", violation.explain());
@@ -133,14 +131,14 @@ mod storm {
     ) {
         let mut next_id: sitfact_core::TupleId = 0;
         let mut live: Vec<(Constraint, SubspaceMask, sitfact_core::TupleId)> = Vec::new();
+        let mut ids = Vec::new();
         for _ in 0..rounds {
             for _ in 0..rng.gen_range(1..12) {
                 let (constraint, subspace) = random_cell(rng);
                 match rng.gen_range(0..4) {
                     // Insert a fresh entry most of the time.
                     0 | 1 => {
-                        let measures = [rng.gen_range(0..8) as f64, rng.gen_range(0..8) as f64];
-                        store.insert(&constraint, subspace, StoredEntry::new(next_id, &measures));
+                        store.insert(&constraint, subspace, next_id);
                         live.push((constraint, subspace, next_id));
                         next_id += 1;
                     }
@@ -154,7 +152,7 @@ mod storm {
                     }
                     // Read back a random cell (exercises caching paths).
                     _ => {
-                        let _ = store.read(&constraint, subspace);
+                        store.read(&constraint, subspace, &mut ids);
                     }
                 }
             }

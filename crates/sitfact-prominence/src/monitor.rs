@@ -417,7 +417,7 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     fn restore_durable(&mut self, snapshot: &[u8]) -> Result<bool> {
         let mut cur = wal::ByteCursor::new(snapshot);
         let table = wal::decode_table(&mut cur)?;
-        let cells = wal::decode_cells(&mut cur)?;
+        let cells = wal::decode_cells(&mut cur, &table)?;
         if !cur.is_empty() {
             return Err(SitFactError::Parse(format!(
                 "monitor snapshot has {} trailing bytes",

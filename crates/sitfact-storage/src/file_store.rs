@@ -7,9 +7,20 @@
 //! written back, overwriting the file. The store keeps a lightweight index of
 //! non-empty cells so that visiting an empty cell costs no I/O at all — the
 //! property that makes `FSTopDown` beat `FSBottomUp` in the paper.
+//!
+//! ## Cell file layout
+//!
+//! ```text
+//! cell := count:u32le id:u32le*     ids in cell order
+//! ```
+//!
+//! Like every [`SkylineStore`], a cell holds tuple ids only — the measures
+//! live in the table (see [`crate::store`]). The paper's Figs. 12–13 count
+//! file reads and writes, which this layout leaves unchanged; only the bytes
+//! per cell shrink.
 
 use crate::stats::StoreStats;
-use crate::store::{SkylineStore, StoredEntry};
+use crate::store::SkylineStore;
 use bytes::{Buf, BufMut, BytesMut};
 use sitfact_core::{Constraint, FxHashMap, SubspaceMask, TupleId, UNBOUND};
 use std::fs;
@@ -25,7 +36,7 @@ struct CellKey {
 #[derive(Debug)]
 struct CellBuffer {
     key: CellKey,
-    entries: Vec<StoredEntry>,
+    entries: Vec<TupleId>,
     dirty: bool,
 }
 
@@ -89,42 +100,26 @@ impl FileSkylineStore {
         self.dir.join(Self::file_name(key))
     }
 
-    fn encode(entries: &[StoredEntry]) -> BytesMut {
-        let measures = entries.first().map_or(0, |e| e.measures.len());
-        let mut buf = BytesMut::with_capacity(8 + entries.len() * (4 + measures * 8));
+    /// Bytes of a cell file holding `count` ids.
+    fn file_bytes(count: usize) -> u64 {
+        4 + 4 * count as u64
+    }
+
+    fn encode(entries: &[TupleId]) -> BytesMut {
+        let mut buf = BytesMut::with_capacity(Self::file_bytes(entries.len()) as usize);
         buf.put_u32_le(entries.len() as u32);
-        buf.put_u32_le(measures as u32);
-        for e in entries {
-            buf.put_u32_le(e.id);
-            for &m in e.measures.iter() {
-                buf.put_f64_le(m);
-            }
+        for &id in entries {
+            buf.put_u32_le(id);
         }
         buf
     }
 
-    fn decode(mut data: &[u8]) -> Vec<StoredEntry> {
-        if data.len() < 8 {
+    fn decode(mut data: &[u8]) -> Vec<TupleId> {
+        if data.len() < 4 {
             return Vec::new();
         }
-        let count = data.get_u32_le() as usize;
-        let measures = data.get_u32_le() as usize;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            if data.remaining() < 4 + measures * 8 {
-                break;
-            }
-            let id = data.get_u32_le();
-            let mut values = Vec::with_capacity(measures);
-            for _ in 0..measures {
-                values.push(data.get_f64_le());
-            }
-            out.push(StoredEntry {
-                id,
-                measures: values.into(),
-            });
-        }
-        out
+        let count = (data.get_u32_le() as usize).min(data.remaining() / 4);
+        (0..count).map(|_| data.get_u32_le()).collect()
     }
 
     /// Loads a cell into the write-back buffer, flushing any previously
@@ -169,9 +164,12 @@ impl FileSkylineStore {
         }
         let path = self.path_for(&buffer.key);
         if buffer.entries.is_empty() {
-            if self.index.remove(&buffer.key).is_some() {
+            if let Some(count) = self.index.remove(&buffer.key) {
                 let _ = fs::remove_file(&path);
                 self.file_writes += 1;
+                self.bytes_on_disk = self
+                    .bytes_on_disk
+                    .saturating_sub(Self::file_bytes(count as usize));
             }
             return;
         }
@@ -179,22 +177,14 @@ impl FileSkylineStore {
         if let Ok(mut file) = fs::File::create(&path) {
             if file.write_all(&data).is_ok() {
                 self.file_writes += 1;
+                let before = self
+                    .index
+                    .get(&buffer.key)
+                    .map_or(0, |&count| Self::file_bytes(count as usize));
                 self.bytes_on_disk = self
                     .bytes_on_disk
                     .saturating_add(data.len() as u64)
-                    .saturating_sub(
-                        self.index
-                            .get(&buffer.key)
-                            .map(|&c| {
-                                8 + c as u64
-                                    * (4 + buffer
-                                        .entries
-                                        .first()
-                                        .map_or(0, |e| e.measures.len() as u64)
-                                        * 8)
-                            })
-                            .unwrap_or(0),
-                    );
+                    .saturating_sub(before);
                 self.index
                     .insert(buffer.key.clone(), buffer.entries.len() as u32);
             }
@@ -274,11 +264,11 @@ impl sitfact_core::Audit for FileSkylineStore {
                     ),
                 );
             }
-            for (pos, entry) in entries.iter().enumerate() {
-                if entries[..pos].iter().any(|prior| prior.id == entry.id) {
+            for (pos, id) in entries.iter().enumerate() {
+                if entries[..pos].contains(id) {
                     return fail(
                         "unique-ids-per-cell",
-                        format!("cell file {path:?} stores id {} twice", entry.id),
+                        format!("cell file {path:?} stores id {id} twice"),
                     );
                 }
             }
@@ -294,35 +284,26 @@ impl Drop for FileSkylineStore {
 }
 
 impl SkylineStore for FileSkylineStore {
-    fn read(
-        &mut self,
-        constraint: &Constraint,
-        subspace: SubspaceMask,
-    ) -> std::sync::Arc<Vec<StoredEntry>> {
-        let key = Self::key(constraint, subspace);
-        self.load(key);
-        std::sync::Arc::new(
-            self.buffer
-                .as_ref()
-                .map(|b| b.entries.clone())
-                .unwrap_or_default(),
-        )
+    fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
+        self.load(Self::key(constraint, subspace));
+        out.clear();
+        if let Some(buffer) = &self.buffer {
+            out.extend_from_slice(&buffer.entries);
+        }
     }
 
-    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, entry: StoredEntry) {
-        let key = Self::key(constraint, subspace);
-        self.load(key);
+    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) {
+        self.load(Self::key(constraint, subspace));
         if let Some(buffer) = &mut self.buffer {
-            buffer.entries.push(entry);
+            buffer.entries.push(id);
             buffer.dirty = true;
         }
     }
 
     fn remove(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        let key = Self::key(constraint, subspace);
-        self.load(key);
+        self.load(Self::key(constraint, subspace));
         if let Some(buffer) = &mut self.buffer {
-            if let Some(pos) = buffer.entries.iter().position(|e| e.id == id) {
+            if let Some(pos) = buffer.entries.iter().position(|&e| e == id) {
                 buffer.entries.swap_remove(pos);
                 buffer.dirty = true;
                 return true;
@@ -332,11 +313,10 @@ impl SkylineStore for FileSkylineStore {
     }
 
     fn contains(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        let key = Self::key(constraint, subspace);
-        self.load(key);
+        self.load(Self::key(constraint, subspace));
         self.buffer
             .as_ref()
-            .is_some_and(|b| b.entries.iter().any(|e| e.id == id))
+            .is_some_and(|b| b.entries.contains(&id))
     }
 
     fn stats(&self) -> StoreStats {
@@ -387,25 +367,25 @@ mod tests {
         Constraint::from_values(values)
     }
 
+    fn read(store: &mut FileSkylineStore, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
+        let mut ids = Vec::new();
+        store.read(c, m, &mut ids);
+        ids
+    }
+
     #[test]
     fn round_trip_through_files() {
         let dir = temp_dir("roundtrip");
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1, UNBOUND]);
         let m = SubspaceMask(0b11);
-        store.insert(&c, m, StoredEntry::new(0, &[1.0, 2.0]));
-        store.insert(&c, m, StoredEntry::new(1, &[3.0, 4.0]));
+        store.insert(&c, m, 0);
+        store.insert(&c, m, 1);
         // Force the buffer out to disk, then read it back.
         store.flush();
         assert_eq!(store.file_count(), 1);
-        let entries = store.read(&c, m);
-        assert_eq!(entries.len(), 2);
-        assert!(entries
-            .iter()
-            .any(|e| e.id == 0 && *e.measures == [1.0, 2.0]));
-        assert!(entries
-            .iter()
-            .any(|e| e.id == 1 && *e.measures == [3.0, 4.0]));
+        assert_eq!(read(&mut store, &c, m), vec![0, 1]);
+        assert_eq!(fs::read(dir.join("1-x-m3.sky")).unwrap().len(), 12);
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -416,11 +396,11 @@ mod tests {
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c1 = constraint(vec![1]);
         let c2 = constraint(vec![2]);
-        store.insert(&c1, SubspaceMask(1), StoredEntry::new(0, &[1.0]));
+        store.insert(&c1, SubspaceMask(1), 0);
         // Touching another cell evicts (and persists) the first one.
-        store.insert(&c2, SubspaceMask(1), StoredEntry::new(1, &[2.0]));
-        assert_eq!(store.read(&c1, SubspaceMask(1)).len(), 1);
-        assert_eq!(store.read(&c2, SubspaceMask(1)).len(), 1);
+        store.insert(&c2, SubspaceMask(1), 1);
+        assert_eq!(read(&mut store, &c1, SubspaceMask(1)).len(), 1);
+        assert_eq!(read(&mut store, &c2, SubspaceMask(1)).len(), 1);
         let stats = store.stats();
         assert!(stats.file_writes >= 1);
         assert!(stats.file_reads >= 1);
@@ -434,15 +414,16 @@ mod tests {
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![7, 8]);
         let m = SubspaceMask(0b01);
-        store.insert(&c, m, StoredEntry::new(5, &[9.0]));
+        store.insert(&c, m, 5);
         assert!(store.contains(&c, m, 5));
         assert!(!store.contains(&c, m, 6));
         assert!(store.remove(&c, m, 5));
         assert!(!store.remove(&c, m, 5));
         store.flush();
-        // The now-empty cell's file must be gone.
+        // The now-empty cell's file must be gone, and its bytes with it.
         assert_eq!(store.file_count(), 0);
-        assert!(store.read(&c, m).is_empty());
+        assert_eq!(store.stats().approx_bytes, 0);
+        assert!(read(&mut store, &c, m).is_empty());
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -454,10 +435,10 @@ mod tests {
         let c = constraint(vec![1]);
         for i in 0..50u32 {
             let other = constraint(vec![100 + i]);
-            let _ = store.read(&other, SubspaceMask(1));
+            let _ = read(&mut store, &other, SubspaceMask(1));
         }
         assert_eq!(store.stats().file_reads, 0);
-        store.insert(&c, SubspaceMask(1), StoredEntry::new(0, &[1.0]));
+        store.insert(&c, SubspaceMask(1), 0);
         store.flush();
         drop(store);
         let _ = fs::remove_dir_all(&dir);
@@ -468,13 +449,15 @@ mod tests {
         let dir = temp_dir("stats");
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1]);
-        store.insert(&c, SubspaceMask(1), StoredEntry::new(0, &[1.0]));
-        store.insert(&c, SubspaceMask(1), StoredEntry::new(1, &[2.0]));
+        store.insert(&c, SubspaceMask(1), 0);
+        store.insert(&c, SubspaceMask(1), 1);
         // Not yet flushed: entries still counted.
         assert_eq!(store.stats().stored_entries, 2);
         store.flush();
         assert_eq!(store.stats().stored_entries, 2);
         assert_eq!(store.stats().non_empty_cells, 1);
+        // `count:u32 id:u32*`.
+        assert_eq!(store.stats().approx_bytes, 4 + 2 * 4);
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -484,26 +467,28 @@ mod tests {
         let dir = temp_dir("clear");
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1]);
-        store.insert(&c, SubspaceMask(1), StoredEntry::new(0, &[1.0]));
+        store.insert(&c, SubspaceMask(1), 0);
         store.flush();
         assert_eq!(store.file_count(), 1);
         store.clear();
         assert_eq!(store.file_count(), 0);
-        assert!(store.read(&c, SubspaceMask(1)).is_empty());
+        assert!(read(&mut store, &c, SubspaceMask(1)).is_empty());
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn encode_decode_is_lossless() {
-        let entries = vec![
-            StoredEntry::new(1, &[1.5, -2.25, 0.0]),
-            StoredEntry::new(42, &[7.0, 8.0, 9.0]),
-        ];
+        let entries = vec![1, 42, 7];
         let encoded = FileSkylineStore::encode(&entries);
         let decoded = FileSkylineStore::decode(&encoded);
         assert_eq!(entries, decoded);
         assert!(FileSkylineStore::decode(&[]).is_empty());
         assert!(FileSkylineStore::decode(&[1, 2, 3]).is_empty());
+        // A count running past the bytes keeps the ids that are there.
+        assert_eq!(
+            FileSkylineStore::decode(&encoded[..encoded.len() - 2]),
+            vec![1, 42]
+        );
     }
 }

@@ -9,7 +9,8 @@
 //! * [`ContextCounter`] — incremental maintenance of the context cardinalities
 //!   `|σ_C(R)|` needed by the prominence measure;
 //! * [`SkylineStore`] — the `µ_{C,M}` abstraction of the paper (one cell of
-//!   skyline tuples per constraint–measure pair) with an in-memory backend
+//!   skyline tuple ids per constraint–measure pair; the measures stay in the
+//!   [`Table`]) with an in-memory backend
 //!   ([`MemorySkylineStore`]) and a file-backed backend ([`FileSkylineStore`],
 //!   Section VI-C of the paper);
 //! * [`KdTree`] — the k-d tree used by the `BaselineIdx` algorithm for
@@ -39,6 +40,6 @@ pub use kdtree::KdTree;
 pub use memory_store::MemorySkylineStore;
 pub use postings::{CompressedPostings, PostingsCursor};
 pub use stats::{StoreStats, WorkStats};
-pub use store::{SkylineStore, StoreCell, StoredEntry};
+pub use store::{SkylineStore, StoreCell};
 pub use table::{PostingIndexStats, Table};
 pub use wal::{ArrivalLog, LoggedRow, ScannedLog, SyncPolicy, WalStats, WindowRecord};

@@ -7,43 +7,49 @@
 //! The [`SkylineStore`] trait captures the cell-level operations; it is
 //! implemented by an in-memory backend and by the file-backed backend of the
 //! paper's Section VI-C, so the same algorithm code runs over both.
+//!
+//! ## Cells hold tuple ids only
+//!
+//! A cell stores the [`TupleId`]s of its skyline tuples and nothing else. The
+//! measures of every stored tuple already sit in the [`Table`]'s flat
+//! measure column, and the algorithms read the table anyway (a stored
+//! tuple's dimension values decide which constraints a dominator prunes), so
+//! they compare through `table.tuple(id)`. A private copy of the measures per
+//! stored entry would cost memory (the store is the largest structure of a
+//! long-running monitor) and buy no comparison.
+//!
+//! ## Cell order is a contract
+//!
+//! [`SkylineStore::read`] yields a cell's ids in *cell order*, which every
+//! backend maintains by the same two rules:
+//!
+//! * [`SkylineStore::insert`] appends the id at the end of the cell;
+//! * [`SkylineStore::remove`] swap-removes: the cell's last id moves into
+//!   the hole and the cell shrinks by one.
+//!
+//! The order is observable: a kind that keeps whole skylines (Invariant 1)
+//! stops scanning a cell at its first dominator, so the number of dominance
+//! comparisons — the paper's Fig. 11 cost proxy — depends on it.
+//!
+//! ## On disk
+//!
+//! The file-backed store writes a cell as `count:u32 id:u32*`
+//! ([`crate::file_store`]). A durability snapshot writes the dumped cells
+//! ([`StoreCell`]) id-only behind a leading `u32::MAX` tag word
+//! ([`crate::wal::encode_cells`]); snapshots written before the tag stored
+//! each entry's measures and still restore, their measures checked bit for
+//! bit against the restored table.
+//!
+//! [`Table`]: crate::Table
 
 use crate::stats::StoreStats;
 use sitfact_core::{Constraint, DimValueId, Result, SitFactError, SubspaceMask, TupleId};
-use std::sync::Arc;
-
-/// One stored skyline tuple: its id plus a copy of its measure values.
-///
-/// Keeping the measures inline mirrors the paper's storage model (each cell
-/// materialises its skyline tuples) and is what the file backend serialises;
-/// it also spares the algorithms a table lookup per comparison. The measures
-/// are reference-counted so that reading a large cell (skylines over 7
-/// measures routinely hold thousands of tuples) costs a shallow copy per
-/// entry rather than a heap allocation per entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredEntry {
-    /// Id of the tuple in the append-only table.
-    pub id: TupleId,
-    /// The tuple's measure values (all of them, regardless of the cell's
-    /// subspace, so one entry layout serves every cell).
-    pub measures: Arc<[f64]>,
-}
-
-impl StoredEntry {
-    /// Creates an entry from a tuple id and its measures.
-    pub fn new(id: TupleId, measures: &[f64]) -> Self {
-        StoredEntry {
-            id,
-            measures: measures.into(),
-        }
-    }
-}
 
 /// One dumped cell of a [`SkylineStore`] in plain-data form: the constraint's
-/// raw value ids, the subspace bits and the entries (id plus measures), as
-/// produced by [`SkylineStore::dump_cells`] and consumed by
-/// [`SkylineStore::load_cells`]. This is the serialization surface of the
-/// durability layer — see `crate::wal::encode_cells`.
+/// raw value ids, the subspace bits and the stored tuple ids, as produced by
+/// [`SkylineStore::dump_cells`] and consumed by [`SkylineStore::load_cells`].
+/// This is the serialization surface of the durability layer — see
+/// `crate::wal::encode_cells`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreCell {
     /// The cell's constraint as raw dimension value ids
@@ -51,8 +57,8 @@ pub struct StoreCell {
     pub constraint: Vec<DimValueId>,
     /// The cell's measure subspace bits ([`SubspaceMask`]`::0`).
     pub subspace: u32,
-    /// The stored entries, in the cell's insertion order.
-    pub entries: Vec<(TupleId, Vec<f64>)>,
+    /// The stored tuple ids, in cell order.
+    pub entries: Vec<TupleId>,
 }
 
 /// Cell-level access to the skyline tuples stored per `(C, M)` pair.
@@ -60,18 +66,17 @@ pub struct StoreCell {
 /// All methods take `&mut self` because the file-backed implementation keeps
 /// per-cell buffers and I/O counters that mutate even on reads.
 pub trait SkylineStore {
-    /// Reads the entries of cell `(constraint, subspace)`; the returned value
-    /// is a snapshot (mutations go through [`SkylineStore::insert`] /
-    /// [`SkylineStore::remove`], which copy-on-write under the hood), so the
-    /// caller may keep iterating it while mutating the same cell. Reading a
-    /// cell is O(1) for the in-memory backend.
-    fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask) -> Arc<Vec<StoredEntry>>;
+    /// Replaces the contents of `out` with the ids of cell
+    /// `(constraint, subspace)`, in cell order. The caller owns the buffer,
+    /// so it may keep iterating it while it mutates the same cell, and one
+    /// buffer serves every read of a traversal.
+    fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask, out: &mut Vec<TupleId>);
 
-    /// Inserts an entry into a cell. The caller guarantees the entry is not
+    /// Appends a tuple id to a cell. The caller guarantees the id is not
     /// already present.
-    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, entry: StoredEntry);
+    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId);
 
-    /// Removes a tuple from a cell, returning whether it was present.
+    /// Swap-removes a tuple id from a cell, returning whether it was present.
     fn remove(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool;
 
     /// Whether the cell contains the given tuple id.
@@ -100,19 +105,5 @@ pub trait SkylineStore {
         Err(SitFactError::InvalidConfig(
             "this skyline store does not support state import".to_string(),
         ))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stored_entry_round_trip() {
-        let e = StoredEntry::new(7, &[1.0, 2.0, 3.0]);
-        assert_eq!(e.id, 7);
-        assert_eq!(&*e.measures, &[1.0, 2.0, 3.0]);
-        let f = e.clone();
-        assert_eq!(e, f);
     }
 }

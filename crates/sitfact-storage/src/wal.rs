@@ -197,6 +197,11 @@ impl<'a> ByteCursor<'a> {
     /// (`min_item_bytes` is the smallest encoding of one item).
     pub fn get_count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize> {
         let count = self.get_u32()? as usize;
+        self.bounded(count, min_item_bytes, what)
+    }
+
+    /// The check of [`ByteCursor::get_count`] for a count already read.
+    fn bounded(&self, count: usize, min_item_bytes: usize, what: &str) -> Result<usize> {
         if count.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
             return Err(SitFactError::Parse(format!(
                 "implausible {what} count {count} with {} bytes remaining",
@@ -775,13 +780,28 @@ pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
     Table::from_state_parts(schema, len, evicted, watermark, dims, measures, postings)
 }
 
+/// First word of the id-only cell layout [`encode_cells`] writes. The older
+/// layout starts with its cell count instead, which can never be this value:
+/// [`ByteCursor::get_count`] bounds a count by the bytes that remain, and an
+/// old cell takes at least 12 of them.
+const ID_ONLY_CELLS: u32 = u32::MAX;
+
 /// Encodes dumped skyline-store cells ([`StoreCell`]) in a deterministic
-/// order (sorted by constraint values, then subspace).
+/// order (sorted by constraint values, then subspace):
+///
+/// ```text
+/// cells := 0xFFFFFFFF:u32 ncells:u32 cell*
+/// cell  := nvalues:u32 value:u32* subspace:u32 nids:u32 id:u32*
+/// ```
+///
+/// Cells hold tuple ids only; the measures travel once, in the table the
+/// snapshot encodes next to them (see [`crate::store`]).
 pub fn encode_cells(cells: &[StoreCell], out: &mut Vec<u8>) {
     let mut order: Vec<usize> = (0..cells.len()).collect();
     order.sort_by(|&a, &b| {
         (&cells[a].constraint, cells[a].subspace).cmp(&(&cells[b].constraint, cells[b].subspace))
     });
+    put_u32(out, ID_ONLY_CELLS);
     put_u32(out, cells.len() as u32);
     for index in order {
         let cell = &cells[index];
@@ -791,19 +811,37 @@ pub fn encode_cells(cells: &[StoreCell], out: &mut Vec<u8>) {
         }
         put_u32(out, cell.subspace);
         put_u32(out, cell.entries.len() as u32);
-        for (id, measures) in &cell.entries {
-            put_u32(out, *id);
-            put_u32(out, measures.len() as u32);
-            for &m in measures {
-                put_f64(out, m);
-            }
+        for &id in &cell.entries {
+            put_u32(out, id);
         }
     }
 }
 
-/// Decodes cells encoded by [`encode_cells`].
-pub fn decode_cells(cur: &mut ByteCursor<'_>) -> Result<Vec<StoreCell>> {
-    let ncells = cur.get_count(12, "store cell")?;
+/// Decodes cells encoded by [`encode_cells`] for the `table` decoded from
+/// the same snapshot. Every id must name a live row of that table.
+///
+/// Snapshots written before cells became id-only are still read — their
+/// log segments may already be retired, so the snapshot is the only copy of
+/// the state. That layout has no tag word and stores every entry's measures
+/// after its id:
+///
+/// ```text
+/// cells := ncells:u32 cell*
+/// cell  := nvalues:u32 value:u32* subspace:u32 nentries:u32 entry*
+/// entry := id:u32 nmeasures:u32 measure_f64bits*
+/// ```
+///
+/// The table is now the only place measures live, so an old entry's
+/// measures must equal its row's bit for bit. A dead id or a mismatch is a
+/// typed [`SitFactError::Parse`].
+pub fn decode_cells(cur: &mut ByteCursor<'_>, table: &Table) -> Result<Vec<StoreCell>> {
+    let first = cur.get_u32()?;
+    let id_only = first == ID_ONLY_CELLS;
+    let ncells = if id_only {
+        cur.get_count(12, "store cell")?
+    } else {
+        cur.bounded(first as usize, 12, "store cell")?
+    };
     let mut cells = Vec::with_capacity(ncells);
     for _ in 0..ncells {
         let nvalues = cur.get_count(4, "constraint value")?;
@@ -812,16 +850,30 @@ pub fn decode_cells(cur: &mut ByteCursor<'_>) -> Result<Vec<StoreCell>> {
             constraint.push(cur.get_u32()?);
         }
         let subspace = cur.get_u32()?;
-        let nentries = cur.get_count(8, "cell entry")?;
+        let nentries = cur.get_count(if id_only { 4 } else { 8 }, "cell entry")?;
         let mut entries = Vec::with_capacity(nentries);
         for _ in 0..nentries {
             let id = cur.get_u32()?;
-            let nmeasures = cur.get_count(8, "entry measure")?;
-            let mut measures = Vec::with_capacity(nmeasures);
-            for _ in 0..nmeasures {
-                measures.push(cur.get_f64()?);
+            if !table.is_live(id) {
+                return Err(SitFactError::Parse(format!(
+                    "snapshot cell stores tuple {id}, which is not a live row of its table"
+                )));
             }
-            entries.push((id, measures));
+            if !id_only {
+                let row = table.tuple(id).measures();
+                let nmeasures = cur.get_count(8, "entry measure")?;
+                let mut same = nmeasures == row.len();
+                for at in 0..nmeasures {
+                    let bits = cur.get_f64()?.to_bits();
+                    same &= row.get(at).is_some_and(|m| m.to_bits() == bits);
+                }
+                if !same {
+                    return Err(SitFactError::Parse(format!(
+                        "snapshot cell stores measures for tuple {id} that differ from its row"
+                    )));
+                }
+            }
+            entries.push(id);
         }
         cells.push(StoreCell {
             constraint,
@@ -836,7 +888,7 @@ pub fn decode_cells(cur: &mut ByteCursor<'_>) -> Result<Vec<StoreCell>> {
 mod tests {
     use super::*;
     use crate::memory_store::MemorySkylineStore;
-    use crate::store::{SkylineStore, StoredEntry};
+    use crate::store::SkylineStore;
     use sitfact_core::{Constraint, SubspaceMask, Tuple};
 
     fn sample_window(first_id: u64, rows: usize) -> WindowRecord {
@@ -1170,32 +1222,136 @@ mod tests {
         }
     }
 
-    #[test]
-    fn store_cells_round_trip_through_codec_and_store() {
+    /// A two-measure table of `rows` rows, row `i` measuring `(i, i + 0.5)`.
+    fn measured_table(rows: u32) -> Table {
+        let schema = SchemaBuilder::new("cells")
+            .dimension("d")
+            .measure("m0", Direction::HigherIsBetter)
+            .measure("m1", Direction::LowerIsBetter)
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        for i in 0..rows {
+            table
+                .append(Tuple::new(vec![0], vec![i as f64, i as f64 + 0.5]))
+                .unwrap();
+        }
+        table
+    }
+
+    /// `cells` in the layout snapshots had before cells became id-only:
+    /// no tag word, each id followed by its row's measures.
+    fn encode_cells_with_measures(cells: &[StoreCell], table: &Table) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, cells.len() as u32);
+        for cell in cells {
+            put_u32(&mut out, cell.constraint.len() as u32);
+            for &v in &cell.constraint {
+                put_u32(&mut out, v);
+            }
+            put_u32(&mut out, cell.subspace);
+            put_u32(&mut out, cell.entries.len() as u32);
+            for &id in &cell.entries {
+                let measures = table.tuple(id).measures();
+                put_u32(&mut out, id);
+                put_u32(&mut out, measures.len() as u32);
+                for &m in measures {
+                    put_f64(&mut out, m);
+                }
+            }
+        }
+        out
+    }
+
+    fn sample_cells() -> Vec<StoreCell> {
         let mut store = MemorySkylineStore::new();
         let c1 = Constraint::from_values(vec![1, u32::MAX]);
         let c2 = Constraint::from_values(vec![u32::MAX, 2]);
-        store.insert(&c1, SubspaceMask(0b01), StoredEntry::new(0, &[1.0, 2.0]));
-        store.insert(&c1, SubspaceMask(0b11), StoredEntry::new(1, &[3.0, 4.0]));
-        store.insert(&c2, SubspaceMask(0b01), StoredEntry::new(2, &[5.0, 6.0]));
-        store.insert(&c2, SubspaceMask(0b01), StoredEntry::new(3, &[7.0, 8.0]));
+        store.insert(&c1, SubspaceMask(0b01), 0);
+        store.insert(&c1, SubspaceMask(0b11), 1);
+        store.insert(&c2, SubspaceMask(0b01), 3);
+        store.insert(&c2, SubspaceMask(0b01), 2);
+        let mut cells = store.dump_cells().expect("memory store dumps");
+        cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
+        cells
+    }
 
-        let cells = store.dump_cells().expect("memory store dumps");
+    #[test]
+    fn store_cells_round_trip_through_codec_and_store() {
+        let table = measured_table(4);
+        let cells = sample_cells();
         let mut bytes = Vec::new();
         encode_cells(&cells, &mut bytes);
-        let decoded = decode_cells(&mut ByteCursor::new(&bytes)).unwrap();
+        // Tag, count, then per cell 2 + 1 values, subspace, count and ids.
+        assert_eq!(bytes.len(), 4 * (2 + 3 * 5 + 4));
+        assert_eq!(bytes[..4], [0xFF; 4]);
+        let decoded = decode_cells(&mut ByteCursor::new(&bytes), &table).unwrap();
+        // Sorted by constraint and subspace; ids in cell order.
+        assert_eq!(decoded, cells);
         let mut restored = MemorySkylineStore::new();
         restored.load_cells(decoded).unwrap();
         assert_eq!(restored.stats().stored_entries, 4);
         assert_eq!(restored.stats().non_empty_cells, 3);
-        let mut a: Vec<_> = store.dump_cells().unwrap();
-        let mut b: Vec<_> = restored.dump_cells().unwrap();
-        let key = |c: &StoreCell| (c.constraint.clone(), c.subspace);
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        // Entry order within a cell is insertion order, which load_cells
-        // preserves.
-        assert_eq!(a, b);
         restored.audit().unwrap();
+
+        // Every truncation is a typed error.
+        for end in 0..bytes.len() {
+            assert!(decode_cells(&mut ByteCursor::new(&bytes[..end]), &table).is_err());
+        }
+        // An id the table does not hold live is refused.
+        let mut dead = measured_table(4);
+        dead.retract_prefix(1);
+        let err = decode_cells(&mut ByteCursor::new(&bytes), &dead).unwrap_err();
+        assert!(matches!(err, SitFactError::Parse(_)), "{err:?}");
+    }
+
+    #[test]
+    fn old_layout_cells_decode_against_their_table() {
+        let table = measured_table(4);
+        let cells = sample_cells();
+        let bytes = encode_cells_with_measures(&cells, &table);
+        assert_eq!(
+            decode_cells(&mut ByteCursor::new(&bytes), &table).unwrap(),
+            cells
+        );
+        // Flipping any byte of any stored measure is a typed error: the
+        // table is the only copy of the measures now, and they must agree.
+        let mut cur = ByteCursor::new(&bytes);
+        let mut measure_bytes = Vec::new();
+        cur.get_u32().unwrap();
+        for cell in &cells {
+            // nvalues, the values, subspace, nentries.
+            for _ in 0..cell.constraint.len() + 3 {
+                cur.get_u32().unwrap();
+            }
+            for _ in &cell.entries {
+                cur.get_u32().unwrap();
+                cur.get_u32().unwrap();
+                let at = bytes.len() - cur.remaining();
+                measure_bytes.extend(at..at + 16);
+                cur.get_f64().unwrap();
+                cur.get_f64().unwrap();
+            }
+        }
+        assert!(cur.is_empty());
+        assert_eq!(measure_bytes.len(), 4 * 16);
+        for at in measure_bytes {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            let err = decode_cells(&mut ByteCursor::new(&bad), &table).unwrap_err();
+            assert!(matches!(err, SitFactError::Parse(_)), "byte {at}: {err:?}");
+        }
+        // A wrong measure count is refused the same way, not read past.
+        let mut short = bytes.clone();
+        // ncells, nvalues, two values, subspace, nentries, id: then nmeasures.
+        let first_nmeasures = 4 + 4 + 2 * 4 + 4 + 4 + 4;
+        short[first_nmeasures] = 1;
+        assert!(decode_cells(&mut ByteCursor::new(&short), &table).is_err());
+        // No flip anywhere panics.
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x20;
+            let _ = decode_cells(&mut ByteCursor::new(&bad), &table);
+        }
     }
 }

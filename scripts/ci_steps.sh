@@ -19,7 +19,7 @@ CARGO=${CARGO:-cargo}
 
 # Ordered step registry. Adding a step here without wiring it into ci.yml
 # (or vice versa) fails `parity`.
-CI_STEPS=(fmt clippy build test check-targets doc analyze quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke bench-e2e-standalone serve-smoke wal-smoke)
+CI_STEPS=(fmt clippy build test check-targets doc analyze bench-pair-selftest quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke bench-e2e-standalone serve-smoke wal-smoke)
 
 run_step() {
   echo "==> $1"
@@ -44,6 +44,12 @@ run_step() {
       $CARGO test --release -q -p situational-facts --features deep-audit
       $CARGO run --release -p sitfact-bench --features deep-audit \
         --bin audit_storm ;;
+    bench-pair-selftest)
+      # The verdict rules of scripts/bench_pair.sh on canned runs: a bimodal
+      # metric's unlucky block alone does not end WORSE, a planted 30 %
+      # regression does, and the sign-test p-value of 9 wins in 10 pairs is
+      # 0.011. No build, no benchmark run.
+      scripts/bench_pair.sh --self-test ;;
     quickstart) $CARGO run --release --example quickstart ;;
     fig-ingest-smoke)
       # Small n keeps it fast; the binary asserts batched ingest produces

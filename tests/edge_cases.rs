@@ -187,11 +187,7 @@ fn file_store_state_survives_restart() {
 
     {
         let mut store = FileSkylineStore::new(&dir).unwrap();
-        store.insert(
-            &constraint,
-            full,
-            sitfact_storage::StoredEntry::new(0, &[42.0]),
-        );
+        store.insert(&constraint, full, 0);
         store.flush();
     }
     // A fresh store over the same directory starts from an empty index by
