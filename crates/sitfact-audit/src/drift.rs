@@ -8,11 +8,14 @@
 //! * **Bench schemas**: every `BENCH_*.json` schema documented in
 //!   `crates/sitfact-bench/README.md` must list exactly the keys the
 //!   corresponding fig binary emits.
+//! * **Doc links**: every `*.md` file named in a doc comment (`///`, `//!`)
+//!   or a crate README must exist — at the repository root, at the crate
+//!   root, or relative to the naming file.
 
 use crate::lexer::lex;
 use crate::rules::Violation;
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const ROADMAP: &str = "ROADMAP.md";
 const PROTOCOL: &str = "crates/sitfact-serve/src/protocol.rs";
@@ -340,9 +343,89 @@ pub fn check_bench_schemas(root: &Path) -> Vec<Violation> {
     violations
 }
 
+/// The `*.md` names in `text`: a run of path characters ending in `.md`
+/// with a non-empty stem. Globs (`*.md`), absolute paths and URLs are not
+/// names.
+fn md_names(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let path_char = |b: u8| b.is_ascii_alphanumeric() || b"_-./".contains(&b);
+    let mut names = Vec::new();
+    for (at, _) in text.match_indices(".md") {
+        let end = at + ".md".len();
+        if bytes
+            .get(end)
+            .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+        {
+            continue;
+        }
+        let start = bytes[..at]
+            .iter()
+            .rposition(|&b| !path_char(b))
+            .map_or(0, |p| p + 1);
+        let glob = start > 0 && bytes[start - 1] == b'*';
+        if start < at && !glob && bytes[start] != b'/' && bytes[at - 1] != b'/' {
+            names.push(&text[start..end]);
+        }
+    }
+    names
+}
+
+/// The nearest directory from `dir` up to `root` that holds a `Cargo.toml`,
+/// or `root` when none does.
+fn crate_root(root: &Path, dir: &Path) -> PathBuf {
+    dir.ancestors()
+        .take_while(|d| d.starts_with(root))
+        .find(|d| d.join("Cargo.toml").is_file())
+        .unwrap_or(root)
+        .to_path_buf()
+}
+
+/// Checks the `*.md` names of one file — the doc comments of a `.rs`
+/// file, all of a crate README — against the files that exist at the
+/// repository root, at the file's crate root, or next to the file.
+pub fn check_doc_links(root: &Path, rel: &str, source: &str) -> Vec<Violation> {
+    let lexed;
+    let lines: Vec<(usize, &str)> = if rel.ends_with(".rs") {
+        lexed = lex(source);
+        lexed
+            .comments
+            .iter()
+            .filter(|c| c.text.starts_with(['/', '!']))
+            .map(|c| (c.line, c.text.as_str()))
+            .collect()
+    } else {
+        source.lines().enumerate().collect()
+    };
+    let file_dir = root.join(rel).parent().unwrap_or(root).to_path_buf();
+    let bases = [root.to_path_buf(), crate_root(root, &file_dir), file_dir];
+    let mut violations = Vec::new();
+    for (line, text) in lines {
+        for name in md_names(text) {
+            if !bases.iter().any(|base| base.join(name).is_file()) {
+                violations.push(Violation {
+                    rule: "doc-link-drift",
+                    path: rel.to_string(),
+                    line: line + 1,
+                    message: format!(
+                        "names {name}, which exists neither at the repository root, at the \
+                         crate root, nor next to this file"
+                    ),
+                });
+            }
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn md_names_skip_globs_urls_and_longer_extensions() {
+        let text = "see `ROADMAP.md`, ../a/B.md's table, *.md, <https://x.org/C.md>, D.mdx";
+        assert_eq!(md_names(text), vec!["ROADMAP.md", "../a/B.md"]);
+    }
 
     #[test]
     fn verbs_are_extracted_from_grammar_blocks() {

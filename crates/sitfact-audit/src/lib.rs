@@ -21,8 +21,9 @@
 //!
 //! On top of the per-file rules, [`drift`] cross-checks prose against code:
 //! the ROADMAP wire-grammar block against the verb constants in
-//! `sitfact-serve::protocol`, and the bench README's `BENCH_*.json` schemas
-//! against the keys the fig binaries emit.
+//! `sitfact-serve::protocol`, the bench README's `BENCH_*.json` schemas
+//! against the keys the fig binaries emit, and every `*.md` file a doc comment
+//! or crate README names against the files that exist (`doc-link-drift`).
 //!
 //! Run it with `cargo run -p sitfact-audit` (the `analyze` CI step does).
 
@@ -53,11 +54,15 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
             if !should_skip(&name) {
                 walk(&path, files)?;
             }
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "README.md" {
             files.push(path);
         }
     }
     Ok(())
+}
+
+fn is_crate_readme(path: &Path) -> bool {
+    path.ends_with("README.md") && path.with_file_name("Cargo.toml").is_file()
 }
 
 /// `path` relative to `root`, with forward slashes regardless of platform.
@@ -72,27 +77,35 @@ fn relative(root: &Path, path: &Path) -> String {
 /// The outcome of one audit run.
 #[derive(Debug)]
 pub struct AuditReport {
-    /// Number of `.rs` files inspected.
+    /// Number of `.rs` files inspected (crate READMEs are read for
+    /// `doc-link-drift` on top).
     pub files_checked: usize,
     /// Every violation found, in path/line order.
     pub violations: Vec<Violation>,
 }
 
 /// Audits the workspace rooted at `root`: every `.rs` file under it (minus
-/// `target/`, dot-directories and fixture trees) plus the cross-file drift
-/// checks. I/O failures on the root walk are errors; unreadable individual
-/// files are reported as `audit-io` violations so one bad file cannot hide
-/// the rest of the report.
+/// `target/`, dot-directories and fixture trees) and every crate README
+/// (the `README` next to a `Cargo.toml`), plus the cross-file drift checks.
+/// I/O failures on the root walk are errors; unreadable individual files are
+/// reported as `audit-io` violations so one bad file cannot hide the rest of
+/// the report.
 pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     let mut files = Vec::new();
     walk(root, &mut files)?;
+    files.retain(|path| path.extension().is_some_and(|ext| ext == "rs") || is_crate_readme(path));
     files.sort();
 
     let mut violations = Vec::new();
     for path in &files {
         let rel = relative(root, path);
         match std::fs::read_to_string(path) {
-            Ok(source) => violations.extend(rules::check_file(&rel, &source)),
+            Ok(source) => {
+                if rel.ends_with(".rs") {
+                    violations.extend(rules::check_file(&rel, &source));
+                }
+                violations.extend(drift::check_doc_links(root, &rel, &source));
+            }
             Err(err) => violations.push(Violation {
                 rule: "audit-io",
                 path: rel,
@@ -111,7 +124,7 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     });
 
     Ok(AuditReport {
-        files_checked: files.len(),
+        files_checked: files.iter().filter(|p| !is_crate_readme(p)).count(),
         violations,
     })
 }

@@ -27,6 +27,7 @@ fn fixture_tree_fires_every_rule_family() {
         "allow-syntax",
         "grammar-drift",
         "bench-schema-drift",
+        "doc-link-drift",
     ] {
         assert!(
             rules.contains(&expected),
@@ -66,6 +67,19 @@ fn fixture_tree_fires_every_rule_family() {
     assert!(bench.iter().any(|m| m.contains("\"seconds\"")), "{bench:?}");
     // The interpolated speedup key matches its documented instantiation.
     assert!(!bench.iter().any(|m| m.contains("speedup")), "{bench:?}");
+
+    // One dangling doc link; resolved names, globs, URLs and plain comments
+    // do not count.
+    let links: Vec<(&str, usize, &str)> = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == "doc-link-drift")
+        .map(|v| (v.path.as_str(), v.line, v.message.as_str()))
+        .collect();
+    assert_eq!(links.len(), 1, "{links:?}");
+    assert_eq!(links[0].0, "crates/demo/src/links.rs");
+    assert_eq!(links[0].1, 5);
+    assert!(links[0].2.contains("DESIGN.md"), "{links:?}");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! `d̂ = m̂ = 3`, `STopDown`):
 //!
 //! * **ingest** — windowed `ingest_batch_slice` throughput of a bare
-//!   [`FactMonitor`] vs the same monitor wrapped in a [`DurableMonitor`]
+//!   [`FactMonitor`] vs the same monitor behind a logged [`ArrivalPipeline`]
 //!   under both sync policies (`SyncPolicy::Os`: append + OS flushing;
 //!   `SyncPolicy::Always`: fsync before every window ack).
 //! * **recovery** — wall-clock to rebuild the monitor from its data
@@ -21,7 +21,9 @@
 use sitfact_bench::params::arg_value;
 use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
 use sitfact_core::{DiscoveryConfig, Schema, Tuple};
-use sitfact_prominence::{DurableMonitor, FactMonitor, MonitorConfig, StreamMonitor, WalOptions};
+use sitfact_prominence::{
+    ArrivalPipeline, FactMonitor, MonitorConfig, StreamMonitor, WalOptions, WindowPolicy,
+};
 use sitfact_storage::SyncPolicy;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -106,6 +108,9 @@ fn main() {
         let algo = sitfact_algos::STopDown::new(&schema, discovery);
         FactMonitor::new(schema.clone(), algo, config)
     };
+    let open = |dir: &Path, opts: WalOptions| {
+        ArrivalPipeline::new(fresh_monitor(), WindowPolicy::Unbounded).open_log(dir, opts)
+    };
     let root = std::env::temp_dir().join(format!("fig_wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     eprintln!(
@@ -154,8 +159,7 @@ fn main() {
         let opts = WalOptions::default().with_sync(sync).without_snapshots();
         let seconds = measure(reps, || {
             let dir = fresh_dir(&root, mode);
-            let (mut durable, _) =
-                DurableMonitor::open(&dir, fresh_monitor(), opts).expect("open wal");
+            let (mut durable, _) = open(&dir, opts).expect("open wal");
             for window in tuples.chunks(batch) {
                 durable.ingest_batch_slice(window).expect("logged ingest");
             }
@@ -180,7 +184,7 @@ fn main() {
                 .with_snapshot_every(snapshot_every)
         };
         let dir = fresh_dir(&root, &format!("recover-{snapshot_every}"));
-        let (mut durable, _) = DurableMonitor::open(&dir, fresh_monitor(), opts).expect("open wal");
+        let (mut durable, _) = open(&dir, opts).expect("open wal");
         for window in tuples.chunks(batch) {
             durable.ingest_batch_slice(window).expect("logged ingest");
         }
@@ -189,8 +193,7 @@ fn main() {
 
         // Recovery fidelity first (recovered ≡ uninterrupted, asserted with
         // ==), then best-of-reps recovery wall-clock on the same directory.
-        let (recovered, report) =
-            DurableMonitor::open(&dir, fresh_monitor(), opts).expect("recover");
+        let (recovered, report) = open(&dir, opts).expect("recover");
         assert_eq!(recovered.len(), n, "recovered row count");
         assert_eq!(
             recovered.last_report(),
@@ -199,8 +202,7 @@ fn main() {
         );
         drop(recovered);
         let seconds = measure(reps, || {
-            let (recovered, _) =
-                DurableMonitor::open(&dir, fresh_monitor(), opts).expect("recover");
+            let (recovered, _) = open(&dir, opts).expect("recover");
             recovered.len()
         });
         recovery_legs.push(RecoveryLeg {

@@ -10,7 +10,7 @@
 //! `d̂ = m̂ = 3`, `STopDown`):
 //!
 //! * **fidelity** — before anything is timed, the binary asserts the
-//!   subsystem's load-bearing equivalence: a `WindowedMonitor` that ingested
+//!   subsystem's load-bearing equivalence: a windowed `ArrivalPipeline` that ingested
 //!   the whole stream produces byte-identical reports for a continuation to
 //!   a fresh monitor (id space aligned via `FactMonitor::with_base`) fed
 //!   only the surviving suffix. A CI smoke run of this binary therefore
@@ -32,7 +32,7 @@ use sitfact_bench::params::arg_value;
 use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
 use sitfact_core::{DiscoveryConfig, Schema, Tuple, TupleId};
 use sitfact_prominence::{
-    FactMonitor, MonitorConfig, StreamMonitor, WindowPolicy, WindowedMonitor,
+    ArrivalPipeline, FactMonitor, MonitorConfig, StreamMonitor, WindowPolicy,
 };
 use std::time::Instant;
 
@@ -124,7 +124,7 @@ fn main() {
     eprintln!("fig_window: window={window}, n={n} ({mult}x), batch={batch}, reps={reps}");
 
     // --- Fidelity: windowed ≡ rebuild-from-suffix, asserted before timing --
-    let mut windowed = WindowedMonitor::new(fresh(), policy);
+    let mut windowed = ArrivalPipeline::new(fresh(), policy);
     for chunk in stream.chunks(batch) {
         windowed.ingest_batch_slice(chunk).expect("windowed ingest");
     }
@@ -136,7 +136,7 @@ fn main() {
     let start = windowed.len() - windowed.stats().live_rows;
     let algo = sitfact_algos::STopDown::new(&schema, discovery);
     let rebuilt_inner = FactMonitor::with_base(schema.clone(), algo, config, start as TupleId);
-    let mut rebuilt = WindowedMonitor::new(rebuilt_inner, policy);
+    let mut rebuilt = ArrivalPipeline::new(rebuilt_inner, policy);
     rebuilt
         .ingest_batch_slice(&stream[start..])
         .expect("rebuild ingest");
@@ -155,7 +155,7 @@ fn main() {
 
     // --- Memory curve -----------------------------------------------------
     let checkpoint_every = (window / 2).max(1);
-    let mut windowed = WindowedMonitor::new(fresh(), policy);
+    let mut windowed = ArrivalPipeline::new(fresh(), policy);
     let mut unbounded = fresh();
     let mut memory: Vec<MemoryPoint> = Vec::new();
     let mut since_checkpoint = 0usize;
@@ -205,7 +205,7 @@ fn main() {
     for (mode, is_windowed) in [("unbounded", false), ("windowed", true)] {
         let seconds = measure(reps, || {
             if is_windowed {
-                let mut monitor = WindowedMonitor::new(fresh(), policy);
+                let mut monitor = ArrivalPipeline::new(fresh(), policy);
                 for chunk in stream.chunks(batch) {
                     monitor.ingest_batch_slice(chunk).expect("ingest");
                 }

@@ -3,8 +3,10 @@
 //! Experiment harness reproducing every figure of the evaluation section of
 //! *Incremental Discovery of Prominent Situational Facts* (ICDE 2014).
 //!
-//! Each figure has a dedicated binary under `src/bin/` (see DESIGN.md for the
-//! experiment index); this library holds the shared plumbing:
+//! Each figure has a dedicated binary under `src/bin/` (`fig07_baselines` …
+//! `fig15_distribution`, `run_all`, `case_study`; the other experiments and
+//! their result schemas are in `crates/sitfact-bench/README.md`); this
+//! library holds the shared plumbing:
 //!
 //! * [`params`] — the paper's parameter grids (Table V/VI dimension and
 //!   measure spaces, default `d̂`/`m̂`, sweep ranges) scaled to laptop sizes;
@@ -15,8 +17,8 @@
 //!
 //! The absolute numbers differ from the paper's (Java on 2009-era hardware vs
 //! native Rust, and smaller default stream sizes); the *relationships* between
-//! algorithms are what the binaries reproduce and what `EXPERIMENTS.md`
-//! records.
+//! algorithms are what the binaries reproduce. Nothing checks or records
+//! them yet: item 7 of `ROADMAP.md` is the plan for that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,6 @@
 
 use crate::error::{Result, SitFactError};
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 
 /// Limits on which constraint–measure pairs are considered.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (`max_bound_dims`) and the dimensionality of measure subspaces at `m̂`
 /// (`max_measure_dims`) to avoid reporting over-specific, uninteresting facts
 /// (Section VI-A). `None` means "no cap".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiscoveryConfig {
     /// `d̂`: maximum number of bound dimension attributes in a constraint.
     pub max_bound_dims: Option<usize>,

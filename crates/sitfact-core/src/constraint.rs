@@ -6,7 +6,6 @@ use crate::error::{Result, SitFactError};
 use crate::schema::Schema;
 use crate::tuple::TupleView;
 use crate::value::{DimValueId, UNBOUND};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bitmask over dimension attributes: bit `i` set iff attribute `d_i` is
@@ -16,7 +15,7 @@ use std::fmt;
 /// fully determined by which attributes are bound (the bound value is forced
 /// to `t.d_i`), so the traversal algorithms manipulate only these masks and
 /// materialise a full [`Constraint`] just before touching the skyline store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BoundMask(pub u32);
 
 impl BoundMask {
@@ -179,7 +178,7 @@ impl fmt::Display for BoundMask {
 /// `Constraint` is the *global* representation used as a key of the skyline
 /// stores and reported in discovered facts; inside a per-tuple lattice the
 /// compact [`BoundMask`] form is used instead.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
     values: Box<[DimValueId]>,
 }

@@ -3,11 +3,10 @@
 use crate::constraint::Constraint;
 use crate::schema::Schema;
 use crate::subspace::SubspaceMask;
-use serde::{Deserialize, Serialize};
 
 /// A constraint–measure pair `(C, M)` that qualifies a tuple as a contextual
 /// skyline tuple — one element of the paper's result set `S_t`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SkylinePair {
     /// The conjunctive constraint defining the context `σ_C(R)`.
     pub constraint: Constraint,

@@ -4,7 +4,6 @@
 use crate::dictionary::Dictionary;
 use crate::error::{Result, SitFactError};
 use crate::value::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of dimension attributes supported by the bitmask-based
 /// constraint lattice ([`BoundMask`](crate::BoundMask) is a `u32`, and flag
@@ -16,7 +15,7 @@ pub const MAX_DIMENSIONS: usize = 20;
 pub const MAX_MEASURES: usize = 20;
 
 /// A measure attribute: a name plus its preference direction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasureAttr {
     /// Attribute name (unique within the schema).
     pub name: String,

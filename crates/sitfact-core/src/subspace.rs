@@ -1,6 +1,5 @@
 //! Measure subspaces `M ⊆ 𝕄` represented as bitmasks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A measure subspace: bit `i` is set iff measure attribute `i` belongs to the
@@ -10,7 +9,7 @@ use std::fmt;
 /// capped at `m̂` attributes); with at most
 /// [`MAX_MEASURES`](crate::schema::MAX_MEASURES) measures a `u32` mask is
 /// ample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubspaceMask(pub u32);
 
 impl SubspaceMask {

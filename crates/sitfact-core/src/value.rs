@@ -1,7 +1,5 @@
 //! Primitive value types: dimension value identifiers and measure directions.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a dimension value inside its attribute's [`Dictionary`](crate::Dictionary).
 ///
 /// Dimension attributes are categorical (player names, team codes, months…);
@@ -16,7 +14,7 @@ pub const UNBOUND: DimValueId = u32::MAX;
 ///
 /// The paper's Definition 2 allows "better than" to mean either "larger than"
 /// or "smaller than" per attribute (e.g. points vs. fouls in a box score).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Larger values dominate smaller values (points, rebounds, likes, …).
     HigherIsBetter,

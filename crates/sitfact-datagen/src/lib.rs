@@ -8,7 +8,8 @@
 //! attribute cardinalities, skewed dimension-value popularity, and correlated
 //! measures. The discovery algorithms only ever see dictionary-encoded
 //! dimension ids and numeric measures, so these are the properties that drive
-//! their cost and output volume (see DESIGN.md for the substitution argument).
+//! their cost and output volume — the whole substitution argument, until
+//! item 7 of `ROADMAP.md` writes it down next to the experiments.
 //!
 //! * [`nba`] — synthetic basketball box scores (Table V / Table VI schemas);
 //! * [`weather`] — synthetic daily forecasts (7 dimension / 7 measure attributes);

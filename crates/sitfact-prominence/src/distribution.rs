@@ -2,7 +2,6 @@
 //! paper's case study (Figs. 14 and 15).
 
 use crate::fact::ArrivalReport;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates, over a processed stream, the number of prominent facts broken
 /// down the way the paper plots them:
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// * per window of `window` arriving tuples (Fig. 14),
 /// * by the number of bound dimension attributes of the constraint (Fig. 15a),
 /// * by the dimensionality of the measure subspace (Fig. 15b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionStats {
     /// Window size in tuples (the paper uses 1,000).
     pub window: usize,

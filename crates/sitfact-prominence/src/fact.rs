@@ -1,10 +1,9 @@
 //! Ranked situational facts and per-arrival reports.
 
-use serde::{Deserialize, Serialize};
 use sitfact_core::{Schema, SkylinePair, TupleId};
 
 /// A situational fact together with the quantities behind its prominence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedFact {
     /// The constraint–measure pair.
     pub pair: SkylinePair,
@@ -61,7 +60,7 @@ impl RankedFact {
 }
 
 /// Everything discovered about one arriving tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalReport {
     /// Id assigned to the tuple in the append-only table.
     pub tuple_id: TupleId,

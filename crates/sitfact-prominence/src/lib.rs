@@ -22,11 +22,11 @@
 //! `FactMonitor` shards and fans batched windows out in parallel — provably
 //! equivalent to an unsharded monitor over the anchored constraint space (see
 //! the [`sharded`] module docs for the soundness argument).
-//! [`DurableMonitor`] wraps any monitor with a
-//! write-ahead arrival log and snapshot-bounded crash recovery (see the
-//! [`durable`] module docs). [`WindowedMonitor`] bounds any monitor to a
-//! sliding window of recent arrivals, retracting expired tuples at batch
-//! boundaries (see the [`window`] module docs). [`DistributionStats`]
+//! [`ArrivalPipeline`] runs any monitor's arrivals through the stages a
+//! deployment adds: a sliding window of recent arrivals, retracted at batch
+//! boundaries, and a write-ahead arrival log with snapshot-bounded crash
+//! recovery (see the [`pipeline`] and [`durable`] module docs).
+//! [`DistributionStats`]
 //! accumulates the figures of the paper's case study (Figs. 14–15), and
 //! [`narrate()`] renders facts as English sentences in the style of the
 //! paper's examples.
@@ -39,18 +39,20 @@ pub mod durable;
 pub mod fact;
 pub mod monitor;
 pub mod narrate;
+pub mod pipeline;
 pub mod sharded;
 pub mod stream;
-pub mod window;
 
 pub use distribution::DistributionStats;
-pub use durable::{replay_log, DurableMonitor, RecoveryReport, ReplayOutcome, WalOptions};
+pub use durable::{replay_log, RecoveryReport, ReplayOutcome, WalOptions};
 pub use fact::{ArrivalReport, RankedFact};
 pub use monitor::{FactMonitor, MonitorConfig};
 pub use narrate::narrate;
+#[doc(hidden)]
+pub use pipeline::WindowedMonitor;
+pub use pipeline::{ArrivalPipeline, WindowPolicy};
 pub use sharded::ShardedMonitor;
 pub use stream::{MonitorStats, StreamMonitor};
-pub use window::{WindowPolicy, WindowedMonitor};
 // The WAL types that cross the serve boundary (`STATS` counters, sync
 // policy), re-exported so the serving layer needs no direct storage
 // dependency.

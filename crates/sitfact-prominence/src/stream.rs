@@ -8,16 +8,24 @@
 //! `Box<dyn StreamMonitor>` is what the `sitfact-serve` front-end serves, so
 //! sharded vs unsharded is a construction-time choice, not a code path.
 //!
-//! # Writing a wrapper
+//! # The one wrapper
 //!
-//! A wrapper ([`WindowedMonitor`](crate::WindowedMonitor),
-//! [`DurableMonitor`](crate::DurableMonitor)) forwards the seven required
-//! methods, [`StreamMonitor::stats`], and whichever of `evict_prefix` /
-//! `export_durable` / `restore_durable` stay meaningful through it (the three
-//! defaults *refuse*, so an unforwarded capability is never silently
-//! ignored). It never overrides `is_empty` / `ingest_raw` / `ingest_batch` /
-//! `ingest_all`, and it *amends* the inner [`MonitorStats`] rather than
-//! forwarding counters one by one.
+//! [`ArrivalPipeline`](crate::ArrivalPipeline) is the only wrapper: the
+//! window and the write-ahead log are stages of it, not layers. It forwards
+//! the five read and encode methods and `export_durable`, runs `ingest` and
+//! `ingest_batch_slice` through its stages, and *amends* the inner
+//! [`MonitorStats`] with its log counters rather than forwarding counters
+//! one by one. It never overrides `is_empty` / `ingest_raw` /
+//! `ingest_batch` / `ingest_all`.
+//!
+//! Three capabilities stay refusing-by-default trait methods rather than
+//! traits of their own: `evict_prefix`, `export_durable` and
+//! `restore_durable`. A [`FactMonitor`](crate::FactMonitor) can only answer
+//! them at run time (its algorithm may refuse retraction or export), and the
+//! server holds a `Box<dyn StreamMonitor + Send>`, so a capability trait
+//! would add a second object type and still keep the run-time refusal. A
+//! default that refuses means a capability nobody implemented is never
+//! silently ignored.
 
 use crate::fact::ArrivalReport;
 use crate::monitor::MonitorConfig;
@@ -42,7 +50,7 @@ pub struct MonitorStats {
     pub anchor_dim: Option<usize>,
     /// Posting-index footprint (a sharded monitor sums its shards).
     pub postings: PostingIndexStats,
-    /// Write-ahead-log counters (all zero without a durability layer).
+    /// Write-ahead-log counters (all zero without a logged pipeline).
     pub wal: WalStats,
     /// Tuples still answering queries (`len` minus everything retracted).
     pub live_rows: usize,
@@ -147,7 +155,7 @@ pub trait StreamMonitor {
     /// a count: retracting to an already-passed watermark is a no-op).
     /// Returns the number of tuples newly retracted.
     ///
-    /// The sliding-window layer ([`WindowedMonitor`](crate::WindowedMonitor))
+    /// The eviction stage of an [`ArrivalPipeline`](crate::ArrivalPipeline)
     /// calls this at window boundaries. The default refuses: a monitor must
     /// opt into retraction by overriding, so a window policy can never be
     /// silently ignored.
@@ -180,9 +188,9 @@ pub trait StreamMonitor {
     }
 
     /// The monitor's counters as one owned record. A monitor overrides the
-    /// fields it owns over [`MonitorStats::new`]; a wrapper amends its inner
-    /// record (`MonitorStats { wal: …, ..self.inner.stats() }`), so a new
-    /// counter is a new field here, not a new method on every wrapper.
+    /// fields it owns over [`MonitorStats::new`]; the pipeline amends its
+    /// inner record (`MonitorStats { wal: …, ..self.inner.stats() }`), so a
+    /// new counter is a new field here, not a new trait method.
     fn stats(&self) -> MonitorStats {
         MonitorStats::new(self.schema(), self.config(), self.len())
     }
@@ -212,10 +220,10 @@ pub trait StreamMonitor {
     }
 }
 
-/// Forwarding impl so a boxed monitor *is* a monitor — this is what lets the
-/// durability wrapper ([`DurableMonitor`](crate::DurableMonitor)) wrap the
-/// serve layer's `Box<dyn StreamMonitor + Send>` tenants without knowing the
-/// concrete type. Every method forwards, provided ones included.
+/// Forwarding impl so a boxed monitor *is* a monitor — this is what lets an
+/// [`ArrivalPipeline`](crate::ArrivalPipeline) run the serve layer's
+/// `Box<dyn StreamMonitor + Send>` tenants without knowing the concrete
+/// type. Every method forwards, provided ones included.
 impl<M: StreamMonitor + ?Sized> StreamMonitor for Box<M> {
     fn schema(&self) -> &Schema {
         (**self).schema()

@@ -17,8 +17,8 @@ use sitfact_core::{DiscoveryConfig, SitFactError, Tuple};
 use sitfact_datagen::nba::{nba_schema, NbaConfig, NbaGenerator};
 use sitfact_datagen::{DataGenerator, Row};
 use sitfact_prominence::{
-    ArrivalReport, DurableMonitor, FactMonitor, MonitorConfig, RecoveryReport, StreamMonitor,
-    WalOptions, WindowPolicy, WindowedMonitor,
+    ArrivalPipeline, ArrivalReport, FactMonitor, MonitorConfig, RecoveryReport, StreamMonitor,
+    WalOptions, WindowPolicy,
 };
 use sitfact_storage::wal::{self, ByteCursor};
 use sitfact_storage::SyncPolicy;
@@ -31,7 +31,7 @@ const BATCH: usize = 8;
 /// The tenant's sliding window.
 const WINDOW: usize = 32;
 
-type Tenant = WindowedMonitor<FactMonitor<STopDown>>;
+type Tenant = ArrivalPipeline<FactMonitor<STopDown>>;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable-v1")
@@ -44,15 +44,24 @@ fn options() -> WalOptions {
         .with_segment_bytes(4096)
 }
 
-fn tenant() -> Tenant {
+fn monitor() -> FactMonitor<STopDown> {
     let schema = nba_schema(4, 2);
     let config = MonitorConfig::default()
         .with_tau(2.0)
         .with_keep_top(4)
         .with_discovery(DiscoveryConfig::capped(2, 2));
     let algo = STopDown::new(&schema, config.discovery);
-    let monitor = FactMonitor::new(schema, algo, config);
-    WindowedMonitor::new(monitor, WindowPolicy::count(WINDOW).unwrap())
+    FactMonitor::new(schema, algo, config)
+}
+
+/// The fixture's tenant, unlogged.
+fn tenant() -> Tenant {
+    ArrivalPipeline::new(monitor(), WindowPolicy::count(WINDOW).unwrap())
+}
+
+/// The fixture's tenant, logged under `dir` and recovered from it.
+fn open(dir: &Path) -> sitfact_core::Result<(Tenant, RecoveryReport)> {
+    tenant().open_log(dir, options())
 }
 
 /// The seeded stream the fixture's tenant was fed, and its continuation.
@@ -85,7 +94,7 @@ fn ingest(monitor: &mut impl StreamMonitor, rows: &[Row]) -> Vec<ArrivalReport> 
     reports
 }
 
-fn fingerprint(recovery: &RecoveryReport, monitor: &DurableMonitor<Tenant>) -> String {
+fn fingerprint(recovery: &RecoveryReport, monitor: &Tenant) -> String {
     format!(
         "{recovery:?}\n{:?}\n{:?}\n",
         monitor.last_report(),
@@ -126,7 +135,7 @@ fn snapshot_path(dir: &Path) -> PathBuf {
 #[test]
 fn v1_fixture_recovers_to_its_fingerprint() {
     let dir = copy_fixture("recover");
-    let (mut recovered, recovery) = DurableMonitor::open(&dir, tenant(), options()).unwrap();
+    let (mut recovered, recovery) = open(&dir).unwrap();
     assert!(recovery.snapshot_rows > 0, "{recovery:?}");
     assert!(recovery.dropped_bytes > 0, "{recovery:?}");
     let expected = std::fs::read_to_string(fixture_dir().join("expected.txt")).unwrap();
@@ -187,7 +196,7 @@ fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
 
     let mut blob = payload[blob_at..].to_vec();
     blob[measure_at - blob_at] ^= 0x01;
-    let mut restored = tenant();
+    let mut restored = monitor();
     match restored.restore_durable(&blob) {
         Err(SitFactError::Parse(message)) => assert!(message.contains("measures"), "{message}"),
         other => panic!("expected a typed parse error, got {other:?}"),
@@ -199,7 +208,7 @@ fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
     let mut framed = Vec::new();
     wal::write_frame(&mut framed, &payload).unwrap();
     std::fs::write(&path, framed).unwrap();
-    match DurableMonitor::open(&dir, tenant(), options()) {
+    match open(&dir) {
         Err(SitFactError::Parse(_)) => {}
         Err(other) => panic!("expected a typed parse error, got {other:?}"),
         Ok((_, recovery)) => panic!("recovered from a corrupt snapshot: {recovery:?}"),
@@ -216,7 +225,7 @@ fn generate_fixture() {
     let dir = std::env::temp_dir().join("sitfact-durable-fixture");
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let (mut monitor, _) = DurableMonitor::open(&dir, tenant(), options()).unwrap();
+        let (mut monitor, _) = open(&dir).unwrap();
         ingest(&mut monitor, &stream(WRITTEN));
     }
     // A torn frame behind the last acknowledged window: a length and half a
@@ -234,7 +243,7 @@ fn generate_fixture() {
 
     let recovered = dir.with_extension("recovered");
     copy_tenant(&dir, &recovered);
-    let (monitor, recovery) = DurableMonitor::open(&recovered, tenant(), options()).unwrap();
+    let (monitor, recovery) = open(&recovered).unwrap();
     std::fs::write(dir.join("expected.txt"), fingerprint(&recovery, &monitor)).unwrap();
     drop(monitor);
     let _ = std::fs::remove_dir_all(&recovered);

@@ -25,12 +25,12 @@
 //!   ROADMAP.
 //! * Durability is opt-in via
 //!   [`ServerOptions::with_data_dir`](server::ServerOptions::with_data_dir):
-//!   every tenant monitor is wrapped in a
-//!   [`DurableMonitor`](sitfact_prominence::DurableMonitor) — each accepted
-//!   window is appended to a checksummed write-ahead log *before* it is
-//!   acknowledged, binding recovers the default tenant, and `OPEN` of a
-//!   tenant whose directory already exists replays it back to life. The
-//!   `STATS` verb reports the per-tenant WAL counters.
+//!   every tenant's [`ArrivalPipeline`](sitfact_prominence::ArrivalPipeline)
+//!   is then logged — each accepted window is appended to a checksummed
+//!   write-ahead log *before* it is acknowledged, binding recovers the
+//!   default tenant, and `OPEN` of a tenant whose directory already exists
+//!   replays it back to life. The `STATS` verb reports the per-tenant WAL
+//!   counters.
 //!
 //! The crate ships two demo binaries: `sitfact_serve` (stand up a server
 //! over a synthetic-NBA monitor) and `sitfact_client` (stream rows into it

@@ -27,7 +27,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sitfact_core::{ActorPool, FxBuildHasher, SitFactError, SnapshotCell};
-use sitfact_prominence::{ArrivalReport, DurableMonitor, StreamMonitor, WalOptions};
+use sitfact_prominence::{ArrivalPipeline, ArrivalReport, StreamMonitor, WalOptions, WindowPolicy};
 
 use crate::error::error_kind;
 use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
@@ -38,8 +38,12 @@ use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
 /// reachable only as a connection's initial current tenant.
 pub(crate) const DEFAULT_TENANT: &str = "";
 
-/// The boxed monitor type the engine's workers own.
+/// The boxed monitor type behind every tenant's pipeline.
 pub(crate) type BoxedMonitor = Box<dyn StreamMonitor + Send>;
+
+/// What the engine's workers own per tenant: its monitor behind the arrival
+/// stages (window, and the log when the server has a data directory).
+type Pipeline = ArrivalPipeline<BoxedMonitor>;
 
 const POISONED_MSG: &str = "monitor poisoned by a panic in an earlier request";
 
@@ -56,26 +60,34 @@ pub(crate) struct TenantSnapshot {
     pub(crate) poisoned: bool,
 }
 
-/// Converts a monitor's stats record into the wire statistics record.
-pub(crate) fn stats_of(monitor: &dyn StreamMonitor) -> ServerStats {
-    let stats = monitor.stats();
-    ServerStats {
-        len: stats.len as u64,
-        tau: stats.tau,
-        keep_top: stats.keep_top.map(|k| k as u64),
-        anchor_dim: stats.anchor_dim.map(|d| d as u64),
-        sealed_blocks: stats.postings.sealed_blocks as u64,
-        tail_ids: stats.postings.tail_ids as u64,
-        compressed_bytes: stats.postings.compressed_bytes as u64,
-        uncompressed_bytes: stats.postings.uncompressed_bytes as u64,
-        wal_segments: stats.wal.segments,
-        wal_bytes: stats.wal.bytes,
-        wal_synced: stats.wal.durable_rows,
-        wal_retired: stats.wal.retired_segments,
-        live_rows: stats.live_rows as u64,
-        tombstones: stats.tombstones as u64,
-        evicted: stats.evicted as u64,
-        schema: stats.schema_name,
+impl TenantSnapshot {
+    /// What a tenant's readers see after its pipeline's latest window: the
+    /// last report, and the monitor's stats record as the wire record.
+    fn of(pipeline: &Pipeline) -> Arc<Self> {
+        let stats = pipeline.stats();
+        let stats = ServerStats {
+            len: stats.len as u64,
+            tau: stats.tau,
+            keep_top: stats.keep_top.map(|k| k as u64),
+            anchor_dim: stats.anchor_dim.map(|d| d as u64),
+            sealed_blocks: stats.postings.sealed_blocks as u64,
+            tail_ids: stats.postings.tail_ids as u64,
+            compressed_bytes: stats.postings.compressed_bytes as u64,
+            uncompressed_bytes: stats.postings.uncompressed_bytes as u64,
+            wal_segments: stats.wal.segments,
+            wal_bytes: stats.wal.bytes,
+            wal_synced: stats.wal.durable_rows,
+            wal_retired: stats.wal.retired_segments,
+            live_rows: stats.live_rows as u64,
+            tombstones: stats.tombstones as u64,
+            evicted: stats.evicted as u64,
+            schema: stats.schema_name,
+        };
+        Arc::new(TenantSnapshot {
+            report: pipeline.last_report().cloned(),
+            stats,
+            poisoned: false,
+        })
     }
 }
 
@@ -88,6 +100,23 @@ pub(crate) struct Durability {
     pub(crate) root: PathBuf,
     /// WAL sync/snapshot policy applied to every tenant.
     pub(crate) wal: WalOptions,
+}
+
+/// The pipeline of tenant `name`: `monitor` under `policy`, logged under
+/// the tenant's directory when `durability` is set — which recovers
+/// whatever state a previous process left there.
+fn open_pipeline(
+    monitor: BoxedMonitor,
+    policy: WindowPolicy,
+    name: &str,
+    durability: Option<&Durability>,
+) -> Result<Pipeline, SitFactError> {
+    let pipeline = ArrivalPipeline::new(monitor, policy);
+    let Some(durability) = durability else {
+        return Ok(pipeline);
+    };
+    let dir = durability.root.join(tenant_dir_name(name));
+    Ok(pipeline.open_log(dir, durability.wal)?.0)
 }
 
 /// Maps a tenant name to its directory under the data root. The default
@@ -113,15 +142,18 @@ pub(crate) fn tenant_dir_name(name: &str) -> String {
     out
 }
 
-/// Builds an independent monitor from a wire [`TenantSpec`].
+/// Builds an independent monitor and its window policy from a wire
+/// [`TenantSpec`].
 ///
 /// Validation failures (duplicate attribute names, non-finite `τ`, zero
-/// caps) come back as typed [`SitFactError`]s for the `ERR` relay; nothing
-/// in here panics on bad wire input.
-pub(crate) fn build_monitor(spec: &TenantSpec) -> Result<BoxedMonitor, SitFactError> {
+/// caps, a zero window) come back as typed [`SitFactError`]s for the `ERR`
+/// relay; nothing in here panics on bad wire input.
+pub(crate) fn build_monitor(
+    spec: &TenantSpec,
+) -> Result<(BoxedMonitor, WindowPolicy), SitFactError> {
     use sitfact_algos::STopDown;
     use sitfact_core::{DiscoveryConfig, SchemaBuilder};
-    use sitfact_prominence::{FactMonitor, MonitorConfig, WindowPolicy, WindowedMonitor};
+    use sitfact_prominence::{FactMonitor, MonitorConfig};
 
     let mut builder = SchemaBuilder::new(&spec.name);
     for dim in &spec.dims {
@@ -148,19 +180,12 @@ pub(crate) fn build_monitor(spec: &TenantSpec) -> Result<BoxedMonitor, SitFactEr
     // up front); wire specs are untrusted, so validate here and relay.
     config.validate()?;
     discovery.validate(&schema)?;
+    let policy = WindowPolicy::from_limit(spec.window)?;
     let algorithm = STopDown::new(&schema, discovery);
-    let monitor = FactMonitor::new(schema, algorithm, config);
-    // A windowed tenant wraps its monitor *inside* the durability layer
-    // (`Engine::wrap` is applied by the caller, outermost), so WAL replay
-    // re-feeds the logged batches through the window wrapper and the same
-    // evictions are re-applied — the log never records eviction events.
-    match spec.window {
-        None => Ok(Box::new(monitor)),
-        Some(_) => {
-            let policy = WindowPolicy::from_limit(spec.window)?;
-            Ok(Box::new(WindowedMonitor::new(monitor, policy)))
-        }
-    }
+    Ok((
+        Box::new(FactMonitor::new(schema, algorithm, config)),
+        policy,
+    ))
 }
 
 fn err(kind: &str, message: impl Into<String>) -> Response {
@@ -178,51 +203,27 @@ fn unknown_tenant(name: &str) -> Response {
     err("Tenant", format!("unknown tenant {name:?} (OPEN it first)"))
 }
 
-/// Executes an `INGEST` / `INGEST_BATCH` against a monitor, updating the
-/// retained last report.
-fn run_ingest(
-    monitor: &mut BoxedMonitor,
-    last_report: &mut Option<ArrivalReport>,
-    request: &Request,
-) -> Response {
-    match request {
-        Request::Ingest(row) => match ingest_one(monitor, row) {
-            Ok(report) => {
-                *last_report = Some(report.clone());
-                Response::Report(report)
-            }
-            Err(error) => relay(&error),
-        },
-        Request::IngestBatch(rows) => match ingest_window(monitor, rows) {
-            Ok(reports) => {
-                if let Some(last) = reports.last() {
-                    *last_report = Some(last.clone());
-                }
-                Response::Reports(reports)
-            }
-            Err(error) => relay(&error),
-        },
-        _ => unreachable!("run_ingest is only dispatched ingest requests"),
-    }
-}
-
-fn ingest_one(monitor: &mut BoxedMonitor, row: &RawRow) -> Result<ArrivalReport, SitFactError> {
-    let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-    monitor.ingest_raw(&dims, row.measures.clone())
-}
-
-fn ingest_window(
-    monitor: &mut BoxedMonitor,
-    rows: &[RawRow],
-) -> Result<Vec<ArrivalReport>, SitFactError> {
-    // Encode the whole window first so validation failures are all-or-nothing
-    // at the monitor level, exactly like an in-process `ingest_batch` caller.
-    let mut window = Vec::with_capacity(rows.len());
-    for row in rows {
+/// Executes an `INGEST` / `INGEST_BATCH` against a tenant's pipeline. A
+/// batch is encoded whole first, so a bad row rejects the window before any
+/// of it is ingested, exactly like an in-process `ingest_batch` caller.
+fn run_ingest(pipeline: &mut Pipeline, request: &Request) -> Response {
+    let encode = |pipeline: &mut Pipeline, row: &RawRow| {
         let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        window.push(monitor.encode_raw(&dims, row.measures.clone())?);
-    }
-    monitor.ingest_batch(window)
+        pipeline.encode_raw(&dims, row.measures.clone())
+    };
+    let outcome = match request {
+        Request::Ingest(row) => encode(pipeline, row)
+            .and_then(|tuple| pipeline.ingest(tuple))
+            .map(Response::Report),
+        Request::IngestBatch(rows) => rows
+            .iter()
+            .map(|row| encode(pipeline, row))
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(|window| pipeline.ingest_batch(window))
+            .map(Response::Reports),
+        _ => unreachable!("run_ingest is only dispatched ingest requests"),
+    };
+    outcome.unwrap_or_else(|error| relay(&error))
 }
 
 /// Answers `STATS` / `TOPK` from a tenant's published snapshot. `TOPK k`
@@ -248,8 +249,7 @@ fn read_response(request: &Request, snapshot: &TenantSnapshot) -> Response {
 /// One tenant as its owning worker sees it. Lives inside the worker's state
 /// map — nothing outside the worker ever touches the monitor.
 pub(crate) struct OwnedTenant {
-    monitor: BoxedMonitor,
-    last_report: Option<ArrivalReport>,
+    pipeline: Pipeline,
     snapshot: Arc<SnapshotCell<TenantSnapshot>>,
     poisoned: bool,
 }
@@ -273,9 +273,8 @@ type OwnerState = HashMap<String, OwnedTenant>;
 /// response-out surface: monitors are owned by [`ActorPool`] workers, ingest
 /// requests travel through the owner's mailbox, reads come from lock-free
 /// snapshots. The engine owns the optional durability policy: when set, every
-/// tenant monitor (the default one included) is wrapped in a
-/// [`DurableMonitor`] before installation, and `OPEN` of a name whose
-/// directory already exists recovers its state from disk.
+/// tenant's pipeline (the default one's included) is logged, and `OPEN` of a
+/// name whose directory already exists recovers its state from disk.
 pub(crate) struct Engine {
     pool: ActorPool<OwnerState>,
     registry: Mutex<HashMap<String, Slot>>,
@@ -300,8 +299,13 @@ impl Engine {
             owners,
             durability,
         };
-        let (monitor, last_report) = engine.wrap(monitor, DEFAULT_TENANT)?;
-        engine.install(DEFAULT_TENANT, monitor, last_report);
+        let pipeline = open_pipeline(
+            monitor,
+            WindowPolicy::Unbounded,
+            DEFAULT_TENANT,
+            engine.durability.as_ref(),
+        )?;
+        engine.install(DEFAULT_TENANT, pipeline);
         Ok(engine)
     }
 
@@ -337,24 +341,6 @@ impl Engine {
         true
     }
 
-    /// Applies the durability policy, if any: wraps a freshly built monitor
-    /// in the log layer, recovering whatever state a previous process left
-    /// under the tenant's directory. Returns the monitor plus the recovered
-    /// last arrival report, so `TOPK` answers survive a restart.
-    fn wrap(
-        &self,
-        monitor: BoxedMonitor,
-        name: &str,
-    ) -> Result<(BoxedMonitor, Option<ArrivalReport>), SitFactError> {
-        let Some(durability) = &self.durability else {
-            return Ok((monitor, None));
-        };
-        let dir = durability.root.join(tenant_dir_name(name));
-        let (durable, _recovery) = DurableMonitor::open(dir, monitor, durability.wal)?;
-        let last_report = durable.last_report().cloned();
-        Ok((Box::new(durable), last_report))
-    }
-
     /// Runs `job` on `worker` and waits for its answer; `None` when the
     /// worker is gone (pool teardown — the undelivered job, and with it the
     /// reply sender, is dropped).
@@ -370,25 +356,15 @@ impl Engine {
         reply_rx.recv().ok()
     }
 
-    /// Transfers `monitor` into the owning worker and turns the tenant's
-    /// registry entry `Live`. `last_report` seeds the tenant's `TOPK` state
-    /// (non-`None` when a durable monitor recovered it from disk). Returns
+    /// Transfers `pipeline` into the owning worker and turns the tenant's
+    /// registry entry `Live`. The pipeline's last report (recovered from
+    /// disk on a durable server) seeds the tenant's `TOPK` state. Returns
     /// the `OPEN` response.
-    fn install(
-        &self,
-        name: &str,
-        monitor: BoxedMonitor,
-        last_report: Option<ArrivalReport>,
-    ) -> Response {
+    fn install(&self, name: &str, pipeline: Pipeline) -> Response {
         let worker = self.worker_of(name);
-        let snapshot = Arc::new(SnapshotCell::new(Arc::new(TenantSnapshot {
-            report: last_report.clone(),
-            stats: stats_of(monitor.as_ref()),
-            poisoned: false,
-        })));
+        let snapshot = Arc::new(SnapshotCell::new(TenantSnapshot::of(&pipeline)));
         let tenant = OwnedTenant {
-            monitor,
-            last_report,
+            pipeline,
             snapshot: Arc::clone(&snapshot),
             poisoned: false,
         };
@@ -409,20 +385,23 @@ impl Engine {
         Response::Ok
     }
 
-    /// Handles `OPEN`: builds a monitor from the spec and installs it under
+    /// Handles `OPEN`: builds a pipeline from the spec and installs it under
     /// its name. A taken name is a typed `Tenant` error; the existing tenant
-    /// is untouched. With durability configured, the fresh monitor is wrapped
-    /// in a [`DurableMonitor`] first — if the tenant's directory already
-    /// holds a log (from a previous process, or a `CLOSE`d tenant), its state
-    /// is recovered before the tenant goes live. The name is reserved before
-    /// any of that: opening a log truncates torn tails and deletes
-    /// unreachable segments, which must never happen under a live writer.
+    /// is untouched. With durability configured the pipeline is logged — if
+    /// the tenant's directory already holds a log (from a previous process,
+    /// or a `CLOSE`d tenant), its state is recovered before the tenant goes
+    /// live. The name is reserved before any of that: opening a log
+    /// truncates torn tails and deletes unreachable segments, which must
+    /// never happen under a live writer.
     pub(crate) fn open(&self, spec: &TenantSpec) -> Response {
         if !self.reserve(&spec.name) {
             return err("Tenant", format!("tenant {:?} already exists", spec.name));
         }
-        match build_monitor(spec).and_then(|monitor| self.wrap(monitor, &spec.name)) {
-            Ok((monitor, last_report)) => self.install(&spec.name, monitor, last_report),
+        let durability = self.durability.as_ref();
+        let built = build_monitor(spec)
+            .and_then(|(monitor, policy)| open_pipeline(monitor, policy, &spec.name, durability));
+        match built {
+            Ok(pipeline) => self.install(&spec.name, pipeline),
             Err(error) => {
                 self.registry().remove(&spec.name);
                 relay(&error)
@@ -499,15 +478,13 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
         return err("State", POISONED_MSG);
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_ingest(&mut tenant.monitor, &mut tenant.last_report, request)
+        run_ingest(&mut tenant.pipeline, request)
     }));
     match outcome {
         Ok(response) => {
-            tenant.snapshot.publish(Arc::new(TenantSnapshot {
-                report: tenant.last_report.clone(),
-                stats: stats_of(tenant.monitor.as_ref()),
-                poisoned: false,
-            }));
+            tenant
+                .snapshot
+                .publish(TenantSnapshot::of(&tenant.pipeline));
             response
         }
         Err(_) => {
@@ -535,7 +512,7 @@ mod tests {
     }
 
     fn default_monitor() -> BoxedMonitor {
-        build_monitor(&spec("seed")).expect("valid spec")
+        build_monitor(&spec("seed")).expect("valid spec").0
     }
 
     fn row(player: &str, team: &str, points: f64) -> RawRow {
@@ -786,7 +763,7 @@ mod tests {
         }
         let engine = durable_engine(&root);
         // Re-OPEN with the same windowed spec: replay re-feeds the logged
-        // batches through the window wrapper, so the retraction state
+        // batches through the eviction stage, so the retraction state
         // (live/tombstone/evicted breakdown included) is reproduced
         // exactly, not just the surviving tuples.
         assert_eq!(engine.open(&windowed), Response::Ok);

@@ -7,8 +7,8 @@
 //! accepted window as one length-prefixed, checksummed frame of raw string
 //! rows, and recovery replays the tail through the ordinary batched ingest
 //! path. Periodic full-state snapshots (see the codecs below and
-//! `sitfact-prominence`'s `DurableMonitor`) bound how much of the log must be
-//! replayed.
+//! `sitfact-prominence`'s `ArrivalPipeline`) bound how much of the log must
+//! be replayed.
 //!
 //! ## Frame layout
 //!

@@ -14,8 +14,9 @@
 //!   file-backed variants, plus the paper's baselines);
 //! * [`prominence`] — prominence ranking, thresholds and narration, unified
 //!   behind the [`StreamMonitor`](prominence::StreamMonitor) trait, plus
-//!   [`DurableMonitor`](prominence::DurableMonitor), which write-ahead-logs
-//!   any monitor's arrivals for snapshot-bounded crash recovery;
+//!   [`ArrivalPipeline`](prominence::ArrivalPipeline), which runs any
+//!   monitor's arrivals through a sliding window and a write-ahead log for
+//!   snapshot-bounded crash recovery;
 //! * [`serve`] — the framed-TCP, multi-tenant service front-end (server +
 //!   client) over any `Box<dyn StreamMonitor>`, durable when bound with a
 //!   data directory;
@@ -97,9 +98,9 @@ pub mod prelude {
     };
     pub use sitfact_datagen::{shuffle_rows, DataGenerator, Row, ShuffledReplay};
     pub use sitfact_prominence::{
-        narrate, replay_log, ArrivalReport, DistributionStats, DurableMonitor, FactMonitor,
+        narrate, replay_log, ArrivalPipeline, ArrivalReport, DistributionStats, FactMonitor,
         MonitorConfig, RankedFact, RecoveryReport, ReplayOutcome, ShardedMonitor, StreamMonitor,
-        WalOptions, WindowPolicy, WindowedMonitor,
+        WalOptions, WindowPolicy,
     };
     pub use sitfact_serve::{
         Client, FactServer, RawRow, ServeError, ServerHandle, ServerOptions, TenantSpec,

@@ -72,7 +72,7 @@ fn windowed_equals_rebuild(
         .with_discovery(discovery)
         .with_tau(2.0);
     let policy = WindowPolicy::count(window).unwrap();
-    let mut windowed = WindowedMonitor::new(
+    let mut windowed = ArrivalPipeline::new(
         FactMonitor::new(
             schema.clone(),
             STopDown::new(&schema, config.discovery),
@@ -95,7 +95,7 @@ fn windowed_equals_rebuild(
     // Rebuild from scratch: a fresh monitor, id space starting at the
     // windowed monitor's watermark, fed only the surviving suffix.
     let start = windowed.len() - windowed.stats().live_rows;
-    let mut rebuilt = WindowedMonitor::new(
+    let mut rebuilt = ArrivalPipeline::new(
         FactMonitor::with_base(
             schema.clone(),
             STopDown::new(&schema, config.discovery),
@@ -738,8 +738,8 @@ proptest! {
     /// The load-bearing sliding-window property: **windowed ≡
     /// rebuild-from-scratch**. After any arrival sequence — random generator
     /// seed, random seeded shuffle of the arrival order, random window
-    /// length, random batch partitioning — a `WindowedMonitor` must behave
-    /// exactly like a fresh monitor (id space aligned via
+    /// length, random batch partitioning — a windowed `ArrivalPipeline` must
+    /// behave exactly like a fresh monitor (id space aligned via
     /// `FactMonitor::with_base`) fed only the surviving suffix: byte-identical
     /// reports for every subsequent arrival, and deep audits green on both.
     /// Along the way the eviction bookkeeping must reconcile after every
