@@ -4,8 +4,8 @@
 
 use sitfact_core::dominance::{compare, DominanceOrdering};
 use sitfact_core::{
-    BoundMask, Constraint, ConstraintLattice, Direction, DiscoveryConfig, Schema, SubspaceMask,
-    TupleId, TupleRef, TupleView,
+    BoundMask, Constraint, ConstraintLattice, DimValueId, Direction, DiscoveryConfig, Schema,
+    SubspaceMask, TupleId, TupleRef, TupleView,
 };
 
 /// Parameters shared by every algorithm instance, derived once from the schema
@@ -82,8 +82,9 @@ impl AlgoParams {
 /// Inside `discover`, every constraint of `C^t` is `Constraint::from_tuple_mask
 /// (t, mask)`; materialising each of them once per tuple (instead of once per
 /// (constraint, subspace) visit) removes the dominant allocation cost of the
-/// traversals.
-#[derive(Debug)]
+/// traversals. A cache kept across arrivals is refilled in place
+/// ([`ConstraintCache::fill`]) and allocates nothing after its first tuple.
+#[derive(Debug, Default)]
 pub struct ConstraintCache {
     constraints: Vec<Constraint>,
 }
@@ -93,12 +94,23 @@ impl ConstraintCache {
     /// `2^n_dims` masks are materialised (the few above the `d̂` cap are
     /// harmless and keep indexing branch-free).
     pub fn new(tuple: impl TupleView + Copy, n_dims: usize) -> Self {
+        let mut cache = ConstraintCache::default();
+        cache.fill(tuple, n_dims);
+        cache
+    }
+
+    /// Rebinds every cached constraint to `tuple`, in place.
+    pub fn fill(&mut self, tuple: impl TupleView + Copy, n_dims: usize) {
         let count = 1usize << n_dims;
-        let mut constraints = Vec::with_capacity(count);
-        for mask in 0..count as u32 {
-            constraints.push(Constraint::from_tuple_mask(tuple, BoundMask(mask)));
+        if self.constraints.len() != count {
+            self.constraints = (0..count as u32)
+                .map(|mask| Constraint::from_tuple_mask(tuple, BoundMask(mask)))
+                .collect();
+            return;
         }
-        ConstraintCache { constraints }
+        for (mask, constraint) in self.constraints.iter_mut().enumerate() {
+            constraint.assign_tuple_mask(tuple, BoundMask(mask as u32));
+        }
     }
 
     /// The constraint binding exactly the attributes of `mask` to the cached
@@ -106,6 +118,12 @@ impl ConstraintCache {
     #[inline]
     pub fn get(&self, mask: BoundMask) -> &Constraint {
         &self.constraints[mask.0 as usize]
+    }
+
+    /// Whether `constraint` is one of the cached ones — the constraint the
+    /// cache holds at its bound mask (never, before the first fill).
+    pub fn holds(&self, constraint: &Constraint) -> bool {
+        self.constraints.get(constraint.bound_mask().0 as usize) == Some(constraint)
     }
 }
 
@@ -128,6 +146,11 @@ pub struct TraversalScratch {
     /// The ids of the cell being scanned, copied out of the store so the
     /// scan may insert into and remove from that cell as it goes.
     pub ids: Vec<TupleId>,
+    /// A constraint's values, written in place to probe the store for a
+    /// constraint outside the cache.
+    pub key: Vec<DimValueId>,
+    /// Ids gathered from several cells, deduplicated by sorting.
+    pub seen: Vec<TupleId>,
 }
 
 impl TraversalScratch {
@@ -298,11 +321,20 @@ mod tests {
     #[test]
     fn constraint_cache_matches_direct_construction() {
         let t = Tuple::new(vec![3, 7, 9], vec![1.0]);
-        let cache = ConstraintCache::new(&t, 3);
+        let mut cache = ConstraintCache::default();
+        assert!(!cache.holds(&Constraint::top(3)));
+        cache = ConstraintCache::new(&t, 3);
+        // A refill rebinds every mask in place.
+        let u = Tuple::new(vec![4, 7, 1], vec![1.0]);
+        cache.fill(&u, 3);
         for mask in 0..8u32 {
             let mask = BoundMask(mask);
-            assert_eq!(*cache.get(mask), Constraint::from_tuple_mask(&t, mask));
+            assert_eq!(*cache.get(mask), Constraint::from_tuple_mask(&u, mask));
+            assert!(cache.holds(&Constraint::from_tuple_mask(&u, mask)));
         }
+        assert!(!cache.holds(&Constraint::from_tuple_mask(&t, BoundMask(0b001))));
+        assert!(cache.holds(&Constraint::from_tuple_mask(&t, BoundMask(0b010))));
+        assert!(!cache.holds(&Constraint::top(2)));
     }
 
     #[test]

@@ -24,6 +24,27 @@
 //! The two choices are const parameters: each alias compiles to its own
 //! straight-line code, and every capability (`retract`, store export/import,
 //! batch-deferred flushes) is written once for all four.
+//!
+//! ## One probe per constraint per arrival
+//!
+//! Every cell an arrival `t` touches is `(C, M)` with `C ∈ C^t`, so the
+//! algorithm keeps `C^t` — refilled in place — and `rows[mask]`, the store
+//! row ([`RowId`]) of each of its constraints. A row is resolved by one
+//! [`SkylineStore::find`] the first time any pass needs it and then serves
+//! every subspace: the passes read, insert and remove by handle, and so
+//! does `skyline_cardinality_at` when ranking asks about a constraint of
+//! `C^t` (and the walk over its ancestors, all in `C^t` too). A constraint
+//! outside it — `demote`'s children of a stored tuple, a query about some
+//! other tuple — is found by hashing a scratch key, and nothing is boxed
+//! unless a row is created. Every removal from a row of `C^t` goes through
+//! its slot, which the in-memory store clears when the row is freed, so the
+//! slots stay exact for the whole arrival and the ranking after it (the
+//! file-backed store frees rows only at the arrival's closing flush; a slot
+//! naming one reads as empty, which it is, until the next arrival drops
+//! the slots before creating any row); `retract`
+//! refills the cache with the expired tuple's `C^x` and drops the slots
+//! (its own removals and insertions may free and reuse rows), and
+//! `import_store_cells` drops them with the store they pointed into.
 
 use crate::common::{
     dominated_in, partition_measures, skyline_cardinality_recompute, skyline_counted, AlgoParams,
@@ -31,11 +52,12 @@ use crate::common::{
 };
 use crate::traits::Discovery;
 use sitfact_core::{
-    BoundMask, Constraint, DiscoveryConfig, FxHashSet, Result, Schema, SkylinePair, SubspaceMask,
-    Tuple, TupleId, UNBOUND,
+    BoundMask, Constraint, DiscoveryConfig, Result, Schema, SkylinePair, SubspaceMask, Tuple,
+    TupleId, UNBOUND,
 };
 use sitfact_storage::{
-    FileSkylineStore, MemorySkylineStore, SkylineStore, StoreCell, StoreStats, Table, WorkStats,
+    FileSkylineStore, MemorySkylineStore, RowId, SkylineStore, StoreCell, StoreStats, Table,
+    WorkStats,
 };
 
 /// Algorithm 4: every skyline tuple in every cell that qualifies it, walked
@@ -92,6 +114,13 @@ pub struct LatticeDiscovery<
     /// buffer either way, so results are unchanged — only the file-backed
     /// store's write-back cadence differs).
     in_batch: bool,
+    /// `C^t` of the last arrival — or `C^x` of the last expired tuple —
+    /// refilled in place by every `discover_at` and `retract`.
+    cache: ConstraintCache,
+    /// `rows[mask]`: the store row of `cache.get(mask)`. `None` until first
+    /// needed, then what the one `find` for it returned (`Some(None)`: no
+    /// row). Dropped whenever `cache` is refilled or the store imported.
+    rows: Vec<Option<Option<RowId>>>,
 }
 
 /// What the passes of one arrival share.
@@ -101,8 +130,18 @@ struct Arrival<'a> {
     tuple: &'a Tuple,
     /// The id the arrival is stored under.
     id: TupleId,
-    /// `C^t`, materialised once.
-    cache: ConstraintCache,
+}
+
+/// The row slot of `cache.get(mask)`, resolved by one `find` on first use.
+/// Every removal from that row goes through the slot, so it never holds a
+/// freed row's handle before the store's next flush.
+fn row_slot<'r, S: SkylineStore>(
+    store: &S,
+    rows: &'r mut [Option<Option<RowId>>],
+    cache: &ConstraintCache,
+    mask: BoundMask,
+) -> &'r mut Option<RowId> {
+    rows[mask.0 as usize].get_or_insert_with(|| store.find(cache.get(mask).values()))
 }
 
 impl<const MAXIMAL: bool, const SHARED: bool> LatticeDiscovery<MAXIMAL, SHARED> {
@@ -120,11 +159,13 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
         let params = AlgoParams::new(schema, config);
         LatticeDiscovery {
             pruned: vec![false; params.lattice.flag_len() << params.n_measures],
+            rows: vec![None; params.lattice.flag_len()],
             params,
             store,
             stats: WorkStats::default(),
             scratch: TraversalScratch::default(),
             in_batch: false,
+            cache: ConstraintCache::default(),
         }
     }
 
@@ -168,6 +209,8 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
             stats,
             pruned,
             scratch,
+            cache,
+            rows,
             ..
         } = self;
         let params = &*params;
@@ -187,6 +230,8 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
             enqueued,
             queue,
             ids,
+            key,
+            ..
         } = scratch;
         if MAXIMAL {
             enqueued[0] = true;
@@ -208,10 +253,11 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
                 continue;
             }
             stats.traversed_constraints += 1;
-            let constraint = arrival.cache.get(mask);
+            let constraint = cache.get(mask);
             if !(known && pruned[here]) {
                 // The ids are copied out: the loop mutates the cell.
-                store.read(constraint, subspace, ids);
+                let handle = *row_slot(store, rows, cache, mask);
+                store.read(handle, subspace, ids);
                 stats.store_reads += 1;
                 for &id in ids.iter() {
                     stats.comparisons += 1;
@@ -253,11 +299,11 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
                         // prune other constraints.
                     } else if dominated_in(worse, better, subspace) {
                         // The stored tuple is no longer a skyline tuple here.
+                        let handle = row_slot(store, rows, cache, mask);
+                        store.remove(handle, constraint.values(), subspace, id);
+                        stats.store_writes += 1;
                         if MAXIMAL {
-                            demote(params, store, stats, arrival, mask, subspace, id);
-                        } else {
-                            store.remove(constraint, subspace, id);
-                            stats.store_writes += 1;
+                            demote(params, store, stats, arrival, key, mask, subspace, id);
                         }
                     }
                 }
@@ -268,7 +314,8 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
                     out.push(SkylinePair::new(constraint.clone(), subspace));
                 }
                 if !(MAXIMAL && in_ances[mask.0 as usize]) {
-                    store.insert(constraint, subspace, arrival.id);
+                    let handle = row_slot(store, rows, cache, mask);
+                    store.insert(handle, constraint.values(), subspace, arrival.id);
                     stats.store_writes += 1;
                 }
             }
@@ -308,22 +355,24 @@ fn prune_above(row: &mut [bool], reach: BoundMask) {
     }
 }
 
-/// The paper's `Dominates(t', C, M)` procedure: the new tuple dominates the
-/// stored tuple `id` at the cell of `cell_mask`, so the stored tuple is
-/// removed there and, where necessary, re-stored at the children of that
-/// constraint which the *new* tuple does not satisfy — those are its new
-/// maximal skyline constraints, unless an existing one already covers them.
+/// The rest of the paper's `Dominates(t', C, M)` procedure: the new tuple
+/// dominates the stored tuple `id` at the cell of `cell_mask`, from which
+/// the caller has just removed it, so it is re-stored, where necessary, at
+/// the children of that constraint which the *new* tuple does not satisfy —
+/// those are its new maximal skyline constraints, unless an existing one
+/// already covers them. Those children lie outside `C^t`, so they and their
+/// ancestors are probed through `key`, which allocates nothing.
+#[allow(clippy::too_many_arguments)]
 fn demote<S: SkylineStore>(
     params: &AlgoParams,
     store: &mut S,
     stats: &mut WorkStats,
     arrival: &Arrival<'_>,
+    key: &mut [sitfact_core::DimValueId],
     cell_mask: BoundMask,
     subspace: SubspaceMask,
     id: TupleId,
 ) {
-    store.remove(arrival.cache.get(cell_mask), subspace, id);
-    stats.store_writes += 1;
     let demoted = arrival.table.tuple(id);
     // At the `d̂` cap there are no children inside the maintained family: the
     // demoted tuple simply loses this maximal constraint.
@@ -337,49 +386,19 @@ fn demote<S: SkylineStore>(
         }
         // Maximality check: is the demoted tuple already stored at one of the
         // child's ancestors (within its own lattice)?
-        let covered = child_mask.ancestors().into_iter().any(|ancestor| {
+        let covered = child_mask.ancestors().any(|ancestor| {
             stats.store_reads += 1;
-            store.contains(
-                &Constraint::from_tuple_mask(demoted, ancestor),
-                subspace,
-                id,
-            )
+            Constraint::write_tuple_mask(key, demoted, ancestor);
+            let row = store.find(key);
+            store.contains(row, subspace, id)
         });
         if !covered {
-            let child = Constraint::from_tuple_mask(demoted, child_mask);
-            store.insert(&child, subspace, id);
+            Constraint::write_tuple_mask(key, demoted, child_mask);
+            let mut row = store.find(key);
+            store.insert(&mut row, key, subspace, id);
             stats.store_writes += 1;
         }
     }
-}
-
-/// `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline tuples of a
-/// context are exactly the tuples stored at the constraint itself or at any
-/// of its ancestors that additionally satisfy the constraint. `ids` is a
-/// read buffer.
-fn skyline_cardinality_from_maximal<S: SkylineStore>(
-    store: &mut S,
-    table: &Table,
-    constraint: &Constraint,
-    subspace: SubspaceMask,
-    ids: &mut Vec<TupleId>,
-) -> usize {
-    let mut seen: FxHashSet<TupleId> = FxHashSet::default();
-    for mask in constraint.bound_mask().submasks() {
-        let values = constraint.values().iter().enumerate();
-        let ancestor = Constraint::from_values(
-            values
-                .map(|(i, &v)| if mask.is_bound(i) { v } else { UNBOUND })
-                .collect(),
-        );
-        store.read(&ancestor, subspace, ids);
-        for &id in ids.iter() {
-            if table.get(id).is_some_and(|tuple| constraint.matches(tuple)) {
-                seen.insert(id);
-            }
-        }
-    }
-    seen.len()
 }
 
 impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
@@ -401,8 +420,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             table,
             tuple: t,
             id: t_id,
-            cache: ConstraintCache::new(t, self.params.n_dims),
         };
+        self.cache.fill(t, self.params.n_dims);
+        self.rows.fill(None);
+        self.scratch.key.resize(self.params.n_dims, UNBOUND);
         let mut out = Vec::new();
         self.pruned.fill(false);
         if SHARED {
@@ -452,12 +473,51 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         }
         // The store covers exactly the arrivals processed so far; `limit`
         // only constrains the out-of-family recompute above.
-        let ids = &mut self.scratch.ids;
+        let LatticeDiscovery {
+            params,
+            store,
+            scratch,
+            cache,
+            rows,
+            ..
+        } = self;
+        let TraversalScratch { ids, key, seen, .. } = scratch;
+        key.resize(params.n_dims, UNBOUND);
+        // Ranking asks about the arrival just discovered: its constraints
+        // and their ancestors are all in `C^t`, addressed by the rows that
+        // arrival resolved. Any other constraint is found by hashing.
+        let cached = cache.holds(constraint);
+        let mut row_at = |store: &S, mask: BoundMask| {
+            if cached {
+                return *row_slot(store, rows, cache, mask);
+            }
+            let values = key.iter_mut().zip(constraint.values());
+            for (i, (slot, &value)) in values.enumerate() {
+                *slot = if mask.is_bound(i) { value } else { UNBOUND };
+            }
+            store.find(key)
+        };
+        let mask = constraint.bound_mask();
         if MAXIMAL {
-            skyline_cardinality_from_maximal(&mut self.store, table, constraint, subspace, ids)
+            // `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline
+            // tuples of a context are exactly the tuples stored at the
+            // constraint itself or at any of its ancestors that additionally
+            // satisfy the constraint — each counted once, though several
+            // ancestors may store it.
+            seen.clear();
+            for sub in mask.submasks() {
+                let row = row_at(store, sub);
+                store.read(row, subspace, ids);
+                let matching = |id: &TupleId| table.get(*id).is_some_and(|t| constraint.matches(t));
+                seen.extend(ids.iter().copied().filter(matching));
+            }
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
         } else {
             // Invariant 1: the cell is the skyline.
-            self.store.read(constraint, subspace, ids);
+            let row = row_at(store, mask);
+            store.read(row, subspace, ids);
             ids.len()
         }
     }
@@ -470,6 +530,8 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
     }
 
     fn import_store_cells(&mut self, cells: Vec<StoreCell>) -> Result<()> {
+        // Every row is replaced: no resolved handle survives.
+        self.rows.fill(None);
         self.store.load_cells(cells)
     }
 
@@ -506,26 +568,37 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         // Nothing else is removed: a later id of the same eviction is dead in
         // the table but still stored, and its own call must find it to know
         // which cells it affects (see `Discovery::retract`).
+        //
+        // The walk addresses the cells of `C^x` through the rows of `C^x`,
+        // resolved once each: the arrival's rows are dropped and the cache
+        // refilled with `x`.
         let LatticeDiscovery {
             params,
             store,
             stats,
             scratch,
+            cache,
+            rows,
             ..
         } = self;
-        let current = &mut scratch.ids;
+        let TraversalScratch {
+            ids: current, key, ..
+        } = scratch;
+        key.resize(params.n_dims, UNBOUND);
         let family = Self::family(params);
         let family_len = family.len();
         let expired = table.tuple(t_id);
-        let cache = ConstraintCache::new(expired, params.n_dims);
+        cache.fill(expired, params.n_dims);
+        rows.fill(None);
         let mut affected = vec![false; params.lattice.flag_len() * family_len];
-        let mut rows = Vec::new();
+        let mut context = Vec::new();
         for &mask in &params.top_down {
             let constraint = cache.get(mask);
             let mut scanned = false;
             for (slot, &subspace) in family.iter().enumerate() {
                 stats.store_reads += 1;
-                let held = store.remove(constraint, subspace, t_id);
+                let row = row_slot(store, rows, cache, mask);
+                let held = store.remove(row, constraint.values(), subspace, t_id);
                 stats.store_writes += u64::from(held);
                 let inherited = MAXIMAL
                     && mask
@@ -537,12 +610,16 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                 affected[mask.0 as usize * family_len + slot] = true;
                 if !scanned {
                     scanned = true;
-                    rows.clear();
-                    rows.extend(table.context(constraint));
+                    context.clear();
+                    context.extend(table.context(constraint));
                 }
-                let skyline =
-                    skyline_counted(&rows, subspace, &params.directions, &mut stats.comparisons);
-                store.read(constraint, subspace, current);
+                let skyline = skyline_counted(
+                    &context,
+                    subspace,
+                    &params.directions,
+                    &mut stats.comparisons,
+                );
+                store.read(*row_slot(store, rows, cache, mask), subspace, current);
                 stats.store_reads += 1;
                 for (id, survivor) in skyline {
                     if current.contains(&id) {
@@ -555,19 +632,33 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                             .filter(|a| **a != mask && a.is_submask_of(mask));
                         if above.any(|&a| {
                             stats.store_reads += 1;
-                            store.contains(cache.get(a), subspace, id)
+                            let row = *row_slot(store, rows, cache, a);
+                            store.contains(row, subspace, id)
                         }) {
                             continue;
                         }
                     }
-                    store.insert(constraint, subspace, id);
+                    let row = row_slot(store, rows, cache, mask);
+                    store.insert(row, constraint.values(), subspace, id);
                     stats.store_writes += 1;
                     if MAXIMAL {
+                        // Where the survivor agrees with `x`, its cell is one
+                        // of `C^x` and goes through that row's slot — so a
+                        // row it empties cannot stay behind as a stale
+                        // handle; elsewhere it is found by hashing.
+                        let agreement = BoundMask::agreement(survivor, expired);
                         for &below in &params.top_down {
                             if below != mask && mask.is_submask_of(below) {
-                                let cell = Constraint::from_tuple_mask(survivor, below);
                                 stats.store_reads += 1;
-                                if store.remove(&cell, subspace, id) {
+                                let removed = if below.is_submask_of(agreement) {
+                                    let row = row_slot(store, rows, cache, below);
+                                    store.remove(row, cache.get(below).values(), subspace, id)
+                                } else {
+                                    Constraint::write_tuple_mask(key, survivor, below);
+                                    let mut row = store.find(key);
+                                    store.remove(&mut row, key, subspace, id)
+                                };
+                                if removed {
                                     stats.store_writes += 1;
                                 }
                             }
@@ -814,7 +905,7 @@ mod tests {
     /// The sorted ids a cell holds.
     fn cell_ids<S: SkylineStore>(store: &mut S, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
         let mut ids = Vec::new();
-        store.read(c, m, &mut ids);
+        store.read(store.find(c.values()), m, &mut ids);
         ids.sort_unstable();
         ids
     }
@@ -941,16 +1032,12 @@ mod tests {
                     let maximal: Vec<BoundMask> = skyline_masks
                         .iter()
                         .copied()
-                        .filter(|mask| {
-                            !mask
-                                .ancestors()
-                                .iter()
-                                .any(|anc| skyline_masks.contains(anc))
-                        })
+                        .filter(|mask| !mask.ancestors().any(|anc| skyline_masks.contains(&anc)))
                         .collect();
                     for mask in lattice.enumerate_top_down() {
                         let c = Constraint::from_tuple_mask(tuple, mask);
-                        let stored = algo.store.contains(&c, m, id);
+                        let row = algo.store.find(c.values());
+                        let stored = algo.store.contains(row, m, id);
                         let expected = maximal.contains(&mask);
                         assert_eq!(
                             stored, expected,

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use sitfact_core::{
-    BoundMask, Constraint, ConstraintLattice, Direction, DominancePartition, SubspaceMask, Tuple,
+    BoundMask, ConstraintLattice, Direction, DominancePartition, SubspaceMask, Tuple,
 };
 use sitfact_storage::{KdTree, MemorySkylineStore, SkylineStore};
 
@@ -101,15 +101,17 @@ fn bench_store(c: &mut Criterion) {
             let mut store = MemorySkylineStore::new();
             let subspace = SubspaceMask::full(4);
             for i in 0..200u32 {
-                let constraint = Constraint::from_values(vec![i % 8, u32::MAX, i % 3]);
-                store.insert(&constraint, subspace, i);
+                let constraint = [i % 8, u32::MAX, i % 3];
+                let mut row = store.find(&constraint);
+                store.insert(&mut row, &constraint, subspace, i);
             }
             let (mut total, mut ids) = (0usize, Vec::new());
             for i in 0..200u32 {
-                let constraint = Constraint::from_values(vec![i % 8, u32::MAX, i % 3]);
-                store.read(&constraint, subspace, &mut ids);
+                let constraint = [i % 8, u32::MAX, i % 3];
+                let mut row = store.find(&constraint);
+                store.read(row, subspace, &mut ids);
                 total += ids.len();
-                store.remove(&constraint, subspace, i);
+                store.remove(&mut row, &constraint, subspace, i);
             }
             total
         })

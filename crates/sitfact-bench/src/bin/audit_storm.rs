@@ -6,7 +6,8 @@
 //! `append`/`append_batch` sequences (including the sparse posting-list
 //! fallback), `CompressedPostings` under push/extend/compact churn against a
 //! plain-vector model, `KdTree` under random inserts, both `SkylineStore`
-//! implementations under random insert/remove/read churn, and
+//! implementations under random insert/remove/read churn through row
+//! handles (every round empties a row and creates one in its slot), and
 //! `FactMonitor`/`ShardedMonitor` under windowed ingest. Any violation
 //! prints its `explain()` and exits non-zero.
 //!
@@ -37,7 +38,9 @@ mod storm {
     use rand::{Rng, SeedableRng};
     use sitfact_algos::STopDown;
     use sitfact_bench::params::arg_value;
-    use sitfact_core::{Audit, Constraint, Direction, Schema, SchemaBuilder, SubspaceMask, Tuple};
+    use sitfact_core::{
+        Audit, Constraint, Direction, Schema, SchemaBuilder, SubspaceMask, Tuple, UNBOUND,
+    };
     use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
     use sitfact_storage::{FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, Table};
 
@@ -113,7 +116,7 @@ mod storm {
         let values = (0..2)
             .map(|_| {
                 if rng.gen_range(0..3) == 0 {
-                    sitfact_core::UNBOUND
+                    UNBOUND
                 } else {
                     rng.gen_range(0..3)
                 }
@@ -123,22 +126,28 @@ mod storm {
         (Constraint::from_values(values), subspace)
     }
 
+    /// Random insert / remove / read churn through row handles, and in
+    /// every round one row emptied through a held handle and a new row
+    /// created right after — which takes the freed slot when the store frees
+    /// rows (`frees_rows`), so slot reuse is audited every round.
     fn storm_store(
         rng: &mut StdRng,
         rounds: usize,
         store: &mut (impl SkylineStore + Audit),
         what: &str,
+        frees_rows: bool,
     ) {
         let mut next_id: sitfact_core::TupleId = 0;
         let mut live: Vec<(Constraint, SubspaceMask, sitfact_core::TupleId)> = Vec::new();
         let mut ids = Vec::new();
-        for _ in 0..rounds {
+        for round in 0..rounds {
             for _ in 0..rng.gen_range(1..12) {
                 let (constraint, subspace) = random_cell(rng);
                 match rng.gen_range(0..4) {
                     // Insert a fresh entry most of the time.
                     0 | 1 => {
-                        store.insert(&constraint, subspace, next_id);
+                        let mut row = store.find(constraint.values());
+                        store.insert(&mut row, constraint.values(), subspace, next_id);
                         live.push((constraint, subspace, next_id));
                         next_id += 1;
                     }
@@ -147,14 +156,49 @@ mod storm {
                         if !live.is_empty() {
                             let at = rng.gen_range(0..live.len() as u32) as usize;
                             let (c, s, id) = live.swap_remove(at);
-                            assert!(store.remove(&c, s, id), "{what}: live entry removes");
+                            let mut row = store.find(c.values());
+                            let removed = store.remove(&mut row, c.values(), s, id);
+                            assert!(removed, "{what}: live entry removes");
                         }
                     }
                     // Read back a random cell (exercises caching paths).
                     _ => {
-                        store.read(&constraint, subspace, &mut ids);
+                        let row = store.find(constraint.values());
+                        store.read(row, subspace, &mut ids);
                     }
                 }
+            }
+            // Empty a whole row through one handle …
+            let (constraint, subspace) = match live.first() {
+                Some((c, _, _)) => (c.clone(), SubspaceMask(1)),
+                None => random_cell(rng),
+            };
+            let mut row = store.find(constraint.values());
+            if row.is_none() {
+                store.insert(&mut row, constraint.values(), subspace, next_id);
+                live.push((constraint.clone(), subspace, next_id));
+                next_id += 1;
+            }
+            let held = row;
+            for (c, s, id) in live.iter().filter(|entry| entry.0 == constraint) {
+                assert!(store.remove(&mut row, c.values(), *s, *id), "{what}: drain");
+            }
+            live.retain(|entry| entry.0 != constraint);
+            assert_eq!(
+                row,
+                store.find(constraint.values()),
+                "{what}: drained handle"
+            );
+            assert_eq!(row.is_none(), frees_rows, "{what}: an emptied row");
+            // … and create a row no earlier round used: it takes the slot.
+            let fresh = Constraint::from_values(vec![100 + round as u32, UNBOUND]);
+            let mut created = store.find(fresh.values());
+            assert!(created.is_none(), "{what}: fresh constraint");
+            store.insert(&mut created, fresh.values(), subspace, next_id);
+            live.push((fresh, subspace, next_id));
+            next_id += 1;
+            if frees_rows {
+                assert_eq!(created, held, "{what}: the freed slot is reused");
             }
             store.flush();
             if let Err(v) = store.check() {
@@ -266,11 +310,12 @@ mod storm {
             rounds,
             &mut MemorySkylineStore::new(),
             "MemorySkylineStore",
+            true,
         );
         let dir = std::env::temp_dir().join(format!("sitfact_audit_storm_{seed}"));
         let _ = std::fs::remove_dir_all(&dir);
         let mut file_store = FileSkylineStore::new(&dir).expect("temp dir for the file store");
-        storm_store(&mut rng, rounds, &mut file_store, "FileSkylineStore");
+        storm_store(&mut rng, rounds, &mut file_store, "FileSkylineStore", false);
         drop(file_store);
         let _ = std::fs::remove_dir_all(&dir);
         storm_monitors(&mut rng, rounds);

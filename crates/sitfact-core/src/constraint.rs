@@ -6,6 +6,7 @@ use crate::error::{Result, SitFactError};
 use crate::schema::Schema;
 use crate::tuple::TupleView;
 use crate::value::{DimValueId, UNBOUND};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Bitmask over dimension attributes: bit `i` set iff attribute `d_i` is
@@ -116,23 +117,11 @@ impl BoundMask {
     }
 
     /// All proper ancestors (strictly more general masks): every proper
-    /// submask of `self`.
-    pub fn ancestors(self) -> Vec<BoundMask> {
-        let mut out = Vec::new();
-        // Enumerate proper submasks of self.0.
-        let full = self.0;
-        if full == 0 {
-            return out;
-        }
-        let mut sub = (full - 1) & full;
-        loop {
-            out.push(BoundMask(sub));
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & full;
-        }
-        out
+    /// submask of `self`, enumerated in place in the order of
+    /// [`BoundMask::submasks`] (which yields `self` first), ending at the top
+    /// mask. Callers that stop at the first hit depend on this order.
+    pub fn ancestors(self) -> impl Iterator<Item = BoundMask> {
+        self.submasks().skip(1)
     }
 
     /// All submasks of `self`, including `self` and the top mask. This is the
@@ -207,6 +196,27 @@ impl Constraint {
         }
         Constraint {
             values: values.into_boxed_slice(),
+        }
+    }
+
+    /// Rebinds this constraint, in place and without allocating, to
+    /// [`Constraint::from_tuple_mask`]`(tuple, mask)`. The tuple must have
+    /// as many dimension attributes as the constraint.
+    pub fn assign_tuple_mask(&mut self, tuple: impl TupleView, mask: BoundMask) {
+        Self::write_tuple_mask(&mut self.values, tuple, mask);
+    }
+
+    /// Writes the values of [`Constraint::from_tuple_mask`]`(tuple, mask)`
+    /// into `values` (one per dimension attribute): the key a map of
+    /// constraints can be probed with, without building a constraint.
+    pub fn write_tuple_mask(values: &mut [DimValueId], tuple: impl TupleView, mask: BoundMask) {
+        debug_assert_eq!(tuple.num_dims(), values.len());
+        for (i, value) in values.iter_mut().enumerate() {
+            *value = if mask.is_bound(i) {
+                tuple.dim(i)
+            } else {
+                UNBOUND
+            };
         }
     }
 
@@ -328,6 +338,15 @@ impl Constraint {
     }
 }
 
+/// A constraint hashes and compares as its value slice, so a map keyed by
+/// constraints can be probed with a scratch `&[DimValueId]` and allocate a
+/// key only when it inserts one.
+impl Borrow<[DimValueId]> for Constraint {
+    fn borrow(&self) -> &[DimValueId] {
+        &self.values
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,15 +392,35 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_are_proper_submasks() {
+    fn ancestors_are_proper_submasks_in_descending_order() {
         let m = BoundMask(0b011);
-        let mut anc = m.ancestors();
-        anc.sort();
         assert_eq!(
-            anc,
-            vec![BoundMask(0b000), BoundMask(0b001), BoundMask(0b010)]
+            m.ancestors().collect::<Vec<_>>(),
+            vec![BoundMask(0b010), BoundMask(0b001), BoundMask(0b000)]
         );
-        assert!(BoundMask::TOP.ancestors().is_empty());
+        assert_eq!(
+            BoundMask(0b101).ancestors().collect::<Vec<_>>(),
+            vec![BoundMask(0b100), BoundMask(0b001), BoundMask(0b000)]
+        );
+        assert!(BoundMask::TOP.ancestors().next().is_none());
+    }
+
+    #[test]
+    fn constraints_are_found_by_their_value_slice() {
+        let t = tuple(&[7, 8, 9]);
+        let mut counts: crate::FxHashMap<Constraint, u32> = crate::FxHashMap::default();
+        counts.insert(Constraint::from_tuple_mask(&t, BoundMask(0b101)), 3);
+        assert_eq!(counts.get(&[7, UNBOUND, 9][..]), Some(&3));
+        assert_eq!(counts.get(&[7, 8, 9][..]), None);
+    }
+
+    #[test]
+    fn assign_tuple_mask_rebinds_in_place() {
+        let mut c = Constraint::top(3);
+        c.assign_tuple_mask(tuple(&[7, 8, 9]), BoundMask(0b110));
+        assert_eq!(c, Constraint::from_values(vec![UNBOUND, 8, 9]));
+        c.assign_tuple_mask(tuple(&[1, 2, 3]), BoundMask::TOP);
+        assert!(c.is_top());
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl ConstraintLattice {
 
     /// Proper ancestors of `mask` (every strictly more general member).
     pub fn ancestors(&self, mask: BoundMask) -> Vec<BoundMask> {
-        mask.ancestors()
+        mask.ancestors().collect()
     }
 
     /// Proper descendants of `mask` within the lattice (every strictly more

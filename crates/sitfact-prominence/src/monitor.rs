@@ -197,14 +197,16 @@ impl<A: Discovery> FactMonitor<A> {
     }
 
     /// Ranks an arrival's discovered pairs by prominence. `tuple_id` is the
-    /// arrival's id; context and skyline cardinalities are evaluated over the
-    /// rows up to and including it (`limit = tuple_id + 1`), which under the
-    /// sequential protocol is simply the whole table.
+    /// arrival's id, the tuple the counter observed last (both callers
+    /// observe it right before); context and skyline cardinalities are
+    /// evaluated over the rows up to and including it (`limit = tuple_id +
+    /// 1`), which under the sequential protocol is simply the whole table.
     ///
     /// Bound-and-prune top-k: a fact's skyline holds at least the arrival, so
     /// its prominence `|σ_C(R)| / |λ_M(σ_C(R))|` never exceeds its context
-    /// size, and context sizes are one counter lookup each. The pairs are
-    /// visited by descending context size while the `keep_top` best
+    /// size, and context sizes cost no lookup at all: the counter recorded
+    /// them per bound mask when it observed the arrival, just before. The
+    /// pairs are visited by descending context size while the `keep_top` best
     /// prominences seen so far are tracked; once the next context size is
     /// *strictly* below the `keep_top`-th best, every remaining pair has
     /// `prominence ≤ context size < keep_top-th best ≤ maximum` — it can
@@ -214,9 +216,15 @@ impl<A: Discovery> FactMonitor<A> {
     fn rank_arrival(&mut self, tuple_id: TupleId, pairs: Vec<SkylinePair>) -> ArrivalReport {
         let limit = tuple_id + 1;
         let keep_top = self.config.keep_top;
+        let counter = &self.counter;
+        let context_size = |pair: &SkylinePair| {
+            let observed = counter.last_observed(pair.constraint.bound_mask());
+            debug_assert_eq!(observed, counter.cardinality(&pair.constraint));
+            observed
+        };
         let mut candidates: Vec<(u64, SkylinePair)> = pairs
             .into_iter()
-            .map(|pair| (self.counter.cardinality(&pair.constraint), pair))
+            .map(|pair| (context_size(&pair), pair))
             .collect();
         candidates.sort_by_key(|(context_size, _)| std::cmp::Reverse(*context_size));
         // The `keep_top` best prominences seen so far, descending.

@@ -6,9 +6,14 @@
 //! discovery cost, so the counter below maintains, for every constraint that
 //! any tuple has ever satisfied (capped at `d̂` bound attributes), the number
 //! of tuples in its context — one hash-map update per constraint per arriving
-//! tuple.
+//! tuple. The counts an arrival's constraints reach are recorded as it is
+//! observed, so ranking that arrival reads them without probing again.
 
-use sitfact_core::{BoundMask, Constraint, ConstraintLattice, FxHashMap, TupleView};
+use crate::heap::{hash_table_bytes, vec_bytes, ALLOC_OVERHEAD};
+use sitfact_core::{
+    BoundMask, Constraint, ConstraintLattice, DimValueId, FxHashMap, TupleView, UNBOUND,
+};
+use std::mem::size_of;
 
 /// Incremental counter of `|σ_C(R)|` for every observed constraint.
 #[derive(Debug, Clone)]
@@ -20,6 +25,14 @@ pub struct ContextCounter {
     masks: Vec<BoundMask>,
     counts: FxHashMap<Constraint, u64>,
     observed_tuples: u64,
+    /// `last[mask.0]`: the context size of the last observed tuple's
+    /// constraint at `mask`, recorded by `observe` (0 outside the lattice,
+    /// as [`ContextCounter::cardinality`] says). `forget` does not follow
+    /// its decrements.
+    last: Vec<u64>,
+    /// The probe key `observe` and `forget` fill per mask, so a map lookup
+    /// allocates only for a constraint seen for the first time.
+    key: Vec<DimValueId>,
 }
 
 impl ContextCounter {
@@ -28,23 +41,38 @@ impl ContextCounter {
     pub fn new(n_dims: usize, max_bound: usize) -> Self {
         let lattice = ConstraintLattice::new(n_dims, max_bound);
         let masks = lattice.enumerate_top_down();
+        let last = vec![0; lattice.flag_len()];
         ContextCounter {
             lattice,
             masks,
             counts: FxHashMap::default(),
             observed_tuples: 0,
+            last,
+            key: vec![UNBOUND; n_dims],
         }
     }
 
     /// Registers an arriving tuple: every constraint of `C^t` (up to the `d̂`
-    /// cap) has its context cardinality incremented. Accepts any
-    /// [`TupleView`], so the table's zero-copy rows can be observed without
-    /// materialising them.
+    /// cap) has its context cardinality incremented, and the counts it
+    /// reaches are recorded for [`ContextCounter::last_observed`]. Accepts
+    /// any [`TupleView`], so the table's zero-copy rows can be observed
+    /// without materialising them.
     pub fn observe(&mut self, tuple: impl TupleView) {
         debug_assert_eq!(tuple.num_dims(), self.lattice.n_dims());
         for &mask in &self.masks {
-            let constraint = Constraint::from_tuple_mask(&tuple, mask);
-            *self.counts.entry(constraint).or_insert(0) += 1;
+            Constraint::write_tuple_mask(&mut self.key, &tuple, mask);
+            let count = match self.counts.get_mut(&self.key[..]) {
+                Some(count) => {
+                    *count += 1;
+                    *count
+                }
+                None => {
+                    let key = Constraint::from_values(self.key.clone());
+                    self.counts.insert(key, 1);
+                    1
+                }
+            };
+            self.last[mask.0 as usize] = count;
         }
         self.observed_tuples += 1;
     }
@@ -86,11 +114,11 @@ impl ContextCounter {
     pub fn forget(&mut self, tuple: impl TupleView) {
         debug_assert_eq!(tuple.num_dims(), self.lattice.n_dims());
         for &mask in &self.masks {
-            let constraint = Constraint::from_tuple_mask(&tuple, mask);
-            if let Some(count) = self.counts.get_mut(&constraint) {
+            Constraint::write_tuple_mask(&mut self.key, &tuple, mask);
+            if let Some(count) = self.counts.get_mut(&self.key[..]) {
                 *count -= 1;
                 if *count == 0 {
-                    self.counts.remove(&constraint);
+                    self.counts.remove(&self.key[..]);
                 }
             }
         }
@@ -116,6 +144,16 @@ impl ContextCounter {
         self.cardinality(&Constraint::from_tuple_mask(tuple, mask))
     }
 
+    /// The context size of the last observed tuple's constraint at `mask`
+    /// — [`ContextCounter::cardinality_for`]`(tuple, mask)` as
+    /// [`ContextCounter::observe`] left it — read without a hash probe.
+    /// Meaningful only right after that observation: a later
+    /// [`ContextCounter::forget`] does not update it. `mask` must bind only
+    /// the schema's attributes.
+    pub fn last_observed(&self, mask: BoundMask) -> u64 {
+        self.last[mask.0 as usize]
+    }
+
     /// Total number of tuples observed so far.
     pub fn observed_tuples(&self) -> u64 {
         self.observed_tuples
@@ -126,15 +164,19 @@ impl ContextCounter {
         self.counts.len()
     }
 
-    /// Approximate heap bytes consumed by the counter, derived from `size_of`
-    /// so the estimate survives layout changes: each tracked constraint costs
-    /// one map entry (a [`Constraint`] key — a boxed value slice — plus the
-    /// `u64` count) and its boxed per-attribute values.
+    /// Approximate heap bytes consumed by the counter, counted the way the
+    /// skyline store counts them: the map's buckets and control bytes at
+    /// capacity, each key's boxed values, the mask list, the last-observed
+    /// record and the probe key, each allocation with its allocator
+    /// overhead.
     pub fn approx_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let per_entry = size_of::<(Constraint, u64)>()
-            + self.lattice.n_dims() * size_of::<sitfact_core::DimValueId>();
-        self.counts.len() * per_entry
+        let keys =
+            self.counts.len() * (self.lattice.n_dims() * size_of::<DimValueId>() + ALLOC_OVERHEAD);
+        hash_table_bytes(self.counts.capacity(), size_of::<(Constraint, u64)>())
+            + keys
+            + vec_bytes(&self.masks)
+            + vec_bytes(&self.last)
+            + vec_bytes(&self.key)
     }
 
     /// Iterates over every tracked `(constraint, count)` pair, in no
@@ -271,11 +313,47 @@ mod tests {
     }
 
     #[test]
-    fn heap_estimate_is_positive_after_observation() {
+    fn heap_estimate_counts_what_the_layout_allocates() {
+        use crate::heap::hash_buckets;
         let mut counter = ContextCounter::new(3, 2);
-        assert_eq!(counter.approx_heap_bytes(), 0);
+        // Before any observation: the mask list (7 masks), the record of the
+        // last observation (one count per mask of 2^3) and the probe key.
+        let fixed = 7 * size_of::<BoundMask>()
+            + ALLOC_OVERHEAD
+            + 8 * 8
+            + ALLOC_OVERHEAD
+            + 3 * 4
+            + ALLOC_OVERHEAD;
+        assert_eq!(counter.approx_heap_bytes(), fixed);
         counter.observe(Tuple::new(vec![0, 1, 2], vec![1.0]));
-        assert!(counter.approx_heap_bytes() > 0);
+        counter.observe(Tuple::new(vec![0, 1, 3], vec![1.0]));
+        assert_eq!(counter.tracked_constraints(), 10);
+        // The map: a bucket holds the key and the count plus a control
+        // byte, with one spare group; each key boxes three value ids.
+        let buckets = hash_buckets(counter.counts.capacity());
+        assert_eq!(buckets, 16);
+        let table = buckets * (size_of::<(Constraint, u64)>() + 1) + 16 + ALLOC_OVERHEAD;
+        let keys = 10 * (3 * 4 + ALLOC_OVERHEAD);
+        assert_eq!(counter.approx_heap_bytes(), fixed + table + keys);
+    }
+
+    #[test]
+    fn last_observed_reads_the_counts_observe_reached() {
+        let table = sample_table();
+        let mut counter = ContextCounter::new(3, 2);
+        for (_, tuple) in table.iter() {
+            counter.observe(tuple);
+            for mask in 0..8u32 {
+                let mask = BoundMask(mask);
+                assert_eq!(
+                    counter.last_observed(mask),
+                    counter.cardinality_for(tuple, mask),
+                    "mask {mask}"
+                );
+            }
+        }
+        // Above the cap nothing is tracked, and the record says so too.
+        assert_eq!(counter.last_observed(BoundMask(0b111)), 0);
     }
 
     #[test]
@@ -316,6 +394,5 @@ mod tests {
         }
         assert_eq!(windowed.observed_tuples(), 0);
         assert_eq!(windowed.tracked_constraints(), 0);
-        assert_eq!(windowed.approx_heap_bytes(), 0);
     }
 }

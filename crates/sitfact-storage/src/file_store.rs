@@ -8,6 +8,20 @@
 //! non-empty cells so that visiting an empty cell costs no I/O at all — the
 //! property that makes `FSTopDown` beat `FSBottomUp` in the paper.
 //!
+//! The index is a row per constraint, like the in-memory store's: a
+//! [`RowId`] names the row, which holds the constraint (for the file names)
+//! and the entry count of each of its cells that has a file. A row whose
+//! last file goes is not freed on the spot but by the next
+//! [`FileSkylineStore::flush`], which puts its slot on a free list for the
+//! next row created; so the rows are bounded by the constraints with a file
+//! plus those emptied since the last flush, as under the in-memory store.
+//! Freeing at the flush rather than in `remove` keeps every handle of an
+//! arrival valid through it: a cell emptied and refilled before the flush
+//! still goes through the buffer it sits in, and the file I/O stays what
+//! the paper's Figs. 12–13 count. A handle held across a flush may name a
+//! freed row; it reads as empty until the next row is created and must be
+//! dropped before then.
+//!
 //! ## Cell file layout
 //!
 //! ```text
@@ -20,22 +34,43 @@
 //! per cell shrink.
 
 use crate::stats::StoreStats;
-use crate::store::SkylineStore;
+use crate::store::{RowId, SkylineStore};
 use bytes::{Buf, BufMut, BytesMut};
-use sitfact_core::{Constraint, FxHashMap, SubspaceMask, TupleId, UNBOUND};
+use sitfact_core::{Constraint, DimValueId, FxHashMap, SubspaceMask, TupleId, UNBOUND};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CellKey {
+/// One constraint's entry in the index.
+#[derive(Debug)]
+struct FileRow {
     constraint: Constraint,
-    subspace: SubspaceMask,
+    /// The entry count of each cell of the row that has a file.
+    files: Vec<(SubspaceMask, u32)>,
+}
+
+impl FileRow {
+    /// A freed slot: no key, no files, no allocation.
+    fn freed() -> Self {
+        FileRow {
+            constraint: Constraint::from_values(Vec::new()),
+            files: Vec::new(),
+        }
+    }
+
+    /// The entry count of the cell's file, if it has one.
+    fn file(&self, subspace: SubspaceMask) -> Option<u32> {
+        self.files
+            .iter()
+            .find(|&&(s, _)| s == subspace)
+            .map(|&(_, count)| count)
+    }
 }
 
 #[derive(Debug)]
 struct CellBuffer {
-    key: CellKey,
+    row: RowId,
+    subspace: SubspaceMask,
     entries: Vec<TupleId>,
     dirty: bool,
 }
@@ -44,9 +79,17 @@ struct CellBuffer {
 #[derive(Debug)]
 pub struct FileSkylineStore {
     dir: PathBuf,
-    /// Entry counts of the non-empty cells (the index the paper implicitly
-    /// maintains to know which pairs have a file at all).
-    index: FxHashMap<CellKey, u32>,
+    /// Each constraint with a row, mapped to it.
+    index: FxHashMap<Constraint, RowId>,
+    /// The rows, with the entry counts of the non-empty cells (the index
+    /// the paper implicitly maintains to know which pairs have a file at
+    /// all).
+    rows: Vec<FileRow>,
+    /// Slots of freed rows, reused by the next rows created.
+    free: Vec<RowId>,
+    /// Rows left without a file since the last flush, which frees those
+    /// still without one (a row may be listed twice).
+    emptied: Vec<RowId>,
     /// Single-cell write-back buffer: the cell currently being processed.
     buffer: Option<CellBuffer>,
     file_reads: u64,
@@ -63,6 +106,9 @@ impl FileSkylineStore {
         Ok(FileSkylineStore {
             dir,
             index: FxHashMap::default(),
+            rows: Vec::new(),
+            free: Vec::new(),
+            emptied: Vec::new(),
             buffer: None,
             file_reads: 0,
             file_writes: 0,
@@ -75,16 +121,9 @@ impl FileSkylineStore {
         &self.dir
     }
 
-    fn key(constraint: &Constraint, subspace: SubspaceMask) -> CellKey {
-        CellKey {
-            constraint: constraint.clone(),
-            subspace,
-        }
-    }
-
-    fn file_name(key: &CellKey) -> String {
-        let mut name = String::with_capacity(key.constraint.num_dims() * 9 + 12);
-        for &v in key.constraint.values() {
+    fn file_name(constraint: &Constraint, subspace: SubspaceMask) -> String {
+        let mut name = String::with_capacity(constraint.num_dims() * 9 + 12);
+        for &v in constraint.values() {
             if v == UNBOUND {
                 name.push('x');
             } else {
@@ -92,12 +131,13 @@ impl FileSkylineStore {
             }
             name.push('-');
         }
-        name.push_str(&format!("m{:x}.sky", key.subspace.0));
+        name.push_str(&format!("m{:x}.sky", subspace.0));
         name
     }
 
-    fn path_for(&self, key: &CellKey) -> PathBuf {
-        self.dir.join(Self::file_name(key))
+    fn path_for(&self, row: RowId, subspace: SubspaceMask) -> PathBuf {
+        let constraint = &self.rows[row.slot()].constraint;
+        self.dir.join(Self::file_name(constraint, subspace))
     }
 
     /// Bytes of a cell file holding `count` ids.
@@ -123,16 +163,20 @@ impl FileSkylineStore {
     }
 
     /// Loads a cell into the write-back buffer, flushing any previously
-    /// buffered cell first.
-    fn load(&mut self, key: CellKey) {
+    /// buffered cell first. A cell of an absent row is empty: only the
+    /// previous buffer is flushed.
+    fn load(&mut self, row: Option<RowId>, subspace: SubspaceMask) {
         if let Some(buffer) = &self.buffer {
-            if buffer.key == key {
+            if Some(buffer.row) == row && buffer.subspace == subspace {
                 return;
             }
         }
         self.flush_buffer();
-        let entries = if self.index.contains_key(&key) {
-            let path = self.path_for(&key);
+        let Some(row) = row else {
+            return;
+        };
+        let entries = if self.rows[row.slot()].file(subspace).is_some() {
+            let path = self.path_for(row, subspace);
             match fs::File::open(&path) {
                 Ok(mut file) => {
                     let mut data = Vec::new();
@@ -149,7 +193,8 @@ impl FileSkylineStore {
             Vec::new()
         };
         self.buffer = Some(CellBuffer {
-            key,
+            row,
+            subspace,
             entries,
             dirty: false,
         });
@@ -162,9 +207,21 @@ impl FileSkylineStore {
         if !buffer.dirty {
             return;
         }
-        let path = self.path_for(&buffer.key);
+        self.write_back(&buffer);
+        if self.rows[buffer.row.slot()].files.is_empty() {
+            self.emptied.push(buffer.row);
+        }
+    }
+
+    /// Writes a dirty cell over its file, or deletes the file when the
+    /// cell is empty.
+    fn write_back(&mut self, buffer: &CellBuffer) {
+        let path = self.path_for(buffer.row, buffer.subspace);
+        let files = &mut self.rows[buffer.row.slot()].files;
+        let on_disk = files.iter().position(|&(s, _)| s == buffer.subspace);
         if buffer.entries.is_empty() {
-            if let Some(count) = self.index.remove(&buffer.key) {
+            if let Some(pos) = on_disk {
+                let (_, count) = files.swap_remove(pos);
                 let _ = fs::remove_file(&path);
                 self.file_writes += 1;
                 self.bytes_on_disk = self
@@ -177,28 +234,44 @@ impl FileSkylineStore {
         if let Ok(mut file) = fs::File::create(&path) {
             if file.write_all(&data).is_ok() {
                 self.file_writes += 1;
-                let before = self
-                    .index
-                    .get(&buffer.key)
-                    .map_or(0, |&count| Self::file_bytes(count as usize));
+                let count = buffer.entries.len() as u32;
+                let before = match on_disk {
+                    Some(pos) => {
+                        Self::file_bytes(std::mem::replace(&mut files[pos].1, count) as usize)
+                    }
+                    None => {
+                        files.push((buffer.subspace, count));
+                        0
+                    }
+                };
                 self.bytes_on_disk = self
                     .bytes_on_disk
                     .saturating_add(data.len() as u64)
                     .saturating_sub(before);
-                self.index
-                    .insert(buffer.key.clone(), buffer.entries.len() as u32);
             }
         }
     }
 
-    /// Writes back any dirty buffered cell. Also called on drop.
+    /// Writes back any dirty buffered cell, then frees the rows left
+    /// without a file. Also called on drop (the write-back only).
     pub fn flush(&mut self) {
         self.flush_buffer();
+        for pos in 0..self.emptied.len() {
+            let slot = self.emptied[pos];
+            let row = &mut self.rows[slot.slot()];
+            // A row listed twice is freed once: it is unindexed by then.
+            if row.files.is_empty() && self.index.get(row.constraint.values()) == Some(&slot) {
+                self.index.remove(row.constraint.values());
+                *row = FileRow::freed();
+                self.free.push(slot);
+            }
+        }
+        self.emptied.clear();
     }
 
     /// Total number of cell files currently on disk.
     pub fn file_count(&self) -> usize {
-        self.index.len()
+        self.rows.iter().map(|row| row.files.len()).sum()
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -208,11 +281,13 @@ impl FileSkylineStore {
     }
 }
 
-/// Checks the index-≡-disk invariant the store's "empty cells cost no I/O"
-/// property rests on: every indexed cell decodes from its file to exactly
-/// the indexed entry count with unique ids. The currently buffered cell is
-/// checked against the buffer instead (a dirty buffer is deliberately ahead
-/// of its file until the next flush).
+/// Checks the index every handle and the "empty cells cost no I/O" property
+/// rest on: every slot is either indexed (once, under its own constraint)
+/// or free (once, with no files); an indexed row without a file is awaiting
+/// the next flush (it is buffered or listed as emptied); and every indexed
+/// cell decodes from its file to exactly the indexed entry count with unique
+/// ids. The currently buffered cell is checked against the buffer instead (a
+/// dirty buffer is deliberately ahead of its file until the next flush).
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for FileSkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
@@ -220,56 +295,107 @@ impl sitfact_core::Audit for FileSkylineStore {
         let fail = |invariant: &'static str, detail: String| {
             Err(AuditViolation::new("FileSkylineStore", invariant, detail))
         };
-        for (key, &count) in &self.index {
-            if count == 0 {
+        if self.index.len() + self.free.len() != self.rows.len() {
+            return fail(
+                "slots-indexed-or-free",
+                format!(
+                    "{} indexed and {} free slots for {} rows",
+                    self.index.len(),
+                    self.free.len(),
+                    self.rows.len()
+                ),
+            );
+        }
+        let mut claimed = vec![false; self.rows.len()];
+        for &slot in self.free.iter().chain(self.index.values()) {
+            match claimed.get_mut(slot.slot()) {
+                Some(taken) if !*taken => *taken = true,
+                _ => {
+                    return fail(
+                        "slots-indexed-or-free",
+                        format!("slot {slot:?} is claimed twice or out of range"),
+                    )
+                }
+            }
+        }
+        for &slot in &self.free {
+            if !self.rows[slot.slot()].files.is_empty() {
                 return fail(
-                    "index-counts-positive",
-                    format!(
-                        "cell {:?} is indexed with zero entries",
-                        Self::file_name(key)
-                    ),
+                    "free-slots-empty",
+                    format!("free slot {slot:?} still indexes files"),
                 );
             }
-            let buffered = self.buffer.as_ref().filter(|b| b.key == *key);
-            if let Some(buffer) = buffered {
-                if !buffer.dirty && buffer.entries.len() != count as usize {
+        }
+        for (constraint, &row) in &self.index {
+            let indexed = &self.rows[row.slot()];
+            if indexed.constraint != *constraint {
+                return fail(
+                    "index-names-every-row",
+                    format!("constraint {constraint:?} maps to {row:?}, another row"),
+                );
+            }
+            let pending =
+                self.buffer.as_ref().is_some_and(|b| b.row == row) || self.emptied.contains(&row);
+            if indexed.files.is_empty() && !pending {
+                return fail(
+                    "no-empty-rows",
+                    format!("constraint {constraint:?} keeps a row without files"),
+                );
+            }
+        }
+        for (slot, row) in self.rows.iter().enumerate() {
+            for &(subspace, count) in &row.files {
+                let name = Self::file_name(&row.constraint, subspace);
+                if count == 0 {
                     return fail(
-                        "buffer-matches-index",
+                        "index-counts-positive",
+                        format!("cell {name:?} is indexed with zero entries"),
+                    );
+                }
+                let buffered = self
+                    .buffer
+                    .as_ref()
+                    .filter(|b| b.row.slot() == slot && b.subspace == subspace);
+                if let Some(buffer) = buffered {
+                    if !buffer.dirty && buffer.entries.len() != count as usize {
+                        return fail(
+                            "buffer-matches-index",
+                            format!(
+                                "clean buffer for cell {name:?} holds {} entries, index says \
+                                 {count}",
+                                buffer.entries.len()
+                            ),
+                        );
+                    }
+                    continue;
+                }
+                let path = self.dir.join(&name);
+                let data = match fs::read(&path) {
+                    Ok(data) => data,
+                    Err(err) => {
+                        return fail(
+                            "index-has-file",
+                            format!("indexed cell file {path:?} is unreadable: {err}"),
+                        )
+                    }
+                };
+                let entries = Self::decode(&data);
+                if entries.len() != count as usize {
+                    return fail(
+                        "file-matches-index",
                         format!(
-                            "clean buffer for cell {:?} holds {} entries, index says {count}",
-                            Self::file_name(key),
-                            buffer.entries.len()
+                            "cell file {path:?} decodes to {} entries, index says {count}",
+                            entries.len()
                         ),
                     );
                 }
-                continue;
-            }
-            let path = self.path_for(key);
-            let data = match fs::read(&path) {
-                Ok(data) => data,
-                Err(err) => {
-                    return fail(
-                        "index-has-file",
-                        format!("indexed cell file {path:?} is unreadable: {err}"),
-                    )
-                }
-            };
-            let entries = Self::decode(&data);
-            if entries.len() != count as usize {
-                return fail(
-                    "file-matches-index",
-                    format!(
-                        "cell file {path:?} decodes to {} entries, index says {count}",
-                        entries.len()
-                    ),
-                );
-            }
-            for (pos, id) in entries.iter().enumerate() {
-                if entries[..pos].contains(id) {
-                    return fail(
-                        "unique-ids-per-cell",
-                        format!("cell file {path:?} stores id {id} twice"),
-                    );
+                for (pos, id) in entries.iter().enumerate() {
+                    if entries[..pos].contains(id) {
+                        return fail(
+                            "unique-ids-per-cell",
+                            format!("cell file {path:?} stores id {id} twice"),
+                        );
+                    }
                 }
             }
         }
@@ -284,24 +410,61 @@ impl Drop for FileSkylineStore {
 }
 
 impl SkylineStore for FileSkylineStore {
-    fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
-        self.load(Self::key(constraint, subspace));
+    fn find(&self, constraint: &[DimValueId]) -> Option<RowId> {
+        self.index.get(constraint).copied()
+    }
+
+    fn read(&mut self, row: Option<RowId>, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
+        self.load(row, subspace);
         out.clear();
         if let Some(buffer) = &self.buffer {
             out.extend_from_slice(&buffer.entries);
         }
     }
 
-    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) {
-        self.load(Self::key(constraint, subspace));
+    fn insert(
+        &mut self,
+        row: &mut Option<RowId>,
+        constraint: &[DimValueId],
+        subspace: SubspaceMask,
+        id: TupleId,
+    ) {
+        let slot = *row.get_or_insert_with(|| {
+            let constraint = Constraint::from_values(constraint.to_vec());
+            let created = FileRow {
+                constraint: constraint.clone(),
+                files: Vec::new(),
+            };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.rows[slot.slot()] = created;
+                    slot
+                }
+                None => {
+                    self.rows.push(created);
+                    RowId::new(self.rows.len() - 1)
+                }
+            };
+            self.index.insert(constraint, slot);
+            slot
+        });
+        self.load(Some(slot), subspace);
         if let Some(buffer) = &mut self.buffer {
             buffer.entries.push(id);
             buffer.dirty = true;
         }
     }
 
-    fn remove(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        self.load(Self::key(constraint, subspace));
+    fn remove(
+        &mut self,
+        row: &mut Option<RowId>,
+        _constraint: &[DimValueId],
+        subspace: SubspaceMask,
+        id: TupleId,
+    ) -> bool {
+        // Rows are freed by `flush`, not here (see the module
+        // documentation), so the handle stays as it is.
+        self.load(*row, subspace);
         if let Some(buffer) = &mut self.buffer {
             if let Some(pos) = buffer.entries.iter().position(|&e| e == id) {
                 buffer.entries.swap_remove(pos);
@@ -312,26 +475,27 @@ impl SkylineStore for FileSkylineStore {
         false
     }
 
-    fn contains(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        self.load(Self::key(constraint, subspace));
+    fn contains(&mut self, row: Option<RowId>, subspace: SubspaceMask, id: TupleId) -> bool {
+        self.load(row, subspace);
         self.buffer
             .as_ref()
             .is_some_and(|b| b.entries.contains(&id))
     }
 
     fn stats(&self) -> StoreStats {
-        let stored_entries: u64 = self.index.values().map(|&c| c as u64).sum::<u64>()
+        let on_disk = self.rows.iter().flat_map(|row| &row.files);
+        let stored_entries: u64 = on_disk.clone().map(|&(_, c)| c as u64).sum::<u64>()
             + self
                 .buffer
                 .as_ref()
                 .map(|b| {
-                    let indexed = self.index.get(&b.key).copied().unwrap_or(0) as i64;
+                    let indexed = self.rows[b.row.slot()].file(b.subspace).unwrap_or(0) as i64;
                     (b.entries.len() as i64 - indexed).max(0) as u64
                 })
                 .unwrap_or(0);
         StoreStats {
             stored_entries,
-            non_empty_cells: self.index.len() as u64,
+            non_empty_cells: on_disk.count() as u64,
             approx_bytes: self.bytes_on_disk,
             file_reads: self.file_reads,
             file_writes: self.file_writes,
@@ -340,10 +504,15 @@ impl SkylineStore for FileSkylineStore {
 
     fn clear(&mut self) {
         self.buffer = None;
-        for key in self.index.keys() {
-            let _ = fs::remove_file(self.dir.join(Self::file_name(key)));
+        for row in &self.rows {
+            for &(subspace, _) in &row.files {
+                let _ = fs::remove_file(self.dir.join(Self::file_name(&row.constraint, subspace)));
+            }
         }
         self.index.clear();
+        self.rows.clear();
+        self.free.clear();
+        self.emptied.clear();
         self.bytes_on_disk = 0;
     }
 
@@ -369,8 +538,27 @@ mod tests {
 
     fn read(store: &mut FileSkylineStore, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
         let mut ids = Vec::new();
-        store.read(c, m, &mut ids);
+        store.read(store.find(c.values()), m, &mut ids);
         ids
+    }
+
+    fn insert(store: &mut FileSkylineStore, c: &Constraint, m: SubspaceMask, id: TupleId) {
+        let mut row = store.find(c.values());
+        store.insert(&mut row, c.values(), m, id);
+    }
+
+    fn remove(store: &mut FileSkylineStore, c: &Constraint, m: SubspaceMask, id: TupleId) -> bool {
+        let mut row = store.find(c.values());
+        store.remove(&mut row, c.values(), m, id)
+    }
+
+    fn contains(
+        store: &mut FileSkylineStore,
+        c: &Constraint,
+        m: SubspaceMask,
+        id: TupleId,
+    ) -> bool {
+        store.contains(store.find(c.values()), m, id)
     }
 
     #[test]
@@ -379,8 +567,8 @@ mod tests {
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1, UNBOUND]);
         let m = SubspaceMask(0b11);
-        store.insert(&c, m, 0);
-        store.insert(&c, m, 1);
+        insert(&mut store, &c, m, 0);
+        insert(&mut store, &c, m, 1);
         // Force the buffer out to disk, then read it back.
         store.flush();
         assert_eq!(store.file_count(), 1);
@@ -396,9 +584,9 @@ mod tests {
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c1 = constraint(vec![1]);
         let c2 = constraint(vec![2]);
-        store.insert(&c1, SubspaceMask(1), 0);
+        insert(&mut store, &c1, SubspaceMask(1), 0);
         // Touching another cell evicts (and persists) the first one.
-        store.insert(&c2, SubspaceMask(1), 1);
+        insert(&mut store, &c2, SubspaceMask(1), 1);
         assert_eq!(read(&mut store, &c1, SubspaceMask(1)).len(), 1);
         assert_eq!(read(&mut store, &c2, SubspaceMask(1)).len(), 1);
         let stats = store.stats();
@@ -414,11 +602,11 @@ mod tests {
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![7, 8]);
         let m = SubspaceMask(0b01);
-        store.insert(&c, m, 5);
-        assert!(store.contains(&c, m, 5));
-        assert!(!store.contains(&c, m, 6));
-        assert!(store.remove(&c, m, 5));
-        assert!(!store.remove(&c, m, 5));
+        insert(&mut store, &c, m, 5);
+        assert!(contains(&mut store, &c, m, 5));
+        assert!(!contains(&mut store, &c, m, 6));
+        assert!(remove(&mut store, &c, m, 5));
+        assert!(!remove(&mut store, &c, m, 5));
         store.flush();
         // The now-empty cell's file must be gone, and its bytes with it.
         assert_eq!(store.file_count(), 0);
@@ -438,7 +626,7 @@ mod tests {
             let _ = read(&mut store, &other, SubspaceMask(1));
         }
         assert_eq!(store.stats().file_reads, 0);
-        store.insert(&c, SubspaceMask(1), 0);
+        insert(&mut store, &c, SubspaceMask(1), 0);
         store.flush();
         drop(store);
         let _ = fs::remove_dir_all(&dir);
@@ -449,8 +637,8 @@ mod tests {
         let dir = temp_dir("stats");
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1]);
-        store.insert(&c, SubspaceMask(1), 0);
-        store.insert(&c, SubspaceMask(1), 1);
+        insert(&mut store, &c, SubspaceMask(1), 0);
+        insert(&mut store, &c, SubspaceMask(1), 1);
         // Not yet flushed: entries still counted.
         assert_eq!(store.stats().stored_entries, 2);
         store.flush();
@@ -467,12 +655,83 @@ mod tests {
         let dir = temp_dir("clear");
         let mut store = FileSkylineStore::new(&dir).unwrap();
         let c = constraint(vec![1]);
-        store.insert(&c, SubspaceMask(1), 0);
+        insert(&mut store, &c, SubspaceMask(1), 0);
         store.flush();
         assert_eq!(store.file_count(), 1);
         store.clear();
         assert_eq!(store.file_count(), 0);
         assert!(read(&mut store, &c, SubspaceMask(1)).is_empty());
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A row outlives its files until the next flush: the handle found
+    /// before the last remove still addresses the constraint after the file
+    /// is gone, and an insert through it lands in the same row. The flush
+    /// frees a row left without files, and the next row created takes its
+    /// slot.
+    #[test]
+    fn rows_live_until_the_flush_after_their_last_file() {
+        let dir = temp_dir("rows");
+        let mut store = FileSkylineStore::new(&dir).unwrap();
+        let (c, other) = (constraint(vec![3, UNBOUND]), constraint(vec![UNBOUND, 6]));
+        let (m1, m2) = (SubspaceMask(1), SubspaceMask(2));
+        insert(&mut store, &c, m1, 4);
+        insert(&mut store, &c, m2, 7);
+        store.flush();
+        let mut row = store.find(c.values());
+        assert!(store.remove(&mut row, c.values(), m1, 4));
+        // Moving to the other cell writes the emptied one back (its file
+        // goes) but frees nothing.
+        assert!(store.contains(row, m2, 7));
+        assert!(store.remove(&mut row, c.values(), m2, 7));
+        assert!(!store.contains(row, m1, 4));
+        assert_eq!(store.file_count(), 0);
+        assert!(row.is_some());
+        assert_eq!(store.find(c.values()), row);
+        store.audit().unwrap();
+        store.insert(&mut row, c.values(), m1, 5);
+        store.flush();
+        assert_eq!(read(&mut store, &c, m1), vec![5]);
+        assert_eq!(store.find(c.values()), row, "a refilled row is kept");
+        store.audit().unwrap();
+
+        assert!(remove(&mut store, &c, m1, 5));
+        store.flush();
+        assert_eq!(store.find(c.values()), None);
+        assert_eq!((store.index.len(), store.free.len()), (0, 1));
+        store.audit().unwrap();
+        let mut created = None;
+        store.insert(&mut created, other.values(), m1, 8);
+        assert_eq!(created, row, "the freed slot is reused");
+        assert_eq!(store.rows.len(), 1);
+        store.flush();
+        assert_eq!(read(&mut store, &other, m1), vec![8]);
+        assert!(read(&mut store, &c, m1).is_empty());
+        store.audit().unwrap();
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Emptying rows and refilling others, flush after flush, keeps the
+    /// arena at the rows alive at once instead of every constraint ever
+    /// written.
+    #[test]
+    fn a_sliding_window_reuses_its_rows() {
+        let dir = temp_dir("window");
+        let mut store = FileSkylineStore::new(&dir).unwrap();
+        let m = SubspaceMask(1);
+        for id in 0..100u32 {
+            insert(&mut store, &constraint(vec![id]), m, id);
+            if id >= 4 {
+                assert!(remove(&mut store, &constraint(vec![id - 4]), m, id - 4));
+            }
+            store.flush();
+            store.audit().unwrap();
+        }
+        assert_eq!(store.file_count(), 4);
+        assert_eq!(store.index.len(), 4);
+        assert!(store.rows.len() <= 5, "{} rows", store.rows.len());
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -26,6 +26,7 @@
 
 pub mod context;
 pub mod file_store;
+mod heap;
 pub mod kdtree;
 pub mod memory_store;
 pub mod postings;
@@ -40,6 +41,6 @@ pub use kdtree::KdTree;
 pub use memory_store::MemorySkylineStore;
 pub use postings::{CompressedPostings, PostingsCursor};
 pub use stats::{StoreStats, WorkStats};
-pub use store::{SkylineStore, StoreCell};
+pub use store::{RowId, SkylineStore, StoreCell};
 pub use table::{PostingIndexStats, Table};
 pub use wal::{ArrivalLog, LoggedRow, ScannedLog, SyncPolicy, WalStats, WindowRecord};

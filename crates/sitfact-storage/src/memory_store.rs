@@ -1,5 +1,5 @@
 //! In-memory skyline store: one flat row of `(subspace, id)` pairs per
-//! constraint.
+//! constraint, the rows in an arena addressed by [`RowId`].
 //!
 //! A constraint has at most `2^m − 1` cells, typically a handful holding one
 //! or two ids each, so the store keeps no per-cell allocation at all: the
@@ -11,39 +11,42 @@
 //! binary-searching for both ends of the run, which is slower than the walk
 //! over runs this short.)
 //!
+//! The rows live in an arena `Vec` with a free list of emptied slots; an
+//! index `FxHashMap<Constraint, RowId>` maps each constraint with a
+//! non-empty cell to its slot. [`SkylineStore::find`] is the only probe of
+//! that index a visit pays: every cell operation after it indexes the arena
+//! directly. The index is touched again only when a row is created (its
+//! first insert) or freed (its last remove).
+//!
 //! Within a run the pairs follow the cell order of [`SkylineStore`]: an
 //! insert goes to the end of its run, and a remove moves the run's last pair
 //! into the hole before dropping that last slot.
 
+use crate::heap::{hash_table_bytes, vec_bytes, ALLOC_OVERHEAD};
 use crate::stats::StoreStats;
-use crate::store::{SkylineStore, StoreCell};
+use crate::store::{RowId, SkylineStore, StoreCell};
 use sitfact_core::{Constraint, DimValueId, FxHashMap, SubspaceMask, TupleId};
 use std::mem::size_of;
 use std::ops::Range;
 
 /// In-memory implementation of [`SkylineStore`].
 ///
-/// A row is created on a constraint's first insert and dropped with its last
-/// pair, so the map holds exactly the constraints with a non-empty cell.
+/// A row is created on a constraint's first insert and freed with its last
+/// pair — its slot goes to the free list with its allocation released — so
+/// the index holds exactly the constraints with a non-empty cell.
 #[derive(Debug, Default)]
 pub struct MemorySkylineStore {
-    rows: FxHashMap<Constraint, Row>,
+    index: FxHashMap<Constraint, RowId>,
+    rows: Vec<Row>,
+    free: Vec<RowId>,
 }
 
 /// One constraint's cells: `(subspace, id)` pairs grouped by ascending
 /// subspace, each group in cell order.
 type Row = Vec<(SubspaceMask, TupleId)>;
 
-/// What one heap allocation costs beyond its payload: a glibc-style malloc
-/// keeps an 8-byte size word in front of every chunk and rounds chunks up to
-/// 16 bytes.
-const ALLOC_OVERHEAD: usize = 16;
-
-/// Control bytes hashbrown keeps beyond one per bucket (one SSE2 group).
-const HASH_GROUP_WIDTH: usize = 16;
-
 /// The positions of `subspace`'s run in `row` (empty when it has none).
-fn run(row: &Row, subspace: SubspaceMask) -> Range<usize> {
+fn run(row: &[(SubspaceMask, TupleId)], subspace: SubspaceMask) -> Range<usize> {
     let start = row.partition_point(|&(s, _)| s < subspace);
     let len = row[start..]
         .iter()
@@ -52,21 +55,15 @@ fn run(row: &Row, subspace: SubspaceMask) -> Range<usize> {
     start..start + len
 }
 
-/// The buckets behind a hash map of this `capacity()`: hashbrown fills at
-/// most 7/8 of a table of 8 buckets or more, and all but one bucket of a
-/// smaller one.
-fn hash_buckets(capacity: usize) -> usize {
-    match capacity {
-        0 => 0,
-        1..=7 => capacity + 1,
-        _ => capacity / 7 * 8,
-    }
-}
-
 impl MemorySkylineStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The row behind a handle (an absent row reads as empty).
+    fn row(&self, row: Option<RowId>) -> &[(SubspaceMask, TupleId)] {
+        row.map_or(&[], |row| &self.rows[row.slot()])
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -76,9 +73,11 @@ impl MemorySkylineStore {
     }
 }
 
-/// Checks the row layout every lookup relies on: no retained empty rows
-/// (reads of absent cells must stay allocation-free), pairs grouped by
-/// ascending subspace, and no id twice within a cell.
+/// Checks the arena every handle relies on — every slot is either indexed
+/// (once, and non-empty: reads of absent cells must stay allocation-free) or
+/// free (once, and empty), and nothing else — and the row layout every
+/// lookup relies on: pairs grouped by ascending subspace, no id twice within
+/// a cell.
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for MemorySkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
@@ -86,7 +85,47 @@ impl sitfact_core::Audit for MemorySkylineStore {
         let fail = |invariant: &'static str, detail: String| {
             Err(AuditViolation::new("MemorySkylineStore", invariant, detail))
         };
-        for (constraint, row) in &self.rows {
+        if self.index.len() + self.free.len() != self.rows.len() {
+            return fail(
+                "slots-indexed-or-free",
+                format!(
+                    "{} indexed and {} free slots in an arena of {}",
+                    self.index.len(),
+                    self.free.len(),
+                    self.rows.len()
+                ),
+            );
+        }
+        let mut claimed = vec![false; self.rows.len()];
+        let mut claim = |slot: RowId| match claimed.get_mut(slot.slot()) {
+            Some(taken) if !*taken => {
+                *taken = true;
+                true
+            }
+            _ => false,
+        };
+        for &slot in &self.free {
+            if !claim(slot) {
+                return fail(
+                    "free-slots-unique",
+                    format!("free slot {slot:?} is listed twice or out of range"),
+                );
+            }
+            if self.rows[slot.slot()].capacity() != 0 {
+                return fail(
+                    "free-slots-empty",
+                    format!("free slot {slot:?} still holds a row allocation"),
+                );
+            }
+        }
+        for (constraint, &slot) in &self.index {
+            if !claim(slot) {
+                return fail(
+                    "indexed-slots-unique",
+                    format!("constraint {constraint:?} maps to {slot:?}, taken or out of range"),
+                );
+            }
+            let row = &self.rows[slot.slot()];
             if row.is_empty() {
                 return fail(
                     "no-empty-rows",
@@ -120,61 +159,92 @@ impl sitfact_core::Audit for MemorySkylineStore {
 }
 
 impl SkylineStore for MemorySkylineStore {
-    fn read(&mut self, constraint: &Constraint, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
-        out.clear();
-        if let Some(row) = self.rows.get(constraint) {
-            out.extend(row[run(row, subspace)].iter().map(|&(_, id)| id));
-        }
+    fn find(&self, constraint: &[DimValueId]) -> Option<RowId> {
+        self.index.get(constraint).copied()
     }
 
-    fn insert(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) {
-        // The key is cloned only for a constraint's first cell.
-        let row = match self.rows.get_mut(constraint) {
-            Some(row) => row,
-            None => self.rows.entry(constraint.clone()).or_default(),
-        };
+    fn read(&mut self, row: Option<RowId>, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
+        out.clear();
+        let row = self.row(row);
+        out.extend(row[run(row, subspace)].iter().map(|&(_, id)| id));
+    }
+
+    fn insert(
+        &mut self,
+        row: &mut Option<RowId>,
+        constraint: &[DimValueId],
+        subspace: SubspaceMask,
+        id: TupleId,
+    ) {
+        let slot = *row.get_or_insert_with(|| {
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.rows.push(Row::new());
+                RowId::new(self.rows.len() - 1)
+            });
+            self.index
+                .insert(Constraint::from_values(constraint.to_vec()), slot);
+            slot
+        });
+        let row = &mut self.rows[slot.slot()];
         let end = row.partition_point(|&(s, _)| s <= subspace);
         row.insert(end, (subspace, id));
     }
 
-    fn remove(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        let Some(row) = self.rows.get_mut(constraint) else {
+    fn remove(
+        &mut self,
+        row: &mut Option<RowId>,
+        constraint: &[DimValueId],
+        subspace: SubspaceMask,
+        id: TupleId,
+    ) -> bool {
+        let Some(slot) = *row else {
             return false;
         };
-        let cell = run(row, subspace);
-        let Some(hole) = cell.clone().find(|&pos| row[pos].1 == id) else {
+        let pairs = &mut self.rows[slot.slot()];
+        let cell = run(pairs, subspace);
+        let Some(hole) = cell.clone().find(|&pos| pairs[pos].1 == id) else {
             return false;
         };
         let last = cell.end - 1;
-        row[hole] = row[last];
-        row.remove(last);
-        if row.is_empty() {
-            self.rows.remove(constraint);
+        pairs[hole] = pairs[last];
+        pairs.remove(last);
+        if pairs.is_empty() {
+            // Release the allocation with the row: a free slot costs only
+            // its arena entry.
+            *pairs = Row::new();
+            self.index.remove(constraint);
+            self.free.push(slot);
+            *row = None;
         }
         true
     }
 
-    fn contains(&mut self, constraint: &Constraint, subspace: SubspaceMask, id: TupleId) -> bool {
-        self.rows
-            .get(constraint)
-            .is_some_and(|row| row[run(row, subspace)].iter().any(|&(_, x)| x == id))
+    fn contains(&mut self, row: Option<RowId>, subspace: SubspaceMask, id: TupleId) -> bool {
+        let row = self.row(row);
+        row[run(row, subspace)].iter().any(|&(_, x)| x == id)
     }
 
     fn stats(&self) -> StoreStats {
         // Counted, not maintained: the served path never asks. Bytes are
-        // what the layout allocates — the hash table's buckets and control
-        // bytes, and per constraint its boxed key and its row's capacity —
-        // plus the allocator's overhead on each of those allocations.
-        let buckets = hash_buckets(self.rows.capacity());
-        let mut bytes = if buckets == 0 {
-            0
-        } else {
-            buckets * (size_of::<(Constraint, Row)>() + 1) + HASH_GROUP_WIDTH + ALLOC_OVERHEAD
-        };
-        let (mut stored_entries, mut non_empty_cells) = (0, 0);
-        for (constraint, row) in &self.rows {
+        // what the layout allocates — the index's buckets and control bytes
+        // with each constraint's boxed key, the free list and each row's
+        // pairs at capacity — plus the allocator's overhead on each of those
+        // allocations. The arena is the exception: it only grows, every
+        // slot is written once when it is created, and the doubling tail
+        // past its length is address space a large arena never touches, so
+        // it is counted at its length (at capacity the estimate of
+        // `tests/store_memory.rs` overshoots resident memory by 13 %, at
+        // length by 3 %).
+        let arena = self.rows.len() * size_of::<Row>() + ALLOC_OVERHEAD;
+        let mut bytes = hash_table_bytes(self.index.capacity(), size_of::<(Constraint, RowId)>())
+            + if self.rows.capacity() == 0 { 0 } else { arena }
+            + vec_bytes(&self.free);
+        for constraint in self.index.keys() {
             bytes += constraint.num_dims() * size_of::<DimValueId>() + ALLOC_OVERHEAD;
-            bytes += row.capacity() * size_of::<(SubspaceMask, TupleId)>() + ALLOC_OVERHEAD;
+        }
+        let (mut stored_entries, mut non_empty_cells) = (0, 0);
+        for row in &self.rows {
+            bytes += vec_bytes(row);
             stored_entries += row.len() as u64;
             non_empty_cells += row.chunk_by(|a, b| a.0 == b.0).count() as u64;
         }
@@ -188,13 +258,15 @@ impl SkylineStore for MemorySkylineStore {
     }
 
     fn clear(&mut self) {
+        self.index.clear();
         self.rows.clear();
+        self.free.clear();
     }
 
     fn dump_cells(&self) -> Option<Vec<StoreCell>> {
         let mut cells = Vec::new();
-        for (constraint, row) in &self.rows {
-            for chunk in row.chunk_by(|a, b| a.0 == b.0) {
+        for (constraint, &slot) in &self.index {
+            for chunk in self.rows[slot.slot()].chunk_by(|a, b| a.0 == b.0) {
                 cells.push(StoreCell {
                     constraint: constraint.values().to_vec(),
                     subspace: chunk[0].0 .0,
@@ -208,9 +280,9 @@ impl SkylineStore for MemorySkylineStore {
     fn load_cells(&mut self, cells: Vec<StoreCell>) -> sitfact_core::Result<()> {
         self.clear();
         for cell in cells {
-            let constraint = Constraint::from_values(cell.constraint);
+            let mut row = self.find(&cell.constraint);
             for id in cell.entries {
-                self.insert(&constraint, SubspaceMask(cell.subspace), id);
+                self.insert(&mut row, &cell.constraint, SubspaceMask(cell.subspace), id);
             }
         }
         Ok(())
@@ -227,8 +299,32 @@ mod tests {
 
     fn read(store: &mut MemorySkylineStore, c: &Constraint, m: SubspaceMask) -> Vec<TupleId> {
         let mut ids = Vec::new();
-        store.read(c, m, &mut ids);
+        store.read(store.find(c.values()), m, &mut ids);
         ids
+    }
+
+    fn insert(store: &mut MemorySkylineStore, c: &Constraint, m: SubspaceMask, id: TupleId) {
+        let mut row = store.find(c.values());
+        store.insert(&mut row, c.values(), m, id);
+    }
+
+    fn remove(
+        store: &mut MemorySkylineStore,
+        c: &Constraint,
+        m: SubspaceMask,
+        id: TupleId,
+    ) -> bool {
+        let mut row = store.find(c.values());
+        store.remove(&mut row, c.values(), m, id)
+    }
+
+    fn contains(
+        store: &mut MemorySkylineStore,
+        c: &Constraint,
+        m: SubspaceMask,
+        id: TupleId,
+    ) -> bool {
+        store.contains(store.find(c.values()), m, id)
     }
 
     #[test]
@@ -238,15 +334,15 @@ mod tests {
         let m = SubspaceMask(0b11);
         assert!(read(&mut store, &c, m).is_empty());
 
-        store.insert(&c, m, 0);
-        store.insert(&c, m, 1);
+        insert(&mut store, &c, m, 0);
+        insert(&mut store, &c, m, 1);
         assert_eq!(read(&mut store, &c, m), vec![0, 1]);
-        assert!(store.contains(&c, m, 0));
-        assert!(store.contains(&c, m, 1));
-        assert!(!store.contains(&c, m, 2));
+        assert!(contains(&mut store, &c, m, 0));
+        assert!(contains(&mut store, &c, m, 1));
+        assert!(!contains(&mut store, &c, m, 2));
 
-        assert!(store.remove(&c, m, 0));
-        assert!(!store.remove(&c, m, 0));
+        assert!(remove(&mut store, &c, m, 0));
+        assert!(!remove(&mut store, &c, m, 0));
         assert_eq!(read(&mut store, &c, m), vec![1]);
         store.audit().unwrap();
     }
@@ -257,14 +353,14 @@ mod tests {
         let c = constraint(vec![5]);
         let (low, m, high) = (SubspaceMask(0b01), SubspaceMask(0b10), SubspaceMask(0b11));
         // Neighbouring runs on both sides must not move.
-        store.insert(&c, high, 9);
+        insert(&mut store, &c, high, 9);
         for id in 0..4 {
-            store.insert(&c, m, id);
+            insert(&mut store, &c, m, id);
         }
-        store.insert(&c, low, 8);
-        assert!(store.remove(&c, m, 1));
+        insert(&mut store, &c, low, 8);
+        assert!(remove(&mut store, &c, m, 1));
         assert_eq!(read(&mut store, &c, m), vec![0, 3, 2]);
-        store.insert(&c, m, 4);
+        insert(&mut store, &c, m, 4);
         assert_eq!(read(&mut store, &c, m), vec![0, 3, 2, 4]);
         assert_eq!(read(&mut store, &c, low), vec![8]);
         assert_eq!(read(&mut store, &c, high), vec![9]);
@@ -276,9 +372,9 @@ mod tests {
         let mut store = MemorySkylineStore::new();
         let c1 = constraint(vec![1, u32::MAX]);
         let c2 = constraint(vec![u32::MAX, 2]);
-        store.insert(&c1, SubspaceMask(0b01), 0);
-        store.insert(&c1, SubspaceMask(0b10), 0);
-        store.insert(&c2, SubspaceMask(0b01), 1);
+        insert(&mut store, &c1, SubspaceMask(0b01), 0);
+        insert(&mut store, &c1, SubspaceMask(0b10), 0);
+        insert(&mut store, &c2, SubspaceMask(0b01), 1);
         assert_eq!(read(&mut store, &c1, SubspaceMask(0b01)), vec![0]);
         assert_eq!(read(&mut store, &c1, SubspaceMask(0b10)), vec![0]);
         assert_eq!(read(&mut store, &c2, SubspaceMask(0b01)), vec![1]);
@@ -287,36 +383,90 @@ mod tests {
         assert_eq!(store.stats().non_empty_cells, 3);
     }
 
+    /// One handle serves every cell of its row; the remove that empties the
+    /// row clears the handle it went through, and the next row created
+    /// takes the freed slot.
+    #[test]
+    fn a_handle_addresses_its_row_until_the_row_empties() {
+        let mut store = MemorySkylineStore::new();
+        let (a, b) = (constraint(vec![1, 2]), constraint(vec![3, 4]));
+        let (m1, m2) = (SubspaceMask(0b01), SubspaceMask(0b10));
+        let mut row = None;
+        store.insert(&mut row, a.values(), m1, 7);
+        assert_eq!(row, store.find(a.values()));
+        store.insert(&mut row, a.values(), m2, 8);
+        assert!(store.contains(row, m2, 8));
+        assert!(store.remove(&mut row, a.values(), m1, 7));
+        assert!(row.is_some(), "the row still holds a pair");
+        let freed = row;
+        assert!(store.remove(&mut row, a.values(), m2, 8));
+        assert_eq!(row, None);
+        assert_eq!(store.find(a.values()), None);
+        assert!(!store.remove(&mut row, a.values(), m2, 8));
+        store.audit().unwrap();
+
+        let mut other = None;
+        store.insert(&mut other, b.values(), m1, 9);
+        assert_eq!(other, freed, "the freed slot is reused");
+        assert_eq!(store.rows.len(), 1);
+        assert_eq!(read(&mut store, &b, m1), vec![9]);
+        assert!(read(&mut store, &a, m1).is_empty());
+        store.audit().unwrap();
+    }
+
     #[test]
     fn stats_count_what_the_layout_allocates() {
         let mut store = MemorySkylineStore::new();
         let c = constraint(vec![0, 7]);
         assert_eq!(store.stats(), StoreStats::default());
         for i in 0..10 {
-            store.insert(&c, SubspaceMask(1), i);
+            insert(&mut store, &c, SubspaceMask(1), i);
         }
-        store.insert(&c, SubspaceMask(2), 10);
+        insert(&mut store, &c, SubspaceMask(2), 10);
         let stats = store.stats();
         assert_eq!(stats.stored_entries, 11);
         assert_eq!(stats.non_empty_cells, 2);
         assert_eq!(stats.file_reads, 0);
         assert_eq!(stats.file_writes, 0);
-        // The formula, term by term. The hash table: a bucket holds the key
-        // and the row header, plus one control byte, and the table carries
-        // one group of spare control bytes.
-        let buckets = hash_buckets(store.rows.capacity());
-        assert_eq!(buckets, 4, "the first insert allocates a 4-bucket table");
-        let table = buckets * (size_of::<(Constraint, Row)>() + 1) + 16 + ALLOC_OVERHEAD;
+        // The formula, term by term. The index: a bucket holds the key and
+        // the handle, plus one control byte, and the table carries one group
+        // of spare control bytes; the first insert allocates 4 buckets.
+        let index = 4 * (size_of::<(Constraint, RowId)>() + 1) + 16 + ALLOC_OVERHEAD;
+        assert_eq!(
+            hash_table_bytes(store.index.capacity(), size_of::<(Constraint, RowId)>()),
+            index
+        );
         // The key: two boxed value ids.
         let key = 2 * size_of::<DimValueId>() + ALLOC_OVERHEAD;
+        // The arena: row headers at its length; no free list yet.
+        let arena = store.rows.len() * size_of::<Row>() + ALLOC_OVERHEAD;
+        assert_eq!(store.free.capacity(), 0);
         // The row: its capacity in 8-byte pairs, not its length.
-        let capacity = store.rows[&c].capacity();
+        let capacity = store.rows[0].capacity();
         assert!(capacity > 11);
         let row = capacity * 8 + ALLOC_OVERHEAD;
-        assert_eq!(stats.approx_bytes, (table + key + row) as u64);
+        assert_eq!(stats.approx_bytes, (index + key + arena + row) as u64);
 
-        // A reloaded dump holds the same cells; its rows are sized by
-        // growth, so only the counts must agree.
+        // Emptying the row frees its slot: the key, the row's pairs and the
+        // index entry go, the arena slot and a free-list entry stay.
+        for i in 0..10 {
+            assert!(remove(&mut store, &c, SubspaceMask(1), i));
+        }
+        assert!(remove(&mut store, &c, SubspaceMask(2), 10));
+        let free = store.free.capacity() * size_of::<RowId>() + ALLOC_OVERHEAD;
+        assert_eq!(store.stats().approx_bytes, (index + arena + free) as u64);
+        store.audit().unwrap();
+    }
+
+    #[test]
+    fn a_reloaded_dump_holds_the_same_cells() {
+        let mut store = MemorySkylineStore::new();
+        let c = constraint(vec![0, 7]);
+        for i in 0..10 {
+            insert(&mut store, &c, SubspaceMask(1), i);
+        }
+        insert(&mut store, &c, SubspaceMask(2), 10);
+        // Its rows are sized by growth, so only the counts must agree.
         let mut reloaded = MemorySkylineStore::new();
         reloaded.load_cells(store.dump_cells().unwrap()).unwrap();
         assert_eq!(reloaded.stats().stored_entries, 11);
@@ -329,53 +479,55 @@ mod tests {
     }
 
     #[test]
-    fn hash_buckets_follow_the_table_sizes() {
-        let mut map: FxHashMap<u32, u32> = FxHashMap::default();
-        assert_eq!(hash_buckets(map.capacity()), 0);
-        let mut seen = Vec::new();
-        for i in 0..2000 {
-            map.insert(i, i);
-            let buckets = hash_buckets(map.capacity());
-            assert!(buckets.is_power_of_two(), "{} -> {buckets}", map.capacity());
-            assert!(map.len() <= map.capacity() && map.capacity() < buckets);
-            if seen.last() != Some(&buckets) {
-                seen.push(buckets);
-            }
-        }
-        assert_eq!(seen[..4], [4, 8, 16, 32]);
-    }
-
-    #[test]
     fn removing_last_entry_removes_the_row() {
         let mut store = MemorySkylineStore::new();
         let c = constraint(vec![0]);
-        store.insert(&c, SubspaceMask(1), 0);
+        insert(&mut store, &c, SubspaceMask(1), 0);
         assert_eq!(store.stats().non_empty_cells, 1);
-        store.remove(&c, SubspaceMask(1), 0);
+        remove(&mut store, &c, SubspaceMask(1), 0);
         assert_eq!(store.stats().non_empty_cells, 0);
         assert_eq!(store.stats().stored_entries, 0);
-        assert!(store.rows.is_empty());
+        assert!(store.index.is_empty());
+        assert_eq!(store.free.len(), 1);
+        store.audit().unwrap();
     }
 
     #[test]
     fn clear_empties_everything() {
         let mut store = MemorySkylineStore::new();
         let c = constraint(vec![0]);
-        store.insert(&c, SubspaceMask(1), 0);
+        insert(&mut store, &c, SubspaceMask(1), 0);
         store.clear();
         assert_eq!(store.stats().stored_entries, 0);
         assert_eq!(store.stats().non_empty_cells, 0);
         assert!(read(&mut store, &c, SubspaceMask(1)).is_empty());
+        store.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_catches_a_broken_arena() {
+        let mut store = MemorySkylineStore::new();
+        let c = constraint(vec![0]);
+        insert(&mut store, &c, SubspaceMask(1), 0);
+        store.free.push(RowId::new(0));
+        assert!(store.audit().is_err(), "a slot both indexed and free");
+        store.free.clear();
+        store.rows.push(Row::new());
+        assert!(store.audit().is_err(), "a slot neither indexed nor free");
+        store.free.push(RowId::new(1));
+        store.audit().unwrap();
+        store.rows[1].push((SubspaceMask(1), 3));
+        assert!(store.audit().is_err(), "a free slot holding pairs");
     }
 
     #[test]
     fn dump_lists_every_cell_in_cell_order() {
         let mut store = MemorySkylineStore::new();
         let (c1, c2) = (constraint(vec![1]), constraint(vec![2]));
-        store.insert(&c1, SubspaceMask(2), 5);
-        store.insert(&c1, SubspaceMask(1), 4);
-        store.insert(&c1, SubspaceMask(2), 3);
-        store.insert(&c2, SubspaceMask(1), 1);
+        insert(&mut store, &c1, SubspaceMask(2), 5);
+        insert(&mut store, &c1, SubspaceMask(1), 4);
+        insert(&mut store, &c1, SubspaceMask(2), 3);
+        insert(&mut store, &c2, SubspaceMask(1), 1);
         let mut cells = store.dump_cells().unwrap();
         cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
         let cell = |c: u32, subspace, entries| StoreCell {

@@ -889,7 +889,7 @@ mod tests {
     use super::*;
     use crate::memory_store::MemorySkylineStore;
     use crate::store::SkylineStore;
-    use sitfact_core::{Constraint, SubspaceMask, Tuple};
+    use sitfact_core::{SubspaceMask, Tuple};
 
     fn sample_window(first_id: u64, rows: usize) -> WindowRecord {
         WindowRecord {
@@ -1265,12 +1265,12 @@ mod tests {
 
     fn sample_cells() -> Vec<StoreCell> {
         let mut store = MemorySkylineStore::new();
-        let c1 = Constraint::from_values(vec![1, u32::MAX]);
-        let c2 = Constraint::from_values(vec![u32::MAX, 2]);
-        store.insert(&c1, SubspaceMask(0b01), 0);
-        store.insert(&c1, SubspaceMask(0b11), 1);
-        store.insert(&c2, SubspaceMask(0b01), 3);
-        store.insert(&c2, SubspaceMask(0b01), 2);
+        let (c1, c2) = ([1, u32::MAX], [u32::MAX, 2]);
+        let (mut row1, mut row2) = (None, None);
+        store.insert(&mut row1, &c1, SubspaceMask(0b01), 0);
+        store.insert(&mut row1, &c1, SubspaceMask(0b11), 1);
+        store.insert(&mut row2, &c2, SubspaceMask(0b01), 3);
+        store.insert(&mut row2, &c2, SubspaceMask(0b01), 2);
         let mut cells = store.dump_cells().expect("memory store dumps");
         cells.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
         cells

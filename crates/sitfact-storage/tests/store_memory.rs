@@ -8,7 +8,7 @@
 //! `/proc/self/status`.
 
 use rand::prelude::*;
-use sitfact_core::{Constraint, SubspaceMask, TupleId, UNBOUND};
+use sitfact_core::{DimValueId, SubspaceMask, TupleId, UNBOUND};
 use sitfact_storage::{MemorySkylineStore, SkylineStore};
 
 /// Constraints in the population; about 3.2 ids each.
@@ -49,8 +49,8 @@ fn population() -> Vec<(u32, SubspaceMask, TupleId)> {
 }
 
 /// Five dimensions, at most three bound: the keys of a `d̂ = 3` lattice.
-fn constraint(k: u32) -> Constraint {
-    Constraint::from_values(vec![k, UNBOUND, k % 97, UNBOUND, k % 13])
+fn constraint(k: u32) -> [DimValueId; 5] {
+    [k, UNBOUND, k % 97, UNBOUND, k % 13]
 }
 
 /// This process's resident set in bytes.
@@ -74,7 +74,9 @@ fn fill_and_measure() {
     let before = resident_bytes();
     let mut store = MemorySkylineStore::new();
     for &(k, subspace, id) in &entries {
-        store.insert(&constraint(k), subspace, id);
+        let key = constraint(k);
+        let mut row = store.find(&key);
+        store.insert(&mut row, &key, subspace, id);
     }
     let grown = resident_bytes() - before;
     let stats = store.stats();

@@ -40,13 +40,14 @@ fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
     let mut model: Vec<Vec<TupleId>> = vec![Vec::new(); constraints.len() * SUBSPACES.len()];
     let mut ids = Vec::new();
     for (step, &(op, c, m, id)) in ops.iter().enumerate() {
-        let (constraint, subspace) = (&constraints[c], SUBSPACES[m]);
+        let (constraint, subspace) = (constraints[c].values(), SUBSPACES[m]);
+        let mut row = store.find(constraint);
         let cell = &mut model[c * SUBSPACES.len() + m];
         match op {
             0 | 1 => {
                 // Callers never insert an id a cell already holds.
                 if !cell.contains(&id) {
-                    store.insert(constraint, subspace, id);
+                    store.insert(&mut row, constraint, subspace, id);
                     cell.push(id);
                 }
             }
@@ -58,22 +59,23 @@ fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
                     }
                     None => false,
                 };
-                let removed = store.remove(constraint, subspace, id);
+                let removed = store.remove(&mut row, constraint, subspace, id);
                 prop_assert_eq!(removed, expected);
             }
             3 => {
-                let contained = store.contains(constraint, subspace, id);
+                let contained = store.contains(row, subspace, id);
                 prop_assert_eq!(contained, cell.contains(&id));
             }
             4 => {
-                store.read(constraint, subspace, &mut ids);
+                store.read(row, subspace, &mut ids);
                 prop_assert_eq!(&ids, cell);
             }
             _ => store.flush(),
         }
         for (at, expected) in model.iter().enumerate() {
             let (c, m) = (at / SUBSPACES.len(), at % SUBSPACES.len());
-            store.read(&constraints[c], SUBSPACES[m], &mut ids);
+            let row = store.find(constraints[c].values());
+            store.read(row, SUBSPACES[m], &mut ids);
             prop_assert!(
                 ids == *expected,
                 "step {step}: cell ({c}, {m}) reads {ids:?}, the model holds {expected:?}"

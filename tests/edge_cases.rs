@@ -187,7 +187,8 @@ fn file_store_state_survives_restart() {
 
     {
         let mut store = FileSkylineStore::new(&dir).unwrap();
-        store.insert(&constraint, full, 0);
+        let mut row = store.find(constraint.values());
+        store.insert(&mut row, constraint.values(), full, 0);
         store.flush();
     }
     // A fresh store over the same directory starts from an empty index by
