@@ -1,6 +1,6 @@
 //! Fixture for the `doc-link-drift` rule.
 //!
-//! Resolved: `ROADMAP.md` at the root, `crates/sitfact-bench/README.md`.
+//! Resolved: `ROADMAP.md` at the root, `../../../ROADMAP.md` from here.
 //! Not names: `*.md`, <https://example.org/GUIDE.md>.
 //! Dangling: the design is in DESIGN.md.
 

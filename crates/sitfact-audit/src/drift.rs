@@ -5,9 +5,6 @@
 //! * **Wire grammar**: the fenced ```text grammar block in ROADMAP.md must
 //!   use exactly the verbs `sitfact-serve::protocol` declares in its
 //!   `REQUEST_VERBS` / `RESPONSE_VERBS` constants.
-//! * **Bench schemas**: every `BENCH_*.json` schema documented in
-//!   `crates/sitfact-bench/README.md` must list exactly the keys the
-//!   corresponding fig binary emits.
 //! * **Doc links**: every `*.md` file named in a doc comment (`///`, `//!`)
 //!   or a crate README must exist — at the repository root, at the crate
 //!   root, or relative to the naming file.
@@ -19,7 +16,6 @@ use std::path::{Path, PathBuf};
 
 const ROADMAP: &str = "ROADMAP.md";
 const PROTOCOL: &str = "crates/sitfact-serve/src/protocol.rs";
-const BENCH_README: &str = "crates/sitfact-bench/README.md";
 
 fn read(root: &Path, rel: &str) -> Result<String, Violation> {
     std::fs::read_to_string(root.join(rel)).map_err(|err| Violation {
@@ -148,201 +144,6 @@ pub fn check_grammar(root: &Path) -> Vec<Violation> {
     violations
 }
 
-/// A key a fig binary emits. Keys interpolated at runtime
-/// (`speedup_at_{n}_shards`) become prefix/suffix wildcards.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct EmittedKey {
-    prefix: String,
-    /// `None` for literal keys; `Some(suffix)` for interpolated ones.
-    suffix: Option<String>,
-}
-
-impl EmittedKey {
-    fn matches(&self, documented: &str) -> bool {
-        match &self.suffix {
-            None => self.prefix == documented,
-            Some(suffix) => {
-                documented.len() >= self.prefix.len() + suffix.len()
-                    && documented.starts_with(&self.prefix)
-                    && documented.ends_with(suffix.as_str())
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for EmittedKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.suffix {
-            None => write!(f, "{}", self.prefix),
-            Some(suffix) => write!(f, "{}{{…}}{}", self.prefix, suffix),
-        }
-    }
-}
-
-/// JSON keys a fig binary emits: occurrences of `\"<key>\":` inside its
-/// format strings (the quotes are escaped in the Rust source).
-fn emitted_keys(source: &str) -> BTreeSet<EmittedKey> {
-    let mut keys = BTreeSet::new();
-    let bytes = source.as_bytes();
-    let mut i = 0usize;
-    while i + 1 < bytes.len() {
-        if bytes[i] != b'\\' || bytes[i + 1] != b'"' {
-            i += 1;
-            continue;
-        }
-        let start = i + 2;
-        let mut j = start;
-        while j + 1 < bytes.len() && !(bytes[j] == b'\\' && bytes[j + 1] == b'"') {
-            j += 1;
-        }
-        if j + 2 < bytes.len() && bytes[j + 2] == b':' {
-            let raw = &source[start..j];
-            if !raw.is_empty()
-                && raw
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b"_{}".contains(&b))
-            {
-                let key = match (raw.find('{'), raw.rfind('}')) {
-                    (Some(open), Some(close)) if close > open => EmittedKey {
-                        prefix: raw[..open].to_string(),
-                        suffix: Some(raw[close + 1..].to_string()),
-                    },
-                    _ => EmittedKey {
-                        prefix: raw.to_string(),
-                        suffix: None,
-                    },
-                };
-                keys.insert(key);
-            }
-        }
-        i = j + 2;
-    }
-    keys
-}
-
-/// JSON keys documented in a fenced ```json schema block: `"key":`.
-fn documented_keys(block: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    let bytes = block.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let start = i + 1;
-        let mut j = start;
-        while j < bytes.len() && bytes[j] != b'"' {
-            j += 1;
-        }
-        if j + 1 < bytes.len() && bytes[j + 1] == b':' {
-            let key = &block[start..j];
-            if !key.is_empty() && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
-                keys.insert(key.to_string());
-            }
-        }
-        i = j + 1;
-    }
-    keys
-}
-
-/// The `(fig binary, schema block)` pairs the bench README documents:
-/// sections headed ``## `<bin>` and `<BENCH_…>.json` `` followed by a fenced
-/// ```json block.
-fn readme_schemas(readme: &str) -> Vec<(String, String)> {
-    let mut sections = Vec::new();
-    let mut current_bin: Option<String> = None;
-    let mut in_json = false;
-    let mut block = String::new();
-    for line in readme.lines() {
-        let trimmed = line.trim();
-        if let Some(heading) = trimmed.strip_prefix("## `") {
-            // `fig_x` and `BENCH_x.json`
-            if let Some((bin, rest)) = heading.split_once('`') {
-                current_bin = rest.contains(".json").then(|| bin.to_string());
-            }
-            continue;
-        }
-        if trimmed == "```json" && current_bin.is_some() {
-            in_json = true;
-            block.clear();
-            continue;
-        }
-        if in_json {
-            if trimmed.starts_with("```") {
-                in_json = false;
-                if let Some(bin) = current_bin.take() {
-                    sections.push((bin, std::mem::take(&mut block)));
-                }
-            } else {
-                block.push_str(line);
-                block.push('\n');
-            }
-        }
-    }
-    sections
-}
-
-/// Checks every documented `BENCH_*.json` schema against the keys its fig
-/// binary actually emits.
-pub fn check_bench_schemas(root: &Path) -> Vec<Violation> {
-    let readme = match read(root, BENCH_README) {
-        Ok(readme) => readme,
-        Err(violation) => return vec![violation],
-    };
-    let sections = readme_schemas(&readme);
-    if sections.is_empty() {
-        return vec![Violation {
-            rule: "bench-schema-drift",
-            path: BENCH_README.to_string(),
-            line: 0,
-            message: "no `## \\`fig_…\\` and \\`BENCH_….json\\`` section with a ```json \
-                      schema block found"
-                .into(),
-        }];
-    }
-    let mut violations = Vec::new();
-    for (bin, block) in sections {
-        let bin_rel = format!("crates/sitfact-bench/src/bin/{bin}.rs");
-        let source = match read(root, &bin_rel) {
-            Ok(source) => source,
-            Err(violation) => {
-                violations.push(violation);
-                continue;
-            }
-        };
-        let emitted = emitted_keys(&source);
-        let documented = documented_keys(&block);
-        for key in &documented {
-            if !emitted.iter().any(|e| e.matches(key)) {
-                violations.push(Violation {
-                    rule: "bench-schema-drift",
-                    path: BENCH_README.to_string(),
-                    line: 0,
-                    message: format!(
-                        "schema for `{bin}` documents key \"{key}\", which {bin_rel} never \
-                         emits"
-                    ),
-                });
-            }
-        }
-        for key in &emitted {
-            if !documented.iter().any(|d| key.matches(d)) {
-                violations.push(Violation {
-                    rule: "bench-schema-drift",
-                    path: bin_rel.clone(),
-                    line: 0,
-                    message: format!(
-                        "emits key \"{key}\", which the `{bin}` schema in {BENCH_README} \
-                         does not document"
-                    ),
-                });
-            }
-        }
-    }
-    violations
-}
-
 /// The `*.md` names in `text`: a run of path characters ending in `.md`
 /// with a non-empty stem. Globs (`*.md`), absolute paths and URLs are not
 /// names.
@@ -445,23 +246,5 @@ mod tests {
             verbs.into_iter().collect::<Vec<_>>(),
             vec!["PING".to_string(), "STATS".to_string()]
         );
-    }
-
-    #[test]
-    fn emitted_keys_handle_interpolation() {
-        let source = r#"format!("{{\"bench\": 1, \"speedup_at_{n}_shards\": {{}}}}")"#;
-        let keys = emitted_keys(source);
-        assert!(keys.iter().any(|k| k.matches("bench")));
-        assert!(keys.iter().any(|k| k.matches("speedup_at_4_shards")));
-        assert!(!keys.iter().any(|k| k.matches("speedup_elsewhere")));
-    }
-
-    #[test]
-    fn documented_keys_skip_values_and_comments() {
-        let block = "{\n  \"bench\": \"ingest\",   // the experiment\n  \"n\": 5\n}\n";
-        let keys = documented_keys(block);
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains("bench") && keys.contains("n"));
-        assert!(!keys.contains("ingest"));
     }
 }

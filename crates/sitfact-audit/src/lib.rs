@@ -21,9 +21,9 @@
 //!
 //! On top of the per-file rules, [`drift`] cross-checks prose against code:
 //! the ROADMAP wire-grammar block against the verb constants in
-//! `sitfact-serve::protocol`, the bench README's `BENCH_*.json` schemas
-//! against the keys the fig binaries emit, and every `*.md` file a doc comment
-//! or crate README names against the files that exist (`doc-link-drift`).
+//! `sitfact-serve::protocol` (`grammar-drift`), and every `*.md` file a doc
+//! comment or crate README names against the files that exist
+//! (`doc-link-drift`).
 //!
 //! Run it with `cargo run -p sitfact-audit` (the `analyze` CI step does).
 
@@ -115,7 +115,6 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
         }
     }
     violations.extend(drift::check_grammar(root));
-    violations.extend(drift::check_bench_schemas(root));
     violations.sort_by(|a, b| {
         a.path
             .cmp(&b.path)

@@ -17,19 +17,24 @@
 //! `ci_steps.sh run analyze` runs the real storm via
 //! `--release --features deep-audit`.
 //!
-//! Usage: `audit_storm [--seed N] [--rounds N]`
+//! Usage: `audit_storm [--seed N] [--rounds N]` — an unknown flag exits 1 and
+//! an unparsable value panics, both naming the flag.
 
-#[cfg(any(debug_assertions, feature = "deep-audit"))]
-fn main() {
-    storm::run();
-}
+use sitfact_serve::cli::{parsed, reject_unknown};
 
-#[cfg(not(any(debug_assertions, feature = "deep-audit")))]
-fn main() {
+fn main() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown(&args, &["--seed", "--rounds"])?;
+    let seed: u64 = parsed(&args, "--seed", 7);
+    let rounds: usize = parsed(&args, "--rounds", 12);
+    #[cfg(any(debug_assertions, feature = "deep-audit"))]
+    storm::run(seed, rounds);
+    #[cfg(not(any(debug_assertions, feature = "deep-audit")))]
     println!(
         "audit_storm: deep-audit validators are compiled out in this build; \
-         rerun with --features deep-audit (or a debug build)"
+         rerun with --features deep-audit (or a debug build) for seed {seed}, {rounds} rounds"
     );
+    Ok(())
 }
 
 #[cfg(any(debug_assertions, feature = "deep-audit"))]
@@ -37,7 +42,6 @@ mod storm {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sitfact_algos::STopDown;
-    use sitfact_bench::params::arg_value;
     use sitfact_core::{
         Audit, Constraint, Direction, Schema, SchemaBuilder, SubspaceMask, Tuple, UNBOUND,
     };
@@ -296,10 +300,7 @@ mod storm {
         }
     }
 
-    pub fn run() {
-        let args: Vec<String> = std::env::args().collect();
-        let seed: u64 = arg_value(&args, "--seed", 7);
-        let rounds: usize = arg_value(&args, "--rounds", 12);
+    pub fn run(seed: u64, rounds: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
 
         storm_table(&mut rng, rounds);

@@ -5,9 +5,8 @@ use sitfact_algos::{AlgorithmKind, SBottomUp};
 use sitfact_core::{DiscoveryConfig, Schema, Tuple};
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::weather::{WeatherConfig, WeatherGenerator};
-use sitfact_datagen::zipf::{ZipfConfig, ZipfGenerator};
 use sitfact_datagen::{DataGenerator, Row};
-use sitfact_prominence::{ArrivalReport, FactMonitor, MonitorConfig, RankedFact, StreamMonitor};
+use sitfact_prominence::{FactMonitor, MonitorConfig, RankedFact, StreamMonitor};
 use sitfact_storage::{StoreStats, Table, WorkStats};
 use std::path::Path;
 use std::time::Instant;
@@ -19,21 +18,6 @@ pub enum DatasetKind {
     Nba,
     /// Synthetic UK weather forecasts (the paper's larger dataset).
     Weather,
-    /// Zipf-skewed high-cardinality dimensions — the adversarial shape for
-    /// the compressed context index (posting lists from table-sized to
-    /// singleton).
-    Zipf,
-}
-
-impl DatasetKind {
-    /// Display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DatasetKind::Nba => "nba",
-            DatasetKind::Weather => "weather",
-            DatasetKind::Zipf => "zipf",
-        }
-    }
 }
 
 /// Generates the schema and `n` rows of the requested dataset at the given
@@ -62,65 +46,7 @@ pub fn generate_rows(kind: DatasetKind, params: &ExperimentParams) -> (Schema, V
             });
             (gen.schema().clone(), gen.take_rows(params.n))
         }
-        DatasetKind::Zipf => {
-            // Cardinalities descend from adversarially high (thousands of
-            // mostly-singleton posting lists) to hot (table-sized lists).
-            let cards = [5_000, 500, 32, 8, 2_000, 64, 16, 4];
-            let take = params.d.clamp(1, cards.len());
-            let mut gen = ZipfGenerator::new(ZipfConfig {
-                dim_cardinalities: cards[..take].to_vec(),
-                exponent: 1.2,
-                measures: params.m,
-                seed: params.seed,
-            });
-            (gen.schema().clone(), gen.take_rows(params.n))
-        }
     }
-}
-
-/// Streams pre-encoded tuples through any monitor in windows of `batch`
-/// tuples via the batched fast path, collecting every arrival's report.
-///
-/// This is the generic driver behind the shard-scaling and service
-/// experiments: it takes `&mut dyn StreamMonitor`, so whether the monitor is
-/// a [`FactMonitor`], a [`ShardedMonitor`](sitfact_prominence::ShardedMonitor)
-/// or anything else implementing the trait is the caller's construction
-/// choice — not a separate driving code path here.
-pub fn drive_windows(
-    monitor: &mut dyn StreamMonitor,
-    tuples: &[Tuple],
-    batch: usize,
-) -> Vec<ArrivalReport> {
-    let mut reports = Vec::with_capacity(tuples.len());
-    for window in tuples.chunks(batch.max(1)) {
-        reports.extend(
-            monitor
-                .ingest_batch_slice(window)
-                .expect("window matches schema"),
-        );
-    }
-    reports
-}
-
-/// [`drive_windows`] for timing loops: drops each window's reports after
-/// counting their facts, so the measured region never retains O(stream)
-/// report memory (which would skew throughput numbers against earlier
-/// count-only harnesses). Returns the total fact count as a checksum.
-pub fn drive_windows_count(
-    monitor: &mut dyn StreamMonitor,
-    tuples: &[Tuple],
-    batch: usize,
-) -> usize {
-    let mut facts = 0;
-    for window in tuples.chunks(batch.max(1)) {
-        facts += monitor
-            .ingest_batch_slice(window)
-            .expect("window matches schema")
-            .iter()
-            .map(|r| r.facts.len())
-            .sum::<usize>();
-    }
-    facts
 }
 
 /// One measurement along the stream.
@@ -236,28 +162,7 @@ pub fn sweep_dimensions(
     d_values: &[usize],
     file_dir: Option<&Path>,
 ) -> Vec<(String, Vec<(usize, f64)>)> {
-    let mut results: Vec<(String, Vec<(usize, f64)>)> = kinds
-        .iter()
-        .map(|k| (k.name().to_string(), Vec::new()))
-        .collect();
-    for &d in d_values {
-        let params = base.with_d(d);
-        let (schema, rows) = generate_rows(dataset, &params);
-        let discovery = DiscoveryConfig::capped(params.d_hat, params.m_hat);
-        for (idx, &kind) in kinds.iter().enumerate() {
-            let dir = file_dir.map(|p| p.join(format!("{}-d{}", kind.name(), d)));
-            let outcome = run_stream(
-                kind,
-                &schema,
-                &rows,
-                discovery,
-                params.sample_points,
-                dir.as_deref(),
-            );
-            results[idx].1.push((d, outcome.final_micros_per_tuple()));
-        }
-    }
-    results
+    sweep(dataset, kinds, d_values, file_dir, "d", |d| base.with_d(d))
 }
 
 /// Runs the `m` sweep of Figs. 7c/8c/12c.
@@ -268,16 +173,30 @@ pub fn sweep_measures(
     m_values: &[usize],
     file_dir: Option<&Path>,
 ) -> Vec<(String, Vec<(usize, f64)>)> {
+    sweep(dataset, kinds, m_values, file_dir, "m", |m| base.with_m(m))
+}
+
+/// Streams a fresh dataset per swept value through every kind. A file-backed
+/// run keeps its store in `file_dir/<kind>-<tag><value>` and removes it when
+/// the run ends: one file per skyline cell adds up to gigabytes in a sweep.
+fn sweep(
+    dataset: DatasetKind,
+    kinds: &[AlgorithmKind],
+    values: &[usize],
+    file_dir: Option<&Path>,
+    tag: &str,
+    params_at: impl Fn(usize) -> ExperimentParams,
+) -> Vec<(String, Vec<(usize, f64)>)> {
     let mut results: Vec<(String, Vec<(usize, f64)>)> = kinds
         .iter()
         .map(|k| (k.name().to_string(), Vec::new()))
         .collect();
-    for &m in m_values {
-        let params = base.with_m(m);
+    for &value in values {
+        let params = params_at(value);
         let (schema, rows) = generate_rows(dataset, &params);
         let discovery = DiscoveryConfig::capped(params.d_hat, params.m_hat);
         for (idx, &kind) in kinds.iter().enumerate() {
-            let dir = file_dir.map(|p| p.join(format!("{}-m{}", kind.name(), m)));
+            let dir = file_dir.map(|p| p.join(format!("{}-{tag}{value}", kind.name())));
             let outcome = run_stream(
                 kind,
                 &schema,
@@ -286,14 +205,19 @@ pub fn sweep_measures(
                 params.sample_points,
                 dir.as_deref(),
             );
-            results[idx].1.push((m, outcome.final_micros_per_tuple()));
+            if let Some(dir) = &dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            results[idx]
+                .1
+                .push((value, outcome.final_micros_per_tuple()));
         }
     }
     results
 }
 
 /// Outcome of the prominence case study (Figs. 14–15 and Section VII).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProminenceStudy {
     /// Threshold values studied.
     pub tau_values: Vec<f64>,
@@ -413,7 +337,6 @@ mod tests {
         let (schema, rows) = generate_rows(DatasetKind::Weather, &tiny_params());
         assert_eq!(schema.num_dimensions(), 4);
         assert_eq!(rows.len(), 200);
-        assert_eq!(DatasetKind::Nba.name(), "nba");
     }
 
     #[test]

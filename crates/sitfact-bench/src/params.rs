@@ -1,5 +1,5 @@
-//! The paper's experiment parameters (Section VI-A), with laptop-scale
-//! defaults and a `--scale` / CLI override mechanism.
+//! The paper's experiment parameters (Section VI-A) at laptop-scale
+//! defaults.
 
 /// Parameters of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,17 +77,6 @@ pub const D_SWEEP: [usize; 4] = [4, 5, 6, 7];
 /// The `m` values swept in Figs. 7c/8c/12c.
 pub const M_SWEEP: [usize; 4] = [4, 5, 6, 7];
 
-/// Parses `--n`, `--d`, `--m`, `--tau`, `--seed` style overrides from command
-/// line arguments (`--flag value`), returning the overridden value or the
-/// default.
-pub fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,17 +100,5 @@ mod tests {
         assert_eq!(p.m, 5);
         assert_eq!(p.m_hat, 5);
         assert_eq!(p.n, 99);
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--n", "500", "--tau", "12.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--n", 10usize), 500);
-        assert_eq!(arg_value(&args, "--tau", 1.0f64), 12.5);
-        assert_eq!(arg_value(&args, "--missing", 7usize), 7);
-        assert_eq!(arg_value(&args, "--tau", 0usize), 0); // unparsable as usize -> default
     }
 }

@@ -1,9 +1,9 @@
 //! Plain-text emission of experiment results.
 //!
-//! Every figure binary prints (a) a human-readable aligned table and (b) CSV
+//! Every figure panel prints (a) a human-readable aligned table and (b) CSV
 //! rows prefixed with `csv,` so results can be extracted with `grep ^csv`.
 
-use crate::harness::StreamOutcome;
+use crate::harness::{SeriesPoint, StreamOutcome};
 
 /// A named series of `(x, y)` points — one line of a figure.
 #[derive(Debug, Clone)]
@@ -23,15 +23,15 @@ impl Series {
         }
     }
 
-    /// Builds the per-tuple-time series of a [`StreamOutcome`] (x = tuple id,
-    /// y = µs per tuple).
-    pub fn from_outcome(outcome: &StreamOutcome) -> Self {
+    /// Builds the series of one [`SeriesPoint`] field of a [`StreamOutcome`]
+    /// (x = tuple id, y = `field` of the point).
+    pub fn from_outcome(outcome: &StreamOutcome, field: impl Fn(&SeriesPoint) -> f64) -> Self {
         Series {
             label: outcome.algorithm.clone(),
             points: outcome
                 .points
                 .iter()
-                .map(|p| (p.tuple_id as f64, p.micros_per_tuple))
+                .map(|p| (p.tuple_id as f64, field(p)))
                 .collect(),
         }
     }
@@ -81,7 +81,6 @@ pub fn print_series_csv(figure: &str, series: &[Series]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SeriesPoint;
     use sitfact_storage::{StoreStats, WorkStats};
 
     #[test]
@@ -104,9 +103,11 @@ mod tests {
             ],
             total_seconds: 1.0,
         };
-        let series = Series::from_outcome(&outcome);
+        let series = Series::from_outcome(&outcome, |p| p.micros_per_tuple);
         assert_eq!(series.label, "TopDown");
         assert_eq!(series.points, vec![(100.0, 12.5), (200.0, 14.0)]);
+        let ids = Series::from_outcome(&outcome, |p| p.tuple_id as f64 / 100.0);
+        assert_eq!(ids.points, vec![(100.0, 1.0), (200.0, 2.0)]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! for the context index — posting lists range from table-sized (head values,
 //! highly compressible small gaps) to singletons (tail values, pure per-entry
 //! overhead) — and for discovery, because high-cardinality columns spawn many
-//! one-off contexts. The `fig_postings` benchmark uses this generator as its
-//! second workload next to the NBA shape.
+//! one-off contexts. The benchmark's `zipf_paced` workload (`bench_e2e`)
+//! streams this generator.
 
 use crate::rand_util::ZipfSampler;
 use crate::{DataGenerator, Row};

@@ -681,6 +681,69 @@ mod tests {
         rebuilt.inner().audit().unwrap();
     }
 
+    /// A count window bounds resident memory under sustained ingest. Over a
+    /// stream of five window lengths, the windowed monitor's table plus
+    /// skyline store stays within 3× of its level at two window lengths
+    /// (compaction drops the tombstoned prefix whenever it reaches the live
+    /// count, so the resident set oscillates below about two windows of
+    /// rows), and the unbounded monitor ends larger.
+    #[test]
+    fn count_window_bounds_resident_memory() {
+        use sitfact_algos::Discovery;
+        use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
+        use sitfact_datagen::DataGenerator;
+        const WINDOW: usize = 120;
+        let mut gen = NbaGenerator::new(NbaConfig {
+            dimensions: 5,
+            measures: 4,
+            players: 600,
+            teams: 29,
+            seasons: 8,
+            games_per_season: 5 * WINDOW / 8,
+            seed: 42,
+        });
+        let mut schema = gen.schema().clone();
+        let tuples: Vec<Tuple> = gen
+            .take_rows(5 * WINDOW)
+            .iter()
+            .map(|row| {
+                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
+                Tuple::new(schema.intern_dims(&dims).unwrap(), row.measures.clone())
+            })
+            .collect();
+        let config = MonitorConfig::default()
+            .with_discovery(DiscoveryConfig::capped(3, 3))
+            .with_tau(100.0)
+            .with_keep_top(8);
+        let heap = |monitor: &FactMonitor<STopDown>| {
+            let store = monitor.algorithm().store_stats().approx_bytes as usize;
+            monitor.table().approx_heap_bytes() + store
+        };
+        let policy = WindowPolicy::count(WINDOW).unwrap();
+        let mut windowed = ArrivalPipeline::new(fresh(&schema, config), policy);
+        let mut unbounded = fresh(&schema, config);
+        let mut fill = None;
+        for chunk in tuples.chunks(8) {
+            windowed.ingest_batch_slice(chunk).unwrap();
+            unbounded.ingest_batch_slice(chunk).unwrap();
+            if unbounded.len() >= 2 * WINDOW {
+                let bytes = heap(windowed.inner());
+                let fill = *fill.get_or_insert(bytes);
+                assert!(
+                    bytes <= 3 * fill,
+                    "windowed memory grew past steady state at {} rows: {bytes} bytes vs \
+                     {fill} at 2x window",
+                    unbounded.len()
+                );
+            }
+        }
+        assert!(
+            heap(&unbounded) > heap(windowed.inner()),
+            "the unbounded monitor should out-grow the windowed one"
+        );
+        windowed.inner().audit().unwrap();
+    }
+
     #[test]
     fn bounded_policy_on_a_non_retractable_monitor_errors() {
         /// A minimal monitor without a retraction path.

@@ -19,7 +19,7 @@ CARGO=${CARGO:-cargo}
 
 # Ordered step registry. Adding a step here without wiring it into ci.yml
 # (or vice versa) fails `parity`.
-CI_STEPS=(fmt clippy build test check-targets doc analyze bench-pair-selftest quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke bench-e2e-standalone serve-smoke wal-smoke)
+CI_STEPS=(fmt clippy build test check-targets doc analyze bench-pair-selftest quickstart figures-smoke bench-e2e-standalone serve-smoke wal-smoke)
 
 run_step() {
   echo "==> $1"
@@ -51,44 +51,12 @@ run_step() {
       # 0.011. No build, no benchmark run.
       scripts/bench_pair.sh --self-test ;;
     quickstart) $CARGO run --release --example quickstart ;;
-    fig-ingest-smoke)
-      # Small n keeps it fast; the binary asserts batched ingest produces
-      # reports identical to the sequential loop before timing anything.
-      $CARGO run --release -p sitfact-bench --bin fig_ingest -- \
-        --n 1500 --monitor-n 300 --reps 1 --out /tmp/BENCH_ingest_smoke.json ;;
-    fig-shard-smoke)
-      # Small n; the binary asserts sharded ≡ unsharded (order-normalised)
-      # before timing anything, so this doubles as a routing-soundness test.
-      $CARGO run --release -p sitfact-bench --bin fig_shard -- \
-        --n 1000 --baseline-n 400 --eq-n 600 --reps 1 \
-        --out /tmp/BENCH_shard_smoke.json ;;
-    fig-postings-smoke)
-      # Small n; the binary asserts compressed lists decode to the raw
-      # ground truth and that scan/merge/gallop agree on every query before
-      # timing anything, so this doubles as an index-soundness test.
-      $CARGO run --release -p sitfact-bench --bin fig_postings -- \
-        --n 1200 --queries 60 --reps 1 --out /tmp/BENCH_postings_smoke.json ;;
-    fig-serve-smoke)
-      # Tiny scale; the binary asserts served reports equal an in-process
-      # monitor per tenant before timing anything — so this doubles as a
-      # multi-tenant wire-fidelity test.
-      $CARGO run --release -p sitfact-bench --bin fig_serve -- \
-        --n 60 --batch 10 --clients-max 2 --reads 40 --reps 1 \
-        --out /tmp/BENCH_serve_smoke.json ;;
-    fig-wal-smoke)
-      # Small n; the binary asserts every recovered monitor is byte-identical
-      # to an uninterrupted reference before timing anything, so this doubles
-      # as a WAL recovery-fidelity test (log-only and snapshot-bounded).
-      $CARGO run --release -p sitfact-bench --bin fig_wal -- \
-        --n 400 --batch 16 --reps 1 --out /tmp/BENCH_wal_smoke.json ;;
-    fig-window-smoke)
-      # Small window, 5x-window stream; the binary asserts windowed ≡
-      # rebuild-from-suffix (byte-identical continuation reports) and that
-      # windowed memory stays bounded past the 2x-window fill level before
-      # timing anything, so this doubles as a retraction-correctness test.
-      $CARGO run --release -p sitfact-bench --bin fig_window -- \
-        --window 120 --mult 5 --batch 8 --reps 1 \
-        --out /tmp/BENCH_window_smoke.json ;;
+    figures-smoke)
+      # Every figure of the paper and the case study, in one process, at a
+      # stream length small enough for the file-backed Figs. 12-13 (one file
+      # per skyline cell: ~36 s on a 2-core box, nearly all of it creating
+      # and deleting files). Any panic exits non-zero.
+      $CARGO run --release -p sitfact-bench --bin figures -- --fig all --n 8 ;;
     bench-e2e-standalone)
       # BENCHMARK.json's command: the benchmark built through its own
       # manifest, which no other step compiles (the workspace only reaches
