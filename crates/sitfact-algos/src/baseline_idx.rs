@@ -36,11 +36,6 @@ impl BaselineIdx {
             processed: 0,
         }
     }
-
-    /// Number of tuples currently indexed (exposed for tests and reports).
-    pub fn indexed_tuples(&self) -> usize {
-        self.tree.len()
-    }
 }
 
 impl Discovery for BaselineIdx {
@@ -176,7 +171,7 @@ mod tests {
             assert_eq!(expected, actual, "diverged at tuple {}", table.len());
             table.append(t).unwrap();
         }
-        assert_eq!(subject.indexed_tuples(), 60);
+        assert_eq!(subject.tree.len(), 60);
     }
 
     /// After a prefix retraction, the tree answers from survivors only and
@@ -218,7 +213,7 @@ mod tests {
         // still physically readable, but the tree no longer holds its id.
         assert!(subject.retract(&table, 5).is_err());
         table.compact_retracted();
-        assert_eq!(subject.indexed_tuples(), 25);
+        assert_eq!(subject.tree.len(), 25);
         for _ in 0..15 {
             let t = random_tuple(&mut rng);
             let mut expected = reference.discover(&table, &t);

@@ -8,6 +8,10 @@
 //! * **Doc links**: every `*.md` file named in a doc comment (`///`, `//!`)
 //!   or a crate README must exist — at the repository root, at the crate
 //!   root, or relative to the naming file.
+//! * **Vendored crates**: every crate under `vendor/` must be a dependency
+//!   of some member manifest (the root `Cargo.toml`, or one directly under
+//!   `crates/` or `vendor/`), so a stand-in goes with its last user; and
+//!   `vendor/README.md` must have a row for exactly the crates that exist.
 
 use crate::lexer::lex;
 use crate::rules::Violation;
@@ -16,6 +20,8 @@ use std::path::{Path, PathBuf};
 
 const ROADMAP: &str = "ROADMAP.md";
 const PROTOCOL: &str = "crates/sitfact-serve/src/protocol.rs";
+const VENDOR: &str = "vendor";
+const VENDOR_README: &str = "vendor/README.md";
 
 fn read(root: &Path, rel: &str) -> Result<String, Violation> {
     std::fs::read_to_string(root.join(rel)).map_err(|err| Violation {
@@ -218,6 +224,107 @@ pub fn check_doc_links(root: &Path, rel: &str, source: &str) -> Vec<Violation> {
     violations
 }
 
+/// The dependencies a manifest declares, `[workspace.dependencies]` aside:
+/// the key of every entry of a `[…dependencies]` table (`rand = …`,
+/// `rand.workspace = true`).
+fn manifest_dependencies(manifest: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            let table = line.trim_matches(['[', ']']).trim();
+            in_table = table.ends_with("dependencies") && table != "workspace.dependencies";
+        } else if in_table && !line.starts_with('#') {
+            if let Some((key, _)) = line.split_once('=') {
+                let name = key.split('.').next().unwrap_or(key);
+                names.insert(name.trim().trim_matches('"').to_string());
+            }
+        }
+    }
+    names
+}
+
+/// The subdirectories of `root/dir` that hold a `Cargo.toml`, by name.
+fn crate_dirs(root: &Path, dir: &str) -> BTreeSet<String> {
+    let Ok(entries) = std::fs::read_dir(root.join(dir)) else {
+        return BTreeSet::new();
+    };
+    entries
+        .flatten()
+        .filter(|entry| entry.path().join("Cargo.toml").is_file())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// The crate names of `vendor/README.md`'s table, with their 1-based lines:
+/// the rows whose first cell is one backticked name.
+fn readme_rows(readme: &str) -> Vec<(usize, String)> {
+    readme
+        .lines()
+        .enumerate()
+        .filter_map(|(line, text)| {
+            let cell = text.trim().strip_prefix('|')?.split('|').next()?.trim();
+            let name = cell.strip_prefix('`')?.strip_suffix('`')?;
+            Some((line + 1, name.to_string()))
+        })
+        .collect()
+}
+
+/// Checks every vendored crate against the member manifests and against
+/// the rows of `vendor/README.md` (nothing to check without `vendor/`).
+pub fn check_vendor(root: &Path) -> Vec<Violation> {
+    let vendored = crate_dirs(root, VENDOR);
+    if vendored.is_empty() {
+        return Vec::new();
+    }
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    for dir in ["crates", VENDOR] {
+        manifests.extend(
+            crate_dirs(root, dir)
+                .iter()
+                .map(|name| format!("{dir}/{name}/Cargo.toml")),
+        );
+    }
+    let mut violations = Vec::new();
+    let mut used = BTreeSet::new();
+    for manifest in manifests {
+        match read(root, &manifest) {
+            Ok(text) => used.extend(manifest_dependencies(&text)),
+            Err(err) => violations.push(err),
+        }
+    }
+    let rows = match read(root, VENDOR_README) {
+        Ok(readme) => readme_rows(&readme),
+        Err(err) => {
+            violations.push(err);
+            Vec::new()
+        }
+    };
+    let mut drift = |path: String, line: usize, message: String| {
+        violations.push(Violation {
+            rule: "vendor-drift",
+            path,
+            line,
+            message,
+        })
+    };
+    for name in &vendored {
+        if !used.contains(name) {
+            let message = format!("no member manifest depends on the vendored crate `{name}`");
+            drift(format!("{VENDOR}/{name}"), 0, message);
+        }
+        if !rows.iter().any(|(_, row)| row == name) {
+            let message = format!("{VENDOR_README} has no row for the vendored crate `{name}`");
+            drift(format!("{VENDOR}/{name}"), 0, message);
+        }
+    }
+    for (line, name) in rows.iter().filter(|(_, name)| !vendored.contains(name)) {
+        let message = format!("lists `{name}`, but {VENDOR}/{name} holds no crate");
+        drift(VENDOR_README.to_string(), *line, message);
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +333,30 @@ mod tests {
     fn md_names_skip_globs_urls_and_longer_extensions() {
         let text = "see `ROADMAP.md`, ../a/B.md's table, *.md, <https://x.org/C.md>, D.mdx";
         assert_eq!(md_names(text), vec!["ROADMAP.md", "../a/B.md"]);
+    }
+
+    #[test]
+    fn manifest_dependencies_skip_workspace_tables_and_comments() {
+        let manifest = "[workspace.dependencies]\nbytes = { path = \"vendor/bytes\" }\n\
+                        [dependencies]\n# serde = \"1\"\nrand.workspace = true\n\
+                        [dev-dependencies]\nproptest = { path = \"../proptest\" }\n\
+                        [[bin]]\nname = \"tool\"\n";
+        assert_eq!(
+            manifest_dependencies(manifest)
+                .into_iter()
+                .collect::<Vec<_>>(),
+            vec!["proptest", "rand"]
+        );
+    }
+
+    #[test]
+    fn readme_rows_are_the_backticked_first_cells() {
+        let readme =
+            "| Crate | Notes |\n|---|---|\n| `rand` | x |\nprose `bytes`\n| `criterion` |\n";
+        assert_eq!(
+            readme_rows(readme),
+            vec![(3, "rand".to_string()), (5, "criterion".to_string())]
+        );
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!
 //! On top of the per-file rules, [`drift`] cross-checks prose against code:
 //! the ROADMAP wire-grammar block against the verb constants in
-//! `sitfact-serve::protocol` (`grammar-drift`), and every `*.md` file a doc
+//! `sitfact-serve::protocol` (`grammar-drift`), every `*.md` file a doc
 //! comment or crate README names against the files that exist
-//! (`doc-link-drift`).
+//! (`doc-link-drift`), and every crate under `vendor/` against the member
+//! manifests that depend on it and the rows of `vendor/README.md`
+//! (`vendor-drift`).
 //!
 //! Run it with `cargo run -p sitfact-audit` (the `analyze` CI step does).
 
@@ -115,6 +117,7 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
         }
     }
     violations.extend(drift::check_grammar(root));
+    violations.extend(drift::check_vendor(root));
     violations.sort_by(|a, b| {
         a.path
             .cmp(&b.path)

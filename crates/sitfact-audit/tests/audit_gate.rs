@@ -27,6 +27,7 @@ fn fixture_tree_fires_every_rule_family() {
         "allow-syntax",
         "grammar-drift",
         "doc-link-drift",
+        "vendor-drift",
     ] {
         assert!(
             rules.contains(&expected),
@@ -69,6 +70,27 @@ fn fixture_tree_fires_every_rule_family() {
     assert_eq!(links[0].0, "crates/demo/src/links.rs");
     assert_eq!(links[0].1, 5);
     assert!(links[0].2.contains("DESIGN.md"), "{links:?}");
+
+    // The drifted vendor directory: a crate nothing depends on, a crate
+    // without a README row, and a row without a crate; the crate in order
+    // stays quiet.
+    let mut vendor: Vec<(&str, usize)> = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == "vendor-drift")
+        .map(|v| (v.path.as_str(), v.line))
+        .collect();
+    vendor.sort();
+    assert_eq!(
+        vendor,
+        vec![
+            ("vendor/README.md", 11),
+            ("vendor/orphan", 0),
+            ("vendor/unlisted", 0)
+        ],
+        "{:#?}",
+        outcome.violations
+    );
 }
 
 #[test]

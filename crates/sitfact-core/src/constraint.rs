@@ -309,11 +309,6 @@ impl Constraint {
             .all(|(&mine, &theirs)| theirs == UNBOUND || theirs == mine)
     }
 
-    /// `self ⊲ other`: strictly subsumed (subsumed and not equal).
-    pub fn is_strictly_subsumed_by(&self, other: &Constraint) -> bool {
-        self != other && self.is_subsumed_by(other)
-    }
-
     /// Renders the constraint with resolved dictionary values, e.g.
     /// `month=Feb ∧ team=Celtics` (the empty conjunction renders as `⊤`).
     pub fn display(&self, schema: &Schema) -> String {
@@ -497,11 +492,9 @@ mod tests {
         let c1 = Constraint::from_values(vec![0, 1, 2]);
         let c2 = Constraint::from_values(vec![0, UNBOUND, 2]);
         assert!(c1.is_subsumed_by(&c2));
-        assert!(c1.is_strictly_subsumed_by(&c2));
         assert!(!c2.is_subsumed_by(&c1));
-        // Every constraint is subsumed by itself (non-strictly) and by ⊤.
+        // Every constraint is subsumed by itself and by ⊤.
         assert!(c1.is_subsumed_by(&c1));
-        assert!(!c1.is_strictly_subsumed_by(&c1));
         assert!(c1.is_subsumed_by(&Constraint::top(3)));
         // Different bound values are not subsumed.
         let c3 = Constraint::from_values(vec![9, UNBOUND, 2]);

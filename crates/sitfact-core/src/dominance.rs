@@ -76,24 +76,6 @@ impl DominancePartition {
     pub fn left_dominated_in(&self, m: SubspaceMask) -> bool {
         !m.intersect(self.worse).is_empty() && m.intersect(self.better).is_empty()
     }
-
-    /// Whether the two tuples are equal on every attribute of `m`.
-    #[inline]
-    pub fn equal_in(&self, m: SubspaceMask) -> bool {
-        m.intersect(self.better).is_empty() && m.intersect(self.worse).is_empty()
-    }
-
-    /// Classifies the relation of the left tuple to the right tuple in `m`.
-    pub fn ordering_in(&self, m: SubspaceMask) -> DominanceOrdering {
-        let has_better = !m.intersect(self.better).is_empty();
-        let has_worse = !m.intersect(self.worse).is_empty();
-        match (has_better, has_worse) {
-            (true, false) => DominanceOrdering::Dominates,
-            (false, true) => DominanceOrdering::DominatedBy,
-            (false, false) => DominanceOrdering::Equal,
-            (true, true) => DominanceOrdering::Incomparable,
-        }
-    }
 }
 
 /// Returns `true` iff `left` dominates `right` in measure subspace `m`:
@@ -308,7 +290,6 @@ mod tests {
                         y,
                         m
                     );
-                    assert_eq!(p.ordering_in(m) == DominanceOrdering::Equal, p.equal_in(m));
                 }
             }
         }
@@ -333,30 +314,5 @@ mod tests {
         // Only t4 = (20, 20) is undominated (running example, Example 3).
         assert_eq!(sky.len(), 1);
         assert_eq!(sky[0].0, 3);
-    }
-
-    #[test]
-    fn ordering_in_all_cases() {
-        let dirs = [Direction::HigherIsBetter, Direction::HigherIsBetter];
-        let a = Tuple::new(vec![], vec![2.0, 1.0]);
-        let b = Tuple::new(vec![], vec![1.0, 2.0]);
-        let p = DominancePartition::compute(&a, &b, &dirs);
-        assert_eq!(
-            p.ordering_in(SubspaceMask(0b01)),
-            DominanceOrdering::Dominates
-        );
-        assert_eq!(
-            p.ordering_in(SubspaceMask(0b10)),
-            DominanceOrdering::DominatedBy
-        );
-        assert_eq!(
-            p.ordering_in(SubspaceMask(0b11)),
-            DominanceOrdering::Incomparable
-        );
-        let p_self = DominancePartition::compute(&a, &a, &dirs);
-        assert_eq!(
-            p_self.ordering_in(SubspaceMask(0b11)),
-            DominanceOrdering::Equal
-        );
     }
 }

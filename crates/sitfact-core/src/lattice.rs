@@ -109,16 +109,6 @@ impl ConstraintLattice {
         out
     }
 
-    /// Enumerates every member in bottom-up breadth-first order (by decreasing
-    /// number of bound attributes).
-    pub fn enumerate_bottom_up(&self) -> Vec<BoundMask> {
-        let mut out = Vec::with_capacity(self.len());
-        for k in (0..=self.max_bound).rev() {
-            out.extend(self.masks_with_bound(k));
-        }
-        out
-    }
-
     /// Algorithm 1 of the paper ("Find `C^t`"): breadth-first queue-based
     /// generation from `⊤`, generating each constraint exactly once by only
     /// binding attributes whose index is lower than the lowest already-bound
@@ -149,11 +139,6 @@ impl ConstraintLattice {
         out
     }
 
-    /// Parents of `mask` within the lattice (unbind one attribute).
-    pub fn parents(&self, mask: BoundMask) -> Vec<BoundMask> {
-        mask.parents().collect()
-    }
-
     /// Children of `mask` within the lattice (bind one more attribute),
     /// honouring the `d̂` cap.
     pub fn children(&self, mask: BoundMask) -> Vec<BoundMask> {
@@ -161,11 +146,6 @@ impl ConstraintLattice {
             return Vec::new();
         }
         mask.children(self.n_dims).collect()
-    }
-
-    /// Proper ancestors of `mask` (every strictly more general member).
-    pub fn ancestors(&self, mask: BoundMask) -> Vec<BoundMask> {
-        mask.ancestors().collect()
     }
 
     /// Proper descendants of `mask` within the lattice (every strictly more
@@ -187,16 +167,6 @@ impl ConstraintLattice {
             }
         }
         out
-    }
-
-    /// The members of `C^{t,t'} ∩ C^t` given the agreement mask of `t` and
-    /// `t'`: all submasks of the agreement respecting the cap. These are the
-    /// constraints pruned by Proposition 3 once `t' ≻_M t` is observed.
-    pub fn pruned_by_agreement(&self, agreement: BoundMask) -> Vec<BoundMask> {
-        agreement
-            .submasks()
-            .filter(|m| m.bound_count() <= self.max_bound)
-            .collect()
     }
 }
 
@@ -231,7 +201,6 @@ mod tests {
         let l = ConstraintLattice::unrestricted(5);
         assert_eq!(l.len(), 32);
         assert_eq!(l.enumerate_top_down().len(), 32);
-        assert_eq!(l.enumerate_bottom_up().len(), 32);
         assert_eq!(l.enumerate_algorithm1().len(), 32);
         assert_eq!(l.bottoms(), vec![BoundMask::all(5)]);
     }
@@ -308,10 +277,6 @@ mod tests {
         for pair in order.windows(2) {
             assert!(pair[0].bound_count() <= pair[1].bound_count());
         }
-        let order = l.enumerate_bottom_up();
-        for pair in order.windows(2) {
-            assert!(pair[0].bound_count() >= pair[1].bound_count());
-        }
     }
 
     #[test]
@@ -320,10 +285,10 @@ mod tests {
         for mask in l.enumerate_top_down() {
             for child in l.children(mask) {
                 assert!(l.contains(child));
-                assert!(l.parents(child).contains(&mask));
+                assert!(child.parents().any(|parent| parent == mask));
                 assert_eq!(child.bound_count(), mask.bound_count() + 1);
             }
-            for parent in l.parents(mask) {
+            for parent in mask.parents() {
                 assert!(l.children(parent).contains(&mask));
             }
         }
@@ -345,25 +310,10 @@ mod tests {
         let desc = l.descendants(mask);
         assert_eq!(desc.len(), 3); // 0111, 1011, 1111
         assert!(desc.iter().all(|d| mask.is_submask_of(*d) && *d != mask));
-        let anc = l.ancestors(mask);
-        assert_eq!(anc.len(), 3); // 0000, 0001, 0010
-                                  // With a cap, deep descendants disappear.
+        assert_eq!(mask.ancestors().count(), 3); // 0000, 0001, 0010
+                                                 // With a cap, deep descendants disappear.
         let capped = ConstraintLattice::new(4, 3);
         assert_eq!(capped.descendants(mask).len(), 2);
-    }
-
-    #[test]
-    fn pruned_by_agreement_matches_submasks() {
-        let l = ConstraintLattice::unrestricted(3);
-        // Agreement on attributes {1, 2} (running example t4/t5): the pruned
-        // set is ⊤, {1}, {2}, {1,2} — i.e. Fig. 2's solid-line lattice.
-        let pruned = l.pruned_by_agreement(BoundMask(0b110));
-        assert_eq!(pruned.len(), 4);
-        assert!(pruned.contains(&BoundMask::TOP));
-        assert!(pruned.contains(&BoundMask(0b110)));
-        // A cap removes over-specific members.
-        let capped = ConstraintLattice::new(3, 1);
-        assert_eq!(capped.pruned_by_agreement(BoundMask(0b110)).len(), 3);
     }
 
     #[test]
@@ -372,9 +322,9 @@ mod tests {
         // 3 ancestors (incl. ⊤) and 1 descendant.
         let l = ConstraintLattice::unrestricted(3);
         let c = BoundMask(0b101);
-        assert_eq!(l.parents(c).len(), 2);
+        assert_eq!(c.parents().count(), 2);
         assert_eq!(l.children(c).len(), 1);
-        assert_eq!(l.ancestors(c).len(), 3);
+        assert_eq!(c.ancestors().count(), 3);
         assert_eq!(l.descendants(c).len(), 1);
     }
 }

@@ -33,9 +33,9 @@
 //!   to fan batched windows out across shards, plus the actor-style
 //!   [`ActorPool`] whose workers *own* their state outright
 //!   (the serving layer routes each tenant's requests to its owning worker);
-//! * [`snapshot`] — [`SnapshotCell`], an epoch-published, `unsafe`-free
-//!   arc-swap stand-in that lets read-mostly consumers pick up the latest
-//!   published value without ever waiting on the publisher;
+//! * [`snapshot`] — [`SnapshotCell`], the latest published `Arc` behind one
+//!   lock, which read-mostly consumers clone out and keep while the
+//!   publisher moves on;
 //! * [`audit`] — the [`Audit`] trait and [`AuditViolation`] record behind the
 //!   deep structural validators every data structure exposes under
 //!   `cfg(any(test, debug_assertions, feature = "deep-audit"))`.

@@ -77,19 +77,6 @@ impl ThreadPool {
         }
     }
 
-    /// A pool sized to the machine: one worker per available hardware thread.
-    pub fn for_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Number of task panics the pool has caught so far (each was either
     /// re-raised by [`ThreadPool::run_all`] or swallowed by a fire-and-forget
     /// [`ThreadPool::execute`]).
@@ -281,11 +268,6 @@ impl<S: Send + 'static> ActorPool<S> {
         }
     }
 
-    /// Number of actor workers (= owned states).
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Number of job panics caught so far across all workers.
     pub fn caught_panics(&self) -> usize {
         self.caught_panics.load(Ordering::SeqCst)
@@ -433,8 +415,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = ThreadPool::new(0);
-        assert_eq!(pool.num_threads(), 1);
-        assert!(ThreadPool::for_available_parallelism().num_threads() >= 1);
+        assert_eq!(pool.workers.len(), 1);
     }
 
     /// Loom-style deterministic interleaving check, offline edition: real
@@ -491,7 +472,6 @@ mod tests {
         let pool = ActorPool::new(vec![0u8]);
         assert!(!pool.send(1, |_| {}));
         let empty: ActorPool<u8> = ActorPool::new(Vec::new());
-        assert_eq!(empty.num_workers(), 0);
         assert!(!empty.send(0, |_| {}));
     }
 

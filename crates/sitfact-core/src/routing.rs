@@ -14,8 +14,7 @@
 //!   cardinalities all agree with the unsharded monitor;
 //! * a constraint that binds `r` to a *different* value has an empty
 //!   intersection with the tuple's own constraint family `C^t` and can never
-//!   be emitted for the tuple in the first place ([`conflicts_with_tuple`]
-//!   exists to assert this invariant);
+//!   be emitted for the tuple in the first place;
 //! * a constraint that leaves `r` unbound (including the top constraint `⊤`)
 //!   has a context spread across shards, and its facts are therefore
 //!   excluded from the constraint space by the `anchor`
@@ -37,28 +36,6 @@ use crate::value::DimValueId;
 /// routing attribute to exactly that value.
 pub fn is_routable(constraint: &Constraint, routing_dim: usize, routing_value: DimValueId) -> bool {
     constraint.bound_value(routing_dim) == Some(routing_value)
-}
-
-/// Whether `constraint` binds the routing attribute at all — the
-/// routing-soundness restriction on a constraint template. Constraints that
-/// fail this (the routing attribute is left `*`, e.g. `⊤`) have contexts that
-/// span shards and must be excluded from a sharded monitor's constraint
-/// space.
-pub fn binds_routing(constraint: &Constraint, routing_dim: usize) -> bool {
-    constraint.binds(routing_dim)
-}
-
-/// Whether `constraint` binds the routing attribute to a value *different*
-/// from the given tuple's routing value. Such a constraint cannot belong to
-/// the tuple's satisfied family `C^t`, so a discovery algorithm can never
-/// emit it for the tuple — sharded drivers `debug_assert` this to catch
-/// routing bugs early.
-pub fn conflicts_with_tuple(
-    constraint: &Constraint,
-    routing_dim: usize,
-    tuple_routing_value: DimValueId,
-) -> bool {
-    matches!(constraint.bound_value(routing_dim), Some(v) if v != tuple_routing_value)
 }
 
 /// Validates that `config` is consistent with routing on `routing_dim` and
@@ -121,18 +98,6 @@ mod tests {
         assert!(is_routable(&c, 1, 7));
         assert!(!is_routable(&c, 1, 8)); // bound, but to another shard's value
         assert!(!is_routable(&c, 0, 7)); // routing attribute unbound
-        assert!(binds_routing(&c, 1));
-        assert!(!binds_routing(&c, 0));
-        assert!(!binds_routing(&Constraint::top(2), 1));
-    }
-
-    #[test]
-    fn conflict_means_bound_elsewhere() {
-        let c = Constraint::from_values(vec![UNBOUND, 7]);
-        assert!(conflicts_with_tuple(&c, 1, 8));
-        assert!(!conflicts_with_tuple(&c, 1, 7));
-        // Unbound routing attribute is unsound but not a *conflict*.
-        assert!(!conflicts_with_tuple(&Constraint::top(2), 1, 8));
     }
 
     #[test]

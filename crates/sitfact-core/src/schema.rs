@@ -71,11 +71,6 @@ impl Schema {
         self.dimensions.iter().position(|d| d == name)
     }
 
-    /// Index of a measure attribute by name.
-    pub fn measure_index(&self, name: &str) -> Option<usize> {
-        self.measures.iter().position(|m| m.name == name)
-    }
-
     /// The dictionary of dimension `dim` (panics if out of range).
     pub fn dictionary(&self, dim: usize) -> &Dictionary {
         &self.dictionaries[dim]
@@ -246,7 +241,6 @@ mod tests {
         assert_eq!(s.num_measures(), 2);
         assert_eq!(s.dimension_index("team"), Some(1));
         assert_eq!(s.dimension_index("nope"), None);
-        assert_eq!(s.measure_index("fouls"), Some(1));
         assert_eq!(s.directions()[1], Direction::LowerIsBetter);
     }
 

@@ -1,35 +1,17 @@
-//! An epoch-published snapshot cell — a vendored, `unsafe`-free stand-in for
-//! `arc-swap`.
+//! A published snapshot cell: the latest `Arc<T>` behind one lock.
 //!
-//! The build environment has no crates.io access and the workspace is
-//! `#![forbid(unsafe_code)]`, so a true pointer-swapping `ArcSwap` is off the
-//! table. [`SnapshotCell`] gets the property the serving layer actually needs
-//! — *readers never wait on an in-flight publish* — with safe parts only:
+//! A publisher swaps in a whole new value; a reader clones the `Arc` out and
+//! keeps its snapshot for as long as it likes, so no reader ever sees a torn
+//! or partially built value and a long-lived snapshot never blocks a
+//! publish. Both sides hold the lock only for an `Arc` clone or swap. Each
+//! publish bumps an epoch counter stored with the value, so returned
+//! snapshots are monotone in publish order — the prefix-consistency contract
+//! the `TOPK`/`STATS` paths advertise.
 //!
-//! * the cell keeps a small ring of slots, each holding an epoch-tagged
-//!   `Arc<T>` behind its own [`RwLock`];
-//! * [`SnapshotCell::publish`] writes the **next** ring slot (which no reader
-//!   is directed at) and only then advances the shared epoch counter with a
-//!   `Release` store;
-//! * [`SnapshotCell::load`] reads the epoch with `Acquire`, takes the *read*
-//!   lock of the slot that epoch names, and clones the `Arc` out. The tag
-//!   stored inside the slot proves which publish wrote the value: if it is
-//!   exactly the epoch the reader followed, the read linearizes at that epoch.
-//!
-//! A reader only ever read-locks a slot whose contents were fully published
-//! before the epoch pointed at it, so it can never observe a torn or
-//! partially-built value. The write lock it could conceivably contend with
-//! belongs to a publish that is lapping the whole ring — `SLOTS` publishes
-//! ahead — in which case the tag mismatch makes the reader retry against the
-//! fresher epoch instead of returning a mislabelled value. Per reader thread,
-//! returned snapshots are therefore monotone in publish order (coherence on
-//! the epoch counter), which is exactly the prefix-consistency contract the
-//! `TOPK`/`STATS` paths advertise. Publishers are serialized against each
-//! other by a dedicated writer mutex that readers never touch.
-//!
-//! Lock poisoning cannot occur: no user code runs inside any critical section
-//! (only `Arc` clone/store), and both paths recover the inner value from a
-//! [`std::sync::PoisonError`] anyway rather than panicking.
+//! Lock poisoning cannot occur: no user code runs inside the critical
+//! section (the replaced value is dropped after the lock is released), and
+//! both paths recover the inner value from a [`std::sync::PoisonError`]
+//! anyway rather than panicking.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -42,108 +24,64 @@
 //! assert_eq!(cell.epoch(), 1);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-/// Depth of the slot ring. Any value ≥ 2 is correct (a publish never writes
-/// the slot the epoch currently points at); the extra depth keeps a reader
-/// that loaded the epoch just before several back-to-back publishes from
-/// being lapped and having to retry.
-const SLOTS: usize = 4;
-
-/// Retry budget for the lap case in [`SnapshotCell::load`]. Reaching it
-/// requires the publisher to wrap the entire ring between the reader's epoch
-/// load and slot lock on every attempt; the fallback then returns the
-/// (fresher-than-requested, still fully published) value it found.
-const LOAD_RETRIES: u32 = 64;
-
-/// A single-value cell whose readers always see the most recently published
-/// `Arc<T>` without waiting on publishers.
+/// A single-value cell whose readers see the most recently published
+/// `Arc<T>`.
 ///
-/// Cheap to read (`Acquire` load + uncontended read-lock + `Arc::clone`),
-/// modest to write (writer mutex + one slot write + `Release` store). The
-/// serving layer publishes one snapshot per ingest/window boundary and loads
-/// one per `TOPK`/`STATS` request, so the asymmetry is exactly right.
+/// The serving layer publishes one snapshot per ingest/window boundary and
+/// loads one per `TOPK`/`STATS` request.
 #[derive(Debug)]
 pub struct SnapshotCell<T> {
-    /// `(epoch-tag, value)` pairs; epoch `e` lives in slot `e % SLOTS`.
-    slots: Vec<RwLock<(u64, Arc<T>)>>,
-    /// The latest fully-published epoch (= number of publishes so far).
-    epoch: AtomicU64,
-    /// Serializes publishers.
-    writer: Mutex<()>,
+    /// The number of publishes so far, and the latest value.
+    current: RwLock<(u64, Arc<T>)>,
 }
 
 impl<T> SnapshotCell<T> {
     /// Creates a cell whose readers initially observe `initial` (epoch 0).
     pub fn new(initial: Arc<T>) -> Self {
-        let slots = (0..SLOTS)
-            .map(|_| RwLock::new((0, Arc::clone(&initial))))
-            .collect();
         SnapshotCell {
-            slots,
-            epoch: AtomicU64::new(0),
-            writer: Mutex::new(()),
+            current: RwLock::new((0, initial)),
         }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, (u64, Arc<T>)> {
+        self.current
+            .read()
+            .unwrap_or_else(|poison| poison.into_inner())
     }
 
     /// Returns the most recently published value.
-    ///
-    /// Never waits on an in-flight publish in the common case: the slot named
-    /// by the epoch counter is never the one a concurrent
-    /// [`SnapshotCell::publish`] is writing (that one targets the *next*
-    /// slot).
     pub fn load(&self) -> Arc<T> {
-        let mut attempts = 0;
-        loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            let (tag, value) = {
-                let guard = self.slots[(e as usize) % SLOTS]
-                    .read()
-                    .unwrap_or_else(|poison| poison.into_inner());
-                (guard.0, Arc::clone(&guard.1))
-            };
-            // The slot write for epoch `e` happens before the `Release` store
-            // of `e`, so `tag >= e` always; `tag > e` means publishers lapped
-            // the ring while we were between the epoch load and the slot
-            // lock. Retry against the fresher epoch so the value we return is
-            // the one its epoch actually names.
-            if tag == e || attempts >= LOAD_RETRIES {
-                return value;
-            }
-            attempts += 1;
-        }
+        Arc::clone(&self.read().1)
     }
 
     /// Publishes `value` so that all subsequent [`SnapshotCell::load`] calls
-    /// observe it. Publishers are serialized; readers are not blocked.
+    /// observe it.
     pub fn publish(&self, value: Arc<T>) {
-        let _guard = self
-            .writer
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let next = self.epoch.load(Ordering::Relaxed) + 1;
-        {
-            let mut slot = self.slots[(next as usize) % SLOTS]
+        let replaced = {
+            let mut current = self
+                .current
                 .write()
                 .unwrap_or_else(|poison| poison.into_inner());
-            *slot = (next, value);
-        }
-        self.epoch.store(next, Ordering::Release);
+            current.0 += 1;
+            std::mem::replace(&mut current.1, value)
+        };
+        drop(replaced);
     }
 
     /// Number of publishes so far (0 for a freshly-created cell). Exposed so
     /// property tests can assert prefix consistency: a snapshot loaded later
     /// never belongs to an earlier epoch than one loaded before.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.read().0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn load_returns_initial_then_published() {
@@ -157,9 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn publishes_wrap_the_ring_without_losing_the_latest() {
+    fn publishes_keep_the_latest() {
         let cell = SnapshotCell::new(Arc::new(0usize));
-        for i in 1..=(SLOTS * 3 + 1) {
+        for i in 1..=13 {
             cell.publish(Arc::new(i));
             assert_eq!(*cell.load(), i);
         }

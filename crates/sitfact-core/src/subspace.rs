@@ -120,35 +120,6 @@ impl SubspaceMask {
             .collect()
     }
 
-    /// Enumerates every non-empty **proper** subspace of `full` with
-    /// cardinality at most `max_len`.
-    pub fn enumerate_proper(m: usize, max_len: usize) -> Vec<SubspaceMask> {
-        let full = Self::full(m);
-        Self::enumerate(m, max_len)
-            .into_iter()
-            .filter(|&s| s != full)
-            .collect()
-    }
-
-    /// Enumerates all supersets of `self` within an `m`-attribute measure
-    /// space (including `self` itself).
-    pub fn supersets(self, m: usize) -> Vec<SubspaceMask> {
-        let full = Self::full(m).0;
-        let free = full & !self.0;
-        // Enumerate subsets of the free bits and OR them in.
-        let mut out = Vec::with_capacity(1 << free.count_ones());
-        let mut sub = free;
-        loop {
-            out.push(SubspaceMask(self.0 | sub));
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & free;
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Enumerates all non-empty subsets of `self` (including `self`).
     pub fn subsets(self) -> Vec<SubspaceMask> {
         let mut out = Vec::new();
@@ -225,8 +196,6 @@ mod tests {
         assert_eq!(SubspaceMask::enumerate(3, 3).len(), 7);
         // Capped at 2 attributes: C(3,1) + C(3,2) = 6.
         assert_eq!(SubspaceMask::enumerate(3, 2).len(), 6);
-        // Proper subspaces exclude the full space.
-        assert_eq!(SubspaceMask::enumerate_proper(3, 3).len(), 6);
         // The paper's NBA configuration: m = 7 -> 127 subspaces.
         assert_eq!(SubspaceMask::enumerate(7, 7).len(), 127);
     }
@@ -241,13 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn supersets_and_subsets() {
-        let s = SubspaceMask(0b010);
-        let sup = s.supersets(3);
-        assert_eq!(sup.len(), 4); // 010, 011, 110, 111
-        assert!(sup.contains(&SubspaceMask(0b111)));
-        assert!(sup.iter().all(|x| s.is_subset_of(*x)));
-
+    fn subsets_are_the_nonempty_submasks() {
         let t = SubspaceMask(0b101);
         let sub = t.subsets();
         assert_eq!(sub.len(), 3); // 001, 100, 101

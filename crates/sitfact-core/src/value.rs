@@ -51,15 +51,6 @@ impl Direction {
             Direction::LowerIsBetter => -value,
         }
     }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn flipped(self) -> Direction {
-        match self {
-            Direction::HigherIsBetter => Direction::LowerIsBetter,
-            Direction::LowerIsBetter => Direction::HigherIsBetter,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,18 +75,6 @@ mod tests {
         assert!(d.better_or_equal(2.0, 2.0));
         assert!(!d.better_or_equal(3.0, 2.0));
         assert_eq!(d.canonical(5.0), -5.0);
-    }
-
-    #[test]
-    fn flipping_is_involutive() {
-        assert_eq!(
-            Direction::HigherIsBetter.flipped().flipped(),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            Direction::HigherIsBetter.flipped(),
-            Direction::LowerIsBetter
-        );
     }
 
     #[test]

@@ -88,20 +88,6 @@ impl ArrivalReport {
         self.facts.first().map(RankedFact::prominence)
     }
 
-    /// Re-sorts the facts into the canonical total order of
-    /// [`RankedFact::ranking_cmp`] (descending prominence, ties by constraint
-    /// values then subspace).
-    ///
-    /// Reports produced by a monitor are already in this order — the ranking
-    /// sorts with `ranking_cmp`, which is what makes sharded and unsharded
-    /// reports byte-comparable with `==`. `normalize` is the idempotent
-    /// canonicaliser for reports assembled by other means (hand-built
-    /// fixtures, deserialised data from older versions that ranked with a
-    /// stable emission-order sort).
-    pub fn normalize(&mut self) {
-        self.facts.sort_by(RankedFact::ranking_cmp);
-    }
-
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
     #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> Result<(), sitfact_core::AuditViolation> {
@@ -110,8 +96,7 @@ impl ArrivalReport {
 }
 
 /// Checks that a report is in the canonical normalized form every monitor
-/// emits: facts sorted by [`RankedFact::ranking_cmp`] (so `normalize` is a
-/// no-op) and `prominent_count` marking exactly the prefix of facts tied
+/// emits: facts sorted by [`RankedFact::ranking_cmp`] and `prominent_count` marking exactly the prefix of facts tied
 /// with the maximum prominence.
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for ArrivalReport {
@@ -204,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn normalize_orders_ties_canonically() {
+    fn ranking_orders_ties_canonically() {
         use sitfact_core::UNBOUND;
         let fact_with = |values: Vec<u32>, context: u64| RankedFact {
             pair: SkylinePair::new(Constraint::from_values(values), SubspaceMask(0b01)),
@@ -229,8 +214,8 @@ mod tests {
             ],
             prominent_count: 1,
         };
-        a.normalize();
-        b.normalize();
+        a.facts.sort_by(RankedFact::ranking_cmp);
+        b.facts.sort_by(RankedFact::ranking_cmp);
         assert_eq!(a, b);
         // Highest prominence still first; ties resolved by constraint values.
         assert_eq!(a.facts[0].context_size, 9);

@@ -2,7 +2,7 @@
 
 use crate::error::ServeError;
 use crate::protocol::{
-    read_frame, write_frame, RawRow, Request, Response, ServerStats, TenantSpec,
+    read_frame, write_frame, Frame, RawRow, Request, Response, ServerStats, TenantSpec,
 };
 use sitfact_prominence::ArrivalReport;
 use std::io::{BufReader, BufWriter, Write};
@@ -34,9 +34,13 @@ impl Client {
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ServeError> {
         write_frame(&mut self.writer, &request.encode()?)?;
         self.writer.flush()?;
-        let payload = read_frame(&mut self.reader)?.ok_or_else(|| {
-            ServeError::Protocol("server closed the connection mid-request".into())
-        })?;
+        // The client sets no read timeout, so a frame that is not a payload
+        // means the server hung up.
+        let Frame::Payload(payload) = read_frame(&mut self.reader)? else {
+            return Err(ServeError::Protocol(
+                "server closed the connection mid-request".into(),
+            ));
+        };
         match Response::decode(&payload)? {
             Response::Error { kind, message } => Err(ServeError::Remote { kind, message }),
             response => Ok(response),

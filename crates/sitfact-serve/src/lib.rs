@@ -14,8 +14,9 @@
 //!   (no async runtime exists in this offline workspace); past the parser,
 //!   one shared-nothing engine gives every monitor to exactly one worker of
 //!   an [`ActorPool`](sitfact_core::ActorPool) — ingests travel through the
-//!   owner's mailbox, `STATS`/`TOPK` reads come from a lock-free
-//!   [`SnapshotCell`](sitfact_core::SnapshotCell).
+//!   owner's mailbox, `STATS`/`TOPK` reads come from the snapshot the owner
+//!   last published in a [`SnapshotCell`](sitfact_core::SnapshotCell) and
+//!   never touch the owning worker.
 //! * [`Client`] is the matching blocking client; reports it returns are
 //!   byte-identical to what the server-side monitor produced.
 //! * [`protocol`] defines the wire format: length-prefixed frames around a

@@ -63,7 +63,6 @@
 //! crate asserts exactly that with `==`.
 
 use crate::error::ServeError;
-use bytes::{Buf, BufMut, BytesMut};
 use sitfact_core::{Constraint, Direction, SkylinePair, SubspaceMask, UNBOUND};
 use sitfact_prominence::{ArrivalReport, RankedFact};
 use std::io::{ErrorKind, Read, Write};
@@ -73,10 +72,10 @@ use std::io::{ErrorKind, Read, Write};
 /// allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Cap on what a declared wire count (batch rows, report facts) may
-/// *pre-allocate*. Counts are untrusted until the records are actually
-/// parsed — a 25-byte frame declaring a billion rows must not reserve
-/// gigabytes (a failed allocation aborts the process, which no
+/// Cap on what a declared wire count (frame length, batch rows, report
+/// facts) may *pre-allocate*. Counts are untrusted until the records are
+/// actually read and parsed — a 25-byte frame declaring a billion rows must
+/// not reserve gigabytes (a failed allocation aborts the process, which no
 /// `catch_unwind` can stop). Larger payloads still decode fine; the vector
 /// just grows normally past this reservation.
 const MAX_PREALLOC: usize = 4096;
@@ -98,33 +97,71 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()
             ),
         ));
     }
-    let mut frame = BytesMut::with_capacity(4 + bytes.len());
-    frame.put_u32_le(bytes.len() as u32);
-    frame.put_slice(bytes);
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    frame.extend_from_slice(bytes);
     // One write_all for the whole frame, so a concurrent peer never observes
     // a header without its payload mid-buffer.
     writer.write_all(&frame)
 }
 
-/// Reads one frame's payload. Returns `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer closed the connection).
-pub fn read_frame(reader: &mut impl Read) -> Result<Option<String>, ServeError> {
+/// What [`read_frame`] found on the wire.
+#[derive(Debug, PartialEq)]
+pub enum Frame {
+    /// A complete payload.
+    Payload(String),
+    /// Clean EOF at a frame boundary: the peer closed the connection.
+    Closed,
+    /// The read timed out before any byte of a new frame arrived: the peer
+    /// is idle between frames, not dead.
+    Idle,
+}
+
+/// Reads one frame, classifying a read timeout (`WouldBlock` / `TimedOut`)
+/// by where it strikes: before the first header byte the peer is
+/// [`Frame::Idle`], inside the frame it has stalled and the read is an
+/// error, as is EOF inside a frame. A declared length over
+/// [`MAX_FRAME_LEN`] is rejected without reading on, and the payload buffer
+/// grows with the bytes that actually arrive — a declared length is
+/// untrusted, so at most `MAX_PREALLOC` bytes are allocated up front.
+pub fn read_frame(reader: &mut impl Read) -> Result<Frame, ServeError> {
     let mut header = [0u8; 4];
-    match reader.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
+    let mut filled = 0;
+    while filled < header.len() {
+        match reader.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(Frame::Closed),
+            Ok(0) => {
+                return Err(ServeError::Protocol(format!(
+                    "connection closed after {filled} of 4 header bytes"
+                )))
+            }
+            Ok(n) => filled += n,
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err)
+                if filled == 0
+                    && matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                return Ok(Frame::Idle)
+            }
+            Err(err) => return Err(err.into()),
+        }
     }
-    let len = (&header[..]).get_u32_le() as usize;
+    let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME_LEN {
         return Err(ServeError::Protocol(format!(
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    // The buffer starts at `MAX_PREALLOC` bytes and at most doubles once the
+    // bytes arrive to fill it, and each chunk is read straight into it.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let read = payload.len();
+        payload.resize(len.min(read + read.max(MAX_PREALLOC)), 0);
+        reader.read_exact(&mut payload[read..])?;
+    }
     String::from_utf8(payload)
-        .map(Some)
+        .map(Frame::Payload)
         .map_err(|e| ServeError::Protocol(format!("frame payload is not UTF-8: {e}")))
 }
 
@@ -983,11 +1020,79 @@ mod tests {
         write_frame(&mut wire, "").unwrap();
         let mut reader = &wire[..];
         assert_eq!(
-            read_frame(&mut reader).unwrap().as_deref(),
-            Some("hello\tworld")
+            read_frame(&mut reader).unwrap(),
+            Frame::Payload("hello\tworld".into())
         );
-        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(""));
-        assert_eq!(read_frame(&mut reader).unwrap(), None);
+        assert_eq!(read_frame(&mut reader).unwrap(), Frame::Payload("".into()));
+        assert_eq!(read_frame(&mut reader).unwrap(), Frame::Closed);
+    }
+
+    /// One scripted `read`: a chunk of bytes or an error.
+    type Step = Result<Vec<u8>, ErrorKind>;
+
+    /// A reader that hands out one scripted step per `read` call, then EOF,
+    /// and counts the calls.
+    struct Scripted {
+        steps: std::collections::VecDeque<Step>,
+        reads: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.steps.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// The one frame reader's rules, for the client and the server alike:
+    /// where a timeout strikes decides between an idle and a dead peer, and
+    /// a declared length is trusted neither past the cap nor for the
+    /// allocation.
+    #[test]
+    fn read_frame_tells_idle_peers_from_dead_ones() {
+        use ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let len = |len: usize| Ok((len as u32).to_le_bytes().to_vec());
+        let b = |bytes: &[u8]| Ok(bytes.to_vec());
+        let ok = |text: &str| Some(Frame::Payload(text.into()));
+        // (case, script, the frame or None for an error, reads taken)
+        #[rustfmt::skip]
+        let cases: Vec<(&str, Vec<Step>, Option<Frame>, usize)> = vec![
+            ("EOF at a boundary", vec![], Some(Frame::Closed), 1),
+            ("in pieces", vec![b(&[2, 0]), Err(Interrupted), b(&[0, 0]), b(b"ok")], ok("ok"), 4),
+            ("WouldBlock first", vec![Err(WouldBlock)], Some(Frame::Idle), 1),
+            ("TimedOut first", vec![Err(TimedOut)], Some(Frame::Idle), 1),
+            ("timeout in the header", vec![b(&[5, 0]), Err(TimedOut)], None, 2),
+            ("EOF in the header", vec![b(&[5])], None, 2),
+            ("timeout in the payload", vec![len(4), b(b"ab"), Err(WouldBlock)], None, 3),
+            ("EOF in the payload", vec![len(4), b(b"abc")], None, 3),
+            ("past the cap", vec![len(MAX_FRAME_LEN + 1), b(b"unread")], None, 1),
+            ("64 MiB declared, 3 sent", vec![len(64 << 20), b(b"abc")], None, 3),
+            ("not UTF-8", vec![len(1), b(&[0xFF])], None, 2),
+        ];
+        for (case, steps, expected, reads) in cases {
+            let mut reader = Scripted {
+                steps: steps.into(),
+                reads: 0,
+            };
+            let got = read_frame(&mut reader);
+            match (&got, &expected) {
+                (Ok(frame), Some(want)) => assert_eq!(frame, want, "{case}"),
+                (Err(_), None) => {}
+                _ => panic!("{case}: got {got:?}, want {expected:?}"),
+            }
+            assert_eq!(reader.reads, reads, "{case}: reads taken");
+        }
     }
 
     #[test]
@@ -1011,17 +1116,6 @@ mod tests {
             panic!("wrong verb");
         };
         assert_eq!(stats.schema, "game log 2026");
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_without_allocating() {
-        let mut wire = Vec::new();
-        wire.put_u32_le(u32::MAX);
-        let mut reader = &wire[..];
-        assert!(matches!(
-            read_frame(&mut reader),
-            Err(ServeError::Protocol(_))
-        ));
     }
 
     #[test]

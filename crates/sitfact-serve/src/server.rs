@@ -12,20 +12,21 @@
 //! the parser there is one shared-nothing engine: each worker of an
 //! [`ActorPool`](sitfact_core::ActorPool) owns its tenants' monitors
 //! outright; ingests travel through the owner's mailbox, `STATS`/`TOPK` are
-//! answered from a lock-free [`SnapshotCell`](sitfact_core::SnapshotCell)
-//! without ever touching the ingest path.
+//! answered from the published snapshot in a
+//! [`SnapshotCell`](sitfact_core::SnapshotCell) without ever touching the
+//! owning worker.
 //!
 //! Sockets carry read/write timeouts ([`ServerOptions`]) so a peer that
 //! stalls mid-frame — or never drains its responses — is dropped instead of
 //! pinning a pool worker forever. A peer that is merely *idle between
 //! frames* is kept alive indefinitely.
 
-use crate::protocol::{write_frame, Request, Response, MAX_FRAME_LEN};
+use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
 use crate::tenant::{Durability, Engine, DEFAULT_TENANT};
 use sitfact_core::pool::ThreadPool;
 use sitfact_prominence::{StreamMonitor, WalOptions};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,10 +36,6 @@ use std::time::Duration;
 /// How often the accept loop re-checks the shutdown flag while no
 /// connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Cap on what a declared frame length may pre-allocate before the payload
-/// bytes actually arrive (mirrors the protocol module's guard).
-const MAX_PREALLOC: usize = 4096;
 
 /// Leftover of the engine selector: there is one engine. Kept only because
 /// the frozen `bench_e2e` sources name it; goes with that call (ROADMAP
@@ -376,65 +373,6 @@ impl FactServer {
     }
 }
 
-/// What one attempt to read a request frame produced.
-enum FrameIn {
-    /// A complete payload arrived.
-    Payload(String),
-    /// Clean EOF between frames: the peer hung up.
-    Eof,
-    /// The read timeout elapsed with *no* bytes of a new frame — an idle
-    /// keep-alive peer, not a dead one. Keep waiting.
-    Idle,
-    /// The peer stalled mid-frame, sent a torn/oversized frame, or the
-    /// socket failed: drop the connection.
-    Dead,
-}
-
-/// Reads one length-prefixed frame directly off the socket, classifying
-/// timeouts by position: a timeout *between* frames is `Idle` (tolerated
-/// forever), a timeout *inside* a frame is `Dead` (a stalled peer must not
-/// pin a pool worker). Framing matches `protocol::read_frame` byte for byte.
-fn read_frame_idle(stream: &mut TcpStream) -> FrameIn {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    FrameIn::Eof
-                } else {
-                    FrameIn::Dead
-                };
-            }
-            Ok(n) => filled += n,
-            Err(err) if err.kind() == ErrorKind::Interrupted => {}
-            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return if filled == 0 {
-                    FrameIn::Idle
-                } else {
-                    FrameIn::Dead
-                };
-            }
-            Err(_) => return FrameIn::Dead,
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return FrameIn::Dead;
-    }
-    // The declared length is untrusted until the bytes arrive: reserve at
-    // most `MAX_PREALLOC` up front and let the vector grow as data lands.
-    let mut payload = Vec::with_capacity(len.min(MAX_PREALLOC));
-    match Read::take(&mut *stream, len as u64).read_to_end(&mut payload) {
-        Ok(read) if read == len => {}
-        _ => return FrameIn::Dead,
-    }
-    match String::from_utf8(payload) {
-        Ok(text) => FrameIn::Payload(text),
-        Err(_) => FrameIn::Dead,
-    }
-}
-
 /// Serves one connection: applies the socket timeouts, registers it for
 /// shutdown half-close, then loops request frame → response frame until EOF,
 /// a dead peer, or `SHUTDOWN`.
@@ -465,15 +403,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut session = Session::default();
     loop {
-        let payload = match read_frame_idle(&mut stream) {
-            FrameIn::Payload(payload) => payload,
-            FrameIn::Idle => {
+        // A timeout between frames is an idle keep-alive peer; one inside a
+        // frame (an error, like a torn or oversized frame) drops the peer.
+        let payload = match read_frame(&mut stream) {
+            Ok(Frame::Payload(payload)) => payload,
+            Ok(Frame::Idle) => {
                 if !shared.running.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
             }
-            FrameIn::Eof | FrameIn::Dead => return,
+            Ok(Frame::Closed) | Err(_) => return,
         };
         let (response, shutdown) = match Request::decode(&payload) {
             Ok(request) => {

@@ -1,5 +1,5 @@
-//! Tenant registry and the request engine: worker-owned monitors, lock-free
-//! reads.
+//! Tenant registry and the request engine: worker-owned monitors, reads
+//! from published snapshots.
 //!
 //! A server hosts many named **tenants**, each an independent monitor with
 //! its own schema and config ([`crate::protocol::TenantSpec`]). This module
@@ -9,8 +9,9 @@
 //! outright (an ownership transfer at `OPEN` time — no `Mutex` around a
 //! monitor, no `unsafe`). Ingest requests are routed to the owning worker's
 //! mailbox and answered over a per-request channel; `STATS`/`TOPK` reads are
-//! served from a lock-free [`SnapshotCell`] the owner republishes after every
-//! ingest, so read-mostly clients never queue behind the ingest path. The
+//! served from the [`SnapshotCell`] the owner republishes after every
+//! ingest and never touch the owning worker, so read-mostly clients never
+//! queue behind an ingest. The
 //! owner publishes each new snapshot *before* replying to the ingest that
 //! produced it, so a client that ingests and then reads its own tenant always
 //! observes its own write.
@@ -271,7 +272,7 @@ type OwnerState = HashMap<String, OwnedTenant>;
 
 /// The monitor-touching half of the server, behind one request-in,
 /// response-out surface: monitors are owned by [`ActorPool`] workers, ingest
-/// requests travel through the owner's mailbox, reads come from lock-free
+/// requests travel through the owner's mailbox, reads come from published
 /// snapshots. The engine owns the optional durability policy: when set, every
 /// tenant's pipeline (the default one's included) is logged, and `OPEN` of a
 /// name whose directory already exists recovers its state from disk.
@@ -450,7 +451,7 @@ impl Engine {
             return unknown_tenant(tenant);
         };
         match request {
-            // Lock-free read: never touches the owning worker, so a
+            // A snapshot read: never touches the owning worker, so a
             // read-mostly client cannot queue behind an in-flight batch.
             Request::Stats | Request::TopK(_) => read_response(&request, &snapshot.load()),
             Request::Ingest(_) | Request::IngestBatch(_) => {
@@ -469,7 +470,7 @@ impl Engine {
 /// snapshot before the reply is sent (read-your-writes for snapshot
 /// readers). A panicking monitor poisons the tenant — not the worker, not
 /// the process — and the poison is visible on both the mailbox path and the
-/// lock-free read path.
+/// snapshot read path.
 fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Response {
     let Some(tenant) = owned.get_mut(name) else {
         return unknown_tenant(name);

@@ -8,10 +8,10 @@
 //! non-empty cells so that visiting an empty cell costs no I/O at all — the
 //! property that makes `FSTopDown` beat `FSBottomUp` in the paper.
 //!
-//! The index is a row per constraint, like the in-memory store's: a
-//! [`RowId`] names the row, which holds the constraint (for the file names)
-//! and the entry count of each of its cells that has a file. A row whose
-//! last file goes is not freed on the spot but by the next
+//! The index is a row per constraint in a `RowIndex`, like the in-memory
+//! store's: a [`RowId`] names the row, which holds the constraint (for the
+//! file names) and the entry count of each of its cells that has a file. A
+//! row whose last file goes is not freed on the spot but by the next
 //! [`FileSkylineStore::flush`], which puts its slot on a free list for the
 //! next row created; so the rows are bounded by the constraints with a file
 //! plus those emptied since the last flush, as under the in-memory store.
@@ -34,9 +34,9 @@
 //! per cell shrink.
 
 use crate::stats::StoreStats;
-use crate::store::{RowId, SkylineStore};
-use bytes::{Buf, BufMut, BytesMut};
-use sitfact_core::{Constraint, DimValueId, FxHashMap, SubspaceMask, TupleId, UNBOUND};
+use crate::store::{RowId, RowIndex, SkylineStore};
+use crate::wal::put_u32;
+use sitfact_core::{Constraint, DimValueId, SubspaceMask, TupleId, UNBOUND};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -49,15 +49,17 @@ struct FileRow {
     files: Vec<(SubspaceMask, u32)>,
 }
 
-impl FileRow {
-    /// A freed slot: no key, no files, no allocation.
-    fn freed() -> Self {
+/// A freed slot: no key, no files, no allocation.
+impl Default for FileRow {
+    fn default() -> Self {
         FileRow {
             constraint: Constraint::from_values(Vec::new()),
             files: Vec::new(),
         }
     }
+}
 
+impl FileRow {
     /// The entry count of the cell's file, if it has one.
     fn file(&self, subspace: SubspaceMask) -> Option<u32> {
         self.files
@@ -79,14 +81,10 @@ struct CellBuffer {
 #[derive(Debug)]
 pub struct FileSkylineStore {
     dir: PathBuf,
-    /// Each constraint with a row, mapped to it.
-    index: FxHashMap<Constraint, RowId>,
     /// The rows, with the entry counts of the non-empty cells (the index
     /// the paper implicitly maintains to know which pairs have a file at
     /// all).
-    rows: Vec<FileRow>,
-    /// Slots of freed rows, reused by the next rows created.
-    free: Vec<RowId>,
+    rows: RowIndex<FileRow>,
     /// Rows left without a file since the last flush, which frees those
     /// still without one (a row may be listed twice).
     emptied: Vec<RowId>,
@@ -105,9 +103,7 @@ impl FileSkylineStore {
         fs::create_dir_all(&dir)?;
         Ok(FileSkylineStore {
             dir,
-            index: FxHashMap::default(),
-            rows: Vec::new(),
-            free: Vec::new(),
+            rows: RowIndex::default(),
             emptied: Vec::new(),
             buffer: None,
             file_reads: 0,
@@ -136,7 +132,7 @@ impl FileSkylineStore {
     }
 
     fn path_for(&self, row: RowId, subspace: SubspaceMask) -> PathBuf {
-        let constraint = &self.rows[row.slot()].constraint;
+        let constraint = &self.rows.row(row).constraint;
         self.dir.join(Self::file_name(constraint, subspace))
     }
 
@@ -145,21 +141,21 @@ impl FileSkylineStore {
         4 + 4 * count as u64
     }
 
-    fn encode(entries: &[TupleId]) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(Self::file_bytes(entries.len()) as usize);
-        buf.put_u32_le(entries.len() as u32);
+    fn encode(entries: &[TupleId]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(Self::file_bytes(entries.len()) as usize);
+        put_u32(&mut buf, entries.len() as u32);
         for &id in entries {
-            buf.put_u32_le(id);
+            put_u32(&mut buf, id);
         }
         buf
     }
 
-    fn decode(mut data: &[u8]) -> Vec<TupleId> {
-        if data.len() < 4 {
-            return Vec::new();
-        }
-        let count = (data.get_u32_le() as usize).min(data.remaining() / 4);
-        (0..count).map(|_| data.get_u32_le()).collect()
+    fn decode(data: &[u8]) -> Vec<TupleId> {
+        let mut words = data
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        let count = words.next().unwrap_or(0) as usize;
+        words.take(count).collect()
     }
 
     /// Loads a cell into the write-back buffer, flushing any previously
@@ -175,7 +171,7 @@ impl FileSkylineStore {
         let Some(row) = row else {
             return;
         };
-        let entries = if self.rows[row.slot()].file(subspace).is_some() {
+        let entries = if self.rows.row(row).file(subspace).is_some() {
             let path = self.path_for(row, subspace);
             match fs::File::open(&path) {
                 Ok(mut file) => {
@@ -208,7 +204,7 @@ impl FileSkylineStore {
             return;
         }
         self.write_back(&buffer);
-        if self.rows[buffer.row.slot()].files.is_empty() {
+        if self.rows.row(buffer.row).files.is_empty() {
             self.emptied.push(buffer.row);
         }
     }
@@ -217,7 +213,7 @@ impl FileSkylineStore {
     /// cell is empty.
     fn write_back(&mut self, buffer: &CellBuffer) {
         let path = self.path_for(buffer.row, buffer.subspace);
-        let files = &mut self.rows[buffer.row.slot()].files;
+        let files = &mut self.rows.row_mut(buffer.row).files;
         let on_disk = files.iter().position(|&(s, _)| s == buffer.subspace);
         if buffer.entries.is_empty() {
             if let Some(pos) = on_disk {
@@ -258,12 +254,11 @@ impl FileSkylineStore {
         self.flush_buffer();
         for pos in 0..self.emptied.len() {
             let slot = self.emptied[pos];
-            let row = &mut self.rows[slot.slot()];
+            let row = self.rows.row(slot);
             // A row listed twice is freed once: it is unindexed by then.
-            if row.files.is_empty() && self.index.get(row.constraint.values()) == Some(&slot) {
-                self.index.remove(row.constraint.values());
-                *row = FileRow::freed();
-                self.free.push(slot);
+            if row.files.is_empty() && self.rows.find(row.constraint.values()) == Some(slot) {
+                let row = std::mem::take(self.rows.row_mut(slot));
+                self.rows.free(slot, row.constraint.values());
             }
         }
         self.emptied.clear();
@@ -271,7 +266,7 @@ impl FileSkylineStore {
 
     /// Total number of cell files currently on disk.
     pub fn file_count(&self) -> usize {
-        self.rows.iter().map(|row| row.files.len()).sum()
+        self.rows.slots().iter().map(|row| row.files.len()).sum()
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -295,39 +290,10 @@ impl sitfact_core::Audit for FileSkylineStore {
         let fail = |invariant: &'static str, detail: String| {
             Err(AuditViolation::new("FileSkylineStore", invariant, detail))
         };
-        if self.index.len() + self.free.len() != self.rows.len() {
-            return fail(
-                "slots-indexed-or-free",
-                format!(
-                    "{} indexed and {} free slots for {} rows",
-                    self.index.len(),
-                    self.free.len(),
-                    self.rows.len()
-                ),
-            );
-        }
-        let mut claimed = vec![false; self.rows.len()];
-        for &slot in self.free.iter().chain(self.index.values()) {
-            match claimed.get_mut(slot.slot()) {
-                Some(taken) if !*taken => *taken = true,
-                _ => {
-                    return fail(
-                        "slots-indexed-or-free",
-                        format!("slot {slot:?} is claimed twice or out of range"),
-                    )
-                }
-            }
-        }
-        for &slot in &self.free {
-            if !self.rows[slot.slot()].files.is_empty() {
-                return fail(
-                    "free-slots-empty",
-                    format!("free slot {slot:?} still indexes files"),
-                );
-            }
-        }
-        for (constraint, &row) in &self.index {
-            let indexed = &self.rows[row.slot()];
+        self.rows
+            .audit("FileSkylineStore", |row| row.files.is_empty())?;
+        for (constraint, row) in self.rows.indexed() {
+            let indexed = self.rows.row(row);
             if indexed.constraint != *constraint {
                 return fail(
                     "index-names-every-row",
@@ -343,7 +309,7 @@ impl sitfact_core::Audit for FileSkylineStore {
                 );
             }
         }
-        for (slot, row) in self.rows.iter().enumerate() {
+        for (slot, row) in self.rows.slots().iter().enumerate() {
             for &(subspace, count) in &row.files {
                 let name = Self::file_name(&row.constraint, subspace);
                 if count == 0 {
@@ -411,7 +377,7 @@ impl Drop for FileSkylineStore {
 
 impl SkylineStore for FileSkylineStore {
     fn find(&self, constraint: &[DimValueId]) -> Option<RowId> {
-        self.index.get(constraint).copied()
+        self.rows.find(constraint)
     }
 
     fn read(&mut self, row: Option<RowId>, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
@@ -430,23 +396,11 @@ impl SkylineStore for FileSkylineStore {
         id: TupleId,
     ) {
         let slot = *row.get_or_insert_with(|| {
-            let constraint = Constraint::from_values(constraint.to_vec());
             let created = FileRow {
-                constraint: constraint.clone(),
+                constraint: Constraint::from_values(constraint.to_vec()),
                 files: Vec::new(),
             };
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.rows[slot.slot()] = created;
-                    slot
-                }
-                None => {
-                    self.rows.push(created);
-                    RowId::new(self.rows.len() - 1)
-                }
-            };
-            self.index.insert(constraint, slot);
-            slot
+            self.rows.create(constraint, created)
         });
         self.load(Some(slot), subspace);
         if let Some(buffer) = &mut self.buffer {
@@ -483,13 +437,13 @@ impl SkylineStore for FileSkylineStore {
     }
 
     fn stats(&self) -> StoreStats {
-        let on_disk = self.rows.iter().flat_map(|row| &row.files);
+        let on_disk = self.rows.slots().iter().flat_map(|row| &row.files);
         let stored_entries: u64 = on_disk.clone().map(|&(_, c)| c as u64).sum::<u64>()
             + self
                 .buffer
                 .as_ref()
                 .map(|b| {
-                    let indexed = self.rows[b.row.slot()].file(b.subspace).unwrap_or(0) as i64;
+                    let indexed = self.rows.row(b.row).file(b.subspace).unwrap_or(0) as i64;
                     (b.entries.len() as i64 - indexed).max(0) as u64
                 })
                 .unwrap_or(0);
@@ -504,14 +458,12 @@ impl SkylineStore for FileSkylineStore {
 
     fn clear(&mut self) {
         self.buffer = None;
-        for row in &self.rows {
+        for row in self.rows.slots() {
             for &(subspace, _) in &row.files {
                 let _ = fs::remove_file(self.dir.join(Self::file_name(&row.constraint, subspace)));
             }
         }
-        self.index.clear();
         self.rows.clear();
-        self.free.clear();
         self.emptied.clear();
         self.bytes_on_disk = 0;
     }
@@ -699,12 +651,13 @@ mod tests {
         assert!(remove(&mut store, &c, m1, 5));
         store.flush();
         assert_eq!(store.find(c.values()), None);
-        assert_eq!((store.index.len(), store.free.len()), (0, 1));
+        assert_eq!(store.rows.indexed().count(), 0);
+        assert_eq!(store.rows.slots().len(), 1);
         store.audit().unwrap();
         let mut created = None;
         store.insert(&mut created, other.values(), m1, 8);
         assert_eq!(created, row, "the freed slot is reused");
-        assert_eq!(store.rows.len(), 1);
+        assert_eq!(store.rows.slots().len(), 1);
         store.flush();
         assert_eq!(read(&mut store, &other, m1), vec![8]);
         assert!(read(&mut store, &c, m1).is_empty());
@@ -730,8 +683,9 @@ mod tests {
             store.audit().unwrap();
         }
         assert_eq!(store.file_count(), 4);
-        assert_eq!(store.index.len(), 4);
-        assert!(store.rows.len() <= 5, "{} rows", store.rows.len());
+        assert_eq!(store.rows.indexed().count(), 4);
+        let arena = store.rows.slots().len();
+        assert!(arena <= 5, "{arena} rows");
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -11,22 +11,21 @@
 //! binary-searching for both ends of the run, which is slower than the walk
 //! over runs this short.)
 //!
-//! The rows live in an arena `Vec` with a free list of emptied slots; an
-//! index `FxHashMap<Constraint, RowId>` maps each constraint with a
-//! non-empty cell to its slot. [`SkylineStore::find`] is the only probe of
-//! that index a visit pays: every cell operation after it indexes the arena
-//! directly. The index is touched again only when a row is created (its
-//! first insert) or freed (its last remove).
+//! The rows live in a `RowIndex`: an arena with a free list of emptied
+//! slots, and an index `FxHashMap<Constraint, RowId>` mapping each
+//! constraint with a non-empty cell to its slot. [`SkylineStore::find`] is
+//! the only probe of that index a visit pays: every cell operation after it
+//! indexes the arena directly. The index is touched again only when a row
+//! is created (its first insert) or freed (its last remove).
 //!
 //! Within a run the pairs follow the cell order of [`SkylineStore`]: an
 //! insert goes to the end of its run, and a remove moves the run's last pair
 //! into the hole before dropping that last slot.
 
-use crate::heap::{hash_table_bytes, vec_bytes, ALLOC_OVERHEAD};
+use crate::heap::vec_bytes;
 use crate::stats::StoreStats;
-use crate::store::{RowId, SkylineStore, StoreCell};
-use sitfact_core::{Constraint, DimValueId, FxHashMap, SubspaceMask, TupleId};
-use std::mem::size_of;
+use crate::store::{RowId, RowIndex, SkylineStore, StoreCell};
+use sitfact_core::{DimValueId, SubspaceMask, TupleId};
 use std::ops::Range;
 
 /// In-memory implementation of [`SkylineStore`].
@@ -36,9 +35,7 @@ use std::ops::Range;
 /// the index holds exactly the constraints with a non-empty cell.
 #[derive(Debug, Default)]
 pub struct MemorySkylineStore {
-    index: FxHashMap<Constraint, RowId>,
-    rows: Vec<Row>,
-    free: Vec<RowId>,
+    rows: RowIndex<Row>,
 }
 
 /// One constraint's cells: `(subspace, id)` pairs grouped by ascending
@@ -63,7 +60,7 @@ impl MemorySkylineStore {
 
     /// The row behind a handle (an absent row reads as empty).
     fn row(&self, row: Option<RowId>) -> &[(SubspaceMask, TupleId)] {
-        row.map_or(&[], |row| &self.rows[row.slot()])
+        row.map_or(&[], |row| self.rows.row(row))
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -75,9 +72,9 @@ impl MemorySkylineStore {
 
 /// Checks the arena every handle relies on — every slot is either indexed
 /// (once, and non-empty: reads of absent cells must stay allocation-free) or
-/// free (once, and empty), and nothing else — and the row layout every
-/// lookup relies on: pairs grouped by ascending subspace, no id twice within
-/// a cell.
+/// free (once, and without an allocation), and nothing else — and the row
+/// layout every lookup relies on: pairs grouped by ascending subspace, no id
+/// twice within a cell.
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for MemorySkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
@@ -85,47 +82,10 @@ impl sitfact_core::Audit for MemorySkylineStore {
         let fail = |invariant: &'static str, detail: String| {
             Err(AuditViolation::new("MemorySkylineStore", invariant, detail))
         };
-        if self.index.len() + self.free.len() != self.rows.len() {
-            return fail(
-                "slots-indexed-or-free",
-                format!(
-                    "{} indexed and {} free slots in an arena of {}",
-                    self.index.len(),
-                    self.free.len(),
-                    self.rows.len()
-                ),
-            );
-        }
-        let mut claimed = vec![false; self.rows.len()];
-        let mut claim = |slot: RowId| match claimed.get_mut(slot.slot()) {
-            Some(taken) if !*taken => {
-                *taken = true;
-                true
-            }
-            _ => false,
-        };
-        for &slot in &self.free {
-            if !claim(slot) {
-                return fail(
-                    "free-slots-unique",
-                    format!("free slot {slot:?} is listed twice or out of range"),
-                );
-            }
-            if self.rows[slot.slot()].capacity() != 0 {
-                return fail(
-                    "free-slots-empty",
-                    format!("free slot {slot:?} still holds a row allocation"),
-                );
-            }
-        }
-        for (constraint, &slot) in &self.index {
-            if !claim(slot) {
-                return fail(
-                    "indexed-slots-unique",
-                    format!("constraint {constraint:?} maps to {slot:?}, taken or out of range"),
-                );
-            }
-            let row = &self.rows[slot.slot()];
+        self.rows
+            .audit("MemorySkylineStore", |row| row.capacity() == 0)?;
+        for (constraint, slot) in self.rows.indexed() {
+            let row = self.rows.row(slot);
             if row.is_empty() {
                 return fail(
                     "no-empty-rows",
@@ -160,7 +120,7 @@ impl sitfact_core::Audit for MemorySkylineStore {
 
 impl SkylineStore for MemorySkylineStore {
     fn find(&self, constraint: &[DimValueId]) -> Option<RowId> {
-        self.index.get(constraint).copied()
+        self.rows.find(constraint)
     }
 
     fn read(&mut self, row: Option<RowId>, subspace: SubspaceMask, out: &mut Vec<TupleId>) {
@@ -176,16 +136,8 @@ impl SkylineStore for MemorySkylineStore {
         subspace: SubspaceMask,
         id: TupleId,
     ) {
-        let slot = *row.get_or_insert_with(|| {
-            let slot = self.free.pop().unwrap_or_else(|| {
-                self.rows.push(Row::new());
-                RowId::new(self.rows.len() - 1)
-            });
-            self.index
-                .insert(Constraint::from_values(constraint.to_vec()), slot);
-            slot
-        });
-        let row = &mut self.rows[slot.slot()];
+        let slot = *row.get_or_insert_with(|| self.rows.create(constraint, Row::new()));
+        let row = self.rows.row_mut(slot);
         let end = row.partition_point(|&(s, _)| s <= subspace);
         row.insert(end, (subspace, id));
     }
@@ -200,7 +152,7 @@ impl SkylineStore for MemorySkylineStore {
         let Some(slot) = *row else {
             return false;
         };
-        let pairs = &mut self.rows[slot.slot()];
+        let pairs = self.rows.row_mut(slot);
         let cell = run(pairs, subspace);
         let Some(hole) = cell.clone().find(|&pos| pairs[pos].1 == id) else {
             return false;
@@ -211,9 +163,7 @@ impl SkylineStore for MemorySkylineStore {
         if pairs.is_empty() {
             // Release the allocation with the row: a free slot costs only
             // its arena entry.
-            *pairs = Row::new();
-            self.index.remove(constraint);
-            self.free.push(slot);
+            self.rows.free(slot, constraint);
             *row = None;
         }
         true
@@ -226,24 +176,12 @@ impl SkylineStore for MemorySkylineStore {
 
     fn stats(&self) -> StoreStats {
         // Counted, not maintained: the served path never asks. Bytes are
-        // what the layout allocates — the index's buckets and control bytes
-        // with each constraint's boxed key, the free list and each row's
-        // pairs at capacity — plus the allocator's overhead on each of those
-        // allocations. The arena is the exception: it only grows, every
-        // slot is written once when it is created, and the doubling tail
-        // past its length is address space a large arena never touches, so
-        // it is counted at its length (at capacity the estimate of
-        // `tests/store_memory.rs` overshoots resident memory by 13 %, at
-        // length by 3 %).
-        let arena = self.rows.len() * size_of::<Row>() + ALLOC_OVERHEAD;
-        let mut bytes = hash_table_bytes(self.index.capacity(), size_of::<(Constraint, RowId)>())
-            + if self.rows.capacity() == 0 { 0 } else { arena }
-            + vec_bytes(&self.free);
-        for constraint in self.index.keys() {
-            bytes += constraint.num_dims() * size_of::<DimValueId>() + ALLOC_OVERHEAD;
-        }
+        // what the layout allocates — the row index (see
+        // [`RowIndex::heap_bytes`]) and each row's pairs at capacity — plus
+        // the allocator's overhead on each of those allocations.
+        let mut bytes = self.rows.heap_bytes();
         let (mut stored_entries, mut non_empty_cells) = (0, 0);
-        for row in &self.rows {
+        for row in self.rows.slots() {
             bytes += vec_bytes(row);
             stored_entries += row.len() as u64;
             non_empty_cells += row.chunk_by(|a, b| a.0 == b.0).count() as u64;
@@ -258,15 +196,13 @@ impl SkylineStore for MemorySkylineStore {
     }
 
     fn clear(&mut self) {
-        self.index.clear();
         self.rows.clear();
-        self.free.clear();
     }
 
     fn dump_cells(&self) -> Option<Vec<StoreCell>> {
         let mut cells = Vec::new();
-        for (constraint, &slot) in &self.index {
-            for chunk in self.rows[slot.slot()].chunk_by(|a, b| a.0 == b.0) {
+        for (constraint, slot) in self.rows.indexed() {
+            for chunk in self.rows.row(slot).chunk_by(|a, b| a.0 == b.0) {
                 cells.push(StoreCell {
                     constraint: constraint.values().to_vec(),
                     subspace: chunk[0].0 .0,
@@ -292,6 +228,8 @@ impl SkylineStore for MemorySkylineStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::ALLOC_OVERHEAD;
+    use sitfact_core::Constraint;
 
     fn constraint(values: Vec<u32>) -> Constraint {
         Constraint::from_values(values)
@@ -408,7 +346,7 @@ mod tests {
         let mut other = None;
         store.insert(&mut other, b.values(), m1, 9);
         assert_eq!(other, freed, "the freed slot is reused");
-        assert_eq!(store.rows.len(), 1);
+        assert_eq!(store.rows.slots().len(), 1);
         assert_eq!(read(&mut store, &b, m1), vec![9]);
         assert!(read(&mut store, &a, m1).is_empty());
         store.audit().unwrap();
@@ -428,33 +366,19 @@ mod tests {
         assert_eq!(stats.non_empty_cells, 2);
         assert_eq!(stats.file_reads, 0);
         assert_eq!(stats.file_writes, 0);
-        // The formula, term by term. The index: a bucket holds the key and
-        // the handle, plus one control byte, and the table carries one group
-        // of spare control bytes; the first insert allocates 4 buckets.
-        let index = 4 * (size_of::<(Constraint, RowId)>() + 1) + 16 + ALLOC_OVERHEAD;
-        assert_eq!(
-            hash_table_bytes(store.index.capacity(), size_of::<(Constraint, RowId)>()),
-            index
-        );
-        // The key: two boxed value ids.
-        let key = 2 * size_of::<DimValueId>() + ALLOC_OVERHEAD;
-        // The arena: row headers at its length; no free list yet.
-        let arena = store.rows.len() * size_of::<Row>() + ALLOC_OVERHEAD;
-        assert_eq!(store.free.capacity(), 0);
-        // The row: its capacity in 8-byte pairs, not its length.
-        let capacity = store.rows[0].capacity();
+        // The row index (its formula is pinned in `store.rs`) plus the
+        // row: its capacity in 8-byte pairs, not its length.
+        let capacity = store.rows.row(RowId::new(0)).capacity();
         assert!(capacity > 11);
         let row = capacity * 8 + ALLOC_OVERHEAD;
-        assert_eq!(stats.approx_bytes, (index + key + arena + row) as u64);
+        assert_eq!(stats.approx_bytes, (store.rows.heap_bytes() + row) as u64);
 
-        // Emptying the row frees its slot: the key, the row's pairs and the
-        // index entry go, the arena slot and a free-list entry stay.
+        // Emptying the row frees its slot and the row's pairs with it.
         for i in 0..10 {
             assert!(remove(&mut store, &c, SubspaceMask(1), i));
         }
         assert!(remove(&mut store, &c, SubspaceMask(2), 10));
-        let free = store.free.capacity() * size_of::<RowId>() + ALLOC_OVERHEAD;
-        assert_eq!(store.stats().approx_bytes, (index + arena + free) as u64);
+        assert_eq!(store.stats().approx_bytes, store.rows.heap_bytes() as u64);
         store.audit().unwrap();
     }
 
@@ -487,8 +411,8 @@ mod tests {
         remove(&mut store, &c, SubspaceMask(1), 0);
         assert_eq!(store.stats().non_empty_cells, 0);
         assert_eq!(store.stats().stored_entries, 0);
-        assert!(store.index.is_empty());
-        assert_eq!(store.free.len(), 1);
+        assert_eq!(store.rows.indexed().count(), 0);
+        assert_eq!(store.rows.slots().len(), 1);
         store.audit().unwrap();
     }
 
@@ -502,22 +426,6 @@ mod tests {
         assert_eq!(store.stats().non_empty_cells, 0);
         assert!(read(&mut store, &c, SubspaceMask(1)).is_empty());
         store.audit().unwrap();
-    }
-
-    #[test]
-    fn audit_catches_a_broken_arena() {
-        let mut store = MemorySkylineStore::new();
-        let c = constraint(vec![0]);
-        insert(&mut store, &c, SubspaceMask(1), 0);
-        store.free.push(RowId::new(0));
-        assert!(store.audit().is_err(), "a slot both indexed and free");
-        store.free.clear();
-        store.rows.push(Row::new());
-        assert!(store.audit().is_err(), "a slot neither indexed nor free");
-        store.free.push(RowId::new(1));
-        store.audit().unwrap();
-        store.rows[1].push((SubspaceMask(1), 3));
-        assert!(store.audit().is_err(), "a free slot holding pairs");
     }
 
     #[test]

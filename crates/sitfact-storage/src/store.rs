@@ -78,8 +78,12 @@
 //!
 //! [`Table`]: crate::Table
 
+use crate::heap::{hash_table_bytes, vec_bytes, ALLOC_OVERHEAD};
 use crate::stats::StoreStats;
-use sitfact_core::{DimValueId, Result, SitFactError, SubspaceMask, TupleId};
+use sitfact_core::{
+    Constraint, DimValueId, FxHashMap, Result, SitFactError, SubspaceMask, TupleId,
+};
+use std::mem::size_of;
 
 /// One dumped cell of a [`SkylineStore`] in plain-data form: the constraint's
 /// raw value ids, the subspace bits and the stored tuple ids, as produced by
@@ -112,6 +116,139 @@ impl RowId {
     /// The arena slot this handle names.
     pub(crate) fn slot(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// The row arena behind both skyline stores: the rows in a `Vec` addressed
+/// by [`RowId`], a free list of freed slots that the next rows created
+/// reuse, and an index from each constraint with a row to its slot. Every
+/// slot is either indexed or free, never both. A store decides when a row
+/// is freed; a freed slot holds `R::default()`.
+#[derive(Debug, Default)]
+pub(crate) struct RowIndex<R> {
+    index: FxHashMap<Constraint, RowId>,
+    rows: Vec<R>,
+    free: Vec<RowId>,
+}
+
+impl<R: Default> RowIndex<R> {
+    /// The row of the constraint with these values, if it has one.
+    pub(crate) fn find(&self, constraint: &[DimValueId]) -> Option<RowId> {
+        self.index.get(constraint).copied()
+    }
+
+    /// Stores `row` as the row of `constraint` (which has none), in the
+    /// last freed slot if there is one, and returns its handle.
+    pub(crate) fn create(&mut self, constraint: &[DimValueId], row: R) -> RowId {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.rows[slot.slot()] = row;
+                slot
+            }
+            None => {
+                self.rows.push(row);
+                RowId::new(self.rows.len() - 1)
+            }
+        };
+        self.index
+            .insert(Constraint::from_values(constraint.to_vec()), slot);
+        slot
+    }
+
+    /// Frees the row of `constraint` in `slot`: its contents are dropped,
+    /// its index entry goes, and the slot joins the free list.
+    pub(crate) fn free(&mut self, slot: RowId, constraint: &[DimValueId]) {
+        self.rows[slot.slot()] = R::default();
+        self.index.remove(constraint);
+        self.free.push(slot);
+    }
+
+    /// The row in `slot`.
+    pub(crate) fn row(&self, slot: RowId) -> &R {
+        &self.rows[slot.slot()]
+    }
+
+    /// The row in `slot`, mutably.
+    pub(crate) fn row_mut(&mut self, slot: RowId) -> &mut R {
+        &mut self.rows[slot.slot()]
+    }
+
+    /// Every slot of the arena, freed ones included.
+    pub(crate) fn slots(&self) -> &[R] {
+        &self.rows
+    }
+
+    /// Each constraint with a row and its slot, in index order.
+    pub(crate) fn indexed(&self) -> impl Iterator<Item = (&Constraint, RowId)> {
+        self.index
+            .iter()
+            .map(|(constraint, &slot)| (constraint, slot))
+    }
+
+    /// Frees every row and every slot.
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.rows.clear();
+        self.free.clear();
+    }
+
+    /// Heap bytes of the index (its buckets and control bytes, and each
+    /// constraint's boxed key), the arena and the free list, allocator
+    /// overhead included; not of what the rows themselves allocate. The
+    /// arena only grows, every slot is written once when it is created, and
+    /// the doubling tail past its length is address space a large arena
+    /// never touches, so it is counted at its length (at capacity the
+    /// estimate of `tests/store_memory.rs` overshoots resident memory by
+    /// 13 %, at length by 3 %).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let arena = self.rows.len() * size_of::<R>() + ALLOC_OVERHEAD;
+        let keys: usize = self
+            .index
+            .keys()
+            .map(|constraint| constraint.num_dims() * size_of::<DimValueId>() + ALLOC_OVERHEAD)
+            .sum();
+        hash_table_bytes(self.index.capacity(), size_of::<(Constraint, RowId)>())
+            + keys
+            + if self.rows.capacity() == 0 { 0 } else { arena }
+            + vec_bytes(&self.free)
+    }
+
+    /// Checks that every slot is either indexed (once) or free (once, and
+    /// `freed` by the owning store's measure), and nothing else.
+    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
+    pub(crate) fn audit(
+        &self,
+        store: &'static str,
+        freed: impl Fn(&R) -> bool,
+    ) -> std::result::Result<(), sitfact_core::AuditViolation> {
+        let fail = |invariant: &'static str, detail: String| {
+            Err(sitfact_core::AuditViolation::new(store, invariant, detail))
+        };
+        let mut claimed = vec![false; self.rows.len()];
+        for &slot in self.free.iter().chain(self.index.values()) {
+            match claimed.get_mut(slot.slot()) {
+                Some(taken) if !*taken => *taken = true,
+                _ => {
+                    return fail(
+                        "slots-indexed-or-free",
+                        format!("slot {slot:?} is claimed twice or out of range"),
+                    )
+                }
+            }
+        }
+        if let Some(slot) = claimed.iter().position(|&taken| !taken) {
+            return fail(
+                "slots-indexed-or-free",
+                format!("slot {slot} is neither indexed nor free"),
+            );
+        }
+        if let Some(slot) = self.free.iter().find(|slot| !freed(self.row(**slot))) {
+            return fail(
+                "free-slots-empty",
+                format!("free slot {slot:?} still holds a row"),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -182,5 +319,85 @@ pub trait SkylineStore {
         Err(SitFactError::InvalidConfig(
             "this skyline store does not support state import".to_string(),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn audit(rows: &RowIndex<Vec<u32>>) -> std::result::Result<(), sitfact_core::AuditViolation> {
+        rows.audit("RowIndex", Vec::is_empty)
+    }
+
+    /// A freed slot is reused by the next row created, and every slot is
+    /// either indexed or free after each step.
+    #[test]
+    fn freed_slots_are_reused_and_every_slot_is_indexed_or_free() {
+        let mut rows: RowIndex<Vec<u32>> = RowIndex::default();
+        let (a, b, c) = ([1, 2], [3, 4], [5, 6]);
+        let first = rows.create(&a, vec![7]);
+        let second = rows.create(&b, vec![8]);
+        audit(&rows).unwrap();
+        assert_eq!((rows.find(&a), rows.find(&b)), (Some(first), Some(second)));
+        assert_eq!(rows.slots().len(), 2);
+
+        rows.free(first, &a);
+        audit(&rows).unwrap();
+        assert_eq!(rows.find(&a), None);
+        assert!(rows.row(first).is_empty());
+        assert_eq!(rows.indexed().count() + rows.free.len(), rows.slots().len());
+
+        let third = rows.create(&c, vec![9]);
+        assert_eq!(third, first, "the freed slot is reused");
+        assert_eq!(rows.slots().len(), 2);
+        assert_eq!(rows.row(third), &vec![9]);
+        rows.row_mut(third).push(10);
+        assert_eq!(rows.find(&c), Some(third));
+        audit(&rows).unwrap();
+
+        rows.clear();
+        assert_eq!(rows.slots().len(), 0);
+        audit(&rows).unwrap();
+    }
+
+    #[test]
+    fn audit_catches_a_broken_arena() {
+        let mut rows: RowIndex<Vec<u32>> = RowIndex::default();
+        rows.create(&[0], vec![0]);
+        rows.free.push(RowId::new(0));
+        assert!(audit(&rows).is_err(), "a slot both indexed and free");
+        rows.free.clear();
+        rows.rows.push(Vec::new());
+        assert!(audit(&rows).is_err(), "a slot neither indexed nor free");
+        rows.free.push(RowId::new(1));
+        audit(&rows).unwrap();
+        rows.rows[1].push(3);
+        assert!(audit(&rows).is_err(), "a free slot holding a row");
+    }
+
+    /// The bytes of the index, term by term: a bucket holds the key and the
+    /// handle plus one control byte, and the table carries one group of
+    /// spare control bytes; the first insert allocates 4 buckets.
+    #[test]
+    fn heap_bytes_count_the_index_the_keys_the_arena_and_the_free_list() {
+        let mut rows: RowIndex<Vec<u32>> = RowIndex::default();
+        assert_eq!(rows.heap_bytes(), 0);
+        let slot = rows.create(&[0, 7], vec![1]);
+        let index = 4 * (size_of::<(Constraint, RowId)>() + 1) + 16 + ALLOC_OVERHEAD;
+        assert_eq!(
+            hash_table_bytes(rows.index.capacity(), size_of::<(Constraint, RowId)>()),
+            index
+        );
+        // The key: two boxed value ids. The arena: row headers at its
+        // length. No free list yet.
+        let key = 2 * size_of::<DimValueId>() + ALLOC_OVERHEAD;
+        let arena = size_of::<Vec<u32>>() + ALLOC_OVERHEAD;
+        assert_eq!(rows.heap_bytes(), index + key + arena);
+        // Freeing the row drops the key; the arena slot and a free-list
+        // entry stay.
+        rows.free(slot, &[0, 7]);
+        let free = rows.free.capacity() * size_of::<RowId>() + ALLOC_OVERHEAD;
+        assert_eq!(rows.heap_bytes(), index + arena + free);
     }
 }

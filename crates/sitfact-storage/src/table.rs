@@ -48,8 +48,8 @@ const POSTING_MAP_HINT_CAP: usize = 1 << 10;
 /// updated — the paper's model is an ever-growing relation whose appends
 /// correspond to real-world events — but sliding-window workloads may
 /// *retract* the oldest rows with [`Table::retract_prefix`]: expired rows are
-/// tombstoned (a bitmap over the physical columns plus a lazy dead counter
-/// per posting list) and physically dropped by
+/// tombstoned (the id range below a watermark, plus a lazy dead counter per
+/// posting list) and physically dropped by
 /// [`Table::compact_retracted`]. Tuple ids stay stable for the table's whole
 /// life; [`Table::len`] keeps counting every id ever assigned, while
 /// [`Table::live_rows`] counts the surviving suffix.
@@ -68,10 +68,6 @@ pub struct Table {
     /// `[evicted, watermark)` are tombstoned but still physically present
     /// (readable during skyline repair) until [`Table::compact_retracted`].
     watermark: usize,
-    /// Tombstone bitmap over physical rows: bit `k` set means row
-    /// `evicted + k` is retracted. Lazily allocated on first retraction and
-    /// cleared by compaction, so an append-only table pays zero bytes.
-    tombstones: Vec<u64>,
     /// All dimension values, row-major (`(len - evicted) * n_dims` entries).
     dims: Vec<DimValueId>,
     /// All measure values, row-major (`(len - evicted) * n_measures` entries).
@@ -121,7 +117,6 @@ impl Table {
             len: 0,
             evicted: 0,
             watermark: 0,
-            tombstones: Vec::new(),
             dims: Vec::with_capacity(capacity * n_dims),
             measures: Vec::with_capacity(capacity * n_measures),
             postings: vec![
@@ -207,12 +202,6 @@ impl Table {
             return 0;
         }
         let newly = new_watermark - self.watermark;
-        // Mark the tombstone bitmap for the newly dead physical rows.
-        let dead_rows = new_watermark - self.evicted;
-        self.tombstones.resize(dead_rows.div_ceil(64), 0);
-        for row in (self.watermark - self.evicted)..dead_rows {
-            self.tombstones[row / 64] |= 1u64 << (row % 64);
-        }
         // Count the dead ids into their posting lists (one bump per
         // occurrence; a value appears at most once per row per attribute).
         for id in self.watermark..new_watermark {
@@ -243,11 +232,11 @@ impl Table {
         newly
     }
 
-    /// Physically drops the tombstoned prefix from the flat columns and
-    /// clears the bitmap, reclaiming the memory [`Table::retract_prefix`]
-    /// only marked. Returns the number of rows dropped. Ids below the
-    /// watermark stop being readable even through [`Table::tuple`], so
-    /// callers must finish any retraction repair first.
+    /// Physically drops the tombstoned prefix from the flat columns,
+    /// reclaiming the memory [`Table::retract_prefix`] only marked. Returns
+    /// the number of rows dropped. Ids below the watermark stop being
+    /// readable even through [`Table::tuple`], so callers must finish any
+    /// retraction repair first.
     pub fn compact_retracted(&mut self) -> usize {
         let dead = self.watermark - self.evicted;
         if dead == 0 {
@@ -256,7 +245,6 @@ impl Table {
         self.dims.drain(..dead * self.n_dims);
         self.measures.drain(..dead * self.n_measures);
         self.evicted = self.watermark;
-        self.tombstones = Vec::new();
         // Lists below the lazy-deletion threshold may still carry ids of the
         // rows just dropped; those ids now point below `evicted`, so force
         // the rebuild the threshold deferred.
@@ -420,25 +408,6 @@ impl Table {
         }
         self.len += window;
         Ok(first..self.next_id())
-    }
-
-    /// Batched form of [`Table::append_raw`]: interns every row's dimension
-    /// strings, then appends the encoded window through
-    /// [`Table::append_batch`]. Interning happens row by row before the
-    /// batch validation pass, so a row that fails to intern leaves earlier
-    /// rows' dictionary entries in place (exactly as a loop of `append_raw`
-    /// would) but appends nothing.
-    pub fn append_batch_raw<'a, I>(&mut self, rows: I) -> Result<Range<TupleId>>
-    where
-        I: IntoIterator<Item = (&'a [&'a str], Vec<f64>)>,
-    {
-        let rows = rows.into_iter();
-        let mut tuples = Vec::with_capacity(rows.size_hint().0);
-        for (dims, measures) in rows {
-            let ids = self.schema.intern_dims(dims)?;
-            tuples.push(Tuple::new(ids, measures));
-        }
-        self.append_batch(tuples)
     }
 
     /// Unconditional append of validated parts: extend the columns and the
@@ -651,8 +620,6 @@ impl Table {
     /// Derived entirely from `size_of` so the estimate tracks the layout:
     /// * the dimension column holds `(len - evicted) * n_dims` value ids;
     /// * the measure column holds `(len - evicted) * n_measures` floats;
-    /// * the tombstone bitmap holds one `u64` word per 64 physical dead rows
-    ///   (zero until the first retraction);
     /// * every posting list is accounted at its compressed footprint — arena
     ///   words plus skip entries ([`CompressedPostings::approx_heap_bytes`]);
     /// * each distinct `(dimension, value)` pair costs one map entry (key +
@@ -671,17 +638,12 @@ impl Table {
         let distinct_values: usize = self.postings.iter().map(PostingMap::len).sum();
         let posting_entries =
             distinct_values * (size_of::<DimValueId>() + size_of::<CompressedPostings>());
-        columns
-            + self.tombstones.len() * size_of::<u64>()
-            + posting_lists
-            + posting_entries
-            + self.schema.approx_heap_bytes()
+        columns + posting_lists + posting_entries + self.schema.approx_heap_bytes()
     }
 
     /// Crate-internal view of the table's primary state — schema, length,
     /// retraction bounds, flat columns and posting maps — for the snapshot
-    /// codec in [`crate::wal`]. The tombstone bitmap is not part of the
-    /// state: it is a pure function of `evicted` and `watermark`.
+    /// codec in [`crate::wal`].
     #[allow(clippy::type_complexity)]
     pub(crate) fn state_parts(
         &self,
@@ -756,13 +718,6 @@ impl Table {
                 )));
             }
         }
-        // The tombstone bitmap is derived state: every physical row below the
-        // watermark is dead.
-        let dead_rows = watermark - evicted;
-        let mut tombstones = vec![0u64; dead_rows.div_ceil(64)];
-        for row in 0..dead_rows {
-            tombstones[row / 64] |= 1u64 << (row % 64);
-        }
         Ok(Table {
             schema,
             n_dims,
@@ -770,17 +725,10 @@ impl Table {
             len,
             evicted,
             watermark,
-            tombstones,
             dims,
             measures,
             postings,
         })
-    }
-
-    /// Validation helper: returns an error when `id` does not exist.
-    pub fn require(&self, id: TupleId) -> Result<TupleRef<'_>> {
-        self.get(id)
-            .ok_or_else(|| SitFactError::InvalidTuple(format!("tuple id {id} out of range")))
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -801,10 +749,7 @@ impl sitfact_core::Audit for Table {
             Err(AuditViolation::new("Table", invariant, detail))
         };
 
-        // Retraction bounds nest and the tombstone bitmap mirrors them
-        // exactly: bit k set iff physical row k is below the watermark, with
-        // the minimal word count (empty when nothing is tombstoned, so an
-        // append-only table provably pays no bitmap bytes).
+        // Retraction bounds nest.
         if self.evicted > self.watermark || self.watermark > self.len {
             return fail(
                 "retraction-bounds",
@@ -813,30 +758,6 @@ impl sitfact_core::Audit for Table {
                     self.evicted, self.watermark, self.len
                 ),
             );
-        }
-        let dead_rows = self.watermark - self.evicted;
-        if self.tombstones.len() != dead_rows.div_ceil(64) {
-            return fail(
-                "tombstone-bitmap",
-                format!(
-                    "{} bitmap words for {dead_rows} tombstoned rows, want {}",
-                    self.tombstones.len(),
-                    dead_rows.div_ceil(64)
-                ),
-            );
-        }
-        for row in 0..self.tombstones.len() * 64 {
-            let set = self.tombstones[row / 64] & (1u64 << (row % 64)) != 0;
-            if set != (row < dead_rows) {
-                return fail(
-                    "tombstone-bitmap",
-                    format!(
-                        "physical row {row}: bitmap says dead={set}, watermark says \
-                         dead={}",
-                        row < dead_rows
-                    ),
-                );
-            }
         }
         // Columns are flat row-major arrays: exactly one stride per
         // physically present row.
@@ -982,7 +903,6 @@ impl sitfact_core::Audit for Table {
             .sum();
         let expect = physical * self.n_dims * std::mem::size_of::<DimValueId>()
             + physical * self.n_measures * std::mem::size_of::<f64>()
-            + self.tombstones.len() * std::mem::size_of::<u64>()
             + lists
             + distinct
                 * (std::mem::size_of::<DimValueId>() + std::mem::size_of::<CompressedPostings>())
@@ -1089,18 +1009,6 @@ impl<'a> ContextIter<'a> {
             table,
             state: ContextState::Empty,
         }
-    }
-
-    /// Whether [`Iterator::size_hint`] is currently exact (lower bound equals
-    /// upper bound): true for the top constraint (a plain row range), for a
-    /// never-observed bound value (empty) and for a single bound attribute
-    /// (the posting list itself). A multi-attribute intersection cannot know
-    /// its length without running, so only its upper bound is tight — which
-    /// is why `ContextIter` does not implement [`ExactSizeIterator`]
-    /// wholesale.
-    pub fn is_exact(&self) -> bool {
-        let (lower, upper) = self.size_hint();
-        upper == Some(lower)
     }
 
     /// Sealed posting blocks decompressed so far, across every cursor the
@@ -1237,8 +1145,6 @@ mod tests {
         assert_eq!(t.next_id(), 2);
         assert_eq!(t.tuple(0).measures(), &[12.0, 13.0]);
         assert!(t.get(5).is_none());
-        assert!(t.require(5).is_err());
-        assert!(t.require(1).is_ok());
     }
 
     #[test]
@@ -1455,32 +1361,6 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_raw_interns_and_appends() {
-        let mut batched = Table::new(schema());
-        let rows: [(&[&str], Vec<f64>); 3] = [
-            (&["Wesley", "Celtics"], vec![12.0, 13.0]),
-            (&["Bogues", "Hornets"], vec![4.0, 12.0]),
-            (&["Wesley", "Celtics"], vec![3.0, 5.0]),
-        ];
-        let range = batched.append_batch_raw(rows).unwrap();
-        assert_eq!(range, 0..3);
-        let mut looped = Table::new(schema());
-        looped
-            .append_raw(&["Wesley", "Celtics"], vec![12.0, 13.0])
-            .unwrap();
-        looped
-            .append_raw(&["Bogues", "Hornets"], vec![4.0, 12.0])
-            .unwrap();
-        looped
-            .append_raw(&["Wesley", "Celtics"], vec![3.0, 5.0])
-            .unwrap();
-        assert_eq!(batched.approx_heap_bytes(), looped.approx_heap_bytes());
-        for (a, b) in batched.iter().zip(looped.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn context_size_hint_is_tight() {
         let mut t = Table::new(schema());
         for i in 0..20usize {
@@ -1491,24 +1371,20 @@ mod tests {
         let top = Constraint::top(2);
         let mut it = t.context(&top);
         assert_eq!(it.size_hint(), (20, Some(20)));
-        assert!(it.is_exact());
         it.next();
         assert_eq!(it.size_hint(), (19, Some(19)));
         // Single bound attribute: the posting list is the context — exact.
         let a = Constraint::parse(t.schema(), &[("player", "A")]).unwrap();
         let it = t.context(&a);
         assert_eq!(it.size_hint(), (10, Some(10)));
-        assert!(it.is_exact());
         // Two bound attributes: upper bound is the shortest posting list.
         let ax = Constraint::parse(t.schema(), &[("player", "A"), ("team", "X")]).unwrap();
         let it = t.context(&ax);
         assert_eq!(it.size_hint(), (0, Some(10)));
-        assert!(!it.is_exact());
         assert_eq!(it.count(), 10);
         // Never-observed value: exact zero.
         let it = t.context(&Constraint::from_values(vec![999, UNBOUND]));
         assert_eq!(it.size_hint(), (0, Some(0)));
-        assert!(it.is_exact());
     }
 
     #[test]
@@ -1750,17 +1626,13 @@ mod tests {
     }
 
     #[test]
-    fn append_only_tables_pay_no_tombstone_bytes() {
-        let t = windowed_table(100);
-        assert_eq!(t.tombstones.len(), 0, "bitmap is lazily allocated");
+    fn compacting_every_row_leaves_only_the_schema() {
         let mut u = windowed_table(100);
         u.retract_prefix(100);
         assert_eq!(u.live_rows(), 0);
-        assert_eq!(u.tombstones.len(), 100usize.div_ceil(64));
         u.compact_retracted();
-        assert_eq!(u.tombstones.len(), 0);
-        // Columns, bitmap and postings are all gone; only the schema (with
-        // its interned dictionaries) still occupies heap.
+        // Columns and postings are all gone; only the schema (with its
+        // interned dictionaries) still occupies heap.
         assert_eq!(u.approx_heap_bytes(), u.schema().approx_heap_bytes());
         u.audit().unwrap();
     }

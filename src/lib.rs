@@ -31,8 +31,8 @@
 //! serving traffic over TCP. On the wire, one [`FactServer`](serve::FactServer)
 //! multiplexes many such monitors: a client `OPEN`s a named *tenant* (its own
 //! schema, threshold and discovery caps — see [`TenantSpec`](serve::TenantSpec))
-//! and `USE`s it, each tenant owned by a server worker and read through
-//! lock-free snapshots, so independent streams never share state.
+//! and `USE`s it, each tenant owned by a server worker and read through the
+//! snapshots it publishes, so independent streams never share state.
 //!
 //! ```
 //! use situational_facts::prelude::*;
