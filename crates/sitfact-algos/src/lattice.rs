@@ -45,6 +45,16 @@
 //! refills the cache with the expired tuple's `C^x` and drops the slots
 //! (its own removals and insertions may free and reuse rows), and
 //! `import_store_cells` drops them with the store they pointed into.
+//!
+//! Ranking then asks a maximal kind about every fact `(C, M)` of the
+//! arrival, and each answer reads every cell `(A, M)` with `A ⊆ C` — the
+//! same few cells for most facts. So the first answer that needs a cell
+//! *gathers* it: reads it once and records each live id with its agreement
+//! mask against the cached tuple. Every later fact keeps the gathered ids
+//! whose mask contains its own (`s` satisfies `C` iff `C ⊆ agree(t, s)`),
+//! with no re-read and no table lookup. The gather describes the store as
+//! the cached tuple left it, so it is dropped wherever the slots are: at
+//! `discover_at`, `retract` and `import_store_cells`.
 
 use crate::common::{
     dominated_in, partition_measures, skyline_cardinality_recompute, skyline_counted, AlgoParams,
@@ -52,8 +62,8 @@ use crate::common::{
 };
 use crate::traits::Discovery;
 use sitfact_core::{
-    BoundMask, Constraint, DiscoveryConfig, Result, Schema, SkylinePair, SubspaceMask, Tuple,
-    TupleId, UNBOUND,
+    BoundMask, Constraint, DimValueId, DiscoveryConfig, Result, Schema, SkylinePair, SubspaceMask,
+    Tuple, TupleId, UNBOUND,
 };
 use sitfact_storage::{
     FileSkylineStore, MemorySkylineStore, RowId, SkylineStore, StoreCell, StoreStats, Table,
@@ -121,6 +131,56 @@ pub struct LatticeDiscovery<
     /// needed, then what the one `find` for it returned (`Some(None)`: no
     /// row). Dropped whenever `cache` is refilled or the store imported.
     rows: Vec<Option<Option<RowId>>>,
+    /// The cells of `C^t` ranking has read since `rows` was last dropped,
+    /// each with its ids' agreement masks; dropped with `rows`.
+    gather: Gather,
+}
+
+/// What ranking read from the cells of `C^t`, each cell once. A maximal
+/// store answers `|λ_M(σ_C(R))|` from every cell `(A, M)` with `A ⊆ C`, and
+/// the facts of one arrival share most of those cells, so the first read of
+/// a cell records each live id with its agreement mask against the cached
+/// tuple: the id matches `C` iff `C`'s mask is a submask of its agreement.
+#[derive(Debug, Default)]
+struct Gather {
+    /// `spans[subspace.0 * flag_len + mask.0]`: the cell's `entries` range,
+    /// once read.
+    spans: Vec<Option<(u32, u32)>>,
+    /// `(id, agreement)` of every live id of every cell read.
+    entries: Vec<(TupleId, BoundMask)>,
+    /// The `spans` slots set, so dropping costs what was gathered.
+    filled: Vec<usize>,
+}
+
+impl Gather {
+    /// The entries of the cell at `slot`, which `read` appends to
+    /// `entries` the first time it is asked for.
+    fn cell(
+        &mut self,
+        slot: usize,
+        read: impl FnOnce(&mut Vec<(TupleId, BoundMask)>),
+    ) -> &[(TupleId, BoundMask)] {
+        let (start, end) = match self.spans[slot] {
+            Some(span) => span,
+            None => {
+                let start = self.entries.len() as u32;
+                read(&mut self.entries);
+                let span = (start, self.entries.len() as u32);
+                self.spans[slot] = Some(span);
+                self.filled.push(slot);
+                span
+            }
+        };
+        &self.entries[start as usize..end as usize]
+    }
+
+    fn clear(&mut self) {
+        for &slot in &self.filled {
+            self.spans[slot] = None;
+        }
+        self.filled.clear();
+        self.entries.clear();
+    }
 }
 
 /// What the passes of one arrival share.
@@ -157,8 +217,9 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
     /// Creates the algorithm over a caller-provided skyline store backend.
     pub fn with_store(schema: &Schema, config: DiscoveryConfig, store: S) -> Self {
         let params = AlgoParams::new(schema, config);
+        let cells = params.lattice.flag_len() << params.n_measures;
         LatticeDiscovery {
-            pruned: vec![false; params.lattice.flag_len() << params.n_measures],
+            pruned: vec![false; cells],
             rows: vec![None; params.lattice.flag_len()],
             params,
             store,
@@ -166,6 +227,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
             scratch: TraversalScratch::default(),
             in_batch: false,
             cache: ConstraintCache::default(),
+            gather: Gather {
+                spans: vec![None; cells],
+                ..Gather::default()
+            },
         }
     }
 
@@ -344,6 +409,17 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
     }
 }
 
+/// [`BoundMask::agreement`] of two tuples' dimension values.
+fn agreement(left: &[DimValueId], right: &[DimValueId]) -> BoundMask {
+    let mut mask = 0u32;
+    for (i, (l, r)) in left.iter().zip(right).enumerate() {
+        if l == r {
+            mask |= 1 << i;
+        }
+    }
+    BoundMask(mask)
+}
+
 /// Marks `reach` and every constraint above it (its submasks) in one
 /// subspace's row of the pruning matrix. Rows are closed under unbinding, so
 /// a marked `reach` means the rest already is.
@@ -368,7 +444,7 @@ fn demote<S: SkylineStore>(
     store: &mut S,
     stats: &mut WorkStats,
     arrival: &Arrival<'_>,
-    key: &mut [sitfact_core::DimValueId],
+    key: &mut [DimValueId],
     cell_mask: BoundMask,
     subspace: SubspaceMask,
     id: TupleId,
@@ -423,6 +499,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         };
         self.cache.fill(t, self.params.n_dims);
         self.rows.fill(None);
+        self.gather.clear();
         self.scratch.key.resize(self.params.n_dims, UNBOUND);
         let mut out = Vec::new();
         self.pruned.fill(false);
@@ -479,32 +556,39 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             scratch,
             cache,
             rows,
+            gather,
             ..
         } = self;
         let TraversalScratch { ids, key, seen, .. } = scratch;
         key.resize(params.n_dims, UNBOUND);
+        let mask = constraint.bound_mask();
         // Ranking asks about the arrival just discovered: its constraints
         // and their ancestors are all in `C^t`, addressed by the rows that
         // arrival resolved. Any other constraint is found by hashing.
         let cached = cache.holds(constraint);
-        let mut row_at = |store: &S, mask: BoundMask| {
-            if cached {
-                return *row_slot(store, rows, cache, mask);
-            }
+        let mut row_at = |store: &S, sub: BoundMask| {
             let values = key.iter_mut().zip(constraint.values());
             for (i, (slot, &value)) in values.enumerate() {
-                *slot = if mask.is_bound(i) { value } else { UNBOUND };
+                *slot = if sub.is_bound(i) { value } else { UNBOUND };
             }
             store.find(key)
         };
-        let mask = constraint.bound_mask();
-        if MAXIMAL {
-            // `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline
-            // tuples of a context are exactly the tuples stored at the
-            // constraint itself or at any of its ancestors that additionally
-            // satisfy the constraint — each counted once, though several
-            // ancestors may store it.
-            seen.clear();
+        if !MAXIMAL {
+            // Invariant 1: the cell is the skyline.
+            let row = if cached {
+                *row_slot(store, rows, cache, mask)
+            } else {
+                row_at(store, mask)
+            };
+            store.read(row, subspace, ids);
+            return ids.len();
+        }
+        // `|λ_M(σ_C(R))|` from a maximal-constraint store: the skyline tuples
+        // of a context are exactly the tuples stored at the constraint itself
+        // or at any of its ancestors that additionally satisfy the constraint
+        // — each counted once, though several ancestors may store it.
+        seen.clear();
+        if !cached {
             for sub in mask.submasks() {
                 let row = row_at(store, sub);
                 store.read(row, subspace, ids);
@@ -513,13 +597,32 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             }
             seen.sort_unstable();
             seen.dedup();
-            seen.len()
-        } else {
-            // Invariant 1: the cell is the skyline.
-            let row = row_at(store, mask);
-            store.read(row, subspace, ids);
-            ids.len()
+            return seen.len();
         }
+        // The same count over the gathered cells: an id stored at `A ⊆ C`
+        // satisfies `C` iff it agrees with the cached tuple on `C`'s bound
+        // attributes.
+        let flag_len = params.lattice.flag_len();
+        let own = cache.get(BoundMask(flag_len as u32 - 1)).values();
+        for sub in mask.submasks() {
+            let slot = subspace.0 as usize * flag_len + sub.0 as usize;
+            let cell = gather.cell(slot, |entries| {
+                store.read(*row_slot(store, rows, cache, sub), subspace, ids);
+                for &id in ids.iter() {
+                    if let Some(stored) = table.get(id) {
+                        entries.push((id, agreement(own, stored.dims())));
+                    }
+                }
+            });
+            seen.extend(
+                cell.iter()
+                    .filter(|(_, agreement)| mask.is_submask_of(*agreement))
+                    .map(|&(id, _)| id),
+            );
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len()
     }
 
     /// The durable state is exactly the skyline store: the pruning matrix is
@@ -530,8 +633,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
     }
 
     fn import_store_cells(&mut self, cells: Vec<StoreCell>) -> Result<()> {
-        // Every row is replaced: no resolved handle survives.
+        // Every row is replaced: no resolved handle or gathered cell
+        // survives.
         self.rows.fill(None);
+        self.gather.clear();
         self.store.load_cells(cells)
     }
 
@@ -579,6 +684,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             scratch,
             cache,
             rows,
+            gather,
             ..
         } = self;
         let TraversalScratch {
@@ -590,6 +696,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         let expired = table.tuple(t_id);
         cache.fill(expired, params.n_dims);
         rows.fill(None);
+        gather.clear();
         let mut affected = vec![false; params.lattice.flag_len() * family_len];
         let mut context = Vec::new();
         for &mask in &params.top_down {

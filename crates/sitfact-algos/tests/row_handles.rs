@@ -1,20 +1,23 @@
-//! Handles ≡ keys ≡ oracle. The lattice kinds answer
+//! Handles ≡ gather ≡ keys ≡ oracle. The lattice kinds answer
 //! `skyline_cardinality_at` for a constraint of the last arrival's `C^t`
-//! through the store rows that arrival resolved, and for any other
-//! constraint by hashing it; both must equal the skyline recomputed from the
-//! table. Generated runs interleave per-arrival discovery, batched windows,
-//! evictions (`retract_prefix`, then `retract` per id) and export →
-//! `import_store_cells` into a fresh instance, over the four in-memory kinds
+//! through the store rows that arrival resolved — a maximal kind through
+//! the cells it gathered, each read once for all the arrival's facts — and
+//! for any other constraint by hashing it; both must equal the skyline
+//! recomputed from the table. Generated runs interleave per-arrival
+//! discovery, batched windows, evictions (`retract_prefix`, then `retract`
+//! per id) and export → `import_store_cells`, over the four in-memory kinds
 //! and the two file-backed twins, and check after every arrival:
 //!
-//! * each discovered pair (its rows resolved by the arrival),
+//! * each discovered pair (its rows resolved and its cells gathered by the
+//!   arrival),
 //! * one constraint of an older live tuple — mostly outside `C^t`, so it
 //!   takes the hashed fallback,
 //!
-//! and after every eviction every constraint of the last arrival's `C^t` in
-//! every subspace: `retract` walks `C^x` of the expired rows, empties store
-//! rows and creates others in their slots, and a row handle resolved by the
-//! arrival before it must not be read afterwards.
+//! and every constraint of the last arrival's `C^t` in every subspace after
+//! every eviction and every import: `retract` walks `C^x` of the expired
+//! rows, empties store rows and creates others in their slots, an import
+//! replaces every row, and neither a row handle nor a gathered cell from
+//! before may be read afterwards.
 
 mod common;
 
@@ -41,7 +44,7 @@ const KINDS: [AlgorithmKind; 6] = [
 
 /// One step of a run: `(op, width)`; `op` 0 arrives `width` rows one by
 /// one, 1 arrives them as one batched window, 2 evicts up to `width` rows,
-/// 3 moves the store into a fresh instance.
+/// 3 moves the store out and back in, then into a fresh instance.
 type Step = (u32, usize);
 
 /// A scratch directory for a file-backed store, unique per call.
@@ -160,29 +163,53 @@ impl Run {
         if let Some(cells) = self.algo.export_store_cells() {
             audit_cells(&cells, &self.table);
         }
-        let (Some(last), limit) = (self.last, self.table.next_id()) else {
-            return Ok(());
+        self.check_last_arrival()
+    }
+
+    /// Every constraint of the last arrival's `C^t`, in every subspace.
+    fn last_arrival_cells(&self) -> Vec<(Constraint, SubspaceMask)> {
+        let Some(last) = self.last else {
+            return Vec::new();
         };
         let mut subspaces = self.params.subspaces.clone();
         subspaces.push(self.params.full_space);
-        for mask in self.params.top_down.clone() {
+        let mut cells = Vec::new();
+        for &mask in &self.params.top_down {
             let c = Constraint::from_tuple_mask(self.table.tuple(last), mask);
-            for &m in &subspaces {
-                self.agree(&c, m, limit)?;
-            }
+            cells.extend(subspaces.iter().map(|&m| (c.clone(), m)));
+        }
+        cells
+    }
+
+    fn check_last_arrival(&mut self) -> Result<(), String> {
+        let limit = self.table.next_id();
+        for (c, m) in self.last_arrival_cells() {
+            self.agree(&c, m, limit)?;
         }
         Ok(())
     }
 
-    /// Exports the store into a fresh instance of the same kind, which
-    /// carries on in its place (the file-backed kinds cannot export).
-    fn move_store(&mut self) {
+    /// Exports the store, imports an empty one into the same instance and
+    /// asks it about the last arrival (resolving rows and gathering cells
+    /// that hold nothing), imports the cells back and checks the same
+    /// answers against the oracle; then a fresh instance of the same kind
+    /// imports them and carries on in its place (the file-backed kinds
+    /// cannot export).
+    fn move_store(&mut self) -> Result<(), String> {
         let Some(cells) = self.algo.export_store_cells() else {
-            return;
+            return Ok(());
         };
+        self.algo.import_store_cells(Vec::new()).unwrap();
+        let limit = self.table.next_id();
+        for (c, m) in self.last_arrival_cells() {
+            self.algo.skyline_cardinality_at(&self.table, &c, m, limit);
+        }
+        self.algo.import_store_cells(cells.clone()).unwrap();
+        self.check_last_arrival()?;
         let mut fresh = self.kind.build(&self.schema, self.config, None).unwrap();
         fresh.import_store_cells(cells).unwrap();
         self.algo = fresh;
+        Ok(())
     }
 }
 
@@ -202,7 +229,7 @@ fn drive(kind: AlgorithmKind, shape: usize, seed: u64, steps: &[Step]) -> Result
             0 => run.arrive_one_by_one(&tuples)?,
             1 => run.arrive_batched(&tuples)?,
             2 => run.evict(width)?,
-            _ => run.move_store(),
+            _ => run.move_store()?,
         }
     }
     Ok(())

@@ -24,8 +24,27 @@ impl RankedFact {
     /// (whose shards prune in a different order than an unsharded monitor)
     /// produce byte-identical reports, `keep_top` truncation included.
     pub fn ranking_cmp(a: &RankedFact, b: &RankedFact) -> std::cmp::Ordering {
-        b.prominence()
-            .partial_cmp(&a.prominence())
+        Self::ranked_cmp(a.prominence(), a, b.prominence(), b)
+    }
+
+    /// [`RankedFact::ranking_cmp`] of two facts paired with their
+    /// prominences, so a sort computes each prominence once rather than
+    /// twice per comparison.
+    pub fn ranking_cmp_keyed(
+        (prominence_a, a): &(f64, RankedFact),
+        (prominence_b, b): &(f64, RankedFact),
+    ) -> std::cmp::Ordering {
+        Self::ranked_cmp(*prominence_a, a, *prominence_b, b)
+    }
+
+    fn ranked_cmp(
+        prominence_a: f64,
+        a: &RankedFact,
+        prominence_b: f64,
+        b: &RankedFact,
+    ) -> std::cmp::Ordering {
+        prominence_b
+            .partial_cmp(&prominence_a)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| {
                 a.pair
@@ -214,9 +233,18 @@ mod tests {
             ],
             prominent_count: 1,
         };
+        let mut keyed: Vec<(f64, RankedFact)> = a
+            .facts
+            .iter()
+            .map(|f| (f.prominence(), f.clone()))
+            .collect();
         a.facts.sort_by(RankedFact::ranking_cmp);
         b.facts.sort_by(RankedFact::ranking_cmp);
         assert_eq!(a, b);
+        // Sorting on precomputed prominences gives the same order.
+        keyed.sort_unstable_by(RankedFact::ranking_cmp_keyed);
+        let keyed: Vec<RankedFact> = keyed.into_iter().map(|(_, f)| f).collect();
+        assert_eq!(keyed, a.facts);
         // Highest prominence still first; ties resolved by constraint values.
         assert_eq!(a.facts[0].context_size, 9);
         assert_eq!(a.facts[1].pair.constraint.values()[0], 1);

@@ -211,8 +211,14 @@ impl<A: Discovery> FactMonitor<A> {
     /// *strictly* below the `keep_top`-th best, every remaining pair has
     /// `prominence ≤ context size < keep_top-th best ≤ maximum` — it can
     /// neither enter the retained facts nor tie the maximum — and its
-    /// skyline cardinality (up to `2^d̂` store cells) is never computed.
-    /// Without a `keep_top` there is no bar and every pair is evaluated.
+    /// skyline cardinality is never computed. Without a `keep_top` there is
+    /// no bar: every pair is evaluated, in the order discovery emitted them.
+    ///
+    /// A skyline cardinality reads up to `2^d̂` store cells, but the facts of
+    /// one arrival share them: a maximal-constraint store reads each cell of
+    /// `C^t` at most once per arrival (see the `sitfact-algos` `lattice`
+    /// module), so evaluating every fact costs about what the cells hold.
+    /// Each prominence is then computed once, and the facts sorted by it.
     fn rank_arrival(&mut self, tuple_id: TupleId, pairs: Vec<SkylinePair>) -> ArrivalReport {
         let limit = tuple_id + 1;
         let keep_top = self.config.keep_top;
@@ -226,10 +232,13 @@ impl<A: Discovery> FactMonitor<A> {
             .into_iter()
             .map(|pair| (context_size(&pair), pair))
             .collect();
-        candidates.sort_by_key(|(context_size, _)| std::cmp::Reverse(*context_size));
+        if keep_top.is_some() {
+            candidates.sort_by_key(|(context_size, _)| std::cmp::Reverse(*context_size));
+        }
         // The `keep_top` best prominences seen so far, descending.
         let mut best: Vec<f64> = Vec::new();
-        let mut facts: Vec<RankedFact> = Vec::new();
+        // Every evaluated fact with its prominence.
+        let mut facts: Vec<(f64, RankedFact)> = Vec::new();
         for (context_size, pair) in candidates {
             if let Some(keep) = keep_top {
                 if best.len() == keep && (context_size as f64) < best[keep - 1] {
@@ -247,37 +256,42 @@ impl<A: Discovery> FactMonitor<A> {
                 context_size,
                 skyline_size,
             };
+            let prominence = fact.prominence();
             if let Some(keep) = keep_top {
-                let prominence = fact.prominence();
                 let at = best.partition_point(|&seen| seen >= prominence);
                 if at < keep {
                     best.insert(at, prominence);
                     best.truncate(keep);
                 }
             }
-            facts.push(fact);
+            facts.push((prominence, fact));
         }
         // Canonical total order (not just descending prominence): the report
         // is then fully determined by the fact *set*, independent of the
         // algorithm's emission order — so `keep_top` truncation at a
         // prominence tie is deterministic, and a sharded monitor's reports
-        // are byte-identical to the unsharded reference's.
-        facts.sort_by(RankedFact::ranking_cmp);
-        let max = facts.first().map(RankedFact::prominence).unwrap_or(0.0);
+        // are byte-identical to the unsharded reference's. Facts that
+        // compare equal are equal, so the unstable sort is deterministic.
+        facts.sort_unstable_by(RankedFact::ranking_cmp_keyed);
+        let max = facts.first().map_or(0.0, |&(prominence, _)| prominence);
         let prominent_count = if max >= self.config.tau {
             facts
                 .iter()
-                .take_while(|f| (f.prominence() - max).abs() < f64::EPSILON)
+                .take_while(|(prominence, _)| (prominence - max).abs() < f64::EPSILON)
                 .count()
         } else {
             0
         };
-        if let Some(keep) = self.config.keep_top {
+        if let Some(keep) = keep_top {
             facts.truncate(keep.max(prominent_count));
         }
+        // A fresh exact-size vector: collecting in place would keep the
+        // allocation of every evaluated fact in the report.
+        let mut kept = Vec::with_capacity(facts.len());
+        kept.extend(facts.into_iter().map(|(_, fact)| fact));
         ArrivalReport {
             tuple_id,
-            facts,
+            facts: kept,
             prominent_count,
         }
     }

@@ -40,6 +40,7 @@ use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId, TupleRef};
 use sitfact_storage::ArrivalLog;
 use std::path::Path;
+use std::sync::Arc;
 
 /// How much history an [`ArrivalPipeline`] retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +125,9 @@ pub struct ArrivalPipeline<M: StreamMonitor> {
     inner: M,
     policy: WindowPolicy,
     log: Option<LogStage>,
-    last_report: Option<ArrivalReport>,
+    /// Shared with whoever publishes it (a server's read snapshot), so
+    /// publishing costs a reference count, not a copy.
+    last_report: Option<Arc<ArrivalReport>>,
 }
 
 /// The old name: `WindowedMonitor::new(inner, policy)` still compiles.
@@ -188,7 +191,7 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
         }
         let dir = dir.as_ref();
         let (snapshot_rows, last_report) = durable::restore_newest(dir, &mut self.inner)?;
-        self.last_report = last_report;
+        self.last_report = last_report.map(Arc::new);
         let (log, scanned) = ArrivalLog::open(dir, opts.sync, opts.segment_bytes)?;
         self.log = Some(LogStage {
             log,
@@ -222,7 +225,12 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
     /// pipeline it survives recovery (restored from the snapshot or
     /// reproduced by replay).
     pub fn last_report(&self) -> Option<&ArrivalReport> {
-        self.last_report.as_ref()
+        self.last_report.as_deref()
+    }
+
+    /// [`ArrivalPipeline::last_report`], shared rather than borrowed.
+    pub fn shared_last_report(&self) -> Option<Arc<ArrivalReport>> {
+        self.last_report.clone()
     }
 
     /// Writes a full-state snapshot, bounding recovery replay to the log
@@ -233,7 +241,7 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
             return Ok(());
         };
         let covered = self.inner.len() as u64;
-        durable::write_snapshot(stage.log.dir(), covered, self.last_report.as_ref(), &blob)?;
+        durable::write_snapshot(stage.log.dir(), covered, self.last_report.as_deref(), &blob)?;
         // Only now, after the rename: a crash before this point still
         // recovers from the previous snapshot plus the intact log.
         stage.log.retire_covered(covered)?;
@@ -278,7 +286,7 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
             }
         };
         if let Some(last) = reports.last() {
-            self.last_report = Some(last.clone());
+            self.last_report = Some(Arc::new(last.clone()));
         }
         let due = self.log.as_mut().is_some_and(|stage| {
             stage.rows_since_snapshot += rows as u64;

@@ -680,21 +680,37 @@ impl Request {
     }
 }
 
+/// Appends `value` in decimal, as `write!(out, "{value}")` would, without
+/// the formatting machinery: a report is mostly integers.
+fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&digit| char::from(digit)));
+}
+
 fn encode_report_into(report: &ArrivalReport, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "R\t{}\t{}\t{}",
-        report.tuple_id,
-        report.prominent_count,
-        report.facts.len()
-    );
+    out.push_str("R\t");
+    push_decimal(out, u64::from(report.tuple_id));
+    out.push('\t');
+    push_decimal(out, report.prominent_count as u64);
+    out.push('\t');
+    push_decimal(out, report.facts.len() as u64);
     for fact in &report.facts {
-        let _ = write!(
-            out,
-            "\nF\t{}\t{}\t{}\t",
-            fact.context_size, fact.skyline_size, fact.pair.subspace.0
-        );
+        out.push_str("\nF\t");
+        push_decimal(out, fact.context_size);
+        out.push('\t');
+        push_decimal(out, fact.skyline_size);
+        out.push('\t');
+        push_decimal(out, u64::from(fact.pair.subspace.0));
+        out.push('\t');
         for (i, &value) in fact.pair.constraint.values().iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -702,46 +718,62 @@ fn encode_report_into(report: &ArrivalReport, out: &mut String) {
             if value == UNBOUND {
                 out.push('_');
             } else {
-                let _ = write!(out, "{value}");
+                push_decimal(out, u64::from(value));
             }
         }
     }
 }
 
+/// Decodes one report. Each field is parsed with `str::parse`, as the
+/// grammar's numbers always were, but walked in place: no `Vec` of fields
+/// per line, and each constraint's values land in an exact-capacity `Vec`.
 fn decode_report<'a>(
     lines: &mut impl Iterator<Item = &'a str>,
 ) -> Result<ArrivalReport, ServeError> {
     let bad = |why: &str| ServeError::Protocol(format!("malformed report: {why}"));
     let head = lines.next().ok_or_else(|| bad("missing R line"))?;
-    let fields: Vec<&str> = head.split('\t').collect();
-    if fields.len() != 4 || fields[0] != "R" {
+    let mut fields = head.split('\t');
+    let (Some("R"), Some(tuple_id), Some(prominent_count), Some(nfacts), None) = (
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+    ) else {
         return Err(bad("R line must be `R id prominent nfacts`"));
-    }
-    let tuple_id = fields[1].parse().map_err(|_| bad("bad tuple id"))?;
-    let prominent_count = fields[2].parse().map_err(|_| bad("bad prominent count"))?;
-    let nfacts: usize = fields[3].parse().map_err(|_| bad("bad fact count"))?;
+    };
+    let tuple_id = tuple_id.parse().map_err(|_| bad("bad tuple id"))?;
+    let prominent_count = prominent_count
+        .parse()
+        .map_err(|_| bad("bad prominent count"))?;
+    let nfacts: usize = nfacts.parse().map_err(|_| bad("bad fact count"))?;
     let mut facts = Vec::with_capacity(nfacts.min(MAX_PREALLOC));
     for _ in 0..nfacts {
         let line = lines.next().ok_or_else(|| bad("truncated fact list"))?;
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 5 || fields[0] != "F" {
+        let mut fields = line.split('\t');
+        let (Some("F"), Some(context_size), Some(skyline_size), Some(subspace), Some(values), None) = (
+            fields.next(),
+            fields.next(),
+            fields.next(),
+            fields.next(),
+            fields.next(),
+            fields.next(),
+        ) else {
             return Err(bad("F line must be `F context skyline subspace values`"));
+        };
+        let context_size = context_size.parse().map_err(|_| bad("bad context size"))?;
+        let skyline_size = skyline_size.parse().map_err(|_| bad("bad skyline size"))?;
+        let subspace = SubspaceMask(subspace.parse().map_err(|_| bad("bad subspace mask"))?);
+        let mut parsed = Vec::with_capacity(values.bytes().filter(|&b| b == b',').count() + 1);
+        for value in values.split(',') {
+            parsed.push(if value == "_" {
+                UNBOUND
+            } else {
+                value.parse().map_err(|_| bad("bad constraint value"))?
+            });
         }
-        let context_size = fields[1].parse().map_err(|_| bad("bad context size"))?;
-        let skyline_size = fields[2].parse().map_err(|_| bad("bad skyline size"))?;
-        let subspace = SubspaceMask(fields[3].parse().map_err(|_| bad("bad subspace mask"))?);
-        let values = fields[4]
-            .split(',')
-            .map(|v| {
-                if v == "_" {
-                    Ok(UNBOUND)
-                } else {
-                    v.parse().map_err(|_| bad("bad constraint value"))
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         facts.push(RankedFact {
-            pair: SkylinePair::new(Constraint::from_values(values), subspace),
+            pair: SkylinePair::new(Constraint::from_values(parsed), subspace),
             context_size,
             skyline_size,
         });
@@ -823,11 +855,26 @@ impl Response {
         let mut lines = payload.split('\n');
         let head = lines.next().unwrap_or("");
         let fields: Vec<&str> = head.split('\t').collect();
+        // Every response but `REPORT` and `REPORTS` is one line.
+        let one_line = |verb: &str| -> Result<(), ServeError> {
+            if payload.contains('\n') {
+                return Err(bad(format!("{verb} must be a single line")));
+            }
+            Ok(())
+        };
+        let bare = |verb: &str, response: Response| -> Result<Response, ServeError> {
+            one_line(verb)?;
+            if fields.len() != 1 {
+                return Err(bad(format!("{verb} takes no fields")));
+            }
+            Ok(response)
+        };
         match fields[0] {
-            "PONG" => Ok(Response::Pong),
-            "BYE" => Ok(Response::Bye),
-            "OK" => Ok(Response::Ok),
+            "PONG" => bare("PONG", Response::Pong),
+            "BYE" => bare("BYE", Response::Bye),
+            "OK" => bare("OK", Response::Ok),
             "STATS" => {
+                one_line("STATS")?;
                 if fields.len() != 17 {
                     return Err(bad("STATS must carry 16 fields".into()));
                 }
@@ -854,7 +901,16 @@ impl Response {
                     schema: fields[16].to_string(),
                 }))
             }
-            "REPORT" => Ok(Response::Report(decode_report(&mut lines)?)),
+            "REPORT" => {
+                if fields.len() != 1 {
+                    return Err(bad("REPORT header takes no fields".into()));
+                }
+                let report = decode_report(&mut lines)?;
+                if lines.next().is_some() {
+                    return Err(bad("REPORT carried trailing lines".into()));
+                }
+                Ok(Response::Report(report))
+            }
             "REPORTS" => {
                 if fields.len() != 2 {
                     return Err(bad("REPORTS header takes exactly one field".into()));
@@ -872,6 +928,7 @@ impl Response {
                 Ok(Response::Reports(reports))
             }
             "ERR" => {
+                one_line("ERR")?;
                 if fields.len() < 3 {
                     return Err(bad("ERR must carry a kind and a message".into()));
                 }
@@ -889,6 +946,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sitfact_core::TupleId;
 
     fn fact(values: Vec<u32>, subspace: u32, context: u64, skyline: u64) -> RankedFact {
         RankedFact {
@@ -1321,11 +1379,134 @@ mod tests {
             "REPORT\nR\t0\t2\t1\nF\t1\t1\t1\t0", // prominent > nfacts
             "REPORTS\t1",
             "ERR\tonly-kind",
+            // Trailing input after a complete response.
+            "REPORT\nR\t0\t0\t0\ngarbage",
+            "REPORT\textra\nR\t0\t0\t0",
+            "PONG\tx",
+            "PONG\nx",
+            "OK\nmore",
+            "BYE\tz",
         ] {
             assert!(
-                Response::decode(payload).is_err(),
+                matches!(Response::decode(payload), Err(ServeError::Protocol(_))),
                 "response {payload:?} should be rejected"
             );
+        }
+        // No verb takes a line after what its encoder writes.
+        for response in [
+            Response::Pong,
+            Response::Bye,
+            Response::Ok,
+            Response::Stats(sample_stats()),
+            Response::Report(sample_report()),
+            Response::Reports(vec![sample_report()]),
+            Response::Error {
+                kind: "State".into(),
+                message: "m".into(),
+            },
+        ] {
+            let payload = format!("{}\nextra", response.encode());
+            assert!(
+                matches!(Response::decode(&payload), Err(ServeError::Protocol(_))),
+                "response {payload:?} should be rejected"
+            );
+        }
+    }
+
+    /// The report codec's bytes, pinned: edge values encode to this exact
+    /// payload, and it decodes back to them.
+    #[test]
+    fn reports_encode_to_the_golden_payload() {
+        let response = Response::Reports(vec![
+            ArrivalReport {
+                tuple_id: 0,
+                facts: Vec::new(),
+                prominent_count: 0,
+            },
+            ArrivalReport {
+                tuple_id: TupleId::MAX,
+                facts: vec![
+                    fact(vec![UNBOUND, 0, UNBOUND - 1], 0, u64::MAX, u64::MAX),
+                    fact(vec![10, 909, 1], 0b1011, 1_000_000, 1),
+                    fact(vec![UNBOUND, UNBOUND, UNBOUND], 7, 0, 0),
+                ],
+                prominent_count: 2,
+            },
+        ]);
+        let golden = "REPORTS\t2\n\
+                      R\t0\t0\t0\n\
+                      R\t4294967295\t2\t3\n\
+                      F\t18446744073709551615\t18446744073709551615\t0\t_,0,4294967294\n\
+                      F\t1000000\t1\t11\t10,909,1\n\
+                      F\t0\t0\t7\t_,_,_";
+        assert_eq!(response.encode(), golden);
+        assert_eq!(Response::decode(golden).unwrap(), response);
+    }
+
+    /// What the report decoder accepts and rejects, field by field: numbers
+    /// are whatever `str::parse` takes (a leading `+` included), a value
+    /// list needs every value, and the fact lines must all be there.
+    #[test]
+    fn report_decoder_verdicts() {
+        let one = |line: &str| format!("REPORT\nR\t0\t0\t1\n{line}");
+        let with = |values: Vec<u32>, context: u64| {
+            Some(Response::Report(ArrivalReport {
+                tuple_id: 0,
+                facts: vec![fact(values, 1, context, 1)],
+                prominent_count: 0,
+            }))
+        };
+        // (case, payload, the decoded response or None for a protocol error)
+        let cases: Vec<(&str, String, Option<Response>)> = vec![
+            ("plain", one("F\t2\t1\t1\t5"), with(vec![5], 2)),
+            ("`+5` value", one("F\t2\t1\t1\t+5"), with(vec![5], 2)),
+            ("`+5` context", one("F\t+5\t1\t1\t5"), with(vec![5], 5)),
+            (
+                "`u32::MAX` value",
+                one("F\t2\t1\t1\t4294967295"),
+                with(vec![UNBOUND], 2),
+            ),
+            ("`-1` value", one("F\t2\t1\t1\t-1"), None),
+            ("`-1` context", one("F\t-1\t1\t1\t5"), None),
+            ("`-1` tuple id", "REPORT\nR\t-1\t0\t0".into(), None),
+            (
+                "2^64 context",
+                one("F\t18446744073709551616\t1\t1\t5"),
+                None,
+            ),
+            (
+                "2^64 skyline",
+                one("F\t2\t18446744073709551616\t1\t5"),
+                None,
+            ),
+            ("2^32 value", one("F\t2\t1\t1\t4294967296"), None),
+            ("2^32 subspace", one("F\t2\t1\t4294967296\t5"), None),
+            ("empty value list", one("F\t2\t1\t1\t"), None),
+            ("`,,`", one("F\t2\t1\t1\t,,"), None),
+            ("trailing comma", one("F\t2\t1\t1\t5,"), None),
+            ("`_` context", one("F\t_\t1\t1\t5"), None),
+            ("F with 4 fields", one("F\t2\t1\t1"), None),
+            ("F with 6 fields", one("F\t2\t1\t1\t5\t6"), None),
+            ("G line", one("G\t2\t1\t1\t5"), None),
+            ("R with 3 fields", "REPORT\nR\t0\t0".into(), None),
+            ("R with 5 fields", "REPORT\nR\t0\t0\t0\t0".into(), None),
+            (
+                "3 facts declared, 1 sent",
+                "REPORT\nR\t0\t0\t3\nF\t2\t1\t1\t5".into(),
+                None,
+            ),
+            (
+                "2 reports declared, 1 sent",
+                "REPORTS\t2\nR\t0\t0\t0".into(),
+                None,
+            ),
+        ];
+        for (case, payload, expected) in cases {
+            match (Response::decode(&payload), expected) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{case}"),
+                (Err(ServeError::Protocol(_)), None) => {}
+                (got, want) => panic!("{case}: got {got:?}, want {want:?}"),
+            }
         }
     }
 

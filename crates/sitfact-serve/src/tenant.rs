@@ -52,8 +52,9 @@ const POISONED_MSG: &str = "monitor poisoned by a panic in an earlier request";
 /// everything `STATS` and `TOPK` need, as plain owned values.
 #[derive(Clone)]
 pub(crate) struct TenantSnapshot {
-    /// The most recent arrival's report, if any tuple was ingested yet.
-    pub(crate) report: Option<ArrivalReport>,
+    /// The most recent arrival's report, if any tuple was ingested yet:
+    /// the pipeline's own, shared.
+    pub(crate) report: Option<Arc<ArrivalReport>>,
     /// Wire-ready statistics of the tenant's monitor.
     pub(crate) stats: ServerStats,
     /// Set when a panicking ingest left the monitor unusable; readers relay
@@ -85,7 +86,7 @@ impl TenantSnapshot {
             schema: stats.schema_name,
         };
         Arc::new(TenantSnapshot {
-            report: pipeline.last_report().cloned(),
+            report: pipeline.shared_last_report(),
             stats,
             poisoned: false,
         })
