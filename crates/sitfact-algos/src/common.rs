@@ -2,10 +2,9 @@
 //! measure-slice dominance helpers and the parameters every algorithm derives
 //! from a schema + [`DiscoveryConfig`].
 
-use sitfact_core::dominance::{compare, DominanceOrdering};
 use sitfact_core::{
     BoundMask, Constraint, ConstraintLattice, DimValueId, Direction, DiscoveryConfig, Schema,
-    SubspaceMask, TupleId, TupleRef, TupleView,
+    SubspaceMask, TupleId, TupleView,
 };
 
 /// Parameters shared by every algorithm instance, derived once from the schema
@@ -128,13 +127,13 @@ impl ConstraintCache {
 }
 
 /// Reusable per-pass traversal buffers (constraint flags, the BFS queue and a
-/// cell read buffer) for the lattice passes.
+/// cell read buffer) for the lattice passes, and the buffers of `retract`.
 ///
 /// Allocated lazily to the lattice's flag length and kept on the algorithm
 /// struct, so a window of arrivals (`begin_batch` … `end_batch`) re-clears
 /// the same buffers instead of re-allocating three vectors per pass per
 /// arrival. [`TraversalScratch::release`] drops the capacity again once a
-/// batch ends.
+/// batch ends, except for [`ExpiryScratch`]'s.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
     /// `in_ances[mask]`: an unpruned ancestor already stores the new tuple.
@@ -151,6 +150,46 @@ pub struct TraversalScratch {
     pub key: Vec<DimValueId>,
     /// Ids gathered from several cells, deduplicated by sorting.
     pub seen: Vec<TupleId>,
+    /// The buffers of `retract`.
+    pub expiry: ExpiryScratch,
+}
+
+/// The buffers of one `retract` of a lattice kind, refilled by every call.
+/// They are sized by the lattice and the measure-subspace family, or grow
+/// to the largest contexts met, so a steady sliding window allocates
+/// nothing per expired row once it is warm. An eviction runs after the
+/// batch that ended, so [`TraversalScratch::release`] keeps them.
+///
+/// The affected subspaces of a constraint are a bitset over its *family
+/// slots* (positions in the list of subspaces the kind keeps cells for),
+/// `words` 64-bit words per constraint.
+#[derive(Debug, Default)]
+pub struct ExpiryScratch {
+    /// The family slots of the constraint being repaired whose cells hold
+    /// the expired tuple, `words` words.
+    pub held: Vec<u64>,
+    /// `affected[mask.0 * words + w]`, bit `k`: family slot `64 w + k` is
+    /// repaired at that constraint of `C^x` — the expired tuple was in its
+    /// skyline.
+    pub affected: Vec<u64>,
+    /// `spans[mask.0]`: the constraint's live context, rows `start..end` of
+    /// `ids`. Set by the call for the constraints with an affected slot.
+    pub spans: Vec<(u32, u32)>,
+    /// The live contexts the call built, each in id order.
+    pub ids: Vec<TupleId>,
+    /// The new skylines: the context at rows `start..end` keeps word `w` of
+    /// its rows' skyline bitsets at `members[start * words + w * len..]`
+    /// (`len = end - start`, one word per row in context order).
+    pub members: Vec<u64>,
+    /// The block-nested loop's window of context rows.
+    pub window: Vec<u32>,
+    /// The ids of the cell being repaired, before its re-promotion.
+    pub cell: Vec<TupleId>,
+    /// The cells below it a re-promoted survivor has left.
+    pub left: Vec<BoundMask>,
+    /// A constraint's values, written in place to probe the store for a
+    /// constraint outside `C^x`.
+    pub key: Vec<DimValueId>,
 }
 
 impl TraversalScratch {
@@ -163,9 +202,13 @@ impl TraversalScratch {
         self.queue.clear();
     }
 
-    /// Returns the buffers' memory to the allocator (batch tear-down).
+    /// Returns the traversal buffers' memory to the allocator (batch
+    /// tear-down), keeping [`ExpiryScratch`]'s.
     pub fn release(&mut self) {
-        *self = TraversalScratch::default();
+        *self = TraversalScratch {
+            expiry: std::mem::take(&mut self.expiry),
+            ..TraversalScratch::default()
+        };
     }
 }
 
@@ -188,46 +231,74 @@ pub fn skyline_cardinality_recompute(
     .len()
 }
 
-/// The skyline of `rows` in `subspace` — the set [`skyline_of`] returns, in
-/// the same (id) order — adding one to `comparisons` per dominance test. The
-/// incremental `retract`s recompute a cell's live skyline through this, so
-/// the Fig. 11 cost proxy covers the retraction path; `skyline_of` itself
-/// stays the uncounted oracle.
+/// The skylines of up to 64 subspaces of one context, found together: on
+/// return, bit `k` of `members[row]` says whether `row` is in the skyline of
+/// `subspaces[k]`, for every `k` set in `wanted` (every other bit is clear).
+/// `measures(row)` gives a row's measures. Rows are taken in order, so each
+/// skyline lists the rows [`skyline_of`] returns in the same (id) order.
+/// Returns the number of dominance tests — the Fig. 11 cost proxy of the
+/// incremental `retract`s, which recompute a repaired constraint's
+/// skylines through this; `skyline_of` itself stays the uncounted oracle.
 ///
-/// Block-nested-loop: each row meets only the skyline of the rows before it.
-/// A row dominated by a window member cannot dominate another member (the
-/// window is an antichain and dominance is transitive), so its scan stops at
-/// the first dominator.
+/// One block-nested loop serves every subspace. Each row meets, in order,
+/// the window of earlier rows still in some wanted skyline, but only the
+/// members in a skyline the row is still in; such a pair costs one
+/// [`partition_measures`], which answers every subspace they share
+/// (Proposition 4). A row dominated in a subspace by a window member cannot
+/// dominate another member there (the window is an antichain and dominance
+/// is transitive), so it stops meeting that subspace's members. That is
+/// where a loop over the one subspace stops too, so the count never exceeds
+/// the sum of theirs.
 ///
 /// [`skyline_of`]: sitfact_core::dominance::skyline_of
-pub(crate) fn skyline_counted<'a>(
-    rows: &[(TupleId, TupleRef<'a>)],
-    subspace: SubspaceMask,
+pub(crate) fn shared_skylines<'a>(
+    measures: impl Fn(usize) -> &'a [f64],
+    subspaces: &[SubspaceMask],
+    wanted: u64,
     directions: &[Direction],
-    comparisons: &mut u64,
-) -> Vec<(TupleId, TupleRef<'a>)> {
-    let mut skyline: Vec<(TupleId, TupleRef<'a>)> = Vec::new();
-    for &(id, row) in rows {
-        let mut dominated = false;
-        skyline.retain(|&(_, member)| {
-            if dominated {
-                return true;
-            }
-            *comparisons += 1;
-            match compare(member, row, subspace, directions) {
-                DominanceOrdering::Dominates => {
-                    dominated = true;
-                    true
+    members: &mut [u64],
+    window: &mut Vec<u32>,
+) -> u64 {
+    let mut comparisons = 0;
+    window.clear();
+    for row in 0..members.len() {
+        let point = measures(row);
+        let mut alive = wanted;
+        // The members met so far that stay are moved to `..kept`, and the
+        // slots `kept..next` dropped; `next..` are not met, since a row in
+        // no skyline any more meets no one.
+        let (mut kept, mut next) = (0, 0);
+        while next < window.len() && alive != 0 {
+            let member = window[next];
+            next += 1;
+            let theirs = &mut members[member as usize];
+            let mut shared = alive & *theirs;
+            if shared != 0 {
+                comparisons += 1;
+                let (better, worse) =
+                    partition_measures(point, measures(member as usize), directions);
+                while shared != 0 {
+                    let k = shared.trailing_zeros() as usize;
+                    shared &= shared - 1;
+                    if dominated_in(better, worse, subspaces[k]) {
+                        alive &= !(1 << k);
+                    } else if dominated_in(worse, better, subspaces[k]) {
+                        *theirs &= !(1 << k);
+                    }
                 }
-                DominanceOrdering::DominatedBy => false,
-                DominanceOrdering::Equal | DominanceOrdering::Incomparable => true,
             }
-        });
-        if !dominated {
-            skyline.push((id, row));
+            if *theirs != 0 {
+                window[kept] = member;
+                kept += 1;
+            }
+        }
+        window.drain(kept..next);
+        members[row] = alive;
+        if alive != 0 {
+            window.push(row as u32);
         }
     }
-    skyline
+    comparisons
 }
 
 /// `left ≻_M right` on raw measure slices.
@@ -355,40 +426,94 @@ mod tests {
         assert!(!dominated_in(better, worse, SubspaceMask(0b01)));
     }
 
+    /// The shared skylines against the oracle: random contexts with
+    /// tie-heavy integer measures, `m ∈ {2, 3, 4}` with mixed directions,
+    /// and every non-empty subset of the family as the wanted set. Each
+    /// wanted subspace gets `skyline_of`'s rows in id order, and the shared
+    /// loop never tests more pairs than the loops of its subspaces one at a
+    /// time (a one-subspace call is the plain block-nested loop).
     #[test]
-    fn counted_skyline_matches_the_oracle_and_counts_its_tests() {
+    fn shared_skylines_match_the_oracle_and_never_outcount_one_at_a_time() {
         use rand::prelude::*;
-        let dirs = [
-            Direction::HigherIsBetter,
-            Direction::LowerIsBetter,
-            Direction::HigherIsBetter,
-        ];
+        use sitfact_core::dominance::skyline_of;
+        use sitfact_core::TupleRef;
         let mut rng = StdRng::seed_from_u64(17);
-        for n in [0usize, 1, 2, 40] {
-            let tuples: Vec<Tuple> = (0..n)
-                .map(|_| Tuple::new(vec![], (0..3).map(|_| rng.gen_range(0..4) as f64).collect()))
+        for m in [2usize, 3, 4] {
+            let dirs: Vec<Direction> = (0..m)
+                .map(|i| {
+                    if i % 2 == 1 {
+                        Direction::LowerIsBetter
+                    } else {
+                        Direction::HigherIsBetter
+                    }
+                })
                 .collect();
-            let rows: Vec<(TupleId, TupleRef<'_>)> = tuples
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (i as TupleId, t.into()))
-                .collect();
-            for m in SubspaceMask::enumerate(3, 3) {
-                let mut comparisons = 0;
-                let got: Vec<TupleId> = skyline_counted(&rows, m, &dirs, &mut comparisons)
-                    .iter()
-                    .map(|(id, _)| *id)
+            let family = SubspaceMask::enumerate(m, m);
+            for n in [0usize, 1, 2, 9, 30] {
+                let tuples: Vec<Tuple> = (0..n)
+                    .map(|_| {
+                        Tuple::new(vec![], (0..m).map(|_| rng.gen_range(0..4) as f64).collect())
+                    })
                     .collect();
-                let expected: Vec<TupleId> =
-                    sitfact_core::dominance::skyline_of(rows.iter().copied(), m, &dirs)
+                let rows: Vec<(TupleId, TupleRef<'_>)> = tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| (i as TupleId, t.into()))
+                    .collect();
+                let measures = |row: usize| rows[row].1.measures();
+                let (mut members, mut window) = (vec![0u64; n], Vec::new());
+                let in_skyline = |members: &[u64], k: usize| -> Vec<TupleId> {
+                    (0..n)
+                        .filter(|&row| members[row] >> k & 1 == 1)
+                        .map(|row| row as TupleId)
+                        .collect()
+                };
+                let mut expected = Vec::new();
+                let mut alone = Vec::new();
+                for (k, &subspace) in family.iter().enumerate() {
+                    let oracle: Vec<TupleId> = skyline_of(rows.iter().copied(), subspace, &dirs)
                         .iter()
                         .map(|(id, _)| *id)
                         .collect();
-                assert_eq!(got, expected, "n={n} m={m:?}");
-                // At least one test per row after the first, at most one per pair.
-                let n = n as u64;
-                assert!(comparisons >= n.saturating_sub(1));
-                assert!(comparisons <= n * n.saturating_sub(1) / 2);
+                    let count = shared_skylines(
+                        measures,
+                        &family,
+                        1 << k,
+                        &dirs,
+                        &mut members,
+                        &mut window,
+                    );
+                    assert_eq!(in_skyline(&members, k), oracle, "m={m} n={n} {subspace:?}");
+                    // At least one test per row after the first, at most one
+                    // per pair.
+                    let rows = n as u64;
+                    assert!(count >= rows.saturating_sub(1));
+                    assert!(count <= rows * rows.saturating_sub(1) / 2);
+                    expected.push(oracle);
+                    alone.push(count);
+                }
+                for wanted in 1..1u64 << family.len() {
+                    let count = shared_skylines(
+                        measures,
+                        &family,
+                        wanted,
+                        &dirs,
+                        &mut members,
+                        &mut window,
+                    );
+                    for (k, oracle) in expected.iter().enumerate() {
+                        if wanted >> k & 1 == 1 {
+                            assert_eq!(&in_skyline(&members, k), oracle, "m={m} n={n} {wanted:b}");
+                        } else {
+                            assert!(in_skyline(&members, k).is_empty());
+                        }
+                    }
+                    let one_at_a_time: u64 = (0..family.len())
+                        .filter(|&k| wanted >> k & 1 == 1)
+                        .map(|k| alone[k])
+                        .sum();
+                    assert!(count <= one_at_a_time, "m={m} n={n} {wanted:b}");
+                }
             }
         }
     }

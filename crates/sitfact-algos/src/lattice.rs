@@ -57,8 +57,8 @@
 //! `discover_at`, `retract` and `import_store_cells`.
 
 use crate::common::{
-    dominated_in, partition_measures, skyline_cardinality_recompute, skyline_counted, AlgoParams,
-    ConstraintCache, TraversalScratch,
+    dominated_in, partition_measures, shared_skylines, skyline_cardinality_recompute, AlgoParams,
+    ConstraintCache, ExpiryScratch, TraversalScratch,
 };
 use crate::traits::Discovery;
 use sitfact_core::{
@@ -653,22 +653,36 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         // skyline iff it is stored at `C`. Under Invariant 2 — membership
         // being closed towards more specific constraints, with `x` stored
         // exactly at its maximal skyline constraints — iff it is stored at
-        // `C` or at an ancestor of `C`: so walk `C^x` top-down, take `x` out
-        // where it is stored, and call `(C, M)` *affected* iff `x` was stored
-        // there or a parent is affected in `M`.
+        // `C` or at an ancestor of `C`: so walk `C^x` top-down, call `(C, M)`
+        // *affected* iff a parent is affected in `M` or `x` is stored there,
+        // and probe the cells of `C` for `x` — except the inherited ones,
+        // which cannot hold it: a tuple's maximal skyline constraints are an
+        // antichain.
         //
-        // An affected cell is recomputed from its live context, scanned once
-        // per constraint for all its affected subspaces (the table's
-        // iterators skip tombstoned rows), and the survivors it lacks are
-        // re-promoted into it — exactly the store an algorithm fed only the
-        // surviving suffix would hold. Under Invariant 2 a survivor `s`
-        // belongs at `C` unless an ancestor skyline also holds it, and the
-        // ancestors — frozen, or repaired earlier in this walk — answer that
-        // from the store; they are the same constraints in `C^s` as in
-        // `C^x`, because `s` matches `C`. A survivor that newly becomes
-        // maximal at `C` was stored further down in *its own* family (it may
-        // disagree with `x` on the extra bound attributes), so those cells
-        // give it up.
+        // The repair of a constraint is then done once for all its affected
+        // subspaces. Its live context (the table's iterators skip tombstoned
+        // rows) is built once: filtered on the one extra bound attribute
+        // from an affected parent's context, which this call built before,
+        // or asked of the table when no parent is affected. One block-nested
+        // loop over it finds every affected subspace's new skyline, one
+        // Proposition-4 partition per compared pair, as a subspace bitset
+        // per row in id order. Then, subspace by subspace, `x` is taken out
+        // of the cell and the survivors it lacks are re-promoted into it in
+        // that order — exactly the store an algorithm fed only the surviving
+        // suffix would hold, and every store row sees its inserts and
+        // removes in the order a repair of one cell at a time made them (a
+        // row's allocation, and so the store's size, follows that order).
+        //
+        // Under Invariant 2 a survivor `s` belongs at `C` unless it is
+        // already stored above `C`, which holds exactly when `s` is in the
+        // new skyline of some parent of `C` (the ancestors of `C` are the
+        // same constraints in `C^s` as in `C^x`, because `s` matches `C`).
+        // An affected parent's bitset answers that; a frozen parent's
+        // skyline is what it and its ancestors — all frozen, as affected
+        // parents pass the mark down — store, so the frozen ancestors of
+        // `C` are probed. A survivor that newly becomes maximal at `C` was
+        // stored further down in *its own* family (it may disagree with `x`
+        // on the extra bound attributes), so those cells give it up.
         //
         // Nothing else is removed: a later id of the same eviction is dead in
         // the table but still stored, and its own call must find it to know
@@ -687,59 +701,156 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
             gather,
             ..
         } = self;
-        let TraversalScratch {
-            ids: current, key, ..
-        } = scratch;
-        key.resize(params.n_dims, UNBOUND);
+        let ExpiryScratch {
+            held,
+            affected,
+            spans,
+            ids,
+            members,
+            window,
+            cell,
+            left,
+            key,
+        } = &mut scratch.expiry;
         let family = Self::family(params);
-        let family_len = family.len();
+        let words = family.len().div_ceil(64);
+        let flag_len = params.lattice.flag_len();
+        key.resize(params.n_dims, UNBOUND);
+        affected.clear();
+        affected.resize(flag_len * words, 0);
+        spans.resize(flag_len, (0, 0));
+        ids.clear();
+        members.clear();
         let expired = table.tuple(t_id);
         cache.fill(expired, params.n_dims);
         rows.fill(None);
         gather.clear();
-        let mut affected = vec![false; params.lattice.flag_len() * family_len];
-        let mut context = Vec::new();
+        let is_affected = |affected: &[u64], mask: BoundMask| {
+            let at = mask.0 as usize * words;
+            affected[at..at + words].iter().any(|&word| word != 0)
+        };
         for &mask in &params.top_down {
             let constraint = cache.get(mask);
-            let mut scanned = false;
+            let here = mask.0 as usize * words;
+            if MAXIMAL {
+                for parent in mask.parents() {
+                    for w in 0..words {
+                        affected[here + w] |= affected[parent.0 as usize * words + w];
+                    }
+                }
+            }
+            held.clear();
+            held.resize(words, 0);
             for (slot, &subspace) in family.iter().enumerate() {
-                stats.store_reads += 1;
-                let row = row_slot(store, rows, cache, mask);
-                let held = store.remove(row, constraint.values(), subspace, t_id);
-                stats.store_writes += u64::from(held);
-                let inherited = MAXIMAL
-                    && mask
-                        .parents()
-                        .any(|p| affected[p.0 as usize * family_len + slot]);
-                if !(held || inherited) {
+                let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+                if affected[here + w] & bit != 0 {
                     continue;
                 }
-                affected[mask.0 as usize * family_len + slot] = true;
-                if !scanned {
-                    scanned = true;
-                    context.clear();
-                    context.extend(table.context(constraint));
-                }
-                let skyline = skyline_counted(
-                    &context,
-                    subspace,
-                    &params.directions,
-                    &mut stats.comparisons,
-                );
-                store.read(*row_slot(store, rows, cache, mask), subspace, current);
                 stats.store_reads += 1;
-                for (id, survivor) in skyline {
-                    if current.contains(&id) {
+                let row = *row_slot(store, rows, cache, mask);
+                if store.contains(row, subspace, t_id) {
+                    held[w] |= bit;
+                }
+            }
+            for w in 0..words {
+                affected[here + w] |= held[w];
+            }
+            if !is_affected(affected, mask) {
+                continue;
+            }
+            // The live context, from the smallest affected parent's.
+            let start = ids.len();
+            let parent = mask
+                .parents()
+                .filter(|&parent| is_affected(affected, parent))
+                .min_by_key(|parent| {
+                    let (from, to) = spans[parent.0 as usize];
+                    to - from
+                });
+            match parent {
+                Some(parent) => {
+                    let (from, to) = spans[parent.0 as usize];
+                    let attr = (mask.0 ^ parent.0).trailing_zeros() as usize;
+                    let value = expired.dim(attr);
+                    for row in from as usize..to as usize {
+                        let id = ids[row];
+                        if table.tuple(id).dim(attr) == value {
+                            ids.push(id);
+                        }
+                    }
+                }
+                None => ids.extend(table.context(constraint).map(|(id, _)| id)),
+            }
+            let len = ids.len() - start;
+            spans[mask.0 as usize] = (start as u32, ids.len() as u32);
+            members.resize(ids.len() * words, 0);
+            let context = &ids[start..];
+            for (w, subspaces) in family.chunks(64).enumerate() {
+                let plane = (start * words + w * len)..(start * words + (w + 1) * len);
+                stats.comparisons += shared_skylines(
+                    |row| table.tuple(context[row]).measures(),
+                    subspaces,
+                    affected[here + w],
+                    &params.directions,
+                    &mut members[plane],
+                    window,
+                );
+            }
+            for (slot, &subspace) in family.iter().enumerate() {
+                let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+                if affected[here + w] & bit == 0 {
+                    continue;
+                }
+                if held[w] & bit != 0 {
+                    let row = row_slot(store, rows, cache, mask);
+                    store.remove(row, constraint.values(), subspace, t_id);
+                    stats.store_writes += 1;
+                }
+                // An Invariant-2 cell is read only once a survivor that no
+                // affected parent holds needs it.
+                let mut unread = true;
+                if !MAXIMAL {
+                    store.read(*row_slot(store, rows, cache, mask), subspace, cell);
+                    stats.store_reads += 1;
+                    unread = false;
+                }
+                let plane = start * words + w * len;
+                for row in 0..len {
+                    if members[plane + row] & bit == 0 {
+                        continue;
+                    }
+                    let id = ids[start + row];
+                    let in_fresh_parent = MAXIMAL
+                        && mask.parents().any(|parent| {
+                            if affected[parent.0 as usize * words + w] & bit == 0 {
+                                return false;
+                            }
+                            let (from, to) = spans[parent.0 as usize];
+                            let (from, to) = (from as usize, to as usize);
+                            ids[from..to].binary_search(&id).is_ok_and(|at| {
+                                members[from * words + w * (to - from) + at] & bit != 0
+                            })
+                        });
+                    if in_fresh_parent {
+                        continue;
+                    }
+                    if unread {
+                        store.read(*row_slot(store, rows, cache, mask), subspace, cell);
+                        stats.store_reads += 1;
+                        unread = false;
+                    }
+                    if cell.contains(&id) {
                         continue;
                     }
                     if MAXIMAL {
-                        let mut above = params
-                            .top_down
-                            .iter()
-                            .filter(|a| **a != mask && a.is_submask_of(mask));
-                        if above.any(|&a| {
+                        let mut frozen_above = params.top_down.iter().filter(|&&above| {
+                            above != mask
+                                && above.is_submask_of(mask)
+                                && affected[above.0 as usize * words + w] & bit == 0
+                        });
+                        if frozen_above.any(|&above| {
                             stats.store_reads += 1;
-                            let row = *row_slot(store, rows, cache, a);
+                            let row = *row_slot(store, rows, cache, above);
                             store.contains(row, subspace, id)
                         }) {
                             continue;
@@ -752,10 +863,17 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                         // Where the survivor agrees with `x`, its cell is one
                         // of `C^x` and goes through that row's slot — so a
                         // row it empties cannot stay behind as a stale
-                        // handle; elsewhere it is found by hashing.
+                        // handle; elsewhere it is found by hashing. Below a
+                        // cell it leaves, it is stored nowhere (the
+                        // antichain again), so those cells are not probed.
+                        let survivor = table.tuple(id);
                         let agreement = BoundMask::agreement(survivor, expired);
+                        left.clear();
                         for &below in &params.top_down {
-                            if below != mask && mask.is_submask_of(below) {
+                            if below != mask
+                                && mask.is_submask_of(below)
+                                && !left.iter().any(|cell| cell.is_submask_of(below))
+                            {
                                 stats.store_reads += 1;
                                 let removed = if below.is_submask_of(agreement) {
                                     let row = row_slot(store, rows, cache, below);
@@ -767,6 +885,7 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
                                 };
                                 if removed {
                                     stats.store_writes += 1;
+                                    left.push(below);
                                 }
                             }
                         }
@@ -985,6 +1104,54 @@ mod tests {
                 fresh_table.append(t).unwrap();
             }
         }
+    }
+
+    /// A windowed tenant expires rows after every batch, so the buffers
+    /// `retract` works in must survive `end_batch`, which releases the
+    /// traversal buffers: each eviction finds them allocated.
+    #[test]
+    fn expiry_buffers_survive_the_batch_that_ends() {
+        let mut rng = StdRng::seed_from_u64(263);
+        let schema = schema(3);
+        let mut table = Table::new(schema.clone());
+        let mut algo = STopDown::new(&schema, DiscoveryConfig::unrestricted());
+        let capacities = |algo: &STopDown| {
+            let e = &algo.scratch.expiry;
+            [
+                e.held.capacity(),
+                e.affected.capacity(),
+                e.spans.capacity(),
+                e.ids.capacity(),
+                e.members.capacity(),
+                e.window.capacity(),
+                e.cell.capacity(),
+                e.left.capacity(),
+                e.key.capacity(),
+            ]
+        };
+        let mut evicted = None;
+        for _ in 0..12 {
+            let batch: Vec<Tuple> = (0..5)
+                .map(|_| random_tuple(&mut rng, [3, 2, 3], 3, 5))
+                .collect();
+            let ids = table.append_batch_slice(&batch).unwrap();
+            algo.begin_batch(batch.len());
+            for (t, id) in batch.iter().zip(ids) {
+                let _ = algo.discover_at(&table, t, id);
+            }
+            algo.end_batch();
+            assert_eq!(algo.scratch.in_ances.capacity(), 0);
+            if let Some(evicted) = evicted {
+                assert_eq!(capacities(&algo), evicted);
+            }
+            let start = table.watermark();
+            let newly = table.retract_prefix(table.len().saturating_sub(20));
+            for id in start..start + newly as TupleId {
+                algo.retract(&table, id).unwrap();
+            }
+            evicted = (newly > 0).then(|| capacities(&algo));
+        }
+        assert!(evicted.is_some_and(|caps| caps.iter().all(|&cap| cap > 0)));
     }
 
     /// Feeds the running example of the paper (Table IV, `t1`…`t5` with ids

@@ -177,9 +177,11 @@ pub trait Discovery {
     /// After the last call of an eviction the state must be
     /// indistinguishable from that of an algorithm that only ever processed
     /// the surviving suffix under the same ids: where an expired tuple left
-    /// a contextual skyline, the region it dominated is re-promoted by
-    /// recomputing that skyline from the live context; a skyline it was not
-    /// in is unchanged and need not be touched. (Between the calls of one
+    /// contextual skylines, the region it dominated is re-promoted by
+    /// recomputing them from the live context — the lattice kinds do this
+    /// once per constraint for all its affected subspaces: one context, and
+    /// one dominance test per compared pair; a skyline it was not in is
+    /// unchanged and need not be touched. (Between the calls of one
     /// eviction the state may still hold the pending ids, and nothing reads
     /// it.)
     ///

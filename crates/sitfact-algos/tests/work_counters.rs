@@ -6,6 +6,9 @@
 //! with literals. The literals were recorded before the four lattice files
 //! became one module; a change that makes the traversal compare, visit, read
 //! or write anything else shows up here even when every fact stays the same.
+//! The evicting rows' `comparisons` and `store_reads` were re-recorded once
+//! since, when `retract` came to share its repair across the subspaces of a
+//! constraint: both fell, and every other column stayed as it was.
 
 mod common;
 
@@ -37,19 +40,19 @@ const PINNED: &[(&str, usize, bool, Work)] = &[
     ("STopDown", 0, false, [848, 1728, 1384, 421, 89, 34, 638, 1632]),
     ("STopDown", 1, false, [1680, 3528, 1904, 882, 194, 74, 869, 2379]),
     ("STopDown", 2, false, [1648, 4032, 2815, 1003, 233, 95, 1444, 3444]),
-    ("SBottomUp", 0, true, [3317, 796, 2312, 1530, 192, 132, 692, 1511]),
-    ("SBottomUp", 1, true, [7636, 1349, 4391, 2824, 356, 203, 1003, 2207]),
-    ("SBottomUp", 2, true, [7036, 1759, 5258, 3495, 495, 315, 1640, 3298]),
-    ("STopDown", 0, true, [2956, 1728, 4038, 738, 64, 45, 692, 1511]),
-    ("STopDown", 1, true, [7000, 3528, 6897, 1665, 137, 74, 1003, 2207]),
-    ("STopDown", 2, true, [6121, 4032, 8848, 1772, 148, 82, 1640, 3298]),
+    ("SBottomUp", 0, true, [2891, 796, 2312, 1530, 192, 132, 692, 1511]),
+    ("SBottomUp", 1, true, [5248, 1349, 4391, 2824, 356, 203, 1003, 2207]),
+    ("SBottomUp", 2, true, [4813, 1759, 5258, 3495, 495, 315, 1640, 3298]),
+    ("STopDown", 0, true, [2530, 1728, 2842, 738, 64, 45, 692, 1511]),
+    ("STopDown", 1, true, [4612, 3528, 5057, 1665, 137, 74, 1003, 2207]),
+    ("STopDown", 2, true, [3898, 4032, 6359, 1772, 148, 82, 1640, 3298]),
     // Recorded after: see `plain_kinds_do_the_pinned_work_under_eviction`.
-    ("BottomUp", 0, true, [3443, 949, 2465, 1530, 192, 132, 692, 1511]),
-    ("BottomUp", 1, true, [6084, 1827, 4390, 2310, 296, 174, 1003, 2207]),
-    ("BottomUp", 2, true, [7556, 2291, 5790, 3495, 495, 315, 1640, 3298]),
-    ("TopDown", 0, true, [3658, 1728, 4729, 738, 64, 45, 692, 1511]),
-    ("TopDown", 1, true, [6494, 3024, 7406, 1390, 114, 62, 1003, 2207]),
-    ("TopDown", 2, true, [7960, 4032, 10935, 1772, 148, 82, 1640, 3298]),
+    ("BottomUp", 0, true, [3017, 949, 2465, 1530, 192, 132, 692, 1511]),
+    ("BottomUp", 1, true, [4840, 1827, 4390, 2310, 296, 174, 1003, 2207]),
+    ("BottomUp", 2, true, [5333, 2291, 5790, 3495, 495, 315, 1640, 3298]),
+    ("TopDown", 0, true, [3232, 1728, 3533, 738, 64, 45, 692, 1511]),
+    ("TopDown", 1, true, [5250, 3024, 5997, 1390, 114, 62, 1003, 2207]),
+    ("TopDown", 2, true, [5737, 4032, 8446, 1772, 148, 82, 1640, 3298]),
 ];
 
 const WINDOW: usize = 24;

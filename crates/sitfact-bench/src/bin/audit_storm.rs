@@ -8,8 +8,11 @@
 //! plain-vector model, `KdTree` under random inserts, both `SkylineStore`
 //! implementations under random insert/remove/read churn through row
 //! handles (every round empties a row and creates one in its slot), and
-//! `FactMonitor`/`ShardedMonitor` under windowed ingest. Any violation
-//! prints its `explain()` and exits non-zero.
+//! `FactMonitor`/`ShardedMonitor` under batched ingest — the `FactMonitor`
+//! over a sliding window, evicting down to its last rows (`evict_prefix`,
+//! so `Discovery::retract`) before every audit; the `ShardedMonitor` stays
+//! unwindowed, because it refuses `evict_prefix`. Any violation prints its
+//! `explain()` and exits non-zero.
 //!
 //! The validators only exist under
 //! `cfg(any(test, debug_assertions, feature = "deep-audit"))`, so a release
@@ -261,7 +264,11 @@ mod storm {
         }
     }
 
-    fn storm_monitors(rng: &mut StdRng, rounds: usize) {
+    /// The rows the windowed `FactMonitor` keeps after each round.
+    const MONITOR_WINDOW: usize = 10;
+
+    /// Returns how many rows the windowed monitor retracted.
+    fn storm_monitors(rng: &mut StdRng, rounds: usize) -> usize {
         let schema = schema(3);
         let config = MonitorConfig::default().with_tau(2.0).with_keep_top(4);
         let mut monitor = FactMonitor::new(
@@ -271,6 +278,7 @@ mod storm {
         );
         let mut sharded = ShardedMonitor::new(schema.clone(), 0, 3, config, STopDown::new)
             .expect("routing dim 0 of 3 is valid");
+        let mut retracted = 0;
         for _ in 0..rounds {
             let window: Vec<Tuple> = (0..rng.gen_range(1..6))
                 .map(|_| {
@@ -291,6 +299,12 @@ mod storm {
             sharded
                 .ingest_batch_slice(&window)
                 .expect("schema-valid window ingests");
+            if monitor.len() > MONITOR_WINDOW {
+                let up_to = (monitor.len() - MONITOR_WINDOW) as sitfact_core::TupleId;
+                retracted += monitor
+                    .evict_prefix(up_to)
+                    .expect("STopDown retracts expired rows");
+            }
             if let Err(v) = monitor.audit() {
                 fail("FactMonitor", v);
             }
@@ -298,6 +312,7 @@ mod storm {
                 fail("ShardedMonitor", v);
             }
         }
+        retracted
     }
 
     pub fn run(seed: u64, rounds: usize) {
@@ -319,8 +334,11 @@ mod storm {
         storm_store(&mut rng, rounds, &mut file_store, "FileSkylineStore", false);
         drop(file_store);
         let _ = std::fs::remove_dir_all(&dir);
-        storm_monitors(&mut rng, rounds);
+        let retracted = storm_monitors(&mut rng, rounds);
 
-        println!("audit_storm: all deep audits passed (seed {seed}, {rounds} rounds)");
+        println!(
+            "audit_storm: all deep audits passed (seed {seed}, {rounds} rounds, \
+             {retracted} rows retracted)"
+        );
     }
 }
