@@ -438,7 +438,10 @@ fn prune_above(row: &mut [bool], reach: BoundMask) {
 /// those are its new maximal skyline constraints, unless an existing one
 /// already covers them. Those children lie outside `C^t`, so they and their
 /// ancestors are probed through `key`, which allocates nothing.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call site, which hands down the walk's borrowed state field by field"
+)]
 fn demote<S: SkylineStore>(
     params: &AlgoParams,
     store: &mut S,

@@ -29,7 +29,6 @@
 //! [`BruteForce`] on randomized workloads; [`AlgorithmKind::build`] constructs
 //! any of them behind that trait.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline_idx;

@@ -1,4 +1,8 @@
 //! The workload the integration tests of the lattice kinds share.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use rand::prelude::*;
 use sitfact_core::dominance::dominates;

@@ -3,6 +3,10 @@
 //! evictions and compares its store, cell for cell, with that of a fresh
 //! instance fed only the surviving suffix. Every check runs over a small
 //! matrix of shapes that includes the benchmark's.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 mod common;
 

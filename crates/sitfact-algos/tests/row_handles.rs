@@ -18,6 +18,10 @@
 //! rows, empties store rows and creates others in their slots, an import
 //! replaces every row, and neither a row handle nor a gathered cell from
 //! before may be read afterwards.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 mod common;
 

@@ -9,6 +9,10 @@
 //! The evicting rows' `comparisons` and `store_reads` were re-recorded once
 //! since, when `retract` came to share its repair across the subspaces of a
 //! constraint: both fell, and every other column stayed as it was.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 mod common;
 

@@ -1,44 +1,8 @@
-//! A deliberately non-compliant library crate. Every construct below must
-//! be flagged by `sitfact-audit` (see `tests/audit_gate.rs`); none of this
-//! is ever compiled. The crate root also deliberately lacks
-//! `#![forbid(unsafe_code)]`.
+//! Fixture for the `lints-drift` rule's source half: a library file that
+//! allows a lint the fixture's workspace table denies, for the whole crate.
+#![allow(clippy::unwrap_used, reason = "flagged: the table denies it")]
+#![allow(clippy::needless_return, reason = "quiet: the table does not deny it")]
 
-/// An unsafe block: `no-unsafe`, even though the string and the comment
-/// above also say unsafe and must NOT count.
-pub fn raw_read(ptr: *const u32) -> u32 {
-    let _decoy = "unsafe { panic!() }";
-    unsafe { *ptr }
-}
-
-/// A library unwrap: `no-panic`.
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()
-}
-
-/// A hand-rolled thread: `no-thread-spawn`.
-pub fn detach() {
-    std::thread::spawn(|| {});
-}
-
-/// Wall-clock time in library code: `no-wallclock`.
-pub fn stamp() -> std::time::SystemTime {
-    std::time::SystemTime::now()
-}
-
-// audit: allow(no-panic): this marker suppresses nothing -> stale-allow
-pub fn calm() {}
-
-/// A reasonless marker (`allow-syntax`) that therefore does NOT suppress
-/// the unwrap under it (`no-panic`).
-pub fn second(xs: &[u32]) -> u32 {
-    // audit: allow(no-panic)
-    *xs.get(1).unwrap()
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn panics_here_are_fine() {
-        assert!(std::panic::catch_unwind(|| super::first(&[])).is_err());
-    }
 }

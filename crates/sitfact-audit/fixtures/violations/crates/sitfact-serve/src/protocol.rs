@@ -1,7 +1,6 @@
 //! Fixture protocol module: the verb constants mirror the real crate's, so
 //! every `grammar-drift` finding against this tree comes from the drifted
 //! fixture ROADMAP, not from here.
-#![forbid(unsafe_code)]
 
 /// Request verbs, as in the real `sitfact-serve::protocol`.
 pub const REQUEST_VERBS: [&str; 6] =

@@ -12,13 +12,22 @@
 //!   of some member manifest (the root `Cargo.toml`, or one directly under
 //!   `crates/` or `vendor/`), so a stand-in goes with its last user; and
 //!   `vendor/README.md` must have a row for exactly the crates that exist.
+//! * **Lint table**: every member manifest must inherit the root's
+//!   `[workspace.lints]` table (whose entries `tests/lint_gate.rs` pins), or
+//!   forbid `unsafe_code` in its own `[lints.rust]`; and no `src/` file of the root package or
+//!   of a member crate may carry a crate-level `#![allow(...)]` of a lint
+//!   the table denies.
+//!
+//! None of them lexes Rust: doc comments are the lines that start with
+//! `///` or `//!`, and the protocol constants are the quoted strings between
+//! a `const`'s `= [` and the next `]`.
 
-use crate::lexer::lex;
-use crate::rules::Violation;
+use crate::Violation;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const ROADMAP: &str = "ROADMAP.md";
+const ROOT_MANIFEST: &str = "Cargo.toml";
 const PROTOCOL: &str = "crates/sitfact-serve/src/protocol.rs";
 const VENDOR: &str = "vendor";
 const VENDOR_README: &str = "vendor/README.md";
@@ -75,24 +84,16 @@ fn grammar_block(roadmap: &str) -> Option<String> {
     None
 }
 
-/// String literals of a bracketed const array, located by the constant's
-/// name in the masked source.
+/// The quoted strings of the array literal of `const <name>`: between the
+/// first `[` after the `=` (past the `: [&str; N]` annotation) and the
+/// next `]`.
 fn const_array_strings(source: &str, name: &str) -> Option<BTreeSet<String>> {
-    let lexed = lex(source);
-    let at = lexed.masked.find(name)?;
-    // Skip the type annotation (`: [&str; N]`) — the array literal is the
-    // first bracket after the `=`.
-    let eq = at + lexed.masked[at..].find('=')?;
-    let open = eq + lexed.masked[eq..].find('[')?;
-    let close = open + lexed.masked[open..].find(']')?;
-    Some(
-        lexed
-            .strings
-            .iter()
-            .filter(|s| s.offset > open && s.offset < close)
-            .map(|s| s.content.clone())
-            .collect(),
-    )
+    let at = source.find(&format!("const {name}"))?;
+    let eq = at + source[at..].find('=')?;
+    let open = eq + source[eq..].find('[')?;
+    let close = open + source[open..].find(']')?;
+    let items = source[open + 1..close].split('"').skip(1).step_by(2);
+    Some(items.map(str::to_string).collect())
 }
 
 /// Checks the ROADMAP wire-grammar block against the protocol constants.
@@ -191,18 +192,15 @@ fn crate_root(root: &Path, dir: &Path) -> PathBuf {
 /// file, all of a crate README — against the files that exist at the
 /// repository root, at the file's crate root, or next to the file.
 pub fn check_doc_links(root: &Path, rel: &str, source: &str) -> Vec<Violation> {
-    let lexed;
-    let lines: Vec<(usize, &str)> = if rel.ends_with(".rs") {
-        lexed = lex(source);
-        lexed
-            .comments
-            .iter()
-            .filter(|c| c.text.starts_with(['/', '!']))
-            .map(|c| (c.line, c.text.as_str()))
-            .collect()
-    } else {
-        source.lines().enumerate().collect()
+    let doc = |text: &str| {
+        let text = text.trim_start();
+        text.starts_with("///") || text.starts_with("//!")
     };
+    let rust = rel.ends_with(".rs");
+    let lines = source
+        .lines()
+        .enumerate()
+        .filter(|(_, text)| !rust || doc(text));
     let file_dir = root.join(rel).parent().unwrap_or(root).to_path_buf();
     let bases = [root.to_path_buf(), crate_root(root, &file_dir), file_dir];
     let mut violations = Vec::new();
@@ -224,24 +222,39 @@ pub fn check_doc_links(root: &Path, rel: &str, source: &str) -> Vec<Violation> {
     violations
 }
 
+/// The `key = value` entries of a manifest, each with the table it sits
+/// in, its key and its value (comments and blank lines dropped).
+fn manifest_entries(manifest: &str) -> Vec<(String, String, String)> {
+    let mut table = String::new();
+    let mut entries = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line.trim_matches(['[', ']']).trim().to_string();
+        } else if let Some((key, value)) = line.split_once('=').filter(|_| !line.starts_with('#')) {
+            entries.push((
+                table.clone(),
+                key.trim().to_string(),
+                value.trim().to_string(),
+            ));
+        }
+    }
+    entries
+}
+
 /// The dependencies a manifest declares, `[workspace.dependencies]` aside:
 /// the key of every entry of a `[…dependencies]` table (`rand = …`,
 /// `rand.workspace = true`).
 fn manifest_dependencies(manifest: &str) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    let mut in_table = false;
-    for line in manifest.lines().map(str::trim) {
-        if line.starts_with('[') {
-            let table = line.trim_matches(['[', ']']).trim();
-            in_table = table.ends_with("dependencies") && table != "workspace.dependencies";
-        } else if in_table && !line.starts_with('#') {
-            if let Some((key, _)) = line.split_once('=') {
-                let name = key.split('.').next().unwrap_or(key);
-                names.insert(name.trim().trim_matches('"').to_string());
-            }
-        }
-    }
-    names
+    manifest_entries(manifest)
+        .into_iter()
+        .filter(|(table, _, _)| {
+            table.ends_with("dependencies") && table != "workspace.dependencies"
+        })
+        .map(|(_, key, _)| {
+            let name = key.split('.').next().unwrap_or(&key);
+            name.trim().trim_matches('"').to_string()
+        })
+        .collect()
 }
 
 /// The subdirectories of `root/dir` that hold a `Cargo.toml`, by name.
@@ -270,14 +283,10 @@ fn readme_rows(readme: &str) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// Checks every vendored crate against the member manifests and against
-/// the rows of `vendor/README.md` (nothing to check without `vendor/`).
-pub fn check_vendor(root: &Path) -> Vec<Violation> {
-    let vendored = crate_dirs(root, VENDOR);
-    if vendored.is_empty() {
-        return Vec::new();
-    }
-    let mut manifests = vec!["Cargo.toml".to_string()];
+/// The member manifests, by root-relative path: the root `Cargo.toml` and
+/// the one of every crate directly under `crates/` or `vendor/`.
+fn member_manifests(root: &Path) -> Vec<String> {
+    let mut manifests = vec![ROOT_MANIFEST.to_string()];
     for dir in ["crates", VENDOR] {
         manifests.extend(
             crate_dirs(root, dir)
@@ -285,9 +294,19 @@ pub fn check_vendor(root: &Path) -> Vec<Violation> {
                 .map(|name| format!("{dir}/{name}/Cargo.toml")),
         );
     }
+    manifests
+}
+
+/// Checks every vendored crate against the member manifests and against
+/// the rows of `vendor/README.md` (nothing to check without `vendor/`).
+pub fn check_vendor(root: &Path) -> Vec<Violation> {
+    let vendored = crate_dirs(root, VENDOR);
+    if vendored.is_empty() {
+        return Vec::new();
+    }
     let mut violations = Vec::new();
     let mut used = BTreeSet::new();
-    for manifest in manifests {
+    for manifest in member_manifests(root) {
         match read(root, &manifest) {
             Ok(text) => used.extend(manifest_dependencies(&text)),
             Err(err) => violations.push(err),
@@ -321,6 +340,87 @@ pub fn check_vendor(root: &Path) -> Vec<Violation> {
     for (line, name) in rows.iter().filter(|(_, name)| !vendored.contains(name)) {
         let message = format!("lists `{name}`, but {VENDOR}/{name} holds no crate");
         drift(VENDOR_README.to_string(), *line, message);
+    }
+    violations
+}
+
+/// Checks every member manifest against the root's lint table, and returns
+/// the lints that table denies or forbids (`clippy::unwrap_used`, or bare
+/// for rustc's own, like `unsafe_code`) for [`check_crate_allows`].
+pub fn check_lint_tables(root: &Path) -> (Vec<Violation>, BTreeSet<String>) {
+    let mut violations = Vec::new();
+    let mut denied = BTreeSet::new();
+    for manifest in member_manifests(root) {
+        let entries = match read(root, &manifest) {
+            Ok(text) => manifest_entries(&text),
+            Err(err) => {
+                violations.push(err);
+                continue;
+            }
+        };
+        let mut inherits = false;
+        let mut forbids_unsafe = false;
+        for (table, key, value) in entries {
+            let level = value.trim_matches('"');
+            if let Some(tool) = table.strip_prefix("workspace.lints.") {
+                if ["deny", "forbid"].contains(&level) {
+                    denied.insert(match tool {
+                        "rust" => key.clone(),
+                        _ => format!("{tool}::{key}"),
+                    });
+                }
+            }
+            inherits |= table == "lints" && key == "workspace" && value == "true";
+            forbids_unsafe |= table == "lints.rust" && key == "unsafe_code" && level == "forbid";
+        }
+        if !inherits && !forbids_unsafe {
+            violations.push(Violation {
+                rule: "lints-drift",
+                path: manifest,
+                line: 0,
+                message: "neither inherits the workspace lint table (`[lints] workspace = true`) \
+                          nor forbids `unsafe_code` in its own `[lints.rust]`"
+                    .into(),
+            });
+        }
+    }
+    (violations, denied)
+}
+
+/// Checks one `.rs` file for a crate-level `#![allow(...)]` of a `denied`
+/// lint, when it lies under the `src/` of the root package or of a member
+/// crate (`crates/<name>/src/`, `vendor/<name>/src/`). Tests, benches and
+/// examples may allow what they need.
+pub fn check_crate_allows(rel: &str, source: &str, denied: &BTreeSet<String>) -> Vec<Violation> {
+    let parts: Vec<&str> = rel.split('/').collect();
+    let in_src = parts.first() == Some(&"src")
+        || (["crates", VENDOR].contains(&parts[0]) && parts.get(2) == Some(&"src"));
+    if !in_src {
+        return Vec::new();
+    }
+    let mut violations = Vec::new();
+    for (at, _) in source.match_indices("#![allow(") {
+        let line_start = source[..at].rfind('\n').map_or(0, |p| p + 1);
+        if !source[line_start..at].trim().is_empty() {
+            continue;
+        }
+        let args = &source[at + "#![allow(".len()..];
+        let args = &args[..args.find(")]").unwrap_or(args.len())];
+        for lint in args
+            .split(',')
+            .map(str::trim)
+            .filter(|l| denied.contains(*l))
+        {
+            violations.push(Violation {
+                rule: "lints-drift",
+                path: rel.to_string(),
+                line: source[..at].matches('\n').count() + 1,
+                message: format!(
+                    "allows `{lint}`, which the workspace lint table denies, for the whole \
+                     crate — put a reasoned `#[expect]` on the one site instead"
+                ),
+            });
+        }
     }
     violations
 }
@@ -369,13 +469,33 @@ mod tests {
     }
 
     #[test]
-    fn const_arrays_are_read_through_the_lexer() {
-        let source =
-            "// not [\"THIS\"]\npub const REQUEST_VERBS: [&str; 2] = [\"PING\", \"STATS\"];\n";
+    fn const_arrays_are_read_between_the_brackets() {
+        let source = "/// Unlike `REQUEST_VERBS = [\"THIS\"]`:\n\
+                      pub const REQUEST_VERBS: [&str; 2] = [\"PING\", \"STATS\"];\n";
         let verbs = const_array_strings(source, "REQUEST_VERBS").expect("array found");
         assert_eq!(
             verbs.into_iter().collect::<Vec<_>>(),
             vec!["PING".to_string(), "STATS".to_string()]
         );
+    }
+
+    #[test]
+    fn crate_allows_of_denied_lints_in_src_are_flagged() {
+        let denied = BTreeSet::from(["clippy::unwrap_used".to_string()]);
+        let source = "//! Doc.\n#![allow(\n    clippy::unwrap_used,\n    reason = \"x\"\n)]\n\
+                      #![allow(clippy::needless_return)]\n\
+                      #[allow(clippy::unwrap_used)]\n\
+                      const S: &str = \"#![allow(clippy::unwrap_used)]\";\n";
+        let lines = |rel| {
+            check_crate_allows(rel, source, &denied)
+                .iter()
+                .map(|v| v.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines("crates/x/src/lib.rs"), vec![2]);
+        assert_eq!(lines("src/lib.rs"), vec![2]);
+        assert_eq!(lines("vendor/x/src/lib.rs"), vec![2]);
+        assert!(lines("crates/x/tests/t.rs").is_empty());
+        assert!(lines("examples/e.rs").is_empty());
     }
 }

@@ -1,42 +1,53 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! `sitfact-audit` — repo-specific static analysis for the workspace.
+//! `sitfact-audit` — the workspace's cross-file checks.
 //!
-//! The auditor walks every `.rs` file under a root, lexes it with a small
-//! hand-rolled lexer ([`lexer`]) so that strings, char literals, comments
-//! and doc-comment code fences never produce matches, and enforces the
-//! workspace's coding contracts ([`rules`]):
+//! The line rules (no `unsafe`, no panics in library code, `sitfact_core::pool`
+//! as the one thread spawner, no clock reads outside bench and serve, a
+//! reason on every suppression) are rustc and clippy lints: the root
+//! manifest's `[workspace.lints]` table and the `clippy.toml` files, checked
+//! by `cargo clippy --workspace --all-targets -- -D warnings`. What no
+//! compiler sees is left here ([`drift`]), prose and manifests checked
+//! against code:
 //!
-//! * `no-unsafe` — no `unsafe` anywhere, plus `#![forbid(unsafe_code)]` in
-//!   every crate root (`forbid-unsafe-header`);
-//! * `no-panic` — no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in
-//!   non-test library code;
-//! * `no-thread-spawn` — `sitfact_core::pool` is the only thread spawner;
-//! * `no-wallclock` — `SystemTime::now`/`Instant::now` stay in bench/serve.
-//!
-//! A site can opt out with `// audit: allow(<rule>): <reason>`; reasonless
-//! or unused markers are themselves violations (`allow-syntax`,
-//! `stale-allow`).
-//!
-//! On top of the per-file rules, [`drift`] cross-checks prose against code:
-//! the ROADMAP wire-grammar block against the verb constants in
-//! `sitfact-serve::protocol` (`grammar-drift`), every `*.md` file a doc
-//! comment or crate README names against the files that exist
-//! (`doc-link-drift`), and every crate under `vendor/` against the member
-//! manifests that depend on it and the rows of `vendor/README.md`
-//! (`vendor-drift`).
+//! * `grammar-drift` — the ROADMAP wire-grammar block against the verb
+//!   constants in `sitfact-serve::protocol`;
+//! * `doc-link-drift` — every `*.md` file a doc comment or crate README
+//!   names against the files that exist;
+//! * `vendor-drift` — every crate under `vendor/` against the member
+//!   manifests that depend on it and the rows of `vendor/README.md`;
+//! * `lints-drift` — every member manifest against the workspace lint table
+//!   (it inherits the table, or forbids `unsafe_code` in its own), and every
+//!   `src/` file against a crate-level `allow` of a lint the table denies.
 //!
 //! Run it with `cargo run -p sitfact-audit` (the `analyze` CI step does).
 
 pub mod drift;
-pub mod lexer;
-pub mod rules;
-
-pub use rules::Violation;
 
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// One finding of the auditor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The violated rule, e.g. `"doc-link-drift"`.
+    pub rule: &'static str,
+    /// Path of the offending file, relative to the audited root.
+    pub path: String,
+    /// 1-based line number (0 for whole-file findings).
+    pub line: usize,
+    /// Human-readable detail.
+    pub message: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.line {
+            0 => write!(f, "{}: [{}] {}", self.path, self.rule, self.message),
+            line => write!(f, "{}:{line}: [{}] {}", self.path, self.rule, self.message),
+        }
+    }
+}
 
 /// Directories never descended into: build output, VCS metadata, and the
 /// auditor's own deliberately-violating test fixtures.
@@ -98,13 +109,13 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     files.retain(|path| path.extension().is_some_and(|ext| ext == "rs") || is_crate_readme(path));
     files.sort();
 
-    let mut violations = Vec::new();
+    let (mut violations, denied) = drift::check_lint_tables(root);
     for path in &files {
         let rel = relative(root, path);
         match std::fs::read_to_string(path) {
             Ok(source) => {
                 if rel.ends_with(".rs") {
-                    violations.extend(rules::check_file(&rel, &source));
+                    violations.extend(drift::check_crate_allows(&rel, &source, &denied));
                 }
                 violations.extend(drift::check_doc_links(root, &rel, &source));
             }

@@ -1,6 +1,6 @@
-//! The auditor's acceptance gate: the seeded fixture tree fires every rule
-//! family, the real workspace stays clean, and the `audit` binary's exit
-//! codes agree with both.
+//! The auditor's acceptance gate: the seeded fixture tree fires every rule,
+//! the real workspace stays clean, and the `audit` binary's exit codes agree
+//! with both. The line rules are compiler lints; `lint_gate.rs` tests them.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -18,16 +18,10 @@ fn fixture_tree_fires_every_rule_family() {
     let outcome = sitfact_audit::run_audit(&fixture_root()).expect("fixture tree walks");
     let rules: Vec<&str> = outcome.violations.iter().map(|v| v.rule).collect();
     for expected in [
-        "no-unsafe",
-        "forbid-unsafe-header",
-        "no-panic",
-        "no-thread-spawn",
-        "no-wallclock",
-        "stale-allow",
-        "allow-syntax",
         "grammar-drift",
         "doc-link-drift",
         "vendor-drift",
+        "lints-drift",
     ] {
         assert!(
             rules.contains(&expected),
@@ -35,18 +29,6 @@ fn fixture_tree_fires_every_rule_family() {
             outcome.violations
         );
     }
-
-    let demo = "crates/demo/src/lib.rs";
-    let at = |rule: &str, line: usize| {
-        outcome
-            .violations
-            .iter()
-            .any(|v| v.rule == rule && v.path == demo && v.line == line)
-    };
-    // The decoy string on the line above must not count; the unsafe block,
-    // and the unwrap under the reasonless marker, must.
-    assert!(at("no-unsafe", 10), "{:#?}", outcome.violations);
-    assert!(at("no-panic", 35), "{:#?}", outcome.violations);
 
     // Drift findings point in both directions.
     let drift: Vec<&str> = outcome
@@ -87,6 +69,26 @@ fn fixture_tree_fires_every_rule_family() {
             ("vendor/README.md", 11),
             ("vendor/orphan", 0),
             ("vendor/unlisted", 0)
+        ],
+        "{:#?}",
+        outcome.violations
+    );
+
+    // The lint table: a manifest that neither inherits the workspace table
+    // nor forbids unsafe code, and a library file that allows a denied lint
+    // for the whole crate; the allow of an undenied lint stays quiet.
+    let mut lints: Vec<(&str, usize)> = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == "lints-drift")
+        .map(|v| (v.path.as_str(), v.line))
+        .collect();
+    lints.sort();
+    assert_eq!(
+        lints,
+        vec![
+            ("crates/demo/src/lib.rs", 3),
+            ("vendor/unlisted/Cargo.toml", 0)
         ],
         "{:#?}",
         outcome.violations

@@ -26,7 +26,6 @@
 //! algorithms are what `figures` reproduces. Nothing checks or records them
 //! yet: item 7 of `ROADMAP.md` is the plan for that.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;

@@ -60,7 +60,6 @@
 //! assert!(dominance::dominates(&a, &b, full, schema.directions()));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

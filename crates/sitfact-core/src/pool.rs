@@ -23,7 +23,7 @@
 //! Ownership transfer instead of scoped borrows: tasks are `'static` and move
 //! their state in and out (the sharded monitor moves each shard into its task
 //! and receives it back in the result), which keeps the pool free of `unsafe`
-//! lifetime laundering — this crate is `#![forbid(unsafe_code)]`.
+//! lifetime laundering — the workspace lint table forbids `unsafe_code`.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,10 +64,19 @@ impl ThreadPool {
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
                 let caught = Arc::clone(&caught_panics);
-                std::thread::Builder::new()
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the pool is the workspace's one thread spawner"
+                )]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "OS thread-spawn failure at pool construction is unrecoverable"
+                )]
+                let worker = std::thread::Builder::new()
                     .name(format!("sitfact-pool-{i}"))
                     .spawn(move || worker_loop(&receiver, &caught))
-                    .expect("spawn pool worker") // audit: allow(no-panic): OS thread-spawn failure at pool construction is unrecoverable
+                    .expect("spawn pool worker");
+                worker
             })
             .collect();
         ThreadPool {
@@ -89,11 +98,18 @@ impl ThreadPool {
     /// use [`ThreadPool::run_all`] when the caller needs results or panic
     /// propagation.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.sender
-            .as_ref()
-            .expect("pool sender alive until drop") // audit: allow(no-panic): sender is Some until Drop; a None here is pool misuse, not input
+        #[expect(
+            clippy::expect_used,
+            reason = "sender is Some until Drop; a None here is pool misuse, not input"
+        )]
+        let sender = self.sender.as_ref().expect("pool sender alive until drop");
+        #[expect(
+            clippy::expect_used,
+            reason = "workers only hang up after the sender drops, so send cannot fail"
+        )]
+        sender
             .send(Box::new(job))
-            .expect("pool workers alive until drop"); // audit: allow(no-panic): workers only hang up after the sender drops, so send cannot fail
+            .expect("pool workers alive until drop");
     }
 
     /// Runs every task on the pool and returns their results **in submission
@@ -126,15 +142,23 @@ impl ThreadPool {
         drop(result_tx);
         let mut slots: Vec<Option<TaskOutcome<T>>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
+            #[expect(
+                clippy::expect_used,
+                reason = "worker panics are caught in worker_loop; a dead worker is a pool bug"
+            )]
             let (index, outcome) = result_rx
                 .recv()
-                .expect("a pool worker died before returning a result"); // audit: allow(no-panic): worker panics are caught in worker_loop; a dead worker is a pool bug
+                .expect("a pool worker died before returning a result");
             slots[index] = Some(outcome);
         }
         let mut results = Vec::with_capacity(n);
         let mut first_panic = None;
-        // audit: allow(no-panic): the loop above filled exactly one slot per received result
-        for outcome in slots.into_iter().map(|s| s.expect("every slot filled")) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above filled exactly one slot per received result"
+        )]
+        let outcomes = slots.into_iter().map(|s| s.expect("every slot filled"));
+        for outcome in outcomes {
             match outcome {
                 Ok(value) => results.push(value),
                 Err(payload) => {
@@ -254,10 +278,18 @@ impl<S: Send + 'static> ActorPool<S> {
         for (i, state) in states.into_iter().enumerate() {
             let (sender, receiver) = channel::<ActorJob<S>>();
             let caught = Arc::clone(&caught_panics);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool is the workspace's one thread spawner"
+            )]
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread-spawn failure at pool construction is unrecoverable"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("sitfact-actor-{i}"))
                 .spawn(move || actor_loop(state, &receiver, &caught))
-                .expect("spawn actor worker"); // audit: allow(no-panic): OS thread-spawn failure at pool construction is unrecoverable
+                .expect("spawn actor worker");
             mailboxes.push(sender);
             workers.push(handle);
         }

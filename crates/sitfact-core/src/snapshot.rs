@@ -79,6 +79,10 @@ impl<T> SnapshotCell<T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests race plain threads against the code under test"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

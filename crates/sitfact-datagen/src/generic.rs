@@ -67,7 +67,10 @@ impl GenericGenerator {
         for i in 0..config.measures {
             builder = builder.measure(format!("m{i}"), Direction::HigherIsBetter);
         }
-        // audit: allow(no-panic): schema built from loop-generated unique names, cannot collide
+        #[expect(
+            clippy::expect_used,
+            reason = "schema built from loop-generated unique names, cannot collide"
+        )]
         let schema = builder.build().expect("generic schema is valid");
         let rng = StdRng::seed_from_u64(config.seed);
         GenericGenerator {

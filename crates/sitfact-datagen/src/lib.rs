@@ -21,7 +21,6 @@
 //! * [`csv`] — plain-text import/export so users can run the library on their
 //!   own data.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;

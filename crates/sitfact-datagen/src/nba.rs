@@ -26,7 +26,10 @@ pub fn nba_dimension_names(d: usize) -> Vec<&'static str> {
         8 => vec![
             "player", "position", "college", "state", "season", "month", "team", "opp_team",
         ],
-        // audit: allow(no-panic): documented precondition of the synthetic dataset catalog
+        #[expect(
+            clippy::panic,
+            reason = "documented precondition of the synthetic dataset catalog"
+        )]
         _ => panic!("the NBA dataset defines dimension spaces for d in 4..=8, got {d}"),
     }
 }
@@ -54,7 +57,12 @@ pub fn nba_schema(d: usize, m: usize) -> Schema {
     for (name, dir) in nba_measure_names(m) {
         builder = builder.measure(name, dir);
     }
-    builder.build().expect("NBA schema is valid") // audit: allow(no-panic): fixed name catalog, duplicates impossible
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed name catalog, duplicates impossible"
+    )]
+    let schema = builder.build().expect("NBA schema is valid");
+    schema
 }
 
 /// Configuration of the [`NbaGenerator`].

@@ -67,6 +67,10 @@ pub struct StockGenerator {
 impl StockGenerator {
     /// Creates a generator from a configuration.
     pub fn new(config: StockConfig) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed name catalog, duplicates impossible"
+        )]
         let schema = SchemaBuilder::new("stock_ticks")
             .dimension("ticker")
             .dimension("sector")
@@ -77,7 +81,7 @@ impl StockGenerator {
             .measure("market_cap_b", Direction::HigherIsBetter)
             .measure("drawdown_pct", Direction::LowerIsBetter)
             .build()
-            .expect("stock schema is valid"); // audit: allow(no-panic): fixed name catalog, duplicates impossible
+            .expect("stock schema is valid");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let tickers = (0..config.tickers)
             .map(|i| TickerProfile {

@@ -36,7 +36,10 @@ pub fn weather_dimension_names(d: usize) -> Vec<&'static str> {
             "wind_dir_night",
             "visibility",
         ],
-        // audit: allow(no-panic): documented precondition of the synthetic dataset catalog
+        #[expect(
+            clippy::panic,
+            reason = "documented precondition of the synthetic dataset catalog"
+        )]
         _ => panic!("the weather dataset defines dimension spaces for d in 4..=7, got {d}"),
     }
 }
@@ -65,7 +68,12 @@ pub fn weather_schema(d: usize, m: usize) -> Schema {
     for (name, dir) in weather_measure_names(m) {
         builder = builder.measure(name, dir);
     }
-    builder.build().expect("weather schema is valid") // audit: allow(no-panic): fixed name catalog, duplicates impossible
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed name catalog, duplicates impossible"
+    )]
+    let schema = builder.build().expect("weather schema is valid");
+    schema
 }
 
 /// Configuration of the [`WeatherGenerator`].

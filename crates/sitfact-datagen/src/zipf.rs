@@ -67,7 +67,10 @@ impl ZipfGenerator {
         for i in 0..config.measures {
             builder = builder.measure(format!("m{i}"), Direction::HigherIsBetter);
         }
-        // audit: allow(no-panic): schema built from loop-generated unique names, cannot collide
+        #[expect(
+            clippy::expect_used,
+            reason = "schema built from loop-generated unique names, cannot collide"
+        )]
         let schema = builder.build().expect("zipf schema is valid");
         let samplers = config
             .dim_cardinalities

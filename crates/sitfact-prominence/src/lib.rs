@@ -31,7 +31,6 @@
 //! [`narrate()`] renders facts as English sentences in the style of the
 //! paper's examples.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distribution;

@@ -145,8 +145,11 @@ impl<A: Discovery> FactMonitor<A> {
     /// negative `τ`, zero `keep_top`) — the builders reject these up front,
     /// so only field-by-field construction can reach this.
     pub fn new(schema: Schema, algorithm: A, config: MonitorConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic; builders validate configs before this"
+        )]
         if let Err(err) = config.validate() {
-            // audit: allow(no-panic): documented panic; builders validate configs before this
             panic!("FactMonitor::new: {err}");
         }
         let d_hat = config.discovery.effective_d_hat(&schema);

@@ -268,7 +268,10 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         self.locations
             .extend(std::iter::repeat_n((u32::MAX, 0), total));
         for (shard, outcome) in outcomes.into_iter().enumerate() {
-            // audit: allow(no-panic): the error pass over `outcomes` above returned early
+            #[expect(
+                clippy::expect_used,
+                reason = "the error pass over `outcomes` above returned early"
+            )]
             let reports = outcome.expect("errors were handled above");
             debug_assert_eq!(reports.len(), positions[shard].len());
             for (j, mut report) in reports.into_iter().enumerate() {
@@ -280,11 +283,15 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
                 merged[pos] = Some(report);
             }
         }
-        Ok(merged
+        #[expect(
+            clippy::expect_used,
+            reason = "each position was routed to exactly one shard batch"
+        )]
+        let reports = merged
             .into_iter()
-            // audit: allow(no-panic): each position was routed to exactly one shard batch
             .map(|r| r.expect("every arrival produced exactly one report"))
-            .collect())
+            .collect();
+        Ok(reports)
     }
 
     /// The routing-consistency check of `sitfact_core::routing`: every fact a

@@ -11,6 +11,10 @@
 //!
 //! The fixture was generated by the ignored `generate_fixture` below, run at
 //! that build; a fixture is never regenerated by a later one.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use sitfact_algos::STopDown;
 use sitfact_core::{DiscoveryConfig, SitFactError, Tuple};

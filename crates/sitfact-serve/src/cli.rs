@@ -22,9 +22,12 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 pub fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match flag_value(args, name) {
         None => default,
+        #[expect(
+            clippy::panic,
+            reason = "demo-binary CLI parsing, documented to panic on bad flags"
+        )]
         Some(raw) => raw
             .parse()
-            // audit: allow(no-panic): demo-binary CLI parsing, documented to panic on bad flags
             .unwrap_or_else(|_| panic!("{name}: cannot parse {raw:?}")),
     }
 }

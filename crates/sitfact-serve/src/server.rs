@@ -470,6 +470,10 @@ fn handle_request(request: Request, shared: &Arc<Shared>, session: &mut Session)
 // real sockets.
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests race plain threads against the code under test"
+)]
 mod tests {
     use super::*;
     use crate::protocol::RawRow;

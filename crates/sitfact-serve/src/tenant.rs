@@ -500,6 +500,10 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests race plain threads against the code under test"
+)]
 mod tests {
     use super::*;
     use sitfact_core::Direction;

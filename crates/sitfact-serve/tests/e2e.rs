@@ -2,6 +2,12 @@
 //! `Client`, and the acceptance criterion of the service front-end — reports
 //! that crossed the wire are **byte-identical** (`==`) to the reports an
 //! in-process monitor produces from the same stream, for both monitor types.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "test code: clients run on plain threads, and a failed unwrap is a failed test"
+)]
 
 use rand::prelude::*;
 use sitfact_algos::STopDown;

@@ -21,7 +21,6 @@
 //!   behind the durability layer (checksummed frames, segmented log files,
 //!   torn-tail truncation, native table/store serialization).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;

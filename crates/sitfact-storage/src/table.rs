@@ -644,7 +644,6 @@ impl Table {
     /// Crate-internal view of the table's primary state — schema, length,
     /// retraction bounds, flat columns and posting maps — for the snapshot
     /// codec in [`crate::wal`].
-    #[allow(clippy::type_complexity)]
     pub(crate) fn state_parts(
         &self,
     ) -> (

@@ -115,7 +115,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Forward-only reader over an encoded buffer. Every accessor returns a
 /// typed [`SitFactError::Parse`] on truncation instead of panicking, so the
-/// decode paths satisfy the `no-panic` audit rule by construction.
+/// decode paths satisfy the workspace's panic lints by construction.
 #[derive(Debug)]
 pub struct ByteCursor<'a> {
     buf: &'a [u8],

@@ -5,6 +5,10 @@
 //! resident set. The child keeps the measurement clear of whatever the other
 //! tests of this binary allocate, and needs no allocator hook. Linux only:
 //! the resident set is read from `/proc/self/status`.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use rand::prelude::*;
 use sitfact_core::Tuple;

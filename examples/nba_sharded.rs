@@ -10,6 +10,11 @@
 //! outside the sharded space by construction; serve those unsharded.
 //!
 //! Run with `cargo run --release --example nba_sharded [-- n_tuples shards tau]`.
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "a demo program: it times its own run and stops on a broken one"
+)]
 
 use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::prelude::*;

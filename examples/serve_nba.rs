@@ -6,6 +6,11 @@
 //! but monitor construction changes.
 //!
 //! Run with `cargo run --release --example serve_nba [-- n_tuples shards]`.
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "a demo program: it serves from a plain thread and stops on a broken run"
+)]
 
 use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::datagen::DataGenerator;

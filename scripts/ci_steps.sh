@@ -32,9 +32,12 @@ run_step() {
     doc) RUSTDOCFLAGS="-D warnings" $CARGO doc --workspace --no-deps --quiet ;;
     analyze)
       # Static analysis + deep invariants (see ROADMAP "Static analysis &
-      # invariants"). Three legs:
-      #  1. the sitfact-audit lint/drift pass over the whole tree (its report
-      #     is uploaded as a CI artifact),
+      # invariants"). The line rules (no unsafe, no library panics, one
+      # thread spawner, no library clock reads, reasoned suppressions) are
+      # the [workspace.lints] table, which the `clippy` step enforces.
+      # Three legs here:
+      #  1. the sitfact-audit cross-file drift pass over the whole tree (its
+      #     report is uploaded as a CI artifact),
       #  2. the test suite re-run in release mode with the deep `Audit`
       #     validators compiled in (debug test runs get them for free via
       #     debug_assertions; this leg proves the release gate too),

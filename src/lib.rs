@@ -75,7 +75,6 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use sitfact_algos as algos;

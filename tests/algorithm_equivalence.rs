@@ -1,6 +1,11 @@
 //! Cross-crate equivalence tests: every discovery algorithm must produce the
 //! same fact stream as the brute-force reference on realistic generated
 //! workloads (NBA, weather, and generic anti-correlated data).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use sitfact_core::pair::canonical_sort;
 use situational_facts::datagen::generic::{Correlation, GenericConfig, GenericGenerator};

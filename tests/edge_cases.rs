@@ -1,6 +1,10 @@
 //! Edge-case integration tests: degenerate schemas, pathological streams and
 //! configuration extremes that the randomized equivalence tests are unlikely
 //! to hit densely.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use sitfact_core::pair::canonical_sort;
 use situational_facts::prelude::*;

@@ -4,6 +4,10 @@
 //! subsumption mirrors the bound-mask lattice, skyline constraints are
 //! downward-closed, and the incremental algorithms match the brute-force
 //! reference on arbitrary streams.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use proptest::prelude::*;
 use sitfact_core::dominance::{self, DominancePartition};

@@ -2,6 +2,10 @@
 //! monitor types through `Box<dyn StreamMonitor>`, and every provided method
 //! (`ingest_raw`, `ingest_batch`, `ingest_all`) agrees with the required
 //! core, sharded or not.
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
 
 use rand::prelude::*;
 use situational_facts::prelude::*;
