@@ -17,10 +17,15 @@
 //!   forbid `unsafe_code` in its own `[lints.rust]`; and no `src/` file of the root package or
 //!   of a member crate may carry a crate-level `#![allow(...)]` of a lint
 //!   the table denies.
+//! * **Compat modules**: every `pub` item of a `src/compat.rs` must be named
+//!   by the frozen end-to-end benchmark's sources, and by no other source
+//!   outside compat modules and `#[cfg(test)]` items — so those modules only
+//!   ever shrink.
 //!
 //! None of them lexes Rust: doc comments are the lines that start with
-//! `///` or `//!`, and the protocol constants are the quoted strings between
-//! a `const`'s `= [` and the next `]`.
+//! `///` or `//!`, the protocol constants are the quoted strings between a
+//! `const`'s `= [` and the next `]`, and a source names an item when an
+//! identifier token of its code (`//` comments dropped) equals the name.
 
 use crate::Violation;
 use std::collections::BTreeSet;
@@ -31,6 +36,8 @@ const ROOT_MANIFEST: &str = "Cargo.toml";
 const PROTOCOL: &str = "crates/sitfact-serve/src/protocol.rs";
 const VENDOR: &str = "vendor";
 const VENDOR_README: &str = "vendor/README.md";
+/// The frozen benchmark's sources, the one reader of the compat modules.
+const BENCH_E2E: &str = "crates/sitfact-bench/src/bin/bench_e2e/";
 
 fn read(root: &Path, rel: &str) -> Result<String, Violation> {
     std::fs::read_to_string(root.join(rel)).map_err(|err| Violation {
@@ -425,9 +432,169 @@ pub fn check_crate_allows(rel: &str, source: &str, denied: &BTreeSet<String>) ->
     violations
 }
 
+/// The code of one source line: everything before a `//` comment.
+fn code(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at])
+}
+
+/// The identifier tokens of `text`.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|token| token.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// The `(line, name)` of every `pub` item a compat module declares: the
+/// identifier after `pub fn`, `pub struct`, `pub enum`, `pub trait`,
+/// `pub type`, `pub const`, `pub static` or `pub mod`.
+fn pub_items(source: &str) -> Vec<(usize, String)> {
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let mut items = Vec::new();
+    for (n, line) in source.lines().enumerate() {
+        let mut tokens = code(line).split_whitespace();
+        while let Some(token) = tokens.next() {
+            if token != "pub" {
+                continue;
+            }
+            let (Some(kind), Some(name)) = (tokens.next(), tokens.next()) else {
+                break;
+            };
+            if KINDS.contains(&kind) {
+                let name = identifiers(name).next().unwrap_or_default();
+                items.push((n + 1, name.to_string()));
+            }
+        }
+    }
+    items
+}
+
+/// The `(line, code)` pairs of `source` outside `#[cfg(test)]` items: an
+/// attribute line `#[cfg(test)]` drops the item after it, up to where its
+/// braces close (or its `;`, for an item without a body).
+fn non_test_code(source: &str) -> Vec<(usize, &str)> {
+    let mut kept = Vec::new();
+    let mut skipping = false;
+    let mut depth = 0usize;
+    let mut opened = false;
+    for (n, line) in source.lines().enumerate() {
+        let code = code(line);
+        if !skipping && code.trim() == "#[cfg(test)]" {
+            (skipping, depth, opened) = (true, 0, false);
+            continue;
+        }
+        if !skipping {
+            kept.push((n + 1, code));
+            continue;
+        }
+        for c in code.chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        let trimmed = code.trim_end();
+        if depth == 0 && (opened || trimmed.ends_with(';')) && !trimmed.starts_with("#[") {
+            skipping = false;
+        }
+    }
+    kept
+}
+
+/// Checks the compat modules (`src/compat.rs` of any crate) against their
+/// readers among `sources` (`(path, source)` of every `.rs` file): each `pub`
+/// item must be named under `bench_e2e/`, and nowhere else outside compat
+/// modules and `#[cfg(test)]` items.
+pub fn check_compat(sources: &[(String, String)]) -> Vec<Violation> {
+    let is_compat = |rel: &str| rel.ends_with("/src/compat.rs");
+    let mut items = Vec::new();
+    for (rel, source) in sources.iter().filter(|(rel, _)| is_compat(rel)) {
+        for (line, name) in pub_items(source) {
+            items.push((rel.as_str(), line, name));
+        }
+    }
+    let mut violations = Vec::new();
+    if items.is_empty() {
+        return violations;
+    }
+    let mut bench_names = BTreeSet::new();
+    for (_, source) in sources.iter().filter(|(rel, _)| rel.starts_with(BENCH_E2E)) {
+        for line in source.lines() {
+            bench_names.extend(identifiers(code(line)));
+        }
+    }
+    for (rel, line, name) in &items {
+        if !bench_names.contains(name.as_str()) {
+            violations.push(Violation {
+                rule: "compat-drift",
+                path: rel.to_string(),
+                line: *line,
+                message: format!("`{name}` is named by nothing under {BENCH_E2E}: delete it"),
+            });
+        }
+    }
+    let names: BTreeSet<&str> = items.iter().map(|(_, _, name)| name.as_str()).collect();
+    for (rel, source) in sources {
+        if is_compat(rel) || rel.starts_with(BENCH_E2E) {
+            continue;
+        }
+        for (line, code) in non_test_code(source) {
+            for name in identifiers(code).filter(|token| names.contains(token)) {
+                violations.push(Violation {
+                    rule: "compat-drift",
+                    path: rel.clone(),
+                    line,
+                    message: format!(
+                        "names `{name}`, which a compat module keeps only for {BENCH_E2E}; \
+                         use the product type instead"
+                    ),
+                });
+            }
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compat_items_are_matched_by_token_outside_comments_and_tests() {
+        let sources = vec![
+            (
+                "crates/a/src/compat.rs".to_string(),
+                "/// pub fn commented() {}\npub fn kept() {}\npub(crate) fn private() {}\n\
+                 pub type Gone = u8;\n"
+                    .to_string(),
+            ),
+            (
+                format!("{BENCH_E2E}main.rs"),
+                "fn main() { a::kept(); }\n".to_string(),
+            ),
+            (
+                "crates/a/src/lib.rs".to_string(),
+                "// kept() in a comment\nfn keeper() {}\n#[cfg(test)]\nmod tests {\n    \
+                 fn t() { kept(); }\n}\nfn late() { kept(); }\n"
+                    .to_string(),
+            ),
+        ];
+        let found: Vec<(String, usize)> = check_compat(&sources)
+            .into_iter()
+            .map(|v| (v.path, v.line))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("crates/a/src/compat.rs".to_string(), 4),
+                ("crates/a/src/lib.rs".to_string(), 7),
+            ]
+        );
+    }
 
     #[test]
     fn md_names_skip_globs_urls_and_longer_extensions() {

@@ -18,7 +18,9 @@
 //!   manifests that depend on it and the rows of `vendor/README.md`;
 //! * `lints-drift` — every member manifest against the workspace lint table
 //!   (it inherits the table, or forbids `unsafe_code` in its own), and every
-//!   `src/` file against a crate-level `allow` of a lint the table denies.
+//!   `src/` file against a crate-level `allow` of a lint the table denies;
+//! * `compat-drift` — every `pub` item of a crate's `compat` module against
+//!   the frozen end-to-end benchmark that is its one reader.
 //!
 //! Run it with `cargo run -p sitfact-audit` (the `analyze` CI step does).
 
@@ -110,14 +112,16 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     files.sort();
 
     let (mut violations, denied) = drift::check_lint_tables(root);
+    let mut sources = Vec::new();
     for path in &files {
         let rel = relative(root, path);
         match std::fs::read_to_string(path) {
             Ok(source) => {
+                violations.extend(drift::check_doc_links(root, &rel, &source));
                 if rel.ends_with(".rs") {
                     violations.extend(drift::check_crate_allows(&rel, &source, &denied));
+                    sources.push((rel, source));
                 }
-                violations.extend(drift::check_doc_links(root, &rel, &source));
             }
             Err(err) => violations.push(Violation {
                 rule: "audit-io",
@@ -129,6 +133,7 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     }
     violations.extend(drift::check_grammar(root));
     violations.extend(drift::check_vendor(root));
+    violations.extend(drift::check_compat(&sources));
     violations.sort_by(|a, b| {
         a.path
             .cmp(&b.path)

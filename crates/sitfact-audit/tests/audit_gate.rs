@@ -22,6 +22,7 @@ fn fixture_tree_fires_every_rule_family() {
         "doc-link-drift",
         "vendor-drift",
         "lints-drift",
+        "compat-drift",
     ] {
         assert!(
             rules.contains(&expected),
@@ -89,6 +90,25 @@ fn fixture_tree_fires_every_rule_family() {
         vec![
             ("crates/demo/src/lib.rs", 3),
             ("vendor/unlisted/Cargo.toml", 0)
+        ],
+        "{:#?}",
+        outcome.violations
+    );
+
+    // The compat module: an item the benchmark does not name, and product
+    // code that calls the one it does; comments and test code stay quiet.
+    let mut compat: Vec<(&str, usize)> = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == "compat-drift")
+        .map(|v| (v.path.as_str(), v.line))
+        .collect();
+    compat.sort();
+    assert_eq!(
+        compat,
+        vec![
+            ("crates/demo/src/compat.rs", 6),
+            ("crates/demo/src/product.rs", 6)
         ],
         "{:#?}",
         outcome.violations

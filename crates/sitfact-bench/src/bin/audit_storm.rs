@@ -48,7 +48,7 @@ mod storm {
     use sitfact_core::{
         Audit, Constraint, Direction, Schema, SchemaBuilder, SubspaceMask, Tuple, UNBOUND,
     };
-    use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
+    use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor};
     use sitfact_storage::{FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, Table};
 
     fn fail(what: &str, violation: sitfact_core::AuditViolation) -> ! {

@@ -6,7 +6,7 @@ use sitfact_core::{DiscoveryConfig, Schema, Tuple};
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::weather::{WeatherConfig, WeatherGenerator};
 use sitfact_datagen::{DataGenerator, Row};
-use sitfact_prominence::{FactMonitor, MonitorConfig, RankedFact, StreamMonitor};
+use sitfact_prominence::{FactMonitor, MonitorConfig, RankedFact};
 use sitfact_storage::{StoreStats, Table, WorkStats};
 use std::path::Path;
 use std::time::Instant;

@@ -4,17 +4,17 @@
 //! A monitor's state is a pure function of its raw arrival sequence, so the
 //! log stores **raw strings**, not interned ids: the same log replays into
 //! any monitor over the relation, one with a different shard count included
-//! ([`replay_log`]). Snapshots bound replay: every `snapshot_every` rows
-//! ([`WalOptions`]) the monitor's full state
-//! ([`StreamMonitor::export_durable`]) goes to a single-frame file next to
-//! the log segments, and recovery replays only the suffix behind the newest
+//! ([`Served::replay`](crate::Served::replay)). Snapshots bound replay: every
+//! `snapshot_every` rows ([`WalOptions`]) the monitor's full state
+//! ([`FactMonitor::export_durable`](crate::FactMonitor::export_durable))
+//! goes to a single-frame file next to the log segments, and recovery replays only the suffix behind the newest
 //! intact one. A corrupt snapshot degrades to an older one or to full
 //! replay; a torn log tail is truncated by `ArrivalLog::open` and counted in
 //! the [`RecoveryReport`]. A window is acknowledged only after its append
 //! returned, so a dropped tail only ever holds windows never acked.
 
 use crate::fact::{ArrivalReport, RankedFact};
-use crate::stream::StreamMonitor;
+use crate::served::Served;
 use sitfact_core::{
     Constraint, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId,
 };
@@ -109,7 +109,8 @@ pub struct RecoveryReport {
     pub dropped_bytes: u64,
 }
 
-/// What [`replay_log`] reproduced from a raw arrival log.
+/// What a full-log replay ([`Served::replay`](crate::Served::replay))
+/// reproduced from a raw arrival log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Every arrival report the replayed stream produced, in arrival order.
@@ -152,14 +153,15 @@ pub(crate) fn window_record(
     })
 }
 
-/// Re-encodes one logged window against `monitor`'s dictionaries; the
-/// window must start where the monitor ends.
+/// Re-encodes one logged window through `encode` (a monitor's
+/// `encode_raw`); the window must start at row `have`, where the monitor
+/// ends.
 pub(crate) fn encode_window(
-    monitor: &mut (impl StreamMonitor + ?Sized),
+    have: usize,
     window: &WindowRecord,
+    mut encode: impl FnMut(&[&str], Vec<f64>) -> Result<Tuple>,
 ) -> Result<Vec<Tuple>> {
-    let have = monitor.len() as u64;
-    if window.first_id != have {
+    if window.first_id != have as u64 {
         return Err(SitFactError::Parse(format!(
             "arrival log out of sequence: window starts at row {} but the monitor holds {have} rows",
             window.first_id
@@ -170,31 +172,28 @@ pub(crate) fn encode_window(
         .iter()
         .map(|row| {
             let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            monitor.encode_raw(&dims, row.measures.clone())
+            encode(&dims, row.measures.clone())
         })
         .collect()
 }
 
-/// Replays the **entire** raw arrival log in `dir` into `monitor`, ignoring
-/// snapshots (which are shaped for the monitor that wrote them). This is the
-/// resharding path: any [`StreamMonitor`] over the relation — a
-/// [`ShardedMonitor`](crate::ShardedMonitor) with another shard count
-/// included — reproduces the reports the original acknowledged. The monitor
-/// must be empty, or hold a prefix of the log that ends at a window edge.
-pub fn replay_log(
-    dir: impl AsRef<Path>,
-    monitor: &mut (impl StreamMonitor + ?Sized),
+/// The window loop of a full-log replay into a monitor holding `held` rows:
+/// windows the monitor already covers are skipped, every later one goes
+/// through `ingest` (encode and batch-ingest), and the reports are gathered.
+pub(crate) fn replay_windows(
+    dir: &Path,
+    held: usize,
+    mut ingest: impl FnMut(&WindowRecord) -> Result<Vec<ArrivalReport>>,
 ) -> Result<ReplayOutcome> {
-    let scanned = wal::scan_log(dir.as_ref())?;
+    let scanned = wal::scan_log(dir)?;
     let mut reports = Vec::new();
     let mut windows = 0u64;
     let mut rows = 0u64;
     for window in &scanned.windows {
-        if window.first_id + window.rows.len() as u64 <= monitor.len() as u64 {
+        if window.first_id + window.rows.len() as u64 <= held as u64 {
             continue;
         }
-        let tuples = encode_window(monitor, window)?;
-        reports.extend(monitor.ingest_batch_slice(&tuples)?);
+        reports.extend(ingest(window)?);
         windows += 1;
         rows += window.rows.len() as u64;
     }
@@ -317,12 +316,15 @@ fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)>
 
 /// Restores `monitor` from the newest intact snapshot in `dir`, returning
 /// the rows it covers and the last report it recorded. A corrupt snapshot
-/// degrades to an older one; none, or a monitor without snapshot support,
-/// gives `(0, None)` and recovery replays the whole log.
+/// degrades to an older one; none, or a sharded monitor (its durable form
+/// is the log alone), gives `(0, None)` and recovery replays the whole log.
 pub(crate) fn restore_newest(
     dir: &Path,
-    monitor: &mut impl StreamMonitor,
+    monitor: &mut Served,
 ) -> Result<(u64, Option<ArrivalReport>)> {
+    let Served::Plain(monitor) = monitor else {
+        return Ok((0, None));
+    };
     for (named_rows, path) in list_snapshots(dir)? {
         let Ok(bytes) = fs::read(&path) else { continue };
         let Ok((covered, report, blob)) = parse_snapshot(&bytes) else {
@@ -331,10 +333,9 @@ pub(crate) fn restore_newest(
         if covered != named_rows {
             continue;
         }
-        match monitor.restore_durable(&blob) {
-            Ok(true) => return Ok((covered, report)),
-            Ok(false) => break, // unsupported — full-log replay
-            Err(_) => continue, // corrupt or mismatched — try older
+        // A corrupt or mismatched snapshot falls back to an older one.
+        if monitor.restore_durable(&blob).is_ok() {
+            return Ok((covered, report));
         }
     }
     Ok((0, None))

@@ -10,19 +10,16 @@
 //! tuple — ranks the facts of each arrival in descending prominence, and calls
 //! *prominent* those that attain the maximum and clear a threshold `τ`.
 //!
-//! The central abstraction is the [`StreamMonitor`] trait — the one,
-//! object-safe ingest surface every monitor implements, and the type
-//! (`Box<dyn StreamMonitor>`) a generic driver such as the `sitfact-serve`
-//! TCP front-end holds. [`FactMonitor`] is its canonical implementation: it
-//! owns the append-only table, a
+//! [`FactMonitor`] is the central type: it owns the append-only table, a
 //! [`ContextCounter`](sitfact_storage::ContextCounter), and any
 //! [`Discovery`](sitfact_algos::Discovery) algorithm, and turns a stream of
 //! raw tuples into a stream of [`ArrivalReport`]s. [`ShardedMonitor`]
 //! partitions that stream by a routing attribute across independent
 //! `FactMonitor` shards and fans batched windows out in parallel — provably
 //! equivalent to an unsharded monitor over the anchored constraint space (see
-//! the [`sharded`] module docs for the soundness argument).
-//! [`ArrivalPipeline`] runs any monitor's arrivals through the stages a
+//! the [`sharded`] module docs for the soundness argument). A server runs
+//! one type, [`Served`]: either of the two over the paper's `STopDown`.
+//! [`ArrivalPipeline`] runs a served monitor's arrivals through the stages a
 //! deployment adds: a sliding window of recent arrivals, retracted at batch
 //! boundaries, and a write-ahead arrival log with snapshot-bounded crash
 //! recovery (see the [`pipeline`] and [`durable`] module docs).
@@ -33,25 +30,27 @@
 
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod compat;
 pub mod distribution;
 pub mod durable;
 pub mod fact;
 pub mod monitor;
 pub mod narrate;
 pub mod pipeline;
+pub mod served;
 pub mod sharded;
-pub mod stream;
 
-pub use distribution::DistributionStats;
-pub use durable::{replay_log, RecoveryReport, ReplayOutcome, WalOptions};
-pub use fact::{ArrivalReport, RankedFact};
-pub use monitor::{FactMonitor, MonitorConfig};
-pub use narrate::narrate;
 #[doc(hidden)]
-pub use pipeline::WindowedMonitor;
+pub use compat::*;
+pub use distribution::DistributionStats;
+pub use durable::{RecoveryReport, ReplayOutcome, WalOptions};
+pub use fact::{ArrivalReport, RankedFact};
+pub use monitor::{FactMonitor, MonitorConfig, MonitorStats};
+pub use narrate::narrate;
 pub use pipeline::{ArrivalPipeline, WindowPolicy};
+pub use served::Served;
 pub use sharded::ShardedMonitor;
-pub use stream::{MonitorStats, StreamMonitor};
 // The WAL types that cross the serve boundary (`STATS` counters, sync
 // policy), re-exported so the serving layer needs no direct storage
 // dependency.

@@ -1,12 +1,11 @@
 //! The [`FactMonitor`]: turn a stream of tuples into ranked situational facts.
 
 use crate::fact::{ArrivalReport, RankedFact};
-use crate::stream::{MonitorStats, StreamMonitor};
 use sitfact_algos::Discovery;
 use sitfact_core::{
     DiscoveryConfig, Result, Schema, SitFactError, SkylinePair, Tuple, TupleId, TupleRef,
 };
-use sitfact_storage::{wal, ContextCounter, Table};
+use sitfact_storage::{wal, ContextCounter, PostingIndexStats, Table, WalStats};
 
 /// Configuration of a [`FactMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,16 +105,59 @@ impl MonitorConfig {
     }
 }
 
+/// A monitor's counters as plain owned values — the record a server
+/// publishes after every ingest, so `STATS` reads never touch the ingest
+/// path. An [`ArrivalPipeline`](crate::ArrivalPipeline) adds its log's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorStats {
+    /// Number of tuples ingested so far.
+    pub len: usize,
+    /// The schema's relation name.
+    pub schema_name: String,
+    /// The prominence threshold τ.
+    pub tau: f64,
+    /// Per-arrival fact-retention cap, if configured.
+    pub keep_top: Option<usize>,
+    /// Anchored dimension index, if the discovery config carries one.
+    pub anchor_dim: Option<usize>,
+    /// Posting-index footprint (a sharded monitor sums its shards).
+    pub postings: PostingIndexStats,
+    /// Write-ahead-log counters (all zero without a logged pipeline).
+    pub wal: WalStats,
+    /// Tuples still answering queries (`len` minus everything retracted).
+    pub live_rows: usize,
+    /// Retracted tuples still physically present (awaiting compaction).
+    pub tombstones: usize,
+    /// Retracted tuples physically dropped by compaction.
+    pub evicted: usize,
+}
+
+impl MonitorStats {
+    /// The record of a monitor with no index, no log and no retraction path:
+    /// identity fields filled in, every row live, every counter zero.
+    pub fn new(schema: &Schema, config: &MonitorConfig, len: usize) -> Self {
+        MonitorStats {
+            len,
+            schema_name: schema.name().to_string(),
+            tau: config.tau,
+            keep_top: config.keep_top,
+            anchor_dim: config.discovery.anchor_dim,
+            postings: PostingIndexStats::default(),
+            wal: WalStats::default(),
+            live_rows: len,
+            tombstones: 0,
+            evicted: 0,
+        }
+    }
+}
+
 /// Owns the table, the context-cardinality counter and a discovery algorithm,
 /// and produces one [`ArrivalReport`] per ingested tuple.
-///
-/// All ingest entry points live on the [`StreamMonitor`] trait, which this
-/// type implements — bring it into scope to feed the monitor.
 ///
 /// ```
 /// use sitfact_core::{Direction, SchemaBuilder, DiscoveryConfig};
 /// use sitfact_algos::SBottomUp;
-/// use sitfact_prominence::{FactMonitor, MonitorConfig, StreamMonitor};
+/// use sitfact_prominence::{FactMonitor, MonitorConfig};
 ///
 /// let schema = SchemaBuilder::new("gamelog")
 ///     .dimension("player").dimension("team")
@@ -300,20 +342,30 @@ impl<A: Discovery> FactMonitor<A> {
     }
 }
 
-impl<A: Discovery> StreamMonitor for FactMonitor<A> {
-    fn schema(&self) -> &Schema {
+impl<A: Discovery> FactMonitor<A> {
+    /// The schema the monitor ingests against (grows as raw rows intern new
+    /// dimension values).
+    pub fn schema(&self) -> &Schema {
         self.table.schema()
     }
 
-    fn config(&self) -> &MonitorConfig {
+    /// The monitor configuration.
+    pub fn config(&self) -> &MonitorConfig {
         &self.config
     }
 
-    fn len(&self) -> usize {
+    /// Number of tuples ingested so far.
+    pub fn len(&self) -> usize {
         self.table.len()
     }
 
-    fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
+    /// Whether no tuple was ingested yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Zero-copy view of a live tuple by its id, if there is one.
+    pub fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
         // Live rows only: a retracted id resolves to `None`, exactly like an
         // id that was never ingested.
         self.table.get(tuple_id)
@@ -331,7 +383,7 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     /// An algorithm that cannot retract ([`Discovery::can_retract`]) makes
     /// this an `Err` before anything is touched: table, counter and
     /// algorithm stay as they were.
-    fn evict_prefix(&mut self, up_to: TupleId) -> Result<usize> {
+    pub fn evict_prefix(&mut self, up_to: TupleId) -> Result<usize> {
         if !self.algorithm.can_retract() {
             return Err(SitFactError::InvalidConfig(format!(
                 "algorithm {} does not support retraction",
@@ -350,7 +402,10 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         Ok(newly)
     }
 
-    fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    /// Interns a raw row against the schema and validates it, without
+    /// ingesting — the encoding half of [`FactMonitor::ingest_raw`], for
+    /// callers assembling a window for [`FactMonitor::ingest_batch_slice`].
+    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
         let ids = self.table.schema_mut().intern_dims(dims)?;
         Tuple::validated(ids, measures, self.table.schema())
     }
@@ -364,10 +419,10 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     /// constraint space a sharded monitor is provably equivalent over (see
     /// `sitfact_core::routing`), and the dropped facts never pay the
     /// cardinality lookups either.
-    fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
+    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
         // Validate before discovery: the algorithms index the tuple's
         // dimensions and would panic on a wrong-arity row, but an invalid
-        // tuple must surface as an error on every StreamMonitor impl.
+        // tuple must surface as an error.
         tuple.validate(self.table.schema())?;
         let mut pairs = self.algorithm.discover(&self.table, &tuple);
         self.apply_anchor(&mut pairs);
@@ -379,8 +434,9 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     }
 
     /// Ingests a whole window of arrivals through the batched fast path,
-    /// returning exactly the reports a sequential [`StreamMonitor::ingest`]
-    /// loop would produce, in the same order.
+    /// returning exactly the reports a sequential [`FactMonitor::ingest`]
+    /// loop would produce, in the same order. The batch is all-or-nothing:
+    /// if any tuple fails validation, no tuple of the window is ingested.
     ///
     /// The window is appended to the table **once** ([`Table::append_batch`]
     /// amortises validation, column growth and posting-list maintenance),
@@ -390,7 +446,7 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     /// ([`Discovery::discover_at`]) and the ranking truncates any table
     /// recomputation at that id, even though later rows of the window are
     /// already physically present.
-    fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
+    pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         if tuples.is_empty() {
             return Ok(Vec::new());
         }
@@ -415,7 +471,14 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         Ok(reports)
     }
 
-    fn stats(&self) -> MonitorStats {
+    /// Ingests a tuple given as raw dimension strings plus measures.
+    pub fn ingest_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<ArrivalReport> {
+        let tuple = self.encode_raw(dims, measures)?;
+        self.ingest(tuple)
+    }
+
+    /// The monitor's counters as one owned record.
+    pub fn stats(&self) -> MonitorStats {
         MonitorStats {
             postings: self.table.posting_index_stats(),
             live_rows: self.table.live_rows(),
@@ -430,8 +493,9 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     /// schema dictionaries, columns and the *native* posting layout — then
     /// the store cells. The context counter is deliberately not serialized:
     /// it is denormalized state, rebuilt from the table on restore (exactly
-    /// as the deep audit's ground-truth recomputation does).
-    fn export_durable(&self) -> Option<Vec<u8>> {
+    /// as the deep audit's ground-truth recomputation does). `None` when the
+    /// algorithm cannot export its store.
+    pub fn export_durable(&self) -> Option<Vec<u8>> {
         let cells = self.algorithm.export_store_cells()?;
         let mut out = Vec::new();
         wal::encode_table(&self.table, &mut out);
@@ -439,7 +503,11 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         Some(out)
     }
 
-    fn restore_durable(&mut self, snapshot: &[u8]) -> Result<bool> {
+    /// Replaces the monitor's state with a snapshot produced by
+    /// [`FactMonitor::export_durable`]; `Err` when the snapshot is corrupt,
+    /// shaped for another relation, or the algorithm refuses the import —
+    /// the monitor is untouched then (all-or-nothing).
+    pub fn restore_durable(&mut self, snapshot: &[u8]) -> Result<()> {
         let mut cur = wal::ByteCursor::new(snapshot);
         let table = wal::decode_table(&mut cur)?;
         let cells = wal::decode_cells(&mut cur, &table)?;
@@ -481,7 +549,7 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
         counter.observe_batch(table.iter().map(|(_, view)| view));
         self.counter = counter;
         self.table = table;
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -744,8 +812,13 @@ mod tests {
                     )
                 })
                 .collect();
-            let expected = sequential.ingest_all(window.clone()).unwrap();
-            let actual = batched.ingest_batch(window).unwrap();
+            let expected = window
+                .clone()
+                .into_iter()
+                .map(|t| sequential.ingest(t))
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
+            let actual = batched.ingest_batch_slice(&window).unwrap();
             // Identical reports: ids, fact order, cardinalities, counts.
             assert_eq!(actual, expected);
         }
@@ -757,13 +830,13 @@ mod tests {
         let schema = schema();
         let algo = SBottomUp::new(&schema, DiscoveryConfig::unrestricted());
         let mut monitor = FactMonitor::new(schema, algo, MonitorConfig::default());
-        assert!(monitor.ingest_batch(Vec::new()).unwrap().is_empty());
+        assert!(monitor.ingest_batch_slice(&[]).unwrap().is_empty());
         monitor.ingest_raw(&["A", "X"], vec![1.0, 1.0]).unwrap();
         let window = vec![
             Tuple::new(vec![0, 0], vec![2.0, 2.0]),
             Tuple::new(vec![0], vec![3.0, 3.0]), // bad arity
         ];
-        assert!(monitor.ingest_batch(window).is_err());
+        assert!(monitor.ingest_batch_slice(&window).is_err());
         // The invalid window left no trace.
         assert_eq!(monitor.len(), 1);
         let report = monitor.ingest_raw(&["B", "X"], vec![2.0, 2.0]).unwrap();
@@ -777,7 +850,7 @@ mod tests {
         let mut monitor = FactMonitor::new(schema, algo, MonitorConfig::default());
         monitor.ingest_raw(&["A", "X"], vec![1.0, 1.0]).unwrap();
         let len_before = monitor.len();
-        let reports = monitor.ingest_batch(Vec::new()).unwrap();
+        let reports = monitor.ingest_batch_slice(&[]).unwrap();
         assert!(reports.is_empty());
         // A true no-op: nothing appended, nothing observed, and the returned
         // vec is the unallocated `Vec::new()` (capacity 0), so an idle feed
@@ -929,7 +1002,7 @@ mod tests {
         assert_eq!(monitor.len(), 0);
         assert!(monitor.is_empty());
         assert!(monitor.encode_raw(&["Wesley"], vec![1.0, 2.0]).is_err());
-        let reports = monitor.ingest_batch(vec![t]).unwrap();
+        let reports = monitor.ingest_batch_slice(&[t]).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(monitor.len(), 1);
     }

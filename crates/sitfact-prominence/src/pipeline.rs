@@ -3,8 +3,8 @@
 //! The paper's relation only grows by appending. A deployment may also keep
 //! only a sliding window of recent arrivals ([`WindowPolicy`]) and log every
 //! arrival for crash recovery ([`WalOptions`]; on-disk format in
-//! [`durable`]). Both are stages of one struct around any
-//! [`StreamMonitor`], run in this order for every window:
+//! [`durable`]). Both are stages of one struct around a [`Served`]
+//! monitor, run in this order for every window:
 //!
 //! 1. validate the window and render it to raw rows (logged only);
 //! 2. append it to the log — the acknowledgement barrier (logged only);
@@ -14,11 +14,13 @@
 //! 6. snapshot, if one is due (logged only).
 //!
 //! Recovery ([`ArrivalPipeline::open_log`]) restores the newest snapshot and
-//! feeds the log suffix through the same stages with 2 and 6 off.
+//! feeds the log suffix through the same stages with 2 and 6 off. A sharded
+//! monitor has no snapshot form: its durability is the log alone, and
+//! `open_log` refuses a snapshot interval for it.
 //!
 //! Eviction runs only *between* windows: every arrival of a window sees the
 //! full pre-window history plus its in-window predecessors, and a
-//! [`StreamMonitor::ingest`] call is a window of one. The reports of a
+//! [`ArrivalPipeline::ingest`] call is a window of one. The reports of a
 //! bounded pipeline are therefore a function of the window partitioning,
 //! which replay re-feeds from the log: the same evictions happen at the same
 //! instants, with no eviction records in the log. An unlogged pipeline hands
@@ -35,9 +37,9 @@
 
 use crate::durable::{self, RecoveryReport, WalOptions};
 use crate::fact::ArrivalReport;
-use crate::monitor::MonitorConfig;
-use crate::stream::{MonitorStats, StreamMonitor};
-use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId, TupleRef};
+use crate::monitor::MonitorStats;
+use crate::served::Served;
+use sitfact_core::{Result, SitFactError, Tuple, TupleId};
 use sitfact_storage::ArrivalLog;
 use std::path::Path;
 use std::sync::Arc;
@@ -81,16 +83,14 @@ impl WindowPolicy {
     }
 }
 
-/// Any [`StreamMonitor`] behind the arrival stages: a window policy, an
+/// A [`Served`] monitor behind the arrival stages: a window policy, an
 /// optional write-ahead log with snapshots, and the last report. See the
 /// [module docs](self) for the stage order and the equivalence contract.
 ///
 /// ```
 /// use sitfact_algos::STopDown;
 /// use sitfact_core::{Direction, SchemaBuilder};
-/// use sitfact_prominence::{
-///     ArrivalPipeline, FactMonitor, MonitorConfig, StreamMonitor, WalOptions, WindowPolicy,
-/// };
+/// use sitfact_prominence::{ArrivalPipeline, FactMonitor, MonitorConfig, WalOptions, WindowPolicy};
 ///
 /// let dir = std::env::temp_dir().join(format!("sitfact-pipeline-doc-{}", std::process::id()));
 /// let _ = std::fs::remove_dir_all(&dir);
@@ -109,9 +109,10 @@ impl WindowPolicy {
 /// // First life: every window is logged before it is acknowledged.
 /// let (mut pipeline, _) = fresh().open_log(&dir, WalOptions::default()).unwrap();
 /// for points in [10.0, 12.0, 9.0, 11.0] {
-///     pipeline.ingest_raw(&["Wesley"], vec![points]).unwrap();
+///     let tuple = pipeline.encode_raw(&["Wesley"], vec![points]).unwrap();
+///     pipeline.ingest(tuple).unwrap();
 /// }
-/// assert_eq!(pipeline.len(), 4, "ids keep counting arrivals");
+/// assert_eq!(pipeline.stats().len, 4, "ids keep counting arrivals");
 /// assert_eq!(pipeline.stats().live_rows, 2, "only the window answers queries");
 /// drop(pipeline); // crash or shutdown — no flush step required
 ///
@@ -121,18 +122,14 @@ impl WindowPolicy {
 /// assert_eq!(pipeline.stats().live_rows, 2);
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// ```
-pub struct ArrivalPipeline<M: StreamMonitor> {
-    inner: M,
+pub struct ArrivalPipeline {
+    inner: Served,
     policy: WindowPolicy,
     log: Option<LogStage>,
     /// Shared with whoever publishes it (a server's read snapshot), so
     /// publishing costs a reference count, not a copy.
     last_report: Option<Arc<ArrivalReport>>,
 }
-
-/// The old name: `WindowedMonitor::new(inner, policy)` still compiles.
-#[doc(hidden)]
-pub type WindowedMonitor<M> = ArrivalPipeline<M>;
 
 /// The state of the logged stages.
 struct LogStage {
@@ -146,7 +143,7 @@ struct LogStage {
 
 /// The arrivals of one call.
 enum Window<'a> {
-    /// One [`StreamMonitor::ingest`].
+    /// One [`ArrivalPipeline::ingest`].
     One(Tuple),
     /// One batch.
     Batch(&'a [Tuple]),
@@ -161,13 +158,13 @@ impl Window<'_> {
     }
 }
 
-impl<M: StreamMonitor> ArrivalPipeline<M> {
+impl ArrivalPipeline {
     /// An unlogged pipeline over `inner`. A bounded `policy` needs a monitor
-    /// that supports [`StreamMonitor::evict_prefix`]; one that does not
+    /// that supports [`Served::evict_prefix`]; a sharded one does not and
     /// fails at the first boundary that has to evict.
-    pub fn new(inner: M, policy: WindowPolicy) -> Self {
+    pub fn new(inner: impl Into<Served>, policy: WindowPolicy) -> Self {
         ArrivalPipeline {
-            inner,
+            inner: inner.into(),
             policy,
             log: None,
             last_report: None,
@@ -178,7 +175,8 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
     /// newest intact snapshot, then the log suffix replayed through the
     /// stages with append and snapshot off. Writes nothing but the
     /// truncation of a torn tail. The monitor must be empty, configured like
-    /// the one that wrote `dir`.
+    /// the one that wrote `dir`. A sharded monitor cannot write snapshots, so
+    /// with `opts.snapshot_every` set it is refused with `InvalidConfig`.
     pub fn open_log(
         mut self,
         dir: impl AsRef<Path>,
@@ -188,6 +186,12 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
             return Err(SitFactError::InvalidConfig(
                 "durable recovery needs an empty monitor to rebuild into".to_string(),
             ));
+        }
+        if let (Served::Sharded(_), Some(every)) = (&self.inner, opts.snapshot_every) {
+            return Err(SitFactError::InvalidConfig(format!(
+                "a sharded monitor cannot write snapshots (snapshot every {every} rows): its \
+                 durability is log-only, so configure no snapshot interval"
+            )));
         }
         let dir = dir.as_ref();
         let (snapshot_rows, last_report) = durable::restore_newest(dir, &mut self.inner)?;
@@ -208,7 +212,9 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
             if window.first_id + window.rows.len() as u64 <= snapshot_rows {
                 continue;
             }
-            let tuples = durable::encode_window(&mut self.inner, window)?;
+            let tuples = durable::encode_window(self.inner.len(), window, |dims, measures| {
+                self.inner.encode_raw(dims, measures)
+            })?;
             self.run(Window::Batch(&tuples), false)?;
             recovery.replayed_windows += 1;
             recovery.replayed_rows += tuples.len() as u64;
@@ -217,7 +223,7 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
     }
 
     /// Read access to the monitor behind the stages.
-    pub fn inner(&self) -> &M {
+    pub fn inner(&self) -> &Served {
         &self.inner
     }
 
@@ -235,9 +241,14 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
 
     /// Writes a full-state snapshot, bounding recovery replay to the log
     /// suffix behind it, then retires the log segments it covers. A monitor
-    /// that cannot export its state writes none: recovery replays the log.
+    /// whose algorithm cannot export its state writes none: recovery replays
+    /// the log.
     fn snapshot(&mut self) -> Result<()> {
-        let (Some(stage), Some(blob)) = (&mut self.log, self.inner.export_durable()) else {
+        // `open_log` refused snapshots for a sharded monitor.
+        let (Some(stage), Served::Plain(monitor)) = (&mut self.log, &self.inner) else {
+            return Ok(());
+        };
+        let Some(blob) = monitor.export_durable() else {
             return Ok(());
         };
         let covered = self.inner.len() as u64;
@@ -312,65 +323,45 @@ impl<M: StreamMonitor> ArrivalPipeline<M> {
             _ => Ok(0),
         }
     }
-}
 
-impl<M: StreamMonitor> StreamMonitor for ArrivalPipeline<M> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn config(&self) -> &MonitorConfig {
-        self.inner.config()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
-        self.inner.tuple(tuple_id)
-    }
-
-    fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    /// Interns a raw row against the monitor's schema, without ingesting.
+    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
         self.inner.encode_raw(dims, measures)
     }
 
-    fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
+    /// Runs one arrival through the stages as a window of one.
+    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
         self.run(Window::One(tuple), true)?
             .pop()
             .ok_or_else(|| SitFactError::Io("ingest of one tuple produced no report".to_string()))
     }
 
-    fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
+    /// Runs one window through the stages: the reports a sequential
+    /// [`ArrivalPipeline::ingest`] loop over an unbounded monitor would
+    /// produce, with eviction after the window.
+    pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         self.run(Window::Batch(tuples), true)
     }
 
-    // `evict_prefix` and `restore_durable` keep their refusing defaults: the
-    // policy evicts and `open_log` restores, at the points replay re-feeds.
-
-    fn stats(&self) -> MonitorStats {
+    /// The monitor's counters with the log's added.
+    pub fn stats(&self) -> MonitorStats {
         let wal = self.log.as_ref().map(|stage| stage.log.stats());
         MonitorStats {
             wal: wal.unwrap_or_default(),
             ..self.inner.stats()
         }
     }
-
-    fn export_durable(&self) -> Option<Vec<u8>> {
-        self.inner.export_durable()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::replay_log;
-    use crate::monitor::FactMonitor;
+    use crate::monitor::{FactMonitor, MonitorConfig};
     use crate::sharded::ShardedMonitor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sitfact_algos::STopDown;
-    use sitfact_core::{Direction, DiscoveryConfig, SchemaBuilder};
+    use sitfact_core::{Audit, Direction, DiscoveryConfig, Schema, SchemaBuilder};
     use sitfact_storage::{SyncPolicy, WalStats};
     use std::path::PathBuf;
 
@@ -412,7 +403,7 @@ mod tests {
         dir: &Path,
         policy: WindowPolicy,
         opts: WalOptions,
-    ) -> (ArrivalPipeline<FactMonitor<STopDown>>, RecoveryReport) {
+    ) -> (ArrivalPipeline, RecoveryReport) {
         ArrivalPipeline::new(fresh(&schema(), config()), policy)
             .open_log(dir, opts)
             .unwrap()
@@ -437,10 +428,32 @@ mod tests {
             .collect()
     }
 
-    fn encode(
-        monitor: &mut (impl StreamMonitor + ?Sized),
-        rows: &[(Vec<String>, Vec<f64>)],
-    ) -> Vec<Tuple> {
+    /// What the helpers below drive: a bare monitor (the reference) or a
+    /// pipeline.
+    trait Feed {
+        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple>;
+        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>>;
+    }
+
+    impl Feed for FactMonitor<STopDown> {
+        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+            FactMonitor::encode_raw(self, dims, measures)
+        }
+        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
+            FactMonitor::ingest_batch_slice(self, tuples)
+        }
+    }
+
+    impl Feed for ArrivalPipeline {
+        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+            ArrivalPipeline::encode_raw(self, dims, measures)
+        }
+        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
+            ArrivalPipeline::ingest_batch_slice(self, tuples)
+        }
+    }
+
+    fn encode(monitor: &mut impl Feed, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> {
         rows.iter()
             .map(|(dims, measures)| {
                 let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
@@ -451,7 +464,7 @@ mod tests {
 
     /// Feeds `rows` in windows of `window` through the monitor's batch path.
     fn feed(
-        monitor: &mut (impl StreamMonitor + ?Sized),
+        monitor: &mut impl Feed,
         rows: &[(Vec<String>, Vec<f64>)],
         window: usize,
     ) -> Vec<ArrivalReport> {
@@ -484,7 +497,7 @@ mod tests {
     }
 
     /// The stats of `pipeline` without its log counters.
-    fn unlogged_stats(pipeline: &impl StreamMonitor) -> MonitorStats {
+    fn unlogged_stats(pipeline: &ArrivalPipeline) -> MonitorStats {
         MonitorStats {
             wal: WalStats::default(),
             ..pipeline.stats()
@@ -521,7 +534,7 @@ mod tests {
                     // `FactMonitor::ingest`, everything else through the
                     // batch path, with `evict_prefix` at each boundary.
                     let drive =
-                        |pipeline: &mut ArrivalPipeline<_>,
+                        |pipeline: &mut ArrivalPipeline,
                          reference: &mut FactMonitor<STopDown>,
                          chunk: &[(Vec<String>, Vec<f64>)]| {
                             let tuples = encode(pipeline, chunk);
@@ -558,7 +571,7 @@ mod tests {
                     for chunk in rows[..60].chunks(batch) {
                         drive(&mut pipeline, &mut reference, chunk);
                     }
-                    pipeline.inner().audit().unwrap();
+                    pipeline.inner().check().unwrap();
                     if logged {
                         let before = pipeline.stats();
                         let last = pipeline.last_report().cloned();
@@ -575,7 +588,7 @@ mod tests {
                     for chunk in rows[60..].chunks(batch) {
                         drive(&mut pipeline, &mut reference, chunk);
                     }
-                    pipeline.inner().audit().unwrap();
+                    pipeline.inner().check().unwrap();
                     let _ = std::fs::remove_dir_all(&dir);
                 }
             }
@@ -631,11 +644,11 @@ mod tests {
             ArrivalPipeline::new(window_monitor(&schema), WindowPolicy::count(10).unwrap());
         for (i, t) in random_tuples(3, 30).into_iter().enumerate() {
             monitor.ingest(t).unwrap();
-            assert_eq!(monitor.len(), i + 1);
+            assert_eq!(monitor.inner().len(), i + 1);
             assert_eq!(monitor.stats().live_rows, (i + 1).min(10));
         }
         assert_eq!(monitor.stats().evicted + monitor.stats().tombstones, 20);
-        monitor.inner().audit().unwrap();
+        monitor.inner().check().unwrap();
     }
 
     #[test]
@@ -653,7 +666,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(windowed.stats().live_rows, 8);
         assert_eq!(reference.stats().live_rows, 24);
-        windowed.inner().audit().unwrap();
+        windowed.inner().check().unwrap();
     }
 
     #[test]
@@ -667,7 +680,7 @@ mod tests {
             windowed.ingest_batch_slice(window).unwrap();
         }
         // A fresh monitor fed only the survivors, id space aligned.
-        let base = (windowed.len() - windowed.stats().live_rows) as u32;
+        let base = (windowed.inner().len() - windowed.stats().live_rows) as u32;
         let mut rebuilt = FactMonitor::with_base(
             schema.clone(),
             STopDown::new(&schema, config.discovery),
@@ -685,8 +698,8 @@ mod tests {
             let b = rebuilt.ingest(t).unwrap();
             assert_eq!(a, b);
         }
-        windowed.inner().audit().unwrap();
-        rebuilt.inner().audit().unwrap();
+        windowed.inner().check().unwrap();
+        rebuilt.inner().check().unwrap();
     }
 
     /// A count window bounds resident memory under sustained ingest. Over a
@@ -723,13 +736,16 @@ mod tests {
             .with_discovery(DiscoveryConfig::capped(3, 3))
             .with_tau(100.0)
             .with_keep_top(8);
-        let heap = |monitor: &FactMonitor<STopDown>| {
+        let heap = |monitor: &Served| {
+            let Served::Plain(monitor) = monitor else {
+                panic!("the window test runs an unsharded monitor");
+            };
             let store = monitor.algorithm().store_stats().approx_bytes as usize;
             monitor.table().approx_heap_bytes() + store
         };
         let policy = WindowPolicy::count(WINDOW).unwrap();
         let mut windowed = ArrivalPipeline::new(fresh(&schema, config), policy);
-        let mut unbounded = fresh(&schema, config);
+        let mut unbounded = Served::from(fresh(&schema, config));
         let mut fill = None;
         for chunk in tuples.chunks(8) {
             windowed.ingest_batch_slice(chunk).unwrap();
@@ -749,42 +765,25 @@ mod tests {
             heap(&unbounded) > heap(windowed.inner()),
             "the unbounded monitor should out-grow the windowed one"
         );
-        windowed.inner().audit().unwrap();
+        windowed.inner().check().unwrap();
+    }
+
+    /// A sharded monitor over `schema`, routed by team.
+    fn sharded(schema: &Schema) -> ShardedMonitor<STopDown> {
+        ShardedMonitor::by_attribute(schema.clone(), "team", 2, config(), STopDown::new).unwrap()
     }
 
     #[test]
     fn bounded_policy_on_a_non_retractable_monitor_errors() {
-        /// A minimal monitor without a retraction path.
-        struct Fixed;
-        impl StreamMonitor for Fixed {
-            fn schema(&self) -> &Schema {
-                unreachable!()
-            }
-            fn config(&self) -> &MonitorConfig {
-                unreachable!()
-            }
-            fn len(&self) -> usize {
-                5
-            }
-            fn tuple(&self, _: TupleId) -> Option<TupleRef<'_>> {
-                None
-            }
-            fn encode_raw(&mut self, _: &[&str], _: Vec<f64>) -> Result<Tuple> {
-                unreachable!()
-            }
-            fn ingest(&mut self, _: Tuple) -> Result<ArrivalReport> {
-                Ok(ArrivalReport {
-                    tuple_id: 0,
-                    facts: Vec::new(),
-                    prominent_count: 0,
-                })
-            }
-            fn ingest_batch_slice(&mut self, _: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-                unreachable!()
-            }
+        // A sharded monitor has no retraction path: the first boundary that
+        // has to evict refuses with a typed error.
+        let schema = window_schema();
+        let mut monitor = ArrivalPipeline::new(sharded(&schema), WindowPolicy::count(2).unwrap());
+        let mut tuples = random_tuples(5, 3).into_iter();
+        for tuple in tuples.by_ref().take(2) {
+            monitor.ingest(tuple).unwrap();
         }
-        let mut monitor = ArrivalPipeline::new(Fixed, WindowPolicy::count(2).unwrap());
-        let err = monitor.ingest(Tuple::new(vec![0], vec![0.0])).unwrap_err();
+        let err = monitor.ingest(tuples.next().unwrap()).unwrap_err();
         assert!(matches!(err, SitFactError::InvalidConfig(_)));
     }
 
@@ -811,7 +810,7 @@ mod tests {
         let (mut recovered, recovery) = open(&dir, WindowPolicy::Unbounded, WalOptions::default());
         assert_eq!(recovery.replayed_rows, 40);
         assert_eq!(recovery.dropped_bytes, 0);
-        assert_eq!(recovered.len(), reference.len());
+        assert_eq!(recovered.inner().len(), reference.len());
         assert_eq!(
             recovered.last_report(),
             expected.last(),
@@ -899,7 +898,7 @@ mod tests {
         assert!(recovery.snapshot_rows > 0);
         assert_eq!(recovery.snapshot_rows + recovery.replayed_rows, 200);
         assert_eq!(recovery.dropped_bytes, 0);
-        assert_eq!(recovered.len(), reference.len());
+        assert_eq!(recovered.inner().len(), reference.len());
         assert_eq!(recovered.stats().postings, reference.stats().postings);
         assert_eq!(recovered.last_report(), expected.last());
         expected.extend(feed(&mut reference, &rows[200..], 8));
@@ -934,7 +933,7 @@ mod tests {
         // records exist in the log.
         let (mut recovered, recovery) = open(&dir, policy, opts);
         assert!(recovery.snapshot_rows > 0, "snapshots must cover evictions");
-        assert_eq!(recovered.len(), reference.len());
+        assert_eq!(recovered.inner().len(), reference.inner().len());
         assert_eq!(recovered.stats().live_rows, reference.stats().live_rows);
         assert_eq!(recovered.stats().evicted, reference.stats().evicted);
         assert_eq!(recovered.stats().postings, reference.stats().postings);
@@ -942,7 +941,7 @@ mod tests {
         expected.extend(feed(&mut reference, &rows[60..], 7));
         let resumed = feed(&mut recovered, &rows[60..], 7);
         assert_eq!(resumed, expected[60..], "post-recovery reports must match");
-        recovered.inner().audit().unwrap();
+        recovered.inner().check().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -975,7 +974,7 @@ mod tests {
         // Snapshot restore must land on the same state as pure replay.
         let mut replayed = fresh(&schema, config);
         let expected = feed(&mut replayed, &rows, 6);
-        assert_eq!(recovered.len(), replayed.len());
+        assert_eq!(recovered.inner().len(), replayed.len());
         assert_eq!(recovered.stats().postings, replayed.stats().postings);
         assert_eq!(recovered.last_report(), expected.last());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1012,7 +1011,7 @@ mod tests {
         assert_eq!(recovery.replayed_rows, rows.len() as u64);
         let mut replayed = fresh(&schema, config);
         feed(&mut replayed, &rows, 5);
-        assert_eq!(recovered.len(), replayed.len());
+        assert_eq!(recovered.inner().len(), replayed.len());
         assert_eq!(recovered.stats().postings, replayed.stats().postings);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1046,7 +1045,7 @@ mod tests {
         // window.
         let mut replayed = fresh(&schema, config);
         feed(&mut replayed, &rows[..20], 4);
-        assert_eq!(recovered.len(), replayed.len());
+        assert_eq!(recovered.inner().len(), replayed.len());
         assert_eq!(recovered.stats().postings, replayed.stats().postings);
 
         // And the log keeps accepting appends after the truncation.
@@ -1075,7 +1074,7 @@ mod tests {
         let (recovered, recovery) = open(&dir, WindowPolicy::Unbounded, WalOptions::default());
         assert_eq!(recovery.replayed_rows, 3, "replay stops at the bad frame");
         assert!(recovery.dropped_bytes > 0);
-        assert_eq!(recovered.len(), 3);
+        assert_eq!(recovered.inner().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1093,36 +1092,13 @@ mod tests {
 
     #[test]
     fn a_failed_eviction_after_the_append_breaks_the_pipeline() {
-        /// Retraction refused on a monitor that otherwise works.
-        struct Unretractable(FactMonitor<STopDown>);
-        impl StreamMonitor for Unretractable {
-            fn schema(&self) -> &Schema {
-                self.0.schema()
-            }
-            fn config(&self) -> &MonitorConfig {
-                self.0.config()
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn tuple(&self, id: TupleId) -> Option<TupleRef<'_>> {
-                self.0.tuple(id)
-            }
-            fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
-                self.0.encode_raw(dims, measures)
-            }
-            fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-                self.0.ingest(tuple)
-            }
-            fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-                self.0.ingest_batch_slice(tuples)
-            }
-        }
+        // Retraction refused on a monitor that otherwise works: the sharded
+        // arm, logged without snapshots.
         let dir = temp_dir("unretractable");
-        let monitor = Unretractable(fresh(&schema(), config()));
-        let (mut durable, _) = ArrivalPipeline::new(monitor, WindowPolicy::count(2).unwrap())
-            .open_log(&dir, WalOptions::default())
-            .unwrap();
+        let (mut durable, _) =
+            ArrivalPipeline::new(sharded(&schema()), WindowPolicy::count(2).unwrap())
+                .open_log(&dir, WalOptions::default())
+                .unwrap();
         let rows = raw_rows(41, 3);
         feed(&mut durable, &rows[..2], 2);
         let tuples = encode(&mut durable, &rows[2..]);
@@ -1211,7 +1187,7 @@ mod tests {
             // Replay the raw log into sharded monitors of varying widths.
             let routing_attr = format!("d{anchor}");
             for shards in [1usize, 2, 3] {
-                let mut sharded = ShardedMonitor::by_attribute(
+                let sharded = ShardedMonitor::by_attribute(
                     schema.clone(),
                     &routing_attr,
                     shards,
@@ -1219,7 +1195,7 @@ mod tests {
                     STopDown::new,
                 )
                 .unwrap();
-                let outcome = replay_log(&dir, &mut sharded).unwrap();
+                let outcome = Served::from(sharded).replay(&dir).unwrap();
                 assert_eq!(outcome.rows, n_rows as u64);
                 assert_eq!(outcome.dropped_bytes, 0);
                 assert_eq!(
@@ -1251,7 +1227,7 @@ mod tests {
             feed(&mut durable, &rows, 5);
             std::mem::forget(durable);
             let (recovered, _) = open(&dir, WindowPolicy::Unbounded, opts);
-            assert_eq!(recovered.len(), baseline.len(), "{tag}");
+            assert_eq!(recovered.inner().len(), baseline.len(), "{tag}");
             assert_eq!(
                 recovered.stats().postings,
                 baseline.stats().postings,
@@ -1262,18 +1238,37 @@ mod tests {
         }
     }
 
+    /// A sharded monitor is durable through its log alone; a snapshot
+    /// interval, which it could never honour, is refused up front.
     #[test]
-    fn boxed_monitor_can_be_logged() {
-        let dir = temp_dir("boxed");
-        let boxed: Box<dyn StreamMonitor + Send> = Box::new(fresh(&schema(), config()));
-        let (mut durable, _) = ArrivalPipeline::new(boxed, WindowPolicy::Unbounded)
+    fn sharded_monitor_is_logged_without_snapshots() {
+        let dir = temp_dir("sharded-log");
+        let (mut durable, _) = ArrivalPipeline::new(sharded(&schema()), WindowPolicy::Unbounded)
             .open_log(&dir, WalOptions::default())
             .unwrap();
-        durable
-            .ingest_raw(&["p1", "t1", "m0"], vec![3.0, 1.0])
-            .unwrap();
-        assert_eq!(durable.len(), 1);
-        assert_eq!(durable.stats().wal.durable_rows, 1);
+        let rows = raw_rows(43, 12);
+        let expected = feed(&mut durable, &rows, 4);
+        assert_eq!(durable.stats().wal.durable_rows, 12);
+        drop(durable);
+        let (recovered, recovery) =
+            ArrivalPipeline::new(sharded(&schema()), WindowPolicy::Unbounded)
+                .open_log(&dir, WalOptions::default())
+                .unwrap();
+        assert_eq!(recovery.replayed_rows, 12);
+        assert_eq!(recovered.last_report(), expected.last());
+        assert!(snapshots(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sharded_monitor_refuses_a_snapshot_interval() {
+        let dir = temp_dir("sharded-snap");
+        let opts = WalOptions::default().with_snapshot_every(16);
+        let err = ArrivalPipeline::new(sharded(&schema()), WindowPolicy::Unbounded)
+            .open_log(&dir, opts)
+            .err()
+            .expect("a snapshot interval on a sharded monitor is refused");
+        assert!(matches!(err, SitFactError::InvalidConfig(ref m) if m.contains("snapshot")));
+        assert!(!dir.exists(), "nothing is written");
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! ## Parallelism
 //!
-//! A batched window ([`StreamMonitor::ingest_batch`]) is partitioned by
+//! A batched window ([`ShardedMonitor::ingest_batch_slice`]) is partitioned by
 //! routing value and handed to the shards through a
 //! [`ThreadPool`]: each shard is *moved* into
 //! its task together with its sub-window and moved back with its reports
@@ -33,8 +33,7 @@
 //! monitor (their pruning paths differ).
 
 use crate::fact::ArrivalReport;
-use crate::monitor::{FactMonitor, MonitorConfig};
-use crate::stream::{MonitorStats, StreamMonitor};
+use crate::monitor::{FactMonitor, MonitorConfig, MonitorStats};
 use sitfact_algos::Discovery;
 use sitfact_core::pool::ThreadPool;
 use sitfact_core::{
@@ -45,10 +44,9 @@ use std::hash::BuildHasher;
 /// A router over `N` independent [`FactMonitor`] shards, partitioning the
 /// stream by one dimension attribute.
 ///
-/// All ingest entry points live on the [`StreamMonitor`] trait — a sharded
-/// monitor is fed exactly like an unsharded one, which is what lets callers
-/// hold either behind `Box<dyn StreamMonitor>` and make sharding a pure
-/// deployment choice.
+/// A sharded monitor is fed exactly like an unsharded one, so a server holds
+/// either as a [`Served`](crate::Served) and sharding is a pure deployment
+/// choice.
 ///
 /// The discovery config is anchored on the routing attribute, so the merged
 /// per-arrival reports are identical to an unsharded [`FactMonitor`] running
@@ -58,7 +56,7 @@ use std::hash::BuildHasher;
 /// ```
 /// use sitfact_core::{Direction, SchemaBuilder};
 /// use sitfact_algos::STopDown;
-/// use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
+/// use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor};
 ///
 /// let schema = SchemaBuilder::new("gamelog")
 ///     .dimension("player")
@@ -89,7 +87,8 @@ use std::hash::BuildHasher;
 ///     (["C", "X"], 12.0),
 ///     (["A", "Y"], 11.0),
 /// ] {
-///     let sharded_report = sharded.ingest_raw(&dims, vec![points]).unwrap();
+///     let tuple = sharded.encode_raw(&dims, vec![points]).unwrap();
+///     let sharded_report = sharded.ingest(tuple).unwrap();
 ///     let reference_report = reference.ingest_raw(&dims, vec![points]).unwrap();
 ///     assert_eq!(sharded_report, reference_report);
 /// }
@@ -234,7 +233,7 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
             .zip(windows)
             .map(|(mut monitor, window)| {
                 Box::new(move || {
-                    let reports = monitor.ingest_batch(window);
+                    let reports = monitor.ingest_batch_slice(&window);
                     (monitor, reports)
                 }) as Box<dyn FnOnce() -> ShardResult<A> + Send>
             })
@@ -417,37 +416,44 @@ impl<A: Discovery + Send + 'static> sitfact_core::Audit for ShardedMonitor<A> {
     }
 }
 
-impl<A: Discovery + Send + 'static> StreamMonitor for ShardedMonitor<A> {
+impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
     /// The master schema (grows as raw rows are interned).
-    fn schema(&self) -> &Schema {
+    pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
     /// The effective (anchored) monitor configuration every shard runs.
-    fn config(&self) -> &MonitorConfig {
+    pub fn config(&self) -> &MonitorConfig {
         &self.config
     }
 
     /// Total number of tuples ingested across all shards.
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.locations.len()
     }
 
+    /// Whether no tuple was ingested yet.
+    pub fn is_empty(&self) -> bool {
+        self.locations.is_empty()
+    }
+
     /// Zero-copy view of a globally-numbered tuple (resolve its dimension
-    /// strings against [`StreamMonitor::schema`]).
-    fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
+    /// strings against [`ShardedMonitor::schema`]).
+    pub fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
         let (shard, local) = self.locate(tuple_id)?;
         Some(self.shards[shard].table().tuple(local))
     }
 
-    fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    /// Interns a raw row against the master schema and validates it,
+    /// without ingesting.
+    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
         let ids = self.schema.intern_dims(dims)?;
         Tuple::validated(ids, measures, &self.schema)
     }
 
     /// Routes one already-encoded tuple to its shard and ingests it there,
     /// returning the report with its global tuple id.
-    fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
+    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
         self.assert_usable();
         tuple.validate(&self.schema)?;
         let routing_value = tuple.dim(self.routing_dim);
@@ -470,7 +476,7 @@ impl<A: Discovery + Send + 'static> StreamMonitor for ShardedMonitor<A> {
     ///
     /// An empty window is a no-op returning an empty vec. Validation is
     /// all-or-nothing against the master schema before any shard is touched.
-    fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
+    pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         self.assert_usable();
         if tuples.is_empty() {
             return Ok(Vec::new());
@@ -481,7 +487,7 @@ impl<A: Discovery + Send + 'static> StreamMonitor for ShardedMonitor<A> {
     /// Posting-index footprint summed over all shards (each shard compacts
     /// its own tails at its batch-window boundaries); a sharded monitor has
     /// no retraction path, so every row stays live.
-    fn stats(&self) -> MonitorStats {
+    pub fn stats(&self) -> MonitorStats {
         let mut postings = sitfact_storage::PostingIndexStats::default();
         for shard in &self.shards {
             let stats = shard.table().posting_index_stats();
@@ -542,6 +548,15 @@ mod tests {
             STopDown::new,
         )
         .unwrap()
+    }
+
+    fn ingest_raw(
+        monitor: &mut ShardedMonitor<STopDown>,
+        dims: &[&str],
+        measures: Vec<f64>,
+    ) -> Result<ArrivalReport> {
+        let tuple = monitor.encode_raw(dims, measures)?;
+        monitor.ingest(tuple)
     }
 
     fn reference() -> FactMonitor<STopDown> {
@@ -626,8 +641,17 @@ mod tests {
             let mut monitor = sharded(num_shards);
             let mut unsharded = reference();
             let stream = rows(40, 11);
-            let actual = monitor.ingest_all(stream.clone()).unwrap();
-            let expected = unsharded.ingest_all(stream).unwrap();
+            let actual = stream
+                .clone()
+                .into_iter()
+                .map(|t| monitor.ingest(t))
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
+            let expected = stream
+                .into_iter()
+                .map(|t| unsharded.ingest(t))
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
             assert_equivalent(actual, expected);
             assert_eq!(monitor.len(), 40);
         }
@@ -643,7 +667,11 @@ mod tests {
             for window in stream.chunks(13) {
                 actual.extend(monitor.ingest_batch_slice(window).unwrap());
             }
-            let expected = unsharded.ingest_all(stream).unwrap();
+            let expected = stream
+                .into_iter()
+                .map(|t| unsharded.ingest(t))
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
             assert_equivalent(actual, expected);
         }
     }
@@ -660,8 +688,12 @@ mod tests {
         let mut unsharded =
             FactMonitor::new(s.clone(), STopDown::new(&s, anchored.discovery), anchored);
         let stream = rows(50, 41);
-        let actual = monitor.ingest_batch(stream.clone()).unwrap();
-        let expected = unsharded.ingest_all(stream).unwrap();
+        let actual = monitor.ingest_batch_slice(&stream).unwrap();
+        let expected = stream
+            .into_iter()
+            .map(|t| unsharded.ingest(t))
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
         assert_equivalent(actual, expected);
     }
 
@@ -670,8 +702,12 @@ mod tests {
         let mut batched = sharded(3);
         let mut sequential = sharded(3);
         let stream = rows(30, 5);
-        let from_batches = batched.ingest_batch(stream.clone()).unwrap();
-        let one_by_one = sequential.ingest_all(stream).unwrap();
+        let from_batches = batched.ingest_batch_slice(&stream).unwrap();
+        let one_by_one = stream
+            .into_iter()
+            .map(|t| sequential.ingest(t))
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
         assert_eq!(from_batches, one_by_one);
         // Global ids are the arrival order, regardless of shard placement.
         assert!(from_batches
@@ -683,29 +719,23 @@ mod tests {
     #[test]
     fn empty_batch_is_noop() {
         let mut monitor = sharded(2);
-        monitor
-            .ingest_raw(&["A", "X", "Jan"], vec![1.0, 2.0])
-            .unwrap();
-        let reports = monitor.ingest_batch(Vec::new()).unwrap();
+        ingest_raw(&mut monitor, &["A", "X", "Jan"], vec![1.0, 2.0]).unwrap();
+        let reports = monitor.ingest_batch_slice(&[]).unwrap();
         assert!(reports.is_empty());
         assert_eq!(monitor.len(), 1);
-        let report = monitor
-            .ingest_raw(&["B", "Y", "Jan"], vec![2.0, 1.0])
-            .unwrap();
+        let report = ingest_raw(&mut monitor, &["B", "Y", "Jan"], vec![2.0, 1.0]).unwrap();
         assert_eq!(report.tuple_id, 1);
     }
 
     #[test]
     fn invalid_window_is_rejected_before_any_shard_ingests() {
         let mut monitor = sharded(2);
-        monitor
-            .ingest_raw(&["A", "X", "Jan"], vec![1.0, 2.0])
-            .unwrap();
+        ingest_raw(&mut monitor, &["A", "X", "Jan"], vec![1.0, 2.0]).unwrap();
         let window = vec![
             Tuple::new(vec![0, 0, 0], vec![3.0, 3.0]),
             Tuple::new(vec![0, 1], vec![4.0, 4.0]), // bad arity
         ];
-        assert!(monitor.ingest_batch(window).is_err());
+        assert!(monitor.ingest_batch_slice(&window).is_err());
         assert_eq!(monitor.len(), 1);
         assert!(
             monitor
@@ -717,7 +747,7 @@ mod tests {
         );
         // NaN measures are also caught up front.
         let window = vec![Tuple::new(vec![0, 0, 0], vec![f64::NAN, 1.0])];
-        assert!(monitor.ingest_batch(window).is_err());
+        assert!(monitor.ingest_batch_slice(&window).is_err());
         assert_eq!(monitor.len(), 1);
     }
 
@@ -725,7 +755,7 @@ mod tests {
     fn locate_and_tuple_resolve_global_ids() {
         let mut monitor = sharded(3);
         let stream = rows(25, 77);
-        monitor.ingest_batch(stream.clone()).unwrap();
+        monitor.ingest_batch_slice(&stream).unwrap();
         for (i, original) in stream.iter().enumerate() {
             let (shard, local) = monitor.locate(i as TupleId).unwrap();
             assert!(shard < 3);
@@ -762,8 +792,12 @@ mod tests {
                 .with_discovery(discovery),
         );
         let stream = rows(30, 3);
-        let actual = monitor.ingest_batch(stream.clone()).unwrap();
-        let expected = unsharded.ingest_all(stream).unwrap();
+        let actual = monitor.ingest_batch_slice(&stream).unwrap();
+        let expected = stream
+            .into_iter()
+            .map(|t| unsharded.ingest(t))
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
         assert_equivalent(actual, expected);
     }
 }

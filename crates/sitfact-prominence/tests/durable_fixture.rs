@@ -21,8 +21,8 @@ use sitfact_core::{DiscoveryConfig, SitFactError, Tuple};
 use sitfact_datagen::nba::{nba_schema, NbaConfig, NbaGenerator};
 use sitfact_datagen::{DataGenerator, Row};
 use sitfact_prominence::{
-    ArrivalPipeline, ArrivalReport, FactMonitor, MonitorConfig, RecoveryReport, StreamMonitor,
-    WalOptions, WindowPolicy,
+    ArrivalPipeline, ArrivalReport, FactMonitor, MonitorConfig, RecoveryReport, WalOptions,
+    WindowPolicy,
 };
 use sitfact_storage::wal::{self, ByteCursor};
 use sitfact_storage::SyncPolicy;
@@ -35,7 +35,7 @@ const BATCH: usize = 8;
 /// The tenant's sliding window.
 const WINDOW: usize = 32;
 
-type Tenant = ArrivalPipeline<FactMonitor<STopDown>>;
+type Tenant = ArrivalPipeline;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable-v1")
@@ -83,7 +83,7 @@ fn stream(rows: usize) -> Vec<Row> {
 }
 
 /// Ingests `rows` window by window; the reports, in arrival order.
-fn ingest(monitor: &mut impl StreamMonitor, rows: &[Row]) -> Vec<ArrivalReport> {
+fn ingest(monitor: &mut Tenant, rows: &[Row]) -> Vec<ArrivalReport> {
     let mut reports = Vec::new();
     for window in rows.chunks(BATCH) {
         let tuples: Vec<Tuple> = window

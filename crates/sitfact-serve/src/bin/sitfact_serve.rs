@@ -12,9 +12,9 @@
 //! Any other `--flag` is refused with this list.
 //!
 //! `--shards 0` (the default) serves an unsharded [`FactMonitor`];
-//! `--shards N` serves a [`ShardedMonitor`] routed on `--route`. Both sit
-//! behind the same `Box<dyn StreamMonitor>`, which is the whole point: the
-//! server code never branches on the deployment shape.
+//! `--shards N` serves a [`ShardedMonitor`] routed on `--route`. Both are
+//! one [`Served`] value, which is the whole point: the server code never
+//! branches on the deployment shape.
 //!
 //! `--workers` sizes the connection-handler pool, `--owners` (default: the
 //! same) the monitor-owning workers tenants are hashed across.
@@ -26,7 +26,9 @@
 //! state (the CI `wal-smoke` step SIGKILLs the process and asserts exactly
 //! that). `--sync always` (default) fsyncs each append; `--sync os` leaves
 //! flushing to the OS. `--snapshot-every N` takes a full-state snapshot
-//! every N rows to bound recovery replay (0 = log-only, the default).
+//! every N rows to bound recovery replay (0 = log-only, the default). A
+//! sharded monitor has no snapshot form: `--shards N` with `--data-dir` and
+//! `--snapshot-every N` is refused at startup, naming the conflict.
 //!
 //! The bound address is printed to stdout and, with `--port-file`, written
 //! atomically to a file a client can poll — that is how the CI smoke step
@@ -36,7 +38,7 @@
 use sitfact_algos::STopDown;
 use sitfact_core::DiscoveryConfig;
 use sitfact_datagen::nba::nba_schema;
-use sitfact_prominence::{FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor};
+use sitfact_prominence::{FactMonitor, MonitorConfig, Served, ShardedMonitor};
 use sitfact_serve::cli::{flag_value, parsed, reject_unknown};
 use sitfact_serve::{FactServer, SyncPolicy, WalOptions};
 use std::time::Duration;
@@ -96,21 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_keep_top(keep_top);
 
     // The one place the deployment shape is decided; everything downstream
-    // of this Box is shape-agnostic.
-    let monitor: Box<dyn StreamMonitor + Send> = if shards == 0 {
-        Box::new(FactMonitor::new(
-            schema.clone(),
-            STopDown::new(&schema, discovery),
-            config,
-        ))
+    // of this value is shape-agnostic.
+    let monitor: Served = if shards == 0 {
+        FactMonitor::new(schema.clone(), STopDown::new(&schema, discovery), config).into()
     } else {
-        Box::new(ShardedMonitor::by_attribute(
-            schema,
-            &route,
-            shards,
-            config,
-            STopDown::new,
-        )?)
+        ShardedMonitor::by_attribute(schema, &route, shards, config, STopDown::new)?.into()
     };
 
     let mut wal = WalOptions::default().with_sync(sync);

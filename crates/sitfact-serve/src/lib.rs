@@ -6,10 +6,11 @@
 //! as an actual network service.
 //!
 //! * [`FactServer`] hosts named **tenants** — independent
-//!   `Box<dyn StreamMonitor + Send>` monitors clients create over the wire
-//!   (`OPEN`) and select per connection (`USE`), plus the default tenant the
-//!   server was bound with. Sharded vs unsharded is a construction-time flag
-//!   of whoever builds a monitor, never a code path in here. Connections are
+//!   [`Served`](sitfact_prominence::Served) monitors clients create over the
+//!   wire (`OPEN`) and select per connection (`USE`), plus the default
+//!   tenant the server was bound with. Sharded vs unsharded is a
+//!   construction-time choice of whoever builds the bound monitor, never a
+//!   code path in here. Connections are
 //!   framed on the vendored [`ThreadPool`](sitfact_core::pool::ThreadPool)
 //!   (no async runtime exists in this offline workspace); past the parser,
 //!   one shared-nothing engine gives every monitor to exactly one worker of
@@ -41,16 +42,18 @@
 
 pub mod cli;
 pub mod client;
+#[doc(hidden)]
+pub mod compat;
 pub mod error;
 pub mod protocol;
 pub mod server;
 mod tenant;
 
 pub use client::Client;
+#[doc(hidden)]
+pub use compat::*;
 pub use error::ServeError;
 pub use protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
-#[doc(hidden)]
-pub use server::ServeMode;
 pub use server::{FactServer, ServerHandle, ServerOptions};
 // The durability knobs [`ServerOptions::wal`] is made of, re-exported so
 // server embedders configure the WAL without naming another crate.

@@ -2,10 +2,11 @@
 //!
 //! The server hosts named **tenants** — independent monitors clients create
 //! over the wire (`OPEN`) and select per connection (`USE`) — plus the
-//! default tenant it was bound with. Whether a monitor is a
-//! [`FactMonitor`](sitfact_prominence::FactMonitor), a
-//! [`ShardedMonitor`](sitfact_prominence::ShardedMonitor) or anything else
-//! is decided where it is constructed, never inside the server.
+//! default tenant it was bound with. Every tenant is one
+//! [`Served`] monitor; whether the bound one is an unsharded
+//! [`FactMonitor`](sitfact_prominence::FactMonitor) or a
+//! [`ShardedMonitor`](sitfact_prominence::ShardedMonitor) is decided where
+//! it is constructed, never inside the server.
 //!
 //! Connections are framed and parsed on the vendored
 //! [`ThreadPool`] (no async runtime exists in this offline workspace). Past
@@ -24,7 +25,7 @@
 use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
 use crate::tenant::{Durability, Engine, DEFAULT_TENANT};
 use sitfact_core::pool::ThreadPool;
-use sitfact_prominence::{StreamMonitor, WalOptions};
+use sitfact_prominence::{Served, WalOptions};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,23 +38,13 @@ use std::time::Duration;
 /// connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// Leftover of the engine selector: there is one engine. Kept only because
-/// the frozen `bench_e2e` sources name it; goes with that call (ROADMAP
-/// open item 4).
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// The shared-nothing engine — the only one.
-    Owned,
-}
-
 /// Construction-time knobs for a [`FactServer`], built fluently from
 /// [`FactServer::builder`] and finished with [`ServerOptions::bind`]:
 ///
 /// ```no_run
 /// # use sitfact_core::{Direction, SchemaBuilder};
 /// # use sitfact_algos::STopDown;
-/// # use sitfact_prominence::{FactMonitor, MonitorConfig, StreamMonitor};
+/// # use sitfact_prominence::{FactMonitor, MonitorConfig};
 /// use sitfact_serve::FactServer;
 ///
 /// # let schema = SchemaBuilder::new("gamelog")
@@ -62,11 +53,11 @@ pub enum ServeMode {
 /// #     .build()
 /// #     .unwrap();
 /// # let config = MonitorConfig::default().with_tau(2.0);
-/// # let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+/// # let monitor = FactMonitor::new(
 /// #     schema.clone(),
 /// #     STopDown::new(&schema, config.discovery),
 /// #     config,
-/// # ));
+/// # );
 /// let server = FactServer::builder()
 ///     .with_workers(8)
 ///     .with_owners(4)
@@ -124,12 +115,6 @@ impl ServerOptions {
         self
     }
 
-    /// Does nothing: see [`ServeMode`].
-    #[doc(hidden)]
-    pub fn with_mode(self, _mode: ServeMode) -> Self {
-        self
-    }
-
     /// Sets the mid-frame read timeout (`None` waits forever).
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
@@ -160,17 +145,19 @@ impl ServerOptions {
     /// tenant — the builder's terminal step. A configured
     /// [`ServerOptions::data_dir`] makes this recover the default tenant
     /// from disk before the listener goes live; recovery failures (corrupt
-    /// directory, I/O errors) surface here as `io::Error`.
+    /// directory, I/O errors) and a configuration the monitor cannot honour
+    /// (a snapshot interval for a sharded monitor) surface here as
+    /// `io::Error`.
     pub fn bind(
         self,
         addr: impl ToSocketAddrs,
-        monitor: Box<dyn StreamMonitor + Send>,
+        monitor: impl Into<Served>,
     ) -> std::io::Result<FactServer> {
         let durability = self.data_dir.map(|root| Durability {
             root,
             wal: self.wal,
         });
-        let engine = Engine::new(monitor, self.owners, durability)
+        let engine = Engine::new(monitor.into(), self.owners, durability)
             .map_err(|error| std::io::Error::new(ErrorKind::InvalidData, error.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -274,12 +261,12 @@ impl Shared {
     }
 }
 
-/// A blocking, multi-tenant TCP front-end over [`StreamMonitor`]s.
+/// A blocking, multi-tenant TCP front-end over [`Served`] monitors.
 ///
 /// ```no_run
 /// use sitfact_core::{Direction, SchemaBuilder, DiscoveryConfig};
 /// use sitfact_algos::STopDown;
-/// use sitfact_prominence::{FactMonitor, MonitorConfig, StreamMonitor};
+/// use sitfact_prominence::{FactMonitor, MonitorConfig};
 /// use sitfact_serve::FactServer;
 ///
 /// let schema = SchemaBuilder::new("gamelog")
@@ -288,11 +275,11 @@ impl Shared {
 ///     .build()
 ///     .unwrap();
 /// let config = MonitorConfig::default().with_tau(2.0);
-/// let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+/// let monitor = FactMonitor::new(
 ///     schema.clone(),
 ///     STopDown::new(&schema, config.discovery),
 ///     config,
-/// ));
+/// );
 /// let server = FactServer::bind("127.0.0.1:0", monitor).unwrap();
 /// println!("listening on {}", server.local_addr());
 /// server.run().unwrap(); // blocks until a client sends SHUTDOWN
@@ -309,10 +296,7 @@ impl FactServer {
 
     /// Binds a listener and wraps `monitor` as the default tenant, with
     /// [`ServerOptions::default`] (30 s socket timeouts, no durability).
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        monitor: Box<dyn StreamMonitor + Send>,
-    ) -> std::io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, monitor: impl Into<Served>) -> std::io::Result<Self> {
         ServerOptions::default().bind(addr, monitor)
     }
 
@@ -477,23 +461,28 @@ fn handle_request(request: Request, shared: &Arc<Shared>, session: &mut Session)
 mod tests {
     use super::*;
     use crate::protocol::RawRow;
+    use crate::tenant::PANICKING_RELATION;
     use crate::ServeError;
     use sitfact_algos::STopDown;
-    use sitfact_core::{Direction, Result, Schema, SchemaBuilder, Tuple, TupleId, TupleRef};
-    use sitfact_prominence::{ArrivalReport, FactMonitor, MonitorConfig};
+    use sitfact_core::{Direction, SchemaBuilder};
+    use sitfact_prominence::{FactMonitor, MonitorConfig};
 
-    fn monitor() -> Box<dyn StreamMonitor + Send> {
-        let schema = SchemaBuilder::new("t")
+    fn monitor() -> FactMonitor<STopDown> {
+        monitor_of("t")
+    }
+
+    fn monitor_of(relation: &str) -> FactMonitor<STopDown> {
+        let schema = SchemaBuilder::new(relation)
             .dimension("player")
             .measure("points", Direction::HigherIsBetter)
             .build()
             .unwrap();
         let config = MonitorConfig::default().with_tau(1.0);
-        Box::new(FactMonitor::new(
+        FactMonitor::new(
             schema.clone(),
             STopDown::new(&schema, config.discovery),
             config,
-        ))
+        )
     }
 
     #[test]
@@ -514,55 +503,13 @@ mod tests {
         join.join().expect("no panic").expect("clean exit");
     }
 
-    /// A monitor whose ingest always panics — encode/read surfaces delegate
-    /// to a real monitor so the wire paths up to the panic stay realistic.
-    struct PanickingMonitor(FactMonitor<STopDown>);
-
-    impl PanickingMonitor {
-        fn boxed() -> Box<dyn StreamMonitor + Send> {
-            let schema = SchemaBuilder::new("p")
-                .dimension("player")
-                .measure("points", Direction::HigherIsBetter)
-                .build()
-                .unwrap();
-            let config = MonitorConfig::default().with_tau(1.0);
-            Box::new(PanickingMonitor(FactMonitor::new(
-                schema.clone(),
-                STopDown::new(&schema, config.discovery),
-                config,
-            )))
-        }
-    }
-
-    impl StreamMonitor for PanickingMonitor {
-        fn schema(&self) -> &Schema {
-            StreamMonitor::schema(&self.0)
-        }
-        fn config(&self) -> &MonitorConfig {
-            StreamMonitor::config(&self.0)
-        }
-        fn len(&self) -> usize {
-            StreamMonitor::len(&self.0)
-        }
-        fn tuple(&self, tuple_id: TupleId) -> Option<TupleRef<'_>> {
-            StreamMonitor::tuple(&self.0, tuple_id)
-        }
-        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
-            StreamMonitor::encode_raw(&mut self.0, dims, measures)
-        }
-        fn ingest(&mut self, _tuple: Tuple) -> Result<ArrivalReport> {
-            panic!("deliberate ingest panic")
-        }
-        fn ingest_batch_slice(&mut self, _tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-            panic!("deliberate ingest panic")
-        }
-    }
-
     #[test]
     fn owned_mode_scopes_a_panicking_monitor_to_its_tenant() {
         use crate::protocol::TenantSpec;
 
-        let server = FactServer::bind("127.0.0.1:0", PanickingMonitor::boxed()).unwrap();
+        // The default tenant's relation carries the name whose ingest panics
+        // in test builds.
+        let server = FactServer::bind("127.0.0.1:0", monitor_of(PANICKING_RELATION)).unwrap();
         let addr = server.local_addr();
         let join = std::thread::spawn(move || server.run());
 

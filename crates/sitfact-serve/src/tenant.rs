@@ -28,7 +28,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sitfact_core::{ActorPool, FxBuildHasher, SitFactError, SnapshotCell};
-use sitfact_prominence::{ArrivalPipeline, ArrivalReport, StreamMonitor, WalOptions, WindowPolicy};
+use sitfact_prominence::{ArrivalPipeline, ArrivalReport, Served, WalOptions, WindowPolicy};
 
 use crate::error::error_kind;
 use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
@@ -38,13 +38,6 @@ use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
 /// can never collide with an `OPEN`ed tenant or be `USE`d explicitly — it is
 /// reachable only as a connection's initial current tenant.
 pub(crate) const DEFAULT_TENANT: &str = "";
-
-/// The boxed monitor type behind every tenant's pipeline.
-pub(crate) type BoxedMonitor = Box<dyn StreamMonitor + Send>;
-
-/// What the engine's workers own per tenant: its monitor behind the arrival
-/// stages (window, and the log when the server has a data directory).
-type Pipeline = ArrivalPipeline<BoxedMonitor>;
 
 const POISONED_MSG: &str = "monitor poisoned by a panic in an earlier request";
 
@@ -65,7 +58,7 @@ pub(crate) struct TenantSnapshot {
 impl TenantSnapshot {
     /// What a tenant's readers see after its pipeline's latest window: the
     /// last report, and the monitor's stats record as the wire record.
-    fn of(pipeline: &Pipeline) -> Arc<Self> {
+    fn of(pipeline: &ArrivalPipeline) -> Arc<Self> {
         let stats = pipeline.stats();
         let stats = ServerStats {
             len: stats.len as u64,
@@ -108,11 +101,11 @@ pub(crate) struct Durability {
 /// the tenant's directory when `durability` is set — which recovers
 /// whatever state a previous process left there.
 fn open_pipeline(
-    monitor: BoxedMonitor,
+    monitor: Served,
     policy: WindowPolicy,
     name: &str,
     durability: Option<&Durability>,
-) -> Result<Pipeline, SitFactError> {
+) -> Result<ArrivalPipeline, SitFactError> {
     let pipeline = ArrivalPipeline::new(monitor, policy);
     let Some(durability) = durability else {
         return Ok(pipeline);
@@ -150,9 +143,7 @@ pub(crate) fn tenant_dir_name(name: &str) -> String {
 /// Validation failures (duplicate attribute names, non-finite `τ`, zero
 /// caps, a zero window) come back as typed [`SitFactError`]s for the `ERR`
 /// relay; nothing in here panics on bad wire input.
-pub(crate) fn build_monitor(
-    spec: &TenantSpec,
-) -> Result<(BoxedMonitor, WindowPolicy), SitFactError> {
+pub(crate) fn build_monitor(spec: &TenantSpec) -> Result<(Served, WindowPolicy), SitFactError> {
     use sitfact_algos::STopDown;
     use sitfact_core::{DiscoveryConfig, SchemaBuilder};
     use sitfact_prominence::{FactMonitor, MonitorConfig};
@@ -184,10 +175,7 @@ pub(crate) fn build_monitor(
     discovery.validate(&schema)?;
     let policy = WindowPolicy::from_limit(spec.window)?;
     let algorithm = STopDown::new(&schema, discovery);
-    Ok((
-        Box::new(FactMonitor::new(schema, algorithm, config)),
-        policy,
-    ))
+    Ok((FactMonitor::new(schema, algorithm, config).into(), policy))
 }
 
 fn err(kind: &str, message: impl Into<String>) -> Response {
@@ -205,11 +193,20 @@ fn unknown_tenant(name: &str) -> Response {
     err("Tenant", format!("unknown tenant {name:?} (OPEN it first)"))
 }
 
+/// Ingest into a tenant whose relation has this name panics — a fault
+/// injected only into test builds, to drive the poison path end to end.
+#[cfg(test)]
+pub(crate) const PANICKING_RELATION: &str = "panics-on-ingest";
+
 /// Executes an `INGEST` / `INGEST_BATCH` against a tenant's pipeline. A
 /// batch is encoded whole first, so a bad row rejects the window before any
-/// of it is ingested, exactly like an in-process `ingest_batch` caller.
-fn run_ingest(pipeline: &mut Pipeline, request: &Request) -> Response {
-    let encode = |pipeline: &mut Pipeline, row: &RawRow| {
+/// of it is ingested, exactly like an in-process batch caller.
+fn run_ingest(pipeline: &mut ArrivalPipeline, request: &Request) -> Response {
+    #[cfg(test)]
+    if pipeline.inner().schema().name() == PANICKING_RELATION {
+        panic!("deliberate ingest panic");
+    }
+    let encode = |pipeline: &mut ArrivalPipeline, row: &RawRow| {
         let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
         pipeline.encode_raw(&dims, row.measures.clone())
     };
@@ -221,7 +218,7 @@ fn run_ingest(pipeline: &mut Pipeline, request: &Request) -> Response {
             .iter()
             .map(|row| encode(pipeline, row))
             .collect::<Result<Vec<_>, _>>()
-            .and_then(|window| pipeline.ingest_batch(window))
+            .and_then(|window| pipeline.ingest_batch_slice(&window))
             .map(Response::Reports),
         _ => unreachable!("run_ingest is only dispatched ingest requests"),
     };
@@ -251,7 +248,7 @@ fn read_response(request: &Request, snapshot: &TenantSnapshot) -> Response {
 /// One tenant as its owning worker sees it. Lives inside the worker's state
 /// map — nothing outside the worker ever touches the monitor.
 pub(crate) struct OwnedTenant {
-    pipeline: Pipeline,
+    pipeline: ArrivalPipeline,
     snapshot: Arc<SnapshotCell<TenantSnapshot>>,
     poisoned: bool,
 }
@@ -290,7 +287,7 @@ impl Engine {
     /// directory when one is configured. Fails only on a durable-recovery
     /// error (corrupt directory, I/O failure, non-empty initial monitor).
     pub(crate) fn new(
-        monitor: BoxedMonitor,
+        monitor: Served,
         owners: usize,
         durability: Option<Durability>,
     ) -> Result<Self, SitFactError> {
@@ -362,7 +359,7 @@ impl Engine {
     /// registry entry `Live`. The pipeline's last report (recovered from
     /// disk on a durable server) seeds the tenant's `TOPK` state. Returns
     /// the `OPEN` response.
-    fn install(&self, name: &str, pipeline: Pipeline) -> Response {
+    fn install(&self, name: &str, pipeline: ArrivalPipeline) -> Response {
         let worker = self.worker_of(name);
         let snapshot = Arc::new(SnapshotCell::new(TenantSnapshot::of(&pipeline)));
         let tenant = OwnedTenant {
@@ -517,7 +514,7 @@ mod tests {
         )
     }
 
-    fn default_monitor() -> BoxedMonitor {
+    fn default_monitor() -> Served {
         build_monitor(&spec("seed")).expect("valid spec").0
     }
 

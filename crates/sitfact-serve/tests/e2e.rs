@@ -12,9 +12,7 @@
 use rand::prelude::*;
 use sitfact_algos::STopDown;
 use sitfact_core::{Direction, Schema, SchemaBuilder};
-use sitfact_prominence::{
-    ArrivalReport, FactMonitor, MonitorConfig, ShardedMonitor, StreamMonitor,
-};
+use sitfact_prominence::{ArrivalReport, FactMonitor, MonitorConfig, Served, ShardedMonitor};
 use sitfact_serve::{Client, FactServer, RawRow, ServeError, TenantSpec};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -53,7 +51,7 @@ fn raw_stream(n: usize, seed: u64) -> Vec<(Vec<String>, Vec<f64>)> {
         .collect()
 }
 
-fn spawn_server(monitor: Box<dyn StreamMonitor + Send>) -> (SocketAddr, JoinHandle<()>) {
+fn spawn_server(monitor: Served) -> (SocketAddr, JoinHandle<()>) {
     let server = FactServer::bind("127.0.0.1:0", monitor).expect("bind ephemeral port");
     let addr = server.local_addr();
     let join = std::thread::spawn(move || server.run().expect("server exits cleanly"));
@@ -63,10 +61,7 @@ fn spawn_server(monitor: Box<dyn StreamMonitor + Send>) -> (SocketAddr, JoinHand
 /// Streams `rows` through a served monitor: a few per-arrival `INGEST`s, the
 /// rest in `INGEST_BATCH` windows — both wire paths contribute to the
 /// transcript that must match the in-process one.
-fn reports_via_server(
-    monitor: Box<dyn StreamMonitor + Send>,
-    rows: &[(Vec<String>, Vec<f64>)],
-) -> Vec<ArrivalReport> {
+fn reports_via_server(monitor: Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
     let (addr, join) = spawn_server(monitor);
     let mut client = Client::connect(addr).expect("connect");
     client.ping().expect("ping");
@@ -95,14 +90,15 @@ fn reports_via_server(
 
 /// The same stream through an in-process monitor, same single/batch split.
 fn reports_in_process(
-    monitor: &mut dyn StreamMonitor,
+    monitor: &mut Served,
     rows: &[(Vec<String>, Vec<f64>)],
 ) -> Vec<ArrivalReport> {
     let mut reports = Vec::with_capacity(rows.len());
     let singles = rows.len().min(3);
     for (dims, measures) in &rows[..singles] {
         let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-        reports.push(monitor.ingest_raw(&dims, measures.clone()).unwrap());
+        let tuple = monitor.encode_raw(&dims, measures.clone()).unwrap();
+        reports.push(monitor.ingest(tuple).unwrap());
     }
     for window in rows[singles..].chunks(7) {
         let window: Vec<_> = window
@@ -112,7 +108,7 @@ fn reports_in_process(
                 monitor.encode_raw(&dims, measures.clone()).unwrap()
             })
             .collect();
-        reports.extend(monitor.ingest_batch(window).unwrap());
+        reports.extend(monitor.ingest_batch_slice(&window).unwrap());
     }
     reports
 }
@@ -122,16 +118,16 @@ fn served_fact_monitor_reports_equal_in_process() {
     let rows = raw_stream(40, 11);
     let schema = schema();
     let config = config();
-    let served: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let served = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
     ));
-    let mut local = FactMonitor::new(
+    let mut local = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
-    );
+    ));
     let over_the_wire = reports_via_server(served, &rows);
     let in_process = reports_in_process(&mut local, &rows);
     assert_eq!(over_the_wire, in_process);
@@ -143,17 +139,21 @@ fn served_sharded_monitor_reports_equal_in_process() {
     let make = |shards: usize| -> ShardedMonitor<STopDown> {
         ShardedMonitor::by_attribute(schema(), "team", shards, config(), STopDown::new).unwrap()
     };
-    let served: Box<dyn StreamMonitor + Send> = Box::new(make(3));
-    let mut local = make(3);
+    let served = Served::from(make(3));
+    let local = make(3);
+    let anchored = *local.config();
+    let mut local = Served::from(local);
     let over_the_wire = reports_via_server(served, &rows);
     let in_process = reports_in_process(&mut local, &rows);
     assert_eq!(over_the_wire, in_process);
     // And — routing soundness end to end — the served *sharded* transcript
     // equals the in-process *unsharded* monitor on the same anchored config.
-    let anchored = *local.config();
     let s = schema();
-    let mut reference =
-        FactMonitor::new(s.clone(), STopDown::new(&s, anchored.discovery), anchored);
+    let mut reference = Served::from(FactMonitor::new(
+        s.clone(),
+        STopDown::new(&s, anchored.discovery),
+        anchored,
+    ));
     let unsharded = reports_in_process(&mut reference, &rows);
     assert_eq!(over_the_wire, unsharded);
 }
@@ -162,7 +162,7 @@ fn served_sharded_monitor_reports_equal_in_process() {
 fn server_relays_monitor_errors_and_stays_usable() {
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -213,7 +213,7 @@ fn concurrent_clients_interleave_safely() {
     // every request must succeed and the final count must add up.
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -274,7 +274,7 @@ fn tenants_are_isolated_and_byte_identical_to_their_references() {
     // in-process reference, and the default tenant must stay empty.
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -348,7 +348,7 @@ fn tenants_are_isolated_and_byte_identical_to_their_references() {
                 reference.encode_raw(&dims, measures.clone()).unwrap()
             })
             .collect();
-        expected.extend(reference.ingest_batch(window).unwrap());
+        expected.extend(reference.ingest_batch_slice(&window).unwrap());
     }
     assert_eq!(gamelog_served, expected, "gamelog tenant transcript");
 
@@ -362,7 +362,7 @@ fn tenants_are_isolated_and_byte_identical_to_their_references() {
                 reference.encode_raw(&dims, measures.clone()).unwrap()
             })
             .collect();
-        expected.extend(reference.ingest_batch(window).unwrap());
+        expected.extend(reference.ingest_batch_slice(&window).unwrap());
     }
     assert_eq!(forecast_served, expected, "forecast tenant transcript");
 
@@ -378,7 +378,7 @@ fn tenants_are_isolated_and_byte_identical_to_their_references() {
 fn tenant_errors_are_typed() {
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -425,7 +425,7 @@ fn stalled_peer_is_dropped_and_does_not_pin_the_worker() {
     // worker for the well-behaved client queued behind it.
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -463,7 +463,7 @@ fn snapshot_reads_are_prefix_consistent_under_concurrent_ingest() {
     // monotone — a reader can never see the stream run backwards.
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -531,10 +531,10 @@ fn temp_data_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn default_monitor() -> Box<dyn StreamMonitor + Send> {
+fn default_monitor() -> Served {
     let schema = schema();
     let config = config();
-    Box::new(FactMonitor::new(
+    Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
@@ -628,11 +628,11 @@ fn killed_server_recovers_byte_identical_state_from_its_data_dir() {
 
     let schema = schema();
     let config = config();
-    let mut reference = FactMonitor::new(
+    let mut reference = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
-    );
+    ));
     let expected = reports_in_process_windows(&mut reference, &rows);
     assert_eq!(
         first_half
@@ -649,7 +649,7 @@ fn killed_server_recovers_byte_identical_state_from_its_data_dir() {
 /// Like [`reports_in_process`], but windows of 5 to match
 /// [`ingest_windows`].
 fn reports_in_process_windows(
-    monitor: &mut dyn StreamMonitor,
+    monitor: &mut Served,
     rows: &[(Vec<String>, Vec<f64>)],
 ) -> Vec<ArrivalReport> {
     let mut reports = Vec::with_capacity(rows.len());
@@ -661,7 +661,7 @@ fn reports_in_process_windows(
                 monitor.encode_raw(&dims, measures.clone()).unwrap()
             })
             .collect();
-        reports.extend(monitor.ingest_batch(window).unwrap());
+        reports.extend(monitor.ingest_batch_slice(&window).unwrap());
     }
     reports
 }
@@ -731,7 +731,7 @@ fn shutdown_is_not_blocked_by_idle_connections() {
     // instead of waiting for the idle peer to hang up.
     let schema = schema();
     let config = config();
-    let monitor: Box<dyn StreamMonitor + Send> = Box::new(FactMonitor::new(
+    let monitor = Served::from(FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ingested += window.len();
         // … ingested in one amortised batch: one report per game, each
         // ranked against its true prefix.
-        for report in monitor.ingest_batch(window)? {
+        for report in monitor.ingest_batch_slice(&window)? {
             distribution.record(&report);
             if report.prominent_count > 0 && prominent_games < 25 {
                 prominent_games += 1;

@@ -1,9 +1,9 @@
 //! The paper's deployment story as a running program: a news organisation's
 //! box-score feed on one side of a TCP connection, the fact monitor on the
-//! other. The server end holds a `Box<dyn StreamMonitor>` — pass a shard
-//! count as the second argument and the *same* server code serves a
-//! team-routed [`ShardedMonitor`] instead of a flat [`FactMonitor`]; nothing
-//! but monitor construction changes.
+//! other. The server end holds one [`Served`] monitor — pass a shard count
+//! as the second argument and the *same* server code serves a team-routed
+//! [`ShardedMonitor`] instead of a flat [`FactMonitor`]; nothing but monitor
+//! construction changes.
 //!
 //! Run with `cargo run --release --example serve_nba [-- n_tuples shards]`.
 #![allow(
@@ -38,20 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_keep_top(8);
 
     // The only sharded-vs-flat branch in the whole program.
-    let monitor: Box<dyn StreamMonitor + Send> = if shards == 0 {
-        Box::new(FactMonitor::new(
-            schema.clone(),
-            STopDown::new(&schema, discovery),
-            config,
-        ))
+    let monitor: Served = if shards == 0 {
+        FactMonitor::new(schema.clone(), STopDown::new(&schema, discovery), config).into()
     } else {
-        Box::new(ShardedMonitor::by_attribute(
-            schema,
-            "team",
-            shards,
-            config,
-            STopDown::new,
-        )?)
+        ShardedMonitor::by_attribute(schema, "team", shards, config, STopDown::new)?.into()
     };
 
     let server = FactServer::bind("127.0.0.1:0", monitor)?;

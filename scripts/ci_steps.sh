@@ -80,8 +80,22 @@ run_step() {
       # different seeds), then the default tenant asserts facts and shuts
       # the server down. The server binary is backgrounded directly (not via
       # `cargo run`, whose wrapper PID would survive a kill and leak the
-      # real server on failure).
+      # real server on failure). First, a sharded monitor has no snapshot
+      # form: a sharded durable server asked for a snapshot interval must
+      # refuse to start and name the conflict.
       $CARGO build --release -p sitfact-serve
+      local refusal_dir=/tmp/sitfact_serve_snapshot_refusal refusal
+      rm -rf "$refusal_dir"
+      if refusal=$(timeout 20 target/release/sitfact_serve --addr 127.0.0.1:0 \
+        --shards 2 --data-dir "$refusal_dir" --snapshot-every 16 2>&1); then
+        echo "serve-smoke: a sharded server accepted --snapshot-every" >&2
+        return 1
+      fi
+      rm -rf "$refusal_dir"
+      if ! grep -q "sharded monitor cannot write snapshots" <<<"$refusal"; then
+        echo "serve-smoke: the refusal does not name the conflict: $refusal" >&2
+        return 1
+      fi
       local port_file=/tmp/sitfact_serve_port
       rm -f "$port_file"
       target/release/sitfact_serve \

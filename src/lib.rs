@@ -12,24 +12,25 @@
 //! * [`storage`] — the append-only table, skyline stores and k-d tree;
 //! * [`algos`] — the discovery algorithms (`BottomUp`, `TopDown`, shared and
 //!   file-backed variants, plus the paper's baselines);
-//! * [`prominence`] — prominence ranking, thresholds and narration, unified
-//!   behind the [`StreamMonitor`](prominence::StreamMonitor) trait, plus
-//!   [`ArrivalPipeline`](prominence::ArrivalPipeline), which runs any
-//!   monitor's arrivals through a sliding window and a write-ahead log for
-//!   snapshot-bounded crash recovery;
+//! * [`prominence`] — prominence ranking, thresholds and narration: the
+//!   [`FactMonitor`](prominence::FactMonitor), its sharded form, the
+//!   [`Served`](prominence::Served) type a server runs (either of the two
+//!   over `STopDown`), and [`ArrivalPipeline`](prominence::ArrivalPipeline),
+//!   which runs a served monitor's arrivals through a sliding window and a
+//!   write-ahead log for snapshot-bounded crash recovery;
 //! * [`serve`] — the framed-TCP, multi-tenant service front-end (server +
-//!   client) over any `Box<dyn StreamMonitor>`, durable when bound with a
-//!   data directory;
+//!   client) over `Served` monitors, durable when bound with a data
+//!   directory;
 //! * [`datagen`] — synthetic NBA / weather / stock workloads and CSV IO.
 //!
 //! ## Quickstart
 //!
-//! Every monitor is fed through the [`StreamMonitor`](prominence::StreamMonitor)
-//! trait (re-exported by the prelude): `ingest_raw` for one row, `ingest_batch`
-//! for amortised windows — identically on a [`FactMonitor`](prominence::FactMonitor),
-//! a [`ShardedMonitor`](prominence::ShardedMonitor), or a `Box<dyn StreamMonitor>`
-//! serving traffic over TCP. On the wire, one [`FactServer`](serve::FactServer)
-//! multiplexes many such monitors: a client `OPEN`s a named *tenant* (its own
+//! Every monitor is fed the same way: `encode_raw` then `ingest` for one
+//! row (a [`FactMonitor`](prominence::FactMonitor)'s `ingest_raw` does both),
+//! `ingest_batch_slice` for amortised windows — identically on a
+//! `FactMonitor`, a [`ShardedMonitor`](prominence::ShardedMonitor), or the
+//! [`Served`](prominence::Served) monitor behind a server. On the wire, one
+//! [`FactServer`](serve::FactServer) multiplexes many such monitors: a client `OPEN`s a named *tenant* (its own
 //! schema, threshold and discovery caps — see [`TenantSpec`](serve::TenantSpec))
 //! and `USE`s it, each tenant owned by a server worker and read through the
 //! snapshots it publishes, so independent streams never share state.
@@ -71,7 +72,7 @@
 //!     monitor.encode_raw(&["Bogues", "Hornets", "Magic"], vec![8.0, 14.0, 4.0]).unwrap(),
 //!     monitor.encode_raw(&["Wesley", "Celtics", "Hawks"], vec![14.0, 11.0, 6.0]).unwrap(),
 //! ];
-//! let reports = monitor.ingest_batch(window).unwrap();
+//! let reports = monitor.ingest_batch_slice(&window).unwrap();
 //! assert_eq!(reports.len(), 2);
 //! ```
 
@@ -97,9 +98,9 @@ pub mod prelude {
     };
     pub use sitfact_datagen::{shuffle_rows, DataGenerator, Row, ShuffledReplay};
     pub use sitfact_prominence::{
-        narrate, replay_log, ArrivalPipeline, ArrivalReport, DistributionStats, FactMonitor,
-        MonitorConfig, RankedFact, RecoveryReport, ReplayOutcome, ShardedMonitor, StreamMonitor,
-        WalOptions, WindowPolicy,
+        narrate, ArrivalPipeline, ArrivalReport, DistributionStats, FactMonitor, MonitorConfig,
+        RankedFact, RecoveryReport, ReplayOutcome, Served, ShardedMonitor, WalOptions,
+        WindowPolicy,
     };
     pub use sitfact_serve::{
         Client, FactServer, RawRow, ServeError, ServerHandle, ServerOptions, TenantSpec,

@@ -86,11 +86,14 @@ fn windowed_equals_rebuild(
     );
 
     for chunk in tuples.chunks(window_seed) {
-        windowed.ingest_batch(chunk.to_vec()).unwrap();
+        windowed.ingest_batch_slice(chunk).unwrap();
         // Bookkeeping reconciles at every batch boundary.
-        prop_assert_eq!(windowed.stats().live_rows, windowed.len().min(window));
         prop_assert_eq!(
-            windowed.len(),
+            windowed.stats().live_rows,
+            windowed.inner().len().min(window)
+        );
+        prop_assert_eq!(
+            windowed.inner().len(),
             windowed.stats().live_rows + windowed.stats().tombstones + windowed.stats().evicted
         );
     }
@@ -98,7 +101,7 @@ fn windowed_equals_rebuild(
 
     // Rebuild from scratch: a fresh monitor, id space starting at the
     // windowed monitor's watermark, fed only the surviving suffix.
-    let start = windowed.len() - windowed.stats().live_rows;
+    let start = windowed.inner().len() - windowed.stats().live_rows;
     let mut rebuilt = ArrivalPipeline::new(
         FactMonitor::with_base(
             schema.clone(),
@@ -108,15 +111,15 @@ fn windowed_equals_rebuild(
         ),
         policy,
     );
-    rebuilt.ingest_batch(tuples[start..].to_vec()).unwrap();
+    rebuilt.ingest_batch_slice(&tuples[start..]).unwrap();
     prop_assert_eq!(rebuilt.stats().live_rows, windowed.stats().live_rows);
 
     // Both monitors must now be observably identical: every future
     // arrival — same continuation, same batch partitioning — produces
     // byte-identical reports.
     for chunk in continuation.chunks(window_seed) {
-        let expected = windowed.ingest_batch(chunk.to_vec()).unwrap();
-        let actual = rebuilt.ingest_batch(chunk.to_vec()).unwrap();
+        let expected = windowed.ingest_batch_slice(chunk).unwrap();
+        let actual = rebuilt.ingest_batch_slice(chunk).unwrap();
         prop_assert_eq!(&actual, &expected);
         for report in &actual {
             deep_audit(report)?;
@@ -469,7 +472,7 @@ proptest! {
             STopDown::new(&schema, config.discovery),
             config,
         );
-        let expected = sequential.ingest_all(stream.clone()).unwrap();
+        let expected = stream.clone().into_iter().map(|t| sequential.ingest(t)).collect::<Result<Vec<_>, _>>().unwrap();
         let mut actual = Vec::new();
         for window in stream.chunks(window_seed) {
             actual.extend(batched.ingest_batch_slice(window).unwrap());
@@ -541,7 +544,7 @@ proptest! {
         for window in stream.chunks(window_seed) {
             actual.extend(sharded.ingest_batch_slice(window).unwrap());
         }
-        let expected = unsharded.ingest_all(stream.clone()).unwrap();
+        let expected = stream.clone().into_iter().map(|t| unsharded.ingest(t)).collect::<Result<Vec<_>, _>>().unwrap();
         for report in &actual {
             deep_audit(report)?;
         }

@@ -1,7 +1,6 @@
-//! The `StreamMonitor` trait-object contract: one generic driver feeds both
-//! monitor types through `Box<dyn StreamMonitor>`, and every provided method
-//! (`ingest_raw`, `ingest_batch`, `ingest_all`) agrees with the required
-//! core, sharded or not.
+//! The served monitor contract: one driver feeds both arms of [`Served`]
+//! (unsharded and sharded), batch and sequential ingest agree on each, and
+//! a sequential loop stops at the failing tuple.
 #![allow(
     clippy::unwrap_used,
     reason = "test code: a failed unwrap is a failed test"
@@ -20,22 +19,24 @@ fn schema() -> Schema {
         .unwrap()
 }
 
-/// Both monitor shapes behind the same trait object, on the *same anchored
-/// config* (the space over which sharded ≡ unsharded is provable).
-fn monitors() -> Vec<(&'static str, Box<dyn StreamMonitor>)> {
+/// Both arms of the served type, on the *same anchored config* (the space
+/// over which sharded ≡ unsharded is provable).
+fn monitors() -> Vec<(&'static str, Served)> {
     let schema = schema();
     let config = MonitorConfig::default()
         .with_tau(1.0)
         .with_keep_top(8)
         .with_discovery(DiscoveryConfig::unrestricted().with_anchor(1));
-    let flat: Box<dyn StreamMonitor> = Box::new(FactMonitor::new(
+    let flat = FactMonitor::new(
         schema.clone(),
         STopDown::new(&schema, config.discovery),
         config,
-    ));
-    let sharded: Box<dyn StreamMonitor> =
-        Box::new(ShardedMonitor::by_attribute(schema, "team", 3, config, STopDown::new).unwrap());
-    vec![("FactMonitor", flat), ("ShardedMonitor", sharded)]
+    );
+    let sharded = ShardedMonitor::by_attribute(schema, "team", 3, config, STopDown::new).unwrap();
+    vec![
+        ("FactMonitor", flat.into()),
+        ("ShardedMonitor", sharded.into()),
+    ]
 }
 
 fn raw_rows(n: usize, seed: u64) -> Vec<(Vec<String>, Vec<f64>)> {
@@ -53,27 +54,46 @@ fn raw_rows(n: usize, seed: u64) -> Vec<(Vec<String>, Vec<f64>)> {
         .collect()
 }
 
-/// The generic driver of this test file: everything it does is expressed
-/// against `dyn StreamMonitor`, so it cannot know (or care) which monitor
-/// shape it is feeding.
-fn drive(monitor: &mut dyn StreamMonitor, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
+fn encode(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> {
+    rows.iter()
+        .map(|(dims, measures)| {
+            let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
+            monitor.encode_raw(&dims, measures.clone()).unwrap()
+        })
+        .collect()
+}
+
+/// One `ingest` per tuple, stopping at the first error: the sequential
+/// ground truth.
+fn ingest_one_by_one(
+    monitor: &mut Served,
+    tuples: Vec<Tuple>,
+) -> Result<Vec<ArrivalReport>, situational_facts::core::SitFactError> {
+    tuples.into_iter().map(|t| monitor.ingest(t)).collect()
+}
+
+/// Whether the monitor resolves `id` to a live tuple.
+fn resolves(monitor: &Served, id: TupleId) -> bool {
+    match monitor {
+        Served::Plain(m) => m.tuple(id).is_some(),
+        Served::Sharded(m) => m.tuple(id).is_some(),
+    }
+}
+
+/// The driver of this test file: it goes through `Served` alone, so it
+/// cannot know (or care) which arm it is feeding.
+fn drive(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
     assert!(monitor.is_empty());
     let mut reports = Vec::new();
-    // A few per-arrival raw ingests …
-    for (dims, measures) in &rows[..3] {
-        let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-        reports.push(monitor.ingest_raw(&dims, measures.clone()).unwrap());
+    // A few per-arrival ingests …
+    for row in &rows[..3] {
+        let tuple = encode(monitor, std::slice::from_ref(row)).remove(0);
+        reports.push(monitor.ingest(tuple).unwrap());
     }
     // … then pre-encoded batched windows.
     for window in rows[3..].chunks(9) {
-        let window: Vec<Tuple> = window
-            .iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, measures.clone()).unwrap()
-            })
-            .collect();
-        reports.extend(monitor.ingest_batch(window).unwrap());
+        let window = encode(monitor, window);
+        reports.extend(monitor.ingest_batch_slice(&window).unwrap());
     }
     assert_eq!(monitor.len(), rows.len());
     reports
@@ -84,18 +104,18 @@ fn trait_object_drives_both_monitor_types_identically() {
     let rows = raw_rows(30, 17);
     let mut transcripts = Vec::new();
     for (name, mut monitor) in monitors() {
-        let reports = drive(monitor.as_mut(), &rows);
+        let reports = drive(&mut monitor, &rows);
         assert_eq!(reports.len(), rows.len(), "{name}: one report per arrival");
-        // Reports expose their tuples back through the trait.
+        // Reports name tuples the monitor resolves.
         for report in &reports {
-            assert!(monitor.tuple(report.tuple_id).is_some(), "{name}");
+            assert!(resolves(&monitor, report.tuple_id), "{name}");
         }
-        assert!(monitor.tuple(rows.len() as TupleId).is_none(), "{name}");
-        assert_eq!(monitor.config().discovery.anchor_dim, Some(1), "{name}");
+        assert!(!resolves(&monitor, rows.len() as TupleId), "{name}");
+        assert_eq!(monitor.stats().anchor_dim, Some(1), "{name}");
         transcripts.push(reports);
     }
     // Same anchored config, same stream ⇒ the sharded transcript is
-    // byte-identical to the unsharded one — through the trait object, too.
+    // byte-identical to the unsharded one.
     assert_eq!(transcripts[0], transcripts[1]);
 }
 
@@ -106,30 +126,18 @@ fn ingest_all_is_the_sequential_ground_truth_for_both_types() {
         // Encode through the same monitor that will ingest (interning is
         // deterministic in arrival order, so a second identically-configured
         // monitor sees the same ids).
-        let tuples: Vec<Tuple> = rows
-            .iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, measures.clone()).unwrap()
-            })
-            .collect();
-        let sequential = monitor.ingest_all(tuples.clone()).unwrap();
+        let tuples = encode(&mut monitor, &rows);
+        let sequential = ingest_one_by_one(&mut monitor, tuples.clone()).unwrap();
         assert_eq!(sequential.len(), rows.len(), "{name}");
 
         let (_, mut batched) = monitors()
             .into_iter()
             .find(|(n, _)| *n == name)
             .expect("same shape again");
-        let tuples2: Vec<Tuple> = rows
-            .iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                batched.encode_raw(&dims, measures.clone()).unwrap()
-            })
-            .collect();
+        let tuples2 = encode(&mut batched, &rows);
         assert_eq!(tuples, tuples2, "{name}: interning is deterministic");
-        let fast = batched.ingest_batch(tuples2).unwrap();
-        // ingest_all (per-arrival loop) ≡ ingest_batch (fast path), exactly.
+        let fast = batched.ingest_batch_slice(&tuples2).unwrap();
+        // The per-arrival loop ≡ the batched fast path, exactly.
         assert_eq!(sequential, fast, "{name}");
     }
 }
@@ -139,7 +147,7 @@ fn ingest_all_propagates_errors_at_the_failing_tuple() {
     let (_, mut monitor) = monitors().into_iter().next().unwrap();
     let good = monitor.encode_raw(&["P0", "T0"], vec![1.0, 2.0]).unwrap();
     let bad = Tuple::new(vec![0], vec![1.0, 2.0]); // wrong arity
-    let result = monitor.ingest_all(vec![good, bad]);
+    let result = ingest_one_by_one(&mut monitor, vec![good, bad]);
     assert!(result.is_err());
     // Sequential semantics: tuples before the failure were ingested.
     assert_eq!(monitor.len(), 1);
