@@ -2,10 +2,11 @@
 //! step.
 //!
 //! Hammers every audited structure with seeded random workloads and runs its
-//! deep [`Audit`](sitfact_core::Audit) after every round: `Table` under mixed
+//! deep [`Audit`](sitfact_core::Audit) after every step: `Table` under mixed
 //! `append`/`append_batch` sequences (including the sparse posting-list
-//! fallback), `CompressedPostings` under push/extend/compact churn against a
-//! plain-vector model, `KdTree` under random inserts, both `SkylineStore`
+//! fallback) interleaved with `retract_prefix` and `compact_retracted`, so
+//! the drained posting lists are checked against their rebuild from the
+//! dims column, `KdTree` under random inserts, both `SkylineStore`
 //! implementations under random insert/remove/read churn through row
 //! handles (every round empties a row and creates one in its slot), and
 //! `FactMonitor`/`ShardedMonitor` under batched ingest — the `FactMonitor`
@@ -20,16 +21,16 @@
 //! `ci_steps.sh run analyze` runs the real storm via
 //! `--release --features deep-audit`.
 //!
-//! Usage: `audit_storm [--seed N] [--rounds N]` — an unknown flag exits 1 and
-//! an unparsable value panics, both naming the flag.
+//! Usage: `audit_storm [--seed N] [--rounds N]` — an unknown flag or an
+//! unparsable value exits 1, naming the flag.
 
 use sitfact_serve::cli::{parsed, reject_unknown};
 
 fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown(&args, &["--seed", "--rounds"])?;
-    let seed: u64 = parsed(&args, "--seed", 7);
-    let rounds: usize = parsed(&args, "--rounds", 12);
+    let seed: u64 = parsed(&args, "--seed", 7)?;
+    let rounds: usize = parsed(&args, "--rounds", 12)?;
     #[cfg(any(debug_assertions, feature = "deep-audit"))]
     storm::run(seed, rounds);
     #[cfg(not(any(debug_assertions, feature = "deep-audit")))]
@@ -84,20 +85,36 @@ mod storm {
         Tuple::new(dims, measures)
     }
 
+    /// Appends, retractions and compactions in random order, with the deep
+    /// audit after each step.
     fn storm_table(rng: &mut StdRng, rounds: usize) {
         let mut table = Table::new(schema(3));
-        for _ in 0..rounds {
-            let window: Vec<Tuple> = (0..rng.gen_range(0..12))
-                .map(|_| random_tuple(rng, 3))
-                .collect();
-            if rng.gen_range(0..2) == 0 {
-                for t in window {
-                    table.append(t).expect("schema-valid tuple appends");
+        for _ in 0..rounds * 3 {
+            match rng.gen_range(0..4) {
+                0 => {
+                    for _ in 0..rng.gen_range(0..12) {
+                        table
+                            .append(random_tuple(rng, 3))
+                            .expect("schema-valid tuple appends");
+                    }
                 }
-            } else {
-                table
-                    .append_batch(window)
-                    .expect("schema-valid batch appends");
+                1 => {
+                    let window: Vec<Tuple> = (0..rng.gen_range(0..12))
+                        .map(|_| random_tuple(rng, 3))
+                        .collect();
+                    table
+                        .append_batch(window)
+                        .expect("schema-valid batch appends");
+                }
+                // Retract up to the whole live suffix, or compact.
+                2 => {
+                    let live = table.live_rows() as u32;
+                    let up_to = table.watermark() as usize + rng.gen_range(0..live + 1) as usize;
+                    table.retract_prefix(up_to);
+                }
+                _ => {
+                    table.compact_retracted();
+                }
             }
             if let Err(v) = table.audit() {
                 fail("Table", v);
@@ -214,56 +231,6 @@ mod storm {
         }
     }
 
-    /// Random push / extend_from_slice / compact churn against a plain
-    /// `Vec<TupleId>` model: the compressed list must audit clean and decode
-    /// to exactly the model after every round, from both `iter` and a
-    /// seek-walking cursor.
-    fn storm_postings(rng: &mut StdRng, rounds: usize) {
-        let mut list = sitfact_storage::CompressedPostings::new();
-        let mut model: Vec<sitfact_core::TupleId> = Vec::new();
-        let mut next: sitfact_core::TupleId = 0;
-        for _ in 0..rounds * 4 {
-            match rng.gen_range(0..4) {
-                0 | 1 => {
-                    // Skewed gaps: mostly dense, occasionally a large jump.
-                    next += if rng.gen_range(0..10) == 0 {
-                        rng.gen_range(1..50_000)
-                    } else {
-                        rng.gen_range(1..4)
-                    };
-                    list.push(next);
-                    model.push(next);
-                }
-                2 => {
-                    let run: Vec<sitfact_core::TupleId> = (0..rng.gen_range(0..200))
-                        .map(|_| {
-                            next += rng.gen_range(1..9);
-                            next
-                        })
-                        .collect();
-                    list.extend_from_slice(&run);
-                    model.extend_from_slice(&run);
-                }
-                _ => list.compact(),
-            }
-            if let Err(v) = list.audit() {
-                fail("CompressedPostings", v);
-            }
-            assert!(
-                list.iter().eq(model.iter().copied()),
-                "CompressedPostings: decoded ids drifted from the model"
-            );
-            let mut cursor = list.cursor();
-            for &id in model.iter().step_by(7) {
-                assert_eq!(
-                    cursor.seek(id),
-                    Some(id),
-                    "CompressedPostings: seek missed a stored id"
-                );
-            }
-        }
-    }
-
     /// The rows the windowed `FactMonitor` keeps after each round.
     const MONITOR_WINDOW: usize = 10;
 
@@ -319,7 +286,6 @@ mod storm {
         let mut rng = StdRng::seed_from_u64(seed);
 
         storm_table(&mut rng, rounds);
-        storm_postings(&mut rng, rounds);
         storm_kdtree(&mut rng, rounds);
         storm_store(
             &mut rng,

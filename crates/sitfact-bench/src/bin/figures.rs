@@ -367,9 +367,13 @@ fn run(fig: &Figure, n: usize, seed: u64) {
 fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown(&args, &["--fig", "--n", "--seed"])?;
-    let which: String = parsed(&args, "--fig", "all".to_string());
-    let n: Option<usize> = flag_value(&args, "--n").map(|_| parsed(&args, "--n", 0));
-    let seed: Option<u64> = flag_value(&args, "--seed").map(|_| parsed(&args, "--seed", 0));
+    let which: String = parsed(&args, "--fig", "all".to_string())?;
+    let n: Option<usize> = flag_value(&args, "--n")
+        .map(|_| parsed(&args, "--n", 0))
+        .transpose()?;
+    let seed: Option<u64> = flag_value(&args, "--seed")
+        .map(|_| parsed(&args, "--seed", 0))
+        .transpose()?;
     let selected: Vec<&Figure> = FIGURES
         .iter()
         .filter(|fig| which == "all" || fig.name == which)

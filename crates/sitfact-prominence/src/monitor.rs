@@ -462,12 +462,6 @@ impl<A: Discovery> FactMonitor<A> {
             reports.push(self.rank_arrival(tuple_id, pairs));
         }
         self.algorithm.end_batch();
-        // Window boundary: seal any posting-list tails the batch left
-        // profitable to compress. Long-lived monitors (a served tenant, a
-        // days-long stream) thereby keep the PR 7 block compression instead
-        // of accumulating uncompressed tails; reports are representation-
-        // independent, so batched ≡ sequential equivalence is unaffected.
-        self.table.compact_postings();
         Ok(reports)
     }
 
@@ -490,11 +484,11 @@ impl<A: Discovery> FactMonitor<A> {
 
     /// Serializes the full monitor state when the algorithm can export its
     /// skyline store (see [`Discovery::export_store_cells`]): the table —
-    /// schema dictionaries, columns and the *native* posting layout — then
-    /// the store cells. The context counter is deliberately not serialized:
-    /// it is denormalized state, rebuilt from the table on restore (exactly
-    /// as the deep audit's ground-truth recomputation does). `None` when the
-    /// algorithm cannot export its store.
+    /// schema dictionaries and columns — then the store cells. The context
+    /// counter and the table's posting index are deliberately not
+    /// serialized: they are denormalized state, rebuilt from the table on
+    /// restore (exactly as the deep audits' ground-truth recomputations
+    /// do). `None` when the algorithm cannot export its store.
     pub fn export_durable(&self) -> Option<Vec<u8>> {
         let cells = self.algorithm.export_store_cells()?;
         let mut out = Vec::new();

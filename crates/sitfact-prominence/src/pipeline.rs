@@ -25,8 +25,7 @@
 //! which replay re-feeds from the log: the same evictions happen at the same
 //! instants, with no eviction records in the log. An unlogged pipeline hands
 //! a single row to the monitor's own `ingest`; a logged one ingests it as a
-//! batch of one, the shape replay re-feeds (`FactMonitor` compacts its
-//! posting lists at batch boundaries only).
+//! batch of one, the shape replay re-feeds.
 //!
 //! After any window, a bounded pipeline's observable state — reports for
 //! all future arrivals, deep-audit state, snapshot bytes — equals that of a

@@ -6,8 +6,12 @@
 //! every cell entry with the entry's measures (the old cell layout), the
 //! log segments that snapshot covers are retired — so the snapshot is the
 //! only copy of that state — and the active segment holds a suffix of
-//! windows behind it plus a torn frame. `expected.txt` is the fingerprint
-//! (recovery report, last report, stats) the writing build recovered.
+//! windows behind it plus a torn frame. Its snapshot also stores the posting
+//! lists in their old compressed layout, which recovery parses past and
+//! rebuilds from the table's columns. `expected.txt` is the fingerprint
+//! (recovery report, last report, stats) the writing build recovered, except
+//! for its `postings` field: those counters describe the index of the build
+//! that reads the fixture, so they equal a never-crashed tenant's.
 //!
 //! The fixture was generated by the ignored `generate_fixture` below, run at
 //! that build; a fixture is never regenerated by a later one.
@@ -150,6 +154,7 @@ fn v1_fixture_recovers_to_its_fingerprint() {
     let rows = stream(WRITTEN + 48);
     let mut reference = tenant();
     ingest(&mut reference, &rows[..WRITTEN]);
+    assert_eq!(recovered.stats().postings, reference.stats().postings);
     assert_eq!(
         ingest(&mut recovered, &rows[WRITTEN..]),
         ingest(&mut reference, &rows[WRITTEN..])

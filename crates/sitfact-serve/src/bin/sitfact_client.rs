@@ -29,6 +29,7 @@ use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::DataGenerator;
 use sitfact_serve::cli::{flag_value, has_flag, parsed, reject_unknown};
 use sitfact_serve::{Client, RawRow, TenantSpec};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Every flag this binary reads.
@@ -58,7 +59,7 @@ fn resolve_addr(args: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
     let path = flag_value(args, "--port-file")
         .ok_or("pass --addr HOST:PORT or --port-file PATH (see --help in the source)")?;
-    let wait_secs: u64 = parsed(args, "--wait-secs", 30);
+    let wait_secs: u64 = parsed(args, "--wait-secs", 30)?;
     let deadline = Instant::now() + Duration::from_secs(wait_secs);
     loop {
         match std::fs::read_to_string(path) {
@@ -69,15 +70,27 @@ fn resolve_addr(args: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// Runs the binary; a startup or run failure prints through `Display` and
+/// exits 1.
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("sitfact_client: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown(&args, FLAGS)?;
-    let n: usize = parsed(&args, "--n", 48);
-    let batch: usize = parsed(&args, "--batch", 16).max(1);
-    let dims: usize = parsed(&args, "--dims", 5);
-    let measures: usize = parsed(&args, "--measures", 4);
-    let seed: u64 = parsed(&args, "--seed", 7);
-    let topk: usize = parsed(&args, "--topk", 3);
+    let n: usize = parsed(&args, "--n", 48)?;
+    let batch: usize = parsed(&args, "--batch", 16)?.max(1);
+    let dims: usize = parsed(&args, "--dims", 5)?;
+    let measures: usize = parsed(&args, "--measures", 4)?;
+    let seed: u64 = parsed(&args, "--seed", 7)?;
+    let topk: usize = parsed(&args, "--topk", 3)?;
 
     let addr = resolve_addr(&args)?;
     let mut client = Client::connect(addr.as_str())?;
@@ -87,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(tenant) = flag_value(&args, "--tenant") {
         // A private monitor for this client: the NBA demo schema at our
         // arity, named after the tenant so STATS shows who answered.
-        let tau: f64 = parsed(&args, "--tau", 100.0);
+        let tau: f64 = parsed(&args, "--tau", 100.0)?;
         let schema = nba_schema(dims, measures);
         let dim_names: Vec<&str> = schema
             .dimension_names()

@@ -41,6 +41,7 @@ use sitfact_datagen::nba::nba_schema;
 use sitfact_prominence::{FactMonitor, MonitorConfig, Served, ShardedMonitor};
 use sitfact_serve::cli::{flag_value, parsed, reject_unknown};
 use sitfact_serve::{FactServer, SyncPolicy, WalOptions};
+use std::process::ExitCode;
 use std::time::Duration;
 
 /// Every flag this binary reads.
@@ -63,24 +64,36 @@ const FLAGS: &[&str] = &[
     "--snapshot-every",
 ];
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// Runs the binary; a startup or run failure prints through `Display` and
+/// exits 1.
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("sitfact_serve: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown(&args, FLAGS)?;
     let addr = flag_value(&args, "--addr")
         .unwrap_or("127.0.0.1:0")
         .to_string();
     let port_file = flag_value(&args, "--port-file").map(str::to_string);
-    let shards: usize = parsed(&args, "--shards", 0);
+    let shards: usize = parsed(&args, "--shards", 0)?;
     let route = flag_value(&args, "--route").unwrap_or("team").to_string();
-    let tau: f64 = parsed(&args, "--tau", 100.0);
-    let keep_top: usize = parsed(&args, "--keep-top", 16);
-    let dims: usize = parsed(&args, "--dims", 5);
-    let measures: usize = parsed(&args, "--measures", 4);
-    let d_hat: usize = parsed(&args, "--d-hat", 3);
-    let m_hat: usize = parsed(&args, "--m-hat", 3);
-    let workers: usize = parsed(&args, "--workers", FactServer::DEFAULT_WORKERS);
-    let owners: usize = parsed(&args, "--owners", workers);
-    let timeout_secs: u64 = parsed(&args, "--timeout-secs", 30);
+    let tau: f64 = parsed(&args, "--tau", 100.0)?;
+    let keep_top: usize = parsed(&args, "--keep-top", 16)?;
+    let dims: usize = parsed(&args, "--dims", 5)?;
+    let measures: usize = parsed(&args, "--measures", 4)?;
+    let d_hat: usize = parsed(&args, "--d-hat", 3)?;
+    let m_hat: usize = parsed(&args, "--m-hat", 3)?;
+    let workers: usize = parsed(&args, "--workers", FactServer::DEFAULT_WORKERS)?;
+    let owners: usize = parsed(&args, "--owners", workers)?;
+    let timeout_secs: u64 = parsed(&args, "--timeout-secs", 30)?;
     let timeout = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
     let data_dir = flag_value(&args, "--data-dir").map(str::to_string);
     let sync = match flag_value(&args, "--sync").unwrap_or("always") {
@@ -88,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "os" => SyncPolicy::Os,
         other => return Err(format!("--sync: expected always|os, got {other:?}").into()),
     };
-    let snapshot_every: u64 = parsed(&args, "--snapshot-every", 0);
+    let snapshot_every: u64 = parsed(&args, "--snapshot-every", 0)?;
 
     let schema = nba_schema(dims, measures);
     let discovery = DiscoveryConfig::capped(d_hat, m_hat);

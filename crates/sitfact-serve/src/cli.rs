@@ -1,9 +1,10 @@
 //! Minimal `--flag value` argument parsing shared by the demo binaries
-//! (`sitfact_serve`, `sitfact_client`). Deliberately tiny: a flag given
-//! without a value is treated as absent, and an unknown flag
-//! ([`reject_unknown`]) or an unparsable value fails loudly with the flag
-//! name — a smoke-test binary must not fall back to a default silently, or a
-//! misspelt `--snapshot-evry` tests something else than the script says.
+//! (`sitfact_serve`, `sitfact_client`) and the bench binaries. Deliberately
+//! tiny: a flag given without a value is treated as absent, and an unknown
+//! flag ([`reject_unknown`]) or an unparsable value ([`parsed`]) is an error
+//! naming the flag — a smoke-test binary must not fall back to a default
+//! silently, or a misspelt `--snapshot-evry` tests something else than the
+//! script says.
 
 /// Returns the value following `--name`, if present.
 pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -14,21 +15,13 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 /// Parses the value of `--name`, or returns `default` when the flag is
-/// absent.
-///
-/// # Panics
-///
-/// Panics if the flag is present but its value does not parse as `T`.
-pub fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+/// absent. A value that does not parse as `T` is an error naming the flag.
+pub fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     match flag_value(args, name) {
-        None => default,
-        #[expect(
-            clippy::panic,
-            reason = "demo-binary CLI parsing, documented to panic on bad flags"
-        )]
+        None => Ok(default),
         Some(raw) => raw
             .parse()
-            .unwrap_or_else(|_| panic!("{name}: cannot parse {raw:?}")),
+            .map_err(|_| format!("{name}: cannot parse {raw:?}")),
     }
 }
 
@@ -64,8 +57,8 @@ mod tests {
     #[test]
     fn flags_parse_with_defaults() {
         let argv = args(&["--n", "12", "--verbose", "--name", "x"]);
-        assert_eq!(parsed(&argv, "--n", 5usize), 12);
-        assert_eq!(parsed(&argv, "--missing", 5usize), 5);
+        assert_eq!(parsed(&argv, "--n", 5usize), Ok(12));
+        assert_eq!(parsed(&argv, "--missing", 5usize), Ok(5));
         assert_eq!(flag_value(&argv, "--name"), Some("x"));
         assert_eq!(flag_value(&argv, "--absent"), None);
         assert!(has_flag(&argv, "--verbose"));
@@ -92,8 +85,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--n: cannot parse")]
-    fn unparsable_value_panics_with_the_flag_name() {
-        let _ = parsed(&args(&["--n", "many"]), "--n", 0usize);
+    fn unparsable_value_is_an_error_naming_the_flag() {
+        assert_eq!(
+            parsed(&args(&["--n", "many"]), "--n", 0usize),
+            Err("--n: cannot parse \"many\"".to_string())
+        );
+        // A negative value for an unsigned flag does not parse either.
+        assert!(parsed(&args(&["--port", "-1"]), "--port", 0u16).is_err());
     }
 }

@@ -305,15 +305,17 @@ pub struct ServerStats {
     /// The discovery config's anchored dimension, if any (set for sharded
     /// deployments).
     pub anchor_dim: Option<u64>,
-    /// Sealed compressed posting-list blocks in the monitor's inverted index
-    /// (monitors compact at batch-window boundaries; sharded monitors sum
-    /// over shards).
+    /// Sealed compressed posting-list blocks in the monitor's inverted index:
+    /// 0, since posting lists are plain id vectors (the field keeps the
+    /// record's shape).
     pub sealed_blocks: u64,
-    /// Posting ids still sitting in uncompressed tails.
+    /// Posting ids stored uncompressed: every id in the index (sharded
+    /// monitors sum over shards).
     pub tail_ids: u64,
-    /// Compressed posting-list heap bytes (arena words plus skip entries).
+    /// Posting-list heap bytes, four per id.
     pub compressed_bytes: u64,
-    /// Bytes the same posting ids would occupy uncompressed.
+    /// Bytes the same posting ids occupy as plain `u32`s: equal to
+    /// `compressed_bytes`.
     pub uncompressed_bytes: u64,
     /// Live write-ahead-log segment files for this tenant (zero when the
     /// server runs without a data directory).

@@ -2,10 +2,9 @@
 //!
 //! Storage substrates for incremental situational-fact discovery:
 //!
-//! * [`Table`] — the append-only relation `R` holding the historical tuples;
-//! * [`CompressedPostings`] — delta-packed block posting lists with a
-//!   galloping skip index, the representation behind the table's context
-//!   index;
+//! * [`Table`] — the append-only relation `R` holding the historical tuples,
+//!   column-wise, with a per-dimension index of sorted id lists derived from
+//!   its columns (rebuilt, not serialized, when a snapshot is restored);
 //! * [`ContextCounter`] — incremental maintenance of the context cardinalities
 //!   `|σ_C(R)|` needed by the prominence measure;
 //! * [`SkylineStore`] — the `µ_{C,M}` abstraction of the paper (one cell of
@@ -23,12 +22,13 @@
 
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod compat;
 pub mod context;
 pub mod file_store;
 mod heap;
 pub mod kdtree;
 pub mod memory_store;
-pub mod postings;
 pub mod stats;
 pub mod store;
 pub mod table;
@@ -38,7 +38,6 @@ pub use context::ContextCounter;
 pub use file_store::FileSkylineStore;
 pub use kdtree::KdTree;
 pub use memory_store::MemorySkylineStore;
-pub use postings::{CompressedPostings, PostingsCursor};
 pub use stats::{StoreStats, WorkStats};
 pub use store::{RowId, SkylineStore, StoreCell};
 pub use table::{PostingIndexStats, Table};

@@ -11,33 +11,46 @@
 //! no per-row allocation.
 //!
 //! On top of the columns the table maintains, per dimension attribute, an
-//! inverted index of posting lists: `DimValueId → CompressedPostings`, each
-//! list ascending because tuple ids are assigned in arrival order and stored
-//! as delta-packed 128-id blocks with a skip index (see
-//! [`crate::postings`]). The context `σ_C(R)` of a conjunctive constraint is
-//! then the intersection of the posting lists of its bound values — driven
-//! from the shortest list, *galloping* through the others via their block
-//! maxima so only candidate blocks are decoded. The top constraint `⊤` stays
-//! a plain range iterator over all rows.
+//! inverted index of posting lists: `DimValueId → Vec<TupleId>`, each list
+//! ascending because tuple ids are assigned in arrival order. The index is
+//! derived state — every list holds exactly the physically present ids
+//! (`[evicted, len)`) carrying its value, so it is rebuilt from the dimension
+//! column whenever a snapshot is restored. The context `σ_C(R)` of a
+//! conjunctive constraint is the intersection of the posting lists of its
+//! bound values — driven from the shortest list, *galloping* through the
+//! others by binary search. The top constraint `⊤` stays a plain range
+//! iterator over all rows.
 
-use crate::postings::{CompressedPostings, PostingsCursor};
 use sitfact_core::{
     Constraint, DimValueId, FxHashMap, Result, Schema, SitFactError, Tuple, TupleId, TupleRef,
     UNBOUND,
 };
 use std::ops::Range;
 
-/// Posting lists of one dimension attribute: every value id observed in that
-/// column maps to the compressed ascending ids of the tuples carrying it.
-/// Crate-visible so the snapshot codec in [`crate::wal`] can serialize the
-/// index natively.
-pub(crate) type PostingMap = FxHashMap<DimValueId, CompressedPostings>;
+/// Posting lists of one dimension attribute: every value id present in that
+/// column maps to the ascending ids of the physically present tuples
+/// carrying it.
+type PostingMap = FxHashMap<DimValueId, Vec<TupleId>>;
 
 /// Cap on the per-column distinct-value hint derived from a row-capacity
 /// hint: dictionary-encoded columns typically hold far fewer distinct values
 /// than rows (hundreds of players across tens of thousands of box scores), so
 /// pre-sizing each posting map for one entry per row would waste memory.
 const POSTING_MAP_HINT_CAP: usize = 1 << 10;
+
+/// The posting maps of a dims column whose first row holds tuple `first`:
+/// the one definition of the index, which the append paths maintain
+/// incrementally and a snapshot restore builds in one pass.
+fn index_of(dims: &[DimValueId], n_dims: usize, first: usize) -> Vec<PostingMap> {
+    let mut postings = vec![PostingMap::default(); n_dims];
+    for (row, values) in dims.chunks_exact(n_dims.max(1)).enumerate() {
+        let id = (first + row) as TupleId;
+        for (map, &value) in postings.iter_mut().zip(values) {
+            map.entry(value).or_default().push(id);
+        }
+    }
+    postings
+}
 
 /// An append-at-the-end table of tuples under a fixed [`Schema`], stored as
 /// flat columns plus per-dimension posting lists.
@@ -48,11 +61,11 @@ const POSTING_MAP_HINT_CAP: usize = 1 << 10;
 /// updated — the paper's model is an ever-growing relation whose appends
 /// correspond to real-world events — but sliding-window workloads may
 /// *retract* the oldest rows with [`Table::retract_prefix`]: expired rows are
-/// tombstoned (the id range below a watermark, plus a lazy dead counter per
-/// posting list) and physically dropped by
-/// [`Table::compact_retracted`]. Tuple ids stay stable for the table's whole
-/// life; [`Table::len`] keeps counting every id ever assigned, while
-/// [`Table::live_rows`] counts the surviving suffix.
+/// tombstoned (the id range below a watermark) and physically dropped, from
+/// the columns and the posting lists, by [`Table::compact_retracted`]. Tuple
+/// ids stay stable for the table's whole life; [`Table::len`] keeps counting
+/// every id ever assigned, while [`Table::live_rows`] counts the surviving
+/// suffix.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -72,7 +85,8 @@ pub struct Table {
     dims: Vec<DimValueId>,
     /// All measure values, row-major (`(len - evicted) * n_measures` entries).
     measures: Vec<f64>,
-    /// One posting map per dimension attribute.
+    /// One posting map per dimension attribute, over the ids
+    /// `[evicted, len)`.
     postings: Vec<PostingMap>,
 }
 
@@ -98,14 +112,11 @@ impl Table {
 
     /// Creates an empty table with pre-allocated capacity (in rows).
     ///
-    /// The hint pre-sizes every layer of the storage: the flat dimension and
-    /// measure columns get one reservation each, and every dimension's posting
-    /// map is sized for up to `POSTING_MAP_HINT_CAP` (1024) distinct values (a
-    /// dictionary-encoded column rarely holds more; the map grows normally if
-    /// it does). Individual posting lists need no row-proportional
-    /// reservation: a [`CompressedPostings`] arena never buffers more than
-    /// one raw block of tail ids before sealing, so lists start small and the
-    /// batch path hints each list with its per-value run length instead.
+    /// The hint pre-sizes the flat dimension and measure columns with one
+    /// reservation each, and every dimension's posting map for up to
+    /// `POSTING_MAP_HINT_CAP` (1024) distinct values (a dictionary-encoded
+    /// column rarely holds more; the map grows normally if it does).
+    /// Individual posting lists grow as their values arrive.
     pub fn with_capacity(schema: Schema, capacity: usize) -> Self {
         let n_dims = schema.num_dimensions();
         let n_measures = schema.num_measures();
@@ -192,51 +203,23 @@ impl Table {
     /// [`Table::context`] and [`Table::context_scan`] immediately, but stay
     /// readable through [`Table::tuple`] until [`Table::compact_retracted`]
     /// physically drops them — skyline repair needs the expired points'
-    /// coordinates while it re-promotes their dominated regions. Each posting
-    /// list tracks its dead ids lazily and is rebuilt without them once they
-    /// reach half the list ([`CompressedPostings::live_len`] /
-    /// `should_rebuild`); fully-dead lists are removed outright.
+    /// coordinates while it re-promotes their dominated regions. Only the
+    /// watermark moves: readers skip each posting list's dead prefix.
     pub fn retract_prefix(&mut self, up_to: usize) -> usize {
         let new_watermark = up_to.min(self.len);
         if new_watermark <= self.watermark {
             return 0;
         }
         let newly = new_watermark - self.watermark;
-        // Count the dead ids into their posting lists (one bump per
-        // occurrence; a value appears at most once per row per attribute).
-        for id in self.watermark..new_watermark {
-            let row = id - self.evicted;
-            for attr in 0..self.n_dims {
-                let value = self.dims[row * self.n_dims + attr];
-                if let Some(list) = self.postings[attr].get_mut(&value) {
-                    list.mark_dead();
-                }
-            }
-        }
         self.watermark = new_watermark;
-        // Lazy-deletion maintenance: drop fully-dead lists, rebuild lists
-        // whose dead fraction crossed the threshold. Done after all marks so
-        // a rebuild never races the counting above.
-        let watermark = self.watermark as TupleId;
-        for map in &mut self.postings {
-            map.retain(|_, list| {
-                if list.live_len() == 0 {
-                    return false;
-                }
-                if list.should_rebuild() {
-                    list.rebuild_below(watermark);
-                }
-                true
-            });
-        }
         newly
     }
 
-    /// Physically drops the tombstoned prefix from the flat columns,
-    /// reclaiming the memory [`Table::retract_prefix`] only marked. Returns
-    /// the number of rows dropped. Ids below the watermark stop being
-    /// readable even through [`Table::tuple`], so callers must finish any
-    /// retraction repair first.
+    /// Physically drops the tombstoned prefix from the flat columns and the
+    /// posting lists, reclaiming the memory [`Table::retract_prefix`] only
+    /// marked; lists left empty leave the index. Returns the number of rows
+    /// dropped. Ids below the watermark stop being readable even through
+    /// [`Table::tuple`], so callers must finish any retraction repair first.
     pub fn compact_retracted(&mut self) -> usize {
         let dead = self.watermark - self.evicted;
         if dead == 0 {
@@ -245,16 +228,12 @@ impl Table {
         self.dims.drain(..dead * self.n_dims);
         self.measures.drain(..dead * self.n_measures);
         self.evicted = self.watermark;
-        // Lists below the lazy-deletion threshold may still carry ids of the
-        // rows just dropped; those ids now point below `evicted`, so force
-        // the rebuild the threshold deferred.
-        let watermark = self.watermark as TupleId;
+        let evicted = self.evicted as TupleId;
         for map in &mut self.postings {
-            for list in map.values_mut() {
-                if list.dead_len() > 0 {
-                    list.rebuild_below(watermark);
-                }
-            }
+            map.retain(|_, list| {
+                list.drain(..list.partition_point(|&id| id < evicted));
+                !list.is_empty()
+            });
         }
         dead
     }
@@ -379,10 +358,10 @@ impl Table {
                 for (j, &end) in counts.iter().enumerate() {
                     let end = end as usize;
                     if end > start {
-                        let list = self.postings[attr]
+                        self.postings[attr]
                             .entry(min + j as DimValueId)
-                            .or_insert_with(|| CompressedPostings::with_capacity(end - start));
-                        list.extend_from_slice(&bucketed[start..end]);
+                            .or_default()
+                            .extend_from_slice(&bucketed[start..end]);
                         start = end;
                     }
                 }
@@ -393,16 +372,11 @@ impl Table {
                     .map(|(k, &v)| (v, first + k as TupleId))
                     .collect();
                 pairs.sort_unstable();
-                let mut run_start = 0;
-                while run_start < pairs.len() {
-                    let value = pairs[run_start].0;
-                    let run_end =
-                        run_start + pairs[run_start..].partition_point(|&(v, _)| v == value);
-                    let list = self.postings[attr].entry(value).or_default();
-                    for &(_, id) in &pairs[run_start..run_end] {
-                        list.push(id);
-                    }
-                    run_start = run_end;
+                for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+                    self.postings[attr]
+                        .entry(run[0].0)
+                        .or_default()
+                        .extend(run.iter().map(|&(_, id)| id));
                 }
             }
         }
@@ -477,51 +451,35 @@ impl Table {
     /// For the top constraint this is a range iterator over every row; one
     /// bound attribute streams its posting list; several bound attributes run
     /// a k-way *galloping* intersection: the shortest list drives, and every
-    /// candidate is probed in the other lists by binary-searching their block
-    /// maxima and decoding only the one candidate block
-    /// ([`PostingsCursor::seek`]), so the cost scales with the most selective
-    /// bound value instead of the table size. A bound value that was never
-    /// observed yields an empty context immediately.
+    /// candidate is binary-searched in the other lists, so the cost scales
+    /// with the most selective bound value instead of the table size. A
+    /// bound value with no live row yields an empty context immediately.
     pub fn context<'a>(&'a self, constraint: &Constraint) -> ContextIter<'a> {
         debug_assert_eq!(constraint.num_dims(), self.n_dims);
-        let mut lists: Vec<&'a CompressedPostings> = Vec::new();
+        let mut lists: Vec<&'a [TupleId]> = Vec::new();
         for (attr, &value) in constraint.values().iter().enumerate() {
             if value == UNBOUND {
                 continue;
             }
-            match self.postings.get(attr).and_then(|p| p.get(&value)) {
-                Some(list) => lists.push(list),
-                // A bound value never observed: the context is empty.
-                None => return ContextIter::empty(self),
+            match self.posting_list(attr, value) {
+                Some(live) => lists.push(live),
+                // A bound value with no live row: the context is empty.
+                None => {
+                    lists = vec![&[]];
+                    break;
+                }
             }
-        }
-        if lists.is_empty() {
-            return ContextIter::all(self);
         }
         // Driving the intersection from the shortest list bounds the number
-        // of candidates by the most selective bound value. Dead ids are a
-        // prefix (retraction is prefix-only), so seeking every cursor to the
-        // watermark once skips all tombstones without per-id filtering —
-        // `seek` peeks, leaving the first live id ready for `next`.
-        lists.sort_unstable_by_key(|l| l.live_len());
-        let watermark = self.watermark as TupleId;
-        let cursor_at_watermark = |list: &'a CompressedPostings| {
-            let mut cursor = list.cursor();
-            if watermark > 0 {
-                cursor.seek(watermark);
-            }
-            cursor
-        };
-        let state = if lists.len() == 1 {
-            ContextState::Single {
-                cursor: cursor_at_watermark(lists[0]),
-                remaining: lists[0].live_len(),
-            }
-        } else {
-            ContextState::Gallop {
-                driver: cursor_at_watermark(lists[0]),
-                others: lists[1..].iter().map(|l| cursor_at_watermark(l)).collect(),
-            }
+        // of candidates by the most selective bound value.
+        lists.sort_unstable_by_key(|l| l.len());
+        let state = match lists.as_slice() {
+            [] => ContextState::All(self.watermark..self.len),
+            [list] => ContextState::Single(list.iter()),
+            [driver, others @ ..] => ContextState::Gallop {
+                driver,
+                others: others.to_vec(),
+            },
         };
         ContextIter { table: self, state }
     }
@@ -537,80 +495,58 @@ impl Table {
         self.iter().filter(move |(_, t)| constraint.matches(t))
     }
 
-    /// Number of tuples satisfying `constraint` (`|σ_C(R)|`), computed through
-    /// the inverted index. The incremental
-    /// [`ContextCounter`](crate::ContextCounter) should still be preferred on
-    /// hot paths that repeatedly ask about the same constraints.
-    pub fn context_cardinality(&self, constraint: &Constraint) -> usize {
-        self.context(constraint).count()
-    }
-
     /// Upper bound on the rows the indexed [`Table::context`] will examine:
-    /// the length of the shortest posting list among the constraint's bound
-    /// values (`0` for a never-observed value, the table length for `⊤`).
+    /// the live length of the shortest posting list among the constraint's
+    /// bound values (`0` for a value with no live row, the live row count
+    /// for `⊤`).
     ///
     /// This is the work counter behind the sub-linearity assertions — a
-    /// selective constraint must probe far fewer rows than a full scan. Its
-    /// block-level companion is [`ContextIter::blocks_decoded`], which counts
-    /// the sealed blocks an intersection actually decompressed.
+    /// selective constraint must probe far fewer rows than a full scan.
     pub fn context_probe_bound(&self, constraint: &Constraint) -> usize {
-        let mut bound = usize::MAX;
-        for (attr, &value) in constraint.values().iter().enumerate() {
-            if value == UNBOUND {
-                continue;
-            }
-            let len = self
-                .postings
-                .get(attr)
-                .and_then(|p| p.get(&value))
-                .map_or(0, CompressedPostings::live_len);
-            bound = bound.min(len);
-        }
-        if bound == usize::MAX {
-            self.live_rows()
-        } else {
-            bound
-        }
+        constraint
+            .values()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &value)| value != UNBOUND)
+            .map(|(attr, &value)| self.posting_list(attr, value).map_or(0, <[_]>::len))
+            .min()
+            .unwrap_or_else(|| self.live_rows())
     }
 
-    /// The compressed posting list of one `(dimension, value)` pair, if that
-    /// value has ever been observed in that column. Its ids are ascending;
-    /// use [`CompressedPostings::iter`] or
-    /// [`CompressedPostings::to_vec`] to read them.
-    pub fn posting_list(&self, attr: usize, value: DimValueId) -> Option<&CompressedPostings> {
-        self.postings.get(attr).and_then(|p| p.get(&value))
-    }
-
-    /// Seals every posting list's tail where the packed form is smaller (see
-    /// [`CompressedPostings::compact`]).
-    ///
-    /// A bulk-load finisher: appends deliberately leave sub-block tails raw
-    /// so the representation stays a pure function of the id sequence, and
-    /// this pass squeezes those tails once loading settles. Later appends
-    /// simply start new tails.
-    pub fn compact_postings(&mut self) {
-        for map in &mut self.postings {
-            for list in map.values_mut() {
-                list.compact();
-            }
-        }
+    /// The live ids of one `(dimension, value)` pair, ascending; `None` when
+    /// no live row carries that value in that column.
+    pub fn posting_list(&self, attr: usize, value: DimValueId) -> Option<&[TupleId]> {
+        let list = self.postings.get(attr)?.get(&value)?;
+        let watermark = self.watermark as TupleId;
+        let live = &list[list.partition_point(|&id| id < watermark)..];
+        (!live.is_empty()).then_some(live)
     }
 
     /// Aggregate footprint counters of the inverted index, for the memory
-    /// benchmarks.
+    /// benchmarks and the `STATS` record. Lists are plain id vectors, so
+    /// every id counts as a tail id and both byte counters are four bytes
+    /// per id.
     pub fn posting_index_stats(&self) -> PostingIndexStats {
-        let mut stats = PostingIndexStats::default();
-        for map in &self.postings {
-            for list in map.values() {
-                stats.lists += 1;
-                stats.ids += list.len();
-                stats.sealed_blocks += list.num_blocks();
-                stats.tail_ids += list.tail_len();
-                stats.compressed_bytes += list.approx_heap_bytes();
-                stats.uncompressed_bytes += list.uncompressed_bytes();
-            }
+        let lists = self.postings.iter().map(PostingMap::len).sum();
+        let ids = self.posting_ids();
+        let bytes = ids * std::mem::size_of::<TupleId>();
+        PostingIndexStats {
+            lists,
+            ids,
+            sealed_blocks: 0,
+            tail_ids: ids,
+            compressed_bytes: bytes,
+            uncompressed_bytes: bytes,
         }
-        stats
+    }
+
+    /// Ids stored across every posting list, tombstoned ones included.
+    fn posting_ids(&self) -> usize {
+        self.postings
+            .iter()
+            .flat_map(PostingMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     /// Approximate heap usage of the columnar storage (flat columns plus the
@@ -620,41 +556,30 @@ impl Table {
     /// Derived entirely from `size_of` so the estimate tracks the layout:
     /// * the dimension column holds `(len - evicted) * n_dims` value ids;
     /// * the measure column holds `(len - evicted) * n_measures` floats;
-    /// * every posting list is accounted at its compressed footprint — arena
-    ///   words plus skip entries ([`CompressedPostings::approx_heap_bytes`]);
+    /// * every posting list is accounted at its length in ids — not its
+    ///   capacity, which depends on the growth history, so a batched load
+    ///   and a restored table account exactly like a row-by-row load;
     /// * each distinct `(dimension, value)` pair costs one map entry (key +
-    ///   [`CompressedPostings`] header).
+    ///   `Vec` header).
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let physical = self.len - self.evicted;
         let columns = physical * self.n_dims * size_of::<DimValueId>()
             + physical * self.n_measures * size_of::<f64>();
-        let posting_lists: usize = self
-            .postings
-            .iter()
-            .flat_map(PostingMap::values)
-            .map(CompressedPostings::approx_heap_bytes)
-            .sum();
         let distinct_values: usize = self.postings.iter().map(PostingMap::len).sum();
         let posting_entries =
-            distinct_values * (size_of::<DimValueId>() + size_of::<CompressedPostings>());
-        columns + posting_lists + posting_entries + self.schema.approx_heap_bytes()
+            distinct_values * (size_of::<DimValueId>() + size_of::<Vec<TupleId>>());
+        columns
+            + self.posting_ids() * size_of::<TupleId>()
+            + posting_entries
+            + self.schema.approx_heap_bytes()
     }
 
     /// Crate-internal view of the table's primary state — schema, length,
-    /// retraction bounds, flat columns and posting maps — for the snapshot
-    /// codec in [`crate::wal`].
-    pub(crate) fn state_parts(
-        &self,
-    ) -> (
-        &Schema,
-        usize,
-        usize,
-        usize,
-        &[DimValueId],
-        &[f64],
-        &[PostingMap],
-    ) {
+    /// retraction bounds and flat columns — for the snapshot codec in
+    /// [`crate::wal`]. The posting index is derived from the columns and
+    /// not part of it.
+    pub(crate) fn state_parts(&self) -> (&Schema, usize, usize, usize, &[DimValueId], &[f64]) {
         (
             &self.schema,
             self.len,
@@ -662,15 +587,13 @@ impl Table {
             self.watermark,
             &self.dims,
             &self.measures,
-            &self.postings,
         )
     }
 
     /// Crate-internal inverse of [`Table::state_parts`], rebuilding a table
-    /// from decoded snapshot state. Re-checks the cheap cross-structure
-    /// invariants (column strides, posting arity and per-attribute id
-    /// coverage) so a corrupted snapshot surfaces as a typed error; the
-    /// per-list structure was already validated during posting decode.
+    /// from decoded snapshot state: re-checks the retraction bounds and the
+    /// column strides, so a corrupted snapshot surfaces as a typed error,
+    /// then builds the posting index in one pass over the dims column.
     pub(crate) fn from_state_parts(
         schema: Schema,
         len: usize,
@@ -678,7 +601,6 @@ impl Table {
         watermark: usize,
         dims: Vec<DimValueId>,
         measures: Vec<f64>,
-        postings: Vec<PostingMap>,
     ) -> Result<Table> {
         let n_dims = schema.num_dimensions();
         let n_measures = schema.num_measures();
@@ -702,21 +624,7 @@ impl Table {
                 measures.len()
             )));
         }
-        if postings.len() != n_dims {
-            return Err(corrupt(format!(
-                "{} posting maps for {n_dims} dimension attributes",
-                postings.len()
-            )));
-        }
-        for (attr, map) in postings.iter().enumerate() {
-            let live: usize = map.values().map(CompressedPostings::live_len).sum();
-            if live != len - watermark {
-                return Err(corrupt(format!(
-                    "attr {attr}: posting lists hold {live} live ids in total, want {}",
-                    len - watermark
-                )));
-            }
-        }
+        let postings = index_of(&dims, n_dims, evicted);
         Ok(Table {
             schema,
             n_dims,
@@ -738,8 +646,9 @@ impl Table {
 }
 
 /// Re-derives every piece of denormalized table state from the primary
-/// columns: column strides, posting-list sortedness/dedup/exact coverage of
-/// the dimension columns, measure validity and the heap-bytes formula.
+/// columns: column strides, the posting index (every list equals the rebuild
+/// from the dims column over `[evicted, len)`), measure validity and the
+/// heap-bytes formula.
 #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for Table {
     fn check(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
@@ -797,8 +706,11 @@ impl sitfact_core::Audit for Table {
             );
         }
 
-        // One posting map per dimension attribute.
-        if self.postings.len() != self.n_dims {
+        // The index is exactly the rebuild from the dims column: one map per
+        // attribute, each list the ascending physically present ids of its
+        // value, no list empty.
+        let rebuilt = index_of(&self.dims, self.n_dims, self.evicted);
+        if self.postings.len() != rebuilt.len() {
             return fail(
                 "posting-arity",
                 format!(
@@ -808,103 +720,40 @@ impl sitfact_core::Audit for Table {
                 ),
             );
         }
-        for (attr, map) in self.postings.iter().enumerate() {
-            let mut live_total = 0usize;
-            for (&value, list) in map {
-                // Fully-dead lists are removed by the retraction maintenance
-                // pass, so every surviving list carries at least one live id.
-                if list.live_len() == 0 {
-                    return fail(
-                        "posting-list-nonempty",
-                        format!(
-                            "attr {attr} value {value} maps to a posting list with no \
-                             live ids"
-                        ),
-                    );
-                }
-                // Delegate the compressed-layout invariants (block chaining,
-                // skip-entry agreement, decode-roundtrip ascent) to the
-                // list's own validator.
-                if let Err(inner) = sitfact_core::Audit::check(list) {
-                    return fail(
-                        "posting-list-structure",
-                        format!("attr {attr} value {value}: {}", inner.explain()),
-                    );
-                }
-                // Every decoded id must be physically present and carry this
-                // value in its column — combined with the per-attribute live
-                // count below, the live suffix of the column is exactly
-                // reconstructible from the posting lists. Dead ids below the
-                // watermark must be exactly the ones the list's lazy-deletion
-                // counter claims.
-                let mut dead_ids = 0usize;
-                for id in list.iter() {
-                    let row = id as usize;
-                    if row < self.evicted || row >= self.len {
-                        return fail(
-                            "posting-id-in-range",
-                            format!(
-                                "attr {attr} value {value}: id {id} outside physical range \
-                                 [{}, {})",
-                                self.evicted, self.len
-                            ),
-                        );
-                    }
-                    if row < self.watermark {
-                        dead_ids += 1;
-                    }
-                    let stored = self.dims[(row - self.evicted) * self.n_dims + attr];
-                    if stored != value {
-                        return fail(
-                            "posting-reconstructible",
-                            format!(
-                                "attr {attr}: posting list of value {value} contains row \
-                                 {row}, whose column holds value {stored}"
-                            ),
-                        );
-                    }
-                }
-                if dead_ids != list.dead_len() {
-                    return fail(
-                        "posting-dead-counter",
-                        format!(
-                            "attr {attr} value {value}: {dead_ids} stored ids below \
-                             watermark {}, but the list counts {} dead",
-                            self.watermark,
-                            list.dead_len()
-                        ),
-                    );
-                }
-                live_total += list.live_len();
-            }
-            // Every live row appears in exactly one list per attribute (lists
-            // are duplicate-free by strict ascent, and the value check above
-            // pins each row to the single list its column names).
-            if live_total != self.len - self.watermark {
+        for (attr, (map, want)) in self.postings.iter().zip(&rebuilt).enumerate() {
+            if let Some((value, list)) = map
+                .iter()
+                .find(|(value, list)| want.get(value) != Some(list))
+            {
                 return fail(
-                    "posting-coverage",
+                    "posting-derived",
                     format!(
-                        "attr {attr}: posting lists hold {live_total} live ids in total, \
-                         want one per live row = {}",
-                        self.len - self.watermark
+                        "attr {attr}: posting list of value {value} holds {list:?}, the dims \
+                         column over [{}, {}) gives {:?}",
+                        self.evicted,
+                        self.len,
+                        want.get(value)
+                    ),
+                );
+            }
+            if map.len() != want.len() {
+                return fail(
+                    "posting-derived",
+                    format!(
+                        "attr {attr}: {} posting lists, the dims column holds {} distinct values",
+                        map.len(),
+                        want.len()
                     ),
                 );
             }
         }
 
         // The documented memory formula must track the actual layout.
-        let distinct: usize = self.postings.iter().map(PostingMap::len).sum();
-        let lists: usize = self
-            .postings
-            .iter()
-            .flat_map(PostingMap::values)
-            .map(CompressedPostings::approx_heap_bytes)
-            .sum();
+        let distinct: usize = rebuilt.iter().map(PostingMap::len).sum();
         let expect = physical * self.n_dims * std::mem::size_of::<DimValueId>()
             + physical * self.n_measures * std::mem::size_of::<f64>()
-            + lists
-            + distinct
-                * (std::mem::size_of::<DimValueId>() + std::mem::size_of::<CompressedPostings>())
+            + physical * self.n_dims * std::mem::size_of::<TupleId>()
+            + distinct * (std::mem::size_of::<DimValueId>() + std::mem::size_of::<Vec<TupleId>>())
             + self.schema.approx_heap_bytes();
         if self.approx_heap_bytes() != expect {
             return fail(
@@ -922,20 +771,23 @@ impl sitfact_core::Audit for Table {
 /// Aggregate footprint of the inverted index, from
 /// [`Table::posting_index_stats`]. All byte counters cover the posting lists
 /// only — the columns, map-entry overhead and schema dictionaries are
-/// reported by [`Table::approx_heap_bytes`].
+/// reported by [`Table::approx_heap_bytes`]. The block and compression
+/// fields keep the `STATS` record's shape from when lists were compressed:
+/// plain id vectors have no sealed blocks, every id is a tail id, and both
+/// byte counters are four bytes per id.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PostingIndexStats {
     /// Number of posting lists (= distinct `(dimension, value)` pairs).
     pub lists: usize,
-    /// Total ids across all lists (= rows × dimensions).
+    /// Total ids across all lists (= physically present rows × dimensions).
     pub ids: usize,
-    /// Sealed compressed blocks across all lists.
+    /// Sealed compressed blocks across all lists: always 0.
     pub sealed_blocks: usize,
-    /// Ids still sitting in uncompressed tails.
+    /// Ids stored uncompressed: all of them.
     pub tail_ids: usize,
-    /// Compressed heap bytes: arena words plus skip entries.
+    /// Heap bytes of the stored ids.
     pub compressed_bytes: usize,
-    /// Bytes the same ids would occupy as plain `Vec<TupleId>` data.
+    /// Bytes the same ids occupy as plain `Vec<TupleId>` data.
     pub uncompressed_bytes: usize,
 }
 
@@ -951,43 +803,42 @@ pub struct ContextIter<'a> {
 enum ContextState<'a> {
     /// Top constraint: every live id qualifies.
     All(Range<usize>),
-    /// A bound value was never observed.
-    Empty,
-    /// One bound attribute: its posting list is streamed from the watermark
-    /// on. `remaining` counts the live ids left (the cursor's own upper
-    /// bound still includes the skipped dead prefix).
-    Single {
-        cursor: PostingsCursor<'a>,
-        remaining: usize,
-    },
-    /// Galloping intersection of two or more posting lists: the shortest
-    /// drives, the others (ascending by length) confirm candidates via
-    /// [`PostingsCursor::seek`].
+    /// One bound attribute: the live part of its posting list (empty for a
+    /// value with no live row).
+    Single(std::slice::Iter<'a, TupleId>),
+    /// Galloping intersection of two or more live posting lists: the
+    /// shortest drives, the others (ascending by length) confirm candidates
+    /// by binary search.
     Gallop {
-        driver: PostingsCursor<'a>,
-        others: Vec<PostingsCursor<'a>>,
+        driver: &'a [TupleId],
+        others: Vec<&'a [TupleId]>,
     },
+}
+
+/// Drops the ids below `target` from the front of `list`.
+fn skip_below(list: &mut &[TupleId], target: TupleId) {
+    *list = &list[list.partition_point(|&id| id < target)..];
 }
 
 /// One leapfrog round: pull a candidate from the driving (shortest) list and
 /// seek every other list to it. An overshoot in any list becomes the next
 /// target for the driver itself — the driver gallops too — and the round
 /// restarts; agreement across all lists yields the candidate.
-fn gallop_next(
-    driver: &mut PostingsCursor<'_>,
-    others: &mut [PostingsCursor<'_>],
-) -> Option<TupleId> {
-    let mut candidate = driver.next()?;
+fn gallop_next(driver: &mut &[TupleId], others: &mut [&[TupleId]]) -> Option<TupleId> {
     'candidates: loop {
+        let (&candidate, rest) = driver.split_first()?;
+        *driver = rest;
         for other in others.iter_mut() {
-            match other.seek(candidate)? {
-                id if id == candidate => {}
-                id => {
-                    // Seek peeks: consume the driver's copy of the new
-                    // candidate so the next round advances past it.
-                    candidate = driver.seek(id)?;
-                    let _ = driver.next();
+            skip_below(other, candidate);
+            match other.first() {
+                Some(&id) if id == candidate => {}
+                Some(&id) => {
+                    skip_below(driver, id);
                     continue 'candidates;
+                }
+                None => {
+                    *driver = &[];
+                    return None;
                 }
             }
         }
@@ -995,69 +846,24 @@ fn gallop_next(
     }
 }
 
-impl<'a> ContextIter<'a> {
-    fn all(table: &'a Table) -> Self {
-        ContextIter {
-            table,
-            state: ContextState::All(table.watermark..table.len),
-        }
-    }
-
-    fn empty(table: &'a Table) -> Self {
-        ContextIter {
-            table,
-            state: ContextState::Empty,
-        }
-    }
-
-    /// Sealed posting blocks decompressed so far, across every cursor the
-    /// iterator drives. The block-level work counter behind the
-    /// sub-linearity assertions: a selective galloping intersection must
-    /// decode far fewer blocks than the bound lists hold in total.
-    pub fn blocks_decoded(&self) -> usize {
-        match &self.state {
-            ContextState::All(_) | ContextState::Empty => 0,
-            ContextState::Single { cursor, .. } => cursor.blocks_decoded(),
-            ContextState::Gallop { driver, others } => {
-                driver.blocks_decoded()
-                    + others
-                        .iter()
-                        .map(PostingsCursor::blocks_decoded)
-                        .sum::<usize>()
-            }
-        }
-    }
-}
-
 impl<'a> Iterator for ContextIter<'a> {
     type Item = (TupleId, TupleRef<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.state {
-            ContextState::All(range) => {
-                let id = range.next()?;
-                Some((id as TupleId, self.table.view_of(id as TupleId)))
-            }
-            ContextState::Empty => None,
-            // Posting-list ids are in range by construction; `view_of` skips
-            // the public accessor's bounds assertion on the hot path.
-            ContextState::Single { cursor, remaining } => {
-                let id = cursor.next()?;
-                *remaining -= 1;
-                Some((id, self.table.view_of(id)))
-            }
-            ContextState::Gallop { driver, others } => {
-                let id = gallop_next(driver, others)?;
-                Some((id, self.table.view_of(id)))
-            }
-        }
+        // Posting-list ids are in range by construction; `view_of` skips
+        // the public accessor's bounds assertion on the hot path.
+        let id = match &mut self.state {
+            ContextState::All(range) => range.next()? as TupleId,
+            ContextState::Single(ids) => *ids.next()?,
+            ContextState::Gallop { driver, others } => gallop_next(driver, others)?,
+        };
+        Some((id, self.table.view_of(id)))
     }
 
     /// Internal iteration for whole-context drains (`sum`, `for_each`, every
-    /// `fold`-based consumer): the single-list and top-constraint states walk
-    /// the decoded buffers slice-wise instead of re-entering the state
-    /// machine per id, which is what keeps streaming a compressed list
-    /// competitive with iterating a raw `Vec<TupleId>`.
+    /// `fold`-based consumer): the top-constraint and single-list states
+    /// walk their range or slice without re-entering the state machine per
+    /// id.
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Self::Item) -> B,
@@ -1067,10 +873,7 @@ impl<'a> Iterator for ContextIter<'a> {
             ContextState::All(range) => range.fold(init, |acc, id| {
                 f(acc, (id as TupleId, table.view_of(id as TupleId)))
             }),
-            ContextState::Empty => init,
-            ContextState::Single { cursor, .. } => {
-                cursor.fold(init, |acc, id| f(acc, (id, table.view_of(id))))
-            }
+            ContextState::Single(ids) => ids.fold(init, |acc, &id| f(acc, (id, table.view_of(id)))),
             ContextState::Gallop {
                 mut driver,
                 mut others,
@@ -1088,26 +891,19 @@ impl<'a> Iterator for ContextIter<'a> {
     /// buffers up front instead of growing incrementally:
     ///
     /// * top constraint — the remaining row range, exact;
-    /// * never-observed bound value — `(0, Some(0))`, exact;
-    /// * one bound attribute — the remaining posting list is the context,
-    ///   exact;
+    /// * one bound attribute — the remaining live posting list is the
+    ///   context, exact (zero for a value with no live row);
     /// * several bound attributes — at most the shortest list's remaining
     ///   ids, at least zero.
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.state {
             ContextState::All(range) => range.size_hint(),
-            ContextState::Empty => (0, Some(0)),
-            ContextState::Single { remaining, .. } => {
-                // Exactly the live ids left: the construction-time watermark
-                // seek skipped the dead prefix without consuming it, so the
-                // tracked count — not the cursor's upper bound — is exact.
-                (*remaining, Some(*remaining))
-            }
+            ContextState::Single(ids) => ids.size_hint(),
             ContextState::Gallop { driver, others } => {
                 let shortest = others
                     .iter()
-                    .map(PostingsCursor::remaining_upper_bound)
-                    .fold(driver.remaining_upper_bound(), usize::min);
+                    .map(|l| l.len())
+                    .fold(driver.len(), usize::min);
                 (0, Some(shortest))
             }
         }
@@ -1161,11 +957,8 @@ mod tests {
         // ("player" == "Wesley") now points at row 1, which holds "Bogues".
         let wesley = t.schema().dictionary(0).lookup("Wesley").unwrap();
         let list = t.postings[0].get_mut(&wesley).unwrap();
-        assert_eq!(list.to_vec(), vec![0, 2]);
-        let mut wrong = CompressedPostings::new();
-        wrong.push(0);
-        wrong.push(1);
-        *list = wrong;
+        assert_eq!(*list, vec![0, 2]);
+        *list = vec![0, 1];
         let violation = t.audit().expect_err("corruption must be caught");
         let explained = violation.explain();
         assert!(
@@ -1201,19 +994,19 @@ mod tests {
             .unwrap();
 
         let celtics = Constraint::parse(t.schema(), &[("team", "Celtics")]).unwrap();
-        assert_eq!(t.context_cardinality(&celtics), 3);
+        assert_eq!(t.context(&celtics).count(), 3);
         let wesley_celtics =
             Constraint::parse(t.schema(), &[("player", "Wesley"), ("team", "Celtics")]).unwrap();
-        assert_eq!(t.context_cardinality(&wesley_celtics), 2);
+        assert_eq!(t.context(&wesley_celtics).count(), 2);
         let ids: Vec<TupleId> = t.context(&wesley_celtics).map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1]);
         // The top constraint selects everything.
         let top = Constraint::from_values(vec![UNBOUND, UNBOUND]);
-        assert_eq!(t.context_cardinality(&top), 4);
+        assert_eq!(t.context(&top).count(), 4);
         // A combination of observed values that never co-occur is empty.
         let wesley_blazers =
             Constraint::parse(t.schema(), &[("player", "Wesley"), ("team", "Blazers")]).unwrap();
-        assert_eq!(t.context_cardinality(&wesley_blazers), 0);
+        assert_eq!(t.context(&wesley_blazers).count(), 0);
     }
 
     #[test]
@@ -1272,7 +1065,7 @@ mod tests {
         let even_id = t.schema().dictionary(0).lookup("Even").unwrap();
         let list = t.posting_list(0, even_id).unwrap();
         assert_eq!(list.len(), 15);
-        assert!(list.to_vec().windows(2).all(|w| w[0] < w[1]));
+        assert!(list.windows(2).all(|w| w[0] < w[1]));
         assert!(list.iter().all(|id| id % 2 == 0));
         let team_id = t.schema().dictionary(1).lookup("T").unwrap();
         assert_eq!(t.posting_list(1, team_id).unwrap().len(), 30);
@@ -1349,7 +1142,7 @@ mod tests {
         assert!(t.append_batch(window).is_err());
         // Nothing from the window landed — not even the valid first tuple.
         assert_eq!(t.len(), 1);
-        assert_eq!(t.posting_list(0, 0).unwrap().to_vec(), vec![0]);
+        assert_eq!(t.posting_list(0, 0).unwrap(), [0]);
         // NaN measures are caught by the same up-front pass.
         assert!(t
             .append_batch(vec![Tuple::new(vec![0, 0], vec![f64::NAN, 1.0])])
@@ -1412,12 +1205,11 @@ mod tests {
         t.append_batch(tuples).unwrap();
         // Same formula as the per-row test: the batch path must not change
         // the accounted layout (64 rows × 2 dims/measures, 3 distinct
-        // (attribute, value) pairs; every list is shorter than a block, so
-        // all ids still sit raw in the tails).
+        // (attribute, value) pairs, one posting id per row and dimension).
         let expected = 64 * 2 * size_of::<DimValueId>()
             + 64 * 2 * size_of::<f64>()
             + 64 * 2 * size_of::<TupleId>()
-            + 3 * (size_of::<DimValueId>() + size_of::<CompressedPostings>())
+            + 3 * (size_of::<DimValueId>() + size_of::<Vec<TupleId>>())
             + t.schema().approx_heap_bytes();
         assert_eq!(t.approx_heap_bytes(), expected);
     }
@@ -1433,76 +1225,53 @@ mod tests {
         }
         assert!(t.approx_heap_bytes() > before);
         // Pin the formula to the columnar layout: 100 rows × 2 dims × u32,
-        // 100 rows × 2 measures × f64, 100 × 2 raw tail ids (every list is
-        // shorter than a block), and 3 distinct (dimension, value) pairs of
-        // map-entry overhead.
+        // 100 rows × 2 measures × f64, 100 × 2 posting ids, and 3 distinct
+        // (dimension, value) pairs of map-entry overhead.
         let expected = 100 * 2 * size_of::<DimValueId>()
             + 100 * 2 * size_of::<f64>()
             + 100 * 2 * size_of::<TupleId>()
-            + 3 * (size_of::<DimValueId>() + size_of::<CompressedPostings>())
+            + 3 * (size_of::<DimValueId>() + size_of::<Vec<TupleId>>())
             + t.schema().approx_heap_bytes();
         assert_eq!(t.approx_heap_bytes(), expected);
     }
 
     #[test]
-    fn heap_estimate_pinned_after_sealed_blocks() {
+    fn posting_stats_count_plain_ids() {
         use std::mem::size_of;
         let mut t = Table::new(schema());
         for i in 0..300usize {
             t.append_raw(&["p", "t"], vec![i as f64, 0.0]).unwrap();
         }
-        // Each attribute holds one list of 300 consecutive ids: two sealed
-        // width-0 blocks (10-byte skip entries, no payload) plus 44 raw tail
-        // ids — far below the 300 × 4 bytes of the raw layout.
-        let per_list = 2 * 10 + 44 * size_of::<TupleId>();
-        let expected = 300 * 2 * size_of::<DimValueId>()
-            + 300 * 2 * size_of::<f64>()
-            + 2 * per_list
-            + 2 * (size_of::<DimValueId>() + size_of::<CompressedPostings>())
-            + t.schema().approx_heap_bytes();
-        assert_eq!(t.approx_heap_bytes(), expected);
-        // Compacting seals the remaining tails into one more skip entry each
-        // and keeps the deep audit green.
-        t.compact_postings();
-        let expected = 300 * 2 * size_of::<DimValueId>()
-            + 300 * 2 * size_of::<f64>()
-            + 2 * (3 * 10)
-            + 2 * (size_of::<DimValueId>() + size_of::<CompressedPostings>())
-            + t.schema().approx_heap_bytes();
-        assert_eq!(t.approx_heap_bytes(), expected);
+        // Each attribute holds one list of 300 ids, four bytes each, with
+        // no sealed blocks: every id counts as a tail id.
         let stats = t.posting_index_stats();
         assert_eq!(stats.lists, 2);
         assert_eq!(stats.ids, 600);
-        assert_eq!(stats.sealed_blocks, 6);
-        assert_eq!(stats.tail_ids, 0);
-        assert_eq!(stats.compressed_bytes, 2 * 3 * 10);
+        assert_eq!(stats.sealed_blocks, 0);
+        assert_eq!(stats.tail_ids, 600);
+        assert_eq!(stats.compressed_bytes, 600 * size_of::<TupleId>());
         assert_eq!(stats.uncompressed_bytes, 600 * size_of::<TupleId>());
+        // Tombstoned ids stay stored until compaction drops them.
+        t.retract_prefix(100);
+        assert_eq!(t.posting_index_stats(), stats);
+        t.compact_retracted();
+        assert_eq!(t.posting_index_stats().ids, 400);
         t.audit().unwrap();
     }
 
     #[test]
-    fn gallop_context_decodes_sublinearly() {
+    fn gallop_context_is_bounded_by_its_driver() {
         // 2000 rows: 500 players × 4 appearances each, one team. The
-        // player ∧ team query has a 4-id driver, so the galloping
-        // intersection must decode only a handful of the team list's ~15
-        // sealed blocks.
+        // player ∧ team query has a 4-id driver, which bounds its probes.
         let mut t = Table::new(schema());
         for i in 0..2000usize {
             t.append_raw(&[&format!("p{}", i % 500), "T"], vec![i as f64, 0.0])
                 .unwrap();
         }
         let c = Constraint::parse(t.schema(), &[("player", "p0"), ("team", "T")]).unwrap();
-        let mut it = t.context(&c);
-        let ids: Vec<TupleId> = it.by_ref().map(|(id, _)| id).collect();
+        let ids: Vec<TupleId> = t.context(&c).map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 500, 1000, 1500]);
-        let team_id = t.schema().dictionary(1).lookup("T").unwrap();
-        let team_blocks = t.posting_list(1, team_id).unwrap().num_blocks();
-        assert_eq!(team_blocks, 15);
-        assert!(
-            it.blocks_decoded() <= 5,
-            "a 4-candidate gallop decoded {} blocks (team list has {team_blocks})",
-            it.blocks_decoded()
-        );
+        assert_eq!(t.context_probe_bound(&c), 4);
         t.audit().unwrap();
     }
 
@@ -1559,7 +1328,7 @@ mod tests {
             let scanned: Vec<TupleId> = t.context_scan(&constraint).map(|(id, _)| id).collect();
             assert_eq!(indexed, scanned, "constraint {constraint:?}");
             assert!(indexed.iter().all(|&id| id >= 17));
-            assert_eq!(t.context_cardinality(&constraint), scanned.len());
+            assert_eq!(t.context(&constraint).count(), scanned.len());
             assert!(t.context_probe_bound(&constraint) >= scanned.len());
         }
         t.audit().unwrap();
@@ -1577,7 +1346,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_columns_and_forces_posting_rebuilds() {
+    fn compact_reclaims_columns_and_drains_posting_lists() {
         let mut t = windowed_table(20);
         let before = t.approx_heap_bytes();
         t.retract_prefix(8);
@@ -1592,9 +1361,8 @@ mod tests {
         );
         // Every surviving posting id is physically present and live.
         for attr in 0..t.schema().num_dimensions() {
-            for (_, list) in t.postings[attr].iter() {
-                assert_eq!(list.dead_len(), 0, "compaction leaves no lazy dead ids");
-                assert!(list.iter().all(|id| id >= 8));
+            for list in t.postings[attr].values() {
+                assert!(list.iter().all(|&id| id >= 8));
             }
         }
         // Ids below the eviction horizon are gone for good; appends continue
@@ -1617,10 +1385,14 @@ mod tests {
         t.retract_prefix(1);
         assert!(
             t.posting_list(0, gone).is_none(),
-            "a list with no live ids must leave the posting map"
+            "a list with no live ids reads as absent"
         );
         let c = Constraint::parse(t.schema(), &[("player", "gone")]).unwrap();
         assert_eq!(t.context(&c).count(), 0);
+        t.audit().unwrap();
+        // Compaction drops the emptied list from the posting map.
+        t.compact_retracted();
+        assert!(!t.postings[0].contains_key(&gone));
         t.audit().unwrap();
     }
 
@@ -1640,9 +1412,9 @@ mod tests {
     fn retraction_state_survives_the_snapshot_round_trip() {
         let mut t = windowed_table(25);
         t.retract_prefix(9);
-        // Leave a mix of lazily-dead and rebuilt lists, then round-trip
-        // through the snapshot parts.
-        let (schema, len, evicted, watermark, dims, measures, postings) = t.state_parts();
+        // Round-trip the tombstoned table through the snapshot parts: the
+        // index is rebuilt from the columns, dead prefixes included.
+        let (schema, len, evicted, watermark, dims, measures) = t.state_parts();
         let restored = Table::from_state_parts(
             schema.clone(),
             len,
@@ -1650,7 +1422,6 @@ mod tests {
             watermark,
             dims.to_vec(),
             measures.to_vec(),
-            postings.to_vec(),
         )
         .unwrap();
         assert_eq!(restored.len(), t.len());
@@ -1660,6 +1431,7 @@ mod tests {
         let a: Vec<TupleId> = t.iter().map(|(id, _)| id).collect();
         let b: Vec<TupleId> = restored.iter().map(|(id, _)| id).collect();
         assert_eq!(a, b);
+        assert_eq!(restored.postings, t.postings);
         restored.audit().unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! Write-ahead arrival log and snapshot state codecs.
 //!
 //! A monitor's state is a deterministic function of its arrival sequence
-//! (reports are canonically ordered, posting layouts are pure functions of
-//! the id stream, dictionary ids follow interning order), so durability
+//! (reports are canonically ordered, the posting index is a pure function
+//! of the table's columns, dictionary ids follow interning order), so durability
 //! reduces to durably recording the *raw* arrivals: the log stores each
 //! accepted window as one length-prefixed, checksummed frame of raw string
 //! rows, and recovery replays the tail through the ordinary batched ingest
@@ -29,10 +29,9 @@
 //! segment once the current one exceeds the configured size, so recovery
 //! tooling and tests can reason about bounded files.
 
-use crate::postings::CompressedPostings;
 use crate::store::StoreCell;
-use crate::table::{PostingMap, Table};
-use sitfact_core::{DimValueId, Direction, Result, Schema, SchemaBuilder, SitFactError};
+use crate::table::Table;
+use sitfact_core::{Direction, Result, Schema, SchemaBuilder, SitFactError};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -693,14 +692,21 @@ fn decode_schema(cur: &mut ByteCursor<'_>) -> Result<Schema> {
     Ok(schema)
 }
 
-/// Encodes a [`Table`]'s full state: schema (with dictionaries), the flat
-/// columns, and every posting list in its *native* compressed
-/// representation. Serializing the representation — not just the ids —
-/// keeps post-recovery posting statistics (sealed blocks, tail ids,
-/// compressed bytes) byte-identical to the never-crashed monitor's, which
-/// the serve `STATS` equality checks pin.
+/// Encodes a [`Table`]'s full state: schema (with dictionaries), the
+/// retraction bounds and the flat columns, then a posting section of `0`
+/// lists per dimension:
+///
+/// ```text
+/// table    := schema len:u64 evicted:u64 watermark:u64 dim:u32* measure:f64*
+///             postings{ndims}
+/// postings := nlists:u32 list*
+/// ```
+///
+/// The posting index is derived from the dims column, so it is not
+/// serialized; [`decode_table`] rebuilds it. The `list*` grammar stays for
+/// snapshots written while lists were stored compressed.
 pub fn encode_table(table: &Table, out: &mut Vec<u8>) {
-    let (schema, len, evicted, watermark, dims, measures, postings) = table.state_parts();
+    let (schema, len, evicted, watermark, dims, measures) = table.state_parts();
     encode_schema(schema, out);
     put_u64(out, len as u64);
     // Retraction bounds travel with the columns; the tombstone bitmap is
@@ -713,23 +719,32 @@ pub fn encode_table(table: &Table, out: &mut Vec<u8>) {
     for &m in measures {
         put_f64(out, m);
     }
-    for map in postings {
-        // Deterministic order (sorted by value id) so identical tables
-        // encode to identical bytes regardless of hash-map iteration order.
-        let mut values: Vec<DimValueId> = map.keys().copied().collect();
-        values.sort_unstable();
-        put_u32(out, values.len() as u32);
-        for value in values {
-            put_u32(out, value);
-            // Indexing is safe: `value` came from this map's keys.
-            map[&value].encode_state(out);
-        }
+    for _ in 0..schema.num_dimensions() {
+        put_u32(out, 0);
     }
 }
 
-/// Decodes a table encoded by [`encode_table`], validating the structural
-/// invariants (column strides, posting-arena consistency) so a corrupted
-/// snapshot surfaces as a typed error rather than a later panic.
+/// Skips one posting list of the compressed layout older snapshots carry:
+///
+/// ```text
+/// list := value:u32 len:u32 tail_start:u32 dead:u32
+///         nblocks:u32 (max:u32 offset:u32 width:u8 count:u8)* nwords:u32 word:u32*
+/// ```
+fn skip_old_posting_list(cur: &mut ByteCursor<'_>) -> Result<()> {
+    for _ in 0..4 {
+        cur.get_u32()?;
+    }
+    let blocks = cur.get_count(10, "posting block")?;
+    cur.take(blocks * 10, "posting blocks")?;
+    let words = cur.get_count(4, "posting arena word")?;
+    cur.take(words * 4, "posting arena")?;
+    Ok(())
+}
+
+/// Decodes a table encoded by [`encode_table`], validating the retraction
+/// bounds and column strides so a corrupted snapshot surfaces as a typed
+/// error rather than a later panic. Posting lists an older snapshot carries
+/// are parsed past and discarded: the index is rebuilt from the dims column.
 pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
     let schema = decode_schema(cur)?;
     let n_dims = schema.num_dimensions();
@@ -761,23 +776,12 @@ pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
     for _ in 0..physical * n_measures {
         measures.push(cur.get_f64()?);
     }
-    let mut postings = Vec::with_capacity(n_dims);
     for _ in 0..n_dims {
-        let lists = cur.get_count(4, "posting list")?;
-        let mut map = PostingMap::default();
-        map.reserve(lists);
-        for _ in 0..lists {
-            let value = cur.get_u32()?;
-            let list = CompressedPostings::decode_state(cur)?;
-            if map.insert(value, list).is_some() {
-                return Err(SitFactError::Parse(format!(
-                    "duplicate posting list for value {value} in snapshot"
-                )));
-            }
+        for _ in 0..cur.get_count(24, "posting list")? {
+            skip_old_posting_list(cur)?;
         }
-        postings.push(map);
     }
-    Table::from_state_parts(schema, len, evicted, watermark, dims, measures, postings)
+    Table::from_state_parts(schema, len, evicted, watermark, dims, measures)
 }
 
 /// First word of the id-only cell layout [`encode_cells`] writes. The older
@@ -1174,8 +1178,7 @@ mod tests {
             .build()
             .unwrap();
         let mut table = Table::new(schema);
-        // Enough rows to seal posting blocks, in two batches with a compact
-        // pass in between so the sealed/tail split is non-trivial.
+        // Two batches, the second bringing values the first never saw.
         let mut tuples = Vec::new();
         for i in 0..300u32 {
             let ids = table
@@ -1185,7 +1188,6 @@ mod tests {
             tuples.push(Tuple::new(ids, vec![i as f64, (i % 13) as f64]));
         }
         table.append_batch(tuples).unwrap();
-        table.compact_postings();
         let mut more = Vec::new();
         for i in 0..45u32 {
             let ids = table
@@ -1219,6 +1221,141 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at] ^= 0x20;
             let _ = decode_table(&mut ByteCursor::new(&bad));
+        }
+    }
+
+    /// A two-dimension table whose values come and go: rows `0..60` carry
+    /// players `p0..p6`, later rows players `q0..q4`, and the team column
+    /// alternates between two values throughout.
+    fn churned_table(rows: u32) -> Table {
+        let schema = SchemaBuilder::new("churn")
+            .dimension("player")
+            .dimension("team")
+            .measure("m", Direction::HigherIsBetter)
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        for i in 0..rows {
+            let player = if i < 60 {
+                format!("p{}", i % 7)
+            } else {
+                format!("q{}", i % 5)
+            };
+            table
+                .append_raw(&[&player, ["X", "Y"][i as usize % 2]], vec![i as f64])
+                .unwrap();
+        }
+        table
+    }
+
+    #[test]
+    fn new_snapshots_write_no_posting_lists() {
+        let mut table = churned_table(90);
+        table.retract_prefix(20);
+        let mut bytes = Vec::new();
+        encode_table(&table, &mut bytes);
+        // Skip the schema, the bounds and the columns: what is left is one
+        // `0` list count per dimension.
+        let mut cur = ByteCursor::new(&bytes);
+        decode_schema(&mut cur).unwrap();
+        for _ in 0..3 {
+            cur.get_u64().unwrap();
+        }
+        let physical = table.len() - table.evicted_rows();
+        for _ in 0..physical * 2 {
+            cur.get_u32().unwrap();
+        }
+        for _ in 0..physical {
+            cur.get_f64().unwrap();
+        }
+        assert_eq!(cur.remaining(), 2 * 4);
+        assert_eq!(cur.get_u32().unwrap(), 0);
+        assert_eq!(cur.get_u32().unwrap(), 0);
+    }
+
+    #[test]
+    fn restored_index_equals_the_never_crashed_one_after_compaction() {
+        let mut table = churned_table(100);
+        table.retract_prefix(40);
+        table.compact_retracted();
+        // Every `p` row is gone after this compaction: their lists leave the
+        // index, and the restore must not bring them back.
+        table.retract_prefix(70);
+        table.compact_retracted();
+        for i in 0..30 {
+            table
+                .append_raw(&[&format!("r{}", i % 3), "Z"], vec![i as f64])
+                .unwrap();
+        }
+        // Leave tombstones behind the last compaction too.
+        table.retract_prefix(95);
+
+        let mut bytes = Vec::new();
+        encode_table(&table, &mut bytes);
+        let restored = decode_table(&mut ByteCursor::new(&bytes)).unwrap();
+        for attr in 0..2 {
+            for value in 0..table.schema().dictionary(attr).len() as u32 {
+                assert_eq!(
+                    restored.posting_list(attr, value),
+                    table.posting_list(attr, value),
+                    "attr {attr} value {value}"
+                );
+            }
+        }
+        assert_eq!(restored.posting_index_stats(), table.posting_index_stats());
+        assert_eq!(restored.approx_heap_bytes(), table.approx_heap_bytes());
+        restored.audit().unwrap();
+    }
+
+    /// The table and cells blob of the `durable-v1` fixture's snapshot: a
+    /// snapshot written while posting lists were stored compressed.
+    fn durable_v1_blob() -> Vec<u8> {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../sitfact-prominence/tests/fixtures/durable-v1/snapshot-00000000000000000192.snap"
+        );
+        let bytes = std::fs::read(path).unwrap();
+        let (frames, _) = scan_frames(&bytes);
+        // payload := covered:u64 1:u8 report blob_len:u32 blob, where
+        // report := tuple_id:u64 prominent:u32 nfacts:u32 fact* and
+        // fact := nvalues:u32 value:u32* subspace:u32 context:u64 skyline:u64.
+        let mut cur = ByteCursor::new(frames[0]);
+        cur.get_u64().unwrap();
+        assert_eq!(cur.get_u8().unwrap(), 1, "the snapshot carries a report");
+        cur.get_u64().unwrap();
+        cur.get_u32().unwrap();
+        for _ in 0..cur.get_u32().unwrap() {
+            for _ in 0..cur.get_u32().unwrap() {
+                cur.get_u32().unwrap();
+            }
+            cur.get_u32().unwrap();
+            cur.get_u64().unwrap();
+            cur.get_u64().unwrap();
+        }
+        let blob_len = cur.get_u32().unwrap() as usize;
+        assert_eq!(blob_len, cur.remaining());
+        frames[0][frames[0].len() - blob_len..].to_vec()
+    }
+
+    #[test]
+    fn every_truncation_of_an_old_layout_snapshot_is_a_typed_error() {
+        let blob = durable_v1_blob();
+        let mut cur = ByteCursor::new(&blob);
+        let table = decode_table(&mut cur).unwrap();
+        assert!(table.posting_index_stats().lists > 0);
+        decode_cells(&mut cur, &table).unwrap();
+        assert!(cur.is_empty());
+        table.audit().unwrap();
+        for end in 0..blob.len() {
+            let mut cur = ByteCursor::new(&blob[..end]);
+            let err = match decode_table(&mut cur) {
+                Err(err) => err,
+                Ok(table) => decode_cells(&mut cur, &table).unwrap_err(),
+            };
+            assert!(
+                matches!(err, SitFactError::Parse(_)),
+                "cut at {end}: {err:?}"
+            );
         }
     }
 

@@ -82,7 +82,7 @@ run_step() {
       # `cargo run`, whose wrapper PID would survive a kill and leak the
       # real server on failure). First, a sharded monitor has no snapshot
       # form: a sharded durable server asked for a snapshot interval must
-      # refuse to start and name the conflict.
+      # refuse to start, naming the conflict in a readable message.
       $CARGO build --release -p sitfact-serve
       local refusal_dir=/tmp/sitfact_serve_snapshot_refusal refusal
       rm -rf "$refusal_dir"
@@ -94,6 +94,10 @@ run_step() {
       rm -rf "$refusal_dir"
       if ! grep -q "sharded monitor cannot write snapshots" <<<"$refusal"; then
         echo "serve-smoke: the refusal does not name the conflict: $refusal" >&2
+        return 1
+      fi
+      if grep -q "Custom {" <<<"$refusal"; then
+        echo "serve-smoke: the refusal prints a Debug error, not a message: $refusal" >&2
         return 1
       fi
       local port_file=/tmp/sitfact_serve_port

@@ -95,7 +95,7 @@ fn context_counter_and_table_agree_after_streaming() {
             let constraint = Constraint::from_tuple_mask(tuple, mask);
             assert_eq!(
                 counter.cardinality(&constraint),
-                table.context_cardinality(&constraint) as u64,
+                table.context(&constraint).count() as u64,
                 "constraint {constraint:?}"
             );
         }

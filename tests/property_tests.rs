@@ -356,7 +356,7 @@ proptest! {
                 .map(|(id, t)| (id, t.to_tuple()))
                 .collect();
             prop_assert_eq!(&indexed, &scanned);
-            prop_assert_eq!(indexed.len(), table.context_cardinality(c));
+            prop_assert_eq!(indexed.len(), table.context(c).count());
             // The probe bound brackets the result: the intersection can never
             // be larger than its smallest posting list, which in turn never
             // exceeds a full scan.
@@ -604,94 +604,11 @@ proptest! {
         }
     }
 
-    /// A `CompressedPostings` list behaves exactly like a plain
-    /// `Vec<TupleId>` under arbitrary interleavings of `push`,
-    /// `extend_from_slice` and `compact`: same iteration order, same seek
-    /// results, and the same galloping intersection against a second list —
-    /// for gap distributions from dense runs to block-crossing jumps.
-    #[test]
-    fn compressed_postings_match_vec_model(
-        ops in prop::collection::vec(
-            (0u32..4, prop::collection::vec(1u32..2000, 0..80)),
-            1..10,
-        ),
-        keep in 1u32..5,
-    ) {
-        use situational_facts::storage::CompressedPostings;
-
-        let mut list = CompressedPostings::new();
-        let mut model: Vec<TupleId> = Vec::new();
-        let mut next: TupleId = 0;
-        for (mode, gaps) in &ops {
-            match mode {
-                // One-at-a-time appends.
-                0 => {
-                    for &gap in gaps {
-                        next += gap;
-                        list.push(next);
-                        model.push(next);
-                    }
-                }
-                // Batched appends (the counting-sort ingest path).
-                1 | 2 => {
-                    let run: Vec<TupleId> = gaps
-                        .iter()
-                        .map(|&gap| {
-                            next += gap;
-                            next
-                        })
-                        .collect();
-                    list.extend_from_slice(&run);
-                    model.extend_from_slice(&run);
-                }
-                // Mid-stream compaction: may seal a partial block, must not
-                // change the decoded sequence.
-                _ => list.compact(),
-            }
-            prop_assert_eq!(list.len(), model.len());
-            prop_assert_eq!(list.last(), model.last().copied());
-        }
-        prop_assert!(list.iter().eq(model.iter().copied()));
-
-        // A second list keeping every `keep`-th id, shifted off by one half
-        // the time, intersected by galloping: driver next + other seek.
-        let mut other = CompressedPostings::new();
-        let mut other_model: Vec<TupleId> = Vec::new();
-        for (i, &id) in model.iter().enumerate() {
-            if (i as u32).is_multiple_of(keep) {
-                let id = if i % 2 == 0 { id } else { id + 1 };
-                if other_model.last().is_none_or(|&prev| prev < id) {
-                    other.push(id);
-                    other_model.push(id);
-                }
-            }
-        }
-        let expected: Vec<TupleId> = other_model
-            .iter()
-            .copied()
-            .filter(|id| model.binary_search(id).is_ok())
-            .collect();
-        let driver = other.cursor();
-        let mut probe = list.cursor();
-        let mut actual = Vec::new();
-        for candidate in driver {
-            match probe.seek(candidate) {
-                Some(id) if id == candidate => actual.push(candidate),
-                Some(_) => {}
-                None => break,
-            }
-        }
-        prop_assert_eq!(actual, expected);
-
-        deep_audit(&list)?;
-        deep_audit(&other)?;
-    }
-
-    /// At block-crossing scale (hundreds of rows over a handful of values,
-    /// so posting lists span several sealed 128-id blocks), the galloping
-    /// indexed context must equal the naive scan for every constraint shape —
-    /// single-attribute streams, multi-attribute intersections, never-observed
-    /// values — before and after `compact_postings`.
+    /// At scale (hundreds of rows over a handful of values, so posting lists
+    /// hold a hundred ids and more), the galloping indexed context must equal
+    /// the naive scan for every constraint shape — single-attribute streams,
+    /// multi-attribute intersections, never-observed values — before and
+    /// after a retraction and its compaction.
     #[test]
     fn indexed_context_equals_scan_at_block_scale(
         n_rows in 300usize..600,
@@ -722,21 +639,25 @@ proptest! {
                 .collect();
             constraints.push(Constraint::from_values(values));
         }
-        for round in 0..2 {
+        for round in 0..3 {
             for c in &constraints {
-                let mut indexed = table.context(c);
-                let ids: Vec<TupleId> = indexed.by_ref().map(|(id, _)| id).collect();
+                let ids: Vec<TupleId> = table.context(c).map(|(id, _)| id).collect();
                 let scanned: Vec<TupleId> =
                     table.context_scan(c).map(|(id, _)| id).collect();
                 prop_assert_eq!(&ids, &scanned);
-                // Galloping work stays bounded by the lists actually touched.
-                let stats = table.posting_index_stats();
-                prop_assert!(indexed.blocks_decoded() <= stats.sealed_blocks);
+                // Galloping work stays bounded by the shortest list touched.
+                prop_assert!(ids.len() <= table.context_probe_bound(c));
             }
-            if round == 0 {
-                // Second pass over the same constraints with fully sealed
-                // lists (no raw tails beyond unprofitable ones).
-                table.compact_postings();
+            // Later passes over the same constraints skip a tombstoned
+            // prefix, then read lists drained of it.
+            match round {
+                0 => {
+                    table.retract_prefix(n_rows / 3);
+                }
+                1 => {
+                    table.compact_retracted();
+                }
+                _ => {}
             }
         }
         deep_audit(&table)?;
