@@ -130,10 +130,8 @@ impl ConstraintCache {
 /// cell read buffer) for the lattice passes, and the buffers of `retract`.
 ///
 /// Allocated lazily to the lattice's flag length and kept on the algorithm
-/// struct, so a window of arrivals (`begin_batch` … `end_batch`) re-clears
-/// the same buffers instead of re-allocating three vectors per pass per
-/// arrival. [`TraversalScratch::release`] drops the capacity again once a
-/// batch ends, except for [`ExpiryScratch`]'s.
+/// struct for its whole life, so every arrival — a window of one included —
+/// re-clears the same buffers instead of re-allocating them per pass.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
     /// `in_ances[mask]`: an unpruned ancestor already stores the new tuple.
@@ -157,8 +155,7 @@ pub struct TraversalScratch {
 /// The buffers of one `retract` of a lattice kind, refilled by every call.
 /// They are sized by the lattice and the measure-subspace family, or grow
 /// to the largest contexts met, so a steady sliding window allocates
-/// nothing per expired row once it is warm. An eviction runs after the
-/// batch that ended, so [`TraversalScratch::release`] keeps them.
+/// nothing per expired row once it is warm.
 ///
 /// The affected subspaces of a constraint are a bitset over its *family
 /// slots* (positions in the list of subspaces the kind keeps cells for),
@@ -200,15 +197,6 @@ impl TraversalScratch {
         self.enqueued.clear();
         self.enqueued.resize(flag_len, false);
         self.queue.clear();
-    }
-
-    /// Returns the traversal buffers' memory to the allocator (batch
-    /// tear-down), keeping [`ExpiryScratch`]'s.
-    pub fn release(&mut self) {
-        *self = TraversalScratch {
-            expiry: std::mem::take(&mut self.expiry),
-            ..TraversalScratch::default()
-        };
     }
 }
 
@@ -301,30 +289,6 @@ pub(crate) fn shared_skylines<'a>(
     comparisons
 }
 
-/// `left ≻_M right` on raw measure slices.
-#[inline]
-pub fn dominates_measures(
-    left: &[f64],
-    right: &[f64],
-    m: SubspaceMask,
-    directions: &[Direction],
-) -> bool {
-    let mut strictly_better = false;
-    for i in m.indices() {
-        let a = left[i];
-        let b = right[i];
-        if a == b {
-            continue;
-        }
-        if directions[i].better(a, b) {
-            strictly_better = true;
-        } else {
-            return false;
-        }
-    }
-    strictly_better
-}
-
 /// Three-way partition (Proposition 4) on raw measure slices: returns
 /// `(better, worse)` masks from the perspective of `left`.
 #[inline]
@@ -409,18 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_dominance_agrees_with_tuple_dominance() {
-        use sitfact_core::dominance;
+    fn partition_of_a_pair_better_in_every_measure() {
         let dirs = [Direction::HigherIsBetter, Direction::LowerIsBetter];
-        let a = Tuple::new(vec![], vec![5.0, 2.0]);
-        let b = Tuple::new(vec![], vec![4.0, 3.0]);
-        for m in SubspaceMask::enumerate(2, 2) {
-            assert_eq!(
-                dominates_measures(a.measures(), b.measures(), m, &dirs),
-                dominance::dominates(&a, &b, m, &dirs)
-            );
-        }
-        let (better, worse) = partition_measures(a.measures(), b.measures(), &dirs);
+        let (better, worse) = partition_measures(&[5.0, 2.0], &[4.0, 3.0], &dirs);
         assert_eq!(better, SubspaceMask(0b11));
         assert_eq!(worse, SubspaceMask::EMPTY);
         assert!(!dominated_in(better, worse, SubspaceMask(0b01)));
@@ -519,7 +474,8 @@ mod tests {
     }
 
     #[test]
-    fn partition_dominated_in_matches_slice_dominance() {
+    fn partition_dominated_in_matches_tuple_dominance() {
+        use sitfact_core::{dominance, TupleRef};
         let dirs = [
             Direction::HigherIsBetter,
             Direction::HigherIsBetter,
@@ -537,7 +493,12 @@ mod tests {
                 for m in SubspaceMask::enumerate(3, 3) {
                     assert_eq!(
                         dominated_in(better, worse, m),
-                        dominates_measures(b, a, m, &dirs),
+                        dominance::dominates(
+                            TupleRef::new(&[], b),
+                            TupleRef::new(&[], a),
+                            m,
+                            &dirs
+                        ),
                         "a={a:?} b={b:?} m={m:?}"
                     );
                 }

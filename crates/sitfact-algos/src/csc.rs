@@ -351,7 +351,8 @@ mod tests {
                     "tuple {stored} stored at non-skyline subspace {subspace:?} of {constraint:?}"
                 );
                 // … and in no proper subspace of it.
-                for sub in family.iter().filter(|s| s.is_proper_subset_of(subspace)) {
+                let proper = |s: &&SubspaceMask| **s != subspace && s.is_subset_of(subspace);
+                for sub in family.iter().filter(proper) {
                     let sky = dominance::skyline_of(table.context(constraint), *sub, &directions);
                     assert!(
                         !sky.iter().any(|(id, _)| *id == stored),

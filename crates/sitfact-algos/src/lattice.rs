@@ -520,15 +520,12 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
     }
 
     fn begin_batch(&mut self, _expected_arrivals: usize) {
-        // The traversal buffers stay allocated between passes (each pass
-        // re-clears them); `end_batch` releases them again.
         self.in_batch = true;
     }
 
     fn end_batch(&mut self) {
         self.in_batch = false;
         self.store.flush();
-        self.scratch.release();
     }
 
     fn work_stats(&self) -> WorkStats {
@@ -1110,8 +1107,9 @@ mod tests {
     }
 
     /// A windowed tenant expires rows after every batch, so the buffers
-    /// `retract` works in must survive `end_batch`, which releases the
-    /// traversal buffers: each eviction finds them allocated.
+    /// `retract` works in must survive `end_batch`: each eviction finds them
+    /// allocated. The traversal buffers survive it too, so a window of one
+    /// allocates nothing once warm.
     #[test]
     fn expiry_buffers_survive_the_batch_that_ends() {
         let mut rng = StdRng::seed_from_u64(263);
@@ -1143,7 +1141,7 @@ mod tests {
                 let _ = algo.discover_at(&table, t, id);
             }
             algo.end_batch();
-            assert_eq!(algo.scratch.in_ances.capacity(), 0);
+            assert!(algo.scratch.in_ances.capacity() > 0);
             if let Some(evicted) = evicted {
                 assert_eq!(capacities(&algo), evicted);
             }

@@ -14,25 +14,13 @@ use std::path::Path;
 
 /// A situational-fact discovery algorithm.
 ///
-/// ## Driving protocol (per arrival)
+/// ## Driving protocol
 ///
-/// The caller owns the append-only [`Table`] and, for every arriving tuple
-/// `t`, performs:
-///
-/// 1. `let facts = algo.discover(&table, &t);` — `table` holds only the
-///    *historical* tuples; the algorithm updates whatever internal state it
-///    keeps (skyline stores, k-d tree, …) to account for `t`;
-/// 2. `table.append(t)` — the tuple becomes history.
-///
-/// [`Discovery::skyline_cardinality`] may be called *after* the append to
-/// support prominence ranking.
-///
-/// ## Driving protocol (batched)
-///
-/// A batch driver appends a whole window to the table first
-/// ([`Table::append_batch`]) and then replays the arrivals in order against
-/// the *already extended* table. Because rows beyond the current arrival are
-/// physically present, the driver must use the id-explicit entry points:
+/// The caller owns the append-only [`Table`]. It appends a window of
+/// arrivals first ([`Table::append_batch_slice`]; a single arrival is a
+/// window of one) and then replays the arrivals in order against the
+/// *already extended* table. Because rows beyond the current arrival are
+/// physically present, it uses the id-explicit entry points:
 ///
 /// 1. `algo.begin_batch(window_len)` — lets the algorithm warm caches and
 ///    defer per-arrival housekeeping (e.g. store flushes) to the batch end;
@@ -41,6 +29,12 @@ use std::path::Path;
 ///    behave exactly as if the table ended just before `t_id`, and
 ///    [`Discovery::skyline_cardinality_at`]`(…, t_id + 1)` for ranking;
 /// 3. `algo.end_batch()` — flush whatever was deferred.
+///
+/// The monitors drive only this protocol. The paper's per-arrival form —
+/// [`Discovery::discover`] against a table holding exactly the history,
+/// then `table.append(t)`, then [`Discovery::skyline_cardinality`] — stays
+/// as provided methods: it is the reference the algorithm tests compare the
+/// batched protocol with.
 pub trait Discovery {
     /// Short, stable name used in reports (matches the paper's naming).
     fn name(&self) -> &'static str;

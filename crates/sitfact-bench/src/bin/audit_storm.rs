@@ -3,8 +3,8 @@
 //!
 //! Hammers every audited structure with seeded random workloads and runs its
 //! deep [`Audit`](sitfact_core::Audit) after every step: `Table` under mixed
-//! `append`/`append_batch` sequences (including the sparse posting-list
-//! fallback) interleaved with `retract_prefix` and `compact_retracted`, so
+//! `append`/`append_batch_slice` sequences (with sparse value ids)
+//! interleaved with `retract_prefix` and `compact_retracted`, so
 //! the drained posting lists are checked against their rebuild from the
 //! dims column, `KdTree` under random inserts, both `SkylineStore`
 //! implementations under random insert/remove/read churn through row
@@ -73,7 +73,7 @@ mod storm {
         let dims = (0..n_dims)
             .map(|_| {
                 let v: u32 = rng.gen_range(0..1000);
-                // Occasional huge ids force the sparse posting-list fallback.
+                // Occasional huge, sparse value ids.
                 if v >= 995 {
                     v * 100_000
                 } else {
@@ -103,7 +103,7 @@ mod storm {
                         .map(|_| random_tuple(rng, 3))
                         .collect();
                     table
-                        .append_batch(window)
+                        .append_batch_slice(&window)
                         .expect("schema-valid batch appends");
                 }
                 // Retract up to the whole live suffix, or compact.

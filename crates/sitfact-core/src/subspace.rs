@@ -67,12 +67,6 @@ impl SubspaceMask {
         self.0 & !other.0 == 0
     }
 
-    /// Whether `self` is a proper subset of `other`.
-    #[inline]
-    pub fn is_proper_subset_of(self, other: SubspaceMask) -> bool {
-        self != other && self.is_subset_of(other)
-    }
-
     /// Set intersection.
     #[inline]
     pub fn intersect(self, other: SubspaceMask) -> SubspaceMask {
@@ -175,10 +169,8 @@ mod tests {
         let a = SubspaceMask(0b011);
         let b = SubspaceMask(0b111);
         assert!(a.is_subset_of(b));
-        assert!(a.is_proper_subset_of(b));
         assert!(!b.is_subset_of(a));
         assert!(a.is_subset_of(a));
-        assert!(!a.is_proper_subset_of(a));
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl Tuple {
         self.measures.len()
     }
 
-    /// Consumes the tuple, returning its dimension and measure vectors.
-    pub fn into_parts(self) -> (Vec<DimValueId>, Vec<f64>) {
-        (self.dims, self.measures)
-    }
-
     /// Renders the tuple with resolved dimension strings, for logs and fact
     /// narration.
     pub fn display(&self, schema: &Schema) -> String {
@@ -345,14 +340,6 @@ mod tests {
         assert_eq!(first_measure(&t), 7.0);
         assert_eq!(first_measure(t.as_tuple_ref()), 7.0);
         assert_eq!(first_measure(t), 7.0);
-    }
-
-    #[test]
-    fn into_parts_round_trips() {
-        let t = Tuple::new(vec![4, 5], vec![1.0, 2.0]);
-        let (dims, measures) = t.into_parts();
-        assert_eq!(dims, vec![4, 5]);
-        assert_eq!(measures, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -33,15 +33,6 @@ impl Direction {
         }
     }
 
-    /// Returns `true` when `a` is better than or equal to `b`.
-    #[inline]
-    pub fn better_or_equal(self, a: f64, b: f64) -> bool {
-        match self {
-            Direction::HigherIsBetter => a >= b,
-            Direction::LowerIsBetter => a <= b,
-        }
-    }
-
     /// Maps a raw measure to a canonical "higher is better" score. Used by the
     /// k-d tree so its one-sided range query can always ask for `>=`.
     #[inline]
@@ -62,8 +53,6 @@ mod tests {
         let d = Direction::HigherIsBetter;
         assert!(d.better(3.0, 2.0));
         assert!(!d.better(2.0, 2.0));
-        assert!(d.better_or_equal(2.0, 2.0));
-        assert!(!d.better_or_equal(1.0, 2.0));
         assert_eq!(d.canonical(5.0), 5.0);
     }
 
@@ -72,8 +61,6 @@ mod tests {
         let d = Direction::LowerIsBetter;
         assert!(d.better(1.0, 2.0));
         assert!(!d.better(2.0, 2.0));
-        assert!(d.better_or_equal(2.0, 2.0));
-        assert!(!d.better_or_equal(3.0, 2.0));
         assert_eq!(d.canonical(5.0), -5.0);
     }
 

@@ -21,7 +21,6 @@ use sitfact_core::{
 use sitfact_storage::wal::{self, ByteCursor};
 use sitfact_storage::{LoggedRow, SyncPolicy, WindowRecord};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Configuration of a logged pipeline's log and snapshot behaviour.
@@ -287,7 +286,8 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 
 /// Parses a snapshot file: `(covered_rows, last report, monitor state blob)`.
 fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)> {
-    let (frames, valid_end) = wal::scan_frames(bytes);
+    // The file is read whole, so the file bounds its frame.
+    let (frames, valid_end) = wal::scan_frames_within(bytes, bytes.len());
     if frames.len() != 1 || valid_end != bytes.len() {
         return Err(SitFactError::Parse(
             "snapshot file is not a single intact frame".to_string(),
@@ -360,14 +360,13 @@ pub(crate) fn write_snapshot(
         }
         None => payload.push(0),
     }
-    wal::put_bytes(&mut payload, blob);
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    wal::write_frame(&mut framed, &payload)?;
+    wal::put_bytes(&mut payload, blob)?;
 
     let tmp = dir.join("snapshot.tmp");
     {
         let mut file = fs::File::create(&tmp)?;
-        file.write_all(&framed)?;
+        // One frame as long as the state: the cap is the `u32` length field.
+        wal::write_frame_within(&mut file, &payload, usize::MAX)?;
         file.sync_data()?;
     }
     fs::rename(&tmp, dir.join(snapshot_name(covered)))?;
@@ -414,5 +413,30 @@ mod tests {
         let decoded = decode_report(&mut cur).unwrap();
         assert!(cur.is_empty());
         assert_eq!(decoded, report);
+    }
+
+    /// A snapshot file is read whole, so a state blob past the log's frame
+    /// cap is written, and parsed back, as one frame.
+    #[test]
+    fn snapshot_larger_than_a_log_frame_round_trips() {
+        let dir = std::env::temp_dir().join(format!(
+            "sitfact-durable-big-snapshot-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let blob: Vec<u8> = (0..wal::MAX_WAL_FRAME + 1)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        write_snapshot(&dir, 7, None, &blob).unwrap();
+        let bytes = fs::read(dir.join(snapshot_name(7))).unwrap();
+        let (covered, report, parsed) = parse_snapshot(&bytes).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!((covered, report), (7, None));
+        assert!(
+            parsed == blob,
+            "the state blob must round-trip byte for byte"
+        );
     }
 }

@@ -151,6 +151,13 @@ impl MonitorStats {
     }
 }
 
+/// The report of a window of one.
+pub(crate) fn sole_report(mut reports: Vec<ArrivalReport>) -> Result<ArrivalReport> {
+    reports
+        .pop()
+        .ok_or_else(|| SitFactError::Io("ingest of one tuple produced no report".to_string()))
+}
+
 /// Owns the table, the context-cardinality counter and a discovery algorithm,
 /// and produces one [`ArrivalReport`] per ingested tuple.
 ///
@@ -242,10 +249,10 @@ impl<A: Discovery> FactMonitor<A> {
     }
 
     /// Ranks an arrival's discovered pairs by prominence. `tuple_id` is the
-    /// arrival's id, the tuple the counter observed last (both callers
-    /// observe it right before); context and skyline cardinalities are
+    /// arrival's id, the tuple the counter observed last (the caller
+    /// observes it right before); context and skyline cardinalities are
     /// evaluated over the rows up to and including it (`limit = tuple_id +
-    /// 1`), which under the sequential protocol is simply the whole table.
+    /// 1`), even though later rows of the window are already appended.
     ///
     /// Bound-and-prune top-k: a fact's skyline holds at least the arrival, so
     /// its prominence `|σ_C(R)| / |λ_M(σ_C(R))|` never exceeds its context
@@ -410,42 +417,33 @@ impl<A: Discovery> FactMonitor<A> {
         Tuple::validated(ids, measures, self.table.schema())
     }
 
-    /// Ingests an already-encoded tuple: discovers its facts, appends it to
-    /// the table, and ranks the facts by prominence.
+    /// Ingests one already-encoded tuple as a window of one
+    /// ([`FactMonitor::ingest_batch_slice`]) and returns its report.
+    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
+        sole_report(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
+    }
+
+    /// Ingests a window of arrivals — the one way an arrival enters the
+    /// monitor — and returns one report per tuple, in order: exactly what
+    /// the paper's per-arrival protocol (discover against the history, then
+    /// append) would produce. The window is all-or-nothing: if any tuple
+    /// fails validation, no tuple of it is ingested.
+    ///
+    /// The window is appended to the table **once**
+    /// ([`Table::append_batch_slice`] validates, grows the columns and
+    /// maintains the posting lists), then each arrival is discovered and
+    /// ranked against its true time-ordered prefix: arrival `i` sees only
+    /// rows `< i` — the discovery algorithm receives the arrival's explicit
+    /// id ([`Discovery::discover_at`]) and the ranking truncates any table
+    /// recomputation at that id, even though later rows of the window are
+    /// already physically present.
     ///
     /// When the discovery config carries an anchor
     /// ([`DiscoveryConfig::with_anchor`]), facts whose constraint does not
-    /// bind the anchored attribute are dropped *before* ranking — this is the
+    /// bind the anchored attribute are dropped *before* ranking — the
     /// constraint space a sharded monitor is provably equivalent over (see
-    /// `sitfact_core::routing`), and the dropped facts never pay the
-    /// cardinality lookups either.
-    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        // Validate before discovery: the algorithms index the tuple's
-        // dimensions and would panic on a wrong-arity row, but an invalid
-        // tuple must surface as an error.
-        tuple.validate(self.table.schema())?;
-        let mut pairs = self.algorithm.discover(&self.table, &tuple);
-        self.apply_anchor(&mut pairs);
-        let tuple_id = self.table.append(tuple)?;
-        // The appended row is observed through a zero-copy view — no
-        // materialisation on the per-arrival path.
-        self.counter.observe(self.table.tuple(tuple_id));
-        Ok(self.rank_arrival(tuple_id, pairs))
-    }
-
-    /// Ingests a whole window of arrivals through the batched fast path,
-    /// returning exactly the reports a sequential [`FactMonitor::ingest`]
-    /// loop would produce, in the same order. The batch is all-or-nothing:
-    /// if any tuple fails validation, no tuple of the window is ingested.
-    ///
-    /// The window is appended to the table **once** ([`Table::append_batch`]
-    /// amortises validation, column growth and posting-list maintenance),
-    /// then each arrival is discovered and ranked against its true
-    /// time-ordered prefix: arrival `i` sees only rows `< i` — the discovery
-    /// algorithms receive the arrival's explicit id
-    /// ([`Discovery::discover_at`]) and the ranking truncates any table
-    /// recomputation at that id, even though later rows of the window are
-    /// already physically present.
+    /// `sitfact_core::routing`) — so they never pay the cardinality lookups
+    /// either.
     pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         if tuples.is_empty() {
             return Ok(Vec::new());
@@ -458,6 +456,7 @@ impl<A: Discovery> FactMonitor<A> {
             let tuple_id = first + i as TupleId;
             let mut pairs = self.algorithm.discover_at(&self.table, tuple, tuple_id);
             self.apply_anchor(&mut pairs);
+            // The appended row is observed through a zero-copy view.
             self.counter.observe(self.table.tuple(tuple_id));
             reports.push(self.rank_arrival(tuple_id, pairs));
         }
@@ -488,13 +487,16 @@ impl<A: Discovery> FactMonitor<A> {
     /// counter and the table's posting index are deliberately not
     /// serialized: they are denormalized state, rebuilt from the table on
     /// restore (exactly as the deep audits' ground-truth recomputations
-    /// do). `None` when the algorithm cannot export its store.
-    pub fn export_durable(&self) -> Option<Vec<u8>> {
-        let cells = self.algorithm.export_store_cells()?;
+    /// do). `None` when the algorithm cannot export its store; `Err` when a
+    /// dictionary string is too long for its length prefix.
+    pub fn export_durable(&self) -> Result<Option<Vec<u8>>> {
+        let Some(cells) = self.algorithm.export_store_cells() else {
+            return Ok(None);
+        };
         let mut out = Vec::new();
-        wal::encode_table(&self.table, &mut out);
+        wal::encode_table(&self.table, &mut out)?;
         wal::encode_cells(&cells, &mut out);
-        Some(out)
+        Ok(Some(out))
     }
 
     /// Replaces the monitor's state with a snapshot produced by

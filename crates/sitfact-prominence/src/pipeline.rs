@@ -20,12 +20,10 @@
 //!
 //! Eviction runs only *between* windows: every arrival of a window sees the
 //! full pre-window history plus its in-window predecessors, and a
-//! [`ArrivalPipeline::ingest`] call is a window of one. The reports of a
-//! bounded pipeline are therefore a function of the window partitioning,
-//! which replay re-feeds from the log: the same evictions happen at the same
-//! instants, with no eviction records in the log. An unlogged pipeline hands
-//! a single row to the monitor's own `ingest`; a logged one ingests it as a
-//! batch of one, the shape replay re-feeds.
+//! [`ArrivalPipeline::ingest`] call is a window of one, logged or not. The
+//! reports of a bounded pipeline are therefore a function of the window
+//! partitioning, which replay re-feeds from the log: the same evictions
+//! happen at the same instants, with no eviction records in the log.
 //!
 //! After any window, a bounded pipeline's observable state — reports for
 //! all future arrivals, deep-audit state, snapshot bytes — equals that of a
@@ -36,7 +34,7 @@
 
 use crate::durable::{self, RecoveryReport, WalOptions};
 use crate::fact::ArrivalReport;
-use crate::monitor::MonitorStats;
+use crate::monitor::{sole_report, MonitorStats};
 use crate::served::Served;
 use sitfact_core::{Result, SitFactError, Tuple, TupleId};
 use sitfact_storage::ArrivalLog;
@@ -140,23 +138,6 @@ struct LogStage {
     broken: bool,
 }
 
-/// The arrivals of one call.
-enum Window<'a> {
-    /// One [`ArrivalPipeline::ingest`].
-    One(Tuple),
-    /// One batch.
-    Batch(&'a [Tuple]),
-}
-
-impl Window<'_> {
-    fn tuples(&self) -> &[Tuple] {
-        match self {
-            Window::One(tuple) => std::slice::from_ref(tuple),
-            Window::Batch(tuples) => tuples,
-        }
-    }
-}
-
 impl ArrivalPipeline {
     /// An unlogged pipeline over `inner`. A bounded `policy` needs a monitor
     /// that supports [`Served::evict_prefix`]; a sharded one does not and
@@ -214,7 +195,7 @@ impl ArrivalPipeline {
             let tuples = durable::encode_window(self.inner.len(), window, |dims, measures| {
                 self.inner.encode_raw(dims, measures)
             })?;
-            self.run(Window::Batch(&tuples), false)?;
+            self.run(&tuples, false)?;
             recovery.replayed_windows += 1;
             recovery.replayed_rows += tuples.len() as u64;
         }
@@ -247,7 +228,7 @@ impl ArrivalPipeline {
         let (Some(stage), Served::Plain(monitor)) = (&mut self.log, &self.inner) else {
             return Ok(());
         };
-        let Some(blob) = monitor.export_durable() else {
+        let Some(blob) = monitor.export_durable()? else {
             return Ok(());
         };
         let covered = self.inner.len() as u64;
@@ -261,8 +242,8 @@ impl ArrivalPipeline {
 
     /// The stages, in order, for one window. A `live` window is logged and
     /// may snapshot; a replayed one is already in the log.
-    fn run(&mut self, window: Window<'_>, live: bool) -> Result<Vec<ArrivalReport>> {
-        let rows = window.tuples().len();
+    fn run(&mut self, window: &[Tuple], live: bool) -> Result<Vec<ArrivalReport>> {
+        let rows = window.len();
         if let Some(stage) = &mut self.log {
             if stage.broken {
                 return Err(SitFactError::Io(
@@ -272,18 +253,14 @@ impl ArrivalPipeline {
                 ));
             }
             if live && rows > 0 {
-                let record =
-                    durable::window_record(self.inner.schema(), self.inner.len(), window.tuples())?;
+                let record = durable::window_record(self.inner.schema(), self.inner.len(), window)?;
                 stage.log.append(&record)?;
             }
         }
         if rows == 0 {
             return Ok(Vec::new());
         }
-        let ingested = match window {
-            Window::One(tuple) if self.log.is_none() => self.inner.ingest(tuple).map(|r| vec![r]),
-            window => self.inner.ingest_batch_slice(window.tuples()),
-        };
+        let ingested = self.inner.ingest_batch_slice(window);
         let reports = match ingested.and_then(|reports| self.evict().map(|_| reports)) {
             Ok(reports) => reports,
             Err(err) => {
@@ -330,16 +307,14 @@ impl ArrivalPipeline {
 
     /// Runs one arrival through the stages as a window of one.
     pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        self.run(Window::One(tuple), true)?
-            .pop()
-            .ok_or_else(|| SitFactError::Io("ingest of one tuple produced no report".to_string()))
+        sole_report(self.run(std::slice::from_ref(&tuple), true)?)
     }
 
     /// Runs one window through the stages: the reports a sequential
     /// [`ArrivalPipeline::ingest`] loop over an unbounded monitor would
     /// produce, with eviction after the window.
     pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-        self.run(Window::Batch(tuples), true)
+        self.run(tuples, true)
     }
 
     /// The monitor's counters with the log's added.

@@ -69,16 +69,8 @@ impl Served {
         }
     }
 
-    /// Ingests one encoded tuple and reports its ranked facts.
-    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        match self {
-            Served::Plain(m) => m.ingest(tuple),
-            Served::Sharded(m) => m.ingest(tuple),
-        }
-    }
-
-    /// Ingests a window through the batched path: the reports a sequential
-    /// [`Served::ingest`] loop would produce, all-or-nothing on validation.
+    /// Ingests a window — a single row is a window of one — and reports each
+    /// arrival's ranked facts, in order, all-or-nothing on validation.
     pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
         match self {
             Served::Plain(m) => m.ingest_batch_slice(tuples),

@@ -24,16 +24,18 @@
 //! [`ThreadPool`]: each shard is *moved* into
 //! its task together with its sub-window and moved back with its reports
 //! (ownership transfer instead of scoped borrows keeps everything
-//! `unsafe`-free). Reports come back in global arrival order with global
-//! tuple ids, byte-identical to what the unsharded monitor would have
-//! produced: the ranking orders each report's facts by the canonical total
-//! order ([`RankedFact::ranking_cmp`](crate::RankedFact::ranking_cmp)), so a
-//! report depends only on the discovered fact *set* — never on the emission
-//! order, which legitimately differs between a shard and the unsharded
-//! monitor (their pruning paths differ).
+//! `unsafe`-free). A window that routes to one shard only — a single row
+//! always — runs on the calling thread instead. Reports come back in global
+//! arrival order with global tuple ids, byte-identical to what the unsharded
+//! monitor would have produced: the ranking orders each report's facts by the
+//! canonical total order
+//! ([`RankedFact::ranking_cmp`](crate::RankedFact::ranking_cmp)), so a report
+//! depends only on the discovered fact *set* — never on the emission order,
+//! which legitimately differs between a shard and the unsharded monitor
+//! (their pruning paths differ).
 
 use crate::fact::ArrivalReport;
-use crate::monitor::{FactMonitor, MonitorConfig, MonitorStats};
+use crate::monitor::{sole_report, FactMonitor, MonitorConfig, MonitorStats};
 use sitfact_algos::Discovery;
 use sitfact_core::pool::ThreadPool;
 use sitfact_core::{
@@ -215,41 +217,31 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
     }
 
     /// Fans pre-validated, pre-partitioned windows out to the shards and
-    /// merges the reports back into global arrival order.
+    /// merges the reports back into global arrival order. When at most one
+    /// sub-window is non-empty, that shard runs on the calling thread: no
+    /// pool hop.
     fn dispatch_windows(
         &mut self,
         windows: Vec<Vec<Tuple>>,
         positions: Vec<Vec<usize>>,
         route_values: Vec<DimValueId>,
     ) -> Result<Vec<ArrivalReport>> {
-        // Fan out: move each shard with its sub-window onto the pool; a shard
-        // with an empty sub-window returns immediately. If a shard panics the
-        // pool re-raises here and the monitor stays poisoned (shards lost) —
-        // subsequent calls fail fast in `assert_usable`.
-        let owned: Vec<FactMonitor<A>> = self.shards.drain(..).collect();
-        type ShardResult<A> = (FactMonitor<A>, Result<Vec<ArrivalReport>>);
-        let tasks: Vec<Box<dyn FnOnce() -> ShardResult<A> + Send>> = owned
-            .into_iter()
-            .zip(windows)
-            .map(|(mut monitor, window)| {
-                Box::new(move || {
-                    let reports = monitor.ingest_batch_slice(&window);
-                    (monitor, reports)
-                }) as Box<dyn FnOnce() -> ShardResult<A> + Send>
-            })
-            .collect();
-        let results = self.pool.run_all(tasks);
+        let outcomes: Vec<Result<Vec<ArrivalReport>>> =
+            if windows.iter().filter(|w| !w.is_empty()).count() <= 1 {
+                self.shards
+                    .iter_mut()
+                    .zip(&windows)
+                    .map(|(monitor, window)| monitor.ingest_batch_slice(window))
+                    .collect()
+            } else {
+                self.fan_out(windows)
+            };
 
-        // Restore every shard, then check every outcome *before* touching the
-        // global id map. Pre-validation makes a shard-level error
-        // unreachable; if one ever occurs, some shards have ingested rows the
-        // map will never cover, so the monitor poisons itself (fail fast on
-        // later calls) rather than continuing with irreconcilable state.
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (monitor, outcome) in results {
-            self.shards.push(monitor);
-            outcomes.push(outcome);
-        }
+        // Check every outcome *before* touching the global id map.
+        // Pre-validation makes a shard-level error unreachable; if one ever
+        // occurs, some shards have ingested rows the map will never cover,
+        // so the monitor poisons itself (fail fast on later calls) rather
+        // than continuing with irreconcilable state.
         if let Some(err_at) = outcomes.iter().position(|o| o.is_err()) {
             self.shards.clear();
             let Some(Err(error)) = outcomes.into_iter().nth(err_at) else {
@@ -291,6 +283,32 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
             .map(|r| r.expect("every arrival produced exactly one report"))
             .collect();
         Ok(reports)
+    }
+
+    /// Moves each shard with its sub-window onto the pool and back with its
+    /// reports; a shard with an empty sub-window returns immediately. If a
+    /// shard panics the pool re-raises here and the monitor stays poisoned
+    /// (shards lost) — subsequent calls fail fast in `assert_usable`.
+    fn fan_out(&mut self, windows: Vec<Vec<Tuple>>) -> Vec<Result<Vec<ArrivalReport>>> {
+        type ShardResult<A> = (FactMonitor<A>, Result<Vec<ArrivalReport>>);
+        let tasks: Vec<Box<dyn FnOnce() -> ShardResult<A> + Send>> = self
+            .shards
+            .drain(..)
+            .zip(windows)
+            .map(|(mut monitor, window)| {
+                Box::new(move || {
+                    let reports = monitor.ingest_batch_slice(&window);
+                    (monitor, reports)
+                }) as Box<dyn FnOnce() -> ShardResult<A> + Send>
+            })
+            .collect();
+        let results = self.pool.run_all(tasks);
+        let mut outcomes = Vec::with_capacity(results.len());
+        for (monitor, outcome) in results {
+            self.shards.push(monitor);
+            outcomes.push(outcome);
+        }
+        outcomes
     }
 
     /// The routing-consistency check of `sitfact_core::routing`: every fact a
@@ -451,28 +469,19 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         Tuple::validated(ids, measures, &self.schema)
     }
 
-    /// Routes one already-encoded tuple to its shard and ingests it there,
-    /// returning the report with its global tuple id.
+    /// Ingests one already-encoded tuple as a window of one
+    /// ([`ShardedMonitor::ingest_batch_slice`]), on the calling thread, and
+    /// returns its report with its global tuple id.
     pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        self.assert_usable();
-        tuple.validate(&self.schema)?;
-        let routing_value = tuple.dim(self.routing_dim);
-        let shard = self.shard_of(routing_value);
-        let local_id = self.shards[shard].table().next_id();
-        let mut report = self.shards[shard].ingest(tuple)?;
-        debug_assert_eq!(report.tuple_id, local_id);
-        self.check_routing(&report, routing_value);
-        report.tuple_id = self.locations.len() as TupleId;
-        self.locations.push((shard as u32, local_id));
-        Ok(report)
+        sole_report(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
     }
 
     /// Ingests a whole window through all shards **in parallel**: the window
     /// is partitioned by routing value (one clone per tuple — shard windows
-    /// need owned tuples), every
-    /// shard ingests its sub-window through the batched fast path on the
-    /// pool, and the reports are merged back into global arrival order with
-    /// global tuple ids.
+    /// need owned tuples), every shard ingests its sub-window through
+    /// [`FactMonitor::ingest_batch_slice`] on the pool — or on the calling
+    /// thread when only one shard has work — and the reports are merged back
+    /// into global arrival order with global tuple ids.
     ///
     /// An empty window is a no-op returning an empty vec. Validation is
     /// all-or-nothing against the master schema before any shard is touched.
@@ -484,9 +493,8 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         self.partition_dispatch(tuples)
     }
 
-    /// Posting-index footprint summed over all shards (each shard compacts
-    /// its own tails at its batch-window boundaries); a sharded monitor has
-    /// no retraction path, so every row stays live.
+    /// Posting-index footprint summed over all shards; a sharded monitor
+    /// has no retraction path, so every row stays live.
     pub fn stats(&self) -> MonitorStats {
         let mut postings = sitfact_storage::PostingIndexStats::default();
         for shard in &self.shards {

@@ -457,18 +457,24 @@ fn decode_open(head: &[&str], mut lines: std::str::Split<'_, char>) -> Result<Re
     let bad = |why: &str| ServeError::Protocol(format!("malformed OPEN: {why}"));
     // The window clause arrived with the sliding-window engine; clients
     // predating it send the five-field head, which decodes as unbounded.
-    if head.len() != 5 && head.len() != 6 {
-        return Err(bad(
-            "head must be `OPEN name tau keep_top d_hat m_hat [window]`",
-        ));
-    }
-    let name = head[0].to_string();
+    let (name, tau, keep_top, d_hat, m_hat, window) = match head {
+        [name, tau, keep_top, d_hat, m_hat] => (name, tau, keep_top, d_hat, m_hat, None),
+        [name, tau, keep_top, d_hat, m_hat, window] => {
+            (name, tau, keep_top, d_hat, m_hat, Some(window))
+        }
+        _ => {
+            return Err(bad(
+                "head must be `OPEN name tau keep_top d_hat m_hat [window]`",
+            ))
+        }
+    };
+    let name = name.to_string();
     check_name("tenant", &name)?;
-    let tau = head[1].parse().map_err(|_| bad("tau is not a number"))?;
-    let keep_top = decode_opt_u64(head[2], "OPEN keep_top")?;
-    let d_hat = decode_opt_u64(head[3], "OPEN d_hat")?;
-    let m_hat = decode_opt_u64(head[4], "OPEN m_hat")?;
-    let window = match head.get(5) {
+    let tau = tau.parse().map_err(|_| bad("tau is not a number"))?;
+    let keep_top = decode_opt_u64(keep_top, "OPEN keep_top")?;
+    let d_hat = decode_opt_u64(d_hat, "OPEN d_hat")?;
+    let m_hat = decode_opt_u64(m_hat, "OPEN m_hat")?;
+    let window = match window {
         Some(field) => decode_opt_u64(field, "OPEN window")?,
         None => None,
     };
@@ -526,22 +532,25 @@ fn encode_row_into(row: &RawRow, out: &mut String) -> Result<(), ServeError> {
 
 fn decode_row(fields: &[&str]) -> Result<RawRow, ServeError> {
     let bad = |why: &str| ServeError::Protocol(format!("malformed row: {why}"));
-    if fields.len() < 2 {
+    let [ndims, nmeasures, values @ ..] = fields else {
         return Err(bad("missing the ndims/nmeasures header"));
-    }
-    let ndims: usize = fields[0].parse().map_err(|_| bad("ndims is not a count"))?;
-    let nmeasures: usize = fields[1]
+    };
+    let ndims: usize = ndims.parse().map_err(|_| bad("ndims is not a count"))?;
+    let nmeasures: usize = nmeasures
         .parse()
         .map_err(|_| bad("nmeasures is not a count"))?;
-    if fields.len() != 2 + ndims + nmeasures {
+    let Some((dims, measures)) = values
+        .split_at_checked(ndims)
+        .filter(|(_, measures)| measures.len() == nmeasures)
+    else {
         return Err(bad(&format!(
             "expected {} fields after the header, got {}",
-            ndims + nmeasures,
-            fields.len() - 2
+            ndims.saturating_add(nmeasures),
+            values.len()
         )));
-    }
-    let dims = fields[2..2 + ndims].iter().map(|s| s.to_string()).collect();
-    let measures = fields[2 + ndims..]
+    };
+    let dims = dims.iter().map(|s| s.to_string()).collect();
+    let measures = measures
         .iter()
         .map(|s| s.parse::<f64>().map_err(|_| bad("unparseable measure")))
         .collect::<Result<_, _>>()?;
@@ -590,6 +599,8 @@ impl Request {
         let mut lines = payload.split('\n');
         let head = lines.next().unwrap_or("");
         let fields: Vec<&str> = head.split('\t').collect();
+        // `split` yields at least one field: the verb.
+        let (verb, args) = fields.split_first().unwrap_or((&"", &[]));
         let extra_lines_forbidden = |kind: &str| -> Result<(), ServeError> {
             if payload.contains('\n') {
                 return Err(bad(format!("{kind} must be a single line")));
@@ -598,12 +609,12 @@ impl Request {
         };
         let bare = |kind: &str| -> Result<(), ServeError> {
             extra_lines_forbidden(kind)?;
-            if fields.len() != 1 {
+            if !args.is_empty() {
                 return Err(bad(format!("{kind} takes no fields")));
             }
             Ok(())
         };
-        match fields[0] {
+        match *verb {
             "PING" => {
                 bare("PING")?;
                 Ok(Request::Ping)
@@ -618,23 +629,23 @@ impl Request {
             }
             "TOPK" => {
                 extra_lines_forbidden("TOPK")?;
-                if fields.len() != 2 {
+                let [k] = args else {
                     return Err(bad("TOPK takes exactly one field".into()));
-                }
-                let k = fields[1]
+                };
+                let k = k
                     .parse()
                     .map_err(|_| bad("TOPK count is not a number".into()))?;
                 Ok(Request::TopK(k))
             }
             "INGEST" => {
                 extra_lines_forbidden("INGEST")?;
-                Ok(Request::Ingest(decode_row(&fields[1..])?))
+                Ok(Request::Ingest(decode_row(args)?))
             }
             "INGEST_BATCH" => {
-                if fields.len() != 2 {
+                let [count] = args else {
                     return Err(bad("INGEST_BATCH header takes exactly one field".into()));
-                }
-                let count: usize = fields[1]
+                };
+                let count: usize = count
                     .parse()
                     .map_err(|_| bad("INGEST_BATCH count is not a number".into()))?;
                 let mut rows = Vec::with_capacity(count.min(MAX_PREALLOC));
@@ -658,22 +669,22 @@ impl Request {
                 }
                 Ok(Request::IngestBatch(rows))
             }
-            "OPEN" => decode_open(&fields[1..], lines),
+            "OPEN" => decode_open(args, lines),
             "USE" => {
                 extra_lines_forbidden("USE")?;
-                if fields.len() != 2 {
+                let [name] = args else {
                     return Err(bad("USE takes exactly one field".into()));
-                }
-                let name = fields[1].to_string();
+                };
+                let name = name.to_string();
                 check_name("tenant", &name)?;
                 Ok(Request::Use(name))
             }
             "CLOSE" => {
                 extra_lines_forbidden("CLOSE")?;
-                if fields.len() != 2 {
+                let [name] = args else {
                     return Err(bad("CLOSE takes exactly one field".into()));
-                }
-                let name = fields[1].to_string();
+                };
+                let name = name.to_string();
                 check_name("tenant", &name)?;
                 Ok(Request::Close(name))
             }
@@ -857,6 +868,8 @@ impl Response {
         let mut lines = payload.split('\n');
         let head = lines.next().unwrap_or("");
         let fields: Vec<&str> = head.split('\t').collect();
+        // `split` yields at least one field: the verb.
+        let (verb, args) = fields.split_first().unwrap_or((&"", &[]));
         // Every response but `REPORT` and `REPORTS` is one line.
         let one_line = |verb: &str| -> Result<(), ServeError> {
             if payload.contains('\n') {
@@ -866,45 +879,47 @@ impl Response {
         };
         let bare = |verb: &str, response: Response| -> Result<Response, ServeError> {
             one_line(verb)?;
-            if fields.len() != 1 {
+            if !args.is_empty() {
                 return Err(bad(format!("{verb} takes no fields")));
             }
             Ok(response)
         };
-        match fields[0] {
+        match *verb {
             "PONG" => bare("PONG", Response::Pong),
             "BYE" => bare("BYE", Response::Bye),
             "OK" => bare("OK", Response::Ok),
             "STATS" => {
                 one_line("STATS")?;
-                if fields.len() != 17 {
+                let [len, tau, keep_top, anchor, sealed_blocks, tail_ids, compressed_bytes, uncompressed_bytes, wal_segments, wal_bytes, wal_synced, wal_retired, live_rows, tombstones, evicted, schema] =
+                    args
+                else {
                     return Err(bad("STATS must carry 16 fields".into()));
-                }
+                };
                 let parse_u64 = |s: &str, what: &str| -> Result<u64, ServeError> {
                     s.parse()
                         .map_err(|_| ServeError::Protocol(format!("bad {what}")))
                 };
                 Ok(Response::Stats(ServerStats {
-                    len: parse_u64(fields[1], "STATS length")?,
-                    tau: fields[2].parse().map_err(|_| bad("bad STATS tau".into()))?,
-                    keep_top: decode_opt_u64(fields[3], "STATS keep_top")?,
-                    anchor_dim: decode_opt_u64(fields[4], "STATS anchor")?,
-                    sealed_blocks: parse_u64(fields[5], "STATS sealed_blocks")?,
-                    tail_ids: parse_u64(fields[6], "STATS tail_ids")?,
-                    compressed_bytes: parse_u64(fields[7], "STATS compressed_bytes")?,
-                    uncompressed_bytes: parse_u64(fields[8], "STATS uncompressed_bytes")?,
-                    wal_segments: parse_u64(fields[9], "STATS wal_segments")?,
-                    wal_bytes: parse_u64(fields[10], "STATS wal_bytes")?,
-                    wal_synced: parse_u64(fields[11], "STATS wal_synced")?,
-                    wal_retired: parse_u64(fields[12], "STATS wal_retired")?,
-                    live_rows: parse_u64(fields[13], "STATS live_rows")?,
-                    tombstones: parse_u64(fields[14], "STATS tombstones")?,
-                    evicted: parse_u64(fields[15], "STATS evicted")?,
-                    schema: fields[16].to_string(),
+                    len: parse_u64(len, "STATS length")?,
+                    tau: tau.parse().map_err(|_| bad("bad STATS tau".into()))?,
+                    keep_top: decode_opt_u64(keep_top, "STATS keep_top")?,
+                    anchor_dim: decode_opt_u64(anchor, "STATS anchor")?,
+                    sealed_blocks: parse_u64(sealed_blocks, "STATS sealed_blocks")?,
+                    tail_ids: parse_u64(tail_ids, "STATS tail_ids")?,
+                    compressed_bytes: parse_u64(compressed_bytes, "STATS compressed_bytes")?,
+                    uncompressed_bytes: parse_u64(uncompressed_bytes, "STATS uncompressed_bytes")?,
+                    wal_segments: parse_u64(wal_segments, "STATS wal_segments")?,
+                    wal_bytes: parse_u64(wal_bytes, "STATS wal_bytes")?,
+                    wal_synced: parse_u64(wal_synced, "STATS wal_synced")?,
+                    wal_retired: parse_u64(wal_retired, "STATS wal_retired")?,
+                    live_rows: parse_u64(live_rows, "STATS live_rows")?,
+                    tombstones: parse_u64(tombstones, "STATS tombstones")?,
+                    evicted: parse_u64(evicted, "STATS evicted")?,
+                    schema: schema.to_string(),
                 }))
             }
             "REPORT" => {
-                if fields.len() != 1 {
+                if !args.is_empty() {
                     return Err(bad("REPORT header takes no fields".into()));
                 }
                 let report = decode_report(&mut lines)?;
@@ -914,10 +929,10 @@ impl Response {
                 Ok(Response::Report(report))
             }
             "REPORTS" => {
-                if fields.len() != 2 {
+                let [count] = args else {
                     return Err(bad("REPORTS header takes exactly one field".into()));
-                }
-                let count: usize = fields[1]
+                };
+                let count: usize = count
                     .parse()
                     .map_err(|_| bad("REPORTS count is not a number".into()))?;
                 let mut reports = Vec::with_capacity(count.min(MAX_PREALLOC));
@@ -931,13 +946,16 @@ impl Response {
             }
             "ERR" => {
                 one_line("ERR")?;
-                if fields.len() < 3 {
+                let [kind, message @ ..] = args else {
+                    return Err(bad("ERR must carry a kind and a message".into()));
+                };
+                if message.is_empty() {
                     return Err(bad("ERR must carry a kind and a message".into()));
                 }
                 Ok(Response::Error {
-                    kind: fields[1].to_string(),
+                    kind: kind.to_string(),
                     // The message may itself contain TABs; rejoin the rest.
-                    message: fields[2..].join("\t"),
+                    message: message.join("\t"),
                 })
             }
             verb => Err(bad(format!("unknown response verb {verb:?}"))),

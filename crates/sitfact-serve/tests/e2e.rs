@@ -98,7 +98,8 @@ fn reports_in_process(
     for (dims, measures) in &rows[..singles] {
         let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
         let tuple = monitor.encode_raw(&dims, measures.clone()).unwrap();
-        reports.push(monitor.ingest(tuple).unwrap());
+        // A single row is a window of one.
+        reports.extend(monitor.ingest_batch_slice(&[tuple]).unwrap());
     }
     for window in rows[singles..].chunks(7) {
         let window: Vec<_> = window

@@ -384,7 +384,7 @@ mod tests {
             .filter(|(_, p)| {
                 subspace
                     .indices()
-                    .all(|i| dirs[i].better_or_equal(p.measure(i), query.measure(i)))
+                    .all(|i| !dirs[i].better(query.measure(i), p.measure(i)))
             })
             .map(|(id, _)| *id)
             .collect();

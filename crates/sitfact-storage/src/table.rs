@@ -38,17 +38,23 @@ type PostingMap = FxHashMap<DimValueId, Vec<TupleId>>;
 /// pre-sizing each posting map for one entry per row would waste memory.
 const POSTING_MAP_HINT_CAP: usize = 1 << 10;
 
-/// The posting maps of a dims column whose first row holds tuple `first`:
-/// the one definition of the index, which the append paths maintain
-/// incrementally and a snapshot restore builds in one pass.
-fn index_of(dims: &[DimValueId], n_dims: usize, first: usize) -> Vec<PostingMap> {
-    let mut postings = vec![PostingMap::default(); n_dims];
-    for (row, values) in dims.chunks_exact(n_dims.max(1)).enumerate() {
+/// Pushes the id of every row of a dims column whose first row holds tuple
+/// `first` onto its value's list: the one maintenance loop of the index,
+/// which appends run over the new rows and a snapshot restore over all.
+/// Ids grow monotonically, so every list stays ascending.
+fn index_rows(postings: &mut [PostingMap], dims: &[DimValueId], first: usize) {
+    for (row, values) in dims.chunks_exact(postings.len().max(1)).enumerate() {
         let id = (first + row) as TupleId;
         for (map, &value) in postings.iter_mut().zip(values) {
             map.entry(value).or_default().push(id);
         }
     }
+}
+
+/// The posting maps of a dims column whose first row holds tuple `first`.
+fn index_of(dims: &[DimValueId], n_dims: usize, first: usize) -> Vec<PostingMap> {
+    let mut postings = vec![PostingMap::default(); n_dims];
+    index_rows(&mut postings, dims, first);
     postings
 }
 
@@ -239,12 +245,11 @@ impl Table {
     }
 
     /// Appends an already-encoded tuple after validating it against the
-    /// schema. The tuple is consumed — its vectors are drained into the
-    /// columns without re-cloning. Returns the assigned [`TupleId`].
+    /// schema: a window of one ([`Table::append_batch_slice`]). Returns the
+    /// assigned [`TupleId`].
     pub fn append(&mut self, tuple: Tuple) -> Result<TupleId> {
-        tuple.validate(&self.schema)?;
-        let (dims, measures) = tuple.into_parts();
-        Ok(self.push_row(dims, measures))
+        let ids = self.append_batch_slice(std::slice::from_ref(&tuple))?;
+        Ok(ids.start)
     }
 
     /// Interns the dimension strings, validates the measures and appends the
@@ -254,148 +259,38 @@ impl Table {
         self.append(Tuple::new(ids, measures))
     }
 
-    /// Appends a whole window of already-encoded tuples, amortising the
-    /// per-row costs of [`Table::append`] across the batch:
+    /// Appends a whole window of already-encoded tuples — every append goes
+    /// through here:
     ///
     /// * every tuple is validated against the schema in one up-front pass
-    ///   (the batch is all-or-nothing — an invalid tuple rejects the whole
-    ///   window and leaves the table untouched, whereas a loop of `append`
-    ///   would have kept the valid prefix);
-    /// * the flat dimension and measure columns are extended column-wise
-    ///   after a single `reserve` each;
-    /// * each dimension's posting lists are updated by bucketing the window's
-    ///   ids by value — a counting sort over the (dense, dictionary-assigned)
-    ///   value ids — and splicing whole runs per distinct value: one map
-    ///   lookup per *distinct* value instead of one per row, and no
-    ///   comparison sort anywhere.
+    ///   (the window is all-or-nothing — an invalid tuple rejects the whole
+    ///   window and leaves the table untouched);
+    /// * the flat dimension and measure columns are extended after a single
+    ///   `reserve` each;
+    /// * each new row's id is pushed onto its value's posting list in every
+    ///   dimension, the loop a snapshot restore runs over the whole column.
     ///
-    /// Returns the contiguous id range assigned to the window (ids are
-    /// assigned in window order, so the result is identical to a loop of
-    /// [`Table::append`]). An empty batch is a no-op returning an empty
+    /// Returns the contiguous id range assigned to the window, in window
+    /// order. The tuples are borrowed: the columnar layout copies every
+    /// value anyway, so a monitor can append the window first and then
+    /// discover each arrival. An empty window is a no-op returning an empty
     /// range.
-    pub fn append_batch(&mut self, tuples: Vec<Tuple>) -> Result<Range<TupleId>> {
-        self.append_batch_slice(&tuples)
-    }
-
-    /// Borrowing form of [`Table::append_batch`]: the columnar layout copies
-    /// every value into the flat columns anyway, so batch callers that still
-    /// need the tuples afterwards (e.g. a monitor that appends the window
-    /// first and then discovers each arrival) can keep ownership.
     pub fn append_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Range<TupleId>> {
         let first = self.next_id();
-        if tuples.is_empty() {
-            return Ok(first..first);
-        }
-        // One validation pass before any mutation keeps the batch atomic.
+        // One validation pass before any mutation keeps the window atomic.
         for tuple in tuples {
             tuple.validate(&self.schema)?;
         }
-        let window = tuples.len();
         let old_dims_len = self.dims.len();
-        self.dims.reserve(window * self.n_dims);
-        self.measures.reserve(window * self.n_measures);
+        self.dims.reserve(tuples.len() * self.n_dims);
+        self.measures.reserve(tuples.len() * self.n_measures);
         for tuple in tuples {
             self.dims.extend_from_slice(tuple.dims());
             self.measures.extend_from_slice(tuple.measures());
         }
-        // Posting maintenance. The window's dimension values are first
-        // transposed into per-attribute contiguous columns (one sequential
-        // pass over the freshly extended row-major region), then each
-        // attribute is processed with sequential scans only:
-        //
-        // 1. find the window's value range for this attribute;
-        // 2. counting-sort the window's ids into per-value buckets — stable,
-        //    so each bucket stays ascending — O(window + range), no
-        //    comparisons;
-        // 3. splice each non-empty bucket into its posting list with a single
-        //    map lookup and one `extend`.
-        //
-        // Dictionary-interned value ids are dense, so the range is almost
-        // always tiny; raw tuples with pathological ids (sparse range much
-        // larger than the window) fall back to a comparison sort of
-        // (value, id) pairs, which needs no range-sized scratch.
-        let mut cols: Vec<DimValueId> = vec![0; window * self.n_dims];
-        for (k, row) in self.dims[old_dims_len..]
-            .chunks_exact(self.n_dims.max(1))
-            .enumerate()
-        {
-            for (a, &v) in row.iter().enumerate() {
-                cols[a * window + k] = v;
-            }
-        }
-        let mut counts: Vec<u32> = Vec::new();
-        let mut bucketed: Vec<TupleId> = vec![0; window];
-        for attr in 0..self.n_dims {
-            let col = &cols[attr * window..(attr + 1) * window];
-            let mut min = DimValueId::MAX;
-            let mut max = DimValueId::MIN;
-            for &v in col {
-                min = min.min(v);
-                max = max.max(v);
-            }
-            let range = (max - min) as usize + 1;
-            if range <= 4 * window + 1024 {
-                counts.clear();
-                counts.resize(range, 0);
-                for &v in col {
-                    counts[(v - min) as usize] += 1;
-                }
-                // Prefix sums: counts[j] becomes bucket j's start cursor …
-                let mut running = 0u32;
-                for c in counts.iter_mut() {
-                    let n = *c;
-                    *c = running;
-                    running += n;
-                }
-                // … the scatter advances each cursor, so afterwards counts[j]
-                // is bucket j's end (= bucket j+1's start).
-                for (k, &v) in col.iter().enumerate() {
-                    let j = (v - min) as usize;
-                    bucketed[counts[j] as usize] = first + k as TupleId;
-                    counts[j] += 1;
-                }
-                let mut start = 0usize;
-                for (j, &end) in counts.iter().enumerate() {
-                    let end = end as usize;
-                    if end > start {
-                        self.postings[attr]
-                            .entry(min + j as DimValueId)
-                            .or_default()
-                            .extend_from_slice(&bucketed[start..end]);
-                        start = end;
-                    }
-                }
-            } else {
-                let mut pairs: Vec<(DimValueId, TupleId)> = col
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &v)| (v, first + k as TupleId))
-                    .collect();
-                pairs.sort_unstable();
-                for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-                    self.postings[attr]
-                        .entry(run[0].0)
-                        .or_default()
-                        .extend(run.iter().map(|&(_, id)| id));
-                }
-            }
-        }
-        self.len += window;
+        index_rows(&mut self.postings, &self.dims[old_dims_len..], self.len);
+        self.len += tuples.len();
         Ok(first..self.next_id())
-    }
-
-    /// Unconditional append of validated parts: extend the columns and the
-    /// posting lists. Ids grow monotonically, so every posting list stays
-    /// sorted by construction.
-    fn push_row(&mut self, dims: Vec<DimValueId>, measures: Vec<f64>) -> TupleId {
-        let id = self.next_id();
-        for (attr, &value) in dims.iter().enumerate() {
-            self.postings[attr].entry(value).or_default().push(id);
-        }
-        self.dims.extend_from_slice(&dims);
-        self.measures.extend_from_slice(&measures);
-        self.len += 1;
-        id
     }
 
     /// A zero-copy view of the *live* row with the given id, if it exists.
@@ -1107,7 +1002,7 @@ mod tests {
             let ids = batched.schema_mut().intern_dims(&[p, t]).unwrap();
             tuples.push(Tuple::new(ids, vec![m, 0.0]));
         }
-        let range = batched.append_batch(tuples).unwrap();
+        let range = batched.append_batch_slice(&tuples).unwrap();
         assert_eq!(range, 0..40);
         assert_eq!(batched.len(), looped.len());
         assert_eq!(batched.approx_heap_bytes(), looped.approx_heap_bytes());
@@ -1126,7 +1021,7 @@ mod tests {
         }
         // A second batch continues the id sequence.
         let more = batched
-            .append_batch(vec![Tuple::new(vec![0, 0], vec![1.0, 2.0])])
+            .append_batch_slice(&[Tuple::new(vec![0, 0], vec![1.0, 2.0])])
             .unwrap();
         assert_eq!(more, 40..41);
     }
@@ -1139,17 +1034,17 @@ mod tests {
             Tuple::new(vec![0, 0], vec![2.0, 2.0]),
             Tuple::new(vec![0, 0, 0], vec![3.0, 3.0]), // bad arity
         ];
-        assert!(t.append_batch(window).is_err());
+        assert!(t.append_batch_slice(&window).is_err());
         // Nothing from the window landed — not even the valid first tuple.
         assert_eq!(t.len(), 1);
         assert_eq!(t.posting_list(0, 0).unwrap(), [0]);
         // NaN measures are caught by the same up-front pass.
         assert!(t
-            .append_batch(vec![Tuple::new(vec![0, 0], vec![f64::NAN, 1.0])])
+            .append_batch_slice(&[Tuple::new(vec![0, 0], vec![f64::NAN, 1.0])])
             .is_err());
         assert_eq!(t.len(), 1);
         // An empty batch is a no-op with an empty range.
-        assert_eq!(t.append_batch(Vec::new()).unwrap(), 1..1);
+        assert_eq!(t.append_batch_slice(&[]).unwrap(), 1..1);
     }
 
     #[test]
@@ -1202,7 +1097,7 @@ mod tests {
         let tuples: Vec<Tuple> = (0..64u32)
             .map(|i| Tuple::new(vec![i % 2, 0], vec![1.0, 2.0]))
             .collect();
-        t.append_batch(tuples).unwrap();
+        t.append_batch_slice(&tuples).unwrap();
         // Same formula as the per-row test: the batch path must not change
         // the accounted layout (64 rows × 2 dims/measures, 3 distinct
         // (attribute, value) pairs, one posting id per row and dimension).

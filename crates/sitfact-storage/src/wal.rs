@@ -36,8 +36,10 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Upper bound on a single frame's payload (64 MiB), mirroring the serve
+/// Upper bound on a single log frame's payload (64 MiB), mirroring the serve
 /// crate's frame cap: a corrupt length field must not provoke a huge read.
+/// A snapshot file is read whole, so its one frame is bounded by the file
+/// instead ([`write_frame_within`], [`scan_frames_within`]).
 pub const MAX_WAL_FRAME: usize = 64 * 1024 * 1024;
 
 /// Bytes of frame header preceding every payload: `len:u32` + `crc:u32`.
@@ -101,15 +103,23 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Appends a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
+/// A byte length as the `u32` the encodings prefix it with; a typed error
+/// when it does not fit.
+fn len_u32(len: usize, what: &str) -> Result<u32> {
+    u32::try_from(len)
+        .map_err(|_| SitFactError::Io(format!("a {len}-byte {what} does not fit a u32 length")))
+}
+
+/// Appends a length-prefixed byte string; `Err` when it is 4 GiB or longer.
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> Result<()> {
+    put_u32(out, len_u32(bytes.len(), "byte string")?);
     out.extend_from_slice(bytes);
+    Ok(())
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+pub fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    put_bytes(out, s.as_bytes())
 }
 
 /// Forward-only reader over an encoded buffer. Every accessor returns a
@@ -215,36 +225,49 @@ impl<'a> ByteCursor<'a> {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// Writes one `len | crc | payload` frame.
+/// Writes one `len | crc | payload` log frame, at most [`MAX_WAL_FRAME`]
+/// bytes of payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_WAL_FRAME {
+    write_frame_within(w, payload, MAX_WAL_FRAME)
+}
+
+/// Writes one `len | crc | payload` frame of at most `cap` payload bytes;
+/// `Err`, writing nothing, for a longer payload or one whose length does
+/// not fit the `u32` header field.
+pub fn write_frame_within(w: &mut impl Write, payload: &[u8], cap: usize) -> Result<()> {
+    if payload.len() > cap {
         return Err(SitFactError::Io(format!(
-            "refusing to write a {}-byte frame (cap {MAX_WAL_FRAME})",
+            "refusing to write a {}-byte frame (cap {cap})",
             payload.len()
         )));
     }
     let mut header = [0u8; FRAME_HEADER];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[..4].copy_from_slice(&len_u32(payload.len(), "frame payload")?.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
     Ok(())
 }
 
-/// Splits a buffer into its valid frame payloads.
+/// Splits a buffer into its valid log frame payloads.
 ///
 /// Returns the payloads plus the offset where the valid prefix ends — the
 /// position of the first torn frame (length running past the buffer) or
-/// corrupted frame (checksum mismatch, implausible length). `valid_end ==
-/// buf.len()` means the whole buffer scanned clean.
+/// corrupted frame (checksum mismatch, length over [`MAX_WAL_FRAME`]).
+/// `valid_end == buf.len()` means the whole buffer scanned clean.
 pub fn scan_frames(buf: &[u8]) -> (Vec<&[u8]>, usize) {
+    scan_frames_within(buf, MAX_WAL_FRAME)
+}
+
+/// [`scan_frames`] with frame payloads of up to `cap` bytes.
+pub fn scan_frames_within(buf: &[u8], cap: usize) -> (Vec<&[u8]>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0usize;
     while buf.len() - pos >= FRAME_HEADER {
         let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
         let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
         let start = pos + FRAME_HEADER;
-        if len > MAX_WAL_FRAME || start + len > buf.len() {
+        if len > cap || start + len > buf.len() {
             break;
         }
         let payload = &buf[start..start + len];
@@ -289,19 +312,20 @@ pub struct WindowRecord {
 
 impl WindowRecord {
     /// Encodes the record into `out` (the payload of one log frame).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         put_u64(out, self.first_id);
         put_u32(out, self.rows.len() as u32);
         for row in &self.rows {
             put_u32(out, row.dims.len() as u32);
             put_u32(out, row.measures.len() as u32);
             for dim in &row.dims {
-                put_str(out, dim);
+                put_str(out, dim)?;
             }
             for &m in &row.measures {
                 put_f64(out, m);
             }
         }
+        Ok(())
     }
 
     /// Decodes a record from one frame payload.
@@ -553,7 +577,7 @@ impl ArrivalLog {
             self.rotate()?;
         }
         let mut payload = Vec::with_capacity(64 + 16 * record.rows.len());
-        record.encode(&mut payload);
+        record.encode(&mut payload)?;
         write_frame(&mut self.file, &payload)?;
         if matches!(self.sync, SyncPolicy::Always) {
             self.file.sync_data()?;
@@ -631,15 +655,15 @@ impl ArrivalLog {
 
 /// Encodes a [`Schema`] — names, directions and the dimension dictionaries
 /// in id order — so a snapshot restores the exact interning state.
-fn encode_schema(schema: &Schema, out: &mut Vec<u8>) {
-    put_str(out, schema.name());
+fn encode_schema(schema: &Schema, out: &mut Vec<u8>) -> Result<()> {
+    put_str(out, schema.name())?;
     put_u32(out, schema.num_dimensions() as u32);
     for name in schema.dimension_names() {
-        put_str(out, name);
+        put_str(out, name)?;
     }
     put_u32(out, schema.num_measures() as u32);
     for measure in schema.measures() {
-        put_str(out, &measure.name);
+        put_str(out, &measure.name)?;
         out.push(match measure.direction {
             Direction::HigherIsBetter => 0,
             Direction::LowerIsBetter => 1,
@@ -649,9 +673,10 @@ fn encode_schema(schema: &Schema, out: &mut Vec<u8>) {
         let dict = schema.dictionary(dim);
         put_u32(out, dict.len() as u32);
         for (_, value) in dict.iter() {
-            put_str(out, value);
+            put_str(out, value)?;
         }
     }
+    Ok(())
 }
 
 fn decode_schema(cur: &mut ByteCursor<'_>) -> Result<Schema> {
@@ -705,9 +730,9 @@ fn decode_schema(cur: &mut ByteCursor<'_>) -> Result<Schema> {
 /// The posting index is derived from the dims column, so it is not
 /// serialized; [`decode_table`] rebuilds it. The `list*` grammar stays for
 /// snapshots written while lists were stored compressed.
-pub fn encode_table(table: &Table, out: &mut Vec<u8>) {
+pub fn encode_table(table: &Table, out: &mut Vec<u8>) -> Result<()> {
     let (schema, len, evicted, watermark, dims, measures) = table.state_parts();
-    encode_schema(schema, out);
+    encode_schema(schema, out)?;
     put_u64(out, len as u64);
     // Retraction bounds travel with the columns; the tombstone bitmap is
     // derived from them on decode rather than serialized.
@@ -722,6 +747,7 @@ pub fn encode_table(table: &Table, out: &mut Vec<u8>) {
     for _ in 0..schema.num_dimensions() {
         put_u32(out, 0);
     }
+    Ok(())
 }
 
 /// Skips one posting list of the compressed layout older snapshots carry:
@@ -954,7 +980,7 @@ mod tests {
     fn window_records_round_trip() {
         let record = sample_window(42, 5);
         let mut payload = Vec::new();
-        record.encode(&mut payload);
+        record.encode(&mut payload).unwrap();
         let decoded = WindowRecord::decode(&payload).unwrap();
         assert_eq!(decoded, record);
         // NaN-free exactness is bit-level: a tricky float survives.
@@ -966,7 +992,7 @@ mod tests {
             }],
         };
         let mut payload = Vec::new();
-        tricky.encode(&mut payload);
+        tricky.encode(&mut payload).unwrap();
         let decoded = WindowRecord::decode(&payload).unwrap();
         assert_eq!(
             decoded.rows[0].measures[0].to_bits(),
@@ -979,7 +1005,7 @@ mod tests {
     fn truncated_window_record_is_a_parse_error() {
         let record = sample_window(0, 3);
         let mut payload = Vec::new();
-        record.encode(&mut payload);
+        record.encode(&mut payload).unwrap();
         for cut in [1, payload.len() / 2, payload.len() - 1] {
             let err = WindowRecord::decode(&payload[..cut]).expect_err("truncated");
             assert!(matches!(err, SitFactError::Parse(_)), "cut at {cut}: {err}");
@@ -1187,7 +1213,7 @@ mod tests {
                 .unwrap();
             tuples.push(Tuple::new(ids, vec![i as f64, (i % 13) as f64]));
         }
-        table.append_batch(tuples).unwrap();
+        table.append_batch_slice(&tuples).unwrap();
         let mut more = Vec::new();
         for i in 0..45u32 {
             let ids = table
@@ -1196,10 +1222,10 @@ mod tests {
                 .unwrap();
             more.push(Tuple::new(ids, vec![i as f64, 1.0]));
         }
-        table.append_batch(more).unwrap();
+        table.append_batch_slice(&more).unwrap();
 
         let mut bytes = Vec::new();
-        encode_table(&table, &mut bytes);
+        encode_table(&table, &mut bytes).unwrap();
         let decoded = decode_table(&mut ByteCursor::new(&bytes)).unwrap();
         assert_eq!(decoded.len(), table.len());
         assert_eq!(decoded.posting_index_stats(), table.posting_index_stats());
@@ -1211,7 +1237,7 @@ mod tests {
         // Re-encoding the decoded table is byte-identical (deterministic
         // codec despite hash-map cells underneath).
         let mut again = Vec::new();
-        encode_table(&decoded, &mut again);
+        encode_table(&decoded, &mut again).unwrap();
         assert_eq!(again, bytes);
 
         // A flipped byte surfaces as a typed error somewhere — never a
@@ -1253,7 +1279,7 @@ mod tests {
         let mut table = churned_table(90);
         table.retract_prefix(20);
         let mut bytes = Vec::new();
-        encode_table(&table, &mut bytes);
+        encode_table(&table, &mut bytes).unwrap();
         // Skip the schema, the bounds and the columns: what is left is one
         // `0` list count per dimension.
         let mut cur = ByteCursor::new(&bytes);
@@ -1291,7 +1317,7 @@ mod tests {
         table.retract_prefix(95);
 
         let mut bytes = Vec::new();
-        encode_table(&table, &mut bytes);
+        encode_table(&table, &mut bytes).unwrap();
         let restored = decode_table(&mut ByteCursor::new(&bytes)).unwrap();
         for attr in 0..2 {
             for value in 0..table.schema().dictionary(attr).len() as u32 {

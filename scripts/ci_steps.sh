@@ -124,9 +124,11 @@ run_step() {
       wait "$server_pid" ;;
     wal-smoke)
       # Kill-and-recover round trip for the durable server: ingest over the
-      # wire into a --data-dir server, fingerprint its TOPK + STATS, SIGKILL
-      # it (no clean shutdown — the WAL is the only survivor), restart it on
-      # the same directory, and assert the recovered state matches the
+      # wire into a --data-dir server that snapshots every 16 rows (40 rows
+      # in 8-row batches), fingerprint its TOPK + STATS, SIGKILL it (no clean
+      # shutdown — the snapshot and the WAL are the only survivors), check a
+      # snapshot file was written, restart it on the same directory, and
+      # assert the state recovered from snapshot plus log suffix matches the
       # fingerprint byte for byte before shutting down cleanly.
       $CARGO build --release -p sitfact-serve
       local data_dir=/tmp/sitfact_wal_smoke_data
@@ -136,7 +138,7 @@ run_step() {
       rm -f "$port_file" "$state_file"
       target/release/sitfact_serve \
         --addr 127.0.0.1:0 --port-file "$port_file" --tau 50 \
-        --data-dir "$data_dir" &
+        --data-dir "$data_dir" --snapshot-every 16 &
       local server_pid=$!
       if ! target/release/sitfact_client \
         --port-file "$port_file" --n 40 --batch 8 --seed 11 \
@@ -148,10 +150,14 @@ run_step() {
       fi
       kill -9 "$server_pid"
       wait "$server_pid" 2>/dev/null || true
+      if ! compgen -G "$data_dir/_default/snapshot-*.snap" >/dev/null; then
+        echo "wal-smoke: no snapshot under $data_dir/_default/" >&2
+        return 1
+      fi
       rm -f "$port_file"
       target/release/sitfact_serve \
         --addr 127.0.0.1:0 --port-file "$port_file" --tau 50 \
-        --data-dir "$data_dir" &
+        --data-dir "$data_dir" --snapshot-every 16 &
       server_pid=$!
       if ! target/release/sitfact_client \
         --port-file "$port_file" --n 0 --state-expect "$state_file" \

@@ -366,12 +366,11 @@ proptest! {
         deep_audit(&table)?;
     }
 
-    /// `append_batch` ≡ a loop of `append`: identical table contents (length,
-    /// every row, heap-byte accounting), identical posting lists and
+    /// `append_batch_slice` ≡ a loop of `append`: identical table contents
+    /// (length, every row, heap-byte accounting), identical posting lists and
     /// identical probe bounds, for random schema widths and random windows —
-    /// including value ids far outside the dense range (which push the batch
-    /// path onto its sort-merge fallback) and a batch split at a random
-    /// boundary (so batches compose with prior contents).
+    /// including value ids far outside the dense range and a batch split at
+    /// a random boundary (so batches compose with prior contents).
     #[test]
     fn append_batch_equals_append_loop(
         n_dims in 1usize..5,
@@ -391,8 +390,7 @@ proptest! {
             builder = builder.measure(format!("m{m}"), Direction::HigherIsBetter);
         }
         let schema = builder.build().unwrap();
-        // Mix dense ids with occasional huge ones so both the counting-sort
-        // fast path and the sparse fallback are exercised.
+        // Mix dense ids with occasional huge, sparse ones.
         let tuples: Vec<Tuple> = rows
             .iter()
             .map(|(dims, measure)| {
@@ -410,7 +408,7 @@ proptest! {
         }
         let mut batched = Table::new(schema.clone());
         let split = if tuples.is_empty() { 0 } else { split_seed % (tuples.len() + 1) };
-        let first = batched.append_batch(tuples[..split].to_vec()).unwrap();
+        let first = batched.append_batch_slice(&tuples[..split]).unwrap();
         let second = batched.append_batch_slice(&tuples[split..]).unwrap();
         prop_assert_eq!(first, 0..split as TupleId);
         prop_assert_eq!(second, split as TupleId..tuples.len() as TupleId);
@@ -558,8 +556,8 @@ proptest! {
     }
 
     /// `Table::audit()` holds after *every* prefix of an arbitrary mixed
-    /// `append`/`append_batch` sequence — including batches whose huge value
-    /// ids push the posting-list build onto its sparse sort-merge fallback.
+    /// `append`/`append_batch_slice` sequence — including batches with huge,
+    /// sparse value ids.
     #[test]
     fn table_audit_passes_after_mixed_append_sequences(
         n_dims in 1usize..4,
@@ -596,7 +594,7 @@ proptest! {
                     table.append(t).unwrap();
                 }
             } else {
-                table.append_batch(tuples).unwrap();
+                table.append_batch_slice(&tuples).unwrap();
             }
             // The invariant must hold after every operation, not just at the
             // end of the sequence.

@@ -63,13 +63,17 @@ fn encode(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> 
         .collect()
 }
 
-/// One `ingest` per tuple, stopping at the first error: the sequential
-/// ground truth.
+/// One window of one per tuple, stopping at the first error: the
+/// sequential ground truth.
 fn ingest_one_by_one(
     monitor: &mut Served,
     tuples: Vec<Tuple>,
 ) -> Result<Vec<ArrivalReport>, situational_facts::core::SitFactError> {
-    tuples.into_iter().map(|t| monitor.ingest(t)).collect()
+    let mut reports = Vec::with_capacity(tuples.len());
+    for tuple in tuples {
+        reports.extend(monitor.ingest_batch_slice(&[tuple])?);
+    }
+    Ok(reports)
 }
 
 /// Whether the monitor resolves `id` to a live tuple.
@@ -85,10 +89,10 @@ fn resolves(monitor: &Served, id: TupleId) -> bool {
 fn drive(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
     assert!(monitor.is_empty());
     let mut reports = Vec::new();
-    // A few per-arrival ingests …
+    // A few windows of one …
     for row in &rows[..3] {
-        let tuple = encode(monitor, std::slice::from_ref(row)).remove(0);
-        reports.push(monitor.ingest(tuple).unwrap());
+        let window = encode(monitor, std::slice::from_ref(row));
+        reports.extend(monitor.ingest_batch_slice(&window).unwrap());
     }
     // … then pre-encoded batched windows.
     for window in rows[3..].chunks(9) {
