@@ -223,6 +223,10 @@ impl Discovery for CCsc {
         let mut stored_entries = 0u64;
         let mut non_empty_cells = 0u64;
         let mut bytes = 0u64;
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the loop only sums, and integer sums do not depend on the order"
+        )]
         for (constraint, csc) in &self.contexts {
             let entries = csc.entry_count();
             stored_entries += entries;
@@ -342,6 +346,10 @@ mod tests {
         }
         let directions = table.schema().directions().to_vec();
         let family = SubspaceMask::enumerate(2, 2);
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "every context is asserted alike: the verdict does not depend on the order"
+        )]
         for (constraint, csc) in &algo.contexts {
             for (subspace, stored) in csc.all_entries() {
                 // The tuple must be in the skyline of this subspace …

@@ -67,6 +67,38 @@ fn unused() {}
 #[expect(clippy::unwrap_used, reason = "nothing here unwraps")] // expect: unfulfilled_lint_expectations
 pub fn calm() {}
 
+/// Hash iteration, whose order may leak into what the loop builds.
+pub fn keys(map: &std::collections::HashMap<u32, u32>) -> Vec<u32> {
+    let mut keys = Vec::new();
+    for key in map.keys() { // expect: clippy::iter_over_hash_type
+        keys.push(*key);
+    }
+    keys
+}
+
+/// A codec module: its header denies indexing and truncating casts, and its
+/// tests may still index.
+pub mod codec {
+    #![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
+    pub fn head(buf: &[u8]) -> u8 {
+        buf[0] // expect: clippy::indexing_slicing
+    }
+
+    pub fn length(buf: &[u8]) -> u32 {
+        buf.len() as u32 // expect: clippy::cast_possible_truncation
+    }
+
+    #[cfg(test)]
+    mod tests {
+        #[test]
+        fn indexing_in_tests_is_fine() {
+            let buf = [7u8, 1];
+            assert_eq!(super::head(&buf), buf[0]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

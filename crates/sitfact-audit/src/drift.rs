@@ -16,7 +16,8 @@
 //!   `[workspace.lints]` table (whose entries `tests/lint_gate.rs` pins), or
 //!   forbid `unsafe_code` in its own `[lints.rust]`; and no `src/` file of the root package or
 //!   of a member crate may carry a crate-level `#![allow(...)]` of a lint
-//!   the table denies.
+//!   the table denies; and every codec module ([`CODECS`]) opens with
+//!   [`CODEC_HEADER`] on a line of its own.
 //! * **Compat modules**: every `pub` item of a `src/compat.rs` must be named
 //!   by the frozen end-to-end benchmark's sources, and by no other source
 //!   outside compat modules and `#[cfg(test)]` items — so those modules only
@@ -503,6 +504,39 @@ fn non_test_code(source: &str) -> Vec<(usize, &str)> {
         }
     }
     kept
+}
+
+/// The inner attribute every codec module opens with: indexing and
+/// truncating casts are errors where persisted or wire bytes are read and
+/// written (`#[cfg(test)]` code may index, per `clippy.toml`).
+pub const CODEC_HEADER: &str =
+    "#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]";
+
+/// The codec modules: the readers and writers of persisted and wire bytes.
+pub const CODECS: [&str; 4] = [
+    "crates/sitfact-prominence/src/durable.rs",
+    "crates/sitfact-serve/src/protocol.rs",
+    "crates/sitfact-storage/src/file_store.rs",
+    "crates/sitfact-storage/src/wal.rs",
+];
+
+/// Checks that every codec module is among `sources` and carries
+/// [`CODEC_HEADER`] on a line of its own.
+pub fn check_codec_headers(sources: &[(String, String)]) -> Vec<Violation> {
+    CODECS
+        .iter()
+        .filter(|&&codec| {
+            !sources.iter().any(|(rel, source)| {
+                rel == codec && source.lines().any(|line| line.trim() == CODEC_HEADER)
+            })
+        })
+        .map(|&codec| Violation {
+            rule: "lints-drift",
+            path: codec.to_string(),
+            line: 0,
+            message: format!("codec module is missing, or does not open with `{CODEC_HEADER}`"),
+        })
+        .collect()
 }
 
 /// Checks the compat modules (`src/compat.rs` of any crate) against their

@@ -17,8 +17,9 @@
 //! * `vendor-drift` — every crate under `vendor/` against the member
 //!   manifests that depend on it and the rows of `vendor/README.md`;
 //! * `lints-drift` — every member manifest against the workspace lint table
-//!   (it inherits the table, or forbids `unsafe_code` in its own), and every
-//!   `src/` file against a crate-level `allow` of a lint the table denies;
+//!   (it inherits the table, or forbids `unsafe_code` in its own), every
+//!   `src/` file against a crate-level `allow` of a lint the table denies,
+//!   and every codec module against its `deny` header;
 //! * `compat-drift` — every `pub` item of a crate's `compat` module against
 //!   the frozen end-to-end benchmark that is its one reader.
 //!
@@ -134,6 +135,7 @@ pub fn run_audit(root: &Path) -> io::Result<AuditReport> {
     violations.extend(drift::check_grammar(root));
     violations.extend(drift::check_vendor(root));
     violations.extend(drift::check_compat(&sources));
+    violations.extend(drift::check_codec_headers(&sources));
     violations.sort_by(|a, b| {
         a.path
             .cmp(&b.path)

@@ -76,8 +76,9 @@ fn fixture_tree_fires_every_rule_family() {
     );
 
     // The lint table: a manifest that neither inherits the workspace table
-    // nor forbids unsafe code, and a library file that allows a denied lint
-    // for the whole crate; the allow of an undenied lint stays quiet.
+    // nor forbids unsafe code, a library file that allows a denied lint for
+    // the whole crate, and a codec module without its header; the allow of
+    // an undenied lint and the codec modules with their header stay quiet.
     let mut lints: Vec<(&str, usize)> = outcome
         .violations
         .iter()
@@ -89,6 +90,7 @@ fn fixture_tree_fires_every_rule_family() {
         lints,
         vec![
             ("crates/demo/src/lib.rs", 3),
+            ("crates/sitfact-serve/src/protocol.rs", 0),
             ("vendor/unlisted/Cargo.toml", 0)
         ],
         "{:#?}",

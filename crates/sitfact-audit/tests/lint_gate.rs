@@ -5,9 +5,12 @@
 //! `fixtures/lint_gate/lib.rs` with the expected lint, on the expected line,
 //! at level `error` — and report nothing else. Deleting or weakening any
 //! entry of the table therefore fails this test, and so does adding one that
-//! no planted line exercises. Needs clippy, which `rust-toolchain.toml`
-//! installs.
+//! no planted line exercises. The planted source also holds a module that
+//! opens with the codec modules' header (`sitfact_audit::drift::CODEC_HEADER`),
+//! whose two lints are planted there. Needs clippy, which
+//! `rust-toolchain.toml` installs.
 
+use sitfact_audit::drift::CODEC_HEADER;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
@@ -40,6 +43,13 @@ fn lint_tables(manifest: &str) -> (String, BTreeSet<String>) {
         }
     }
     (tables, names)
+}
+
+/// The lints [`CODEC_HEADER`] denies.
+fn header_lints() -> BTreeSet<String> {
+    let lints = CODEC_HEADER.trim_start_matches("#![deny(");
+    let lints = lints.trim_end_matches(")]").split(',');
+    lints.map(|lint| lint.trim().to_string()).collect()
 }
 
 /// `(line, lint)` of every `// expect: <lint>…` comment in the planted source.
@@ -87,16 +97,22 @@ fn findings(stdout: &str) -> BTreeSet<(usize, String, String)> {
 fn every_planted_violation_fails_with_its_lint_on_its_line() {
     let root = workspace_root();
     let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
-    let (tables, table_lints) = lint_tables(&manifest);
+    let (tables, mut table_lints) = lint_tables(&manifest);
     let source = std::fs::read_to_string(
         Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/lint_gate/lib.rs"),
     )
     .expect("planted source");
+    assert!(
+        source.lines().any(|line| line.trim() == CODEC_HEADER),
+        "the planted source needs a module that opens with {CODEC_HEADER}"
+    );
+    table_lints.extend(header_lints());
     let expected = planted(&source);
     let planted_lints: BTreeSet<String> = expected.iter().map(|(_, lint)| lint.clone()).collect();
     assert_eq!(
         planted_lints, table_lints,
-        "every lint of [workspace.lints] needs a planted violation, and only those"
+        "every lint of [workspace.lints] and of the codec header needs a planted violation, \
+         and only those"
     );
 
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_gate");

@@ -12,6 +12,7 @@
 //! replay; a torn log tail is truncated by `ArrivalLog::open` and counted in
 //! the [`RecoveryReport`]. A window is acknowledged only after its append
 //! returned, so a dropped tail only ever holds windows never acked.
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::fact::{ArrivalReport, RankedFact};
 use crate::served::Served;
@@ -21,7 +22,7 @@ use sitfact_core::{
 use sitfact_storage::wal::{self, ByteCursor};
 use sitfact_storage::{LoggedRow, SyncPolicy, WindowRecord};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Configuration of a logged pipeline's log and snapshot behaviour.
 ///
@@ -206,13 +207,13 @@ pub(crate) fn replay_windows(
 
 /// The arrival-report codec: a snapshot stores the last acknowledged report,
 /// so recovery reproduces it without replaying its window.
-fn encode_report(report: &ArrivalReport, out: &mut Vec<u8>) {
+fn encode_report(report: &ArrivalReport, out: &mut Vec<u8>) -> Result<()> {
     wal::put_u64(out, u64::from(report.tuple_id));
-    wal::put_u32(out, report.prominent_count as u32);
-    wal::put_u32(out, report.facts.len() as u32);
+    wal::put_len(out, report.prominent_count, "prominent fact count")?;
+    wal::put_len(out, report.facts.len(), "report fact count")?;
     for fact in &report.facts {
         let values = fact.pair.constraint.values();
-        wal::put_u32(out, values.len() as u32);
+        wal::put_len(out, values.len(), "constraint value count")?;
         for &v in values {
             wal::put_u32(out, v);
         }
@@ -220,6 +221,7 @@ fn encode_report(report: &ArrivalReport, out: &mut Vec<u8>) {
         wal::put_u64(out, fact.context_size);
         wal::put_u64(out, fact.skyline_size);
     }
+    Ok(())
 }
 
 fn decode_report(cur: &mut ByteCursor<'_>) -> Result<ArrivalReport> {
@@ -262,38 +264,16 @@ fn snapshot_name(covered_rows: u64) -> String {
     format!("snapshot-{covered_rows:020}.snap")
 }
 
-/// Snapshot files in `dir`, newest (most rows covered) first.
-fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
-    let mut found = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(found),
-        Err(err) => return Err(err.into()),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let rows = entry.file_name().to_str().and_then(|name| {
-            let stem = name.strip_prefix("snapshot-")?.strip_suffix(".snap")?;
-            stem.parse::<u64>().ok()
-        });
-        if let Some(rows) = rows {
-            found.push((rows, entry.path()));
-        }
-    }
-    found.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-    Ok(found)
-}
-
 /// Parses a snapshot file: `(covered_rows, last report, monitor state blob)`.
 fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)> {
-    // The file is read whole, so the file bounds its frame.
-    let (frames, valid_end) = wal::scan_frames_within(bytes, bytes.len());
-    if frames.len() != 1 || valid_end != bytes.len() {
-        return Err(SitFactError::Parse(
-            "snapshot file is not a single intact frame".to_string(),
-        ));
-    }
-    let mut cur = ByteCursor::new(frames[0]);
+    // The file is read whole, so the file bounds its one frame.
+    let mut file = ByteCursor::new(bytes);
+    let payload = file
+        .frame(bytes.len())
+        .ok()
+        .filter(|_| file.is_empty())
+        .ok_or_else(|| SitFactError::Parse("snapshot file is not a single intact frame".into()))?;
+    let mut cur = ByteCursor::new(payload);
     let covered = cur.get_u64()?;
     let report = match cur.get_u8()? {
         0 => None,
@@ -316,8 +296,9 @@ fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)>
 
 /// Restores `monitor` from the newest intact snapshot in `dir`, returning
 /// the rows it covers and the last report it recorded. A corrupt snapshot
-/// degrades to an older one; none, or a sharded monitor (its durable form
-/// is the log alone), gives `(0, None)` and recovery replays the whole log.
+/// degrades to an older one; none (a directory not yet created holds none),
+/// or a sharded monitor (its durable form is the log alone), gives
+/// `(0, None)` and recovery replays the whole log.
 pub(crate) fn restore_newest(
     dir: &Path,
     monitor: &mut Served,
@@ -325,7 +306,11 @@ pub(crate) fn restore_newest(
     let Served::Plain(monitor) = monitor else {
         return Ok((0, None));
     };
-    for (named_rows, path) in list_snapshots(dir)? {
+    if !dir.exists() {
+        return Ok((0, None));
+    }
+    let snapshots = wal::numbered_files(dir, "snapshot-", ".snap")?;
+    for (named_rows, path) in snapshots.into_iter().rev() {
         let Ok(bytes) = fs::read(&path) else { continue };
         let Ok((covered, report, blob)) = parse_snapshot(&bytes) else {
             continue;
@@ -356,7 +341,7 @@ pub(crate) fn write_snapshot(
     match last_report {
         Some(report) => {
             payload.push(1);
-            encode_report(report, &mut payload);
+            encode_report(report, &mut payload)?;
         }
         None => payload.push(0),
     }
@@ -366,11 +351,11 @@ pub(crate) fn write_snapshot(
     {
         let mut file = fs::File::create(&tmp)?;
         // One frame as long as the state: the cap is the `u32` length field.
-        wal::write_frame_within(&mut file, &payload, usize::MAX)?;
+        wal::write_frame(&mut file, &payload, usize::MAX)?;
         file.sync_data()?;
     }
     fs::rename(&tmp, dir.join(snapshot_name(covered)))?;
-    for (rows, path) in list_snapshots(dir)? {
+    for (rows, path) in wal::numbered_files(dir, "snapshot-", ".snap")? {
         if rows != covered {
             let _ = fs::remove_file(path);
         }
@@ -408,7 +393,7 @@ mod tests {
             prominent_count: 1,
         };
         let mut buf = Vec::new();
-        encode_report(&report, &mut buf);
+        encode_report(&report, &mut buf).unwrap();
         let mut cur = ByteCursor::new(&buf);
         let decoded = decode_report(&mut cur).unwrap();
         assert!(cur.is_empty());
@@ -426,9 +411,7 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let blob: Vec<u8> = (0..wal::MAX_WAL_FRAME + 1)
-            .map(|i| (i % 251) as u8)
-            .collect();
+        let blob: Vec<u8> = (0..251u8).cycle().take(wal::MAX_WAL_FRAME + 1).collect();
         write_snapshot(&dir, 7, None, &blob).unwrap();
         let bytes = fs::read(dir.join(snapshot_name(7))).unwrap();
         let (covered, report, parsed) = parse_snapshot(&bytes).unwrap();

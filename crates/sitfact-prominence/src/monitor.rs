@@ -488,14 +488,14 @@ impl<A: Discovery> FactMonitor<A> {
     /// serialized: they are denormalized state, rebuilt from the table on
     /// restore (exactly as the deep audits' ground-truth recomputations
     /// do). `None` when the algorithm cannot export its store; `Err` when a
-    /// dictionary string is too long for its length prefix.
+    /// string or count is too long for its `u32` length prefix.
     pub fn export_durable(&self) -> Result<Option<Vec<u8>>> {
         let Some(cells) = self.algorithm.export_store_cells() else {
             return Ok(None);
         };
         let mut out = Vec::new();
         wal::encode_table(&self.table, &mut out)?;
-        wal::encode_cells(&cells, &mut out);
+        wal::encode_cells(&cells, &mut out)?;
         Ok(Some(out))
     }
 

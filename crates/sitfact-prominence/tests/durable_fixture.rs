@@ -17,6 +17,7 @@
 //! that build; a fixture is never regenerated by a later one.
 #![allow(
     clippy::unwrap_used,
+    clippy::panic,
     reason = "test code: a failed unwrap is a failed test"
 )]
 
@@ -163,13 +164,24 @@ fn v1_fixture_recovers_to_its_fingerprint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
-    let dir = copy_fixture("flip");
-    let path = snapshot_path(&dir);
-    let bytes = std::fs::read(&path).unwrap();
-    let (frames, _) = wal::scan_frames(&bytes);
-    let mut payload = frames[0].to_vec();
+/// Where the fields of the fixture snapshot sit in its frame payload.
+struct Layout {
+    payload: Vec<u8>,
+    /// The state blob: `table cells`.
+    blob_at: usize,
+    /// The table's dims and measures columns.
+    dims_at: usize,
+    measures_at: usize,
+    /// The old-layout cells: `ncells cell*`.
+    cells_at: usize,
+    /// The id of the first row the columns hold, and the measures per row.
+    first_row: usize,
+    n_measures: usize,
+}
+
+fn layout(path: &Path) -> Layout {
+    let bytes = std::fs::read(path).unwrap();
+    let payload = ByteCursor::new(&bytes).frame(bytes.len()).unwrap().to_vec();
 
     // payload := covered:u64 1:u8 report blob_len:u32 blob, where
     // report := tuple_id:u64 prominent:u32 nfacts:u32 fact* and
@@ -192,37 +204,153 @@ fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
         cur.get_u64().unwrap();
     }
     cur.get_u32().unwrap();
-    // blob := table cells.
+    // blob := table cells, and table := schema len evicted watermark dims
+    // measures postings. Re-encoding the decoded table writes the same
+    // schema and columns, then one empty list count per dimension.
     let blob_at = payload.len() - cur.remaining();
-    wal::decode_table(&mut cur).unwrap();
+    let table = wal::decode_table(&mut cur).unwrap();
     let cells_at = payload.len() - cur.remaining();
-    // Old layout: ncells, then the first cell's nvalues, values, subspace,
-    // nentries, and its first entry's id and nmeasures.
+    let mut reencoded = Vec::new();
+    wal::encode_table(&table, &mut reencoded).unwrap();
+    let (n_dims, n_measures) = (
+        table.schema().num_dimensions(),
+        table.schema().num_measures(),
+    );
+    let physical = table.len() - table.evicted_rows();
+    let measures_at = blob_at + reencoded.len() - 4 * n_dims - 8 * physical * n_measures;
+    Layout {
+        payload,
+        blob_at,
+        dims_at: measures_at - 4 * physical * n_dims,
+        measures_at,
+        cells_at,
+        first_row: table.evicted_rows(),
+        n_measures,
+    }
+}
+
+/// `(at, value)` of each field of the first old-layout cell with an entry
+/// and a bound constraint value — its `nvalues`, that bound value and its
+/// `subspace` — and every id the cells store.
+fn walk_cells(layout: &Layout) -> ([(usize, u32); 3], Vec<u32>) {
+    let payload = &layout.payload;
+    let mut cur = ByteCursor::new(&payload[layout.cells_at..]);
+    let at = |cur: &ByteCursor<'_>| payload.len() - cur.remaining();
     let ncells = cur.get_u32().unwrap();
     assert_ne!(ncells, u32::MAX, "the fixture holds old-layout cells");
-    let nvalues = cur.get_u32().unwrap() as usize;
-    let measure_at = cells_at + 4 * (1 + 1 + nvalues + 1 + 1 + 1 + 1);
-
-    let mut blob = payload[blob_at..].to_vec();
-    blob[measure_at - blob_at] ^= 0x01;
-    let mut restored = monitor();
-    match restored.restore_durable(&blob) {
-        Err(SitFactError::Parse(message)) => assert!(message.contains("measures"), "{message}"),
-        other => panic!("expected a typed parse error, got {other:?}"),
+    let (mut found, mut stored) = (None, Vec::new());
+    for _ in 0..ncells {
+        let nvalues = (at(&cur), cur.get_u32().unwrap());
+        let mut bound = None;
+        for _ in 0..nvalues.1 {
+            let value = (at(&cur), cur.get_u32().unwrap());
+            bound = bound.or((value.1 != sitfact_core::UNBOUND).then_some(value));
+        }
+        let subspace = (at(&cur), cur.get_u32().unwrap());
+        let before = stored.len();
+        for _ in 0..cur.get_u32().unwrap() {
+            stored.push(cur.get_u32().unwrap());
+            for _ in 0..cur.get_u32().unwrap() {
+                cur.get_f64().unwrap();
+            }
+        }
+        if let (None, Some(bound), true) = (found, bound, stored.len() > before) {
+            found = Some([nvalues, bound, subspace]);
+        }
     }
+    (found.unwrap(), stored)
+}
 
-    // Through recovery: the snapshot is refused and the retired log cannot
-    // stand in for it, so opening the tenant fails — typed, not a panic.
-    payload[measure_at] ^= 0x01;
+/// Writes `bytes` over the fixture snapshot's payload at `at` and checks the
+/// snapshot is refused twice with a typed parse error naming `what`: by
+/// `restore_durable` on its blob, and by recovery once framed again (the
+/// retired log cannot stand in for it).
+fn refused(tag: &str, at: usize, bytes: &[u8], what: &str) {
+    let dir = copy_fixture(tag);
+    let path = snapshot_path(&dir);
+    let mut layout = layout(&path);
+    layout.payload[at..at + bytes.len()].copy_from_slice(bytes);
+
+    let mut restored = monitor();
+    match restored.restore_durable(&layout.payload[layout.blob_at..]) {
+        Err(SitFactError::Parse(message)) => assert!(message.contains(what), "{message}"),
+        other => panic!("{tag}: expected a typed parse error, got {other:?}"),
+    }
     let mut framed = Vec::new();
-    wal::write_frame(&mut framed, &payload).unwrap();
+    wal::write_frame(&mut framed, &layout.payload, wal::MAX_WAL_FRAME).unwrap();
     std::fs::write(&path, framed).unwrap();
     match open(&dir) {
         Err(SitFactError::Parse(_)) => {}
-        Err(other) => panic!("expected a typed parse error, got {other:?}"),
-        Ok((_, recovery)) => panic!("recovered from a corrupt snapshot: {recovery:?}"),
+        Err(other) => panic!("{tag}: expected a typed parse error, got {other:?}"),
+        Ok((_, recovery)) => panic!("{tag}: recovered from a corrupt snapshot: {recovery:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
+    let layout = layout(&snapshot_path(&fixture_dir()));
+    // Old layout: ncells, then the first cell's nvalues, values, subspace,
+    // nentries, and its first entry's id and nmeasures.
+    let mut cur = ByteCursor::new(&layout.payload[layout.cells_at..]);
+    assert_ne!(cur.get_u32().unwrap(), u32::MAX, "old-layout cells");
+    let nvalues = cur.get_u32().unwrap() as usize;
+    let measure_at = layout.cells_at + 4 * (1 + 1 + nvalues + 1 + 1 + 1 + 1);
+    let flipped = layout.payload[measure_at] ^ 0x01;
+    refused("flip", measure_at, &[flipped], "measures");
+}
+
+/// A snapshot restores only a state an append could have built: each field
+/// below, tampered alone in a validly framed snapshot, is refused.
+#[test]
+fn a_cell_append_could_not_have_built_is_a_typed_error() {
+    let layout = layout(&snapshot_path(&fixture_dir()));
+    let ([(nvalues_at, nvalues), (bound_at, bound), (subspace_at, _)], _) = walk_cells(&layout);
+    refused(
+        "arity",
+        nvalues_at,
+        &(nvalues + 1).to_le_bytes(),
+        "dimensions",
+    );
+    refused("member", bound_at, &(bound ^ 1).to_le_bytes(), "member");
+    refused(
+        "subspace-empty",
+        subspace_at,
+        &0u32.to_le_bytes(),
+        "subspace",
+    );
+    // The fixture's schema has two measures: bit 2 names none.
+    refused(
+        "subspace-past",
+        subspace_at,
+        &0b100u32.to_le_bytes(),
+        "subspace",
+    );
+}
+
+#[test]
+fn a_table_append_could_not_have_built_is_a_typed_error() {
+    let layout = layout(&snapshot_path(&fixture_dir()));
+    // A row no cell stores: an old-layout cell entry repeats its row's
+    // measures, and would refuse a changed one on its own.
+    let (_, stored) = walk_cells(&layout);
+    let row = (layout.first_row..)
+        .find(|id| !stored.contains(&u32::try_from(*id).unwrap()))
+        .unwrap();
+    let measure_at = layout.measures_at + 8 * layout.n_measures * (row - layout.first_row);
+    refused("nan", measure_at, &f64::NAN.to_le_bytes(), "non-finite");
+    refused(
+        "infinite",
+        measure_at,
+        &f64::INFINITY.to_le_bytes(),
+        "non-finite",
+    );
+    refused(
+        "dictionary",
+        layout.dims_at,
+        &u32::MAX.to_le_bytes(),
+        "dictionary",
+    );
 }
 
 /// Writes a fresh fixture generation to a temporary directory and prints

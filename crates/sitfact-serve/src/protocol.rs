@@ -61,6 +61,7 @@
 //! decoded by the client is **byte-identical** to the [`ArrivalReport`] the
 //! server-side monitor produced — the end-to-end equivalence test in this
 //! crate asserts exactly that with `==`.
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::error::ServeError;
 use sitfact_core::{Constraint, Direction, SkylinePair, SubspaceMask, UNBOUND};
@@ -97,8 +98,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()
             ),
         ));
     }
+    let len = u32::try_from(bytes.len())
+        .map_err(|err| std::io::Error::new(ErrorKind::InvalidInput, err))?;
     let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(bytes);
     // One write_all for the whole frame, so a concurrent peer never observes
     // a header without its payload mid-buffer.
@@ -127,8 +130,8 @@ pub enum Frame {
 pub fn read_frame(reader: &mut impl Read) -> Result<Frame, ServeError> {
     let mut header = [0u8; 4];
     let mut filled = 0;
-    while filled < header.len() {
-        match reader.read(&mut header[filled..]) {
+    while let Some(unread) = header.get_mut(filled..).filter(|unread| !unread.is_empty()) {
+        match reader.read(unread) {
             Ok(0) if filled == 0 => return Ok(Frame::Closed),
             Ok(0) => {
                 return Err(ServeError::Protocol(format!(
@@ -158,7 +161,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, ServeError> {
     while payload.len() < len {
         let read = payload.len();
         payload.resize(len.min(read + read.max(MAX_PREALLOC)), 0);
-        reader.read_exact(&mut payload[read..])?;
+        reader.read_exact(payload.get_mut(read..).unwrap_or_default())?;
     }
     String::from_utf8(payload)
         .map(Frame::Payload)
@@ -695,6 +698,10 @@ impl Request {
 
 /// Appends `value` in decimal, as `write!(out, "{value}")` would, without
 /// the formatting machinery: a report is mostly integers.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`at` counts down from 20 once per digit, and a u64 has at most 20 digits"
+)]
 fn push_decimal(out: &mut String, mut value: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
@@ -1140,7 +1147,7 @@ mod tests {
     #[test]
     fn read_frame_tells_idle_peers_from_dead_ones() {
         use ErrorKind::{Interrupted, TimedOut, WouldBlock};
-        let len = |len: usize| Ok((len as u32).to_le_bytes().to_vec());
+        let len = |len: usize| Ok(u32::try_from(len).unwrap().to_le_bytes().to_vec());
         let b = |bytes: &[u8]| Ok(bytes.to_vec());
         let ok = |text: &str| Some(Frame::Payload(text.into()));
         // (case, script, the frame or None for an error, reads taken)

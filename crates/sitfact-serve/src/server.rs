@@ -239,6 +239,11 @@ impl Shared {
         // not cut off. The accept loop itself needs no poke: it polls the
         // flag with a nonblocking listener.
         if let Ok(connections) = self.connections.lock() {
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "every connection is half-closed, each independently of the others; \
+                          the order is observable to no one"
+            )]
             for stream in connections.values() {
                 let _ = stream.shutdown(std::net::Shutdown::Read);
             }

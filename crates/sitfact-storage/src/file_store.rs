@@ -32,10 +32,11 @@
 //! live in the table (see [`crate::store`]). The paper's Figs. 12–13 count
 //! file reads and writes, which this layout leaves unchanged; only the bytes
 //! per cell shrink.
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::stats::StoreStats;
 use crate::store::{RowId, RowIndex, SkylineStore};
-use crate::wal::put_u32;
+use crate::wal::{put_len, put_u32, ByteCursor};
 use sitfact_core::{Constraint, DimValueId, SubspaceMask, TupleId, UNBOUND};
 use std::fs;
 use std::io::{Read, Write};
@@ -141,21 +142,20 @@ impl FileSkylineStore {
         4 + 4 * count as u64
     }
 
-    fn encode(entries: &[TupleId]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(Self::file_bytes(entries.len()) as usize);
-        put_u32(&mut buf, entries.len() as u32);
+    fn encode(entries: &[TupleId]) -> sitfact_core::Result<Vec<u8>> {
+        let mut buf = Vec::with_capacity(4 + 4 * entries.len());
+        put_len(&mut buf, entries.len(), "cell entry count")?;
         for &id in entries {
             put_u32(&mut buf, id);
         }
-        buf
+        Ok(buf)
     }
 
+    /// The ids of a cell file; a count past its end keeps the ids it holds.
     fn decode(data: &[u8]) -> Vec<TupleId> {
-        let mut words = data
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
-        let count = words.next().unwrap_or(0) as usize;
-        words.take(count).collect()
+        let mut cur = ByteCursor::new(data);
+        let count = cur.get_u32().unwrap_or(0);
+        (0..count).map_while(|_| cur.get_u32().ok()).collect()
     }
 
     /// Loads a cell into the write-back buffer, flushing any previously
@@ -226,14 +226,19 @@ impl FileSkylineStore {
             }
             return;
         }
-        let data = Self::encode(&buffer.entries);
+        // A cell of `u32::MAX` or more entries has no file layout: unwritten.
+        let (Ok(data), Ok(count)) = (
+            Self::encode(&buffer.entries),
+            u32::try_from(buffer.entries.len()),
+        ) else {
+            return;
+        };
         if let Ok(mut file) = fs::File::create(&path) {
             if file.write_all(&data).is_ok() {
                 self.file_writes += 1;
-                let count = buffer.entries.len() as u32;
-                let before = match on_disk {
-                    Some(pos) => {
-                        Self::file_bytes(std::mem::replace(&mut files[pos].1, count) as usize)
+                let before = match on_disk.and_then(|pos| files.get_mut(pos)) {
+                    Some((_, indexed)) => {
+                        Self::file_bytes(std::mem::replace(indexed, count) as usize)
                     }
                     None => {
                         files.push((buffer.subspace, count));
@@ -252,8 +257,7 @@ impl FileSkylineStore {
     /// without a file. Also called on drop (the write-back only).
     pub fn flush(&mut self) {
         self.flush_buffer();
-        for pos in 0..self.emptied.len() {
-            let slot = self.emptied[pos];
+        for slot in std::mem::take(&mut self.emptied) {
             let row = self.rows.row(slot);
             // A row listed twice is freed once: it is unindexed by then.
             if row.files.is_empty() && self.rows.find(row.constraint.values()) == Some(slot) {
@@ -261,7 +265,6 @@ impl FileSkylineStore {
                 self.rows.free(slot, row.constraint.values());
             }
         }
-        self.emptied.clear();
     }
 
     /// Total number of cell files currently on disk.
@@ -356,7 +359,7 @@ impl sitfact_core::Audit for FileSkylineStore {
                     );
                 }
                 for (pos, id) in entries.iter().enumerate() {
-                    if entries[..pos].contains(id) {
+                    if entries.iter().take(pos).any(|other| other == id) {
                         return fail(
                             "unique-ids-per-cell",
                             format!("cell file {path:?} stores id {id} twice"),
@@ -693,7 +696,7 @@ mod tests {
     #[test]
     fn encode_decode_is_lossless() {
         let entries = vec![1, 42, 7];
-        let encoded = FileSkylineStore::encode(&entries);
+        let encoded = FileSkylineStore::encode(&entries).unwrap();
         let decoded = FileSkylineStore::decode(&encoded);
         assert_eq!(entries, decoded);
         assert!(FileSkylineStore::decode(&[]).is_empty());

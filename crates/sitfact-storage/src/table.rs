@@ -22,8 +22,7 @@
 //! iterator over all rows.
 
 use sitfact_core::{
-    Constraint, DimValueId, FxHashMap, Result, Schema, SitFactError, Tuple, TupleId, TupleRef,
-    UNBOUND,
+    Constraint, DimValueId, FxHashMap, Result, Schema, Tuple, TupleId, TupleRef, UNBOUND,
 };
 use std::ops::Range;
 
@@ -486,9 +485,9 @@ impl Table {
     }
 
     /// Crate-internal inverse of [`Table::state_parts`], rebuilding a table
-    /// from decoded snapshot state: re-checks the retraction bounds and the
-    /// column strides, so a corrupted snapshot surfaces as a typed error,
-    /// then builds the posting index in one pass over the dims column.
+    /// from decoded snapshot state: the posting index is built in one pass
+    /// over the dims column. [`crate::wal::decode_table`] has checked the
+    /// retraction bounds and read each column at its stride.
     pub(crate) fn from_state_parts(
         schema: Schema,
         len: usize,
@@ -496,31 +495,11 @@ impl Table {
         watermark: usize,
         dims: Vec<DimValueId>,
         measures: Vec<f64>,
-    ) -> Result<Table> {
+    ) -> Table {
         let n_dims = schema.num_dimensions();
         let n_measures = schema.num_measures();
-        let corrupt = |detail: String| SitFactError::Parse(format!("table snapshot: {detail}"));
-        if evicted > watermark || watermark > len {
-            return Err(corrupt(format!(
-                "retraction bounds must nest: evicted {evicted} <= watermark {watermark} <= \
-                 len {len}"
-            )));
-        }
-        let physical = len - evicted;
-        if dims.len() != physical * n_dims {
-            return Err(corrupt(format!(
-                "dims column holds {} ids, want {physical} × {n_dims}",
-                dims.len()
-            )));
-        }
-        if measures.len() != physical * n_measures {
-            return Err(corrupt(format!(
-                "measures column holds {} values, want {physical} × {n_measures}",
-                measures.len()
-            )));
-        }
         let postings = index_of(&dims, n_dims, evicted);
-        Ok(Table {
+        Table {
             schema,
             n_dims,
             n_measures,
@@ -530,7 +509,7 @@ impl Table {
             dims,
             measures,
             postings,
-        })
+        }
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -1256,6 +1235,10 @@ mod tests {
         );
         // Every surviving posting id is physically present and live.
         for attr in 0..t.schema().num_dimensions() {
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "every list is checked alike; the order is never observed"
+            )]
             for list in t.postings[attr].values() {
                 assert!(list.iter().all(|&id| id >= 8));
             }
@@ -1317,8 +1300,7 @@ mod tests {
             watermark,
             dims.to_vec(),
             measures.to_vec(),
-        )
-        .unwrap();
+        );
         assert_eq!(restored.len(), t.len());
         assert_eq!(restored.live_rows(), t.live_rows());
         assert_eq!(restored.watermark(), t.watermark());

@@ -28,10 +28,17 @@
 //! The log is segmented (`wal-<seq>.log`): appends rotate to a fresh
 //! segment once the current one exceeds the configured size, so recovery
 //! tooling and tests can reason about bounded files.
+//!
+//! The codec rule: decoders read persisted bytes only through
+//! [`ByteCursor`], encoders write lengths only through [`put_len`], and a
+//! codec module (this one, `file_store.rs`, `durable.rs`, `protocol.rs`, and
+//! any new one) opens with the `deny` header below, which `sitfact-audit`'s
+//! `lints-drift` rule checks.
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::store::StoreCell;
 use crate::table::Table;
-use sitfact_core::{Direction, Result, Schema, SchemaBuilder, SitFactError};
+use sitfact_core::{Direction, Result, Schema, SchemaBuilder, SitFactError, SubspaceMask, UNBOUND};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,7 +46,7 @@ use std::path::{Path, PathBuf};
 /// Upper bound on a single log frame's payload (64 MiB), mirroring the serve
 /// crate's frame cap: a corrupt length field must not provoke a huge read.
 /// A snapshot file is read whole, so its one frame is bounded by the file
-/// instead ([`write_frame_within`], [`scan_frames_within`]).
+/// instead (the `cap` of [`write_frame`] and [`ByteCursor::frame`]).
 pub const MAX_WAL_FRAME: usize = 64 * 1024 * 1024;
 
 /// Bytes of frame header preceding every payload: `len:u32` + `crc:u32`.
@@ -52,11 +59,15 @@ const FRAME_HEADER: usize = 8;
 
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a const fn has no iterators; `i` stays below 256, the table's length"
+)]
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        let mut crc = i as u32;
+        let mut crc = i;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
@@ -66,7 +77,7 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        table[i as usize] = crc;
         i += 1;
     }
     table
@@ -74,10 +85,16 @@ const fn build_crc_table() -> [u32; 256] {
 
 /// CRC-32 (IEEE) of a byte slice — the per-frame checksum of the arrival log
 /// and the snapshot files.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a `u8` index is below 256, the table's length; left unchecked because it runs \
+              per byte of every WAL append and replay"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from(low ^ b)];
     }
     !crc
 }
@@ -103,16 +120,19 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// A byte length as the `u32` the encodings prefix it with; a typed error
-/// when it does not fit.
-fn len_u32(len: usize, what: &str) -> Result<u32> {
-    u32::try_from(len)
-        .map_err(|_| SitFactError::Io(format!("a {len}-byte {what} does not fit a u32 length")))
+/// Appends a length or count as the `u32` the encodings prefix it with; a
+/// typed error, writing nothing, when it does not fit. The one writer of a
+/// length field.
+pub fn put_len(out: &mut Vec<u8>, len: usize, what: &str) -> Result<()> {
+    let len = u32::try_from(len)
+        .map_err(|_| SitFactError::Io(format!("{what} {len} does not fit a u32 length")))?;
+    put_u32(out, len);
+    Ok(())
 }
 
 /// Appends a length-prefixed byte string; `Err` when it is 4 GiB or longer.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> Result<()> {
-    put_u32(out, len_u32(bytes.len(), "byte string")?);
+    put_len(out, bytes.len(), "byte string length")?;
     out.extend_from_slice(bytes);
     Ok(())
 }
@@ -122,65 +142,81 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     put_bytes(out, s.as_bytes())
 }
 
-/// Forward-only reader over an encoded buffer. Every accessor returns a
-/// typed [`SitFactError::Parse`] on truncation instead of panicking, so the
-/// decode paths satisfy the workspace's panic lints by construction.
-#[derive(Debug)]
+/// Forward-only reader over an encoded buffer, the one reader of persisted
+/// bytes. Every accessor returns a typed [`SitFactError::Parse`] on
+/// truncation instead of panicking.
+#[derive(Debug, Clone, Copy)]
 pub struct ByteCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+    len: usize,
 }
 
 impl<'a> ByteCursor<'a> {
     /// Starts reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteCursor { buf, pos: 0 }
+        ByteCursor {
+            rest: buf,
+            len: buf.len(),
+        }
     }
 
     fn truncated(&self, what: &str) -> SitFactError {
         SitFactError::Parse(format!(
             "truncated record: {what} at offset {} of {}",
-            self.pos,
-            self.buf.len()
+            self.len - self.rest.len(),
+            self.len
         ))
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.rest.is_empty()
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.truncated(what));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated(what))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or_else(|| self.truncated(what))?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1, "u8")?[0])
+        let [byte] = self.array("u8")?;
+        Ok(byte)
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array("u64")?))
+    }
+
+    /// Reads a little-endian `u64` that must fit a `usize`.
+    fn get_usize(&mut self, what: &str) -> Result<usize> {
+        let value = self.get_u64()?;
+        usize::try_from(value)
+            .map_err(|_| SitFactError::Parse(format!("{what} {value} does not fit a usize")))
     }
 
     /// Reads an `f64` stored as its bit pattern.
@@ -219,31 +255,43 @@ impl<'a> ByteCursor<'a> {
         }
         Ok(count)
     }
+
+    /// Reads one `len | crc | payload` frame of at most `cap` payload bytes
+    /// and returns its payload. A torn frame (running past the buffer), a
+    /// length over `cap` or a checksum mismatch is an `Err`, and the cursor
+    /// stays where it was.
+    pub fn frame(&mut self, cap: usize) -> Result<&'a [u8]> {
+        let mut cur = *self;
+        let len = cur.get_u32()? as usize;
+        let crc = cur.get_u32()?;
+        let payload = cur.take(len, "frame payload")?;
+        if len > cap || crc32(payload) != crc {
+            return Err(SitFactError::Parse(format!(
+                "frame of {len} bytes over its {cap}-byte cap or failing its checksum"
+            )));
+        }
+        *self = cur;
+        Ok(payload)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
 
-/// Writes one `len | crc | payload` log frame, at most [`MAX_WAL_FRAME`]
-/// bytes of payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    write_frame_within(w, payload, MAX_WAL_FRAME)
-}
-
-/// Writes one `len | crc | payload` frame of at most `cap` payload bytes;
-/// `Err`, writing nothing, for a longer payload or one whose length does
-/// not fit the `u32` header field.
-pub fn write_frame_within(w: &mut impl Write, payload: &[u8], cap: usize) -> Result<()> {
+/// Writes one `len | crc | payload` frame of at most `cap` payload bytes
+/// ([`MAX_WAL_FRAME`] for a log frame); `Err`, writing nothing, for a longer
+/// payload or one whose length does not fit the `u32` header field.
+pub fn write_frame(w: &mut impl Write, payload: &[u8], cap: usize) -> Result<()> {
     if payload.len() > cap {
         return Err(SitFactError::Io(format!(
             "refusing to write a {}-byte frame (cap {cap})",
             payload.len()
         )));
     }
-    let mut header = [0u8; FRAME_HEADER];
-    header[..4].copy_from_slice(&len_u32(payload.len(), "frame payload")?.to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let mut header = Vec::with_capacity(FRAME_HEADER);
+    put_len(&mut header, payload.len(), "frame payload length")?;
+    put_u32(&mut header, crc32(payload));
     w.write_all(&header)?;
     w.write_all(payload)?;
     Ok(())
@@ -256,28 +304,9 @@ pub fn write_frame_within(w: &mut impl Write, payload: &[u8], cap: usize) -> Res
 /// corrupted frame (checksum mismatch, length over [`MAX_WAL_FRAME`]).
 /// `valid_end == buf.len()` means the whole buffer scanned clean.
 pub fn scan_frames(buf: &[u8]) -> (Vec<&[u8]>, usize) {
-    scan_frames_within(buf, MAX_WAL_FRAME)
-}
-
-/// [`scan_frames`] with frame payloads of up to `cap` bytes.
-pub fn scan_frames_within(buf: &[u8], cap: usize) -> (Vec<&[u8]>, usize) {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while buf.len() - pos >= FRAME_HEADER {
-        let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
-        let start = pos + FRAME_HEADER;
-        if len > cap || start + len > buf.len() {
-            break;
-        }
-        let payload = &buf[start..start + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        frames.push(payload);
-        pos = start + len;
-    }
-    (frames, pos)
+    let mut cur = ByteCursor::new(buf);
+    let frames = std::iter::from_fn(|| cur.frame(MAX_WAL_FRAME).ok()).collect();
+    (frames, buf.len() - cur.remaining())
 }
 
 // ---------------------------------------------------------------------------
@@ -314,10 +343,10 @@ impl WindowRecord {
     /// Encodes the record into `out` (the payload of one log frame).
     pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         put_u64(out, self.first_id);
-        put_u32(out, self.rows.len() as u32);
+        put_len(out, self.rows.len(), "window row count")?;
         for row in &self.rows {
-            put_u32(out, row.dims.len() as u32);
-            put_u32(out, row.measures.len() as u32);
+            put_len(out, row.dims.len(), "row dimension count")?;
+            put_len(out, row.measures.len(), "row measure count")?;
             for dim in &row.dims {
                 put_str(out, dim)?;
             }
@@ -406,7 +435,7 @@ pub struct WalStats {
 }
 
 /// What scanning an existing log directory found.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScannedLog {
     /// Every valid window, across segments, in append order.
     pub windows: Vec<WindowRecord>,
@@ -420,23 +449,56 @@ fn segment_name(seq: u64) -> String {
     format!("wal-{seq:010}.log")
 }
 
-/// Sorted `(seq, path)` pairs of the segment files present in `dir`.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
+/// Sorted `(number, path)` pairs of the files in `dir` named
+/// `<prefix><number><suffix>`: the log segments (`wal-`, `.log`) and the
+/// snapshots (`snapshot-`, `.snap`).
+pub fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            segments.push((seq, entry.path()));
+        let number = entry.file_name().to_str().and_then(|name| {
+            let digits = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            digits.parse::<u64>().ok()
+        });
+        if let Some(number) = number {
+            files.push((number, entry.path()));
         }
     }
-    segments.sort_unstable_by_key(|&(seq, _)| seq);
-    Ok(segments)
+    files.sort_unstable_by_key(|&(number, _)| number);
+    Ok(files)
+}
+
+/// Reads every segment of the log in `dir`, in order, up to the first torn
+/// or corrupted frame: the windows, the valid prefix of each segment up to
+/// the torn one (which is last), and the unreachable segments behind it,
+/// counted into [`ScannedLog::dropped_bytes`] without being parsed.
+fn scan_segments(dir: &Path) -> Result<(ScannedLog, Vec<ClosedSegment>, Vec<PathBuf>)> {
+    let (mut log, mut valid, mut unreachable) = (ScannedLog::default(), Vec::new(), Vec::new());
+    // Retired logs no longer start at row 0: track the running high-water id
+    // from the records themselves, not a sum of lengths.
+    let mut rows_end = 0u64;
+    for (seq, path) in numbered_files(dir, "wal-", ".log")? {
+        // Dropped bytes mark the tear: every later segment is unreachable.
+        if log.dropped_bytes > 0 {
+            log.dropped_bytes += std::fs::metadata(&path)?.len();
+            unreachable.push(path);
+            continue;
+        }
+        let buf = std::fs::read(&path)?;
+        let (frames, valid_end) = scan_frames(&buf);
+        for payload in frames {
+            let window = WindowRecord::decode(payload)?;
+            rows_end = window.first_id + window.rows.len() as u64;
+            log.windows.push(window);
+        }
+        log.dropped_bytes = (buf.len() - valid_end) as u64;
+        valid.push(ClosedSegment {
+            seq,
+            bytes: valid_end as u64,
+            rows_end,
+        });
+    }
+    Ok((log, valid, unreachable))
 }
 
 /// Reads every window of the log in `dir` without modifying anything on
@@ -447,29 +509,7 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// it (including whole later segments) is counted into
 /// [`ScannedLog::dropped_bytes`].
 pub fn scan_log(dir: &Path) -> Result<ScannedLog> {
-    let mut windows = Vec::new();
-    let mut dropped = 0u64;
-    let segments = list_segments(dir)?;
-    let mut torn = false;
-    for (_, path) in &segments {
-        let buf = std::fs::read(path)?;
-        if torn {
-            dropped += buf.len() as u64;
-            continue;
-        }
-        let (frames, valid_end) = scan_frames(&buf);
-        for payload in frames {
-            windows.push(WindowRecord::decode(payload)?);
-        }
-        if valid_end != buf.len() {
-            dropped += (buf.len() - valid_end) as u64;
-            torn = true;
-        }
-    }
-    Ok(ScannedLog {
-        windows,
-        dropped_bytes: dropped,
-    })
+    Ok(scan_segments(dir)?.0)
 }
 
 /// The append side of the segmented write-ahead arrival log.
@@ -493,7 +533,7 @@ pub struct ArrivalLog {
 
 /// A rotated-out (no longer written) segment, remembered so snapshots can
 /// retire it once they cover every window it holds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ClosedSegment {
     seq: u64,
     bytes: u64,
@@ -509,64 +549,32 @@ impl ArrivalLog {
     /// which appends rotate to a fresh segment.
     pub fn open(dir: &Path, sync: SyncPolicy, segment_limit: u64) -> Result<(Self, ScannedLog)> {
         std::fs::create_dir_all(dir)?;
-        let mut scanned = ScannedLog {
-            windows: Vec::new(),
-            dropped_bytes: 0,
-        };
-        let segments = list_segments(dir)?;
-        let mut keep: Vec<ClosedSegment> = Vec::new();
-        let mut torn = false;
-        // Retired logs no longer start at row 0: track the running
-        // high-water id from the records themselves, not a sum of lengths.
-        let mut rows_end = 0u64;
-        for (seq, path) in &segments {
-            let buf = std::fs::read(path)?;
-            if torn {
-                scanned.dropped_bytes += buf.len() as u64;
-                std::fs::remove_file(path)?;
-                continue;
-            }
-            let (frames, valid_end) = scan_frames(&buf);
-            for payload in frames {
-                let window = WindowRecord::decode(payload)?;
-                rows_end = window.first_id + window.rows.len() as u64;
-                scanned.windows.push(window);
-            }
-            if valid_end != buf.len() {
-                scanned.dropped_bytes += (buf.len() - valid_end) as u64;
-                torn = true;
-                // Truncate the damaged segment back to its valid prefix so
-                // future appends continue from the last good frame.
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(valid_end as u64)?;
-                file.sync_data()?;
-            }
-            keep.push(ClosedSegment {
-                seq: *seq,
-                bytes: valid_end as u64,
-                rows_end,
-            });
-        }
-        let (segment_seq, segment_bytes) = keep
-            .last()
-            .map(|active| (active.seq, active.bytes))
-            .unwrap_or((0, 0));
-        keep.truncate(keep.len().saturating_sub(1));
-        let path = dir.join(segment_name(segment_seq));
+        let (log, mut closed, unreachable) = scan_segments(dir)?;
+        let active = closed.pop().unwrap_or_default();
+        let path = dir.join(segment_name(active.seq));
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if file.metadata()?.len() > active.bytes {
+            // Truncate the damaged segment back to its valid prefix so
+            // future appends continue from the last good frame.
+            file.set_len(active.bytes)?;
+            file.sync_data()?;
+        }
+        for path in unreachable {
+            std::fs::remove_file(path)?;
+        }
         Ok((
             ArrivalLog {
                 dir: dir.to_path_buf(),
                 file,
-                segment_seq,
-                segment_bytes,
+                segment_seq: active.seq,
+                segment_bytes: active.bytes,
                 segment_limit: segment_limit.max(1),
-                closed: keep,
+                closed,
                 retired: 0,
-                durable_rows: rows_end,
+                durable_rows: active.rows_end,
                 sync,
             },
-            scanned,
+            log,
         ))
     }
 
@@ -578,7 +586,7 @@ impl ArrivalLog {
         }
         let mut payload = Vec::with_capacity(64 + 16 * record.rows.len());
         record.encode(&mut payload)?;
-        write_frame(&mut self.file, &payload)?;
+        write_frame(&mut self.file, &payload, MAX_WAL_FRAME)?;
         if matches!(self.sync, SyncPolicy::Always) {
             self.file.sync_data()?;
         }
@@ -657,11 +665,11 @@ impl ArrivalLog {
 /// in id order — so a snapshot restores the exact interning state.
 fn encode_schema(schema: &Schema, out: &mut Vec<u8>) -> Result<()> {
     put_str(out, schema.name())?;
-    put_u32(out, schema.num_dimensions() as u32);
+    put_len(out, schema.num_dimensions(), "dimension count")?;
     for name in schema.dimension_names() {
         put_str(out, name)?;
     }
-    put_u32(out, schema.num_measures() as u32);
+    put_len(out, schema.num_measures(), "measure count")?;
     for measure in schema.measures() {
         put_str(out, &measure.name)?;
         out.push(match measure.direction {
@@ -671,7 +679,7 @@ fn encode_schema(schema: &Schema, out: &mut Vec<u8>) -> Result<()> {
     }
     for dim in 0..schema.num_dimensions() {
         let dict = schema.dictionary(dim);
-        put_u32(out, dict.len() as u32);
+        put_len(out, dict.len(), "dictionary entry count")?;
         for (_, value) in dict.iter() {
             put_str(out, value)?;
         }
@@ -767,17 +775,19 @@ fn skip_old_posting_list(cur: &mut ByteCursor<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Decodes a table encoded by [`encode_table`], validating the retraction
-/// bounds and column strides so a corrupted snapshot surfaces as a typed
-/// error rather than a later panic. Posting lists an older snapshot carries
-/// are parsed past and discarded: the index is rebuilt from the dims column.
+/// Decodes a table encoded by [`encode_table`], validating what an append
+/// would have refused — nested retraction bounds, dimension value ids inside
+/// their dictionaries and finite measures — so a corrupted snapshot surfaces
+/// as a typed error rather than a later panic or a different report. Posting
+/// lists an older snapshot carries are parsed past and discarded: the index
+/// is rebuilt from the dims column.
 pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
     let schema = decode_schema(cur)?;
     let n_dims = schema.num_dimensions();
     let n_measures = schema.num_measures();
-    let len = cur.get_u64()? as usize;
-    let evicted = cur.get_u64()? as usize;
-    let watermark = cur.get_u64()? as usize;
+    let len = cur.get_usize("table length")?;
+    let evicted = cur.get_usize("evicted row count")?;
+    let watermark = cur.get_usize("retraction watermark")?;
     if evicted > watermark || watermark > len {
         return Err(SitFactError::Parse(format!(
             "retraction bounds do not nest in snapshot: evicted {evicted} <= watermark \
@@ -785,29 +795,49 @@ pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
         )));
     }
     let physical = len - evicted;
-    let n_dim_cells = physical.checked_mul(n_dims).ok_or_else(|| {
-        SitFactError::Parse(format!("implausible table length {len} in snapshot"))
-    })?;
-    if n_dim_cells.saturating_mul(4) > cur.remaining() {
+    // Both columns must fit the bytes left before either is allocated.
+    let row_bytes = 4 * n_dims + 8 * n_measures;
+    if physical
+        .checked_mul(row_bytes)
+        .is_none_or(|bytes| bytes > cur.remaining())
+    {
         return Err(SitFactError::Parse(format!(
             "implausible table length {len} with {} bytes remaining",
             cur.remaining()
         )));
     }
-    let mut dims = Vec::with_capacity(n_dim_cells);
-    for _ in 0..n_dim_cells {
-        dims.push(cur.get_u32()?);
+    let dictionary_sizes: Vec<usize> = (0..n_dims).map(|d| schema.dictionary(d).len()).collect();
+    let mut dims = Vec::with_capacity(physical * n_dims);
+    for _ in 0..physical {
+        for (dim, &size) in dictionary_sizes.iter().enumerate() {
+            let id = cur.get_u32()?;
+            if id as usize >= size {
+                return Err(SitFactError::Parse(format!(
+                    "snapshot table holds value id {id} in dimension {dim}, whose dictionary \
+                     has {size} entries"
+                )));
+            }
+            dims.push(id);
+        }
     }
     let mut measures = Vec::with_capacity(physical * n_measures);
     for _ in 0..physical * n_measures {
-        measures.push(cur.get_f64()?);
+        let measure = cur.get_f64()?;
+        if !measure.is_finite() {
+            return Err(SitFactError::Parse(format!(
+                "snapshot table holds the non-finite measure {measure}"
+            )));
+        }
+        measures.push(measure);
     }
     for _ in 0..n_dims {
         for _ in 0..cur.get_count(24, "posting list")? {
             skip_old_posting_list(cur)?;
         }
     }
-    Table::from_state_parts(schema, len, evicted, watermark, dims, measures)
+    Ok(Table::from_state_parts(
+        schema, len, evicted, watermark, dims, measures,
+    ))
 }
 
 /// First word of the id-only cell layout [`encode_cells`] writes. The older
@@ -826,29 +856,30 @@ const ID_ONLY_CELLS: u32 = u32::MAX;
 ///
 /// Cells hold tuple ids only; the measures travel once, in the table the
 /// snapshot encodes next to them (see [`crate::store`]).
-pub fn encode_cells(cells: &[StoreCell], out: &mut Vec<u8>) {
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    order.sort_by(|&a, &b| {
-        (&cells[a].constraint, cells[a].subspace).cmp(&(&cells[b].constraint, cells[b].subspace))
-    });
+pub fn encode_cells(cells: &[StoreCell], out: &mut Vec<u8>) -> Result<()> {
+    let mut sorted: Vec<&StoreCell> = cells.iter().collect();
+    sorted.sort_by(|a, b| (&a.constraint, a.subspace).cmp(&(&b.constraint, b.subspace)));
     put_u32(out, ID_ONLY_CELLS);
-    put_u32(out, cells.len() as u32);
-    for index in order {
-        let cell = &cells[index];
-        put_u32(out, cell.constraint.len() as u32);
+    put_len(out, cells.len(), "store cell count")?;
+    for cell in sorted {
+        put_len(out, cell.constraint.len(), "constraint value count")?;
         for &v in &cell.constraint {
             put_u32(out, v);
         }
         put_u32(out, cell.subspace);
-        put_u32(out, cell.entries.len() as u32);
+        put_len(out, cell.entries.len(), "cell entry count")?;
         for &id in &cell.entries {
             put_u32(out, id);
         }
     }
+    Ok(())
 }
 
 /// Decodes cells encoded by [`encode_cells`] for the `table` decoded from
-/// the same snapshot. Every id must name a live row of that table.
+/// the same snapshot. Every cell must be one an append could have built: a
+/// constraint over each of the table's dimensions, a non-empty subspace of
+/// its measures, and ids that name live rows inside the constraint's
+/// context.
 ///
 /// Snapshots written before cells became id-only are still read — their
 /// log segments may already be retired, so the snapshot is the only copy of
@@ -862,9 +893,11 @@ pub fn encode_cells(cells: &[StoreCell], out: &mut Vec<u8>) {
 /// ```
 ///
 /// The table is now the only place measures live, so an old entry's
-/// measures must equal its row's bit for bit. A dead id or a mismatch is a
-/// typed [`SitFactError::Parse`].
+/// measures must equal its row's bit for bit. Any violation is a typed
+/// [`SitFactError::Parse`].
 pub fn decode_cells(cur: &mut ByteCursor<'_>, table: &Table) -> Result<Vec<StoreCell>> {
+    let n_dims = table.schema().num_dimensions();
+    let all_measures = SubspaceMask::full(table.schema().num_measures());
     let first = cur.get_u32()?;
     let id_only = first == ID_ONLY_CELLS;
     let ncells = if id_only {
@@ -875,11 +908,22 @@ pub fn decode_cells(cur: &mut ByteCursor<'_>, table: &Table) -> Result<Vec<Store
     let mut cells = Vec::with_capacity(ncells);
     for _ in 0..ncells {
         let nvalues = cur.get_count(4, "constraint value")?;
+        if nvalues != n_dims {
+            return Err(SitFactError::Parse(format!(
+                "snapshot cell constrains {nvalues} dimensions of a {n_dims}-dimension table"
+            )));
+        }
         let mut constraint = Vec::with_capacity(nvalues);
         for _ in 0..nvalues {
             constraint.push(cur.get_u32()?);
         }
         let subspace = cur.get_u32()?;
+        if subspace == 0 || !SubspaceMask(subspace).is_subset_of(all_measures) {
+            return Err(SitFactError::Parse(format!(
+                "snapshot cell subspace {subspace:#b} is not a non-empty set of the table's \
+                 measures"
+            )));
+        }
         let nentries = cur.get_count(if id_only { 4 } else { 8 }, "cell entry")?;
         let mut entries = Vec::with_capacity(nentries);
         for _ in 0..nentries {
@@ -889,8 +933,18 @@ pub fn decode_cells(cur: &mut ByteCursor<'_>, table: &Table) -> Result<Vec<Store
                     "snapshot cell stores tuple {id}, which is not a live row of its table"
                 )));
             }
+            let row = table.tuple(id);
+            let outside = constraint
+                .iter()
+                .zip(row.dims())
+                .any(|(&bound, &value)| bound != UNBOUND && bound != value);
+            if outside {
+                return Err(SitFactError::Parse(format!(
+                    "snapshot cell stores tuple {id}, which is not a member of its context"
+                )));
+            }
             if !id_only {
-                let row = table.tuple(id).measures();
+                let row = row.measures();
                 let nmeasures = cur.get_count(8, "entry measure")?;
                 let mut same = nmeasures == row.len();
                 for at in 0..nmeasures {
@@ -953,9 +1007,9 @@ mod tests {
     #[test]
     fn frames_round_trip_and_reject_corruption() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, b"world!").unwrap();
+        write_frame(&mut buf, b"hello", MAX_WAL_FRAME).unwrap();
+        write_frame(&mut buf, b"", MAX_WAL_FRAME).unwrap();
+        write_frame(&mut buf, b"world!", MAX_WAL_FRAME).unwrap();
         let (frames, end) = scan_frames(&buf);
         assert_eq!(frames, vec![&b"hello"[..], &b""[..], &b"world!"[..]]);
         assert_eq!(end, buf.len());
@@ -1320,7 +1374,8 @@ mod tests {
         encode_table(&table, &mut bytes).unwrap();
         let restored = decode_table(&mut ByteCursor::new(&bytes)).unwrap();
         for attr in 0..2 {
-            for value in 0..table.schema().dictionary(attr).len() as u32 {
+            let values = u32::try_from(table.schema().dictionary(attr).len()).unwrap();
+            for value in 0..values {
                 assert_eq!(
                     restored.posting_list(attr, value),
                     table.posting_list(attr, value),
@@ -1385,18 +1440,24 @@ mod tests {
         }
     }
 
-    /// A two-measure table of `rows` rows, row `i` measuring `(i, i + 0.5)`.
+    /// A two-dimension, two-measure table of `rows` rows, row `i` measuring
+    /// `(i, i + 0.5)`. Every row holds the values `[1, 2]`, so it is a
+    /// member of both contexts of [`sample_cells`].
     fn measured_table(rows: u32) -> Table {
         let schema = SchemaBuilder::new("cells")
-            .dimension("d")
+            .dimension("d0")
+            .dimension("d1")
             .measure("m0", Direction::HigherIsBetter)
             .measure("m1", Direction::LowerIsBetter)
             .build()
             .unwrap();
         let mut table = Table::new(schema);
+        // Values interned first take ids 0 (and 1): the rows' are 1 and 2.
+        table.schema_mut().intern_dims(&["a", "x"]).unwrap();
+        table.schema_mut().intern_dims(&["b", "y"]).unwrap();
         for i in 0..rows {
             table
-                .append(Tuple::new(vec![0], vec![i as f64, i as f64 + 0.5]))
+                .append_raw(&["b", "z"], vec![i as f64, i as f64 + 0.5])
                 .unwrap();
         }
         table
@@ -1406,18 +1467,18 @@ mod tests {
     /// no tag word, each id followed by its row's measures.
     fn encode_cells_with_measures(cells: &[StoreCell], table: &Table) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u32(&mut out, cells.len() as u32);
+        put_len(&mut out, cells.len(), "cells").unwrap();
         for cell in cells {
-            put_u32(&mut out, cell.constraint.len() as u32);
+            put_len(&mut out, cell.constraint.len(), "values").unwrap();
             for &v in &cell.constraint {
                 put_u32(&mut out, v);
             }
             put_u32(&mut out, cell.subspace);
-            put_u32(&mut out, cell.entries.len() as u32);
+            put_len(&mut out, cell.entries.len(), "entries").unwrap();
             for &id in &cell.entries {
                 let measures = table.tuple(id).measures();
                 put_u32(&mut out, id);
-                put_u32(&mut out, measures.len() as u32);
+                put_len(&mut out, measures.len(), "measures").unwrap();
                 for &m in measures {
                     put_f64(&mut out, m);
                 }
@@ -1444,7 +1505,7 @@ mod tests {
         let table = measured_table(4);
         let cells = sample_cells();
         let mut bytes = Vec::new();
-        encode_cells(&cells, &mut bytes);
+        encode_cells(&cells, &mut bytes).unwrap();
         // Tag, count, then per cell 2 + 1 values, subspace, count and ids.
         assert_eq!(bytes.len(), 4 * (2 + 3 * 5 + 4));
         assert_eq!(bytes[..4], [0xFF; 4]);
