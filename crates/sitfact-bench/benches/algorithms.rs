@@ -11,8 +11,7 @@ use sitfact_algos::{
     TopDown,
 };
 use sitfact_bench::{generate_rows, DatasetKind, ExperimentParams};
-use sitfact_core::{DiscoveryConfig, Schema, Tuple};
-use sitfact_datagen::Row;
+use sitfact_core::{DiscoveryConfig, RawRow, Schema, Tuple};
 use sitfact_storage::Table;
 
 const HISTORY: usize = 2_000;
@@ -37,9 +36,8 @@ fn fixture() -> Fixture {
     };
     let (schema, rows) = generate_rows(DatasetKind::Nba, &params);
     let mut table = Table::with_capacity(schema.clone(), HISTORY);
-    let encode = |table: &mut Table, row: &Row| {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let ids = table.schema_mut().intern_dims(&dims).unwrap();
+    let encode = |table: &mut Table, row: &RawRow| {
+        let ids = table.schema_mut().intern_dims(&row.dims).unwrap();
         Tuple::new(ids, row.measures.clone())
     };
     for row in &rows[..HISTORY] {

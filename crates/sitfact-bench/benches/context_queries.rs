@@ -29,8 +29,7 @@ fn fixture() -> (Table, Vec<(&'static str, Constraint)>) {
     let (schema, rows) = generate_rows(DatasetKind::Nba, &params);
     let mut table = Table::with_capacity(schema, ROWS);
     for row in &rows {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let ids = table.schema_mut().intern_dims(&dims).unwrap();
+        let ids = table.schema_mut().intern_dims(&row.dims).unwrap();
         table.append(Tuple::new(ids, row.measures.clone())).unwrap();
     }
     let probe = table.tuple((ROWS / 2) as u32);

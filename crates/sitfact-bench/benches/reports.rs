@@ -13,9 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sitfact_algos::{Discovery, STopDown};
-use sitfact_core::{DiscoveryConfig, Schema, SkylinePair, Tuple, TupleId};
+use sitfact_core::{DiscoveryConfig, RawRow, Schema, SkylinePair, Tuple, TupleId};
 use sitfact_datagen::zipf::{ZipfConfig, ZipfGenerator};
-use sitfact_datagen::{DataGenerator, Row};
+use sitfact_datagen::DataGenerator;
 use sitfact_prominence::{ArrivalReport, RankedFact};
 use sitfact_serve::Response;
 use sitfact_storage::{ContextCounter, Table};
@@ -28,7 +28,7 @@ const WARM_ROWS: usize = 3_000;
 const TIMED_ARRIVALS: usize = 1_000;
 
 /// The `zipf_paced` stream and discovery caps (`d̂ = m̂ = 3`).
-fn zipf(seed: u64, n: usize) -> (Schema, Vec<Row>, DiscoveryConfig) {
+fn zipf(seed: u64, n: usize) -> (Schema, Vec<RawRow>, DiscoveryConfig) {
     let mut gen = ZipfGenerator::new(ZipfConfig {
         dim_cardinalities: vec![5_000, 500, 32, 8, 2_000],
         exponent: 1.2,
@@ -56,12 +56,11 @@ impl Stream {
     }
 
     /// Discovers, appends and observes one row: everything before ranking.
-    fn arrive(&mut self, row: &Row) -> (TupleId, Vec<SkylinePair>) {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
+    fn arrive(&mut self, row: &RawRow) -> (TupleId, Vec<SkylinePair>) {
         let ids = self
             .table
             .schema_mut()
-            .intern_dims(&dims)
+            .intern_dims(&row.dims)
             .expect("zipf row");
         let tuple =
             Tuple::validated(ids, row.measures.clone(), self.table.schema()).expect("zipf row");

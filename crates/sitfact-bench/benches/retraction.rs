@@ -50,8 +50,7 @@ fn run(seed: u64) {
         .take_rows(ROWS)
         .into_iter()
         .map(|row| {
-            let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            let ids = table.schema_mut().intern_dims(&dims).expect("nba row");
+            let ids = table.schema_mut().intern_dims(&row.dims).expect("nba row");
             Tuple::validated(ids, row.measures, table.schema()).expect("nba row")
         })
         .collect();

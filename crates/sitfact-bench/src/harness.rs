@@ -2,10 +2,10 @@
 
 use crate::params::ExperimentParams;
 use sitfact_algos::{AlgorithmKind, SBottomUp};
-use sitfact_core::{DiscoveryConfig, Schema, Tuple};
+use sitfact_core::{DiscoveryConfig, RawRow, Schema, Tuple};
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::weather::{WeatherConfig, WeatherGenerator};
-use sitfact_datagen::{DataGenerator, Row};
+use sitfact_datagen::DataGenerator;
 use sitfact_prominence::{FactMonitor, MonitorConfig, RankedFact};
 use sitfact_storage::{StoreStats, Table, WorkStats};
 use std::path::Path;
@@ -22,7 +22,7 @@ pub enum DatasetKind {
 
 /// Generates the schema and `n` rows of the requested dataset at the given
 /// dimensionalities.
-pub fn generate_rows(kind: DatasetKind, params: &ExperimentParams) -> (Schema, Vec<Row>) {
+pub fn generate_rows(kind: DatasetKind, params: &ExperimentParams) -> (Schema, Vec<RawRow>) {
     match kind {
         DatasetKind::Nba => {
             let mut gen = NbaGenerator::new(NbaConfig {
@@ -93,7 +93,7 @@ impl StreamOutcome {
 pub fn run_stream(
     kind: AlgorithmKind,
     schema: &Schema,
-    rows: &[Row],
+    rows: &[RawRow],
     discovery: DiscoveryConfig,
     sample_points: usize,
     file_dir: Option<&Path>,
@@ -111,10 +111,9 @@ pub fn run_stream(
     let mut total_seconds = 0.0f64;
 
     for (i, row) in rows.iter().enumerate() {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
         let ids = table
             .schema_mut()
-            .intern_dims(&dims)
+            .intern_dims(&row.dims)
             .expect("row matches schema");
         let tuple = Tuple::new(ids, row.measures.clone());
         let is_sample = (i + 1) % sample_every == 0 || i + 1 == rows.len();
@@ -262,9 +261,8 @@ pub fn run_prominence_study(
     let mut examples = Vec::new();
 
     for (i, row) in rows.iter().enumerate() {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
         let report = monitor
-            .ingest_raw(&dims, row.measures.clone())
+            .ingest_raw(&row.dims, row.measures.clone())
             .expect("row matches schema");
         let Some(max) = report.max_prominence() else {
             continue;
@@ -399,8 +397,7 @@ mod tests {
         let (schema, rows) = generate_rows(DatasetKind::Nba, &params);
         let mut table = Table::with_capacity(schema, rows.len());
         for row in &rows {
-            let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            let ids = table.schema_mut().intern_dims(&dims).unwrap();
+            let ids = table.schema_mut().intern_dims(&row.dims).unwrap();
             table.append(Tuple::new(ids, row.measures.clone())).unwrap();
         }
         for probe_id in [0u32, 1_000, 2_500, 4_999] {

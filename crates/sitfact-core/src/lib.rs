@@ -13,7 +13,8 @@
 //!
 //! * [`Schema`], [`Dictionary`], [`Tuple`] — the relation `R(D; M)` with
 //!   dictionary-encoded dimension attributes and numeric measure attributes,
-//!   each with its own ["better" direction](Direction); the zero-copy
+//!   each with its own ["better" direction](Direction); [`RawRow`], one
+//!   arrival's raw strings before interning; the zero-copy
 //!   [`TupleRef`] view and the [`TupleView`] trait let the columnar table
 //!   hand out rows without materialising them;
 //! * [`SubspaceMask`] — measure subspaces `M ⊆ 𝕄` as bitmasks;
@@ -92,5 +93,5 @@ pub use pool::{ActorPool, ThreadPool};
 pub use schema::{MeasureAttr, Schema, SchemaBuilder};
 pub use snapshot::SnapshotCell;
 pub use subspace::SubspaceMask;
-pub use tuple::{Tuple, TupleId, TupleRef, TupleView};
+pub use tuple::{RawRow, Tuple, TupleId, TupleRef, TupleView};
 pub use value::{DimValueId, Direction, UNBOUND};

@@ -83,7 +83,7 @@ impl Schema {
     }
 
     /// Interns a full row of dimension strings, returning their ids.
-    pub fn intern_dims(&mut self, values: &[&str]) -> Result<Vec<u32>> {
+    pub fn intern_dims(&mut self, values: &[impl AsRef<str>]) -> Result<Vec<u32>> {
         if values.len() != self.num_dimensions() {
             return Err(SitFactError::InvalidTuple(format!(
                 "expected {} dimension values, got {}",
@@ -94,7 +94,7 @@ impl Schema {
         Ok(values
             .iter()
             .enumerate()
-            .map(|(i, v)| self.dictionaries[i].intern(v))
+            .map(|(i, v)| self.dictionaries[i].intern(v.as_ref()))
             .collect())
     }
 

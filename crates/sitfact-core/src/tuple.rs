@@ -1,6 +1,6 @@
-//! Tuples of the append-only relation: the owned [`Tuple`], the borrowed
-//! zero-copy [`TupleRef`] view, and the [`TupleView`] abstraction both
-//! implement.
+//! Tuples of the append-only relation: the raw arrival [`RawRow`], the
+//! owned [`Tuple`] it interns to, the borrowed zero-copy [`TupleRef`] view,
+//! and the [`TupleView`] abstraction both implement.
 
 use crate::error::{Result, SitFactError};
 use crate::schema::Schema;
@@ -68,6 +68,27 @@ impl<T: TupleView + ?Sized> TupleView for &T {
     #[inline]
     fn measures(&self) -> &[f64] {
         (**self).measures()
+    }
+}
+
+/// One arrival before interning: dimension strings plus measures, in schema
+/// order. Clients submit it, generators emit it and the arrival log stores
+/// it (ids depend on interning order, so a replay re-interns the strings).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawRow {
+    /// Dimension attribute values, one string per dimension.
+    pub dims: Vec<String>,
+    /// Measure attribute values, one per measure.
+    pub measures: Vec<f64>,
+}
+
+impl RawRow {
+    /// Builds a row from borrowed dimension strings and measures.
+    pub fn new(dims: &[impl AsRef<str>], measures: &[f64]) -> Self {
+        RawRow {
+            dims: dims.iter().map(|d| d.as_ref().to_string()).collect(),
+            measures: measures.to_vec(),
+        }
     }
 }
 

@@ -6,8 +6,7 @@
 //! values); measure columns must parse as floating-point numbers. Column
 //! order must match the schema (dimensions first, then measures).
 
-use crate::Row;
-use sitfact_core::{Result, Schema, SitFactError};
+use sitfact_core::{RawRow, Result, Schema, SitFactError};
 use sitfact_storage::Table;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -44,9 +43,9 @@ fn format_measure(m: f64) -> String {
     }
 }
 
-/// Parses a CSV file into [`Row`]s under the given schema. The header must
+/// Parses a CSV file into [`RawRow`]s under the given schema. The header must
 /// contain exactly the schema's attribute names in order.
-pub fn read_csv_rows(schema: &Schema, path: impl AsRef<Path>) -> Result<Vec<Row>> {
+pub fn read_csv_rows(schema: &Schema, path: impl AsRef<Path>) -> Result<Vec<RawRow>> {
     let file = File::open(&path)?;
     let reader = BufReader::new(file);
     let mut lines = reader.lines();
@@ -94,7 +93,7 @@ pub fn read_csv_rows(schema: &Schema, path: impl AsRef<Path>) -> Result<Vec<Row>
                 })
             })
             .collect::<Result<Vec<f64>>>()?;
-        rows.push(Row { dims, measures });
+        rows.push(RawRow { dims, measures });
     }
     Ok(rows)
 }
@@ -104,8 +103,7 @@ pub fn read_csv(schema: &Schema, path: impl AsRef<Path>) -> Result<Table> {
     let rows = read_csv_rows(schema, path)?;
     let mut table = Table::with_capacity(schema.clone(), rows.len());
     for row in rows {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        table.append_raw(&dims, row.measures)?;
+        table.append_raw(&row.dims, row.measures)?;
     }
     Ok(table)
 }

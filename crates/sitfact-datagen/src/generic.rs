@@ -7,10 +7,10 @@
 //! skyline tuples.
 
 use crate::rand_util::normal;
-use crate::{DataGenerator, Row};
+use crate::DataGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sitfact_core::{Direction, Schema, SchemaBuilder};
+use sitfact_core::{Direction, RawRow, Schema, SchemaBuilder};
 
 /// Correlation structure of the generated measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +118,7 @@ impl DataGenerator for GenericGenerator {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let dims = self
             .config
             .dim_cardinalities
@@ -126,7 +126,7 @@ impl DataGenerator for GenericGenerator {
             .enumerate()
             .map(|(i, &card)| format!("d{i}_v{}", self.rng.gen_range(0..card.max(1))))
             .collect();
-        Row {
+        RawRow {
             dims,
             measures: self.measures(),
         }

@@ -31,17 +31,8 @@ pub mod stocks;
 pub mod weather;
 pub mod zipf;
 
-use sitfact_core::{Result, Schema, Tuple};
+use sitfact_core::{RawRow, Result, Schema, Tuple};
 use sitfact_storage::Table;
-
-/// One generated record: raw dimension strings plus measure values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row {
-    /// Dimension attribute values, in schema order.
-    pub dims: Vec<String>,
-    /// Measure attribute values, in schema order.
-    pub measures: Vec<f64>,
-}
 
 /// A source of synthetic rows under a fixed schema.
 pub trait DataGenerator {
@@ -49,10 +40,10 @@ pub trait DataGenerator {
     fn schema(&self) -> &Schema;
 
     /// Generates the next row. Generators are infinite streams.
-    fn next_row(&mut self) -> Row;
+    fn next_row(&mut self) -> RawRow;
 
     /// Generates `n` rows.
-    fn take_rows(&mut self, n: usize) -> Vec<Row> {
+    fn take_rows(&mut self, n: usize) -> Vec<RawRow> {
         (0..n).map(|_| self.next_row()).collect()
     }
 
@@ -61,8 +52,7 @@ pub trait DataGenerator {
         let mut table = Table::with_capacity(self.schema().clone(), n);
         for _ in 0..n {
             let row = self.next_row();
-            let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            table.append_raw(&dims, row.measures)?;
+            table.append_raw(&row.dims, row.measures)?;
         }
         Ok(table)
     }
@@ -71,7 +61,7 @@ pub trait DataGenerator {
 /// Applies a seeded Fisher–Yates permutation to `rows` in place. The same
 /// seed always yields the same permutation, so shuffled workloads replay
 /// deterministically across runs and machines.
-pub fn shuffle_rows(rows: &mut [Row], seed: u64) {
+pub fn shuffle_rows(rows: &mut [RawRow], seed: u64) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for i in (1..rows.len()).rev() {
@@ -94,7 +84,7 @@ pub fn shuffle_rows(rows: &mut [Row], seed: u64) {
 #[derive(Debug, Clone)]
 pub struct ShuffledReplay {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Vec<RawRow>,
     next: usize,
 }
 
@@ -112,7 +102,7 @@ impl ShuffledReplay {
     }
 
     /// The shuffled rows, in replay order.
-    pub fn rows(&self) -> &[Row] {
+    pub fn rows(&self) -> &[RawRow] {
         &self.rows
     }
 }
@@ -122,19 +112,18 @@ impl DataGenerator for ShuffledReplay {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let row = self.rows[self.next % self.rows.len()].clone();
         self.next += 1;
         row
     }
 }
 
-/// Encodes a [`Row`] against a table's schema (interning its dimension
+/// Encodes a [`RawRow`] against a table's schema (interning its dimension
 /// strings) without appending it — handy when a row must be *discovered
 /// against* the table before being added.
-pub fn encode_row(table: &mut Table, row: &Row) -> Result<Tuple> {
-    let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-    let ids = table.schema_mut().intern_dims(&dims)?;
+pub fn encode_row(table: &mut Table, row: &RawRow) -> Result<Tuple> {
+    let ids = table.schema_mut().intern_dims(&row.dims)?;
     Tuple::validated(ids, row.measures.clone(), table.schema())
 }
 

@@ -8,10 +8,10 @@
 //! lower-is-better, exercising mixed preference directions.
 
 use crate::rand_util::{clamp_round, normal, poisson, ZipfSampler};
-use crate::{DataGenerator, Row};
+use crate::DataGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sitfact_core::{Direction, Schema, SchemaBuilder};
+use sitfact_core::{Direction, RawRow, Schema, SchemaBuilder};
 
 /// The dimension attributes used for each value of `d` in the paper's
 /// experiments (Table V), plus the full 8-attribute space.
@@ -210,7 +210,7 @@ impl DataGenerator for NbaGenerator {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let season = self.current_season();
         // Prefer players who have already debuted; stars appear more often.
         let player_idx = loop {
@@ -246,7 +246,7 @@ impl DataGenerator for NbaGenerator {
             dims.push(value);
         }
         self.generated += 1;
-        Row { dims, measures }
+        RawRow { dims, measures }
     }
 }
 

@@ -4,10 +4,10 @@
 //! market cap over $400 billion").
 
 use crate::rand_util::normal;
-use crate::{DataGenerator, Row};
+use crate::DataGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sitfact_core::{Direction, Schema, SchemaBuilder};
+use sitfact_core::{Direction, RawRow, Schema, SchemaBuilder};
 
 /// Configuration of the [`StockGenerator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -107,7 +107,7 @@ impl DataGenerator for StockGenerator {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let idx = self.rng.gen_range(0..self.tickers.len());
         // Random walk with slight upward drift.
         let drift = normal(&mut self.rng, 0.0005, 0.02);
@@ -127,7 +127,7 @@ impl DataGenerator for StockGenerator {
         let volume = normal(&mut self.rng, 30.0, 12.0).max(0.1);
         let drawdown = (-drift.min(0.0)) * 100.0;
         self.generated += 1;
-        Row {
+        RawRow {
             dims: vec![
                 symbol,
                 SECTORS[sector].to_string(),

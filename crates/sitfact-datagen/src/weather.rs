@@ -8,10 +8,10 @@
 //! in the paper, all measures are treated as higher-is-better.
 
 use crate::rand_util::normal;
-use crate::{DataGenerator, Row};
+use crate::DataGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sitfact_core::{Direction, Schema, SchemaBuilder};
+use sitfact_core::{Direction, RawRow, Schema, SchemaBuilder};
 
 /// The dimension attributes used for each value of `d` (the paper evaluates
 /// the weather dataset at `d = 5`; smaller/larger spaces are nested subsets).
@@ -181,7 +181,7 @@ impl DataGenerator for WeatherGenerator {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let month = self.month_index();
         let loc_idx = self.rng.gen_range(0..self.locations.len());
         let loc = self.locations[loc_idx].clone();
@@ -227,7 +227,7 @@ impl DataGenerator for WeatherGenerator {
             dims.push(value);
         }
         self.generated += 1;
-        Row { dims, measures }
+        RawRow { dims, measures }
     }
 }
 

@@ -11,10 +11,10 @@
 //! streams this generator.
 
 use crate::rand_util::ZipfSampler;
-use crate::{DataGenerator, Row};
+use crate::DataGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sitfact_core::{Direction, Schema, SchemaBuilder};
+use sitfact_core::{Direction, RawRow, Schema, SchemaBuilder};
 
 /// Configuration of a [`ZipfGenerator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +91,7 @@ impl DataGenerator for ZipfGenerator {
         &self.schema
     }
 
-    fn next_row(&mut self) -> Row {
+    fn next_row(&mut self) -> RawRow {
         let dims = self
             .samplers
             .iter()
@@ -101,7 +101,7 @@ impl DataGenerator for ZipfGenerator {
         let measures = (0..self.measures)
             .map(|_| self.rng.gen_range(0.0..1000.0f64).round())
             .collect();
-        Row { dims, measures }
+        RawRow { dims, measures }
     }
 }
 

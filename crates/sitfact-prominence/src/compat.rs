@@ -2,10 +2,10 @@
 //! forwarding to the product types. `sitfact-audit`'s `compat-drift` rule
 //! fails any other user and any entry the benchmark no longer names.
 
-use crate::durable::{self, ReplayOutcome};
+use crate::durable::ReplayOutcome;
 use crate::fact::ArrivalReport;
 use crate::monitor::FactMonitor;
-use crate::pipeline::ArrivalPipeline;
+use crate::pipeline::{ArrivalPipeline, WindowPolicy};
 use crate::served::Served;
 use sitfact_algos::{Discovery, STopDown};
 use sitfact_core::{Result, Tuple};
@@ -52,17 +52,27 @@ impl StreamMonitor for ArrivalPipeline {
 /// The old name of [`ArrivalPipeline`].
 pub type WindowedMonitor = ArrivalPipeline;
 
-/// [`Served::replay`] for a bare unsharded monitor.
+/// [`ArrivalPipeline::replay`] of an unbounded pipeline for a bare unsharded
+/// monitor, which holds the replayed state afterwards.
 pub fn replay_log(
     dir: impl AsRef<Path>,
     monitor: &mut FactMonitor<STopDown>,
 ) -> Result<ReplayOutcome> {
-    durable::replay_windows(dir.as_ref(), monitor.len(), |window| {
-        let tuples = durable::encode_window(monitor.len(), window, |dims, measures| {
-            monitor.encode_raw(dims, measures)
-        })?;
-        monitor.ingest_batch_slice(&tuples)
-    })
+    let (schema, config) = (monitor.schema().clone(), *monitor.config());
+    let stand_in = FactMonitor::new(
+        schema.clone(),
+        STopDown::new(&schema, config.discovery),
+        config,
+    );
+    let mut pipeline = ArrivalPipeline::new(
+        std::mem::replace(monitor, stand_in),
+        WindowPolicy::Unbounded,
+    );
+    let outcome = pipeline.replay(dir);
+    if let Served::Plain(replayed) = pipeline.into_inner() {
+        *monitor = replayed;
+    }
+    outcome
 }
 
 /// Lets `bind(addr, Box::new(monitor))` compile.

@@ -1,13 +1,13 @@
 //! The on-disk half of a logged [`ArrivalPipeline`](crate::ArrivalPipeline):
-//! its options, a window's raw rows, snapshot files, and log replay.
+//! its options, a window's raw rows, and snapshot files.
 //!
 //! A monitor's state is a pure function of its raw arrival sequence, so the
-//! log stores **raw strings**, not interned ids: the same log replays into
-//! any monitor over the relation, one with a different shard count included
-//! ([`Served::replay`](crate::Served::replay)). Snapshots bound replay: every
-//! `snapshot_every` rows ([`WalOptions`]) the monitor's full state
-//! ([`FactMonitor::export_durable`](crate::FactMonitor::export_durable))
-//! goes to a single-frame file next to the log segments, and recovery replays only the suffix behind the newest
+//! log stores **raw strings** ([`RawRow`]), not interned ids: the same log
+//! replays into any monitor over the relation, one with a different shard
+//! count included, through the pipeline's one replay loop. Snapshots bound
+//! replay: every `snapshot_every` rows ([`WalOptions`]) the monitor's full
+//! state ([`Served::export_durable`]) goes to a single-frame file next to
+//! the log segments, and recovery replays only the suffix behind the newest
 //! intact one. A corrupt snapshot degrades to an older one or to full
 //! replay; a torn log tail is truncated by `ArrivalLog::open` and counted in
 //! the [`RecoveryReport`]. A window is acknowledged only after its append
@@ -17,10 +17,10 @@
 use crate::fact::{ArrivalReport, RankedFact};
 use crate::served::Served;
 use sitfact_core::{
-    Constraint, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId,
+    Constraint, RawRow, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId,
 };
 use sitfact_storage::wal::{self, ByteCursor};
-use sitfact_storage::{LoggedRow, SyncPolicy, WindowRecord};
+use sitfact_storage::{SyncPolicy, WindowRecord};
 use std::fs;
 use std::path::Path;
 
@@ -109,9 +109,8 @@ pub struct RecoveryReport {
     pub dropped_bytes: u64,
 }
 
-/// What a full-log replay ([`Served::replay`](crate::Served::replay))
-/// reproduced from a raw arrival log.
-#[derive(Debug, Clone, PartialEq)]
+/// What a whole-log [`replay`](crate::ArrivalPipeline::replay) reproduced.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayOutcome {
     /// Every arrival report the replayed stream produced, in arrival order.
     pub reports: Vec<ArrivalReport>,
@@ -142,7 +141,7 @@ pub(crate) fn window_record(
             })?;
             dims.push(value.to_string());
         }
-        rows.push(LoggedRow {
+        rows.push(RawRow {
             dims,
             measures: tuple.measures().to_vec(),
         });
@@ -150,58 +149,6 @@ pub(crate) fn window_record(
     Ok(WindowRecord {
         first_id: first_id as u64,
         rows,
-    })
-}
-
-/// Re-encodes one logged window through `encode` (a monitor's
-/// `encode_raw`); the window must start at row `have`, where the monitor
-/// ends.
-pub(crate) fn encode_window(
-    have: usize,
-    window: &WindowRecord,
-    mut encode: impl FnMut(&[&str], Vec<f64>) -> Result<Tuple>,
-) -> Result<Vec<Tuple>> {
-    if window.first_id != have as u64 {
-        return Err(SitFactError::Parse(format!(
-            "arrival log out of sequence: window starts at row {} but the monitor holds {have} rows",
-            window.first_id
-        )));
-    }
-    window
-        .rows
-        .iter()
-        .map(|row| {
-            let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            encode(&dims, row.measures.clone())
-        })
-        .collect()
-}
-
-/// The window loop of a full-log replay into a monitor holding `held` rows:
-/// windows the monitor already covers are skipped, every later one goes
-/// through `ingest` (encode and batch-ingest), and the reports are gathered.
-pub(crate) fn replay_windows(
-    dir: &Path,
-    held: usize,
-    mut ingest: impl FnMut(&WindowRecord) -> Result<Vec<ArrivalReport>>,
-) -> Result<ReplayOutcome> {
-    let scanned = wal::scan_log(dir)?;
-    let mut reports = Vec::new();
-    let mut windows = 0u64;
-    let mut rows = 0u64;
-    for window in &scanned.windows {
-        if window.first_id + window.rows.len() as u64 <= held as u64 {
-            continue;
-        }
-        reports.extend(ingest(window)?);
-        windows += 1;
-        rows += window.rows.len() as u64;
-    }
-    Ok(ReplayOutcome {
-        reports,
-        windows,
-        rows,
-        dropped_bytes: scanned.dropped_bytes,
     })
 }
 
@@ -264,8 +211,9 @@ fn snapshot_name(covered_rows: u64) -> String {
     format!("snapshot-{covered_rows:020}.snap")
 }
 
-/// Parses a snapshot file: `(covered_rows, last report, monitor state blob)`.
-fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)> {
+/// Parses a snapshot file: `(covered_rows, last report, monitor state blob)`,
+/// the blob borrowed from `bytes`.
+fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, &[u8])> {
     // The file is read whole, so the file bounds its one frame.
     let mut file = ByteCursor::new(bytes);
     let payload = file
@@ -284,7 +232,7 @@ fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)>
             )))
         }
     };
-    let blob = cur.get_bytes()?.to_vec();
+    let blob = cur.get_bytes()?;
     if !cur.is_empty() {
         return Err(SitFactError::Parse(format!(
             "snapshot: {} trailing bytes after state blob",
@@ -297,16 +245,13 @@ fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Option<ArrivalReport>, Vec<u8>)>
 /// Restores `monitor` from the newest intact snapshot in `dir`, returning
 /// the rows it covers and the last report it recorded. A corrupt snapshot
 /// degrades to an older one; none (a directory not yet created holds none),
-/// or a sharded monitor (its durable form is the log alone), gives
-/// `(0, None)` and recovery replays the whole log.
+/// or a monitor without a snapshot form, gives `(0, None)` and recovery
+/// replays the whole log.
 pub(crate) fn restore_newest(
     dir: &Path,
     monitor: &mut Served,
 ) -> Result<(u64, Option<ArrivalReport>)> {
-    let Served::Plain(monitor) = monitor else {
-        return Ok((0, None));
-    };
-    if !dir.exists() {
+    if !monitor.can_snapshot() || !dir.exists() {
         return Ok((0, None));
     }
     let snapshots = wal::numbered_files(dir, "snapshot-", ".snap")?;
@@ -319,7 +264,7 @@ pub(crate) fn restore_newest(
             continue;
         }
         // A corrupt or mismatched snapshot falls back to an older one.
-        if monitor.restore_durable(&blob).is_ok() {
+        if monitor.restore_durable(blob).is_ok() {
             return Ok((covered, report));
         }
     }

@@ -412,7 +412,7 @@ impl<A: Discovery> FactMonitor<A> {
     /// Interns a raw row against the schema and validates it, without
     /// ingesting — the encoding half of [`FactMonitor::ingest_raw`], for
     /// callers assembling a window for [`FactMonitor::ingest_batch_slice`].
-    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
         let ids = self.table.schema_mut().intern_dims(dims)?;
         Tuple::validated(ids, measures, self.table.schema())
     }
@@ -465,7 +465,11 @@ impl<A: Discovery> FactMonitor<A> {
     }
 
     /// Ingests a tuple given as raw dimension strings plus measures.
-    pub fn ingest_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<ArrivalReport> {
+    pub fn ingest_raw(
+        &mut self,
+        dims: &[impl AsRef<str>],
+        measures: Vec<f64>,
+    ) -> Result<ArrivalReport> {
         let tuple = self.encode_raw(dims, measures)?;
         self.ingest(tuple)
     }
@@ -505,8 +509,7 @@ impl<A: Discovery> FactMonitor<A> {
     /// the monitor is untouched then (all-or-nothing).
     pub fn restore_durable(&mut self, snapshot: &[u8]) -> Result<()> {
         let mut cur = wal::ByteCursor::new(snapshot);
-        let table = wal::decode_table(&mut cur)?;
-        let cells = wal::decode_cells(&mut cur, &table)?;
+        let (table, cells) = wal::decode_state(&mut cur)?;
         if !cur.is_empty() {
             return Err(SitFactError::Parse(format!(
                 "monitor snapshot has {} trailing bytes",

@@ -13,10 +13,11 @@
 //! 5. record the last report;
 //! 6. snapshot, if one is due (logged only).
 //!
-//! Recovery ([`ArrivalPipeline::open_log`]) restores the newest snapshot and
-//! feeds the log suffix through the same stages with 2 and 6 off. A sharded
-//! monitor has no snapshot form: its durability is the log alone, and
-//! `open_log` refuses a snapshot interval for it.
+//! One replay loop feeds logged windows through the same stages with 2 and
+//! 6 off: for recovery ([`ArrivalPipeline::open_log`]) the log suffix behind
+//! the newest snapshot, for [`ArrivalPipeline::replay`] (resharding) a whole
+//! log. A sharded [`Served`] monitor has no snapshot form, so `open_log`
+//! refuses a snapshot interval for it.
 //!
 //! Eviction runs only *between* windows: every arrival of a window sees the
 //! full pre-window history plus its in-window predecessors, and a
@@ -32,12 +33,12 @@
 //! surviving suffix; `windowed_monitor_equals_rebuild_from_suffix` in
 //! `tests/property_tests.rs` checks this.
 
-use crate::durable::{self, RecoveryReport, WalOptions};
+use crate::durable::{self, RecoveryReport, ReplayOutcome, WalOptions};
 use crate::fact::ArrivalReport;
 use crate::monitor::{sole_report, MonitorStats};
 use crate::served::Served;
 use sitfact_core::{Result, SitFactError, Tuple, TupleId};
-use sitfact_storage::ArrivalLog;
+use sitfact_storage::{wal, ArrivalLog, ScannedLog};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -167,7 +168,7 @@ impl ArrivalPipeline {
                 "durable recovery needs an empty monitor to rebuild into".to_string(),
             ));
         }
-        if let (Served::Sharded(_), Some(every)) = (&self.inner, opts.snapshot_every) {
+        if let (false, Some(every)) = (self.inner.can_snapshot(), opts.snapshot_every) {
             return Err(SitFactError::InvalidConfig(format!(
                 "a sharded monitor cannot write snapshots (snapshot every {every} rows): its \
                  durability is log-only, so configure no snapshot interval"
@@ -183,28 +184,69 @@ impl ArrivalPipeline {
             rows_since_snapshot: 0,
             broken: false,
         });
-        let mut recovery = RecoveryReport {
+        let replayed = self.replay_windows(scanned, false)?;
+        let recovery = RecoveryReport {
             snapshot_rows,
+            replayed_windows: replayed.windows,
+            replayed_rows: replayed.rows,
+            dropped_bytes: replayed.dropped_bytes,
+        };
+        Ok((self, recovery))
+    }
+
+    /// Replays the **entire** raw log in `dir` through the stages, eviction
+    /// included, ignoring snapshots. This is the resharding path: under the
+    /// policy the log was written with, a monitor of any shape reproduces
+    /// every report the original acknowledged. The monitor must be empty, or
+    /// hold a prefix of the log that ends at a window edge, so a log whose
+    /// first segments a snapshot retired is refused. Writes nothing.
+    pub fn replay(&mut self, dir: impl AsRef<Path>) -> Result<ReplayOutcome> {
+        self.replay_windows(wal::scan_log(dir.as_ref())?, true)
+    }
+
+    /// The one replay loop: each logged window the monitor does not hold yet
+    /// runs through the stages. Its reports are kept only if `keep` (a
+    /// whole-log replay returns them; recovery needs none).
+    fn replay_windows(&mut self, scanned: ScannedLog, keep: bool) -> Result<ReplayOutcome> {
+        let mut outcome = ReplayOutcome {
             dropped_bytes: scanned.dropped_bytes,
-            ..RecoveryReport::default()
+            ..ReplayOutcome::default()
         };
         for window in &scanned.windows {
-            if window.first_id + window.rows.len() as u64 <= snapshot_rows {
+            let held = self.inner.len() as u64;
+            if window.first_id + window.rows.len() as u64 <= held {
                 continue;
             }
-            let tuples = durable::encode_window(self.inner.len(), window, |dims, measures| {
-                self.inner.encode_raw(dims, measures)
-            })?;
-            self.run(&tuples, false)?;
-            recovery.replayed_windows += 1;
-            recovery.replayed_rows += tuples.len() as u64;
+            if window.first_id != held {
+                return Err(SitFactError::Parse(format!(
+                    "arrival log out of sequence: window starts at row {} but the monitor \
+                     holds {held} rows",
+                    window.first_id
+                )));
+            }
+            let tuples = window
+                .rows
+                .iter()
+                .map(|row| self.inner.encode_raw(&row.dims, row.measures.clone()))
+                .collect::<Result<Vec<_>>>()?;
+            let reports = self.run(&tuples, false)?;
+            outcome.windows += 1;
+            outcome.rows += tuples.len() as u64;
+            if keep {
+                outcome.reports.extend(reports);
+            }
         }
-        Ok((self, recovery))
+        Ok(outcome)
     }
 
     /// Read access to the monitor behind the stages.
     pub fn inner(&self) -> &Served {
         &self.inner
+    }
+
+    /// The monitor behind the stages, giving up the pipeline.
+    pub(crate) fn into_inner(self) -> Served {
+        self.inner
     }
 
     /// The report of the most recently acknowledged arrival; on a logged
@@ -221,14 +263,12 @@ impl ArrivalPipeline {
 
     /// Writes a full-state snapshot, bounding recovery replay to the log
     /// suffix behind it, then retires the log segments it covers. A monitor
-    /// whose algorithm cannot export its state writes none: recovery replays
-    /// the log.
+    /// without a snapshot form writes none: recovery replays the log.
     fn snapshot(&mut self) -> Result<()> {
-        // `open_log` refused snapshots for a sharded monitor.
-        let (Some(stage), Served::Plain(monitor)) = (&mut self.log, &self.inner) else {
+        let Some(stage) = &mut self.log else {
             return Ok(());
         };
-        let Some(blob) = monitor.export_durable()? else {
+        let Some(blob) = self.inner.export_durable()? else {
             return Ok(());
         };
         let covered = self.inner.len() as u64;
@@ -301,7 +341,7 @@ impl ArrivalPipeline {
     }
 
     /// Interns a raw row against the monitor's schema, without ingesting.
-    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
         self.inner.encode_raw(dims, measures)
     }
 
@@ -405,12 +445,12 @@ mod tests {
     /// What the helpers below drive: a bare monitor (the reference) or a
     /// pipeline.
     trait Feed {
-        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple>;
+        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple>;
         fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>>;
     }
 
     impl Feed for FactMonitor<STopDown> {
-        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple> {
             FactMonitor::encode_raw(self, dims, measures)
         }
         fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
@@ -419,7 +459,7 @@ mod tests {
     }
 
     impl Feed for ArrivalPipeline {
-        fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple> {
             ArrivalPipeline::encode_raw(self, dims, measures)
         }
         fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
@@ -429,10 +469,7 @@ mod tests {
 
     fn encode(monitor: &mut impl Feed, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> {
         rows.iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, measures.clone()).unwrap()
-            })
+            .map(|(dims, measures)| monitor.encode_raw(dims, measures.clone()).unwrap())
             .collect()
     }
 
@@ -701,10 +738,7 @@ mod tests {
         let tuples: Vec<Tuple> = gen
             .take_rows(5 * WINDOW)
             .iter()
-            .map(|row| {
-                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-                Tuple::new(schema.intern_dims(&dims).unwrap(), row.measures.clone())
-            })
+            .map(|row| Tuple::new(schema.intern_dims(&row.dims).unwrap(), row.measures.clone()))
             .collect();
         let config = MonitorConfig::default()
             .with_discovery(DiscoveryConfig::capped(3, 3))
@@ -1169,7 +1203,9 @@ mod tests {
                     STopDown::new,
                 )
                 .unwrap();
-                let outcome = Served::from(sharded).replay(&dir).unwrap();
+                let outcome = ArrivalPipeline::new(sharded, WindowPolicy::Unbounded)
+                    .replay(&dir)
+                    .unwrap();
                 assert_eq!(outcome.rows, n_rows as u64);
                 assert_eq!(outcome.dropped_bytes, 0);
                 assert_eq!(
@@ -1179,6 +1215,39 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A windowed log replayed under the policy it was written with
+    /// reproduces every acknowledged report: the replay runs the eviction
+    /// stage at the logged window edges. Without it (an unbounded replay)
+    /// the contexts keep the evicted rows, and the reports differ.
+    #[test]
+    fn replay_honours_the_window() {
+        let dir = temp_dir("replay-window");
+        let schema = schema();
+        let config = config();
+        let rows = raw_rows(47, 70);
+        let policy = WindowPolicy::count(12).unwrap();
+        let opts = WalOptions::default()
+            .with_sync(SyncPolicy::Os)
+            .with_snapshot_every(16);
+        let (mut original, _) = open(&dir, policy, opts);
+        let expected = feed(&mut original, &rows, 5);
+        drop(original);
+
+        let mut replayed = ArrivalPipeline::new(fresh(&schema, config), policy);
+        let outcome = replayed.replay(&dir).unwrap();
+        assert_eq!((outcome.windows, outcome.rows), (14, 70));
+        assert_eq!(outcome.reports, expected);
+        assert_eq!(replayed.last_report(), expected.last());
+        assert_eq!(replayed.stats().live_rows, 12);
+        replayed.inner().check().unwrap();
+
+        let unbounded = ArrivalPipeline::new(fresh(&schema, config), WindowPolicy::Unbounded)
+            .replay(&dir)
+            .unwrap();
+        assert_ne!(unbounded.reports, expected, "the window must matter");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Recovery must land on identical state regardless of the snapshot

@@ -2,15 +2,14 @@
 //! (Alg. 6 with subspace sharing) over one table or across shards. The shape
 //! is chosen where the monitor is built; the
 //! [`ArrivalPipeline`](crate::ArrivalPipeline) and the `sitfact-serve` engine
-//! hold a `Served` and never branch on it. Each method is one `match`.
+//! hold a `Served` and never branch on it. Each method is one `match`, the
+//! snapshot decision included: the sharded arm has no snapshot form.
 
-use crate::durable::{self, ReplayOutcome};
 use crate::fact::ArrivalReport;
 use crate::monitor::{FactMonitor, MonitorStats};
 use crate::sharded::ShardedMonitor;
 use sitfact_algos::STopDown;
 use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId};
-use std::path::Path;
 
 /// A served monitor: an unsharded [`FactMonitor`] or a [`ShardedMonitor`],
 /// both running `STopDown`. `tests/stream_monitor.rs` drives both arms.
@@ -62,7 +61,7 @@ impl Served {
 
     /// Interns a raw row against the schema and validates it, without
     /// ingesting.
-    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
         match self {
             Served::Plain(m) => m.encode_raw(dims, measures),
             Served::Sharded(m) => m.encode_raw(dims, measures),
@@ -98,19 +97,31 @@ impl Served {
         }
     }
 
-    /// Replays the **entire** raw arrival log in `dir`, ignoring snapshots
-    /// (they are shaped for the monitor that wrote them). This is the
-    /// resharding path: a log written by any monitor over the relation
-    /// replays into a monitor of any shape — another shard count included —
-    /// and reproduces the reports the original acknowledged. The monitor
-    /// must be empty, or hold a prefix of the log that ends at a window edge.
-    pub fn replay(&mut self, dir: impl AsRef<Path>) -> Result<ReplayOutcome> {
-        durable::replay_windows(dir.as_ref(), self.len(), |window| {
-            let tuples = durable::encode_window(self.len(), window, |dims, measures| {
-                self.encode_raw(dims, measures)
-            })?;
-            self.ingest_batch_slice(&tuples)
-        })
+    /// Whether the monitor's state has a snapshot form: the unsharded arm's
+    /// does; a sharded monitor's durability is its arrival log alone.
+    pub fn can_snapshot(&self) -> bool {
+        matches!(self, Served::Plain(_))
+    }
+
+    /// The monitor's full state as a snapshot blob
+    /// ([`FactMonitor::export_durable`]); `None` for a monitor without a
+    /// snapshot form.
+    pub fn export_durable(&self) -> Result<Option<Vec<u8>>> {
+        match self {
+            Served::Plain(m) => m.export_durable(),
+            Served::Sharded(_) => Ok(None),
+        }
+    }
+
+    /// [`FactMonitor::restore_durable`] of a blob [`Served::export_durable`]
+    /// wrote; a sharded monitor refuses with a typed `InvalidConfig`.
+    pub fn restore_durable(&mut self, blob: &[u8]) -> Result<()> {
+        match self {
+            Served::Plain(m) => m.restore_durable(blob),
+            Served::Sharded(_) => Err(SitFactError::InvalidConfig(
+                "a sharded monitor has no snapshot form: its durability is its log".to_string(),
+            )),
+        }
     }
 }
 

@@ -464,7 +464,7 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
 
     /// Interns a raw row against the master schema and validates it,
     /// without ingesting.
-    pub fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
+    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
         let ids = self.schema.intern_dims(dims)?;
         Tuple::validated(ids, measures, &self.schema)
     }

@@ -1,20 +1,30 @@
 //! Golden on-disk state: a durable tenant written by an earlier build must
 //! recover, byte for byte, under this one.
 //!
-//! `tests/fixtures/durable-v1/` is a windowed, snapshotted NBA tenant as the
-//! build before id-only skyline cells left it: its newest snapshot stores
-//! every cell entry with the entry's measures (the old cell layout), the
-//! log segments that snapshot covers are retired — so the snapshot is the
+//! Each `tests/fixtures/durable-v*/` is the same windowed, snapshotted NBA
+//! tenant as one generation of the on-disk layout left it: its newest
+//! snapshot covers log segments that are retired — so the snapshot is the
 //! only copy of that state — and the active segment holds a suffix of
-//! windows behind it plus a torn frame. Its snapshot also stores the posting
-//! lists in their old compressed layout, which recovery parses past and
-//! rebuilds from the table's columns. `expected.txt` is the fingerprint
-//! (recovery report, last report, stats) the writing build recovered, except
-//! for its `postings` field: those counters describe the index of the build
-//! that reads the fixture, so they equal a never-crashed tenant's.
+//! windows behind it plus a torn frame. The log layout is the same in every
+//! generation; the snapshots differ:
 //!
-//! The fixture was generated by the ignored `generate_fixture` below, run at
-//! that build; a fixture is never regenerated by a later one.
+//! * `durable-v1/` stores every cell entry with the entry's measures (the
+//!   cell layout before id-only cells) and the posting lists compressed;
+//! * `durable-v2/` stores id-only cells and the posting lists compressed;
+//! * `durable-v3/` stores id-only cells and an empty list count per
+//!   dimension (the index is rebuilt from the table's columns) — what this
+//!   build writes.
+//!
+//! Recovery parses past stored posting lists and rebuilds the index.
+//! `expected.txt` is the fingerprint (recovery report, last report, stats)
+//! the writing build recovered, except for its `postings` field: those
+//! counters describe the index of the build that reads the fixture, so they
+//! equal a never-crashed tenant's.
+//!
+//! Each generation was written by the ignored `generate_fixture` below, run
+//! at the build whose layout it records; a fixture is never regenerated by a
+//! later one, and `this_build_writes_the_newest_generation` pins that the
+//! current build still writes the newest one byte for byte.
 #![allow(
     clippy::unwrap_used,
     clippy::panic,
@@ -22,9 +32,9 @@
 )]
 
 use sitfact_algos::STopDown;
-use sitfact_core::{DiscoveryConfig, SitFactError, Tuple};
+use sitfact_core::{DiscoveryConfig, RawRow, SitFactError, Tuple};
 use sitfact_datagen::nba::{nba_schema, NbaConfig, NbaGenerator};
-use sitfact_datagen::{DataGenerator, Row};
+use sitfact_datagen::DataGenerator;
 use sitfact_prominence::{
     ArrivalPipeline, ArrivalReport, FactMonitor, MonitorConfig, RecoveryReport, WalOptions,
     WindowPolicy,
@@ -42,8 +52,22 @@ const WINDOW: usize = 32;
 
 type Tenant = ArrivalPipeline;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable-v1")
+/// The fixture generation `durable-v{version}/`.
+fn fixture_dir(version: u32) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/durable-v{version}"))
+}
+
+/// Every fixture generation, oldest first.
+fn generations() -> Vec<u32> {
+    let mut found: Vec<u32> = std::fs::read_dir(fixture_dir(1).parent().unwrap())
+        .unwrap()
+        .filter_map(|entry| {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("durable-v")?.parse().ok()
+        })
+        .collect();
+    found.sort_unstable();
+    found
 }
 
 fn options() -> WalOptions {
@@ -74,7 +98,7 @@ fn open(dir: &Path) -> sitfact_core::Result<(Tenant, RecoveryReport)> {
 }
 
 /// The seeded stream the fixture's tenant was fed, and its continuation.
-fn stream(rows: usize) -> Vec<Row> {
+fn stream(rows: usize) -> Vec<RawRow> {
     NbaGenerator::new(NbaConfig {
         dimensions: 4,
         measures: 2,
@@ -88,15 +112,12 @@ fn stream(rows: usize) -> Vec<Row> {
 }
 
 /// Ingests `rows` window by window; the reports, in arrival order.
-fn ingest(monitor: &mut Tenant, rows: &[Row]) -> Vec<ArrivalReport> {
+fn ingest(monitor: &mut Tenant, rows: &[RawRow]) -> Vec<ArrivalReport> {
     let mut reports = Vec::new();
     for window in rows.chunks(BATCH) {
         let tuples: Vec<Tuple> = window
             .iter()
-            .map(|row| {
-                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, row.measures.clone()).unwrap()
-            })
+            .map(|row| monitor.encode_raw(&row.dims, row.measures.clone()).unwrap())
             .collect();
         reports.extend(monitor.ingest_batch_slice(&tuples).unwrap());
     }
@@ -123,10 +144,14 @@ fn copy_tenant(from: &Path, to: &Path) {
     }
 }
 
-/// A private copy of the fixture: recovery truncates the torn tail.
-fn copy_fixture(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sitfact-durable-v1-{tag}-{}", std::process::id()));
-    copy_tenant(&fixture_dir(), &dir);
+/// A private copy of a fixture generation: recovery truncates the torn
+/// tail.
+fn copy_fixture(version: u32, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "sitfact-durable-v{version}-{tag}-{}",
+        std::process::id()
+    ));
+    copy_tenant(&fixture_dir(version), &dir);
     dir
 }
 
@@ -142,25 +167,67 @@ fn snapshot_path(dir: &Path) -> PathBuf {
 }
 
 #[test]
-fn v1_fixture_recovers_to_its_fingerprint() {
-    let dir = copy_fixture("recover");
-    let (mut recovered, recovery) = open(&dir).unwrap();
-    assert!(recovery.snapshot_rows > 0, "{recovery:?}");
-    assert!(recovery.dropped_bytes > 0, "{recovery:?}");
-    let expected = std::fs::read_to_string(fixture_dir().join("expected.txt")).unwrap();
-    assert_eq!(fingerprint(&recovery, &recovered), expected);
-
-    // The restored store is the store: the recovered tenant keeps reporting
-    // exactly what a tenant that never stopped reports.
+fn every_fixture_recovers_to_its_fingerprint() {
+    let versions = generations();
+    assert_eq!(versions, [1, 2, 3]);
     let rows = stream(WRITTEN + 48);
     let mut reference = tenant();
     ingest(&mut reference, &rows[..WRITTEN]);
-    assert_eq!(recovered.stats().postings, reference.stats().postings);
-    assert_eq!(
-        ingest(&mut recovered, &rows[WRITTEN..]),
-        ingest(&mut reference, &rows[WRITTEN..])
-    );
-    drop(recovered);
+    let continued = ingest(&mut reference, &rows[WRITTEN..]);
+    for version in versions {
+        let dir = copy_fixture(version, "recover");
+        let (mut recovered, recovery) = open(&dir).unwrap();
+        assert!(recovery.snapshot_rows > 0, "v{version}: {recovery:?}");
+        assert!(recovery.dropped_bytes > 0, "v{version}: {recovery:?}");
+        let expected = std::fs::read_to_string(fixture_dir(version).join("expected.txt")).unwrap();
+        assert_eq!(fingerprint(&recovery, &recovered), expected, "v{version}");
+
+        // The restored store is the store: the recovered tenant keeps
+        // reporting exactly what a tenant that never stopped reports.
+        let mut never_stopped = tenant();
+        ingest(&mut never_stopped, &rows[..WRITTEN]);
+        assert_eq!(
+            recovered.stats().postings,
+            never_stopped.stats().postings,
+            "v{version}"
+        );
+        assert_eq!(
+            ingest(&mut recovered, &rows[WRITTEN..]),
+            continued,
+            "v{version}"
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The newest generation is what this build writes: the same files, byte
+/// for byte, fingerprint included.
+#[test]
+fn this_build_writes_the_newest_generation() {
+    let newest = *generations().last().unwrap();
+    let dir = std::env::temp_dir().join(format!("sitfact-durable-write-{}", std::process::id()));
+    write_fixture(&dir);
+    let names = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let golden = fixture_dir(newest);
+    assert_eq!(names(&dir), names(&golden));
+    for name in names(&golden) {
+        let (written, pinned) = (
+            std::fs::read(dir.join(&name)).unwrap(),
+            std::fs::read(golden.join(&name)).unwrap(),
+        );
+        assert!(
+            written == pinned,
+            "{name:?} differs from durable-v{newest}/"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -266,7 +333,7 @@ fn walk_cells(layout: &Layout) -> ([(usize, u32); 3], Vec<u32>) {
 /// `restore_durable` on its blob, and by recovery once framed again (the
 /// retired log cannot stand in for it).
 fn refused(tag: &str, at: usize, bytes: &[u8], what: &str) {
-    let dir = copy_fixture(tag);
+    let dir = copy_fixture(1, tag);
     let path = snapshot_path(&dir);
     let mut layout = layout(&path);
     layout.payload[at..at + bytes.len()].copy_from_slice(bytes);
@@ -289,7 +356,7 @@ fn refused(tag: &str, at: usize, bytes: &[u8], what: &str) {
 
 #[test]
 fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
-    let layout = layout(&snapshot_path(&fixture_dir()));
+    let layout = layout(&snapshot_path(&fixture_dir(1)));
     // Old layout: ncells, then the first cell's nvalues, values, subspace,
     // nentries, and its first entry's id and nmeasures.
     let mut cur = ByteCursor::new(&layout.payload[layout.cells_at..]);
@@ -304,7 +371,7 @@ fn flipped_measure_in_an_old_layout_cell_is_a_typed_error() {
 /// below, tampered alone in a validly framed snapshot, is refused.
 #[test]
 fn a_cell_append_could_not_have_built_is_a_typed_error() {
-    let layout = layout(&snapshot_path(&fixture_dir()));
+    let layout = layout(&snapshot_path(&fixture_dir(1)));
     let ([(nvalues_at, nvalues), (bound_at, bound), (subspace_at, _)], _) = walk_cells(&layout);
     refused(
         "arity",
@@ -330,7 +397,7 @@ fn a_cell_append_could_not_have_built_is_a_typed_error() {
 
 #[test]
 fn a_table_append_could_not_have_built_is_a_typed_error() {
-    let layout = layout(&snapshot_path(&fixture_dir()));
+    let layout = layout(&snapshot_path(&fixture_dir(1)));
     // A row no cell stores: an old-layout cell entry repeats its row's
     // measures, and would refuse a changed one on its own.
     let (_, stored) = walk_cells(&layout);
@@ -353,21 +420,18 @@ fn a_table_append_could_not_have_built_is_a_typed_error() {
     );
 }
 
-/// Writes a fresh fixture generation to a temporary directory and prints
-/// where. Run at the build whose on-disk layout the generation records:
-/// `cargo test -p sitfact-prominence --test durable_fixture -- --ignored`.
-#[test]
-#[ignore = "generates a fixture generation; never rerun for an existing one"]
-fn generate_fixture() {
-    let dir = std::env::temp_dir().join("sitfact-durable-fixture");
-    let _ = std::fs::remove_dir_all(&dir);
+/// Writes the fixture tenant to a fresh `dir`: the stream, left with a torn
+/// frame behind the last acknowledged window, and the fingerprint a
+/// recovery of a copy of it reads.
+fn write_fixture(dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
     {
-        let (mut monitor, _) = open(&dir).unwrap();
+        let (mut monitor, _) = open(dir).unwrap();
         ingest(&mut monitor, &stream(WRITTEN));
     }
     // A torn frame behind the last acknowledged window: a length and half a
     // checksum, as a crash mid-append leaves them.
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|entry| entry.unwrap().path())
         .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
@@ -379,10 +443,20 @@ fn generate_fixture() {
     std::fs::write(active, log).unwrap();
 
     let recovered = dir.with_extension("recovered");
-    copy_tenant(&dir, &recovered);
+    copy_tenant(dir, &recovered);
     let (monitor, recovery) = open(&recovered).unwrap();
     std::fs::write(dir.join("expected.txt"), fingerprint(&recovery, &monitor)).unwrap();
     drop(monitor);
     let _ = std::fs::remove_dir_all(&recovered);
+}
+
+/// Writes a fresh fixture generation to a temporary directory and prints
+/// where. Run at the build whose on-disk layout the generation records:
+/// `cargo test -p sitfact-prominence --test durable_fixture -- --ignored`.
+#[test]
+#[ignore = "generates a fixture generation; never rerun for an existing one"]
+fn generate_fixture() {
+    let dir = std::env::temp_dir().join("sitfact-durable-fixture");
+    write_fixture(&dir);
     println!("fixture written to {}", dir.display());
 }

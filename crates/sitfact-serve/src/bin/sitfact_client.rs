@@ -135,13 +135,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         // First row through the per-arrival path, the rest through batched
         // windows — exercising both wire verbs.
         let first = generator.next_row();
-        let first_dims: Vec<&str> = first.dims.iter().map(String::as_str).collect();
-        reports.push(client.ingest(&first_dims, &first.measures)?);
+        reports.push(client.ingest(&first.dims, &first.measures)?);
         let mut pending: Vec<RawRow> = Vec::with_capacity(batch);
         for _ in 1..n {
-            let row = generator.next_row();
-            let row_dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-            pending.push(RawRow::new(&row_dims, &row.measures));
+            pending.push(generator.next_row());
             if pending.len() == batch {
                 reports.extend(client.ingest_batch(std::mem::take(&mut pending))?);
             }

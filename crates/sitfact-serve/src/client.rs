@@ -98,7 +98,11 @@ impl Client {
     }
 
     /// Ingests one row and returns its ranked-fact report.
-    pub fn ingest(&mut self, dims: &[&str], measures: &[f64]) -> Result<ArrivalReport, ServeError> {
+    pub fn ingest(
+        &mut self,
+        dims: &[impl AsRef<str>],
+        measures: &[f64],
+    ) -> Result<ArrivalReport, ServeError> {
         match self.roundtrip(&Request::Ingest(RawRow::new(dims, measures)))? {
             Response::Report(report) => Ok(report),
             other => Err(Self::unexpected("REPORT", &other)),

@@ -64,6 +64,8 @@
 #![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::error::ServeError;
+// A row's dimension strings may not contain TAB, LF or CR (the grammar).
+pub use sitfact_core::RawRow;
 use sitfact_core::{Constraint, Direction, SkylinePair, SubspaceMask, UNBOUND};
 use sitfact_prominence::{ArrivalReport, RankedFact};
 use std::io::{ErrorKind, Read, Write};
@@ -189,27 +191,6 @@ pub const REQUEST_VERBS: [&str; 9] = [
 /// Every response verb of the grammar, exactly as it travels on the wire.
 /// See [`REQUEST_VERBS`] for why this list exists.
 pub const RESPONSE_VERBS: [&str; 7] = ["PONG", "BYE", "OK", "STATS", "REPORT", "REPORTS", "ERR"];
-
-/// One raw row as the client submits it: dimension strings plus measures,
-/// interned and validated by the server against its schema.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawRow {
-    /// Raw dimension values (must not contain TAB, LF or CR — see the module
-    /// grammar).
-    pub dims: Vec<String>,
-    /// Measure values.
-    pub measures: Vec<f64>,
-}
-
-impl RawRow {
-    /// Builds a row from borrowed dimension strings and measures.
-    pub fn new(dims: &[&str], measures: &[f64]) -> Self {
-        RawRow {
-            dims: dims.iter().map(|d| d.to_string()).collect(),
-            measures: measures.to_vec(),
-        }
-    }
-}
 
 /// The schema + config a client supplies when opening a named tenant
 /// monitor over the wire ([`Request::Open`]).

@@ -31,7 +31,7 @@ use sitfact_core::{ActorPool, FxBuildHasher, SitFactError, SnapshotCell};
 use sitfact_prominence::{ArrivalPipeline, ArrivalReport, Served, WalOptions, WindowPolicy};
 
 use crate::error::error_kind;
-use crate::protocol::{RawRow, Request, Response, ServerStats, TenantSpec};
+use crate::protocol::{Request, Response, ServerStats, TenantSpec};
 
 /// The name of the tenant every connection starts on: the monitor the server
 /// was bound with. The wire grammar rejects empty tenant names, so this name
@@ -206,17 +206,14 @@ fn run_ingest(pipeline: &mut ArrivalPipeline, request: &Request) -> Response {
     if pipeline.inner().schema().name() == PANICKING_RELATION {
         panic!("deliberate ingest panic");
     }
-    let encode = |pipeline: &mut ArrivalPipeline, row: &RawRow| {
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        pipeline.encode_raw(&dims, row.measures.clone())
-    };
     let outcome = match request {
-        Request::Ingest(row) => encode(pipeline, row)
+        Request::Ingest(row) => pipeline
+            .encode_raw(&row.dims, row.measures.clone())
             .and_then(|tuple| pipeline.ingest(tuple))
             .map(Response::Report),
         Request::IngestBatch(rows) => rows
             .iter()
-            .map(|row| encode(pipeline, row))
+            .map(|row| pipeline.encode_raw(&row.dims, row.measures.clone()))
             .collect::<Result<Vec<_>, _>>()
             .and_then(|window| pipeline.ingest_batch_slice(&window))
             .map(Response::Reports),
@@ -249,8 +246,9 @@ fn read_response(request: &Request, snapshot: &TenantSnapshot) -> Response {
 /// map — nothing outside the worker ever touches the monitor.
 pub(crate) struct OwnedTenant {
     pipeline: ArrivalPipeline,
+    /// The tenant's published read state; its `poisoned` flag is the
+    /// tenant's one poison flag, set only by this owner.
     snapshot: Arc<SnapshotCell<TenantSnapshot>>,
-    poisoned: bool,
 }
 
 /// A registry entry. Only `Live` tenants answer requests (it holds the
@@ -365,7 +363,6 @@ impl Engine {
         let tenant = OwnedTenant {
             pipeline,
             snapshot: Arc::clone(&snapshot),
-            poisoned: false,
         };
         // Enqueue the ownership transfer *before* publishing the entry, while
         // holding the registry lock: mailbox enqueues are real-time FIFO, so
@@ -473,7 +470,7 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
     let Some(tenant) = owned.get_mut(name) else {
         return unknown_tenant(name);
     };
-    if tenant.poisoned {
+    if tenant.snapshot.load().poisoned {
         return err("State", POISONED_MSG);
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -487,7 +484,6 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
             response
         }
         Err(_) => {
-            tenant.poisoned = true;
             let mut snapshot = (*tenant.snapshot.load()).clone();
             snapshot.poisoned = true;
             tenant.snapshot.publish(Arc::new(snapshot));
@@ -503,6 +499,7 @@ fn ingest_on_owner(owned: &mut OwnerState, name: &str, request: &Request) -> Res
 )]
 mod tests {
     use super::*;
+    use crate::protocol::RawRow;
     use sitfact_core::Direction;
 
     fn spec(name: &str) -> TenantSpec {

@@ -34,6 +34,8 @@ pub mod store;
 pub mod table;
 pub mod wal;
 
+#[doc(hidden)]
+pub use compat::*;
 pub use context::ContextCounter;
 pub use file_store::FileSkylineStore;
 pub use kdtree::KdTree;
@@ -41,4 +43,4 @@ pub use memory_store::MemorySkylineStore;
 pub use stats::{StoreStats, WorkStats};
 pub use store::{RowId, SkylineStore, StoreCell};
 pub use table::{PostingIndexStats, Table};
-pub use wal::{ArrivalLog, LoggedRow, ScannedLog, SyncPolicy, WalStats, WindowRecord};
+pub use wal::{ArrivalLog, ScannedLog, SyncPolicy, WalStats, WindowRecord};

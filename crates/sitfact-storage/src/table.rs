@@ -253,7 +253,7 @@ impl Table {
 
     /// Interns the dimension strings, validates the measures and appends the
     /// resulting tuple. Validation happens once, inside [`Table::append`].
-    pub fn append_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<TupleId> {
+    pub fn append_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<TupleId> {
         let ids = self.schema.intern_dims(dims)?;
         self.append(Tuple::new(ids, measures))
     }
@@ -484,10 +484,10 @@ impl Table {
         )
     }
 
-    /// Crate-internal inverse of [`Table::state_parts`], rebuilding a table
-    /// from decoded snapshot state: the posting index is built in one pass
-    /// over the dims column. [`crate::wal::decode_table`] has checked the
-    /// retraction bounds and read each column at its stride.
+    /// Crate-internal inverse of [`Table::state_parts`]: a table over
+    /// decoded snapshot columns whose posting index is not built yet —
+    /// [`Table::with_index`] builds it. [`crate::wal`]'s decoders have
+    /// checked the retraction bounds and read each column at its stride.
     pub(crate) fn from_state_parts(
         schema: Schema,
         len: usize,
@@ -498,7 +498,6 @@ impl Table {
     ) -> Table {
         let n_dims = schema.num_dimensions();
         let n_measures = schema.num_measures();
-        let postings = index_of(&dims, n_dims, evicted);
         Table {
             schema,
             n_dims,
@@ -508,8 +507,15 @@ impl Table {
             watermark,
             dims,
             measures,
-            postings,
+            postings: vec![PostingMap::default(); n_dims],
         }
+    }
+
+    /// The table of [`Table::from_state_parts`] with its posting index
+    /// built, in one pass over the dims column.
+    pub(crate) fn with_index(mut self) -> Table {
+        self.postings = index_of(&self.dims, self.n_dims, self.evicted);
+        self
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
@@ -1154,7 +1160,7 @@ mod tests {
         for i in 0..rows {
             t.append_raw(
                 &[
-                    &format!("p{}", i % 5),
+                    format!("p{}", i % 5).as_str(),
                     if i % 2 == 0 { "East" } else { "West" },
                 ],
                 vec![i as f64, (rows - i) as f64],
@@ -1300,7 +1306,8 @@ mod tests {
             watermark,
             dims.to_vec(),
             measures.to_vec(),
-        );
+        )
+        .with_index();
         assert_eq!(restored.len(), t.len());
         assert_eq!(restored.live_rows(), t.live_rows());
         assert_eq!(restored.watermark(), t.watermark());

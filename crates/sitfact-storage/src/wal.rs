@@ -38,7 +38,9 @@
 
 use crate::store::StoreCell;
 use crate::table::Table;
-use sitfact_core::{Direction, Result, Schema, SchemaBuilder, SitFactError, SubspaceMask, UNBOUND};
+use sitfact_core::{
+    Direction, RawRow, Result, Schema, SchemaBuilder, SitFactError, SubspaceMask, UNBOUND,
+};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -313,30 +315,14 @@ pub fn scan_frames(buf: &[u8]) -> (Vec<&[u8]>, usize) {
 // Window records
 // ---------------------------------------------------------------------------
 
-/// One raw arrival row exactly as the client submitted it: dimension value
-/// strings plus measure values.
-///
-/// The log deliberately stores *strings*, not encoded
-/// [`Tuple`](sitfact_core::Tuple)s: dictionary ids depend on interning
-/// order, which a replay reproduces only if it re-interns the same raw
-/// stream — and a raw log can also be replayed into a differently-sharded
-/// monitor, whose shards intern independently.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoggedRow {
-    /// Dimension values, one string per dimension attribute.
-    pub dims: Vec<String>,
-    /// Measure values, one per measure attribute.
-    pub measures: Vec<f64>,
-}
-
 /// One logged ingest window: the id its first row received plus the raw
-/// rows, in arrival order.
+/// rows ([`RawRow`]: strings, not interned ids), in arrival order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRecord {
     /// Tuple id assigned to the window's first row.
     pub first_id: u64,
     /// The window's rows, in arrival order.
-    pub rows: Vec<LoggedRow>,
+    pub rows: Vec<RawRow>,
 }
 
 impl WindowRecord {
@@ -374,7 +360,7 @@ impl WindowRecord {
             for _ in 0..nmeasures {
                 measures.push(cur.get_f64()?);
             }
-            rows.push(LoggedRow { dims, measures });
+            rows.push(RawRow { dims, measures });
         }
         if !cur.is_empty() {
             return Err(SitFactError::Parse(format!(
@@ -782,6 +768,21 @@ fn skip_old_posting_list(cur: &mut ByteCursor<'_>) -> Result<()> {
 /// lists an older snapshot carries are parsed past and discarded: the index
 /// is rebuilt from the dims column.
 pub fn decode_table(cur: &mut ByteCursor<'_>) -> Result<Table> {
+    decode_columns(cur).map(Table::with_index)
+}
+
+/// Decodes a table ([`encode_table`]) and the cells encoded after it
+/// ([`encode_cells`]), checking the cells against the decoded columns
+/// before the table's posting index is built: a snapshot with corrupt
+/// cells is refused before that pass over the dims column.
+pub fn decode_state(cur: &mut ByteCursor<'_>) -> Result<(Table, Vec<StoreCell>)> {
+    let table = decode_columns(cur)?;
+    let cells = decode_cells(cur, &table)?;
+    Ok((table.with_index(), cells))
+}
+
+/// [`decode_table`] up to the posting index, which is left unbuilt.
+fn decode_columns(cur: &mut ByteCursor<'_>) -> Result<Table> {
     let schema = decode_schema(cur)?;
     let n_dims = schema.num_dimensions();
     let n_measures = schema.num_measures();
@@ -979,7 +980,7 @@ mod tests {
         WindowRecord {
             first_id,
             rows: (0..rows)
-                .map(|i| LoggedRow {
+                .map(|i| RawRow {
                     dims: vec![format!("p{i}"), "team".to_string()],
                     measures: vec![i as f64, 0.5 + i as f64],
                 })
@@ -1040,7 +1041,7 @@ mod tests {
         // NaN-free exactness is bit-level: a tricky float survives.
         let tricky = WindowRecord {
             first_id: 0,
-            rows: vec![LoggedRow {
+            rows: vec![RawRow {
                 dims: vec!["x".into()],
                 measures: vec![0.1 + 0.2, f64::MIN_POSITIVE, -0.0],
             }],

@@ -66,8 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let window: Vec<Tuple> = (0..WINDOW.min(n - ingested))
             .map(|_| {
                 let row = generator.next_row();
-                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, row.measures.clone())
+                monitor.encode_raw(&row.dims, row.measures.clone())
             })
             .collect::<Result<_, _>>()?;
         ingested += window.len();

@@ -64,11 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prominent_games = 0usize;
     while ingested < n {
         let window: Vec<RawRow> = (0..WINDOW.min(n - ingested))
-            .map(|_| {
-                let row = generator.next_row();
-                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-                RawRow::new(&dims, &row.measures)
-            })
+            .map(|_| generator.next_row())
             .collect();
         ingested += window.len();
         for report in client.ingest_batch(window)? {

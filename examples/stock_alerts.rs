@@ -40,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut alerts = 0usize;
     for _ in 0..n {
         let row = generator.next_row();
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let report = monitor.ingest_raw(&dims, row.measures.clone())?;
+        let report = monitor.ingest_raw(&row.dims, row.measures.clone())?;
         if report.prominent_count > 0 && alerts < 12 {
             alerts += 1;
             let schema = monitor.table().schema();

@@ -167,6 +167,41 @@ run_step() {
         echo "wal-smoke: recovered server state drifted from pre-kill" >&2
         return 1
       fi
+      wait "$server_pid"
+      # Resharding through the binaries: a log-only server with 2 shards
+      # ingests and fingerprints, is SIGKILLed, and restarts on the same
+      # directory with 3 shards. Recovery replays the raw log into the new
+      # shape, and the TOPK + STATS fingerprint, which does not depend on
+      # the shard count, must match byte for byte.
+      rm -rf "$data_dir"
+      rm -f "$port_file" "$state_file"
+      target/release/sitfact_serve \
+        --addr 127.0.0.1:0 --port-file "$port_file" --tau 50 --shards 2 \
+        --data-dir "$data_dir" &
+      server_pid=$!
+      if ! target/release/sitfact_client \
+        --port-file "$port_file" --n 40 --batch 8 --seed 11 \
+        --assert-facts --state-out "$state_file"; then
+        kill -9 "$server_pid" 2>/dev/null || true
+        wait "$server_pid" 2>/dev/null || true
+        echo "wal-smoke: pre-kill client round trip on 2 shards failed" >&2
+        return 1
+      fi
+      kill -9 "$server_pid"
+      wait "$server_pid" 2>/dev/null || true
+      rm -f "$port_file"
+      target/release/sitfact_serve \
+        --addr 127.0.0.1:0 --port-file "$port_file" --tau 50 --shards 3 \
+        --data-dir "$data_dir" &
+      server_pid=$!
+      if ! target/release/sitfact_client \
+        --port-file "$port_file" --n 0 --state-expect "$state_file" \
+        --shutdown; then
+        kill "$server_pid" 2>/dev/null || true
+        wait "$server_pid" 2>/dev/null || true
+        echo "wal-smoke: the 3-shard replay of a 2-shard log drifted" >&2
+        return 1
+      fi
       wait "$server_pid" ;;
     *) echo "ci_steps.sh: unknown step '$1'" >&2; exit 64 ;;
   esac

@@ -93,17 +93,17 @@ pub mod prelude {
     };
     pub use sitfact_core::{
         Audit, AuditViolation, BoundMask, Constraint, ConstraintLattice, Dictionary, Direction,
-        DiscoveryConfig, Schema, SchemaBuilder, SkylinePair, SubspaceMask, Tuple, TupleId,
+        DiscoveryConfig, RawRow, Schema, SchemaBuilder, SkylinePair, SubspaceMask, Tuple, TupleId,
         TupleRef, TupleView,
     };
-    pub use sitfact_datagen::{shuffle_rows, DataGenerator, Row, ShuffledReplay};
+    pub use sitfact_datagen::{shuffle_rows, DataGenerator, ShuffledReplay};
     pub use sitfact_prominence::{
         narrate, ArrivalPipeline, ArrivalReport, DistributionStats, FactMonitor, MonitorConfig,
         RankedFact, RecoveryReport, ReplayOutcome, Served, ShardedMonitor, WalOptions,
         WindowPolicy,
     };
     pub use sitfact_serve::{
-        Client, FactServer, RawRow, ServeError, ServerHandle, ServerOptions, TenantSpec,
+        Client, FactServer, ServeError, ServerHandle, ServerOptions, TenantSpec,
     };
     pub use sitfact_storage::{
         ContextCounter, FileSkylineStore, KdTree, MemorySkylineStore, SkylineStore, StoreStats,

@@ -148,7 +148,7 @@ fn all_algorithms_agree_with_duplicate_heavy_workload() {
         fn schema(&self) -> &Schema {
             self.0.schema()
         }
-        fn next_row(&mut self) -> Row {
+        fn next_row(&mut self) -> RawRow {
             let mut row = self.0.next_row();
             for m in &mut row.measures {
                 *m = (*m / 250.0).round();

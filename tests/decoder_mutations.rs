@@ -102,10 +102,7 @@ fn durable_inputs(dir: &Path) -> (Vec<u8>, Vec<u8>, PathBuf, Vec<u8>) {
     for window in rows.chunks(BATCH) {
         let tuples: Vec<_> = window
             .iter()
-            .map(|row| {
-                let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-                tenant.encode_raw(&dims, row.measures.clone()).unwrap()
-            })
+            .map(|row| tenant.encode_raw(&row.dims, row.measures.clone()).unwrap())
             .collect();
         tenant.ingest_batch_slice(&tuples).unwrap();
     }

@@ -34,8 +34,7 @@ fn monitor_reports_are_internally_consistent() {
 
     for _ in 0..1_200 {
         let row = generator.next_row();
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let report = monitor.ingest_raw(&dims, row.measures.clone()).unwrap();
+        let report = monitor.ingest_raw(&row.dims, row.measures.clone()).unwrap();
         distribution.record(&report);
 
         // Ranked in non-increasing prominence.
@@ -82,8 +81,7 @@ fn context_counter_and_table_agree_after_streaming() {
     let mut table = Table::new(schema);
     for _ in 0..800 {
         let row = generator.next_row();
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let id = table.append_raw(&dims, row.measures.clone()).unwrap();
+        let id = table.append_raw(&row.dims, row.measures.clone()).unwrap();
         counter.observe(table.tuple(id));
     }
     // Cross-check the incremental counts against scans for a sample of
@@ -153,8 +151,7 @@ fn file_backed_monitor_survives_many_tuples() {
     );
     for _ in 0..400 {
         let row = generator.next_row();
-        let dims: Vec<&str> = row.dims.iter().map(String::as_str).collect();
-        let report = monitor.ingest_raw(&dims, row.measures.clone()).unwrap();
+        let report = monitor.ingest_raw(&row.dims, row.measures.clone()).unwrap();
         assert!(report.facts.iter().all(|f| f.prominence() >= 1.0));
     }
     let stats = monitor.algorithm().store_stats();

@@ -64,7 +64,7 @@ fn windowed_equals_rebuild(
     // identical value ids — each interning independently would drift, as
     // the rebuild never observes the evicted rows' strings).
     let mut scratch = Table::new(schema.clone());
-    let mut encode = |rows: &[Row]| -> Vec<Tuple> {
+    let mut encode = |rows: &[RawRow]| -> Vec<Tuple> {
         rows.iter()
             .map(|row| situational_facts::datagen::encode_row(&mut scratch, row).unwrap())
             .collect()
