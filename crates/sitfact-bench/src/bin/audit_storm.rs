@@ -1,4 +1,4 @@
-//! `audit_storm` — randomized deep-audit smoke binary for the CI `analyze`
+//! `audit_storm` — randomized deep `Audit` smoke binary for the CI `analyze`
 //! step.
 //!
 //! Hammers every audited structure with seeded random workloads and runs its
@@ -15,12 +15,6 @@
 //! unwindowed, because it refuses `evict_prefix`. Any violation prints its
 //! `explain()` and exits non-zero.
 //!
-//! The validators only exist under
-//! `cfg(any(test, debug_assertions, feature = "deep-audit"))`, so a release
-//! build without the feature gets a stub that says so and exits 0 —
-//! `ci_steps.sh run analyze` runs the real storm via
-//! `--release --features deep-audit`.
-//!
 //! Usage: `audit_storm [--seed N] [--rounds N]` — an unknown flag or an
 //! unparsable value exits 1, naming the flag.
 
@@ -31,17 +25,10 @@ fn main() -> Result<(), String> {
     reject_unknown(&args, &["--seed", "--rounds"])?;
     let seed: u64 = parsed(&args, "--seed", 7)?;
     let rounds: usize = parsed(&args, "--rounds", 12)?;
-    #[cfg(any(debug_assertions, feature = "deep-audit"))]
     storm::run(seed, rounds);
-    #[cfg(not(any(debug_assertions, feature = "deep-audit")))]
-    println!(
-        "audit_storm: deep-audit validators are compiled out in this build; \
-         rerun with --features deep-audit (or a debug build) for seed {seed}, {rounds} rounds"
-    );
     Ok(())
 }
 
-#[cfg(any(debug_assertions, feature = "deep-audit"))]
 mod storm {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -2,7 +2,7 @@
 
 use crate::params::ExperimentParams;
 use sitfact_algos::{AlgorithmKind, SBottomUp};
-use sitfact_core::{DiscoveryConfig, RawRow, Schema, Tuple};
+use sitfact_core::{DiscoveryConfig, RawRow, Schema};
 use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
 use sitfact_datagen::weather::{WeatherConfig, WeatherGenerator};
 use sitfact_datagen::DataGenerator;
@@ -110,12 +110,11 @@ pub fn run_stream(
     let mut window_count = 0usize;
     let mut total_seconds = 0.0f64;
 
-    for (i, row) in rows.iter().enumerate() {
-        let ids = table
-            .schema_mut()
-            .intern_dims(&row.dims)
-            .expect("row matches schema");
-        let tuple = Tuple::new(ids, row.measures.clone());
+    let tuples = table
+        .schema_mut()
+        .encode_rows(rows)
+        .expect("rows match the schema");
+    for (i, tuple) in tuples.into_iter().enumerate() {
         let is_sample = (i + 1) % sample_every == 0 || i + 1 == rows.len();
 
         if incremental || is_sample {
@@ -396,10 +395,8 @@ mod tests {
         };
         let (schema, rows) = generate_rows(DatasetKind::Nba, &params);
         let mut table = Table::with_capacity(schema, rows.len());
-        for row in &rows {
-            let ids = table.schema_mut().intern_dims(&row.dims).unwrap();
-            table.append(Tuple::new(ids, row.measures.clone())).unwrap();
-        }
+        let tuples = table.schema_mut().encode_rows(&rows).unwrap();
+        table.append_batch_slice(&tuples).unwrap();
         for probe_id in [0u32, 1_000, 2_500, 4_999] {
             let probe = table.tuple(probe_id);
             // Bind the player attribute alone and player ∧ team.

@@ -9,7 +9,7 @@
 //! * `bench_e2e`, the repository's end-to-end benchmark (`src/bin/bench_e2e/`,
 //!   also a package of its own).
 //!
-//! `audit_storm` rides along as the randomized deep-audit smoke binary of the
+//! `audit_storm` rides along as the randomized deep `Audit` smoke binary of the
 //! CI `analyze` step. Usage and the record of the retired experiments are in
 //! `crates/sitfact-bench/README.md`. This library holds the shared plumbing:
 //!

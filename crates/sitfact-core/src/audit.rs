@@ -10,10 +10,8 @@
 //! mismatch.
 //!
 //! Implementations live next to the structures they check (they need private
-//! field access) behind `cfg(any(test, debug_assertions, feature =
-//! "deep-audit"))`, so release builds compile them out unless the
-//! `deep-audit` feature is enabled. Property tests end with a deep
-//! `audit()` call; the `audit_storm` binary in `sitfact-bench` hammers the
+//! field access) and are compiled into every build; they run only when
+//! called. Property tests end with a deep `audit()` call; the `audit_storm` binary in `sitfact-bench` hammers the
 //! validators with randomized workloads.
 
 use std::fmt;

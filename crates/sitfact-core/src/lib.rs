@@ -38,8 +38,8 @@
 //!   lock, which read-mostly consumers clone out and keep while the
 //!   publisher moves on;
 //! * [`audit`] — the [`Audit`] trait and [`AuditViolation`] record behind the
-//!   deep structural validators every data structure exposes under
-//!   `cfg(any(test, debug_assertions, feature = "deep-audit"))`.
+//!   deep structural validators every data structure exposes, in every
+//!   build.
 //!
 //! ## Example
 //!

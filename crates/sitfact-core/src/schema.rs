@@ -3,6 +3,7 @@
 
 use crate::dictionary::Dictionary;
 use crate::error::{Result, SitFactError};
+use crate::tuple::{validate_parts, RawRow, Tuple};
 use crate::value::Direction;
 
 /// Maximum number of dimension attributes supported by the bitmask-based
@@ -82,7 +83,27 @@ impl Schema {
         &mut self.dictionaries[dim]
     }
 
-    /// Interns a full row of dimension strings, returning their ids.
+    /// Turns a window of raw rows into tuples — the one raw-row → tuple path.
+    /// Every row's arity and the finiteness of its measures are checked
+    /// before a single string is interned, so a refused window (an error)
+    /// leaves every dictionary as it was. A single row is a window of one.
+    pub fn encode_rows(&mut self, rows: &[RawRow]) -> Result<Vec<Tuple>> {
+        for row in rows {
+            validate_parts(row.dims.len(), &row.measures, self)?;
+        }
+        Ok(rows
+            .iter()
+            .map(|row| {
+                let dims = (row.dims.iter().zip(&mut self.dictionaries))
+                    .map(|(value, dictionary)| dictionary.intern(value))
+                    .collect();
+                Tuple::new(dims, row.measures.clone())
+            })
+            .collect())
+    }
+
+    /// Interns a full row of dimension strings, returning their ids. It
+    /// checks the arity only; [`Schema::encode_rows`] validates whole rows.
     pub fn intern_dims(&mut self, values: &[impl AsRef<str>]) -> Result<Vec<u32>> {
         if values.len() != self.num_dimensions() {
             return Err(SitFactError::InvalidTuple(format!(
@@ -301,6 +322,39 @@ mod tests {
     fn interning_checks_arity() {
         let mut s = sample();
         assert!(s.intern_dims(&["only", "two"]).is_err());
+    }
+
+    /// A refused window interns nothing, whichever row refuses it and
+    /// wherever that row sits; an accepted one interns in row order.
+    #[test]
+    fn encode_rows_validates_the_window_before_interning() {
+        let lens = |s: &Schema| (0..3).map(|d| s.dictionary(d).len()).collect::<Vec<_>>();
+        let row =
+            |player: &str, measures: &[f64]| RawRow::new(&[player, "Nets", "1996-97"], measures);
+        let mut s = sample();
+        let accepted = s
+            .encode_rows(&[RawRow::new(&["Wesley", "Celtics", "1995-96"], &[1.0, 2.0])])
+            .unwrap();
+        assert_eq!(accepted, vec![Tuple::new(vec![0, 0, 0], vec![1.0, 2.0])]);
+        let before = lens(&s);
+        for refused in [
+            vec![row("Ghost", &[f64::NAN, 1.0])],
+            vec![row("Ghost", &[1.0, f64::INFINITY])],
+            vec![row("Ghost", &[1.0, 1.0]), row("Other", &[1.0])],
+            vec![
+                row("Ghost", &[1.0, 1.0]),
+                RawRow::new(&["only", "two"], &[1.0, 1.0]),
+            ],
+        ] {
+            assert!(s.encode_rows(&refused).is_err(), "{refused:?}");
+            assert_eq!(lens(&s), before, "{refused:?}");
+        }
+        let window = s
+            .encode_rows(&[row("Ghost", &[2.0, 1.0]), row("Wesley", &[3.0, 1.0])])
+            .unwrap();
+        assert_eq!(window[0].dims(), &[1, 1, 1]);
+        assert_eq!(window[1].dims(), &[0, 1, 1]);
+        assert!(s.encode_rows(&[]).unwrap().is_empty());
     }
 
     #[test]

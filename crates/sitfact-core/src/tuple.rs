@@ -105,8 +105,8 @@ pub struct Tuple {
 impl Tuple {
     /// Creates a tuple from encoded dimension ids and measure values.
     ///
-    /// Use [`Tuple::validated`] when the tuple comes from external input and
-    /// should be checked against a schema.
+    /// External input arrives as [`RawRow`]s: turn those into tuples with
+    /// [`Schema::encode_rows`], which validates before it interns.
     pub fn new(dims: Vec<DimValueId>, measures: Vec<f64>) -> Self {
         Self { dims, measures }
     }
@@ -122,7 +122,7 @@ impl Tuple {
     /// Validates this tuple against `schema` without consuming or copying it:
     /// arity must match and measures must be finite.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
-        validate_parts(&self.dims, &self.measures, schema)
+        validate_parts(self.dims.len(), &self.measures, schema)
     }
 
     /// The dictionary-encoded dimension values.
@@ -264,12 +264,13 @@ impl<'a> From<&'a Tuple> for TupleRef<'a> {
     }
 }
 
-fn validate_parts(dims: &[DimValueId], measures: &[f64], schema: &Schema) -> Result<()> {
-    if dims.len() != schema.num_dimensions() {
+/// The checks a row must pass against `schema`, whether its dimensions are
+/// strings or ids: arity, then finite measures.
+pub(crate) fn validate_parts(num_dims: usize, measures: &[f64], schema: &Schema) -> Result<()> {
+    if num_dims != schema.num_dimensions() {
         return Err(SitFactError::InvalidTuple(format!(
-            "expected {} dimension values, got {}",
+            "expected {} dimension values, got {num_dims}",
             schema.num_dimensions(),
-            dims.len()
         )));
     }
     if measures.len() != schema.num_measures() {

@@ -102,9 +102,8 @@ pub fn read_csv_rows(schema: &Schema, path: impl AsRef<Path>) -> Result<Vec<RawR
 pub fn read_csv(schema: &Schema, path: impl AsRef<Path>) -> Result<Table> {
     let rows = read_csv_rows(schema, path)?;
     let mut table = Table::with_capacity(schema.clone(), rows.len());
-    for row in rows {
-        table.append_raw(&row.dims, row.measures)?;
-    }
+    let tuples = table.schema_mut().encode_rows(&rows)?;
+    table.append_batch_slice(&tuples)?;
     Ok(table)
 }
 

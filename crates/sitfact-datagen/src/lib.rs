@@ -31,7 +31,7 @@ pub mod stocks;
 pub mod weather;
 pub mod zipf;
 
-use sitfact_core::{RawRow, Result, Schema, Tuple};
+use sitfact_core::{RawRow, Result, Schema};
 use sitfact_storage::Table;
 
 /// A source of synthetic rows under a fixed schema.
@@ -50,10 +50,8 @@ pub trait DataGenerator {
     /// Generates `n` rows and loads them into a fresh [`Table`].
     fn table_of(&mut self, n: usize) -> Result<Table> {
         let mut table = Table::with_capacity(self.schema().clone(), n);
-        for _ in 0..n {
-            let row = self.next_row();
-            table.append_raw(&row.dims, row.measures)?;
-        }
+        let tuples = table.schema_mut().encode_rows(&self.take_rows(n))?;
+        table.append_batch_slice(&tuples)?;
         Ok(table)
     }
 }
@@ -119,21 +117,13 @@ impl DataGenerator for ShuffledReplay {
     }
 }
 
-/// Encodes a [`RawRow`] against a table's schema (interning its dimension
-/// strings) without appending it — handy when a row must be *discovered
-/// against* the table before being added.
-pub fn encode_row(table: &mut Table, row: &RawRow) -> Result<Tuple> {
-    let ids = table.schema_mut().intern_dims(&row.dims)?;
-    Tuple::validated(ids, row.measures.clone(), table.schema())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generic::{Correlation, GenericConfig, GenericGenerator};
 
     #[test]
-    fn table_of_and_encode_row_round_trip() {
+    fn table_of_and_encode_rows_round_trip() {
         let mut gen = GenericGenerator::new(GenericConfig {
             dim_cardinalities: vec![3, 4],
             measures: 2,
@@ -142,8 +132,8 @@ mod tests {
         });
         let mut table = gen.table_of(50).unwrap();
         assert_eq!(table.len(), 50);
-        let row = gen.next_row();
-        let tuple = encode_row(&mut table, &row).unwrap();
+        let rows = gen.take_rows(1);
+        let tuple = &table.schema_mut().encode_rows(&rows).unwrap()[0];
         assert_eq!(tuple.num_dims(), 2);
         assert_eq!(tuple.num_measures(), 2);
     }

@@ -4,11 +4,11 @@
 
 use crate::durable::ReplayOutcome;
 use crate::fact::ArrivalReport;
-use crate::monitor::FactMonitor;
+use crate::monitor::{sole, FactMonitor};
 use crate::pipeline::{ArrivalPipeline, WindowPolicy};
 use crate::served::Served;
 use sitfact_algos::{Discovery, STopDown};
-use sitfact_core::{Result, Tuple};
+use sitfact_core::{RawRow, Result, SitFactError, Tuple};
 use std::path::Path;
 
 /// The old object-safe ingest surface, over a monitor or a pipeline.
@@ -35,17 +35,33 @@ impl<A: Discovery> StreamMonitor for FactMonitor<A> {
     }
 }
 
+/// A pipeline ingests raw rows, so its tuples are rendered back to the rows
+/// they were encoded from.
 impl StreamMonitor for ArrivalPipeline {
     fn encode_raw(&mut self, dims: &[&str], measures: Vec<f64>) -> Result<Tuple> {
-        ArrivalPipeline::encode_raw(self, dims, measures)
+        let row = RawRow::new(dims, &measures);
+        sole(self.inner_mut().encode_rows(&[row])?)
     }
 
     fn ingest_batch(&mut self, tuples: Vec<Tuple>) -> Result<Vec<ArrivalReport>> {
-        self.ingest_batch_slice(&tuples)
+        let schema = self.inner().schema();
+        let rows = tuples.iter().map(|tuple| {
+            let dims = tuple.dims().iter().enumerate();
+            let dims = dims.map(|(d, &id)| schema.resolve_dim(d, id).map(str::to_string));
+            let dims = dims.collect::<Option<_>>().ok_or_else(|| {
+                SitFactError::InvalidTuple("a dimension value id is not interned".to_string())
+            })?;
+            let measures = tuple.measures().to_vec();
+            Ok(RawRow { dims, measures })
+        });
+        let rows = rows.collect::<Result<Vec<RawRow>>>()?;
+        self.ingest_rows(&rows)
     }
 
     fn ingest_all(&mut self, tuples: Vec<Tuple>) -> Result<Vec<ArrivalReport>> {
-        tuples.into_iter().map(|t| self.ingest(t)).collect()
+        (tuples.into_iter())
+            .map(|t| self.ingest_batch(vec![t]).and_then(sole))
+            .collect()
     }
 }
 

@@ -1,10 +1,13 @@
 //! The on-disk half of a logged [`ArrivalPipeline`](crate::ArrivalPipeline):
-//! its options, a window's raw rows, and snapshot files.
+//! its options, what recovery and replay did, and snapshot files.
 //!
-//! A monitor's state is a pure function of its raw arrival sequence, so the
-//! log stores **raw strings** ([`RawRow`]), not interned ids: the same log
+//! A monitor's state is a pure function of its accepted raw arrival
+//! sequence, so the log keeps each accepted window's rows **as received**
+//! ([`RawRow`](sitfact_core::RawRow): strings, not interned ids), and a
+//! window that fails validation interns nothing. The same log
 //! replays into any monitor over the relation, one with a different shard
-//! count included, through the pipeline's one replay loop. Snapshots bound
+//! count included, through the pipeline's one replay loop, which encodes
+//! the logged rows exactly as the live window was encoded. Snapshots bound
 //! replay: every `snapshot_every` rows ([`WalOptions`]) the monitor's full
 //! state ([`Served::export_durable`]) goes to a single-frame file next to
 //! the log segments, and recovery replays only the suffix behind the newest
@@ -16,11 +19,9 @@
 
 use crate::fact::{ArrivalReport, RankedFact};
 use crate::served::Served;
-use sitfact_core::{
-    Constraint, RawRow, Result, Schema, SitFactError, SkylinePair, SubspaceMask, Tuple, TupleId,
-};
+use sitfact_core::{Constraint, Result, SitFactError, SkylinePair, SubspaceMask, TupleId};
 use sitfact_storage::wal::{self, ByteCursor};
-use sitfact_storage::{SyncPolicy, WindowRecord};
+use sitfact_storage::SyncPolicy;
 use std::fs;
 use std::path::Path;
 
@@ -120,36 +121,6 @@ pub struct ReplayOutcome {
     pub rows: u64,
     /// Bytes dropped behind a torn or corrupted log tail.
     pub dropped_bytes: u64,
-}
-
-/// Validates a window against `schema` and renders it back to the raw
-/// strings the log stores, as the window starting at row `first_id`.
-pub(crate) fn window_record(
-    schema: &Schema,
-    first_id: usize,
-    tuples: &[Tuple],
-) -> Result<WindowRecord> {
-    let mut rows = Vec::with_capacity(tuples.len());
-    for tuple in tuples {
-        tuple.validate(schema)?;
-        let mut dims = Vec::with_capacity(tuple.dims().len());
-        for (d, &id) in tuple.dims().iter().enumerate() {
-            let value = schema.resolve_dim(d, id).ok_or_else(|| {
-                SitFactError::InvalidTuple(format!(
-                    "dimension value id {id} has no entry in attribute {d}'s dictionary"
-                ))
-            })?;
-            dims.push(value.to_string());
-        }
-        rows.push(RawRow {
-            dims,
-            measures: tuple.measures().to_vec(),
-        });
-    }
-    Ok(WindowRecord {
-        first_id: first_id as u64,
-        rows,
-    })
 }
 
 /// The arrival-report codec: a snapshot stores the last acknowledged report,

@@ -108,7 +108,6 @@ impl ArrivalReport {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -117,7 +116,6 @@ impl ArrivalReport {
 /// Checks that a report is in the canonical normalized form every monitor
 /// emits: facts sorted by [`RankedFact::ranking_cmp`] and `prominent_count` marking exactly the prefix of facts tied
 /// with the maximum prominence.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for ArrivalReport {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;

@@ -3,7 +3,7 @@
 use crate::fact::{ArrivalReport, RankedFact};
 use sitfact_algos::Discovery;
 use sitfact_core::{
-    DiscoveryConfig, Result, Schema, SitFactError, SkylinePair, Tuple, TupleId, TupleRef,
+    DiscoveryConfig, RawRow, Result, Schema, SitFactError, SkylinePair, Tuple, TupleId, TupleRef,
 };
 use sitfact_storage::{wal, ContextCounter, PostingIndexStats, Table, WalStats};
 
@@ -151,11 +151,11 @@ impl MonitorStats {
     }
 }
 
-/// The report of a window of one.
-pub(crate) fn sole_report(mut reports: Vec<ArrivalReport>) -> Result<ArrivalReport> {
-    reports
+/// The one result of a window of one (its tuple, or its report).
+pub(crate) fn sole<T>(mut window: Vec<T>) -> Result<T> {
+    window
         .pop()
-        .ok_or_else(|| SitFactError::Io("ingest of one tuple produced no report".to_string()))
+        .ok_or_else(|| SitFactError::Io("a window of one produced nothing".to_string()))
 }
 
 /// Owns the table, the context-cardinality counter and a discovery algorithm,
@@ -234,7 +234,6 @@ impl<A: Discovery> FactMonitor<A> {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -356,6 +355,11 @@ impl<A: Discovery> FactMonitor<A> {
         self.table.schema()
     }
 
+    /// The schema, for encoding raw rows against it.
+    pub(crate) fn schema_mut(&mut self) -> &mut Schema {
+        self.table.schema_mut()
+    }
+
     /// The monitor configuration.
     pub fn config(&self) -> &MonitorConfig {
         &self.config
@@ -409,18 +413,19 @@ impl<A: Discovery> FactMonitor<A> {
         Ok(newly)
     }
 
-    /// Interns a raw row against the schema and validates it, without
-    /// ingesting — the encoding half of [`FactMonitor::ingest_raw`], for
-    /// callers assembling a window for [`FactMonitor::ingest_batch_slice`].
+    /// Validates a raw row against the schema, then interns it
+    /// ([`Schema::encode_rows`]), without ingesting — the encoding half of
+    /// [`FactMonitor::ingest_raw`], for callers assembling a window for
+    /// [`FactMonitor::ingest_batch_slice`].
     pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
-        let ids = self.table.schema_mut().intern_dims(dims)?;
-        Tuple::validated(ids, measures, self.table.schema())
+        let row = RawRow::new(dims, &measures);
+        sole(self.schema_mut().encode_rows(&[row])?)
     }
 
     /// Ingests one already-encoded tuple as a window of one
     /// ([`FactMonitor::ingest_batch_slice`]) and returns its report.
     pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        sole_report(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
+        sole(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
     }
 
     /// Ingests a window of arrivals — the one way an arrival enters the
@@ -556,7 +561,6 @@ impl<A: Discovery> FactMonitor<A> {
 /// [`ContextCounter`] rebuilt from the rows must agree with the incrementally
 /// maintained one entry-for-entry (same constraints, same cardinalities),
 /// after the table passes its own deep audit.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl<A: Discovery> sitfact_core::Audit for FactMonitor<A> {
     fn check(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;
@@ -1004,6 +1008,63 @@ mod tests {
         let reports = monitor.ingest_batch_slice(&[t]).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(monitor.len(), 1);
+    }
+
+    /// Feeds one accepted row, then refused windows of one — a `NaN` or
+    /// infinite measure, a measure too few, a dimension too few, each with
+    /// values never seen — through `encode`, which returns whether the row
+    /// was accepted and the dictionary lengths after it.
+    fn refuses_without_interning(
+        path: &str,
+        mut encode: impl FnMut(&[&str], Vec<f64>) -> (bool, [usize; 2]),
+    ) {
+        assert_eq!(
+            encode(&["Wesley", "Celtics"], vec![1.0, 2.0]),
+            (true, [1, 1]),
+            "{path}"
+        );
+        let refused: [(&[&str], Vec<f64>); 4] = [
+            (&["Ghost", "Nets"], vec![f64::NAN, 1.0]),
+            (&["Ghost", "Nets"], vec![1.0, f64::INFINITY]),
+            (&["Ghost", "Nets"], vec![1.0]),
+            (&["Ghost"], vec![1.0, 1.0]),
+        ];
+        for (dims, measures) in refused {
+            let case = format!("{path}: {dims:?} {measures:?}");
+            assert_eq!(encode(dims, measures), (false, [1, 1]), "{case}");
+        }
+    }
+
+    /// Every raw-row path validates before it interns: a refused window
+    /// leaves every dictionary's length unchanged, through the schema, the
+    /// table and both monitors.
+    #[test]
+    fn a_refused_window_leaves_every_dictionary_unchanged() {
+        use crate::sharded::ShardedMonitor;
+        use sitfact_storage::Table;
+        let lens = |schema: &Schema| [schema.dictionary(0).len(), schema.dictionary(1).len()];
+        let mut bare = schema();
+        refuses_without_interning("Schema::encode_rows", |dims, measures| {
+            let ok = bare.encode_rows(&[RawRow::new(dims, &measures)]).is_ok();
+            (ok, lens(&bare))
+        });
+        let mut table = Table::new(schema());
+        refuses_without_interning("Table::append_raw", |dims, measures| {
+            let ok = table.append_raw(dims, measures).is_ok();
+            (ok, lens(table.schema()))
+        });
+        let config = MonitorConfig::default();
+        let algo = STopDown::new(&schema(), config.discovery);
+        let mut plain = FactMonitor::new(schema(), algo, config);
+        refuses_without_interning("FactMonitor::encode_raw", |dims, measures| {
+            let ok = plain.encode_raw(dims, measures).is_ok();
+            (ok, lens(plain.schema()))
+        });
+        let mut sharded = ShardedMonitor::new(schema(), 1, 2, config, STopDown::new).unwrap();
+        refuses_without_interning("ShardedMonitor::encode_raw", |dims, measures| {
+            let ok = sharded.encode_raw(dims, measures).is_ok();
+            (ok, lens(sharded.schema()))
+        });
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! [`durable`]). Both are stages of one struct around a [`Served`]
 //! monitor, run in this order for every window:
 //!
-//! 1. validate the window and render it to raw rows (logged only);
-//! 2. append it to the log — the acknowledgement barrier (logged only);
-//! 3. ingest it into the monitor;
+//! 1. encode the raw rows once: validate every row, then intern
+//!    ([`Schema::encode_rows`](sitfact_core::Schema::encode_rows)), so a
+//!    refused window changes nothing;
+//! 2. append the rows, as received, to the log — the acknowledgement
+//!    barrier (logged only);
+//! 3. ingest the tuples into the monitor;
 //! 4. evict whatever fell off the back of the window;
 //! 5. record the last report;
 //! 6. snapshot, if one is due (logged only).
@@ -20,14 +23,14 @@
 //! refuses a snapshot interval for it.
 //!
 //! Eviction runs only *between* windows: every arrival of a window sees the
-//! full pre-window history plus its in-window predecessors, and a
-//! [`ArrivalPipeline::ingest`] call is a window of one, logged or not. The
+//! full pre-window history plus its in-window predecessors, and a single
+//! row is a window of one, logged or not. The
 //! reports of a bounded pipeline are therefore a function of the window
 //! partitioning, which replay re-feeds from the log: the same evictions
 //! happen at the same instants, with no eviction records in the log.
 //!
 //! After any window, a bounded pipeline's observable state — reports for
-//! all future arrivals, deep-audit state, snapshot bytes — equals that of a
+//! all future arrivals, deep `Audit` state, snapshot bytes — equals that of a
 //! fresh monitor (id space aligned via
 //! [`FactMonitor::with_base`](crate::FactMonitor::with_base)) fed only the
 //! surviving suffix; `windowed_monitor_equals_rebuild_from_suffix` in
@@ -35,10 +38,10 @@
 
 use crate::durable::{self, RecoveryReport, ReplayOutcome, WalOptions};
 use crate::fact::ArrivalReport;
-use crate::monitor::{sole_report, MonitorStats};
+use crate::monitor::MonitorStats;
 use crate::served::Served;
-use sitfact_core::{Result, SitFactError, Tuple, TupleId};
-use sitfact_storage::{wal, ArrivalLog, ScannedLog};
+use sitfact_core::{RawRow, Result, SitFactError, TupleId};
+use sitfact_storage::{wal, ArrivalLog, ScannedLog, WindowRecord};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -87,7 +90,7 @@ impl WindowPolicy {
 ///
 /// ```
 /// use sitfact_algos::STopDown;
-/// use sitfact_core::{Direction, SchemaBuilder};
+/// use sitfact_core::{Direction, RawRow, SchemaBuilder};
 /// use sitfact_prominence::{ArrivalPipeline, FactMonitor, MonitorConfig, WalOptions, WindowPolicy};
 ///
 /// let dir = std::env::temp_dir().join(format!("sitfact-pipeline-doc-{}", std::process::id()));
@@ -107,8 +110,7 @@ impl WindowPolicy {
 /// // First life: every window is logged before it is acknowledged.
 /// let (mut pipeline, _) = fresh().open_log(&dir, WalOptions::default()).unwrap();
 /// for points in [10.0, 12.0, 9.0, 11.0] {
-///     let tuple = pipeline.encode_raw(&["Wesley"], vec![points]).unwrap();
-///     pipeline.ingest(tuple).unwrap();
+///     pipeline.ingest_rows(&[RawRow::new(&["Wesley"], &[points])]).unwrap();
 /// }
 /// assert_eq!(pipeline.stats().len, 4, "ids keep counting arrivals");
 /// assert_eq!(pipeline.stats().live_rows, 2, "only the window answers queries");
@@ -224,14 +226,9 @@ impl ArrivalPipeline {
                     window.first_id
                 )));
             }
-            let tuples = window
-                .rows
-                .iter()
-                .map(|row| self.inner.encode_raw(&row.dims, row.measures.clone()))
-                .collect::<Result<Vec<_>>>()?;
-            let reports = self.run(&tuples, false)?;
+            let reports = self.run(&window.rows, false)?;
             outcome.windows += 1;
-            outcome.rows += tuples.len() as u64;
+            outcome.rows += window.rows.len() as u64;
             if keep {
                 outcome.reports.extend(reports);
             }
@@ -242,6 +239,11 @@ impl ArrivalPipeline {
     /// Read access to the monitor behind the stages.
     pub fn inner(&self) -> &Served {
         &self.inner
+    }
+
+    /// The monitor behind the stages, for encoding against its schema.
+    pub(crate) fn inner_mut(&mut self) -> &mut Served {
+        &mut self.inner
     }
 
     /// The monitor behind the stages, giving up the pipeline.
@@ -282,30 +284,29 @@ impl ArrivalPipeline {
 
     /// The stages, in order, for one window. A `live` window is logged and
     /// may snapshot; a replayed one is already in the log.
-    fn run(&mut self, window: &[Tuple], live: bool) -> Result<Vec<ArrivalReport>> {
-        let rows = window.len();
-        if let Some(stage) = &mut self.log {
-            if stage.broken {
-                return Err(SitFactError::Io(
-                    "arrival pipeline is failed: a logged window was not applied; reopen to \
-                     recover"
-                        .to_string(),
-                ));
-            }
-            if live && rows > 0 {
-                let record = durable::window_record(self.inner.schema(), self.inner.len(), window)?;
-                stage.log.append(&record)?;
-            }
+    fn run(&mut self, rows: &[RawRow], live: bool) -> Result<Vec<ArrivalReport>> {
+        if self.log.as_ref().is_some_and(|stage| stage.broken) {
+            return Err(SitFactError::Io(
+                "arrival pipeline is failed: a logged window was not applied; reopen to recover"
+                    .to_string(),
+            ));
         }
-        if rows == 0 {
+        if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let ingested = self.inner.ingest_batch_slice(window);
+        let window = self.inner.encode_rows(rows)?;
+        if let (true, Some(stage)) = (live, &mut self.log) {
+            stage.log.append(&WindowRecord {
+                first_id: self.inner.len() as u64,
+                rows: rows.to_vec(),
+            })?;
+        }
+        let ingested = self.inner.ingest_batch_slice(&window);
         let reports = match ingested.and_then(|reports| self.evict().map(|_| reports)) {
             Ok(reports) => reports,
             Err(err) => {
                 // Logged but not (wholly) applied: refuse ingest until a
-                // reopen replays the log. Bad rows failed rendering above.
+                // reopen replays the log. Bad rows failed encoding above.
                 if let Some(stage) = &mut self.log {
                     stage.broken = true;
                 }
@@ -316,7 +317,7 @@ impl ArrivalPipeline {
             self.last_report = Some(Arc::new(last.clone()));
         }
         let due = self.log.as_mut().is_some_and(|stage| {
-            stage.rows_since_snapshot += rows as u64;
+            stage.rows_since_snapshot += rows.len() as u64;
             stage
                 .opts
                 .snapshot_every
@@ -340,21 +341,13 @@ impl ArrivalPipeline {
         }
     }
 
-    /// Interns a raw row against the monitor's schema, without ingesting.
-    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
-        self.inner.encode_raw(dims, measures)
-    }
-
-    /// Runs one arrival through the stages as a window of one.
-    pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        sole_report(self.run(std::slice::from_ref(&tuple), true)?)
-    }
-
-    /// Runs one window through the stages: the reports a sequential
-    /// [`ArrivalPipeline::ingest`] loop over an unbounded monitor would
-    /// produce, with eviction after the window.
-    pub fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-        self.run(tuples, true)
+    /// Runs one window of raw rows through the stages — a single row is a
+    /// window of one — and returns one report per row, in order: the
+    /// reports an unbounded monitor fed the rows one by one would produce,
+    /// with eviction after the window. All-or-nothing: a refused row
+    /// refuses the window before anything is interned or logged.
+    pub fn ingest_rows(&mut self, rows: &[RawRow]) -> Result<Vec<ArrivalReport>> {
+        self.run(rows, true)
     }
 
     /// The monitor's counters with the log's added.
@@ -424,7 +417,7 @@ mod tests {
     }
 
     /// Deterministic raw stream: `n` rows over small value domains.
-    fn raw_rows(seed: u64, n: usize) -> Vec<(Vec<String>, Vec<f64>)> {
+    fn raw_rows(seed: u64, n: usize) -> Vec<RawRow> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
@@ -437,52 +430,37 @@ mod tests {
                     f64::from(rng.gen_range(0..40u32)),
                     f64::from(rng.gen_range(0..15u32)),
                 ];
-                (dims, measures)
+                RawRow { dims, measures }
             })
             .collect()
     }
 
     /// What the helpers below drive: a bare monitor (the reference) or a
-    /// pipeline.
+    /// pipeline, each fed one window of raw rows.
     trait Feed {
-        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple>;
-        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>>;
+        fn ingest_rows(&mut self, rows: &[RawRow]) -> Result<Vec<ArrivalReport>>;
     }
 
     impl Feed for FactMonitor<STopDown> {
-        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple> {
-            FactMonitor::encode_raw(self, dims, measures)
-        }
-        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-            FactMonitor::ingest_batch_slice(self, tuples)
+        fn ingest_rows(&mut self, rows: &[RawRow]) -> Result<Vec<ArrivalReport>> {
+            let window = (rows.iter())
+                .map(|row| self.encode_raw(&row.dims, row.measures.clone()))
+                .collect::<Result<Vec<_>>>()?;
+            self.ingest_batch_slice(&window)
         }
     }
 
     impl Feed for ArrivalPipeline {
-        fn encode_raw(&mut self, dims: &[String], measures: Vec<f64>) -> Result<Tuple> {
-            ArrivalPipeline::encode_raw(self, dims, measures)
+        fn ingest_rows(&mut self, rows: &[RawRow]) -> Result<Vec<ArrivalReport>> {
+            ArrivalPipeline::ingest_rows(self, rows)
         }
-        fn ingest_batch_slice(&mut self, tuples: &[Tuple]) -> Result<Vec<ArrivalReport>> {
-            ArrivalPipeline::ingest_batch_slice(self, tuples)
-        }
-    }
-
-    fn encode(monitor: &mut impl Feed, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> {
-        rows.iter()
-            .map(|(dims, measures)| monitor.encode_raw(dims, measures.clone()).unwrap())
-            .collect()
     }
 
     /// Feeds `rows` in windows of `window` through the monitor's batch path.
-    fn feed(
-        monitor: &mut impl Feed,
-        rows: &[(Vec<String>, Vec<f64>)],
-        window: usize,
-    ) -> Vec<ArrivalReport> {
+    fn feed(monitor: &mut impl Feed, rows: &[RawRow], window: usize) -> Vec<ArrivalReport> {
         let mut reports = Vec::new();
         for chunk in rows.chunks(window.max(1)) {
-            let tuples = encode(monitor, chunk);
-            reports.extend(monitor.ingest_batch_slice(&tuples).unwrap());
+            reports.extend(monitor.ingest_rows(chunk).unwrap());
         }
         reports
     }
@@ -544,41 +522,34 @@ mod tests {
                     // The reference: an unlogged single row goes through
                     // `FactMonitor::ingest`, everything else through the
                     // batch path, with `evict_prefix` at each boundary.
-                    let drive =
-                        |pipeline: &mut ArrivalPipeline,
-                         reference: &mut FactMonitor<STopDown>,
-                         chunk: &[(Vec<String>, Vec<f64>)]| {
-                            let tuples = encode(pipeline, chunk);
-                            let expected_tuples = encode(reference, chunk);
-                            let (got, expected) = if batch == 1 {
-                                let tuple = tuples[0].clone();
-                                let expected = if logged {
-                                    reference.ingest_batch_slice(&expected_tuples).unwrap()
-                                } else {
-                                    vec![reference.ingest(expected_tuples[0].clone()).unwrap()]
-                                };
-                                (vec![pipeline.ingest(tuple).unwrap()], expected)
-                            } else {
-                                (
-                                    pipeline.ingest_batch_slice(&tuples).unwrap(),
-                                    reference.ingest_batch_slice(&expected_tuples).unwrap(),
-                                )
-                            };
-                            if let Some(n) = policy.limit() {
-                                let len = reference.len() as u64;
-                                if len > n {
-                                    reference.evict_prefix((len - n) as TupleId).unwrap();
-                                }
-                            }
-                            assert_eq!(got, expected, "{case}");
-                            assert_eq!(pipeline.last_report(), expected.last(), "{case}");
-                            let stats = pipeline.stats();
-                            assert_eq!(unlogged_stats(pipeline), reference.stats(), "{case}");
-                            let limit = policy.limit().map_or(stats.len, |n| n as usize);
-                            assert_eq!(stats.live_rows, stats.len.min(limit), "{case}");
-                            let durable_rows = if logged { stats.len as u64 } else { 0 };
-                            assert_eq!(stats.wal.durable_rows, durable_rows, "{case}");
+                    let drive = |pipeline: &mut ArrivalPipeline,
+                                 reference: &mut FactMonitor<STopDown>,
+                                 chunk: &[RawRow]| {
+                        let expected = if batch == 1 && !logged {
+                            let row = &chunk[0];
+                            let tuple = reference
+                                .encode_raw(&row.dims, row.measures.clone())
+                                .unwrap();
+                            vec![reference.ingest(tuple).unwrap()]
+                        } else {
+                            Feed::ingest_rows(reference, chunk).unwrap()
                         };
+                        let got = pipeline.ingest_rows(chunk).unwrap();
+                        if let Some(n) = policy.limit() {
+                            let len = reference.len() as u64;
+                            if len > n {
+                                reference.evict_prefix((len - n) as TupleId).unwrap();
+                            }
+                        }
+                        assert_eq!(got, expected, "{case}");
+                        assert_eq!(pipeline.last_report(), expected.last(), "{case}");
+                        let stats = pipeline.stats();
+                        assert_eq!(unlogged_stats(pipeline), reference.stats(), "{case}");
+                        let limit = policy.limit().map_or(stats.len, |n| n as usize);
+                        assert_eq!(stats.live_rows, stats.len.min(limit), "{case}");
+                        let durable_rows = if logged { stats.len as u64 } else { 0 };
+                        assert_eq!(stats.wal.durable_rows, durable_rows, "{case}");
+                    };
                     for chunk in rows[..60].chunks(batch) {
                         drive(&mut pipeline, &mut reference, chunk);
                     }
@@ -636,13 +607,16 @@ mod tests {
         fresh(schema, MonitorConfig::default().with_tau(2.0))
     }
 
-    fn random_tuples(seed: u64, n: usize) -> Vec<Tuple> {
+    fn random_rows(seed: u64, n: usize) -> Vec<RawRow> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                Tuple::new(
-                    vec![rng.gen_range(0..4u32), rng.gen_range(0..3u32)],
-                    vec![rng.gen_range(0..6) as f64, rng.gen_range(0..6) as f64],
+                RawRow::new(
+                    &[
+                        format!("p{}", rng.gen_range(0..4u32)),
+                        format!("t{}", rng.gen_range(0..3u32)),
+                    ],
+                    &[rng.gen_range(0..6) as f64, rng.gen_range(0..6) as f64],
                 )
             })
             .collect()
@@ -653,8 +627,8 @@ mod tests {
         let schema = window_schema();
         let mut monitor =
             ArrivalPipeline::new(window_monitor(&schema), WindowPolicy::count(10).unwrap());
-        for (i, t) in random_tuples(3, 30).into_iter().enumerate() {
-            monitor.ingest(t).unwrap();
+        for (i, row) in random_rows(3, 30).iter().enumerate() {
+            monitor.ingest_rows(std::slice::from_ref(row)).unwrap();
             assert_eq!(monitor.inner().len(), i + 1);
             assert_eq!(monitor.stats().live_rows, (i + 1).min(10));
         }
@@ -665,15 +639,15 @@ mod tests {
     #[test]
     fn eviction_waits_for_the_batch_boundary() {
         let schema = window_schema();
-        let tuples = random_tuples(11, 24);
+        let rows = random_rows(11, 24);
         // One big batch through a window of 8: every arrival still sees its
         // full in-batch history (reports equal the append-only monitor's),
         // and the eviction lands once, after the batch.
         let mut windowed =
             ArrivalPipeline::new(window_monitor(&schema), WindowPolicy::count(8).unwrap());
         let mut reference = window_monitor(&schema);
-        let a = windowed.ingest_batch_slice(&tuples).unwrap();
-        let b = reference.ingest_batch_slice(&tuples).unwrap();
+        let a = windowed.ingest_rows(&rows).unwrap();
+        let b = Feed::ingest_rows(&mut reference, &rows).unwrap();
         assert_eq!(a, b);
         assert_eq!(windowed.stats().live_rows, 8);
         assert_eq!(reference.stats().live_rows, 24);
@@ -684,29 +658,29 @@ mod tests {
     fn windowed_equals_rebuild_from_suffix() {
         let schema = window_schema();
         let config = MonitorConfig::default().with_tau(2.0);
-        let tuples = random_tuples(17, 40);
+        let rows = random_rows(17, 40);
         let policy = WindowPolicy::count(12).unwrap();
         let mut windowed = ArrivalPipeline::new(window_monitor(&schema), policy);
-        for window in tuples.chunks(7) {
-            windowed.ingest_batch_slice(window).unwrap();
+        for window in rows.chunks(7) {
+            windowed.ingest_rows(window).unwrap();
         }
-        // A fresh monitor fed only the survivors, id space aligned.
+        // A fresh monitor fed only the survivors, id space aligned and
+        // dictionaries cloned (the rebuild never sees the evicted strings).
         let base = (windowed.inner().len() - windowed.stats().live_rows) as u32;
         let mut rebuilt = FactMonitor::with_base(
-            schema.clone(),
+            windowed.inner().schema().clone(),
             STopDown::new(&schema, config.discovery),
             config,
             base,
         );
-        let survivors: Vec<Tuple> = tuples[base as usize..].to_vec();
-        rebuilt.ingest_batch_slice(&survivors).unwrap();
+        Feed::ingest_rows(&mut rebuilt, &rows[base as usize..]).unwrap();
         // Future sequential arrivals report identically (windowed keeps
         // evicting; the rebuilt reference is evicted in lockstep through the
         // same stages).
         let mut rebuilt = ArrivalPipeline::new(rebuilt, policy);
-        for t in random_tuples(19, 10) {
-            let a = windowed.ingest(t.clone()).unwrap();
-            let b = rebuilt.ingest(t).unwrap();
+        for row in random_rows(19, 10) {
+            let a = windowed.ingest_rows(std::slice::from_ref(&row)).unwrap();
+            let b = rebuilt.ingest_rows(std::slice::from_ref(&row)).unwrap();
             assert_eq!(a, b);
         }
         windowed.inner().check().unwrap();
@@ -734,12 +708,8 @@ mod tests {
             games_per_season: 5 * WINDOW / 8,
             seed: 42,
         });
-        let mut schema = gen.schema().clone();
-        let tuples: Vec<Tuple> = gen
-            .take_rows(5 * WINDOW)
-            .iter()
-            .map(|row| Tuple::new(schema.intern_dims(&row.dims).unwrap(), row.measures.clone()))
-            .collect();
+        let schema = gen.schema().clone();
+        let rows = gen.take_rows(5 * WINDOW);
         let config = MonitorConfig::default()
             .with_discovery(DiscoveryConfig::capped(3, 3))
             .with_tau(100.0)
@@ -755,9 +725,10 @@ mod tests {
         let mut windowed = ArrivalPipeline::new(fresh(&schema, config), policy);
         let mut unbounded = Served::from(fresh(&schema, config));
         let mut fill = None;
-        for chunk in tuples.chunks(8) {
-            windowed.ingest_batch_slice(chunk).unwrap();
-            unbounded.ingest_batch_slice(chunk).unwrap();
+        for chunk in rows.chunks(8) {
+            windowed.ingest_rows(chunk).unwrap();
+            let window = unbounded.encode_rows(chunk).unwrap();
+            unbounded.ingest_batch_slice(&window).unwrap();
             if unbounded.len() >= 2 * WINDOW {
                 let bytes = heap(windowed.inner());
                 let fill = *fill.get_or_insert(bytes);
@@ -787,11 +758,11 @@ mod tests {
         // has to evict refuses with a typed error.
         let schema = window_schema();
         let mut monitor = ArrivalPipeline::new(sharded(&schema), WindowPolicy::count(2).unwrap());
-        let mut tuples = random_tuples(5, 3).into_iter();
-        for tuple in tuples.by_ref().take(2) {
-            monitor.ingest(tuple).unwrap();
+        let rows = random_rows(5, 3);
+        for row in &rows[..2] {
+            monitor.ingest_rows(std::slice::from_ref(row)).unwrap();
         }
-        let err = monitor.ingest(tuples.next().unwrap()).unwrap_err();
+        let err = monitor.ingest_rows(&rows[2..]).unwrap_err();
         assert!(matches!(err, SitFactError::InvalidConfig(_)));
     }
 
@@ -1090,11 +1061,14 @@ mod tests {
     fn broken_after_divergence_refuses_ingest() {
         let dir = temp_dir("broken");
         let (mut durable, _) = open(&dir, WindowPolicy::Unbounded, WalOptions::default());
-        // A tuple that passes rendering cannot make the monitor's ingest
-        // fail, so force the flag directly to pin the refusal behaviour.
+        // A row that passes encoding cannot make the monitor's ingest fail,
+        // so force the flag directly to pin the refusal behaviour.
         durable.log.as_mut().unwrap().broken = true;
-        let tuple = Tuple::new(vec![0, 0, 0], vec![1.0, 1.0]);
-        assert!(matches!(durable.ingest(tuple), Err(SitFactError::Io(_))));
+        let row = RawRow::new(&["p", "t", "m"], &[1.0, 1.0]);
+        assert!(matches!(
+            durable.ingest_rows(&[row]),
+            Err(SitFactError::Io(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1109,14 +1083,13 @@ mod tests {
                 .unwrap();
         let rows = raw_rows(41, 3);
         feed(&mut durable, &rows[..2], 2);
-        let tuples = encode(&mut durable, &rows[2..]);
         assert!(matches!(
-            durable.ingest_batch_slice(&tuples),
+            durable.ingest_rows(&rows[2..]),
             Err(SitFactError::InvalidConfig(_))
         ));
         assert_eq!(durable.stats().wal.durable_rows, 3, "the window was logged");
         assert!(matches!(
-            durable.ingest_batch_slice(&tuples),
+            durable.ingest_rows(&rows[2..]),
             Err(SitFactError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1126,7 +1099,7 @@ mod tests {
     fn empty_window_is_not_logged() {
         let dir = temp_dir("empty");
         let (mut durable, _) = open(&dir, WindowPolicy::Unbounded, WalOptions::default());
-        assert_eq!(durable.ingest_batch_slice(&[]).unwrap(), Vec::new());
+        assert_eq!(durable.ingest_rows(&[]).unwrap(), Vec::new());
         assert_eq!(durable.stats().wal.durable_rows, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1135,12 +1108,84 @@ mod tests {
     fn rejected_window_is_not_logged() {
         let dir = temp_dir("rejected");
         let (mut durable, _) = open(&dir, WindowPolicy::Unbounded, WalOptions::default());
-        let bad = Tuple::new(vec![0], vec![1.0]); // wrong arity
-        assert!(durable.ingest(bad).is_err());
+        let bad = RawRow::new(&["p"], &[1.0]); // wrong arity
+        assert!(durable.ingest_rows(&[bad]).is_err());
         assert_eq!(durable.stats().wal.durable_rows, 0, "nothing may be logged");
         assert!(
             !durable.log.as_ref().unwrap().broken,
             "a rejected row is not divergence"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A refused window interns nothing, so the log — which never holds it —
+    /// replays to the state of a pipeline that never crashed: the last
+    /// report, every dictionary and the reports that follow. The scenario:
+    /// an accepted window; a single row with a `NaN` measure and a player
+    /// never seen; a batch whose first row brings a new team and whose
+    /// second has one measure too few; an accepted window of new values.
+    #[test]
+    fn refused_windows_leave_nothing_to_recover() {
+        let dir = temp_dir("refused");
+        let row = |dims: [&str; 3], measures: &[f64]| RawRow::new(&dims, measures);
+        let feeds: [(Vec<RawRow>, bool); 4] = [
+            (
+                vec![
+                    row(["A", "X", "Jan"], &[3.0, 1.0]),
+                    row(["B", "X", "Feb"], &[1.0, 3.0]),
+                ],
+                true,
+            ),
+            (vec![row(["Ghost", "X", "Jan"], &[f64::NAN, 1.0])], false),
+            (
+                vec![
+                    row(["A", "Nets", "Jan"], &[5.0, 5.0]),
+                    row(["B", "X", "Jan"], &[1.0]),
+                ],
+                false,
+            ),
+            (
+                vec![
+                    row(["C", "Y", "Mar"], &[4.0, 4.0]),
+                    row(["D", "Y", "Jan"], &[2.0, 6.0]),
+                ],
+                true,
+            ),
+        ];
+        let continuation = [
+            row(["E", "Z", "Apr"], &[6.0, 2.0]),
+            row(["A", "Y", "Mar"], &[7.0, 7.0]),
+        ];
+        let dictionaries = |pipeline: &ArrivalPipeline| {
+            let schema = pipeline.inner().schema();
+            (0..schema.num_dimensions())
+                .map(|d| schema.dictionary(d).len())
+                .collect::<Vec<_>>()
+        };
+        let opts = WalOptions::default().with_sync(SyncPolicy::Os);
+        let (mut logged, _) = open(&dir, WindowPolicy::Unbounded, opts);
+        let mut never_crashed =
+            ArrivalPipeline::new(fresh(&schema(), config()), WindowPolicy::Unbounded);
+        for (rows, accepted) in &feeds {
+            let got = logged.ingest_rows(rows);
+            assert_eq!(got.is_ok(), *accepted, "{rows:?}: {got:?}");
+            assert_eq!(got.ok(), never_crashed.ingest_rows(rows).ok());
+        }
+        std::mem::forget(logged);
+
+        let (mut recovered, recovery) = open(&dir, WindowPolicy::Unbounded, opts);
+        assert_eq!((recovery.replayed_windows, recovery.replayed_rows), (2, 4));
+        assert_eq!(recovered.last_report(), never_crashed.last_report());
+        assert_eq!(dictionaries(&recovered), dictionaries(&never_crashed));
+        assert_eq!(
+            recovered.ingest_rows(&continuation).unwrap(),
+            never_crashed.ingest_rows(&continuation).unwrap()
+        );
+        assert_eq!(dictionaries(&recovered), dictionaries(&never_crashed));
+        assert_eq!(
+            dictionaries(&never_crashed),
+            vec![5, 3, 4],
+            "A B C D E · X Y Z · Jan Feb Mar Apr"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1170,7 +1215,7 @@ mod tests {
                 .with_discovery(DiscoveryConfig::default().with_anchor(anchor));
             let window = rng.gen_range(1..7usize);
             let n_rows = rng.gen_range(20..45usize);
-            let rows: Vec<(Vec<String>, Vec<f64>)> = (0..n_rows)
+            let rows: Vec<RawRow> = (0..n_rows)
                 .map(|_| {
                     let dims = (0..n_dims)
                         .map(|d| format!("d{d}v{}", rng.gen_range(0..4u32)))
@@ -1178,7 +1223,7 @@ mod tests {
                     let measures = (0..n_measures)
                         .map(|_| f64::from(rng.gen_range(0..25u32)))
                         .collect();
-                    (dims, measures)
+                    RawRow { dims, measures }
                 })
                 .collect();
             let snapshot_every = rng.gen_range(5..20u64);

@@ -9,7 +9,7 @@ use crate::fact::ArrivalReport;
 use crate::monitor::{FactMonitor, MonitorStats};
 use crate::sharded::ShardedMonitor;
 use sitfact_algos::STopDown;
-use sitfact_core::{Result, Schema, SitFactError, Tuple, TupleId};
+use sitfact_core::{RawRow, Result, Schema, SitFactError, Tuple, TupleId};
 
 /// A served monitor: an unsharded [`FactMonitor`] or a [`ShardedMonitor`],
 /// both running `STopDown`. `tests/stream_monitor.rs` drives both arms.
@@ -59,12 +59,12 @@ impl Served {
         self.len() == 0
     }
 
-    /// Interns a raw row against the schema and validates it, without
-    /// ingesting.
-    pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
+    /// Validates a window of raw rows against the schema, then interns it
+    /// ([`Schema::encode_rows`]), without ingesting.
+    pub fn encode_rows(&mut self, rows: &[RawRow]) -> Result<Vec<Tuple>> {
         match self {
-            Served::Plain(m) => m.encode_raw(dims, measures),
-            Served::Sharded(m) => m.encode_raw(dims, measures),
+            Served::Plain(m) => m.schema_mut().encode_rows(rows),
+            Served::Sharded(m) => m.schema_mut().encode_rows(rows),
         }
     }
 
@@ -126,7 +126,6 @@ impl Served {
 }
 
 /// The audit of the monitor behind either arm.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for Served {
     fn check(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         match self {

@@ -35,11 +35,12 @@
 //! (their pruning paths differ).
 
 use crate::fact::ArrivalReport;
-use crate::monitor::{sole_report, FactMonitor, MonitorConfig, MonitorStats};
+use crate::monitor::{sole, FactMonitor, MonitorConfig, MonitorStats};
 use sitfact_algos::Discovery;
 use sitfact_core::pool::ThreadPool;
 use sitfact_core::{
-    routing, DimValueId, FxBuildHasher, Result, Schema, SitFactError, Tuple, TupleId, TupleRef,
+    routing, DimValueId, FxBuildHasher, RawRow, Result, Schema, SitFactError, Tuple, TupleId,
+    TupleRef,
 };
 use std::hash::BuildHasher;
 
@@ -336,7 +337,6 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -346,7 +346,6 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
 /// bijection onto the shard rows, every recorded shard must be the one
 /// [`ShardedMonitor::shard_of`] routes the tuple's routing value to, and
 /// every shard must pass its own [`FactMonitor`] audit.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl<A: Discovery + Send + 'static> sitfact_core::Audit for ShardedMonitor<A> {
     fn check(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;
@@ -440,6 +439,11 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         &self.schema
     }
 
+    /// The master schema, for encoding raw rows against it.
+    pub(crate) fn schema_mut(&mut self) -> &mut Schema {
+        &mut self.schema
+    }
+
     /// The effective (anchored) monitor configuration every shard runs.
     pub fn config(&self) -> &MonitorConfig {
         &self.config
@@ -462,18 +466,17 @@ impl<A: Discovery + Send + 'static> ShardedMonitor<A> {
         Some(self.shards[shard].table().tuple(local))
     }
 
-    /// Interns a raw row against the master schema and validates it,
-    /// without ingesting.
+    /// Validates a raw row against the master schema, then interns it
+    /// ([`Schema::encode_rows`]), without ingesting.
     pub fn encode_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<Tuple> {
-        let ids = self.schema.intern_dims(dims)?;
-        Tuple::validated(ids, measures, &self.schema)
+        sole(self.schema.encode_rows(&[RawRow::new(dims, &measures)])?)
     }
 
     /// Ingests one already-encoded tuple as a window of one
     /// ([`ShardedMonitor::ingest_batch_slice`]), on the calling thread, and
     /// returns its report with its global tuple id.
     pub fn ingest(&mut self, tuple: Tuple) -> Result<ArrivalReport> {
-        sole_report(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
+        sole(self.ingest_batch_slice(std::slice::from_ref(&tuple))?)
     }
 
     /// Ingests a whole window through all shards **in parallel**: the window

@@ -32,7 +32,7 @@
 )]
 
 use sitfact_algos::STopDown;
-use sitfact_core::{DiscoveryConfig, RawRow, SitFactError, Tuple};
+use sitfact_core::{DiscoveryConfig, RawRow, SitFactError};
 use sitfact_datagen::nba::{nba_schema, NbaConfig, NbaGenerator};
 use sitfact_datagen::DataGenerator;
 use sitfact_prominence::{
@@ -115,11 +115,7 @@ fn stream(rows: usize) -> Vec<RawRow> {
 fn ingest(monitor: &mut Tenant, rows: &[RawRow]) -> Vec<ArrivalReport> {
     let mut reports = Vec::new();
     for window in rows.chunks(BATCH) {
-        let tuples: Vec<Tuple> = window
-            .iter()
-            .map(|row| monitor.encode_raw(&row.dims, row.measures.clone()).unwrap())
-            .collect();
-        reports.extend(monitor.ingest_batch_slice(&tuples).unwrap());
+        reports.extend(monitor.ingest_rows(window).unwrap());
     }
     reports
 }

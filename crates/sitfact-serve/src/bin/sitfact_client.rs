@@ -24,8 +24,7 @@
 //! server recovers exactly the state it acknowledged. `--shutdown` asks the
 //! server to exit afterwards.
 
-use sitfact_datagen::nba::nba_schema;
-use sitfact_datagen::nba::{NbaConfig, NbaGenerator};
+use sitfact_datagen::nba::{nba_dimension_names, nba_measure_names, NbaConfig, NbaGenerator};
 use sitfact_datagen::DataGenerator;
 use sitfact_serve::cli::{flag_value, has_flag, parsed, reject_unknown};
 use sitfact_serve::{Client, RawRow, TenantSpec};
@@ -101,18 +100,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         // A private monitor for this client: the NBA demo schema at our
         // arity, named after the tenant so STATS shows who answered.
         let tau: f64 = parsed(&args, "--tau", 100.0)?;
-        let schema = nba_schema(dims, measures);
-        let dim_names: Vec<&str> = schema
-            .dimension_names()
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let measure_defs: Vec<(&str, _)> = schema
-            .measures()
-            .iter()
-            .map(|m| (m.name.as_str(), m.direction))
-            .collect();
-        let spec = TenantSpec::new(tenant, &dim_names, &measure_defs, tau);
+        let spec = TenantSpec::new(
+            tenant,
+            &nba_dimension_names(dims),
+            &nba_measure_names(measures),
+            tau,
+        );
         client.open(&spec)?;
         client.use_tenant(tenant)?;
         println!("opened and switched to tenant {tenant:?}");

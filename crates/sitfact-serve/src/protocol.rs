@@ -226,7 +226,12 @@ pub struct TenantSpec {
 impl TenantSpec {
     /// A spec with the given name, schema attributes and threshold `τ`, no
     /// retention cap and unrestricted discovery.
-    pub fn new(name: &str, dims: &[&str], measures: &[(&str, Direction)], tau: f64) -> Self {
+    pub fn new(
+        name: &str,
+        dims: &[impl AsRef<str>],
+        measures: &[(impl AsRef<str>, Direction)],
+        tau: f64,
+    ) -> Self {
         TenantSpec {
             name: name.to_string(),
             tau,
@@ -234,10 +239,10 @@ impl TenantSpec {
             d_hat: None,
             m_hat: None,
             window: None,
-            dims: dims.iter().map(|d| d.to_string()).collect(),
+            dims: dims.iter().map(|d| d.as_ref().to_string()).collect(),
             measures: measures
                 .iter()
-                .map(|(m, dir)| (m.to_string(), *dir))
+                .map(|(m, dir)| (m.as_ref().to_string(), *dir))
                 .collect(),
         }
     }

@@ -198,28 +198,28 @@ fn unknown_tenant(name: &str) -> Response {
 #[cfg(test)]
 pub(crate) const PANICKING_RELATION: &str = "panics-on-ingest";
 
-/// Executes an `INGEST` / `INGEST_BATCH` against a tenant's pipeline. A
-/// batch is encoded whole first, so a bad row rejects the window before any
-/// of it is ingested, exactly like an in-process batch caller.
+/// Executes an `INGEST` / `INGEST_BATCH` against a tenant's pipeline: the
+/// rows as they came off the wire, a single row as a window of one. A bad
+/// row rejects its window before any of it is interned, logged or
+/// ingested, exactly like an in-process caller.
 fn run_ingest(pipeline: &mut ArrivalPipeline, request: &Request) -> Response {
     #[cfg(test)]
     if pipeline.inner().schema().name() == PANICKING_RELATION {
         panic!("deliberate ingest panic");
     }
-    let outcome = match request {
-        Request::Ingest(row) => pipeline
-            .encode_raw(&row.dims, row.measures.clone())
-            .and_then(|tuple| pipeline.ingest(tuple))
-            .map(Response::Report),
-        Request::IngestBatch(rows) => rows
-            .iter()
-            .map(|row| pipeline.encode_raw(&row.dims, row.measures.clone()))
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|window| pipeline.ingest_batch_slice(&window))
-            .map(Response::Reports),
+    let (rows, single) = match request {
+        Request::Ingest(row) => (std::slice::from_ref(row), true),
+        Request::IngestBatch(rows) => (rows.as_slice(), false),
         _ => unreachable!("run_ingest is only dispatched ingest requests"),
     };
-    outcome.unwrap_or_else(|error| relay(&error))
+    match pipeline.ingest_rows(rows) {
+        Ok(mut reports) if single => reports.pop().map_or_else(
+            || err("State", "a single-row ingest produced no report"),
+            Response::Report,
+        ),
+        Ok(reports) => Response::Reports(reports),
+        Err(error) => relay(&error),
+    }
 }
 
 /// Answers `STATS` / `TOPK` from a tenant's published snapshot. `TOPK k`

@@ -96,22 +96,23 @@ fn reports_in_process(
     let mut reports = Vec::with_capacity(rows.len());
     let singles = rows.len().min(3);
     for (dims, measures) in &rows[..singles] {
-        let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-        let tuple = monitor.encode_raw(&dims, measures.clone()).unwrap();
         // A single row is a window of one.
-        reports.extend(monitor.ingest_batch_slice(&[tuple]).unwrap());
-    }
-    for window in rows[singles..].chunks(7) {
-        let window: Vec<_> = window
-            .iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, measures.clone()).unwrap()
-            })
-            .collect();
+        let window = monitor.encode_rows(&[RawRow::new(dims, measures)]).unwrap();
         reports.extend(monitor.ingest_batch_slice(&window).unwrap());
     }
+    for window in rows[singles..].chunks(7) {
+        reports.extend(ingest_in_process(monitor, window));
+    }
     reports
+}
+
+/// One window through an in-process monitor, encoded the server's way.
+fn ingest_in_process(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
+    let rows: Vec<RawRow> = (rows.iter())
+        .map(|(dims, measures)| RawRow::new(dims, measures))
+        .collect();
+    let window = monitor.encode_rows(&rows).unwrap();
+    monitor.ingest_batch_slice(&window).unwrap()
 }
 
 #[test]
@@ -647,6 +648,62 @@ fn killed_server_recovers_byte_identical_state_from_its_data_dir() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// A refused row interns nothing on a durable server: after an `INGEST` with
+/// a `NaN` measure (a player never seen) and an `INGEST_BATCH` whose bad
+/// second row follows a new team, a restart on the same data directory
+/// answers `TOPK` and `STATS` as before, and the continuation equals an
+/// in-process monitor that never crashed and was refused the same rows.
+#[test]
+fn refused_rows_do_not_perturb_recovery() {
+    let data_dir = temp_data_dir("refused");
+    let rows = raw_stream(30, 5);
+    let fresh: Vec<(Vec<String>, Vec<f64>)> = (0..5)
+        .map(|i| {
+            let dims = vec![format!("Q{i}"), format!("U{}", i % 2), "M0".to_string()];
+            (dims, vec![f64::from(i), 1.0])
+        })
+        .collect();
+    let ghost = RawRow::new(&["Ghost", "T0", "M0"], &[f64::NAN, 1.0]);
+    let bad_batch = vec![
+        RawRow::new(&["P0", "Tnew", "M0"], &[1.0, 1.0]),
+        RawRow::new(&["P1", "T1", "M1"], &[1.0]),
+    ];
+
+    // The never-crashed reference, refused the same rows.
+    let mut reference = default_monitor();
+    let mut expected = reports_in_process_windows(&mut reference, &rows[..10]);
+    assert!(reference.encode_rows(std::slice::from_ref(&ghost)).is_err());
+    assert!(reference.encode_rows(&bad_batch).is_err());
+    expected.extend(reports_in_process_windows(&mut reference, &fresh));
+    let continuation = reports_in_process_windows(&mut reference, &rows[10..]);
+
+    let (addr, join) = spawn_durable_server(&data_dir);
+    let mut client = Client::connect(addr).expect("connect");
+    let mut served = ingest_windows(&mut client, &rows[..10]);
+    match client.ingest(&ghost.dims, &ghost.measures).unwrap_err() {
+        ServeError::Remote { kind, .. } => assert_eq!(kind, "InvalidTuple"),
+        other => panic!("expected an InvalidTuple error, got {other}"),
+    }
+    assert!(client.ingest_batch(bad_batch).is_err());
+    served.extend(ingest_windows(&mut client, &fresh));
+    assert_eq!(served, expected);
+    let pre_kill_top = client.top_k(1 << 20).expect("topk pre-kill");
+    let pre_kill_stats = client.stats().expect("stats pre-kill");
+    assert_eq!(pre_kill_stats.wal_synced, 15, "refused rows are not logged");
+    client.shutdown().expect("shutdown");
+    join.join().expect("server thread");
+    drop(client);
+
+    let (addr, join) = spawn_durable_server(&data_dir);
+    let mut client = Client::connect(addr).expect("reconnect");
+    assert_eq!(client.top_k(1 << 20).expect("topk"), pre_kill_top);
+    assert_eq!(client.stats().expect("stats"), pre_kill_stats);
+    assert_eq!(ingest_windows(&mut client, &rows[10..]), continuation);
+    client.shutdown().expect("shutdown");
+    join.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// Like [`reports_in_process`], but windows of 5 to match
 /// [`ingest_windows`].
 fn reports_in_process_windows(
@@ -655,14 +712,7 @@ fn reports_in_process_windows(
 ) -> Vec<ArrivalReport> {
     let mut reports = Vec::with_capacity(rows.len());
     for window in rows.chunks(5) {
-        let window: Vec<_> = window
-            .iter()
-            .map(|(dims, measures)| {
-                let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-                monitor.encode_raw(&dims, measures.clone()).unwrap()
-            })
-            .collect();
-        reports.extend(monitor.ingest_batch_slice(&window).unwrap());
+        reports.extend(ingest_in_process(monitor, window));
     }
     reports
 }

@@ -182,7 +182,6 @@ impl ContextCounter {
     /// Iterates over every tracked `(constraint, count)` pair, in no
     /// particular order. Only exposed to the deep validators: the monitor
     /// audits rebuild a counter from the table and compare entry-by-entry.
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn iter_counts(&self) -> impl Iterator<Item = (&Constraint, u64)> {
         self.counts.iter().map(|(c, &n)| (c, n))
     }

@@ -273,7 +273,6 @@ impl FileSkylineStore {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -286,7 +285,6 @@ impl FileSkylineStore {
 /// cell decodes from its file to exactly the indexed entry count with unique
 /// ids. The currently buffered cell is checked against the buffer instead (a
 /// dirty buffer is deliberately ahead of its file until the next flush).
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for FileSkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;

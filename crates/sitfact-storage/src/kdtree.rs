@@ -224,7 +224,6 @@ impl KdTree {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -235,7 +234,6 @@ impl KdTree {
 /// axis, every node on the right is at least it — propagated as per-axis
 /// interval bounds down the tree — plus arena reachability (the root reaches
 /// each node exactly once) and point arity.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for KdTree {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;

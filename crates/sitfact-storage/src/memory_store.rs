@@ -64,7 +64,6 @@ impl MemorySkylineStore {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -75,7 +74,6 @@ impl MemorySkylineStore {
 /// free (once, and without an allocation), and nothing else — and the row
 /// layout every lookup relies on: pairs grouped by ascending subspace, no id
 /// twice within a cell.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for MemorySkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;

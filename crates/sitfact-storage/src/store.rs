@@ -215,7 +215,6 @@ impl<R: Default> RowIndex<R> {
 
     /// Checks that every slot is either indexed (once) or free (once, and
     /// `freed` by the owning store's measure), and nothing else.
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub(crate) fn audit(
         &self,
         store: &'static str,

@@ -22,7 +22,7 @@
 //! iterator over all rows.
 
 use sitfact_core::{
-    Constraint, DimValueId, FxHashMap, Result, Schema, Tuple, TupleId, TupleRef, UNBOUND,
+    Constraint, DimValueId, FxHashMap, RawRow, Result, Schema, Tuple, TupleId, TupleRef, UNBOUND,
 };
 use std::ops::Range;
 
@@ -251,11 +251,11 @@ impl Table {
         Ok(ids.start)
     }
 
-    /// Interns the dimension strings, validates the measures and appends the
-    /// resulting tuple. Validation happens once, inside [`Table::append`].
+    /// Encodes one raw row ([`Schema::encode_rows`]: validated before a
+    /// string is interned) and appends it as a window of one.
     pub fn append_raw(&mut self, dims: &[impl AsRef<str>], measures: Vec<f64>) -> Result<TupleId> {
-        let ids = self.schema.intern_dims(dims)?;
-        self.append(Tuple::new(ids, measures))
+        let window = self.schema.encode_rows(&[RawRow::new(dims, &measures)])?;
+        Ok(self.append_batch_slice(&window)?.start)
     }
 
     /// Appends a whole window of already-encoded tuples — every append goes
@@ -519,7 +519,6 @@ impl Table {
     }
 
     /// Deep structural self-check; see [`sitfact_core::audit::Audit`].
-    #[cfg(any(test, debug_assertions, feature = "deep-audit"))]
     pub fn audit(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         sitfact_core::Audit::check(self)
     }
@@ -529,7 +528,6 @@ impl Table {
 /// columns: column strides, the posting index (every list equals the rebuild
 /// from the dims column over `[evicted, len)`), measure validity and the
 /// heap-bytes formula.
-#[cfg(any(test, debug_assertions, feature = "deep-audit"))]
 impl sitfact_core::Audit for Table {
     fn check(&self) -> std::result::Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;

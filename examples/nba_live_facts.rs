@@ -2,12 +2,11 @@
 //! paper's case study (Section VII): report each game that produces a
 //! prominent fact, narrated in English. Box scores arrive in windows (a
 //! night's worth of games at a time) and are ingested through the batched
-//! fast path — `FactMonitor::ingest_batch` appends each window once and
+//! fast path — `FactMonitor::ingest_batch_slice` appends each window once and
 //! still reports every game against exactly the games that preceded it.
 //!
 //! Run with `cargo run --release --example nba_live_facts [-- n_tuples tau]`.
 
-use situational_facts::datagen::encode_row;
 use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::prelude::*;
 
@@ -81,10 +80,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "by |M|:                  {:?}",
         distribution.by_measure_dims
     );
-
-    // Ensure unused helper does not bit-rot: encode_row is the lower-level
-    // path examples can use when they keep their own Table.
-    let mut scratch = Table::new(generator.schema().clone());
-    let _ = encode_row(&mut scratch, &generator.next_row())?;
     Ok(())
 }

@@ -38,15 +38,13 @@ run_step() {
       # Three legs here:
       #  1. the sitfact-audit cross-file drift pass over the whole tree (its
       #     report is uploaded as a CI artifact),
-      #  2. the test suite re-run in release mode with the deep `Audit`
-      #     validators compiled in (debug test runs get them for free via
-      #     debug_assertions; this leg proves the release gate too),
+      #  2. the test suite re-run in release mode (the deep `Audit`
+      #     validators are in every build; this leg runs them optimized),
       #  3. the randomized audit_storm smoke over every audited structure.
       $CARGO run --release -p sitfact-audit --bin audit -- \
         --report /tmp/sitfact_audit_report.txt
-      $CARGO test --release -q -p situational-facts --features deep-audit
-      $CARGO run --release -p sitfact-bench --features deep-audit \
-        --bin audit_storm ;;
+      $CARGO test --release -q -p situational-facts
+      $CARGO run --release -p sitfact-bench --bin audit_storm ;;
     bench-pair-selftest)
       # The verdict rules of scripts/bench_pair.sh on canned runs: a bimodal
       # metric's unlucky block alone does not end WORSE, a planted 30 %

@@ -25,11 +25,14 @@
 //!
 //! ## Quickstart
 //!
-//! Every monitor is fed the same way: `encode_raw` then `ingest` for one
-//! row (a [`FactMonitor`](prominence::FactMonitor)'s `ingest_raw` does both),
+//! A raw row is validated, then interned
+//! ([`Schema::encode_rows`](core::Schema::encode_rows)). A monitor is fed
+//! `encode_raw` then `ingest` for one row (`ingest_raw` does both) and
 //! `ingest_batch_slice` for amortised windows — identically on a
-//! `FactMonitor`, a [`ShardedMonitor`](prominence::ShardedMonitor), or the
-//! [`Served`](prominence::Served) monitor behind a server. On the wire, one
+//! `FactMonitor` and a [`ShardedMonitor`](prominence::ShardedMonitor); a
+//! [`Served`](prominence::Served) monitor encodes with `encode_rows`, and an
+//! `ArrivalPipeline` takes the raw rows (`ingest_rows`) and logs them as
+//! received. On the wire, one
 //! [`FactServer`](serve::FactServer) multiplexes many such monitors: a client `OPEN`s a named *tenant* (its own
 //! schema, threshold and discovery caps — see [`TenantSpec`](serve::TenantSpec))
 //! and `USE`s it, each tenant owned by a server worker and read through the

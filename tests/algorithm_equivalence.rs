@@ -11,7 +11,7 @@ use sitfact_core::pair::canonical_sort;
 use situational_facts::datagen::generic::{Correlation, GenericConfig, GenericGenerator};
 use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::datagen::weather::{WeatherConfig, WeatherGenerator};
-use situational_facts::datagen::{encode_row, DataGenerator};
+use situational_facts::datagen::DataGenerator;
 use situational_facts::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,9 +55,10 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
         .map(|(kind, dir)| kind.build(&schema, config, Some(dir)).unwrap())
         .collect();
 
-    for step in 0..n {
-        let row = generator.next_row();
-        let tuple = encode_row(&mut table, &row).expect("row encodes");
+    let tuples = (table.schema_mut())
+        .encode_rows(&generator.take_rows(n))
+        .expect("rows encode");
+    for (step, tuple) in tuples.into_iter().enumerate() {
         let mut expected = reference.discover(&table, &tuple);
         canonical_sort(&mut expected);
         for (kind, algo) in kinds.iter().zip(algorithms.iter_mut()) {

@@ -100,11 +100,7 @@ fn durable_inputs(dir: &Path) -> (Vec<u8>, Vec<u8>, PathBuf, Vec<u8>) {
     })
     .take_rows(ROWS);
     for window in rows.chunks(BATCH) {
-        let tuples: Vec<_> = window
-            .iter()
-            .map(|row| tenant.encode_raw(&row.dims, row.measures.clone()).unwrap())
-            .collect();
-        tenant.ingest_batch_slice(&tuples).unwrap();
+        tenant.ingest_rows(window).unwrap();
     }
     let Served::Plain(plain) = tenant.inner() else {
         panic!("the tenant is unsharded");

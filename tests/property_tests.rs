@@ -60,17 +60,8 @@ fn windowed_equals_rebuild(
     // arrival order, not just of the rows.
     let mut replay = ShuffledReplay::new(&mut gen, n_rows, shuffle_seed);
     let schema = replay.schema().clone();
-    // Encode every row against one shared dictionary (both monitors see
-    // identical value ids — each interning independently would drift, as
-    // the rebuild never observes the evicted rows' strings).
-    let mut scratch = Table::new(schema.clone());
-    let mut encode = |rows: &[RawRow]| -> Vec<Tuple> {
-        rows.iter()
-            .map(|row| situational_facts::datagen::encode_row(&mut scratch, row).unwrap())
-            .collect()
-    };
-    let tuples = encode(&replay.take_rows(n_rows));
-    let continuation = encode(&replay.take_rows(extra));
+    let rows = replay.take_rows(n_rows);
+    let continuation = replay.take_rows(extra);
 
     let config = MonitorConfig::default()
         .with_discovery(discovery)
@@ -85,8 +76,8 @@ fn windowed_equals_rebuild(
         policy,
     );
 
-    for chunk in tuples.chunks(window_seed) {
-        windowed.ingest_batch_slice(chunk).unwrap();
+    for chunk in rows.chunks(window_seed) {
+        windowed.ingest_rows(chunk).unwrap();
         // Bookkeeping reconciles at every batch boundary.
         prop_assert_eq!(
             windowed.stats().live_rows,
@@ -100,26 +91,28 @@ fn windowed_equals_rebuild(
     deep_audit(windowed.inner())?;
 
     // Rebuild from scratch: a fresh monitor, id space starting at the
-    // windowed monitor's watermark, fed only the surviving suffix.
+    // windowed monitor's watermark, fed only the surviving suffix. It runs
+    // over a clone of the windowed monitor's schema, so both intern to the
+    // same value ids (the rebuild never observes the evicted rows' strings).
     let start = windowed.inner().len() - windowed.stats().live_rows;
     let mut rebuilt = ArrivalPipeline::new(
         FactMonitor::with_base(
-            schema.clone(),
+            windowed.inner().schema().clone(),
             STopDown::new(&schema, config.discovery),
             config,
             start as TupleId,
         ),
         policy,
     );
-    rebuilt.ingest_batch_slice(&tuples[start..]).unwrap();
+    rebuilt.ingest_rows(&rows[start..]).unwrap();
     prop_assert_eq!(rebuilt.stats().live_rows, windowed.stats().live_rows);
 
     // Both monitors must now be observably identical: every future
     // arrival — same continuation, same batch partitioning — produces
     // byte-identical reports.
     for chunk in continuation.chunks(window_seed) {
-        let expected = windowed.ingest_batch_slice(chunk).unwrap();
-        let actual = rebuilt.ingest_batch_slice(chunk).unwrap();
+        let expected = windowed.ingest_rows(chunk).unwrap();
+        let actual = rebuilt.ingest_rows(chunk).unwrap();
         prop_assert_eq!(&actual, &expected);
         for report in &actual {
             deep_audit(report)?;

@@ -39,28 +39,23 @@ fn monitors() -> Vec<(&'static str, Served)> {
     ]
 }
 
-fn raw_rows(n: usize, seed: u64) -> Vec<(Vec<String>, Vec<f64>)> {
+fn raw_rows(n: usize, seed: u64) -> Vec<RawRow> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            (
-                vec![
+            RawRow::new(
+                &[
                     format!("P{}", rng.gen_range(0..5u32)),
                     format!("T{}", rng.gen_range(0..3u32)),
                 ],
-                vec![rng.gen_range(0..7) as f64, rng.gen_range(0..7) as f64],
+                &[rng.gen_range(0..7) as f64, rng.gen_range(0..7) as f64],
             )
         })
         .collect()
 }
 
-fn encode(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<Tuple> {
-    rows.iter()
-        .map(|(dims, measures)| {
-            let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-            monitor.encode_raw(&dims, measures.clone()).unwrap()
-        })
-        .collect()
+fn encode(monitor: &mut Served, rows: &[RawRow]) -> Vec<Tuple> {
+    monitor.encode_rows(rows).unwrap()
 }
 
 /// One window of one per tuple, stopping at the first error: the
@@ -86,7 +81,7 @@ fn resolves(monitor: &Served, id: TupleId) -> bool {
 
 /// The driver of this test file: it goes through `Served` alone, so it
 /// cannot know (or care) which arm it is feeding.
-fn drive(monitor: &mut Served, rows: &[(Vec<String>, Vec<f64>)]) -> Vec<ArrivalReport> {
+fn drive(monitor: &mut Served, rows: &[RawRow]) -> Vec<ArrivalReport> {
     assert!(monitor.is_empty());
     let mut reports = Vec::new();
     // A few windows of one …
@@ -149,7 +144,7 @@ fn ingest_all_is_the_sequential_ground_truth_for_both_types() {
 #[test]
 fn ingest_all_propagates_errors_at_the_failing_tuple() {
     let (_, mut monitor) = monitors().into_iter().next().unwrap();
-    let good = monitor.encode_raw(&["P0", "T0"], vec![1.0, 2.0]).unwrap();
+    let good = encode(&mut monitor, &[RawRow::new(&["P0", "T0"], &[1.0, 2.0])]).remove(0);
     let bad = Tuple::new(vec![0], vec![1.0, 2.0]); // wrong arity
     let result = ingest_one_by_one(&mut monitor, vec![good, bad]);
     assert!(result.is_err());
