@@ -62,8 +62,8 @@ use crate::common::{
 };
 use crate::traits::Discovery;
 use sitfact_core::{
-    BoundMask, Constraint, DimValueId, DiscoveryConfig, Result, Schema, SkylinePair, SubspaceMask,
-    Tuple, TupleId, UNBOUND,
+    BoundMask, Constraint, DimValueId, DiscoveryConfig, Result, Schema, SitFactError, SkylinePair,
+    SubspaceMask, Tuple, TupleId, UNBOUND,
 };
 use sitfact_storage::{
     FileSkylineStore, MemorySkylineStore, RowId, SkylineStore, StoreCell, StoreStats, Table,
@@ -205,9 +205,12 @@ fn row_slot<'r, S: SkylineStore>(
 }
 
 impl<const MAXIMAL: bool, const SHARED: bool> LatticeDiscovery<MAXIMAL, SHARED> {
-    /// Creates the algorithm with the default in-memory skyline store.
+    /// Creates the algorithm with the default in-memory skyline store, built
+    /// over the subspaces this kind keeps cells for.
     pub fn new(schema: &Schema, config: DiscoveryConfig) -> Self {
-        Self::with_store(schema, config, MemorySkylineStore::new())
+        let params = AlgoParams::new(schema, config);
+        let store = MemorySkylineStore::new(Self::family(&params));
+        Self::from_parts(params, store)
     }
 }
 
@@ -216,7 +219,10 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore>
 {
     /// Creates the algorithm over a caller-provided skyline store backend.
     pub fn with_store(schema: &Schema, config: DiscoveryConfig, store: S) -> Self {
-        let params = AlgoParams::new(schema, config);
+        Self::from_parts(AlgoParams::new(schema, config), store)
+    }
+
+    fn from_parts(params: AlgoParams, store: S) -> Self {
         let cells = params.lattice.flag_len() << params.n_measures;
         LatticeDiscovery {
             pruned: vec![false; cells],
@@ -438,6 +444,18 @@ fn prune_above(row: &mut [bool], reach: BoundMask) {
 /// those are its new maximal skyline constraints, unless an existing one
 /// already covers them. Those children lie outside `C^t`, so they and their
 /// ancestors are probed through `key`, which allocates nothing.
+///
+/// Only the ancestors of `child = cell + attr` that bind `attr` are probed.
+/// The demoted tuple `s` was stored at `cell`, one of its maximal skyline
+/// constraints in `subspace`, and under Invariant 2 those form an antichain:
+/// so no proper ancestor of `cell` held `s` when the pass began. Within the
+/// pass `s` only leaves cells of `C^t` (where the new tuple dominates it)
+/// and enters children that bind an attribute on which it and the new tuple
+/// differ, which lie outside `C^t`; every ancestor of `cell` is in `C^t`, so
+/// none of them gains `s`, and the caller has just taken `s` out of `cell`
+/// itself. An ancestor of `child` that does not bind `attr` is `cell` or an
+/// ancestor of it, and cannot hold `s`; one that binds `attr` may, having
+/// received `s` from an earlier demotion.
 #[expect(
     clippy::too_many_arguments,
     reason = "one call site, which hands down the walk's borrowed state field by field"
@@ -465,7 +483,8 @@ fn demote<S: SkylineStore>(
         }
         // Maximality check: is the demoted tuple already stored at one of the
         // child's ancestors (within its own lattice)?
-        let covered = child_mask.ancestors().any(|ancestor| {
+        let mut binding_attr = child_mask.ancestors().filter(|a| a.is_bound(attr));
+        let covered = binding_attr.any(|ancestor| {
             stats.store_reads += 1;
             Constraint::write_tuple_mask(key, demoted, ancestor);
             let row = store.find(key);
@@ -632,7 +651,31 @@ impl<const MAXIMAL: bool, const SHARED: bool, S: SkylineStore> Discovery
         self.store.dump_cells()
     }
 
+    /// Refuses, storing nothing, a cell this kind could not have written:
+    /// one whose subspace is outside its family, or whose constraint is
+    /// not over its dimensions or binds more than `d̂` of them.
     fn import_store_cells(&mut self, cells: Vec<StoreCell>) -> Result<()> {
+        let (family, lattice) = (Self::family(&self.params), self.params.lattice);
+        for cell in &cells {
+            if !family.contains(&SubspaceMask(cell.subspace)) {
+                return Err(SitFactError::InvalidSubspace(format!(
+                    "{} keeps no cells in subspace {:#b}",
+                    self.name(),
+                    cell.subspace
+                )));
+            }
+            let bound = cell.constraint.iter().filter(|&&v| v != UNBOUND).count();
+            if cell.constraint.len() != self.params.n_dims || bound > lattice.max_bound() {
+                return Err(SitFactError::InvalidConstraint(format!(
+                    "{} keeps no cells at {:?}: it keeps constraints over {} dimensions \
+                     binding at most {}",
+                    self.name(),
+                    cell.constraint,
+                    self.params.n_dims,
+                    lattice.max_bound()
+                )));
+            }
+        }
         // Every row is replaced: no resolved handle or gathered cell
         // survives.
         self.rows.fill(None);

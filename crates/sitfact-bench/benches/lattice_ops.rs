@@ -96,22 +96,30 @@ fn bench_kdtree(c: &mut Criterion) {
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
     quick(&mut group);
+    // Each id goes into three of the 15 subspaces of a four-measure schema,
+    // as one pair of its row, and leaves them one subspace at a time.
+    let family = SubspaceMask::enumerate(4, 4);
+    let family = &family;
+    let subspaces = move |i: u32| (0..3).map(move |k| family[((i + 5 * k) % 15) as usize]);
     group.bench_function("memory_store_insert_read_remove", |b| {
         b.iter(|| {
-            let mut store = MemorySkylineStore::new();
-            let subspace = SubspaceMask::full(4);
+            let mut store = MemorySkylineStore::new(family);
             for i in 0..200u32 {
                 let constraint = [i % 8, u32::MAX, i % 3];
                 let mut row = store.find(&constraint);
-                store.insert(&mut row, &constraint, subspace, i);
+                for subspace in subspaces(i) {
+                    store.insert(&mut row, &constraint, subspace, i);
+                }
             }
             let (mut total, mut ids) = (0usize, Vec::new());
             for i in 0..200u32 {
                 let constraint = [i % 8, u32::MAX, i % 3];
                 let mut row = store.find(&constraint);
-                store.read(row, subspace, &mut ids);
-                total += ids.len();
-                store.remove(&mut row, &constraint, subspace, i);
+                for subspace in subspaces(i) {
+                    store.read(row, subspace, &mut ids);
+                    total += ids.len();
+                    store.remove(&mut row, &constraint, subspace, i);
+                }
             }
             total
         })

@@ -154,13 +154,25 @@ mod storm {
         for round in 0..rounds {
             for _ in 0..rng.gen_range(1..12) {
                 let (constraint, subspace) = random_cell(rng);
-                match rng.gen_range(0..4) {
+                match rng.gen_range(0..5) {
                     // Insert a fresh entry most of the time.
                     0 | 1 => {
                         let mut row = store.find(constraint.values());
                         store.insert(&mut row, constraint.values(), subspace, next_id);
                         live.push((constraint, subspace, next_id));
                         next_id += 1;
+                    }
+                    // Store a live id in another subspace of its row, so one
+                    // id sits in several cells and leaves them one by one.
+                    4 => {
+                        if let Some(entry) = live.get(rng.gen_range(0..live.len().max(1))) {
+                            let (c, id) = (entry.0.clone(), entry.2);
+                            if !live.contains(&(c.clone(), subspace, id)) {
+                                let mut row = store.find(c.values());
+                                store.insert(&mut row, c.values(), subspace, id);
+                                live.push((c, subspace, id));
+                            }
+                        }
                     }
                     // Remove a previously inserted entry.
                     2 => {
@@ -277,7 +289,7 @@ mod storm {
         storm_store(
             &mut rng,
             rounds,
-            &mut MemorySkylineStore::new(),
+            &mut MemorySkylineStore::new(&SubspaceMask::enumerate(2, 2)),
             "MemorySkylineStore",
             true,
         );

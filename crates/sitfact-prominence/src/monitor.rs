@@ -1156,4 +1156,55 @@ mod tests {
         let algo = SBottomUp::new(&schema, DiscoveryConfig::unrestricted());
         let _ = FactMonitor::new(schema, algo, config);
     }
+
+    /// A snapshot restores only into a monitor whose kind keeps every cell
+    /// it holds: a `d̂ = m̂ = 3` snapshot is refused by a `d̂ = 1` monitor
+    /// (cells binding two or three dimensions) and by an `m̂ = 1` one (cells
+    /// of wider subspaces), each with a typed error and the monitor left
+    /// empty; a monitor of the writer's shape restores it.
+    #[test]
+    fn a_snapshot_restores_only_into_a_kind_that_keeps_its_cells() {
+        let schema = SchemaBuilder::new("gamelog")
+            .dimension("player")
+            .dimension("team")
+            .dimension("month")
+            .measure("points", Direction::HigherIsBetter)
+            .measure("assists", Direction::HigherIsBetter)
+            .measure("rebounds", Direction::HigherIsBetter)
+            .build()
+            .unwrap();
+        let monitor = |d_hat, m_hat| {
+            let config =
+                MonitorConfig::default().with_discovery(DiscoveryConfig::capped(d_hat, m_hat));
+            FactMonitor::new(
+                schema.clone(),
+                STopDown::new(&schema, config.discovery),
+                config,
+            )
+        };
+        let mut written = monitor(3, 3);
+        for i in 0..24u32 {
+            let dims = [
+                ["A", "B", "C"][i as usize % 3],
+                ["X", "Y"][i as usize % 2],
+                ["Jan", "Feb"][i as usize / 12],
+            ];
+            let measures = vec![f64::from(i % 5), f64::from(i % 7), f64::from(i % 4)];
+            written.ingest_raw(&dims, measures).unwrap();
+        }
+        let blob = written.export_durable().unwrap().unwrap();
+
+        let mut narrow = monitor(1, 3);
+        let err = narrow.restore_durable(&blob).unwrap_err();
+        assert!(matches!(err, SitFactError::InvalidConstraint(_)), "{err:?}");
+        assert!(narrow.is_empty());
+        let mut thin = monitor(3, 1);
+        let err = thin.restore_durable(&blob).unwrap_err();
+        assert!(matches!(err, SitFactError::InvalidSubspace(_)), "{err:?}");
+        assert!(thin.is_empty());
+
+        let mut same = monitor(3, 3);
+        same.restore_durable(&blob).unwrap();
+        assert_eq!(same.export_durable().unwrap().unwrap(), blob);
+    }
 }

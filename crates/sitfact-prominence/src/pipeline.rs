@@ -6,21 +6,24 @@
 //! [`durable`]). Both are stages of one struct around a [`Served`]
 //! monitor, run in this order for every window:
 //!
-//! 1. encode the raw rows once: validate every row, then intern
+//! 1. encode the raw rows, as received, into their log record (logged
+//!    only), so a window over the log's frame cap is refused before
+//!    anything is interned;
+//! 2. encode the raw rows once: validate every row, then intern
 //!    ([`Schema::encode_rows`](sitfact_core::Schema::encode_rows)), so a
 //!    refused window changes nothing;
-//! 2. append the rows, as received, to the log — the acknowledgement
-//!    barrier (logged only);
-//! 3. ingest the tuples into the monitor;
-//! 4. evict whatever fell off the back of the window;
-//! 5. record the last report;
-//! 6. snapshot, if one is due (logged only).
+//! 3. append the record to the log — the acknowledgement barrier (logged
+//!    only);
+//! 4. ingest the tuples into the monitor;
+//! 5. evict whatever fell off the back of the window;
+//! 6. record the last report;
+//! 7. snapshot, if one is due (logged only).
 //!
-//! One replay loop feeds logged windows through the same stages with 2 and
-//! 6 off: for recovery ([`ArrivalPipeline::open_log`]) the log suffix behind
-//! the newest snapshot, for [`ArrivalPipeline::replay`] (resharding) a whole
-//! log. A sharded [`Served`] monitor has no snapshot form, so `open_log`
-//! refuses a snapshot interval for it.
+//! One replay loop feeds logged windows through the same stages with 1, 3
+//! and 7 off: for recovery ([`ArrivalPipeline::open_log`]) the log suffix
+//! behind the newest snapshot, for [`ArrivalPipeline::replay`] (resharding)
+//! a whole log. A sharded [`Served`] monitor has no snapshot form, so
+//! `open_log` refuses a snapshot interval for it.
 //!
 //! Eviction runs only *between* windows: every arrival of a window sees the
 //! full pre-window history plus its in-window predecessors, and a single
@@ -41,7 +44,7 @@ use crate::fact::ArrivalReport;
 use crate::monitor::MonitorStats;
 use crate::served::Served;
 use sitfact_core::{RawRow, Result, SitFactError, TupleId};
-use sitfact_storage::{wal, ArrivalLog, ScannedLog, WindowRecord};
+use sitfact_storage::{wal, ArrivalLog, EncodedWindow, ScannedLog};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -294,12 +297,15 @@ impl ArrivalPipeline {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
+        // The log's frame cap refuses an oversized window here, before
+        // `encode_rows` interns a string of it.
+        let record = match (live, &self.log) {
+            (true, Some(_)) => Some(EncodedWindow::new(self.inner.len() as u64, rows)?),
+            _ => None,
+        };
         let window = self.inner.encode_rows(rows)?;
-        if let (true, Some(stage)) = (live, &mut self.log) {
-            stage.log.append(&WindowRecord {
-                first_id: self.inner.len() as u64,
-                rows: rows.to_vec(),
-            })?;
+        if let (Some(record), Some(stage)) = (record, &mut self.log) {
+            stage.log.append_encoded(record)?;
         }
         let ingested = self.inner.ingest_batch_slice(&window);
         let reports = match ingested.and_then(|reports| self.evict().map(|_| reports)) {
@@ -1187,6 +1193,43 @@ mod tests {
             vec![5, 3, 4],
             "A B C D E · X Y Z · Jan Feb Mar Apr"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A window whose log frame would exceed the cap is refused before it
+    /// interns anything, so the log, which never holds it, recovers to the
+    /// live pipeline: the same dictionaries and the same last report. The
+    /// scenario: `[A]`, then a row whose player is a string of 64 MiB and one
+    /// byte, then `[B]`.
+    #[test]
+    fn a_window_over_the_log_cap_leaves_nothing_to_recover() {
+        let dir = temp_dir("over-cap");
+        let opts = WalOptions::default().with_sync(SyncPolicy::Os);
+        let (mut logged, _) = open(&dir, WindowPolicy::Unbounded, opts);
+        let huge = "h".repeat(wal::MAX_WAL_FRAME + 1);
+        logged
+            .ingest_rows(&[RawRow::new(&["A", "X", "Jan"], &[3.0, 1.0])])
+            .unwrap();
+        let err = logged
+            .ingest_rows(&[RawRow::new(&[huge.as_str(), "Y", "Feb"], &[1.0, 3.0])])
+            .unwrap_err();
+        assert!(err.to_string().contains("frame"), "{err}");
+        drop(huge);
+        logged
+            .ingest_rows(&[RawRow::new(&["B", "Z", "Mar"], &[2.0, 2.0])])
+            .unwrap();
+        let dictionaries = |pipeline: &ArrivalPipeline| {
+            let schema = pipeline.inner().schema();
+            (0..schema.num_dimensions())
+                .map(|d| schema.dictionary(d).len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(dictionaries(&logged), vec![2, 2, 2], "A B · X Z · Jan Mar");
+        let (recovered, recovery) = open(&dir, WindowPolicy::Unbounded, opts);
+        assert_eq!(recovery.replayed_rows, 2);
+        assert_eq!(dictionaries(&recovered), dictionaries(&logged));
+        assert_eq!(recovered.last_report(), logged.last_report());
+        drop(logged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,8 +25,14 @@
 //! ## Cell file layout
 //!
 //! ```text
-//! cell := count:u32le id:u32le*     ids in cell order
+//! cell := count:u32le id:u32le*     ids ascending
 //! ```
+//!
+//! The buffered cell keeps the cell order of [`SkylineStore`], ascending
+//! ids, as the in-memory store does: an insert goes to its sorted position,
+//! a remove closes the gap without reordering, and a lookup is a binary
+//! search. Both backends then read every cell in the same order, so a kind
+//! does the same work over either.
 //!
 //! Like every [`SkylineStore`], a cell holds tuple ids only — the measures
 //! live in the table (see [`crate::store`]). The paper's Figs. 12–13 count
@@ -282,9 +288,10 @@ impl FileSkylineStore {
 /// rest on: every slot is either indexed (once, under its own constraint)
 /// or free (once, with no files); an indexed row without a file is awaiting
 /// the next flush (it is buffered or listed as emptied); and every indexed
-/// cell decodes from its file to exactly the indexed entry count with unique
-/// ids. The currently buffered cell is checked against the buffer instead (a
-/// dirty buffer is deliberately ahead of its file until the next flush).
+/// cell decodes from its file to exactly the indexed entry count with its
+/// ids strictly ascending (so none twice). The currently buffered cell is
+/// checked against the buffer instead (a dirty buffer is deliberately ahead
+/// of its file until the next flush).
 impl sitfact_core::Audit for FileSkylineStore {
     fn check(&self) -> Result<(), sitfact_core::AuditViolation> {
         use sitfact_core::AuditViolation;
@@ -356,13 +363,11 @@ impl sitfact_core::Audit for FileSkylineStore {
                         ),
                     );
                 }
-                for (pos, id) in entries.iter().enumerate() {
-                    if entries.iter().take(pos).any(|other| other == id) {
-                        return fail(
-                            "unique-ids-per-cell",
-                            format!("cell file {path:?} stores id {id} twice"),
-                        );
-                    }
+                if let Some(pair) = entries.windows(2).find(|pair| pair.first() >= pair.last()) {
+                    return fail(
+                        "ids-ascending",
+                        format!("cell file {path:?} holds the ids {pair:?} out of order"),
+                    );
                 }
             }
         }
@@ -405,8 +410,10 @@ impl SkylineStore for FileSkylineStore {
         });
         self.load(Some(slot), subspace);
         if let Some(buffer) = &mut self.buffer {
-            buffer.entries.push(id);
-            buffer.dirty = true;
+            if let Err(at) = buffer.entries.binary_search(&id) {
+                buffer.entries.insert(at, id);
+                buffer.dirty = true;
+            }
         }
     }
 
@@ -421,8 +428,8 @@ impl SkylineStore for FileSkylineStore {
         // documentation), so the handle stays as it is.
         self.load(*row, subspace);
         if let Some(buffer) = &mut self.buffer {
-            if let Some(pos) = buffer.entries.iter().position(|&e| e == id) {
-                buffer.entries.swap_remove(pos);
+            if let Ok(at) = buffer.entries.binary_search(&id) {
+                buffer.entries.remove(at);
                 buffer.dirty = true;
                 return true;
             }
@@ -434,7 +441,7 @@ impl SkylineStore for FileSkylineStore {
         self.load(row, subspace);
         self.buffer
             .as_ref()
-            .is_some_and(|b| b.entries.contains(&id))
+            .is_some_and(|b| b.entries.binary_search(&id).is_ok())
     }
 
     fn stats(&self) -> StoreStats {

@@ -43,4 +43,4 @@ pub use memory_store::MemorySkylineStore;
 pub use stats::{StoreStats, WorkStats};
 pub use store::{RowId, SkylineStore, StoreCell};
 pub use table::{PostingIndexStats, Table};
-pub use wal::{ArrivalLog, ScannedLog, SyncPolicy, WalStats, WindowRecord};
+pub use wal::{ArrivalLog, EncodedWindow, ScannedLog, SyncPolicy, WalStats, WindowRecord};

@@ -20,16 +20,17 @@
 //!
 //! ## Cell order is a contract
 //!
-//! [`SkylineStore::read`] yields a cell's ids in *cell order*, which every
-//! backend maintains by the same two rules:
-//!
-//! * [`SkylineStore::insert`] appends the id at the end of the cell;
-//! * [`SkylineStore::remove`] swap-removes: the cell's last id moves into
-//!   the hole and the cell shrinks by one.
+//! [`SkylineStore::read`] yields a cell's ids in *cell order*, which is
+//! ascending [`TupleId`] order on every backend, whatever order the ids were
+//! inserted and removed in. The in-memory store keeps a tuple once per row
+//! with the set of subspaces it is stored in, ids ascending, and a cell is
+//! that row filtered by one subspace ([`crate::memory_store`]); the
+//! file-backed store keeps each buffered cell sorted ([`crate::file_store`]).
 //!
 //! The order is observable: a kind that keeps whole skylines (Invariant 1)
 //! stops scanning a cell at its first dominator, so the number of dominance
-//! comparisons — the paper's Fig. 11 cost proxy — depends on it.
+//! comparisons — the paper's Fig. 11 cost proxy — depends on it, and the two
+//! backends must agree on it for a kind to do the same work over either.
 //!
 //! ## Rows and their handles
 //!
@@ -98,7 +99,7 @@ pub struct StoreCell {
     pub constraint: Vec<DimValueId>,
     /// The cell's measure subspace bits ([`SubspaceMask`]`::0`).
     pub subspace: u32,
-    /// The stored tuple ids, in cell order.
+    /// The stored tuple ids, in cell order (ascending).
     pub entries: Vec<TupleId>,
 }
 
@@ -269,9 +270,10 @@ pub trait SkylineStore {
     /// same cell, and one buffer serves every read of a traversal.
     fn read(&mut self, row: Option<RowId>, subspace: SubspaceMask, out: &mut Vec<TupleId>);
 
-    /// Appends a tuple id to `row`'s cell in `subspace`. The caller
-    /// guarantees the id is not already present. Through a `None` handle
-    /// this creates the row of `constraint` and stores its handle in `row`.
+    /// Adds a tuple id to `row`'s cell in `subspace`, at its place in cell
+    /// order; adding an id the cell holds changes nothing. Through a `None`
+    /// handle this creates the row of `constraint` and stores its handle in
+    /// `row`.
     fn insert(
         &mut self,
         row: &mut Option<RowId>,
@@ -280,9 +282,9 @@ pub trait SkylineStore {
         id: TupleId,
     );
 
-    /// Swap-removes a tuple id from `row`'s cell in `subspace`, returning
-    /// whether it was present. When this frees the row (the row of
-    /// `constraint`), `row` becomes `None`.
+    /// Removes a tuple id from `row`'s cell in `subspace`, keeping the rest
+    /// in cell order, and returns whether it was present. When this frees
+    /// the row (the row of `constraint`), `row` becomes `None`.
     fn remove(
         &mut self,
         row: &mut Option<RowId>,
@@ -312,7 +314,8 @@ pub trait SkylineStore {
     }
 
     /// Replaces this store's contents (and so every row) with previously
-    /// dumped cells. The default refuses, matching the default
+    /// dumped cells, or refuses them with a typed error and keeps its own.
+    /// The default refuses, matching the default
     /// [`SkylineStore::dump_cells`].
     fn load_cells(&mut self, _cells: Vec<StoreCell>) -> Result<()> {
         Err(SitFactError::InvalidConfig(

@@ -285,17 +285,23 @@ impl<'a> ByteCursor<'a> {
 /// ([`MAX_WAL_FRAME`] for a log frame); `Err`, writing nothing, for a longer
 /// payload or one whose length does not fit the `u32` header field.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], cap: usize) -> Result<()> {
+    fits_frame(payload, cap)?;
+    let mut header = Vec::with_capacity(FRAME_HEADER);
+    put_len(&mut header, payload.len(), "frame payload length")?;
+    put_u32(&mut header, crc32(payload));
+    w.write_all(&header)?;
+    w.write_all(payload)?;
+    Ok(())
+}
+
+/// `Err` for a payload longer than a frame of at most `cap` bytes holds.
+fn fits_frame(payload: &[u8], cap: usize) -> Result<()> {
     if payload.len() > cap {
         return Err(SitFactError::Io(format!(
             "refusing to write a {}-byte frame (cap {cap})",
             payload.len()
         )));
     }
-    let mut header = Vec::with_capacity(FRAME_HEADER);
-    put_len(&mut header, payload.len(), "frame payload length")?;
-    put_u32(&mut header, crc32(payload));
-    w.write_all(&header)?;
-    w.write_all(payload)?;
     Ok(())
 }
 
@@ -325,22 +331,53 @@ pub struct WindowRecord {
     pub rows: Vec<RawRow>,
 }
 
+/// Encodes the window of `rows` whose first row receives `first_id` into
+/// `out` (the payload of one log frame).
+fn encode_window(first_id: u64, rows: &[RawRow], out: &mut Vec<u8>) -> Result<()> {
+    put_u64(out, first_id);
+    put_len(out, rows.len(), "window row count")?;
+    for row in rows {
+        put_len(out, row.dims.len(), "row dimension count")?;
+        put_len(out, row.measures.len(), "row measure count")?;
+        for dim in &row.dims {
+            put_str(out, dim)?;
+        }
+        for &m in &row.measures {
+            put_f64(out, m);
+        }
+    }
+    Ok(())
+}
+
+/// A window record encoded as the payload of one log frame and checked
+/// against [`MAX_WAL_FRAME`], ready for [`ArrivalLog::append_encoded`]. A
+/// caller that encodes before it changes any state can refuse an oversized
+/// window while the refusal still leaves no trace.
+#[derive(Debug)]
+pub struct EncodedWindow {
+    payload: Vec<u8>,
+    /// The id after the window's last row.
+    end_row: u64,
+}
+
+impl EncodedWindow {
+    /// Encodes the window of `rows` whose first row receives `first_id`;
+    /// `Err` when its frame would exceed [`MAX_WAL_FRAME`].
+    pub fn new(first_id: u64, rows: &[RawRow]) -> Result<EncodedWindow> {
+        let mut payload = Vec::with_capacity(64 + 16 * rows.len());
+        encode_window(first_id, rows, &mut payload)?;
+        fits_frame(&payload, MAX_WAL_FRAME)?;
+        Ok(EncodedWindow {
+            payload,
+            end_row: first_id + rows.len() as u64,
+        })
+    }
+}
+
 impl WindowRecord {
     /// Encodes the record into `out` (the payload of one log frame).
     pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
-        put_u64(out, self.first_id);
-        put_len(out, self.rows.len(), "window row count")?;
-        for row in &self.rows {
-            put_len(out, row.dims.len(), "row dimension count")?;
-            put_len(out, row.measures.len(), "row measure count")?;
-            for dim in &row.dims {
-                put_str(out, dim)?;
-            }
-            for &m in &row.measures {
-                put_f64(out, m);
-            }
-        }
-        Ok(())
+        encode_window(self.first_id, &self.rows, out)
     }
 
     /// Decodes a record from one frame payload.
@@ -567,17 +604,20 @@ impl ArrivalLog {
     /// Appends one window record as a checksummed frame, flushing it to the
     /// OS unconditionally and to stable storage per the [`SyncPolicy`].
     pub fn append(&mut self, record: &WindowRecord) -> Result<()> {
+        self.append_encoded(EncodedWindow::new(record.first_id, &record.rows)?)
+    }
+
+    /// [`ArrivalLog::append`] of a window encoded beforehand.
+    pub fn append_encoded(&mut self, window: EncodedWindow) -> Result<()> {
         if self.segment_bytes >= self.segment_limit {
             self.rotate()?;
         }
-        let mut payload = Vec::with_capacity(64 + 16 * record.rows.len());
-        record.encode(&mut payload)?;
-        write_frame(&mut self.file, &payload, MAX_WAL_FRAME)?;
+        write_frame(&mut self.file, &window.payload, MAX_WAL_FRAME)?;
         if matches!(self.sync, SyncPolicy::Always) {
             self.file.sync_data()?;
         }
-        self.segment_bytes += (FRAME_HEADER + payload.len()) as u64;
-        self.durable_rows = record.first_id + record.rows.len() as u64;
+        self.segment_bytes += (FRAME_HEADER + window.payload.len()) as u64;
+        self.durable_rows = window.end_row;
         Ok(())
     }
 
@@ -1489,7 +1529,7 @@ mod tests {
     }
 
     fn sample_cells() -> Vec<StoreCell> {
-        let mut store = MemorySkylineStore::new();
+        let mut store = MemorySkylineStore::new(&SubspaceMask::enumerate(2, 2));
         let (c1, c2) = ([1, u32::MAX], [u32::MAX, 2]);
         let (mut row1, mut row2) = (None, None);
         store.insert(&mut row1, &c1, SubspaceMask(0b01), 0);
@@ -1513,7 +1553,7 @@ mod tests {
         let decoded = decode_cells(&mut ByteCursor::new(&bytes), &table).unwrap();
         // Sorted by constraint and subspace; ids in cell order.
         assert_eq!(decoded, cells);
-        let mut restored = MemorySkylineStore::new();
+        let mut restored = MemorySkylineStore::new(&SubspaceMask::enumerate(2, 2));
         restored.load_cells(decoded).unwrap();
         assert_eq!(restored.stats().stored_entries, 4);
         assert_eq!(restored.stats().non_empty_cells, 3);

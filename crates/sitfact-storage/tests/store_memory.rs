@@ -1,13 +1,16 @@
 //! `MemorySkylineStore::stats().approx_bytes` against what the process
 //! really pays for the store: a fresh child process (this test binary, run
-//! again on the ignored test below) fills a store with a seeded population
+//! again on an ignored test below) fills a store with a seeded population
 //! shaped like a long-running monitor's, and the estimate must fall within
-//! ±15 % of the growth of its resident set. A child keeps the measurement
+//! ±15 % of the growth of its resident set. There are two populations: one
+//! id per cell, and ≈ 5.8 cells of its row per id, which the store keeps as
+//! one pair with its subspace bits. A child keeps the measurement
 //! clear of whatever the other tests of this binary allocate, and needs no
 //! allocator hook. Linux only: the resident set is read from
 //! `/proc/self/status`.
 #![allow(
     clippy::unwrap_used,
+    clippy::panic,
     reason = "test code: a failed unwrap is a failed test"
 )]
 
@@ -15,7 +18,7 @@ use rand::prelude::*;
 use sitfact_core::{DimValueId, SubspaceMask, TupleId, UNBOUND};
 use sitfact_storage::{MemorySkylineStore, SkylineStore};
 
-/// Constraints in the population; about 3.2 ids each.
+/// Constraints in each population; about 3.2 ids each in the first.
 const CONSTRAINTS: u32 = 40_000;
 
 /// The 15 subspaces a four-measure schema keeps at `m̂ = 3`, plus the full
@@ -24,9 +27,9 @@ const SUBSPACES: u32 = 15;
 
 /// `(constraint, subspace, id)` for every stored id, in a seeded random
 /// order: each constraint has one to three non-empty cells, 69 % of the
-/// cells hold one id and the rest two to four — the shape of the end state
-/// of a long NBA stream at `d̂ = m̂ = 3`.
-fn population() -> Vec<(u32, SubspaceMask, TupleId)> {
+/// cells hold one id and the rest two to four, and no id is in two cells —
+/// the cell shape of the end state of a long NBA stream at `d̂ = m̂ = 3`.
+fn one_cell_per_id() -> Vec<(u32, SubspaceMask, TupleId)> {
     let mut rng = StdRng::seed_from_u64(2_026);
     let mut entries = Vec::new();
     let mut next_id: TupleId = 0;
@@ -45,7 +48,37 @@ fn population() -> Vec<(u32, SubspaceMask, TupleId)> {
             }
         }
     }
-    // Fisher–Yates: rows grow interleaved, as they do under a stream.
+    shuffled(&mut rng, entries)
+}
+
+/// The same, shaped by tuple instead of by cell: each constraint stores one
+/// to four ids, and each id in every subspace with probability 0.39 (at
+/// least one) — ≈ 5.8 of the 15, as a long NBA stream's store holds its
+/// (row, tuple) pairs.
+fn many_cells_per_id() -> Vec<(u32, SubspaceMask, TupleId)> {
+    let mut rng = StdRng::seed_from_u64(2_027);
+    let mut entries = Vec::new();
+    let mut next_id: TupleId = 0;
+    for constraint in 0..CONSTRAINTS {
+        for _ in 0..rng.gen_range(1..5u32) {
+            let mut subspaces: Vec<u32> = Vec::new();
+            while subspaces.is_empty() {
+                subspaces = (1..=SUBSPACES).filter(|_| rng.gen_bool(0.39)).collect();
+            }
+            for subspace in subspaces {
+                entries.push((constraint, SubspaceMask(subspace), next_id));
+            }
+            next_id += 1;
+        }
+    }
+    shuffled(&mut rng, entries)
+}
+
+/// Fisher–Yates: rows grow interleaved, as they do under a stream.
+fn shuffled(
+    rng: &mut StdRng,
+    mut entries: Vec<(u32, SubspaceMask, TupleId)>,
+) -> Vec<(u32, SubspaceMask, TupleId)> {
     for i in (1..entries.len()).rev() {
         entries.swap(i, rng.gen_range(0..=i));
     }
@@ -68,16 +101,14 @@ fn resident_bytes() -> u64 {
     kib * 1024
 }
 
-/// Run in the child: fills a store and prints the estimate next to the
+/// Fills a store with `entries` and prints the estimate next to the
 /// resident-set growth.
-#[test]
-#[ignore = "measured in a child process by estimate_reconciles_with_resident_set"]
-fn fill_and_measure() {
-    let entries = population();
+fn fill_and_measure(entries: &[(u32, SubspaceMask, TupleId)]) {
     assert!(entries.len() >= 100_000, "{} ids", entries.len());
     let before = resident_bytes();
-    let mut store = MemorySkylineStore::new();
-    for &(k, subspace, id) in &entries {
+    let family: Vec<SubspaceMask> = (1..=SUBSPACES).map(SubspaceMask).collect();
+    let mut store = MemorySkylineStore::new(&family);
+    for &(k, subspace, id) in entries {
         let key = constraint(k);
         let mut row = store.find(&key);
         store.insert(&mut row, &key, subspace, id);
@@ -85,22 +116,36 @@ fn fill_and_measure() {
     let grown = resident_bytes() - before;
     let stats = store.stats();
     assert_eq!(stats.stored_entries, entries.len() as u64);
+    store.audit().unwrap();
     println!(
         "store-memory estimate={} resident={grown} entries={} cells={}",
         stats.approx_bytes, stats.stored_entries, stats.non_empty_cells
     );
 }
 
-#[cfg(target_os = "linux")]
+/// Run in the child: the population of one id per cell.
 #[test]
-fn estimate_reconciles_with_resident_set() {
+#[ignore = "measured in a child process by estimate_reconciles_with_resident_set"]
+fn fill_one_cell_per_id() {
+    fill_and_measure(&one_cell_per_id());
+}
+
+/// Run in the child: the population of ≈ 5.8 cells per id.
+#[test]
+#[ignore = "measured in a child process by estimate_reconciles_with_resident_set"]
+fn fill_many_cells_per_id() {
+    fill_and_measure(&many_cells_per_id());
+}
+
+/// The estimate against the resident-set growth of a child running `test`.
+fn reconcile(test: &str) {
     let output = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["fill_and_measure", "--exact", "--ignored", "--nocapture"])
+        .args([test, "--exact", "--ignored", "--nocapture"])
         .args(["--test-threads", "1"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(output.status.success(), "child failed:\n{stdout}");
+    assert!(output.status.success(), "{test} failed:\n{stdout}");
     // The harness prints the test's name on the same line.
     let line = stdout
         .lines()
@@ -118,7 +163,14 @@ fn estimate_reconciles_with_resident_set() {
     let error = estimate / resident - 1.0;
     assert!(
         error.abs() <= 0.15,
-        "estimate {estimate} vs resident growth {resident}: {:+.1} %",
+        "{test}: estimate {estimate} vs resident growth {resident}: {:+.1} %",
         error * 100.0
     );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn estimate_reconciles_with_resident_set() {
+    reconcile("fill_one_cell_per_id");
+    reconcile("fill_many_cells_per_id");
 }

@@ -1,12 +1,12 @@
 //! The cell-order contract of `SkylineStore`, held directly: seeded random
 //! sequences of `insert` / `remove` / `contains` / `read` / `flush` drive
-//! both backends next to a per-cell `Vec<TupleId>` model that appends on
-//! insert and swap-removes on remove, and after every step every cell must
-//! read back exactly as the model says, in the model's order.
+//! both backends next to a per-cell ascending id set, and after every step
+//! every cell must read back exactly the model's ids, in ascending order.
 
 use proptest::prelude::*;
-use sitfact_core::{Constraint, SubspaceMask, TupleId, UNBOUND};
+use sitfact_core::{Audit, Constraint, SubspaceMask, TupleId, UNBOUND};
 use sitfact_storage::{FileSkylineStore, MemorySkylineStore, SkylineStore};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A few constraints sharing value ids, so rows and file names collide the
@@ -27,17 +27,20 @@ const SUBSPACES: [SubspaceMask; 3] = [
 ];
 
 /// `(op, constraint, subspace, id)`; `op` 0–1 insert, 2 remove, 3 contains,
-/// 4 read, 5 flush.
+/// 4 read, 5 flush. Ids repeat across the subspaces of a row, so one id
+/// sits in several cells of it and leaves them one at a time.
 type Op = (u32, usize, usize, TupleId);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0u32..6, 0usize..3, 0usize..3, 0u32..10), 1..150)
 }
 
-/// Applies `ops` to `store` and to the model, comparing after every step.
-fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
+/// Applies `ops` to `store` and to the model, comparing (and auditing the
+/// store) after every step.
+fn drive(store: &mut (impl SkylineStore + Audit), ops: &[Op]) -> Result<(), String> {
     let constraints = constraints();
-    let mut model: Vec<Vec<TupleId>> = vec![Vec::new(); constraints.len() * SUBSPACES.len()];
+    let mut model: Vec<BTreeSet<TupleId>> =
+        vec![BTreeSet::new(); constraints.len() * SUBSPACES.len()];
     let mut ids = Vec::new();
     for (step, &(op, c, m, id)) in ops.iter().enumerate() {
         let (constraint, subspace) = (constraints[c].values(), SUBSPACES[m]);
@@ -45,22 +48,13 @@ fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
         let cell = &mut model[c * SUBSPACES.len() + m];
         match op {
             0 | 1 => {
-                // Callers never insert an id a cell already holds.
-                if !cell.contains(&id) {
-                    store.insert(&mut row, constraint, subspace, id);
-                    cell.push(id);
-                }
+                // Adding an id a cell holds changes nothing.
+                store.insert(&mut row, constraint, subspace, id);
+                cell.insert(id);
             }
             2 => {
-                let expected = match cell.iter().position(|&x| x == id) {
-                    Some(pos) => {
-                        cell.swap_remove(pos);
-                        true
-                    }
-                    None => false,
-                };
                 let removed = store.remove(&mut row, constraint, subspace, id);
-                prop_assert_eq!(removed, expected);
+                prop_assert_eq!(removed, cell.remove(&id));
             }
             3 => {
                 let contained = store.contains(row, subspace, id);
@@ -68,7 +62,7 @@ fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
             }
             4 => {
                 store.read(row, subspace, &mut ids);
-                prop_assert_eq!(&ids, cell);
+                prop_assert!(ids.iter().eq(cell.iter()));
             }
             _ => store.flush(),
         }
@@ -77,14 +71,17 @@ fn drive(store: &mut impl SkylineStore, ops: &[Op]) -> Result<(), String> {
             let row = store.find(constraints[c].values());
             store.read(row, SUBSPACES[m], &mut ids);
             prop_assert!(
-                ids == *expected,
+                ids.iter().eq(expected.iter()),
                 "step {step}: cell ({c}, {m}) reads {ids:?}, the model holds {expected:?}"
             );
+        }
+        if let Err(violation) = store.check() {
+            return Err(format!("step {step}: {violation}"));
         }
     }
     store.flush();
     let stats = store.stats();
-    let entries: usize = model.iter().map(Vec::len).sum();
+    let entries: usize = model.iter().map(BTreeSet::len).sum();
     let cells = model.iter().filter(|cell| !cell.is_empty()).count();
     prop_assert_eq!(stats.stored_entries, entries as u64);
     prop_assert_eq!(stats.non_empty_cells, cells as u64);
@@ -96,7 +93,7 @@ proptest! {
 
     #[test]
     fn memory_store_keeps_cell_order(ops in ops()) {
-        drive(&mut MemorySkylineStore::new(), &ops)?;
+        drive(&mut MemorySkylineStore::new(&SUBSPACES), &ops)?;
     }
 
     #[test]

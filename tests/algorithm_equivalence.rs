@@ -159,3 +159,16 @@ fn all_algorithms_agree_with_duplicate_heavy_workload() {
     }
     assert_all_algorithms_agree(Quantised(generator), 100, DiscoveryConfig::unrestricted());
 }
+
+#[test]
+fn all_algorithms_agree_with_two_words_of_subspaces() {
+    // Six measures at unrestricted `m̂`: a family of 63 subspaces, so the
+    // in-memory store keeps two words of subspace bits per stored tuple.
+    let generator = GenericGenerator::new(GenericConfig {
+        dim_cardinalities: vec![3, 2, 2],
+        measures: 6,
+        correlation: Correlation::AntiCorrelated,
+        seed: 606,
+    });
+    assert_all_algorithms_agree(generator, 50, DiscoveryConfig::unrestricted());
+}
